@@ -11,10 +11,9 @@ quartiles over the set's runs (``statistics.quantiles(values, n=4)``)
 and the spread, (Q3 - Q1) / median.
 
 With one set, a metric is ``steady`` when its spread is below a third of
-its bound and ``wide`` when the spread exceeds the bound (``setup_s``
-is exempt from the spread rule).  With two sets, runs are paired by
-seed; ``won`` counts the pairs where B is better, ties counting for
-neither.  ``worse`` is how much B's median is worse than A's, as a
+its bound and ``wide`` when the spread exceeds the bound.  With two
+sets, runs are paired by seed; ``won`` counts the pairs where B is
+better, ties counting for neither.  ``worse`` is how much B's median is worse than A's, as a
 share of A's median; beyond the bound it is a regression.  ``gain``
 marks a metric where B wins at least nine tenths of the pairs and the
 medians differ by more than A's quartile distance.
@@ -69,7 +68,7 @@ def summarize(runs: dict) -> int:
             q1, q2, q3 = quartiles(values)
             s = spread(values)
             status = "steady" if s < bound / 3 else "within bound" if s <= bound else "wide"
-            if status == "wide" and name != "setup_s":
+            if status == "wide":
                 bad += 1
             print(f"{workload:14} {name:22} {len(values):3d} {q2:12.6g} {q1:12.6g} "
                   f"{q3:12.6g} {s:8.4f} {bound:6.3f}  {status}")

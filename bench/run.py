@@ -53,6 +53,12 @@ SRC = HERE.parent / "src"
 # machine-speed phases as the ops do.
 IMPORT_SPAWNS = 15
 MAX_REPORTED_FAILURES = 5
+# A traced op's root span opens just before the op's start time is read
+# and closes just after its end time is read, so it must cover the
+# measured op wall time and exceed it only by a few clock calls (about
+# 10 us).  The limit applies to the run's median gap, so that one op
+# preempted between two clock calls does not fail the run.
+ROOT_SPAN_SLACK_S = 0.5e-3
 
 
 def clock() -> float:
@@ -265,6 +271,7 @@ def run(args, sf, workload_cls, work: Path) -> int:
     tracer = Tracer()
     kernel_s = []    # reference kernel parts before op i (and after the last op)
     done = []        # (op, traced, wall s, phases) of timed ops that passed
+    root_gaps = []   # root span minus measured wall, s, per traced op
     accuracy = []
     i = 0
     deadline = None
@@ -282,9 +289,14 @@ def run(args, sf, workload_cls, work: Path) -> int:
                 wall = clock() - start
             finally:
                 if trace_op:
-                    tracer.end_op()
+                    root = tracer.end_op() / 1e9
                     tracer.uninstall()
             reason, acc = workload.check(i)
+            if trace_op:
+                root_gaps.append(root - wall)
+                if reason is None and root < wall:
+                    reason = (f"root span {root * 1e3:.4f} ms shorter than the "
+                              f"measured op wall {wall * 1e3:.4f} ms")
         except Exception:
             reason, acc = "exception: " + traceback.format_exc(limit=3), {}
         if len(kernel_s) == i:
@@ -333,16 +345,24 @@ def run(args, sf, workload_cls, work: Path) -> int:
         fail("run", "no op completed")
     elif traced:
         summary = tracer.summarize()
-        if summary["bad_ops"] or not op_s[True]:
-            fail("trace", f"spans do not nest or add up in ops {summary['bad_ops']}")
+        if not op_s[True]:
+            fail("trace", "no traced op passed")
+        elif statistics.median(root_gaps) > ROOT_SPAN_SLACK_S:
+            fail("trace", f"median root span - measured op wall "
+                          f"{statistics.median(root_gaps) * 1e3:.4f} ms above "
+                          f"{ROOT_SPAN_SLACK_S * 1e3:g} ms")
         else:
             overhead = statistics.median(op_s[True]) / statistics.median(plain) - 1.0
             metrics = per_layer_metrics(summary, tracer.errors, len(op_s[True]),
                                         overhead)
-            record["trace_identity"] = {
-                "ops_checked": len(summary["op_wall_ns"]),
-                "rule": "per op, span self times + unattributed == op wall, "
-                        "exactly in ns; every span nests in its parent"}
+            record["root_span_check"] = {
+                "ops_checked": len(root_gaps),
+                "min_gap_ms": min(root_gaps) * 1e3,
+                "median_gap_ms": statistics.median(root_gaps) * 1e3,
+                "max_gap_ms": max(root_gaps) * 1e3,
+                "rule": "per traced op, root span >= measured op wall; "
+                        "median of root span - measured op wall "
+                        f"<= {ROOT_SPAN_SLACK_S * 1e3:g} ms"}
         tracer.write(args.results / f"spans.{workload.name}.csv.gz")
     else:
         def put(name, value, unit):

@@ -4,10 +4,10 @@
     python3 bench/sweep.py --out bench/out/sets/A --seeds 1-10
     python3 bench/sweep.py --out bench/out/sets/B --seeds 1-5 --workloads fit-large
 
-Runs are sequential, one fresh process each, with ``run_seconds`` from
-BENCHMARK.json unless ``--seconds`` is given.  Each run's record lands
-in ``--out``; ``compare.py`` reads that directory.  Exit code 1 when
-any run failed.
+Runs are sequential, one fresh process each, untraced, with
+``run_seconds`` from BENCHMARK.json.  Each run's record lands in
+``--out``; ``compare.py`` reads that directory.  Exit code 1 when any
+run failed.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
     parser.add_argument("--workloads", nargs="+",
                         default=[w["name"] for w in SPEC["workloads"]])
-    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
     args.out.mkdir(parents=True, exist_ok=True)
@@ -45,8 +43,8 @@ def main(argv=None) -> int:
     for workload in args.workloads:
         for seed in args.seeds:
             cmd = [sys.executable, str(HERE / "run.py"), "--workload", workload,
-                   "--seed", str(seed), "--seconds", str(args.seconds),
-                   "--trace", str(args.trace), "--results", str(args.out)]
+                   "--seed", str(seed), "--seconds", str(SPEC["run_seconds"]),
+                   "--trace", "0", "--results", str(args.out)]
             done = subprocess.run(cmd, capture_output=True, text=True, timeout=900)
             lines = done.stdout.strip().splitlines()
             last = lines[-1] if lines else ""

@@ -128,8 +128,10 @@ class CliRoundtrip:
     name = "cli-roundtrip"
     edge, step = 10.0, 1.0
     nodes_per_op = 6 * 11 ** 3
-    # Median k_rel_err is about 6e-7 at this noise level and node count.
-    tolerance = 1e-5
+    # Over ten 30 s runs (seeds 1-10, 1,700-2,000 ops) the median
+    # k_rel_err was 7.2e-7 and the max 2.6e-6; the tolerance is about
+    # 2.3x that max, so an estimate ten times less accurate fails.
+    tolerance = 6e-6
     phases = ("simulate", "identify")
     reference_parts = ("text", "calls")
 
@@ -183,8 +185,10 @@ class FitLarge:
     name = "fit-large"
     edge, step = 55.0, 1.0
     nodes_per_op = 6 * 56 ** 3
-    # Median k_rel_err is about 6e-8 at this noise level and node count.
-    tolerance = 1e-6
+    # Over ten 30 s runs (seeds 1-10, about 300 ops) the median
+    # k_rel_err was 6.2e-8 and the max 1.8e-7; the tolerance is about
+    # 2.8x that max, so an estimate ten times less accurate fails.
+    tolerance = 5e-7
     phases = ()
     reference_parts = ("fit",)
 
