@@ -187,9 +187,10 @@ def _options_from(manifest_options: dict, args) -> IdentifyOptions:
     known = {"estimator", "angles", "outlier_fraction",
              "confidence_multiplier", "symmetrize"}
     opts = {k: v for k, v in opts.items() if k in known}
-    if "angles" in opts:
-        opts["angles"] = AngleExtractionMethod(opts["angles"])
-    return IdentifyOptions(**opts)
+    try:
+        return IdentifyOptions(**opts)
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(args.manifest, f"bad option: {exc}") from None
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -324,7 +325,7 @@ def _benchmark_noise(args, out: Path) -> int:
 
 def _benchmark_zero_detection(args, out: Path) -> int:
     study = run_zero_detection_study(seeds=args.trials, sigma=args.sigma,
-                                     multiplier=args.multiplier)
+                                     multiplier=args.multiplier, seed=args.seed)
     ok = study.pass_fraction >= 0.95
     _write_json(out / "zero_detection_summary.json",
                 {"study": study.to_json_dict(), "pass": bool(ok)})

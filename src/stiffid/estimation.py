@@ -11,6 +11,15 @@ body from a centered displacement field:
 For fields symmetric about their centroid the normal matrix is diagonal
 and :func:`estimate_symmetric` applies the closed form.
 
+Every estimator builds the field's :class:`NormalSystem` once: the node
+count, the centroid, the rotation normal matrix from one ``rel.T @ rel``
+product of the centroid-relative positions, its inverse, and the
+rotation right-hand side read off the antisymmetric part of
+``rel.T @ displacements``.  The degeneracy check of the normal matrix
+lives there and nowhere else.  The fit result carries the system, so the
+deflection covariance follows from it without another pass over the
+nodes.
+
 Units: mm for translations, rad for rotation components.  The linearized
 model `dp_i = dphi x p_i + p` is valid for small angles; estimates with
 `|dphi|` above ``ROTATION_WARN_LIMIT`` trigger a warning.
@@ -22,6 +31,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +41,7 @@ from .errors import (
     LinearizationWarning,
     NotSymmetric,
 )
-from .field import DisplacementField, centroid
+from .field import DisplacementField, centroid, column_mean
 
 # Small-angle validity bound for the linearized model, rad (about 1 degree).
 ROTATION_WARN_LIMIT = 0.0175
@@ -179,13 +189,33 @@ class Deflection:
         return cls(v[:3], v[3:])
 
 
+class NormalSystem(NamedTuple):
+    """Normal equations of the linearized rigid fit about the field centroid.
+
+    ``moment`` is the rotation normal matrix sum(|r|^2 I - r r^T) over the
+    centroid-relative positions r (mm^2), ``inverse`` its inverse, and
+    ``rhs`` the rotation right-hand side sum(r x d) (mm^2).
+    """
+
+    n: int
+    centroid: np.ndarray
+    moment: np.ndarray
+    inverse: np.ndarray
+    rhs: np.ndarray
+
+
 @dataclass(frozen=True)
 class FitResult:
-    """Estimated deflection plus per-node residuals of the fit."""
+    """Estimated deflection plus per-node residuals of the fit.
+
+    ``system`` is the normal system of the fitted field; the estimators
+    always set it.
+    """
 
     deflection: Deflection
     residuals: np.ndarray
     objective: float
+    system: NormalSystem | None = None
 
     def __post_init__(self):
         r = np.asarray(self.residuals, dtype=float)
@@ -204,20 +234,58 @@ class FitResult:
 def moment_matrix(positions: np.ndarray) -> np.ndarray:
     """Rotation normal matrix sum(|p|^2 I - p p^T) of a point set, mm^2."""
     p = np.asarray(positions, dtype=float)
-    return np.sum(p * p) * np.eye(3) - p.T @ p
+    scatter = p.T @ p
+    return np.trace(scatter) * np.eye(3) - scatter
 
 
 def _require_centered(field: DisplacementField, who: str) -> None:
     if not field.centered:
         raise ValueError(f"{who} needs a field centered on its reference point")
+
+
+def _normal_system(field: DisplacementField) -> tuple[NormalSystem, np.ndarray]:
+    """Build the normal system of a field; also return the positions
+    relative to the centroid.
+
+    Raises
+    ------
+    DegenerateGeometry
+        If the field has fewer than 3 nodes or the rotation normal matrix
+        is numerically singular (rotation unobservable about some axis).
+    """
     if field.n < 3:
-        raise DegenerateGeometry(f"{who} needs at least 3 nodes, got {field.n}")
+        raise DegenerateGeometry(f"a rigid fit needs at least 3 nodes, got {field.n}")
+    c = centroid(field)
+    rel = field.positions - c
+    m = moment_matrix(rel)
+    eig, vec = np.linalg.eigh(m)
+    if eig[0] <= DEGENERACY_RTOL * np.trace(m):
+        raise DegenerateGeometry(
+            "rotation normal matrix is singular for this node layout")
+    g = rel.T @ field.displacements
+    rhs = np.array([g[1, 2] - g[2, 1], g[2, 0] - g[0, 2], g[0, 1] - g[1, 0]])
+    return NormalSystem(field.n, c, m, (vec / eig) @ vec.T, rhs), rel
 
 
-def _fit_result(field: DisplacementField, translation: np.ndarray,
+def _linear_fit(field: DisplacementField, system: NormalSystem,
+                rel: np.ndarray, rotation: np.ndarray) -> FitResult:
+    """Fit result of the linearized model for a solved rotation.
+
+    The translation is the mean displacement, transported from the
+    centroid c to the reference point via ``p = q - dphi x c``.
+    """
+    q = column_mean(field.displacements)
+    spin = skew(rotation)
+    residuals = rel @ spin.T
+    residuals += q
+    np.subtract(field.displacements, residuals, out=residuals)
+    return _fit_result(system, q - spin @ system.centroid, rotation, residuals)
+
+
+def _fit_result(system: NormalSystem, translation: np.ndarray,
                 rotation: np.ndarray, residuals: np.ndarray) -> FitResult:
-    objective = float(np.sum(residuals * residuals))
-    return FitResult(Deflection(translation, rotation), residuals, objective)
+    objective = float(np.vdot(residuals, residuals))
+    return FitResult(Deflection(translation, rotation), residuals, objective, system)
 
 
 def estimate_svd(field: DisplacementField,
@@ -234,32 +302,35 @@ def estimate_svd(field: DisplacementField,
     Raises
     ------
     DegenerateGeometry
-        If the nodes are collinear (cross-covariance rank < 2).
+        If the rotation normal matrix is numerically singular, or the
+        cross-covariance has rank < 2.
     """
     _require_centered(field, "estimate_svd")
+    system, rel = _normal_system(field)
     pos = field.positions
     moved = pos + field.displacements
-    pos_rel = pos - pos.mean(axis=0)
     moved_rel = moved - moved.mean(axis=0)
-    cross = pos_rel.T @ moved_rel
+    cross = rel.T @ moved_rel
     U, s, Vt = np.linalg.svd(cross)
     if s[0] <= 0.0 or s[1] <= DEGENERACY_RTOL * s[0]:
         raise DegenerateGeometry(
-            "nodes are collinear, rotation about the line is unobservable")
+            "displaced nodes are collinear, the rotation is not determined")
     d = np.sign(np.linalg.det(Vt.T @ U.T))
     R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    translation = field.displacements.mean(axis=0) - (R - np.eye(3)) @ pos.mean(axis=0)
+    translation = field.displacements.mean(axis=0) - (R - np.eye(3)) @ system.centroid
     rotation = extract_angles(R, method)
     residuals = moved - pos @ R.T - translation
-    return _fit_result(field, translation, rotation, residuals)
+    return _fit_result(system, translation, rotation, residuals)
 
 
 def estimate_lin(field: DisplacementField) -> FitResult:
     """Fit the linearized rigid model by least squares.
 
     The solve runs about the field centroid, which decouples translation
-    and rotation; the translation is then transported back to the
-    reference point via ``p = q - dphi x c`` where c is the centroid.
+    and rotation: the rotation is the inverse normal matrix times the
+    right-hand side of the field's :class:`NormalSystem`, and the
+    translation is then transported back to the reference point via
+    ``p = q - dphi x c`` where c is the centroid.
 
     Raises
     ------
@@ -267,18 +338,8 @@ def estimate_lin(field: DisplacementField) -> FitResult:
         If the rotation normal matrix is numerically singular.
     """
     _require_centered(field, "estimate_lin")
-    c = centroid(field)
-    rel = field.positions - c
-    m = moment_matrix(rel)
-    eig = np.linalg.eigvalsh(m)
-    if eig[0] <= DEGENERACY_RTOL * np.trace(m):
-        raise DegenerateGeometry(
-            "rotation normal matrix is singular for this node layout")
-    rotation = np.linalg.solve(m, np.cross(rel, field.displacements).sum(axis=0))
-    q = field.displacements.mean(axis=0)
-    translation = q - np.cross(rotation, c)
-    residuals = field.displacements - np.cross(rotation, rel) - q
-    return _fit_result(field, translation, rotation, residuals)
+    system, rel = _normal_system(field)
+    return _linear_fit(field, system, rel, system.inverse @ system.rhs)
 
 
 def estimate_symmetric(field: DisplacementField) -> FitResult:
@@ -291,22 +352,13 @@ def estimate_symmetric(field: DisplacementField) -> FitResult:
     :func:`estimate_lin` on valid inputs.
     """
     _require_centered(field, "estimate_symmetric")
-    pos = field.positions
-    scale = np.max(np.abs(pos))
-    if scale <= 0.0:
-        raise DegenerateGeometry("all nodes coincide")
-    if np.linalg.norm(pos.sum(axis=0)) > 1e-9 * scale * field.n:
+    system, rel = _normal_system(field)
+    scale = np.max(np.abs(field.positions))
+    if np.linalg.norm(system.centroid) > 1e-9 * scale:
         raise NotSymmetric("field is not centered on its own centroid")
-    m = moment_matrix(pos)
-    diag = np.diag(m).copy()
-    off = m - np.diag(diag)
+    diag = np.diag(system.moment)
+    off = system.moment - np.diag(diag)
     if np.max(np.abs(off)) > 1e-9 * diag.mean():
         raise NotSymmetric("rotation normal matrix is not diagonal; "
                            "fall back to estimate_lin")
-    if diag.min() <= DEGENERACY_RTOL * diag.sum():
-        raise DegenerateGeometry(
-            "rotation normal matrix is singular for this node layout")
-    rotation = np.cross(pos, field.displacements).sum(axis=0) / diag
-    translation = field.displacements.mean(axis=0)
-    residuals = field.displacements - np.cross(rotation, pos) - translation
-    return _fit_result(field, translation, rotation, residuals)
+    return _linear_fit(field, system, rel, system.rhs / diag)

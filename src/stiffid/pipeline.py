@@ -9,7 +9,7 @@ elements and finally symmetrize.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,10 +30,10 @@ from .stats import (
     DeflectionCovariance,
     NoiseEstimate,
     SignificanceReport,
-    deflection_covariance,
     estimate_sigma,
     filter_outliers,
     significance_test,
+    system_covariance,
 )
 
 log = logging.getLogger("stiffid")
@@ -59,6 +59,12 @@ class IdentifyOptions:
     def __post_init__(self):
         if self.estimator not in ("lin", "svd"):
             raise ValueError(f"estimator must be 'lin' or 'svd', got {self.estimator!r}")
+        if not 0.0 <= self.outlier_fraction < 1.0:
+            raise ValueError("outlier_fraction must be in [0, 1), "
+                             f"got {self.outlier_fraction!r}")
+        if not self.confidence_multiplier > 0.0:
+            raise ValueError("confidence_multiplier must be positive, "
+                             f"got {self.confidence_multiplier!r}")
         object.__setattr__(self, "angles", AngleExtractionMethod(self.angles))
 
 
@@ -111,7 +117,6 @@ def run_identification(cases: Sequence[LoadCase],
     noise = estimate_sigma(initial_fits)
     log.info("pooled noise sigma=%.6g from %d experiments", noise.sigma, len(cases))
 
-    fields = []
     fits = []
     removed: list[tuple[int, ...]] = []
     for case, fit in zip(cases, initial_fits):
@@ -120,13 +125,12 @@ def run_identification(cases: Sequence[LoadCase],
                                                options.outlier_fraction)
         else:
             reduced, dropped = case.field, np.empty(0, dtype=int)
-        fields.append(reduced)
-        removed.append(tuple(int(i) for i in dropped))
+        removed.append(tuple(dropped.tolist()))
         fits.append(_estimate(reduced, options) if len(dropped) else fit)
         log.info("experiment %s: n=%d, removed=%d", case.source or "?",
                  reduced.n, len(dropped))
 
-    covariances = tuple(deflection_covariance(f, noise.sigma) for f in fields)
+    covariances = tuple(system_covariance(fit.system, noise.sigma) for fit in fits)
     experiments = [Experiment(case.wrench, fit.deflection, case.source)
                    for case, fit in zip(cases, fits)]
 

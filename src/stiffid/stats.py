@@ -18,14 +18,13 @@ import numpy as np
 
 from .compliance import ComplianceMatrix, Experiment
 from .errors import (
-    DegenerateGeometry,
     InsufficientDof,
     MissingCovariance,
     NotCanonical,
     TooFewRemaining,
 )
-from .estimation import DEGENERACY_RTOL, FitResult, moment_matrix
-from .field import DisplacementField, centroid
+from .estimation import FitResult, NormalSystem, _normal_system
+from .field import DisplacementField
 
 DEFAULT_OUTLIER_FRACTION = 0.10
 DEFAULT_CONFIDENCE_MULTIPLIER = 3.0
@@ -91,26 +90,30 @@ class DeflectionCovariance:
         return np.concatenate([self.translation_std(), self.rotation_std()])
 
 
-def deflection_covariance(field: DisplacementField, sigma: float) -> DeflectionCovariance:
+def system_covariance(system: NormalSystem, sigma: float) -> DeflectionCovariance:
     """Covariance of the linearized estimate for noise level `sigma`.
 
     Translation: (sigma^2 / n) I about the field centroid.  Rotation:
-    sigma^2 times the inverse of the rotation normal matrix.
+    sigma^2 times the inverse of the rotation normal matrix.  Both come
+    from the normal system a fit already built (``FitResult.system``), so
+    no node is visited again.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if field.n < 3:
-        raise DegenerateGeometry("covariance needs at least 3 nodes")
-    rel = field.positions - centroid(field)
-    m = moment_matrix(rel)
-    eig = np.linalg.eigvalsh(m)
-    if eig[0] <= DEGENERACY_RTOL * np.trace(m):
-        raise DegenerateGeometry(
-            "rotation normal matrix is singular for this node layout")
-    cov_translation = (sigma ** 2 / field.n) * np.eye(3)
-    inv = np.linalg.inv(m)
-    cov_rotation = sigma ** 2 * (inv + inv.T) / 2.0
-    return DeflectionCovariance(cov_translation, cov_rotation)
+    variance = sigma ** 2
+    return DeflectionCovariance((variance / system.n) * np.eye(3),
+                                variance * system.inverse)
+
+
+def deflection_covariance(field: DisplacementField, sigma: float) -> DeflectionCovariance:
+    """Covariance of the linearized estimate of `field` for noise level
+    `sigma`; see :func:`system_covariance`.
+
+    Raises :class:`DegenerateGeometry` for fewer than 3 nodes or a
+    singular rotation normal matrix.
+    """
+    system, _ = _normal_system(field)
+    return system_covariance(system, sigma)
 
 
 def filter_outliers(field: DisplacementField, fit: FitResult,
@@ -138,19 +141,28 @@ def filter_outliers(field: DisplacementField, fit: FitResult,
     if n - remove < 3:
         raise TooFewRemaining(
             f"removing {remove} of {n} nodes leaves fewer than 3")
+    r = fit.residuals
     if ranking == "max-axis":
-        score = np.abs(fit.residuals).max(axis=1)
+        a = np.abs(r)
+        score = np.maximum(a[:, 0], a[:, 1])
+        np.maximum(score, a[:, 2], out=score)
     elif ranking == "norm":
-        score = np.linalg.norm(fit.residuals, axis=1)
+        score = np.linalg.norm(r, axis=1)
     else:
         raise ValueError(f"unknown ranking {ranking!r}")
-    # Stable sort makes tie handling deterministic (earlier index survives).
-    order = np.argsort(score, kind="stable")
-    removed = np.sort(order[n - remove:])
-    keep = np.ones(n, dtype=bool)
-    keep[removed] = False
-    reduced = DisplacementField(field.positions[keep], field.displacements[keep],
+    # Drop every score above the threshold, then the last indices among
+    # the ties at it: the set a stable ascending sort puts last, so an
+    # earlier node survives a tie.
+    kth = n - remove
+    threshold = np.partition(score, kth)[kth]
+    drop = score > threshold
+    ties = np.flatnonzero(score == threshold)
+    drop[ties[len(ties) - (remove - np.count_nonzero(drop)):]] = True
+    keep = ~drop
+    reduced = DisplacementField(np.compress(keep, field.positions, axis=0),
+                                np.compress(keep, field.displacements, axis=0),
                                 field.reference_point, centered=field.centered)
+    removed = np.flatnonzero(drop)
     return reduced, removed
 
 

@@ -1,13 +1,15 @@
 """Command line workflow: simulate, identify, benchmark, error reporting."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from stiffid import beam_compliance_oracle, load_compliance_json
-from stiffid.cli import main
+from stiffid import beam_compliance_oracle, load_compliance_json, read_field_csv
+from stiffid.cli import load_manifest, main
 
 NONZERO = beam_compliance_oracle().k != 0.0
 
@@ -179,6 +181,38 @@ class TestIdentify:
         assert "stiffid:" in capsys.readouterr().err
 
 
+class TestReadmeInputFormat:
+    """The README's input examples go through the real parsers."""
+
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def blocks(self):
+        section = self.README.read_text(encoding="utf-8").split(
+            "## Input format")[1].split("\n## ")[0]
+        return re.findall(r"```(\w*)\n(.*?)```", section, flags=re.S)
+
+    def test_csv_example_parses(self, tmp_path):
+        (csv_text,) = [body for lang, body in self.blocks() if not lang]
+        path = tmp_path / "example.csv"
+        path.write_text(csv_text.replace("...\n", ""), encoding="utf-8")
+        field = read_field_csv(path)
+        assert field.n == 1
+        assert_allclose(field.displacements[0], [0.0502, -0.0001, 0.0003])
+
+    def test_manifest_example_loads(self, sim_dir, tmp_path):
+        (manifest_text,) = [body for lang, body in self.blocks() if lang == "json"]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(manifest_text, encoding="utf-8")
+        (tmp_path / "field_fx.csv").write_bytes(
+            (sim_dir / "field_fx.csv").read_bytes())
+        cases, options = load_manifest(manifest)
+        assert len(cases) == 1
+        assert cases[0].field.n == 1331
+        assert cases[0].field.centered
+        assert_allclose(cases[0].wrench.as_vector(), [1000.0, 0, 0, 0, 0, 0])
+        assert options == {"estimator": "lin", "outlier_fraction": 0.1}
+
+
 class TestIdentifyErrors:
     def stderr_payload(self, capsys):
         err = capsys.readouterr().err.strip().splitlines()
@@ -252,6 +286,47 @@ class TestIdentifyErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert "line" in self.stderr_payload(capsys)["message"]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--outlier-fraction", "1.5"),
+        ("--outlier-fraction", "-0.2"),
+        ("--confidence-multiplier", "0"),
+    ])
+    def test_out_of_range_option_exit_2(self, sim_dir, tmp_path, capsys,
+                                        flag, value):
+        assert main(["identify", str(sim_dir / "manifest.json"), flag, value,
+                     "--out", str(tmp_path / "o")]) == 2
+        payload = self.stderr_payload(capsys)
+        assert payload["error"] == "ManifestError"
+        assert flag[2:].replace("-", "_") in payload["message"]
+
+    def test_unknown_estimator_in_manifest_exit_2(self, sim_dir, tmp_path, capsys):
+        data = read_manifest(sim_dir / "manifest.json")
+        for entry in data["experiments"]:
+            entry["field_file"] = str(sim_dir / entry["field_file"])
+        data["options"]["estimator"] = "foo"
+        manifest = tmp_path / "m.json"
+        write_manifest(manifest, data)
+        assert main(["identify", str(manifest),
+                     "--out", str(tmp_path / "o")]) == 2
+        payload = self.stderr_payload(capsys)
+        assert payload["error"] == "ManifestError"
+        assert "estimator" in payload["message"]
+
+    def test_non_finite_field_value_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        main(["simulate", "--sigma", "0", "--out", str(out)])
+        target = out / "field_mx.csv"
+        lines = target.read_text().splitlines(keepends=True)
+        lines[10] = "1.0,2.0,nan,0,0,0\n"  # data row 8 of the file
+        target.write_text("".join(lines))
+        assert main(["identify", str(out / "manifest.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+        payload = self.stderr_payload(capsys)
+        assert payload["error"] == "FieldFileError"
+        assert payload["file"].endswith("field_mx.csv")
+        assert payload["line"] == 11
+        assert "non-finite" in payload["message"]
+
 
 class TestBenchmark:
     def test_noise_study_noise_free(self, tmp_path, capsys):
@@ -275,6 +350,19 @@ class TestBenchmark:
                      "--out", str(out)]) == 0
         summary = read_manifest(out / "zero_detection_summary.json")
         assert summary["study"]["perfect_seeds"] == 3
+
+    def test_zero_detection_seed(self, tmp_path):
+        def summary(name, *flags):
+            out = tmp_path / name
+            assert main(["benchmark", "zero-detection", "--trials", "3",
+                         *flags, "--out", str(out)]) == 0
+            return (out / "zero_detection_summary.json").read_bytes()
+
+        default = summary("default")
+        assert summary("seed0", "--seed", "0") == default
+        shifted = json.loads(summary("seed1", "--seed", "1"))
+        assert shifted["study"]["min_safety"] != \
+            json.loads(default)["study"]["min_safety"]
 
     def test_zero_detection_band_failure_exit_4(self, tmp_path, capsys):
         # an absurd multiplier swallows every element, so no seed is perfect

@@ -296,6 +296,27 @@ class TestLinEstimator:
         assert_allclose(fit1.deflection.rotation, fit0.deflection.rotation,
                         atol=1e-15)
 
+    def test_sensor_off_the_reference_point_matches_cross_product_formula(self):
+        # a 10 mm cube sensor 50 mm from the reference point: the normal
+        # system route agrees with the plain cross-product solve
+        def cross_product_fit(pos, disp):
+            c = pos.mean(axis=0)
+            rel = pos - c
+            rotation = np.linalg.solve(moment_matrix(rel),
+                                       np.cross(rel, disp).sum(axis=0))
+            q = disp.mean(axis=0)
+            return np.concatenate([q - np.cross(rotation, c), rotation])
+
+        pos = cube_nodes(10.0, 1.0) + np.array([0.0, 50.0, 0.0])
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            truth = np.concatenate([rng.normal(0, 1e-2, 3), rng.normal(0, 1e-3, 3)])
+            disp = (np.cross(truth[3:], pos) + truth[:3]
+                    + rng.normal(0.0, 5.6e-5, pos.shape))
+            fit = estimate_lin(make_field(pos, disp))
+            assert_allclose(fit.deflection.as_vector(),
+                            cross_product_fit(pos, disp), rtol=0, atol=1e-15)
+
 
 class TestSvdEstimator:
     def test_exact_on_rigid_rotation_fields(self):

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from stiffid import (
+    BeamSpec,
     Deflection,
     DeflectionCovariance,
     DegenerateGeometry,
@@ -14,16 +15,19 @@ from stiffid import (
     Experiment,
     FitResult,
     InsufficientDof,
+    MeshPattern,
     MissingCovariance,
     NotCanonical,
     TooFewRemaining,
     Wrench,
     assemble_canonical,
+    beam_load_cases,
     canonical_wrench_scheme,
     deflection_covariance,
     estimate_lin,
     estimate_sigma,
     filter_outliers,
+    run_identification,
     significance_test,
 )
 from stiffid.stats import DEFAULT_CONFIDENCE_MULTIPLIER, DEFAULT_OUTLIER_FRACTION
@@ -133,6 +137,20 @@ class TestDeflectionCovariance:
         with pytest.raises(DegenerateGeometry):
             deflection_covariance(make_field(pos, np.zeros_like(pos)), 1e-5)
 
+    def test_pipeline_covariances_match_reduced_fields(self):
+        # the pipeline reuses each refit's normal system; the result must
+        # equal a fresh covariance of the outlier-filtered field
+        cases = beam_load_cases(BeamSpec(), MeshPattern.cubic(6.0, 1.0),
+                                sigma=5.6e-5, seed=4)
+        result = run_identification(cases)
+        for case, cov, removed in zip(cases, result.covariances, result.removed):
+            keep = np.setdiff1d(np.arange(case.field.n), removed)
+            reduced = make_field(case.field.positions[keep],
+                                 case.field.displacements[keep])
+            fresh = deflection_covariance(reduced, result.noise.sigma)
+            assert_allclose(cov.translation, fresh.translation, rtol=1e-12, atol=0)
+            assert_allclose(cov.rotation, fresh.rotation, rtol=1e-12, atol=0)
+
     def test_monte_carlo_spread_matches(self):
         pos = cube_nodes(10.0, 2.0)  # 216 nodes keeps this quick
         field = make_field(pos, np.zeros_like(pos))
@@ -213,6 +231,24 @@ class TestFilterOutliers:
         _, removed_b = filter_outliers(field, fit, 1.0 / 6.0)
         assert_array_equal(removed_a, removed_b)
         assert removed_a.tolist() == [5]  # stable sort keeps earlier ties
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_partial_ties_match_stable_sort(self, seed):
+        # 3 scores lie strictly above the cut and 7 tie at it, of which
+        # 3 go; the removed set is the tail of a stable ascending argsort
+        rng = np.random.default_rng(seed)
+        score = rng.permutation(np.concatenate(
+            [[5.0] * 3, [4.0] * 7, rng.integers(0, 4, 50).astype(float)]))
+        residuals = rng.uniform(0.0, 1.0, (60, 3)) * score[:, None]
+        residuals[np.arange(60), rng.integers(0, 3, 60)] = score
+        residuals *= rng.choice([-1.0, 1.0], (60, 3))
+        pos = rng.uniform(-5.0, 5.0, (60, 3))
+        field = make_field(pos, np.zeros_like(pos))
+        fit = FitResult(Deflection(np.zeros(3), np.zeros(3)), residuals, 0.0)
+        _, removed = filter_outliers(field, fit, 0.1)
+        expected = np.sort(np.argsort(score, kind="stable")[60 - 6:])
+        assert_array_equal(removed, expected)
+        assert_array_equal(np.sort(score[removed]), [4.0] * 3 + [5.0] * 3)
 
     def test_too_few_survivors_rejected(self):
         pos = cube_nodes(2.0, 1.0)[:4]
