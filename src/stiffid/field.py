@@ -9,6 +9,7 @@ fields.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, field as _field
 from typing import Iterator, NamedTuple
 
@@ -27,6 +28,11 @@ BOUNDARY_TOL = 1e-9
 _AXES = {"x": 0, "y": 1, "z": 2}
 
 CSV_HEADER = ("x", "y", "z", "dx", "dy", "dz")
+
+# write_field_csv formats this many rows per string; it bounds the
+# temporary list and text on million-node exports.
+_WRITE_BLOCK_ROWS = 4096
+_ROW_FORMAT = "%r,%r,%r,%r,%r,%r\n"
 
 
 class Node(NamedTuple):
@@ -137,6 +143,18 @@ def column_mean(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij->j", a) / a.shape[0]
 
 
+def axis_index(axis: int | str) -> int:
+    """Coordinate index of an axis given as 'x'/'y'/'z' (any case) or 0/1/2."""
+    if isinstance(axis, str):
+        try:
+            return _AXES[axis.lower()]
+        except KeyError:
+            raise ValueError(f"axis must be one of x, y, z, got {axis!r}") from None
+    if axis not in (0, 1, 2):
+        raise ValueError(f"axis index must be 0, 1 or 2, got {axis}")
+    return int(axis)
+
+
 @dataclass(frozen=True)
 class SensorRegion:
     """Geometric region selecting the nodes of a virtual sensor.
@@ -160,17 +178,6 @@ class SensorRegion:
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
 
-    @staticmethod
-    def _axis_index(axis: int | str) -> int:
-        if isinstance(axis, str):
-            try:
-                return _AXES[axis.lower()]
-            except KeyError:
-                raise ValueError(f"axis must be one of x, y, z, got {axis!r}") from None
-        if axis not in (0, 1, 2):
-            raise ValueError(f"axis index must be 0, 1 or 2, got {axis}")
-        return int(axis)
-
     @classmethod
     def cube(cls, edge: float, center=(0.0, 0.0, 0.0)) -> "SensorRegion":
         if edge <= 0:
@@ -182,14 +189,14 @@ class SensorRegion:
         """Planar square sensor of zero thickness, normal to `axis`."""
         if edge <= 0:
             raise ValueError("square edge must be positive")
-        return cls("square", center, edge=float(edge), axis=cls._axis_index(axis))
+        return cls("square", center, edge=float(edge), axis=axis_index(axis))
 
     @classmethod
     def layer(cls, axis: int | str, coordinate: float, thickness: float) -> "SensorRegion":
         """Slab of nodes with the `axis` coordinate near `coordinate`."""
         if thickness <= 0:
             raise ValueError("layer thickness must be positive")
-        ax = cls._axis_index(axis)
+        ax = axis_index(axis)
         center = np.zeros(3)
         center[ax] = coordinate
         return cls("layer", center, axis=ax, coordinate=float(coordinate),
@@ -242,49 +249,82 @@ def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
                    length_scale: float = 1.0) -> DisplacementField:
     """Read a nodal field from CSV with columns x,y,z,dx,dy,dz.
 
-    Lines starting with '#' and blank lines are skipped.  The first data
-    line must be the header.  `length_scale` converts the file's length
-    unit to mm (1000.0 for metres).  The returned field is not centered.
+    Blank lines may appear anywhere; lines whose first non-blank
+    character is '#' are comments and skipped (a '#' after a value is an
+    error).  The first other line must be the header, compared case-
+    and space-insensitively; every further line holds exactly six
+    comma-separated finite numbers.  Errors carry the file's line
+    number.  `length_scale` converts the file's length unit to mm
+    (1000.0 for metres).  The returned field is not centered.
+
+    The body is parsed by one ``np.loadtxt`` call, which converts text
+    to floats exactly as ``float()`` does.  Files it rejects (a bad
+    value, or comment and whitespace-only lines between rows) are read
+    again line by line, which accepts the latter and reports the line
+    of the former.
     """
     path = str(path)
-    rows = []
-    header_seen = False
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise FieldFileError(path, None, str(exc)) from exc
     with handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if not header_seen:
-                if tuple(p.lower() for p in parts) != CSV_HEADER:
-                    raise FieldFileError(
-                        path, lineno,
-                        f"expected header {','.join(CSV_HEADER)}, got {line!r}")
-                header_seen = True
-                continue
-            if len(parts) != 6:
-                raise FieldFileError(path, lineno,
-                                     f"expected 6 columns, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise FieldFileError(path, lineno,
-                                     f"non-numeric value in {line!r}") from None
-    if not header_seen:
-        raise FieldFileError(path, None, "missing header line")
-    if not rows:
-        raise FieldFileError(path, None, "no data rows")
-    data = np.asarray(rows, dtype=float) * length_scale
+        header_line = _read_header(handle, path)
+        body = handle.tell()
+        try:
+            with warnings.catch_warnings():
+                # An empty body warns "input contained no data"; the line
+                # loop below reports it as an error instead.
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != 6 or not len(data):
+            handle.seek(body)
+            data = _read_rows(handle, path, header_line + 1)
+    data = data * length_scale
     if not np.all(np.isfinite(data)):
         row = int(np.argmin(np.isfinite(data).all(axis=1)))
         raise FieldFileError(path, _data_line(path, row),
                              f"non-finite value in data row {row + 1}")
     ref = np.asarray(reference_point, dtype=float) * length_scale
     return DisplacementField(data[:, :3], data[:, 3:], ref, centered=False)
+
+
+def _read_header(handle, path: str) -> int:
+    """Consume the leading blank and comment lines and the header line of
+    a field CSV; return the header's line number."""
+    for lineno, raw in enumerate(iter(handle.readline, ""), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if tuple(p.strip().lower() for p in line.split(",")) != CSV_HEADER:
+            raise FieldFileError(
+                path, lineno, f"expected header {','.join(CSV_HEADER)}, got {line!r}")
+        return lineno
+    raise FieldFileError(path, None, "missing header line")
+
+
+def _read_rows(handle, path: str, first_line: int) -> np.ndarray:
+    """Parse the data lines of a field CSV one by one, from line number
+    `first_line` on; raise :class:`FieldFileError` at the first bad one."""
+    rows = []
+    for lineno, raw in enumerate(handle, start=first_line):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 6:
+            raise FieldFileError(path, lineno,
+                                 f"expected 6 columns, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise FieldFileError(path, lineno,
+                                 f"non-numeric value in {line!r}") from None
+    if not rows:
+        raise FieldFileError(path, None, "no data rows")
+    return np.asarray(rows, dtype=float)
 
 
 def _data_line(path: str, row: int) -> int:
@@ -300,13 +340,19 @@ def write_field_csv(path, field: DisplacementField, comments=()) -> None:
     """Write a field to CSV (mm).  Centered fields are written with
     absolute coordinates so the file round-trips through
     :func:`read_field_csv` plus :func:`center_field`.
+
+    Each value is written as ``repr`` of the float, the shortest text
+    that parses back to the same double, so values round-trip bit for
+    bit.  Rows are formatted in blocks of ``_WRITE_BLOCK_ROWS``.
     """
     pos = field.positions
     if field.centered:
         pos = pos + field.reference_point
+    table = np.hstack((pos, field.displacements))
     with open(str(path), "w", encoding="utf-8", newline="\n") as handle:
         for comment in comments:
             handle.write(f"# {comment}\n")
         handle.write(",".join(CSV_HEADER) + "\n")
-        for p, d in zip(pos, field.displacements):
-            handle.write(",".join(repr(float(v)) for v in (*p, *d)) + "\n")
+        for start in range(0, len(table), _WRITE_BLOCK_ROWS):
+            block = table[start:start + _WRITE_BLOCK_ROWS]
+            handle.write(_ROW_FORMAT * len(block) % tuple(block.ravel().tolist()))

@@ -78,15 +78,31 @@ class IdentificationResult:
     covariances: tuple[DeflectionCovariance, ...]
     removed: tuple[tuple[int, ...], ...]
     canonical: bool
+    options: IdentifyOptions
+    sources: tuple[str, ...]
 
     def diagnostics(self) -> dict:
-        """Per-stage run log entries, JSON-serializable."""
+        """Per-stage run log entries, JSON-serializable.
+
+        Holds the resolved options and, per experiment, the field file
+        and the indices of the removed nodes: with the same inputs that
+        is enough to rerun the identification.
+        """
         return {
+            "options": {
+                "estimator": self.options.estimator,
+                "angles": self.options.angles.value,
+                "outlier_fraction": float(self.options.outlier_fraction),
+                "confidence_multiplier": float(self.options.confidence_multiplier),
+                "symmetrize": bool(self.options.symmetrize),
+            },
             "experiments": [
                 {
+                    "field_file": self.sources[i],
                     "nodes": fit.n,
                     "sigma": self.noise.per_experiment_sigma[i],
                     "removed_nodes": len(self.removed[i]),
+                    "removed_indices": list(self.removed[i]),
                 }
                 for i, fit in enumerate(self.fits)
             ],
@@ -151,4 +167,5 @@ def run_identification(cases: Sequence[LoadCase],
         matrix = symmetrize(matrix)
     return IdentificationResult(matrix, assembled, report, noise,
                                 tuple(fits), covariances, tuple(removed),
-                                canonical)
+                                canonical, options,
+                                tuple(case.source for case in cases))

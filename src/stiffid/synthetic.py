@@ -29,7 +29,7 @@ from .estimation import (
     estimate_svd,
     rotation_xyz,
 )
-from .field import DisplacementField
+from .field import DisplacementField, axis_index
 from .pipeline import IdentifyOptions, LoadCase, run_identification
 from .stats import deflection_covariance
 
@@ -83,22 +83,11 @@ class MeshPattern:
     def square(cls, edge: float, step: float, axis: int | str = "x") -> "MeshPattern":
         _check_edge_step(edge, step)
         return cls("square", edge=float(edge), step=float(step),
-                   axis=_axis_index(axis))
+                   axis=axis_index(axis))
 
     @classmethod
     def custom(cls, nodes) -> "MeshPattern":
         return cls("custom", nodes=np.asarray(nodes, dtype=float))
-
-
-def _axis_index(axis: int | str) -> int:
-    if isinstance(axis, str):
-        mapping = {"x": 0, "y": 1, "z": 2}
-        if axis.lower() not in mapping:
-            raise ValueError(f"axis must be x, y or z, got {axis!r}")
-        return mapping[axis.lower()]
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis index must be 0, 1 or 2, got {axis}")
-    return int(axis)
 
 
 def _check_edge_step(edge: float, step: float) -> None:

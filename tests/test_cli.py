@@ -1,5 +1,6 @@
 """Command line workflow: simulate, identify, benchmark, error reporting."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -111,6 +112,58 @@ class TestIdentify:
         assert len(log["experiments"]) == 6
         assert log["experiments"][0]["nodes"] == 1331 - 134  # after 10% removal
         assert log["sigma"] >= 0.0
+
+    def test_run_log_reruns_identification(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--sigma", "1e-4", "--seed", "5",
+                     "--out", str(sim)]) == 0
+        first = tmp_path / "first"
+        assert main(["identify", str(sim / "manifest.json"), "--out", str(first),
+                     "--estimator", "svd", "--angles", "plus-asin",
+                     "--outlier-fraction", "0.07",
+                     "--confidence-multiplier", "2.5", "--no-symmetrize"]) == 0
+        log = read_manifest(first / "run_log.json")
+        assert log["options"] == {"estimator": "svd", "angles": "plus-asin",
+                                  "outlier_fraction": 0.07,
+                                  "confidence_multiplier": 2.5,
+                                  "symmetrize": False}
+        for tag, entry in zip(("fx", "fy", "fz", "mx", "my", "mz"),
+                              log["experiments"]):
+            assert entry["field_file"] == f"field_{tag}.csv"
+            assert len(set(entry["removed_indices"])) == entry["removed_nodes"] == 94
+        assert log["manifest_sha256"] == hashlib.sha256(
+            (sim / "manifest.json").read_bytes()).hexdigest()
+        for entry in log["experiments"]:
+            assert entry["field_sha256"] == hashlib.sha256(
+                (sim / entry["field_file"]).read_bytes()).hexdigest()
+
+        # Without its options block the manifest alone would run other
+        # options; the logged ones, passed as flags, must give the same bytes.
+        data = read_manifest(sim / "manifest.json")
+        del data["options"]
+        write_manifest(sim / "bare.json", data)
+        opts = log["options"]
+        flags = ["--estimator", opts["estimator"], "--angles", opts["angles"],
+                 "--outlier-fraction", repr(opts["outlier_fraction"]),
+                 "--confidence-multiplier", repr(opts["confidence_multiplier"])]
+        if not opts["symmetrize"]:
+            flags.append("--no-symmetrize")
+        default = tmp_path / "default"
+        assert main(["identify", str(sim / "bare.json"), "--out", str(default)]) == 0
+        rerun = tmp_path / "rerun"
+        assert main(["identify", str(sim / "bare.json"), "--out", str(rerun),
+                     *flags]) == 0
+        assert ((rerun / "compliance.json").read_bytes()
+                == (first / "compliance.json").read_bytes())
+        assert ((default / "compliance.json").read_bytes()
+                != (first / "compliance.json").read_bytes())
+        assert read_manifest(default / "run_log.json")["options"] == {
+            "estimator": "lin", "angles": "avg", "outlier_fraction": 0.1,
+            "confidence_multiplier": 3.0, "symmetrize": True}
+        rerun_log = read_manifest(rerun / "run_log.json")
+        assert rerun_log["options"] == opts
+        assert ([e["removed_indices"] for e in rerun_log["experiments"]]
+                == [e["removed_indices"] for e in log["experiments"]])
 
     def test_torque_unit_invariance(self, sim_dir, tmp_path):
         data = read_manifest(sim_dir / "manifest.json")

@@ -1,5 +1,7 @@
 """Field container, centering, sensor regions and CSV round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -18,7 +20,7 @@ from stiffid import (
     uncenter_field,
     write_field_csv,
 )
-from stiffid.field import BOUNDARY_TOL
+from stiffid.field import _WRITE_BLOCK_ROWS, BOUNDARY_TOL
 
 
 def grid_field(edge=10.0, step=1.0, origin=(0.0, 0.0, 0.0), centered=True):
@@ -202,7 +204,82 @@ class TestSensorRegions:
             SensorRegion.layer("x", 0.0, 0.0)
 
 
+def reference_write_field_csv(path, field, comments=()):
+    """Per-value writer that write_field_csv must match byte for byte."""
+    pos = field.positions
+    if field.centered:
+        pos = pos + field.reference_point
+    with open(str(path), "w", encoding="utf-8", newline="\n") as handle:
+        for comment in comments:
+            handle.write(f"# {comment}\n")
+        handle.write("x,y,z,dx,dy,dz\n")
+        for p, d in zip(pos, field.displacements):
+            handle.write(",".join(repr(float(v)) for v in (*p, *d)) + "\n")
+
+
+def csv_write_cases():
+    rng = np.random.default_rng(23)
+    edge = np.array([[-0.0, 5e-324, 1e16], [1e22, -5e-324, 2.0 ** 53],
+                     [0.1, 1.0 / 3.0, -1e-300], [1.7976931348623157e308, 1e15, 1e-5]])
+    ints = np.arange(-9, 9).reshape(6, 3)
+    big = _WRITE_BLOCK_ROWS + 17
+    return {
+        "random": DisplacementField(rng.uniform(995.0, 1005.0, (40, 3)),
+                                    rng.normal(0.0, 1e-4, (40, 3))),
+        "edge-values": DisplacementField(edge, edge[::-1] * -1.0),
+        "integers": DisplacementField(ints, ints[::-1] * 1000),
+        "centered": center_field(DisplacementField(
+            rng.uniform(995.0, 1005.0, (30, 3)), rng.normal(0.0, 1e-4, (30, 3)),
+            (1000.0, 0.0, 0.0))),
+        "more-than-one-block": DisplacementField(
+            rng.normal(0.0, 100.0, (big, 3)), rng.lognormal(-10.0, 5.0, (big, 3))),
+    }
+
+
+CSV_ROWS = [[1.0, 2.5, -3.0, 0.1, 1e-05, -0.0], [4.0, 5.0, 6.0, 1.5e-07, 2.0, 3.0]]
+
+
 class TestCsv:
+    @pytest.mark.parametrize("case", sorted(csv_write_cases()))
+    def test_writer_matches_per_value_reference(self, tmp_path, case):
+        f = csv_write_cases()[case]
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        write_field_csv(fast, f, comments=("a comment",))
+        reference_write_field_csv(ref, f, comments=("a comment",))
+        assert fast.read_bytes() == ref.read_bytes()
+        back = read_field_csv(fast, f.reference_point)
+        if f.centered:
+            back = center_field(back)
+        # tobytes also tells -0.0 from 0.0.
+        assert back.positions.tobytes() == f.positions.tobytes()
+        assert back.displacements.tobytes() == f.displacements.tobytes()
+
+    @pytest.mark.parametrize("body", [
+        "1.0,2.5,-3.0,0.1,1e-05,-0.0\r\n4,5,6,1.5e-07,2,3\r\n",
+        " 1.0 , 2.5,\t-3.0,0.1 ,1e-05,\t-0.0\t\n  4,5 ,6,1.5e-07,2,3\n",
+        "1.0,2.5,-3.0,0.1,1e-05,-0.0\n4,5,6,1.5e-07,2,3\n\n\n",
+        "1.0,2.5,-3.0,0.1,1e-05,-0.0\n\n4,5,6,1.5e-07,2,3",
+        "1.0,2.5,-3.0,0.1,1e-05,-0.0\n# between rows\n4,5,6,1.5e-07,2,3\n",
+        "1.0,2.5,-3.0,0.1,1e-05,-0.0\n \t \n4,5,6,1.5e-07,2,3\n  \n",
+        "# after the header\r\n1.0,2.5,-3.0,0.1,1e-05,-0.0\r\n"
+        "\t# indented\r\n4,5,6,1.5e-07,2,3\r\n",
+    ], ids=["crlf", "spaces-tabs", "trailing-blank", "blank-between",
+            "comment-between", "whitespace-between", "crlf-comments"])
+    def test_fast_and_line_paths_agree(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "field.csv"
+        path.write_bytes(("# c\nx,y,z,dx,dy,dz\n" + body).encode())
+        fast = read_field_csv(path)
+
+        def rejecting_loadtxt(*args, **kwargs):
+            raise ValueError("forced onto the line loop")
+
+        monkeypatch.setattr(np, "loadtxt", rejecting_loadtxt)
+        slow = read_field_csv(path)
+        expected = np.array(CSV_ROWS)
+        for got in (fast, slow):
+            assert got.positions.tobytes() == expected[:, :3].tobytes()
+            assert got.displacements.tobytes() == expected[:, 3:].tobytes()
+
     def test_roundtrip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
         pos = rng.uniform(995.0, 1005.0, (40, 3))
@@ -265,6 +342,12 @@ class TestCsv:
             read_field_csv(path)
         assert err.value.line == 3
         assert "three" in str(err.value)
+        # '#' starts a comment only at the start of a line.
+        path.write_text("x,y,z,dx,dy,dz\n0,0,0,0,0,0\n1,2,3,4,5,6 # note\n")
+        with pytest.raises(FieldFileError) as err:
+            read_field_csv(path)
+        assert err.value.line == 3
+        assert "# note" in str(err.value)
 
     def test_wrong_column_count_reports_line(self, tmp_path):
         path = tmp_path / "field.csv"
@@ -275,9 +358,12 @@ class TestCsv:
 
     def test_header_only_file_rejected(self, tmp_path):
         path = tmp_path / "field.csv"
-        path.write_text("x,y,z,dx,dy,dz\n")
-        with pytest.raises(FieldFileError):
-            read_field_csv(path)
+        for text in ("x,y,z,dx,dy,dz\n", "x,y,z,dx,dy,dz\n\n  \n# c\n"):
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FieldFileError, match="no data rows"):
+                    read_field_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "field.csv"
