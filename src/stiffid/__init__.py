@@ -26,7 +26,6 @@ from .errors import (
     ManifestError,
     MissingCovariance,
     NotCanonical,
-    NotSymmetric,
     RankDeficientWrenches,
     SingularCompliance,
     StiffidError,
@@ -40,7 +39,6 @@ from .estimation import (
     differential_rotation,
     estimate_lin,
     estimate_svd,
-    estimate_symmetric,
     extract_angles,
     moment_matrix,
     rotation_xyz,
@@ -48,13 +46,11 @@ from .estimation import (
 )
 from .field import (
     DisplacementField,
-    Node,
     SensorRegion,
     center_field,
     centroid,
     read_field_csv,
     select_sensor,
-    uncenter_field,
     write_field_csv,
 )
 from .pipeline import (

@@ -33,6 +33,9 @@ UNITS_NOTE = {
 
 _COMPONENTS = ("Fx", "Fy", "Fz", "Mx", "My", "Mz")
 
+NOT_CANONICAL = ("experiments must form the canonical scheme: six "
+                 "single-component wrenches, one per component")
+
 
 @dataclass(frozen=True)
 class Wrench:
@@ -170,35 +173,36 @@ def canonical_wrench_scheme(fx: float, fy: float, fz: float,
     return wrenches
 
 
-def _canonical_columns(experiments: Sequence[Experiment]) -> dict[int, Experiment]:
-    """Map column index -> experiment for a canonical 6-experiment set."""
+def canonical_order(experiments: Sequence[Experiment]) -> list[tuple[int, float]] | None:
+    """Detect the canonical scheme: six single-component wrenches, one
+    per component, in any order.
+
+    Returns, for each column j, the index of the experiment that loads
+    component j and that component's magnitude; None for any other set.
+    """
     if len(experiments) != 6:
-        raise NotCanonical(f"canonical scheme needs 6 experiments, got {len(experiments)}")
-    columns: dict[int, Experiment] = {}
-    for exp in experiments:
+        return None
+    order: list[tuple[int, float] | None] = [None] * 6
+    for i, exp in enumerate(experiments):
         single = exp.wrench.single_component()
-        if single is None:
-            raise NotCanonical("each canonical wrench must have exactly one "
-                               "nonzero component")
-        index, _ = single
-        if index in columns:
-            raise NotCanonical(f"duplicate wrench component {_COMPONENTS[index]}")
-        columns[index] = exp
-    return columns
+        if single is None or order[single[0]] is not None:
+            return None
+        order[single[0]] = (i, single[1])
+    return order
 
 
 def assemble_canonical(experiments: Sequence[Experiment]) -> ComplianceMatrix:
     """Assemble k column by column from a canonical 6-wrench scheme.
 
     The experiment loading component j fills column j with
-    deflection / magnitude.  Input order does not matter.
+    deflection / magnitude.  Input order does not matter.  Raises
+    :class:`NotCanonical` for any other experiment set.
     """
-    columns = _canonical_columns(experiments)
-    k = np.empty((6, 6))
-    for j in range(6):
-        _, magnitude = columns[j].wrench.single_component()
-        k[:, j] = columns[j].deflection.as_vector() / magnitude
-    return ComplianceMatrix(k)
+    order = canonical_order(experiments)
+    if order is None:
+        raise NotCanonical(NOT_CANONICAL)
+    return ComplianceMatrix(np.column_stack(
+        [experiments[i].deflection.as_vector() / magnitude for i, magnitude in order]))
 
 
 def assemble_overdetermined(experiments: Sequence[Experiment]) -> ComplianceMatrix:

@@ -21,10 +21,6 @@ class DegenerateGeometry(StiffidError):
     """Node layout leaves part of the rigid motion unobservable."""
 
 
-class NotSymmetric(StiffidError):
-    """Field is not symmetric about its centroid."""
-
-
 class EntryOutOfRange(StiffidError):
     """Rotation matrix entry outside the asin domain."""
 

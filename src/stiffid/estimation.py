@@ -8,9 +8,6 @@ body from a centered displacement field:
 * :func:`estimate_lin` solves the linearized least-squares problem
   directly; only a 3x3 solve is involved.
 
-For fields symmetric about their centroid the normal matrix is diagonal
-and :func:`estimate_symmetric` applies the closed form.
-
 Every estimator builds the field's :class:`NormalSystem` once: the node
 count, the centroid, the rotation normal matrix from one ``rel.T @ rel``
 product of the centroid-relative positions, its inverse, and the
@@ -35,12 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometry,
-    EntryOutOfRange,
-    LinearizationWarning,
-    NotSymmetric,
-)
+from .errors import DegenerateGeometry, EntryOutOfRange, LinearizationWarning
 from .field import DisplacementField, centroid, column_mean
 
 # Small-angle validity bound for the linearized model, rad (about 1 degree).
@@ -267,21 +259,6 @@ def _normal_system(field: DisplacementField) -> tuple[NormalSystem, np.ndarray]:
     return NormalSystem(field.n, c, m, (vec / eig) @ vec.T, rhs), rel
 
 
-def _linear_fit(field: DisplacementField, system: NormalSystem,
-                rel: np.ndarray, rotation: np.ndarray) -> FitResult:
-    """Fit result of the linearized model for a solved rotation.
-
-    The translation is the mean displacement, transported from the
-    centroid c to the reference point via ``p = q - dphi x c``.
-    """
-    q = column_mean(field.displacements)
-    spin = skew(rotation)
-    residuals = rel @ spin.T
-    residuals += q
-    np.subtract(field.displacements, residuals, out=residuals)
-    return _fit_result(system, q - spin @ system.centroid, rotation, residuals)
-
-
 def _fit_result(system: NormalSystem, translation: np.ndarray,
                 rotation: np.ndarray, residuals: np.ndarray) -> FitResult:
     objective = float(np.vdot(residuals, residuals))
@@ -339,26 +316,10 @@ def estimate_lin(field: DisplacementField) -> FitResult:
     """
     _require_centered(field, "estimate_lin")
     system, rel = _normal_system(field)
-    return _linear_fit(field, system, rel, system.inverse @ system.rhs)
-
-
-def estimate_symmetric(field: DisplacementField) -> FitResult:
-    """Closed-form linearized fit for fields symmetric about their centroid.
-
-    Symmetry makes the rotation normal matrix diagonal, so each angle
-    follows from a scalar division.  The field must already be centered
-    on its own centroid; both properties are checked and
-    :class:`NotSymmetric` is raised otherwise.  Results agree with
-    :func:`estimate_lin` on valid inputs.
-    """
-    _require_centered(field, "estimate_symmetric")
-    system, rel = _normal_system(field)
-    scale = np.max(np.abs(field.positions))
-    if np.linalg.norm(system.centroid) > 1e-9 * scale:
-        raise NotSymmetric("field is not centered on its own centroid")
-    diag = np.diag(system.moment)
-    off = system.moment - np.diag(diag)
-    if np.max(np.abs(off)) > 1e-9 * diag.mean():
-        raise NotSymmetric("rotation normal matrix is not diagonal; "
-                           "fall back to estimate_lin")
-    return _linear_fit(field, system, rel, system.rhs / diag)
+    rotation = system.inverse @ system.rhs
+    q = column_mean(field.displacements)
+    spin = skew(rotation)
+    residuals = rel @ spin.T
+    residuals += q
+    np.subtract(field.displacements, residuals, out=residuals)
+    return _fit_result(system, q - spin @ system.centroid, rotation, residuals)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field as _field
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,11 +32,6 @@ CSV_HEADER = ("x", "y", "z", "dx", "dy", "dz")
 # temporary list and text on million-node exports.
 _WRITE_BLOCK_ROWS = 4096
 _ROW_FORMAT = "%r,%r,%r,%r,%r,%r\n"
-
-
-class Node(NamedTuple):
-    position: np.ndarray
-    displacement: np.ndarray
 
 
 def _as_points(a, name: str) -> np.ndarray:
@@ -91,12 +85,6 @@ class DisplacementField:
     def __len__(self) -> int:
         return self.n
 
-    def node(self, i: int) -> Node:
-        return Node(self.positions[i], self.displacements[i])
-
-    def __iter__(self) -> Iterator[Node]:
-        return (self.node(i) for i in range(self.n))
-
 
 def center_field(field: DisplacementField) -> DisplacementField:
     """Shift node positions so they are relative to the reference point.
@@ -111,18 +99,6 @@ def center_field(field: DisplacementField) -> DisplacementField:
         field.displacements,
         field.reference_point,
         centered=True,
-    )
-
-
-def uncenter_field(field: DisplacementField) -> DisplacementField:
-    """Restore absolute node coordinates.  Inverse of :func:`center_field`."""
-    if not field.centered:
-        raise ValueError("field is not centered")
-    return DisplacementField(
-        field.positions + field.reference_point,
-        field.displacements,
-        field.reference_point,
-        centered=False,
     )
 
 

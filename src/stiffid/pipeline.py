@@ -12,14 +12,13 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .compliance import (
     ComplianceMatrix,
     Experiment,
     Wrench,
     assemble_canonical,
     assemble_overdetermined,
+    canonical_order,
     symmetrize,
 )
 from .estimation import AngleExtractionMethod, FitResult, estimate_lin, estimate_svd
@@ -125,9 +124,10 @@ def run_identification(cases: Sequence[LoadCase],
     """Run the full identification pipeline over a set of load cases.
 
     Fields must be centered (and already restricted to their sensor
-    region).  With six single-component wrenches the matrix is assembled
-    column by column and significance-tested; any other admissible set
-    is reduced by least squares and the significance stage is skipped.
+    region).  With the canonical scheme (six single-component wrenches,
+    one per component, in any order) the matrix is assembled column by
+    column and significance-tested; any other admissible set is reduced
+    by least squares and the significance stage is skipped.
     """
     initial_fits = [_estimate(case.field, options) for case in cases]
     noise = estimate_sigma(initial_fits)
@@ -136,11 +136,7 @@ def run_identification(cases: Sequence[LoadCase],
     fits = []
     removed: list[tuple[int, ...]] = []
     for case, fit in zip(cases, initial_fits):
-        if options.outlier_fraction > 0.0:
-            reduced, dropped = filter_outliers(case.field, fit,
-                                               options.outlier_fraction)
-        else:
-            reduced, dropped = case.field, np.empty(0, dtype=int)
+        reduced, dropped = filter_outliers(case.field, fit, options.outlier_fraction)
         removed.append(tuple(dropped.tolist()))
         fits.append(_estimate(reduced, options) if len(dropped) else fit)
         log.info("experiment %s: n=%d, removed=%d", case.source or "?",
@@ -150,9 +146,7 @@ def run_identification(cases: Sequence[LoadCase],
     experiments = [Experiment(case.wrench, fit.deflection, case.source)
                    for case, fit in zip(cases, fits)]
 
-    canonical = (len(experiments) == 6
-                 and all(e.wrench.single_component() is not None for e in experiments)
-                 and len({e.wrench.single_component()[0] for e in experiments}) == 6)
+    canonical = canonical_order(experiments) is not None
     if canonical:
         assembled = assemble_canonical(experiments)
         report, matrix = significance_test(assembled, experiments, covariances,

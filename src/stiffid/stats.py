@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compliance import ComplianceMatrix, Experiment
+from .compliance import NOT_CANONICAL, ComplianceMatrix, Experiment, canonical_order
 from .errors import (
     InsufficientDof,
     MissingCovariance,
@@ -118,13 +118,11 @@ def deflection_covariance(field: DisplacementField, sigma: float) -> DeflectionC
 
 def filter_outliers(field: DisplacementField, fit: FitResult,
                     fraction: float = DEFAULT_OUTLIER_FRACTION,
-                    ranking: str = "max-axis",
                     ) -> tuple[DisplacementField, np.ndarray]:
     """Drop the worst-fitting nodes of a field.
 
     Nodes are ranked by the largest per-axis absolute residual of `fit`
-    (``ranking="norm"`` uses the residual vector norm instead) and the
-    worst ``ceil(fraction * n)`` are removed in a single pass.  Survivor
+    and the worst ``ceil(fraction * n)`` are removed in a single pass.  Survivor
     order is preserved.  Returns the reduced field and the integer
     indices of the removed nodes.
 
@@ -141,15 +139,9 @@ def filter_outliers(field: DisplacementField, fit: FitResult,
     if n - remove < 3:
         raise TooFewRemaining(
             f"removing {remove} of {n} nodes leaves fewer than 3")
-    r = fit.residuals
-    if ranking == "max-axis":
-        a = np.abs(r)
-        score = np.maximum(a[:, 0], a[:, 1])
-        np.maximum(score, a[:, 2], out=score)
-    elif ranking == "norm":
-        score = np.linalg.norm(r, axis=1)
-    else:
-        raise ValueError(f"unknown ranking {ranking!r}")
+    a = np.abs(fit.residuals)
+    score = np.maximum(a[:, 0], a[:, 1])
+    np.maximum(score, a[:, 2], out=score)
     # Drop every score above the threshold, then the last indices among
     # the ties at it: the set a stable ascending sort puts last, so an
     # earlier node survives a tie.
@@ -210,8 +202,10 @@ def significance_test(matrix: ComplianceMatrix,
                       ) -> tuple[SignificanceReport, ComplianceMatrix]:
     """Zero out compliance elements indistinguishable from zero.
 
-    The experiments must form a canonical scheme so every column of the
-    matrix maps to exactly one experiment.  The confidence halfwidth of
+    The experiments must form the canonical scheme (see
+    :func:`~stiffid.compliance.canonical_order`) so every column of the
+    matrix maps to exactly one experiment; otherwise :class:`NotCanonical`
+    is raised.  The confidence halfwidth of
     element (i, j) is ``level_multiplier`` times the standard deviation
     of deflection component i of the column-j experiment, divided by the
     wrench magnitude.  Elements whose interval contains zero are set to
@@ -222,24 +216,13 @@ def significance_test(matrix: ComplianceMatrix,
         raise ValueError("level_multiplier must be positive")
     if len(covariances) != len(experiments) or any(c is None for c in covariances):
         raise MissingCovariance("need one deflection covariance per experiment")
-    column_exp: dict[int, int] = {}
-    for idx, exp in enumerate(experiments):
-        single = exp.wrench.single_component()
-        if single is None:
-            raise NotCanonical("significance test needs a canonical wrench scheme")
-        col, _ = single
-        if col in column_exp:
-            raise NotCanonical("duplicate wrench component in experiment set")
-        column_exp[col] = idx
-    if len(column_exp) != 6 or len(experiments) != 6:
-        raise NotCanonical("significance test needs all six canonical wrenches")
+    order = canonical_order(experiments)
+    if order is None:
+        raise NotCanonical(NOT_CANONICAL)
 
-    halfwidth = np.empty((6, 6))
-    for col in range(6):
-        idx = column_exp[col]
-        _, magnitude = experiments[idx].wrench.single_component()
-        std6 = covariances[idx].component_std()
-        halfwidth[:, col] = level_multiplier * std6 / abs(magnitude)
+    halfwidth = np.column_stack(
+        [level_multiplier * covariances[i].component_std() / abs(magnitude)
+         for i, magnitude in order])
 
     significant = np.abs(matrix.k) > halfwidth
     zeroed = np.where(significant, matrix.k, 0.0)

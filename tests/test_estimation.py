@@ -15,11 +15,9 @@ from stiffid import (
     EntryOutOfRange,
     FitResult,
     LinearizationWarning,
-    NotSymmetric,
     differential_rotation,
     estimate_lin,
     estimate_svd,
-    estimate_symmetric,
     extract_angles,
     moment_matrix,
     rotation_xyz,
@@ -269,9 +267,11 @@ class TestLinEstimator:
                 assert objective(v) > fit.objective
 
     def test_collinear_nodes_degenerate(self):
-        pos = np.outer(np.linspace(-5, 5, 11), [1.0, 1.0, 1.0])
-        with pytest.raises(DegenerateGeometry):
-            estimate_lin(make_field(pos, np.zeros_like(pos)))
+        collinear = np.outer(np.linspace(-5, 5, 11), [1.0, 1.0, 1.0])
+        coincident = np.zeros((5, 3))
+        for pos in (collinear, coincident):
+            with pytest.raises(DegenerateGeometry):
+                estimate_lin(make_field(pos, np.zeros_like(pos)))
 
     def test_too_few_nodes(self):
         pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -406,37 +406,3 @@ class TestSvdEstimator:
         with pytest.raises(ValueError):
             estimate_svd(f)
 
-
-class TestSymmetricEstimator:
-    def test_matches_lin_on_cubic_pattern(self):
-        rng = np.random.default_rng(11)
-        pos = cube_nodes(10.0, 1.0)
-        disp = np.cross([1e-4, -2e-4, 3e-4], pos) + 0.1 + rng.normal(0, 1e-5, pos.shape)
-        field = make_field(pos, disp)
-        a = estimate_lin(field).deflection
-        b = estimate_symmetric(field).deflection
-        assert_allclose(b.translation, a.translation, atol=1e-12)
-        assert_allclose(b.rotation, a.rotation, atol=1e-15)
-
-    def test_works_on_planar_pattern(self):
-        pos = square_nodes(10.0, 1.0)
-        fit = estimate_symmetric(first_order_field(pos, [0.1, 0.0, 0.0],
-                                                   [1e-4, 2e-4, -1e-4]))
-        assert_allclose(fit.deflection.rotation, [1e-4, 2e-4, -1e-4], atol=1e-14)
-
-    def test_off_centroid_field_rejected(self):
-        pos = cube_nodes(4.0, 1.0) + np.array([1.0, 0.0, 0.0])
-        with pytest.raises(NotSymmetric):
-            estimate_symmetric(make_field(pos, np.zeros_like(pos)))
-
-    def test_anisotropic_cloud_rejected(self):
-        rng = np.random.default_rng(12)
-        pos = rng.uniform(-5.0, 5.0, (30, 3))
-        pos -= pos.mean(axis=0)  # centroid is fine, cross moments are not
-        with pytest.raises(NotSymmetric):
-            estimate_symmetric(make_field(pos, np.zeros_like(pos)))
-
-    def test_coincident_nodes_degenerate(self):
-        pos = np.zeros((5, 3))
-        with pytest.raises(DegenerateGeometry):
-            estimate_symmetric(make_field(pos, np.zeros_like(pos)))

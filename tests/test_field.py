@@ -17,7 +17,6 @@ from stiffid import (
     centroid,
     read_field_csv,
     select_sensor,
-    uncenter_field,
     write_field_csv,
 )
 from stiffid.field import _WRITE_BLOCK_ROWS, BOUNDARY_TOL
@@ -43,9 +42,7 @@ class TestDisplacementField:
         f = grid_field(2.0, 1.0)
         assert f.n == 27
         assert len(f) == 27
-        node = f.node(0)
-        assert_array_equal(node.position, [-1.0, -1.0, -1.0])
-        assert sum(1 for _ in f) == 27
+        assert_array_equal(f.positions[0], [-1.0, -1.0, -1.0])
 
     def test_arrays_are_frozen(self):
         f = random_field()
@@ -93,18 +90,6 @@ class TestCentering:
         f = center_field(grid_field(centered=False))
         with pytest.raises(AlreadyCentered):
             center_field(f)
-
-    def test_uncenter_roundtrip_exact(self):
-        rng = np.random.default_rng(3)
-        pos = rng.uniform(990.0, 1010.0, (20, 3))
-        f = DisplacementField(pos, np.zeros((20, 3)), (1000.0, 0.0, 0.0))
-        back = uncenter_field(center_field(f))
-        assert_array_equal(back.positions, pos)
-        assert not back.centered
-
-    def test_uncenter_needs_centered(self):
-        with pytest.raises(ValueError):
-            uncenter_field(grid_field(centered=False))
 
 
 class TestCentroid:

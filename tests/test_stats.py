@@ -211,16 +211,15 @@ class TestFilterOutliers:
         assert_array_equal(reduced.displacements, disp[keep])
 
     def test_rankings_disagree_on_crafted_residuals(self):
+        # the largest per-axis residual ranks, not the residual norm
         pos = cube_nodes(2.0, 1.0)[:8]
         field = make_field(pos, np.zeros_like(pos))
         residuals = np.zeros((8, 3))
         residuals[2] = [1.0, 0.0, 0.0]    # max-axis 1.0, norm 1.0
         residuals[5] = [0.9, 0.9, 0.9]    # max-axis 0.9, norm 1.56
         fit = FitResult(Deflection(np.zeros(3), np.zeros(3)), residuals, 0.0)
-        _, by_axis = filter_outliers(field, fit, 1.0 / 8.0, ranking="max-axis")
-        _, by_norm = filter_outliers(field, fit, 1.0 / 8.0, ranking="norm")
-        assert by_axis.tolist() == [2]
-        assert by_norm.tolist() == [5]
+        _, removed = filter_outliers(field, fit, 1.0 / 8.0)
+        assert removed.tolist() == [2]
 
     def test_tie_breaking_is_deterministic(self):
         pos = cube_nodes(2.0, 1.0)[:6]
@@ -271,13 +270,6 @@ class TestFilterOutliers:
         fit = flat_fit(np.zeros((5, 3)))
         with pytest.raises(ValueError):
             filter_outliers(field, fit, 0.1)
-
-    def test_unknown_ranking_rejected(self):
-        pos = cube_nodes(2.0, 1.0)
-        field = make_field(pos, np.zeros_like(pos))
-        fit = estimate_lin(field)
-        with pytest.raises(ValueError):
-            filter_outliers(field, fit, 0.1, ranking="median")
 
 
 def beam_matrix():

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from stiffid import (
     BeamSpec,
     Deflection,
+    DisplacementField,
     GroundTruth,
     InvalidPattern,
     LinearizationWarning,
@@ -148,9 +149,7 @@ class TestRigidTransform:
 
     def test_requires_centered_field(self):
         base = generate_pattern(MeshPattern.cubic(2.0, 1.0))
-        from stiffid import DisplacementField, uncenter_field
-        raw = uncenter_field(base)
-        assert isinstance(raw, DisplacementField)
+        raw = DisplacementField(base.positions, base.displacements)
         with pytest.raises(ValueError):
             apply_rigid_transform(raw, GroundTruth(Deflection([1, 0, 0], np.zeros(3))))
 
