@@ -141,8 +141,13 @@ def load_manifest(path) -> tuple[list[LoadCase], dict]:
         raise ManifestError(manifest, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(manifest, f"line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(manifest, f"not UTF-8 text: {exc.reason}") from None
     if not isinstance(data, dict):
         raise ManifestError(manifest, "top level must be an object")
+    options = data.get("options", {})
+    if not isinstance(options, dict):
+        raise ManifestError(manifest, "options must be an object")
     units = data.get("units")
     if not isinstance(units, dict) or "length" not in units:
         raise ManifestError(manifest, "missing units.length tag")
@@ -157,10 +162,10 @@ def load_manifest(path) -> tuple[list[LoadCase], dict]:
     base = Path(manifest).parent
     cases = []
     for i, entry in enumerate(experiments):
-        if not isinstance(entry, dict) or "field_file" not in entry \
+        if not isinstance(entry, dict) or not isinstance(entry.get("field_file"), str) \
                 or "wrench" not in entry:
             raise ManifestError(manifest,
-                                f"experiment {i}: needs field_file and wrench")
+                                f"experiment {i}: needs a field_file string and a wrench")
         wrench = _parse_wrench(entry["wrench"], manifest)
         sensor = _parse_sensor(entry.get("sensor"), manifest)
         file_path = base / entry["field_file"]
@@ -168,8 +173,8 @@ def load_manifest(path) -> tuple[list[LoadCase], dict]:
         field = center_field(field)
         if sensor is not None:
             field = select_sensor(field, sensor)
-        cases.append(LoadCase(field, wrench, str(entry["field_file"])))
-    return cases, data.get("options", {}) if isinstance(data.get("options", {}), dict) else {}
+        cases.append(LoadCase(field, wrench, entry["field_file"]))
+    return cases, options
 
 
 def _options_from(manifest_options: dict, args) -> IdentifyOptions:
@@ -184,9 +189,6 @@ def _options_from(manifest_options: dict, args) -> IdentifyOptions:
         opts["confidence_multiplier"] = args.confidence_multiplier
     if args.no_symmetrize:
         opts["symmetrize"] = False
-    known = {"estimator", "angles", "outlier_fraction",
-             "confidence_multiplier", "symmetrize"}
-    opts = {k: v for k, v in opts.items() if k in known}
     try:
         return IdentifyOptions(**opts)
     except (TypeError, ValueError) as exc:

@@ -9,13 +9,13 @@ body from a centered displacement field:
   directly; only a 3x3 solve is involved.
 
 Every estimator builds the field's :class:`NormalSystem` once: the node
-count, the centroid, the rotation normal matrix from one ``rel.T @ rel``
-product of the centroid-relative positions, its inverse, and the
-rotation right-hand side read off the antisymmetric part of
-``rel.T @ displacements``.  The degeneracy check of the normal matrix
-lives there and nowhere else.  The fit result carries the system, so the
-deflection covariance follows from it without another pass over the
-nodes.
+count, the centroid, the mean displacement, the rotation normal matrix
+from one ``rel.T @ rel`` product of the centroid-relative positions, its
+inverse, and the rotation right-hand side read off the antisymmetric
+part of ``rel.T @ (displacements - mean displacement)``.  The
+degeneracy check of the normal matrix lives there and nowhere else.  The
+fit result carries the system, so the deflection covariance follows from
+it without another pass over the nodes.
 
 Units: mm for translations, rad for rotation components.  The linearized
 model `dp_i = dphi x p_i + p` is valid for small angles; estimates with
@@ -184,13 +184,15 @@ class Deflection:
 class NormalSystem(NamedTuple):
     """Normal equations of the linearized rigid fit about the field centroid.
 
-    ``moment`` is the rotation normal matrix sum(|r|^2 I - r r^T) over the
+    ``mean_displacement`` q is the translation at the centroid (mm),
+    ``moment`` the rotation normal matrix sum(|r|^2 I - r r^T) over the
     centroid-relative positions r (mm^2), ``inverse`` its inverse, and
-    ``rhs`` the rotation right-hand side sum(r x d) (mm^2).
+    ``rhs`` the rotation right-hand side sum(r x (d - q)) (mm^2).
     """
 
     n: int
     centroid: np.ndarray
+    mean_displacement: np.ndarray
     moment: np.ndarray
     inverse: np.ndarray
     rhs: np.ndarray
@@ -235,9 +237,15 @@ def _require_centered(field: DisplacementField, who: str) -> None:
         raise ValueError(f"{who} needs a field centered on its reference point")
 
 
-def _normal_system(field: DisplacementField) -> tuple[NormalSystem, np.ndarray]:
+def _normal_system(field: DisplacementField,
+                   ) -> tuple[NormalSystem, np.ndarray, np.ndarray]:
     """Build the normal system of a field; also return the positions
-    relative to the centroid.
+    relative to the centroid and the displacements relative to their
+    mean.
+
+    Centering both factors of the right-hand side keeps it free of the
+    summation error of sum(r) times the mean displacement, which would
+    otherwise leak into structural zeros of noise-free fields.
 
     Raises
     ------
@@ -254,9 +262,11 @@ def _normal_system(field: DisplacementField) -> tuple[NormalSystem, np.ndarray]:
     if eig[0] <= DEGENERACY_RTOL * np.trace(m):
         raise DegenerateGeometry(
             "rotation normal matrix is singular for this node layout")
-    g = rel.T @ field.displacements
+    q = column_mean(field.displacements)
+    disp_rel = field.displacements - q
+    g = rel.T @ disp_rel
     rhs = np.array([g[1, 2] - g[2, 1], g[2, 0] - g[0, 2], g[0, 1] - g[1, 0]])
-    return NormalSystem(field.n, c, m, (vec / eig) @ vec.T, rhs), rel
+    return NormalSystem(field.n, c, q, m, (vec / eig) @ vec.T, rhs), rel, disp_rel
 
 
 def _fit_result(system: NormalSystem, translation: np.ndarray,
@@ -283,10 +293,8 @@ def estimate_svd(field: DisplacementField,
         cross-covariance has rank < 2.
     """
     _require_centered(field, "estimate_svd")
-    system, rel = _normal_system(field)
-    pos = field.positions
-    moved = pos + field.displacements
-    moved_rel = moved - moved.mean(axis=0)
+    system, rel, disp_rel = _normal_system(field)
+    moved_rel = rel + disp_rel
     cross = rel.T @ moved_rel
     U, s, Vt = np.linalg.svd(cross)
     if s[0] <= 0.0 or s[1] <= DEGENERACY_RTOL * s[0]:
@@ -294,9 +302,10 @@ def estimate_svd(field: DisplacementField,
             "displaced nodes are collinear, the rotation is not determined")
     d = np.sign(np.linalg.det(Vt.T @ U.T))
     R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    translation = field.displacements.mean(axis=0) - (R - np.eye(3)) @ system.centroid
+    translation = system.mean_displacement - (R - np.eye(3)) @ system.centroid
     rotation = extract_angles(R, method)
-    residuals = moved - pos @ R.T - translation
+    # p + d - R p - translation, taken about the centroid
+    residuals = moved_rel - rel @ R.T
     return _fit_result(system, translation, rotation, residuals)
 
 
@@ -315,11 +324,10 @@ def estimate_lin(field: DisplacementField) -> FitResult:
         If the rotation normal matrix is numerically singular.
     """
     _require_centered(field, "estimate_lin")
-    system, rel = _normal_system(field)
+    system, rel, residuals = _normal_system(field)
     rotation = system.inverse @ system.rhs
-    q = column_mean(field.displacements)
     spin = skew(rotation)
-    residuals = rel @ spin.T
-    residuals += q
-    np.subtract(field.displacements, residuals, out=residuals)
-    return _fit_result(system, q - spin @ system.centroid, rotation, residuals)
+    # residuals holds d - q, a fresh array: finish d - q - dphi x r in place
+    residuals -= rel @ spin.T
+    return _fit_result(system, system.mean_displacement - spin @ system.centroid,
+                       rotation, residuals)

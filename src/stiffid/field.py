@@ -229,9 +229,10 @@ def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
     character is '#' are comments and skipped (a '#' after a value is an
     error).  The first other line must be the header, compared case-
     and space-insensitively; every further line holds exactly six
-    comma-separated finite numbers.  Errors carry the file's line
-    number.  `length_scale` converts the file's length unit to mm
-    (1000.0 for metres).  The returned field is not centered.
+    comma-separated finite numbers.  The file must be UTF-8 text.
+    Errors carry the file's line number where there is one.
+    `length_scale` converts the file's length unit to mm (1000.0 for
+    metres).  The returned field is not centered.
 
     The body is parsed by one ``np.loadtxt`` call, which converts text
     to floats exactly as ``float()`` does.  Files it rejects (a bad
@@ -244,25 +245,29 @@ def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise FieldFileError(path, None, str(exc)) from exc
-    with handle:
-        header_line = _read_header(handle, path)
-        body = handle.tell()
-        try:
-            with warnings.catch_warnings():
-                # An empty body warns "input contained no data"; the line
-                # loop below reports it as an error instead.
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            data = None
-        if data is None or data.shape[1] != 6 or not len(data):
-            handle.seek(body)
-            data = _read_rows(handle, path, header_line + 1)
-    data = data * length_scale
-    if not np.all(np.isfinite(data)):
-        row = int(np.argmin(np.isfinite(data).all(axis=1)))
-        raise FieldFileError(path, _data_line(path, row),
-                             f"non-finite value in data row {row + 1}")
+    try:
+        with handle:
+            header_line = _read_header(handle, path)
+            body = handle.tell()
+            try:
+                with warnings.catch_warnings():
+                    # An empty body warns "input contained no data"; the line
+                    # loop below reports it as an error instead.
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                data = None
+            if data is None or data.shape[1] != 6 or not len(data):
+                handle.seek(body)
+                data = _read_rows(handle, path, header_line + 1)
+        data = data * length_scale
+        if not np.all(np.isfinite(data)):
+            row = int(np.argmin(np.isfinite(data).all(axis=1)))
+            raise FieldFileError(path, _data_line(path, row),
+                                 f"non-finite value in data row {row + 1}")
+    except UnicodeDecodeError as exc:
+        # np.loadtxt reports it as a ValueError, so the line loop meets it.
+        raise FieldFileError(path, None, f"not UTF-8 text: {exc.reason}") from None
     ref = np.asarray(reference_point, dtype=float) * length_scale
     return DisplacementField(data[:, :3], data[:, 3:], ref, centered=False)
 

@@ -64,6 +64,8 @@ class IdentifyOptions:
         if not self.confidence_multiplier > 0.0:
             raise ValueError("confidence_multiplier must be positive, "
                              f"got {self.confidence_multiplier!r}")
+        if self.symmetrize not in (True, False):
+            raise ValueError(f"symmetrize must be true or false, got {self.symmetrize!r}")
         object.__setattr__(self, "angles", AngleExtractionMethod(self.angles))
 
 

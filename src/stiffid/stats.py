@@ -112,7 +112,7 @@ def deflection_covariance(field: DisplacementField, sigma: float) -> DeflectionC
     Raises :class:`DegenerateGeometry` for fewer than 3 nodes or a
     singular rotation normal matrix.
     """
-    system, _ = _normal_system(field)
+    system, _, _ = _normal_system(field)
     return system_covariance(system, sigma)
 
 
@@ -122,9 +122,9 @@ def filter_outliers(field: DisplacementField, fit: FitResult,
     """Drop the worst-fitting nodes of a field.
 
     Nodes are ranked by the largest per-axis absolute residual of `fit`
-    and the worst ``ceil(fraction * n)`` are removed in a single pass.  Survivor
-    order is preserved.  Returns the reduced field and the integer
-    indices of the removed nodes.
+    and the worst ``ceil(fraction * n)`` are removed in a single pass.
+    Survivor order is preserved.  Returns the reduced field and the
+    integer indices of the removed nodes.
 
     Raises :class:`TooFewRemaining` if fewer than 3 nodes would survive.
     """
@@ -205,10 +205,10 @@ def significance_test(matrix: ComplianceMatrix,
     The experiments must form the canonical scheme (see
     :func:`~stiffid.compliance.canonical_order`) so every column of the
     matrix maps to exactly one experiment; otherwise :class:`NotCanonical`
-    is raised.  The confidence halfwidth of
-    element (i, j) is ``level_multiplier`` times the standard deviation
-    of deflection component i of the column-j experiment, divided by the
-    wrench magnitude.  Elements whose interval contains zero are set to
+    is raised.  The confidence halfwidth of element (i, j) is
+    ``level_multiplier`` times the standard deviation of deflection
+    component i of the column-j experiment, divided by the wrench
+    magnitude.  Elements whose interval contains zero are set to
     zero and recorded in the significance mask; significant elements
     report the safety factor |estimate| / halfwidth.
     """

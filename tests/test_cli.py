@@ -365,6 +365,39 @@ class TestIdentifyErrors:
         assert payload["error"] == "ManifestError"
         assert "estimator" in payload["message"]
 
+    @pytest.mark.parametrize("name, error", [("field_fx.csv", "FieldFileError"),
+                                             ("manifest.json", "ManifestError")])
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys, name, error):
+        out = tmp_path / "sim"
+        main(["simulate", "--sigma", "0", "--out", str(out)])
+        with open(out / name, "ab") as handle:
+            handle.write(b"\xff")
+        assert main(["identify", str(out / "manifest.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+        payload = self.stderr_payload(capsys)
+        assert payload["error"] == error
+        assert payload["file"].endswith(name)
+        assert "UTF-8" in payload["message"]
+
+    @pytest.mark.parametrize("hole, word", [
+        (lambda data: data["options"].update(outlier_fracton=0.5), "outlier_fracton"),
+        (lambda data: data.update(options=[1, 2]), "options"),
+        (lambda data: data["options"].update(symmetrize="no"), "symmetrize"),
+        (lambda data: data["experiments"][0].update(field_file=3), "field_file"),
+    ], ids=["misspelled-key", "options-list", "symmetrize-string", "field-file-number"])
+    def test_manifest_hole_exit_2(self, sim_dir, tmp_path, capsys, hole, word):
+        data = read_manifest(sim_dir / "manifest.json")
+        for entry in data["experiments"]:
+            entry["field_file"] = str(sim_dir / entry["field_file"])
+        hole(data)
+        manifest = tmp_path / "m.json"
+        write_manifest(manifest, data)
+        assert main(["identify", str(manifest),
+                     "--out", str(tmp_path / "o")]) == 2
+        payload = self.stderr_payload(capsys)
+        assert payload["error"] == "ManifestError"
+        assert word in payload["message"]
+
     def test_non_finite_field_value_exit_2(self, tmp_path, capsys):
         out = tmp_path / "sim"
         main(["simulate", "--sigma", "0", "--out", str(out)])

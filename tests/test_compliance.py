@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from stiffid import (
     ComplianceMatrix,
     Deflection,
+    DeflectionCovariance,
     Experiment,
     NotCanonical,
     RankDeficientWrenches,
@@ -22,8 +23,10 @@ from stiffid import (
     invert_to_stiffness,
     load_compliance_json,
     save_compliance_json,
+    significance_test,
     symmetrize,
 )
+from stiffid.compliance import canonical_order
 
 # Closed-form tip compliance of the clamped 1000 x 10 x 10 mm cantilever
 # (E = 2e5 N/mm^2, nu = 0.266), assembled here from first principles so
@@ -54,6 +57,17 @@ def forward_experiments(k, magnitudes=(1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)
             d = k @ wrench.as_vector()
             experiments.append(Experiment(wrench, Deflection(d[:3], d[3:])))
     return experiments
+
+
+def assert_not_canonical(experiments):
+    """canonical_order finds no scheme, so both of its consumers raise."""
+    assert canonical_order(experiments) is None
+    with pytest.raises(NotCanonical):
+        assemble_canonical(experiments)
+    cov = DeflectionCovariance(np.eye(3), np.eye(3))
+    with pytest.raises(NotCanonical):
+        significance_test(ComplianceMatrix(np.eye(6)), experiments,
+                          [cov] * len(experiments))
 
 
 class TestWrench:
@@ -115,6 +129,8 @@ class TestAssembleCanonical:
         shuffled = [experiments[i] for i in (4, 0, 5, 2, 1, 3)]
         assert_allclose(assemble_canonical(shuffled).k,
                         assemble_canonical(experiments).k, atol=0)
+        assert canonical_order(shuffled) == [(1, 1000.0), (4, 1.0), (3, 1.0),
+                                             (5, 1000.0), (0, 1000.0), (2, 1000.0)]
 
     def test_magnitude_scaling_cancels(self):
         k = reference_matrix()
@@ -126,20 +142,23 @@ class TestAssembleCanonical:
     def test_duplicate_component_rejected(self):
         experiments = forward_experiments(reference_matrix())
         experiments[1] = experiments[0]
-        with pytest.raises(NotCanonical):
-            assemble_canonical(experiments)
+        assert_not_canonical(experiments)
 
     def test_combined_wrench_rejected(self):
         experiments = forward_experiments(reference_matrix())
         combined = Wrench([1.0, 1.0, 0.0], [0.0, 0.0, 0.0])
         experiments[0] = Experiment(combined, experiments[0].deflection)
-        with pytest.raises(NotCanonical):
-            assemble_canonical(experiments)
+        assert_not_canonical(experiments)
 
     def test_wrong_count_rejected(self):
         experiments = forward_experiments(reference_matrix())
-        with pytest.raises(NotCanonical):
-            assemble_canonical(experiments[:5])
+        assert_not_canonical(experiments[:5])
+
+    def test_seven_experiments_rejected(self):
+        experiments = forward_experiments(reference_matrix())
+        combined = Wrench([1.0, 1.0, 0.0], [0.0, 0.0, 0.0])
+        experiments.append(Experiment(combined, experiments[0].deflection))
+        assert_not_canonical(experiments)
 
 
 class TestAssembleOverdetermined:

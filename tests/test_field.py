@@ -350,6 +350,16 @@ class TestCsv:
                 with pytest.raises(FieldFileError, match="no data rows"):
                     read_field_csv(path)
 
+    @pytest.mark.parametrize("raw", [b"# caf\xe9\nx,y,z,dx,dy,dz\n0,0,0,0,0,0\n",
+                                     b"x,y,z,dx,dy,dz\n0,0,0,0,0,0\n\xff"])
+    def test_non_utf8_file_rejected(self, tmp_path, raw):
+        # a bad byte in the header lines, or after the last data row
+        path = tmp_path / "field.csv"
+        path.write_bytes(raw)
+        with pytest.raises(FieldFileError, match="not UTF-8") as err:
+            read_field_csv(path)
+        assert err.value.line is None
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "field.csv"
         path.write_text("")
