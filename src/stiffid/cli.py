@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .compliance import Wrench, save_compliance_json
 from .errors import (
     FieldFileError,
@@ -195,10 +196,12 @@ def _options_from(manifest_options: dict, args) -> IdentifyOptions:
         raise ManifestError(args.manifest, f"bad option: {exc}") from None
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict, indent: int | None = 2) -> None:
+    # json.dumps, not json.dump: only a one-shot dump without indent runs
+    # the C encoder, which the run log's removed-node lists need.
+    text = json.dumps(payload, indent=indent, sort_keys=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def _sha256(path) -> str:
@@ -222,11 +225,12 @@ def cmd_identify(args) -> int:
     if result.significance is not None:
         _write_json(out / "significance.json", result.significance.to_json_dict())
     run_log = result.diagnostics()
+    run_log["stiffid_version"] = __version__
     run_log["manifest_sha256"] = _sha256(args.manifest)
     base = Path(args.manifest).parent
     for entry in run_log["experiments"]:
         entry["field_sha256"] = _sha256(base / entry["field_file"])
-    _write_json(out / "run_log.json", run_log)
+    _write_json(out / "run_log.json", run_log, indent=None)
 
     if args.format == "json":
         print(json.dumps(result.matrix.to_json_dict(), indent=2, sort_keys=True))

@@ -47,25 +47,27 @@ class Wrench:
     def __post_init__(self):
         f = np.asarray(self.force, dtype=float).reshape(3).copy()
         t = np.asarray(self.torque, dtype=float).reshape(3).copy()
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(t))):
+        if not (np.isfinite(f).all() and np.isfinite(t).all()):
             raise ValueError("wrench components must be finite")
-        if not (np.any(f) or np.any(t)):
+        values = f.tolist() + t.tolist()
+        nonzero = [i for i, v in enumerate(values) if v != 0.0]
+        if not nonzero:
             raise ValueError("wrench must have at least one nonzero component")
         f.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "force", f)
         object.__setattr__(self, "torque", t)
+        # Found once here: canonical_order asks for it on every
+        # experiment, three times per identification.
+        object.__setattr__(self, "_single", (nonzero[0], values[nonzero[0]])
+                           if len(nonzero) == 1 else None)
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.force, self.torque])
 
     def single_component(self) -> tuple[int, float] | None:
         """(index, value) when exactly one of the six components is nonzero."""
-        v = self.as_vector()
-        nz = np.flatnonzero(v)
-        if nz.size == 1:
-            return int(nz[0]), float(v[nz[0]])
-        return None
+        return self._single
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class ComplianceMatrix:
         k = np.asarray(self.k, dtype=float)
         if k.shape != (6, 6):
             raise ValueError(f"compliance matrix must be 6x6, got {k.shape}")
-        if not np.all(np.isfinite(k)):
+        if not np.isfinite(k).all():
             raise ValueError("compliance matrix contains non-finite values")
         k = k.copy()
         k.flags.writeable = False

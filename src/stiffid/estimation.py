@@ -160,7 +160,7 @@ class Deflection:
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=float).reshape(3).copy()
         r = np.asarray(self.rotation, dtype=float).reshape(3).copy()
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(r))):
+        if not (np.isfinite(t).all() and np.isfinite(r).all()):
             raise ValueError("deflection components must be finite")
         if np.linalg.norm(r) >= ROTATION_WARN_LIMIT:
             warnings.warn(

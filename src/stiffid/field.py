@@ -38,7 +38,7 @@ def _as_points(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValueError(f"{name} must have shape (n, 3), got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite values")
     return a
 
@@ -70,7 +70,7 @@ class DisplacementField:
         if pos.shape != disp.shape:
             raise ValueError("positions and displacements must have equal shape")
         ref = np.asarray(self.reference_point, dtype=float).reshape(3)
-        if not np.all(np.isfinite(ref)):
+        if not np.isfinite(ref).all():
             raise ValueError("reference_point contains non-finite values")
         for name, arr in (("positions", pos), ("displacements", disp),
                           ("reference_point", ref)):

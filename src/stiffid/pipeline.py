@@ -58,6 +58,12 @@ class IdentifyOptions:
     def __post_init__(self):
         if self.estimator not in ("lin", "svd"):
             raise ValueError(f"estimator must be 'lin' or 'svd', got {self.estimator!r}")
+        for name in ("outlier_fraction", "confidence_multiplier"):
+            # bool is an int subclass, so a JSON true/false would pass the
+            # range checks below as 1 or 0.
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must be in [0, 1), "
                              f"got {self.outlier_fraction!r}")

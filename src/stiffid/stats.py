@@ -227,16 +227,14 @@ def significance_test(matrix: ComplianceMatrix,
     significant = np.abs(matrix.k) > halfwidth
     zeroed = np.where(significant, matrix.k, 0.0)
     elements = []
-    for i in range(6):
-        for j in range(6):
-            est = float(matrix.k[i, j])
-            hw = float(halfwidth[i, j])
-            if significant[i, j]:
+    for i, (k_row, hw_row, sig_row) in enumerate(zip(
+            matrix.k.tolist(), halfwidth.tolist(), significant.tolist())):
+        for j, (est, hw, sig) in enumerate(zip(k_row, hw_row, sig_row)):
+            if sig:
                 safety = abs(est) / hw if hw > 0 else math.inf
             else:
                 safety = None
-            elements.append(SignificanceElement(i + 1, j + 1, est, hw,
-                                                bool(significant[i, j]), safety))
+            elements.append(SignificanceElement(i + 1, j + 1, est, hw, sig, safety))
     confidence = math.erf(level_multiplier / math.sqrt(2.0))
     report = SignificanceReport(tuple(elements), float(level_multiplier), confidence)
     result = ComplianceMatrix(zeroed, significant, symmetrized=matrix.symmetrized)

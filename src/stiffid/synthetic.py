@@ -8,6 +8,13 @@ compliance matrix has a textbook closed form.
 Noise is reproducible: a PCG64 generator seeded per trial feeds the
 basic (trigonometric) Box-Muller transform, so equal seeds give
 bit-identical fields.
+
+The studies build what does not change between trials once: the node
+pattern, and the noise-free rigid displacements (with the oracle and the
+six wrenches for the beam).  Each trial then only draws its noise.  The
+arithmetic per field is unchanged, so a study's fields stay bit-identical
+to those of :func:`beam_load_cases`, :func:`beam_tip_field` and
+:func:`apply_rigid_transform` for the same seeds.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compliance import ComplianceMatrix, Wrench
+from .compliance import ComplianceMatrix, Wrench, canonical_wrench_scheme
 from .errors import InvalidPattern, LinearizationWarning, NotCanonical
 from .estimation import (
     AngleExtractionMethod,
@@ -35,6 +42,8 @@ from .stats import deflection_covariance
 
 # Canonical load set used by the beam studies: forces N, torques N mm.
 DEFAULT_LOADS = (1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)
+
+_EXPERIMENT_NAMES = ("fx", "fy", "fz", "mx", "my", "mz")
 
 STUDY_METHODS = ("lin", "svd-plus", "svd-minus", "svd-avg",
                  "svd-plus-asin", "svd-minus-asin", "svd-avg-asin")
@@ -161,13 +170,32 @@ def apply_rigid_transform(field: DisplacementField, truth: GroundTruth,
     """
     if not field.centered:
         raise ValueError("apply_rigid_transform needs a centered field")
-    angles = truth.deflection.rotation
+    rigid = _rigid_displacement(field.positions, truth.deflection, exact_rotation)
+    return _noisy_field(field, rigid, truth.sigma, truth.seed)
+
+
+def _rigid_displacement(positions: np.ndarray, deflection: Deflection,
+                        exact_rotation: bool = False) -> np.ndarray:
+    """Noise-free nodal displacements of a rigid transform about the origin."""
+    angles = deflection.rotation
     R = rotation_xyz(angles) if exact_rotation else differential_rotation(angles)
-    disp = field.positions @ (R - np.eye(3)).T + truth.deflection.translation
-    if truth.sigma > 0.0:
-        rng = np.random.default_rng(truth.seed)
+    return positions @ (R - np.eye(3)).T + deflection.translation
+
+
+def _noisy_field(field: DisplacementField, rigid: np.ndarray, sigma: float,
+                 seed: int) -> DisplacementField:
+    """`field`'s nodes displaced by `rigid` plus seeded Box-Muller noise.
+
+    The studies compute `rigid` once and call this per trial; the field
+    equals :func:`apply_rigid_transform`'s for the same truth and seed.
+    """
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    disp = rigid
+    if sigma > 0.0:
+        rng = np.random.default_rng(seed)
         noise = _normal_samples(rng, disp.size).reshape(disp.shape)
-        disp = disp + truth.sigma * noise
+        disp = disp + sigma * noise
     return DisplacementField(field.positions, disp, field.reference_point,
                              centered=True)
 
@@ -251,15 +279,40 @@ def beam_load_cases(spec: BeamSpec = BeamSpec(),
                     pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
                     loads: Sequence[float] = DEFAULT_LOADS,
                     sigma: float = 0.0, seed: int = 0) -> list[LoadCase]:
-    """All six canonical beam experiments as pipeline load cases."""
-    from .compliance import canonical_wrench_scheme
+    """All six canonical beam experiments as pipeline load cases.
 
-    wrenches = canonical_wrench_scheme(*loads)
-    names = ("fx", "fy", "fz", "mx", "my", "mz")
-    return [
-        LoadCase(beam_tip_field(spec, w, pattern, sigma, seed + j), w, names[j])
-        for j, w in enumerate(wrenches)
-    ]
+    Case j equals ``beam_tip_field(spec, wrench_j, pattern, sigma,
+    seed + j)``.
+    """
+    base, experiments = _beam_experiments(spec, pattern, loads)
+    return _beam_cases(base, experiments, sigma, seed)
+
+
+def _beam_experiments(spec: BeamSpec, pattern: MeshPattern, loads: Sequence[float],
+                      ) -> tuple[DisplacementField, list[tuple[str, Wrench, np.ndarray]]]:
+    """Seed-invariant part of the six canonical beam experiments.
+
+    Returns the base pattern at the beam tip and, per experiment, its
+    name, wrench and noise-free tip displacement, so that any number of
+    seeds only draw noise.
+    """
+    k = beam_compliance_oracle(spec).k
+    base = generate_pattern(pattern, center=(spec.length, 0.0, 0.0))
+    experiments = []
+    for name, w in zip(_EXPERIMENT_NAMES, canonical_wrench_scheme(*loads)):
+        d = k @ w.as_vector()
+        rigid = _rigid_displacement(base.positions, Deflection(d[:3], d[3:]))
+        experiments.append((name, w, rigid))
+    return base, experiments
+
+
+def _beam_cases(base: DisplacementField,
+                experiments: list[tuple[str, Wrench, np.ndarray]],
+                sigma: float, seed: int) -> list[LoadCase]:
+    """Load cases of one seed from :func:`_beam_experiments`' result;
+    field j draws its noise from seed + j."""
+    return [LoadCase(_noisy_field(base, rigid, sigma, seed + j), w, name)
+            for j, (name, w, rigid) in enumerate(experiments)]
 
 
 @dataclass(frozen=True)
@@ -335,10 +388,10 @@ def run_amplitude_study(amplitudes: Sequence[float],
                 truth_defl = Deflection(translation, np.deg2rad([amp, amp, amp]))
             else:
                 truth_defl = Deflection([amp, amp, amp], np.zeros(3))
+            rigid = _rigid_displacement(base.positions, truth_defl,
+                                        exact_rotation=(kind == "rotation"))
             for t in range(trials):
-                truth = GroundTruth(truth_defl, sigma, seed + ai * trials + t)
-                field = apply_rigid_transform(base, truth,
-                                              exact_rotation=(kind == "rotation"))
+                field = _noisy_field(base, rigid, sigma, seed + ai * trials + t)
                 for name, est in _study_estimates(field).items():
                     if name not in errors:
                         continue
@@ -400,10 +453,10 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
     """
     base = generate_pattern(pattern)
     truth_defl = Deflection(translation, np.deg2rad([rotation_deg] * 3))
+    rigid = _rigid_displacement(base.positions, truth_defl)
     err = np.zeros((trials, 6))
     for t in range(trials):
-        truth = GroundTruth(truth_defl, sigma, seed + t)
-        fit = estimate_lin(apply_rigid_transform(base, truth))
+        fit = estimate_lin(_noisy_field(base, rigid, sigma, seed + t))
         err[t] = fit.deflection.as_vector() - truth_defl.as_vector()
     cov = deflection_covariance(base, sigma)
     emp = err.std(axis=0, ddof=1) if trials > 1 else np.zeros(6)
@@ -469,12 +522,13 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
     nonzero = oracle.k != 0.0
     options = IdentifyOptions(outlier_fraction=outlier_fraction,
                               confidence_multiplier=multiplier)
+    base, experiments = _beam_experiments(spec, pattern, loads)
     perfect = 0
     zeros_missed = []
     nonzeros_lost = []
     min_safety = []
     for s in range(seeds):
-        cases = beam_load_cases(spec, pattern, loads, sigma, seed=seed + 6 * s)
+        cases = _beam_cases(base, experiments, sigma, seed + 6 * s)
         result = run_identification(cases, options)
         k = result.matrix.k
         missed = int(np.count_nonzero(k[~nonzero] != 0.0))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import stiffid
 from stiffid import beam_compliance_oracle, load_compliance_json, read_field_csv
 from stiffid.cli import load_manifest, main
 
@@ -108,6 +109,7 @@ class TestIdentify:
         out = tmp_path / "ident"
         main(["identify", str(sim_dir / "manifest.json"), "--out", str(out)])
         log = read_manifest(out / "run_log.json")
+        assert log["stiffid_version"] == stiffid.__version__
         assert log["canonical"]
         assert len(log["experiments"]) == 6
         assert log["experiments"][0]["nodes"] == 1331 - 134  # after 10% removal
@@ -384,7 +386,11 @@ class TestIdentifyErrors:
         (lambda data: data.update(options=[1, 2]), "options"),
         (lambda data: data["options"].update(symmetrize="no"), "symmetrize"),
         (lambda data: data["experiments"][0].update(field_file=3), "field_file"),
-    ], ids=["misspelled-key", "options-list", "symmetrize-string", "field-file-number"])
+        (lambda data: data["options"].update(outlier_fraction=False), "outlier_fraction"),
+        (lambda data: data["options"].update(confidence_multiplier=True),
+         "confidence_multiplier"),
+    ], ids=["misspelled-key", "options-list", "symmetrize-string", "field-file-number",
+            "outlier-fraction-false", "confidence-multiplier-true"])
     def test_manifest_hole_exit_2(self, sim_dir, tmp_path, capsys, hole, word):
         data = read_manifest(sim_dir / "manifest.json")
         for entry in data["experiments"]:

@@ -79,6 +79,28 @@ class TestWrench:
         assert Wrench([0, 0, 0], [0, 500.0, 0]).single_component() == (4, 500.0)
         assert Wrench([1.0, 0, 0], [0, 0, 1.0]).single_component() is None
 
+    @pytest.mark.parametrize("value", [2.5, -7.0, 1e-300])
+    def test_single_component_every_index(self, value):
+        for j in range(6):
+            v = np.zeros(6)
+            v[j] = value
+            single = Wrench(v[:3], v[3:]).single_component()
+            assert single == (j, value)
+            assert type(single[0]) is int and type(single[1]) is float
+
+    @pytest.mark.parametrize("force, torque", [
+        ([1.0, -2.0, 0.0], [0.0, 0.0, 0.0]),
+        ([0.0, 0.0, -1.0], [0.0, 3.0, 0.0]),
+        ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+    ])
+    def test_multi_component_is_not_single(self, force, torque):
+        assert Wrench(force, torque).single_component() is None
+
+    def test_negative_zero_is_zero(self):
+        assert Wrench([-0.0, 0.0, 0.0], [0.0, 0.0, -3.0]).single_component() == (5, -3.0)
+        with pytest.raises(ValueError):
+            Wrench([-0.0, 0.0, 0.0], [0.0, -0.0, 0.0])
+
     def test_zero_wrench_rejected(self):
         with pytest.raises(ValueError):
             Wrench(np.zeros(3), np.zeros(3))

@@ -65,3 +65,12 @@ def test_noise_free_square_structural_zeros():
     cases = beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"), sigma=0.0)
     result = run_identification(cases)
     assert np.max(np.abs(result.assembled.k[ZERO])) <= 1e-17
+
+
+@pytest.mark.parametrize("name, value", [("outlier_fraction", False),
+                                         ("confidence_multiplier", True)])
+def test_boolean_numeric_options_rejected(name, value):
+    # bool is an int, so without its own check these would pass the
+    # range checks as 0 and 1.
+    with pytest.raises(ValueError, match=name):
+        IdentifyOptions(**{name: value})

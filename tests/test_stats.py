@@ -1,5 +1,6 @@
 """Noise estimation, deflection covariance, outlier filtering, significance."""
 
+import json
 import math
 
 import numpy as np
@@ -355,6 +356,27 @@ class TestSignificanceTest:
         data = report.to_json_dict()
         first = [e for e in data["elements"] if e["row"] == 1 and e["col"] == 1]
         assert first[0]["safety_factor"] is None  # inf is not JSON-portable
+
+    def test_json_dict_holds_python_scalars(self):
+        k = beam_matrix()
+        k[0, 1] = 1e-12  # one zeroed element, so the report holds None too
+        experiments = canonical_experiments(k)
+        matrix = assemble_canonical(experiments)
+        report, _ = significance_test(matrix, experiments,
+                                      uniform_covariances(1e-8, 1e-10))
+        data = report.to_json_dict()
+        assert type(data["multiplier"]) is float
+        assert type(data["confidence_level"]) is float
+        kinds = set()
+        for e in data["elements"]:
+            assert type(e["row"]) is int and type(e["col"]) is int
+            assert type(e["estimate"]) is float
+            assert type(e["halfwidth"]) is float
+            assert type(e["significant"]) is bool
+            assert e["safety_factor"] is None or type(e["safety_factor"]) is float
+            kinds.add((e["significant"], type(e["safety_factor"])))
+        assert kinds == {(True, float), (False, type(None))}
+        assert json.loads(json.dumps(data)) == data
 
     def test_confidence_level_from_multiplier(self):
         k = beam_matrix()

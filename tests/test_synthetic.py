@@ -12,6 +12,7 @@ from stiffid import (
     Deflection,
     DisplacementField,
     GroundTruth,
+    IdentifyOptions,
     InvalidPattern,
     LinearizationWarning,
     MeshPattern,
@@ -21,15 +22,30 @@ from stiffid import (
     beam_compliance_oracle,
     beam_load_cases,
     beam_tip_field,
+    canonical_wrench_scheme,
     centroid,
     estimate_lin,
     generate_pattern,
     rotation_xyz,
     run_amplitude_study,
+    run_identification,
     run_noise_study,
     run_zero_detection_study,
 )
-from stiffid.synthetic import DEFAULT_LOADS, STUDY_METHODS, _normal_samples
+from stiffid.synthetic import (
+    DEFAULT_LOADS,
+    STUDY_METHODS,
+    _normal_samples,
+    _study_estimates,
+)
+
+
+def assert_same_bits(a, b):
+    """Equal dtype, shape and bytes: stricter than ==, which lets -0.0
+    match 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 class TestPatterns:
@@ -225,6 +241,24 @@ class TestBeamModel:
             assert value == DEFAULT_LOADS[j]
             assert case.field.n == 1331
 
+    @pytest.mark.parametrize("pattern", [MeshPattern.cubic(4.0, 1.0),
+                                         MeshPattern.square(10.0, 1.0, "x")],
+                             ids=["cubic", "square"])
+    @pytest.mark.parametrize("sigma", [5.6e-5, 0.0])
+    def test_load_cases_match_beam_tip_field(self, pattern, sigma):
+        # beam_load_cases builds the pattern and the noise-free fields once;
+        # each case must still equal the one-field path that simulate uses.
+        cases = beam_load_cases(BeamSpec(), pattern, DEFAULT_LOADS, sigma, seed=3)
+        for j, (case, wrench) in enumerate(zip(
+                cases, canonical_wrench_scheme(*DEFAULT_LOADS))):
+            field = beam_tip_field(BeamSpec(), wrench, pattern, sigma, 3 + j)
+            assert_same_bits(case.field.positions, field.positions)
+            assert_same_bits(case.field.displacements, field.displacements)
+            assert_same_bits(case.field.reference_point, field.reference_point)
+            assert case.field.centered
+            assert_same_bits(case.wrench.force, wrench.force)
+            assert_same_bits(case.wrench.torque, wrench.torque)
+
     def test_load_cases_deterministic(self):
         a = beam_load_cases(sigma=5e-5, seed=12)
         b = beam_load_cases(sigma=5e-5, seed=12)
@@ -263,6 +297,38 @@ class TestAmplitudeStudy:
         with pytest.raises(ValueError):
             run_amplitude_study([0.1], kind="spiral")
 
+    @pytest.mark.parametrize("kind", ["rotation", "translation"])
+    def test_matches_reference_loop(self, kind):
+        # The study computes each amplitude's rigid displacement once; the
+        # reference applies the whole transform per trial.
+        amplitudes, trials, seed, sigma = [0.05, 0.5], 3, 4, 5e-5
+        pattern = MeshPattern.cubic(4.0, 1.0)
+        study = run_amplitude_study(amplitudes, pattern, trials, seed, sigma, kind)
+        base = generate_pattern(pattern)
+        errors = {m: np.zeros((len(amplitudes), trials)) for m in study.max_errors}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinearizationWarning)
+            for ai, amp in enumerate(amplitudes):
+                if kind == "rotation":
+                    truth_defl = Deflection((1.0, 1.0, 1.0), np.deg2rad([amp] * 3))
+                else:
+                    truth_defl = Deflection([amp] * 3, np.zeros(3))
+                for t in range(trials):
+                    truth = GroundTruth(truth_defl, sigma, seed + ai * trials + t)
+                    field = apply_rigid_transform(
+                        base, truth, exact_rotation=(kind == "rotation"))
+                    for name, est in _study_estimates(field).items():
+                        if name not in errors:
+                            continue
+                        if kind == "rotation":
+                            err = np.max(np.abs(np.rad2deg(est.rotation) - amp))
+                        else:
+                            err = np.max(np.abs(est.translation - amp))
+                        errors[name][ai, t] = err
+        for name, values in errors.items():
+            assert_same_bits(study.max_errors[name], values.max(axis=1))
+            assert_same_bits(study.mean_errors[name], values.mean(axis=1))
+
     def test_csv_and_json_outputs(self, tmp_path):
         study = run_amplitude_study([0.1, 1.0])
         path = tmp_path / "study.csv"
@@ -297,6 +363,25 @@ class TestNoiseStudy:
         b = run_noise_study(sigma=1e-4, trials=5, seed=9)
         assert a == b
 
+    def test_matches_reference_loop(self):
+        # The study computes the noise-free displacement once; the
+        # reference applies the whole transform per trial.
+        pattern, sigma, trials, seed = MeshPattern.cubic(4.0, 1.0), 1e-4, 6, 2
+        study = run_noise_study(pattern, sigma, trials, seed)
+        base = generate_pattern(pattern)
+        truth_defl = Deflection((1.0, 1.0, 1.0), np.deg2rad([0.1] * 3))
+        err = np.zeros((trials, 6))
+        for t in range(trials):
+            truth = GroundTruth(truth_defl, sigma, seed + t)
+            fit = estimate_lin(apply_rigid_transform(base, truth))
+            err[t] = fit.deflection.as_vector() - truth_defl.as_vector()
+        emp = err.std(axis=0, ddof=1)
+        assert_same_bits(study.max_translation_error, np.max(np.abs(err[:, :3])))
+        assert_same_bits(study.max_rotation_error, np.max(np.abs(err[:, 3:])))
+        assert_same_bits(study.empirical_translation_std, emp[:3])
+        assert_same_bits(study.empirical_rotation_std, emp[3:])
+        assert_same_bits(study.mean_error, err.mean(axis=0))
+
     def test_json_dict_keys(self):
         study = run_noise_study(sigma=0.0, trials=2)
         data = study.to_json_dict()
@@ -320,6 +405,33 @@ class TestZeroDetectionStudy:
         assert data["seeds"] == 2
         assert data["pass_fraction"] == 1.0
         assert len(data["min_safety"]) == 2
+
+    def test_matches_reference_loop(self):
+        # The study builds the seed-invariant beam fields once; the
+        # reference builds every seed's load cases from scratch.
+        seeds, seed, sigma, multiplier = 5, 7, 5.6e-5, 4.0
+        study = run_zero_detection_study(seeds=seeds, seed=seed, sigma=sigma,
+                                         multiplier=multiplier)
+        nonzero = beam_compliance_oracle().k != 0.0
+        options = IdentifyOptions(outlier_fraction=0.10,
+                                  confidence_multiplier=multiplier)
+        missed, lost, low = [], [], []
+        for s in range(seeds):
+            cases = beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"),
+                                    DEFAULT_LOADS, sigma, seed=seed + 6 * s)
+            result = run_identification(cases, options)
+            k = result.matrix.k
+            missed.append(int(np.count_nonzero(k[~nonzero] != 0.0)))
+            lost.append(int(np.count_nonzero(k[nonzero] == 0.0)))
+            safeties = [e.safety_factor for e in result.significance.elements
+                        if nonzero[e.row - 1, e.col - 1] and e.safety_factor is not None]
+            low.append(min(safeties) if len(safeties) == np.count_nonzero(nonzero)
+                       else 0.0)
+        assert study.zeros_missed == tuple(missed)
+        assert study.nonzeros_lost == tuple(lost)
+        assert_same_bits(study.min_safety, low)
+        assert study.perfect_seeds == sum(
+            m == 0 and n == 0 and f >= 100.0 for m, n, f in zip(missed, lost, low))
 
     def test_impossible_threshold_counts_failures(self):
         study = run_zero_detection_study(seeds=2, safety_threshold=1e12)
