@@ -21,6 +21,7 @@ from .errors import (
     EntryOutOfRange,
     FieldFileError,
     InsufficientDof,
+    InvalidArgument,
     InvalidPattern,
     LinearizationWarning,
     ManifestError,
@@ -54,9 +55,11 @@ from .field import (
     write_field_csv,
 )
 from .pipeline import (
+    BatchIdentification,
     IdentificationResult,
     IdentifyOptions,
     LoadCase,
+    identify_batch,
     run_identification,
 )
 from .stats import (

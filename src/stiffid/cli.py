@@ -11,10 +11,11 @@ Three subcommands cover the full workflow:
 * ``stiffid benchmark``  runs one of the validation studies (amplitude,
   noise, zero-detection) and checks its acceptance bands.
 
-Exit codes: 0 success, 2 input/parse error, 3 numerical failure,
-4 benchmark outside its acceptance band.  Errors are reported as one
-JSON object on stderr.  The STIFFID_LOG environment variable (debug,
-info, warning, error) controls diagnostic verbosity.
+Exit codes: 0 success, 2 input/parse error (a bad option value, manifest
+or field file), 3 numerical failure, 4 benchmark outside its acceptance
+band.  Errors are reported as one JSON object on stderr.  The STIFFID_LOG
+environment variable (debug, info, warning, error) controls diagnostic
+verbosity.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from . import __version__
 from .compliance import Wrench, save_compliance_json
 from .errors import (
     FieldFileError,
+    InvalidArgument,
     ManifestError,
     StiffidError,
 )
@@ -450,7 +452,7 @@ def main(argv=None) -> int:
     except FieldFileError as exc:
         _emit_error(type(exc).__name__, exc, file=exc.file, line=exc.line)
         return 2
-    except OSError as exc:
+    except (OSError, InvalidArgument) as exc:
         _emit_error(type(exc).__name__, exc)
         return 2
     except StiffidError as exc:

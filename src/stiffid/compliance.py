@@ -57,8 +57,8 @@ class Wrench:
         t.flags.writeable = False
         object.__setattr__(self, "force", f)
         object.__setattr__(self, "torque", t)
-        # Found once here: canonical_order asks for it on every
-        # experiment, three times per identification.
+        # Found once here: canonical_columns asks for it on every
+        # wrench of every identification.
         object.__setattr__(self, "_single", (nonzero[0], values[nonzero[0]])
                            if len(nonzero) == 1 else None)
 
@@ -175,22 +175,34 @@ def canonical_wrench_scheme(fx: float, fy: float, fz: float,
     return wrenches
 
 
-def canonical_order(experiments: Sequence[Experiment]) -> list[tuple[int, float]] | None:
+def canonical_columns(wrenches: Sequence[Wrench]) -> list[tuple[int, float]] | None:
     """Detect the canonical scheme: six single-component wrenches, one
     per component, in any order.
 
-    Returns, for each column j, the index of the experiment that loads
+    Returns, for each column j, the index of the wrench that loads
     component j and that component's magnitude; None for any other set.
     """
-    if len(experiments) != 6:
+    if len(wrenches) != 6:
         return None
     order: list[tuple[int, float] | None] = [None] * 6
-    for i, exp in enumerate(experiments):
-        single = exp.wrench.single_component()
+    for i, wrench in enumerate(wrenches):
+        single = wrench.single_component()
         if single is None or order[single[0]] is not None:
             return None
         order[single[0]] = (i, single[1])
     return order
+
+
+def canonical_order(experiments: Sequence[Experiment]) -> list[tuple[int, float]] | None:
+    """:func:`canonical_columns` of the experiments' wrenches."""
+    return canonical_columns([exp.wrench for exp in experiments])
+
+
+def _assemble_columns(deflections: Sequence[np.ndarray],
+                      order: list[tuple[int, float]]) -> np.ndarray:
+    """Canonical compliance matrices (..., 6, 6) from the deflection
+    vectors (..., 6) of each experiment and the scheme's column order."""
+    return np.stack([deflections[i] / magnitude for i, magnitude in order], axis=-1)
 
 
 def assemble_canonical(experiments: Sequence[Experiment]) -> ComplianceMatrix:
@@ -203,8 +215,8 @@ def assemble_canonical(experiments: Sequence[Experiment]) -> ComplianceMatrix:
     order = canonical_order(experiments)
     if order is None:
         raise NotCanonical(NOT_CANONICAL)
-    return ComplianceMatrix(np.column_stack(
-        [experiments[i].deflection.as_vector() / magnitude for i, magnitude in order]))
+    return ComplianceMatrix(_assemble_columns(
+        [exp.deflection.as_vector() for exp in experiments], order))
 
 
 def assemble_overdetermined(experiments: Sequence[Experiment]) -> ComplianceMatrix:
@@ -228,6 +240,24 @@ def assemble_overdetermined(experiments: Sequence[Experiment]) -> ComplianceMatr
     return ComplianceMatrix(kT.T)
 
 
+def _symmetrize(k: np.ndarray, mask: np.ndarray | None,
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Symmetrize compliance matrices (..., 6, 6) and their significance
+    masks; warn once for each matrix that is not positive semidefinite.
+    See :func:`symmetrize`."""
+    k = (k + k.swapaxes(-1, -2)) / 2.0
+    if mask is not None:
+        mask = mask | mask.swapaxes(-1, -2)
+    eig = np.linalg.eigvalsh(k)
+    floor = np.max(np.abs(eig), axis=-1)
+    indefinite = (floor > 0.0) & (eig[..., 0] < -1e-9 * floor)
+    for low in eig[..., 0][indefinite].tolist():
+        warnings.warn("symmetrized compliance matrix is not positive "
+                      f"semidefinite (min eigenvalue {low:.3e})",
+                      stacklevel=3)
+    return k, mask
+
+
 def symmetrize(matrix: ComplianceMatrix) -> ComplianceMatrix:
     """Project onto the symmetric matrices: k <- (k + k^T) / 2.
 
@@ -235,16 +265,7 @@ def symmetrize(matrix: ComplianceMatrix) -> ComplianceMatrix:
     element retained on either side of the diagonal stays retained.
     Warns when the result is not positive semidefinite beyond roundoff.
     """
-    k = (matrix.k + matrix.k.T) / 2.0
-    mask = matrix.significance_mask
-    if mask is not None:
-        mask = mask | mask.T
-    eig = np.linalg.eigvalsh(k)
-    floor = np.max(np.abs(eig))
-    if floor > 0.0 and eig[0] < -1e-9 * floor:
-        warnings.warn("symmetrized compliance matrix is not positive "
-                      f"semidefinite (min eigenvalue {eig[0]:.3e})",
-                      stacklevel=2)
+    k, mask = _symmetrize(matrix.k, matrix.significance_mask)
     return ComplianceMatrix(k, mask, symmetrized=True)
 
 

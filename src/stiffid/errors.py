@@ -5,6 +5,10 @@ class StiffidError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(StiffidError, ValueError):
+    """An argument value is outside its documented range."""
+
+
 class AlreadyCentered(StiffidError):
     """Field has already been shifted to its reference point."""
 

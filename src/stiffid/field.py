@@ -110,13 +110,14 @@ def centroid(field: DisplacementField) -> np.ndarray:
 
 
 def column_mean(a: np.ndarray) -> np.ndarray:
-    """Mean of the rows of an (n, 3) array.
+    """Mean of the rows of an (n, 3) array, or of each (n, 3) slice of an
+    (..., n, 3) array.
 
     ``einsum`` streams the rows once; ``mean(axis=0)`` on a C-ordered
     (n, 3) array reduces along the strided axis, several times slower
     on large fields.
     """
-    return np.einsum("ij->j", a) / a.shape[0]
+    return np.einsum("...ij->...j", a) / a.shape[-2]
 
 
 def axis_index(axis: int | str) -> int:

@@ -4,24 +4,45 @@ The stages follow the processing order used throughout the package:
 estimate each experiment, pool residuals into a noise level, drop
 outlier nodes, re-estimate, assemble the matrix, zero insignificant
 elements and finally symmetrize.
+
+:func:`identify_batch` is the one implementation of that chain.  Its
+leading axis S runs over independent identifications (the seeds or
+trials of a study), not over experiments: experiment j hands it
+displacements of shape (S, n_j, 3) and positions of shape (n_j, 3),
+shared by all rows, or (S, n_j, 3), and every stage runs batched over
+the rows.  Row s of the result is bit-identical to a one-row batch of
+row s alone.  :func:`run_identification` is the S = 1 case on views of
+the load cases' fields; it stacks no array across experiments.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .compliance import (
     ComplianceMatrix,
     Experiment,
     Wrench,
-    assemble_canonical,
+    _assemble_columns,
+    _symmetrize,
     assemble_overdetermined,
-    canonical_order,
-    symmetrize,
+    canonical_columns,
 )
-from .estimation import AngleExtractionMethod, FitResult, estimate_lin, estimate_svd
+from .errors import InvalidArgument
+from .estimation import (
+    AngleExtractionMethod,
+    FitResult,
+    Fits,
+    _deflection,
+    _fit_lin,
+    _fit_result,
+    _fit_svd,
+    _require_centered,
+)
 from .field import DisplacementField
 from .stats import (
     DEFAULT_CONFIDENCE_MULTIPLIER,
@@ -29,10 +50,13 @@ from .stats import (
     DeflectionCovariance,
     NoiseEstimate,
     SignificanceReport,
-    estimate_sigma,
-    filter_outliers,
-    significance_test,
-    system_covariance,
+    _component_std,
+    _covariance,
+    _drop_mask,
+    _halfwidth,
+    _pool_sigma,
+    _report,
+    _significance,
 )
 
 log = logging.getLogger("stiffid")
@@ -57,21 +81,23 @@ class IdentifyOptions:
 
     def __post_init__(self):
         if self.estimator not in ("lin", "svd"):
-            raise ValueError(f"estimator must be 'lin' or 'svd', got {self.estimator!r}")
+            raise InvalidArgument(
+                f"estimator must be 'lin' or 'svd', got {self.estimator!r}")
         for name in ("outlier_fraction", "confidence_multiplier"):
             # bool is an int subclass, so a JSON true/false would pass the
             # range checks below as 1 or 0.
             value = getattr(self, name)
             if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+                raise InvalidArgument(f"{name} must be a number, got {value!r}")
         if not 0.0 <= self.outlier_fraction < 1.0:
-            raise ValueError("outlier_fraction must be in [0, 1), "
-                             f"got {self.outlier_fraction!r}")
+            raise InvalidArgument("outlier_fraction must be in [0, 1), "
+                                  f"got {self.outlier_fraction!r}")
         if not self.confidence_multiplier > 0.0:
-            raise ValueError("confidence_multiplier must be positive, "
-                             f"got {self.confidence_multiplier!r}")
+            raise InvalidArgument("confidence_multiplier must be positive, "
+                                  f"got {self.confidence_multiplier!r}")
         if self.symmetrize not in (True, False):
-            raise ValueError(f"symmetrize must be true or false, got {self.symmetrize!r}")
+            raise InvalidArgument(
+                f"symmetrize must be true or false, got {self.symmetrize!r}")
         object.__setattr__(self, "angles", AngleExtractionMethod(self.angles))
 
 
@@ -120,10 +146,124 @@ class IdentificationResult:
         }
 
 
-def _estimate(field: DisplacementField, options: IdentifyOptions) -> FitResult:
+class BatchIdentification(NamedTuple):
+    """S independent identifications; see :func:`identify_batch`.
+
+    Per experiment j: ``fits[j]`` is the final fit (the refit after
+    outlier removal), ``dropped[j]`` the (S, n_j) mask of removed nodes
+    (None when none are removed), ``per_experiment_sigma[j]`` (S,) the
+    noise level of the initial fit and ``covariances[j]`` the
+    translation and rotation covariance blocks (S, 3, 3) of the final
+    fit.  ``sigma`` (S,) is the pooled noise level with ``dof`` degrees
+    of freedom.  ``order`` is the canonical column order, or None for a
+    least-squares wrench set, which has no significance stage
+    (``halfwidth``, ``significant`` and ``safety`` are then None).
+    ``assembled`` (S, 6, 6) is the matrix before the significance stage,
+    ``safety`` the safety factors of the significant elements (NaN
+    elsewhere), and ``matrix`` and ``mask`` the final matrices and
+    significance masks.
+    """
+
+    fits: tuple[Fits, ...]
+    dropped: tuple[np.ndarray | None, ...]
+    sigma: np.ndarray
+    dof: int
+    per_experiment_sigma: tuple[np.ndarray, ...]
+    covariances: tuple[tuple[np.ndarray, np.ndarray], ...]
+    order: list[tuple[int, float]] | None
+    assembled: np.ndarray
+    halfwidth: np.ndarray | None
+    significant: np.ndarray | None
+    safety: np.ndarray | None
+    matrix: np.ndarray
+    mask: np.ndarray | None
+
+
+def _fit(positions: np.ndarray, displacements: np.ndarray,
+         options: IdentifyOptions) -> Fits:
     if options.estimator == "svd":
-        return estimate_svd(field, options.angles)
-    return estimate_lin(field)
+        return _fit_svd(positions, displacements, options.angles)
+    return _fit_lin(positions, displacements)
+
+
+def _survivors(a: np.ndarray, keep: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The rows of `a`, (S, n, 3) or shared (n, 3), at the nodes where
+    the flattened (S * n,) mask `keep` is True; (S, m, 3)."""
+    if a.ndim == 2 and shape[0] > 1:
+        a = np.broadcast_to(a, shape)
+    # np.compress on one axis; boolean indexing with an (S, n) mask is
+    # several times slower on large fields.
+    return np.compress(keep, a.reshape(-1, 3), axis=0).reshape(shape[0], -1, 3)
+
+
+def identify_batch(positions: Sequence[np.ndarray],
+                   displacements: Iterable[np.ndarray],
+                   wrenches: Sequence[Wrench],
+                   options: IdentifyOptions = IdentifyOptions(),
+                   ) -> BatchIdentification:
+    """Identify S compliance matrices at once, one per row of the batch.
+
+    Experiment j contributes the centered node positions `positions[j]`,
+    (n_j, 3) shared by every row or (S, n_j, 3), the displacements
+    `displacements[j]`, (S, n_j, 3), and the wrench `wrenches[j]`,
+    common to all rows.  The experiments are fit one after the other,
+    so `displacements` may be a generator that makes each array only
+    when it is needed.  Each row runs the full chain of
+    :func:`run_identification`: fit, pool sigma over the experiments,
+    drop outliers, refit, covariances, assembly, significance (for the
+    canonical scheme) and symmetrization.  Any row's failure (a
+    degenerate node layout, too few nodes left) raises for the batch.
+    """
+    fits = []
+    dropped = []
+    objectives = []
+    counts = []
+    rows = None
+    for j, (p, d) in enumerate(zip(positions, displacements)):
+        p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
+        if rows is None and d.ndim == 3:
+            rows = len(d)
+        if d.ndim != 3 or d.shape[2] != 3 or len(d) != rows or not rows or \
+                p.shape not in (d.shape, d.shape[1:]):
+            raise ValueError(
+                f"experiment {j}: displacements must be (S, n, 3) and positions "
+                f"(n, 3) or (S, n, 3), with one S >= 1 for all experiments; got "
+                f"{d.shape} and {p.shape}")
+        fit = _fit(p, d, options)
+        objectives.append(fit.objective)
+        counts.append(d.shape[-2])
+        drop = _drop_mask(fit.residuals, options.outlier_fraction)
+        if drop is not None:
+            keep = ~drop.ravel()
+            fit = _fit(_survivors(p, keep, d.shape), _survivors(d, keep, d.shape),
+                       options)
+        fits.append(fit)
+        dropped.append(drop)
+    sigma, dof, per_experiment = _pool_sigma(objectives, counts)
+    covariances = tuple(_covariance(fit.system, sigma) for fit in fits)
+    deflections = [np.concatenate([fit.translation, fit.rotation], axis=-1)
+                   for fit in fits]
+
+    order = canonical_columns(wrenches)
+    halfwidth = significant = safety = None
+    if order is not None:
+        matrix = assembled = _assemble_columns(deflections, order)
+        std = np.stack([_component_std(*covariances[i]) for i, _ in order], axis=-1)
+        halfwidth = _halfwidth(std, [magnitude for _, magnitude in order],
+                               options.confidence_multiplier)
+        significant, matrix, safety = _significance(assembled, halfwidth)
+    else:
+        matrix = assembled = np.stack([
+            assemble_overdetermined([Experiment(w, _deflection(fit, row))
+                                     for w, fit in zip(wrenches, fits)]).k
+            for row in range(len(sigma))])
+    mask = significant
+    if options.symmetrize:
+        matrix, mask = _symmetrize(matrix, mask)
+    return BatchIdentification(tuple(fits), tuple(dropped), sigma, dof,
+                               tuple(per_experiment), covariances, order,
+                               assembled, halfwidth, significant, safety,
+                               matrix, mask)
 
 
 def run_identification(cases: Sequence[LoadCase],
@@ -135,39 +275,35 @@ def run_identification(cases: Sequence[LoadCase],
     region).  With the canonical scheme (six single-component wrenches,
     one per component, in any order) the matrix is assembled column by
     column and significance-tested; any other admissible set is reduced
-    by least squares and the significance stage is skipped.
+    by least squares and the significance stage is skipped.  This is
+    :func:`identify_batch` with one row.
     """
-    initial_fits = [_estimate(case.field, options) for case in cases]
-    noise = estimate_sigma(initial_fits)
+    for case in cases:
+        _require_centered(case.field, "run_identification")
+    batch = identify_batch([case.field.positions for case in cases],
+                           [case.field.displacements[None] for case in cases],
+                           [case.wrench for case in cases], options)
+    noise = NoiseEstimate(float(batch.sigma[0]), batch.dof,
+                          tuple(float(s[0]) for s in batch.per_experiment_sigma))
     log.info("pooled noise sigma=%.6g from %d experiments", noise.sigma, len(cases))
-
-    fits = []
-    removed: list[tuple[int, ...]] = []
-    for case, fit in zip(cases, initial_fits):
-        reduced, dropped = filter_outliers(case.field, fit, options.outlier_fraction)
-        removed.append(tuple(dropped.tolist()))
-        fits.append(_estimate(reduced, options) if len(dropped) else fit)
+    fits = tuple(_fit_result(fit, 0) for fit in batch.fits)
+    removed = tuple(() if drop is None else tuple(np.flatnonzero(drop[0]).tolist())
+                    for drop in batch.dropped)
+    for case, fit, dropped in zip(cases, fits, removed):
         log.info("experiment %s: n=%d, removed=%d", case.source or "?",
-                 reduced.n, len(dropped))
+                 fit.n, len(dropped))
+    covariances = tuple(DeflectionCovariance(t[0], r[0]) for t, r in batch.covariances)
 
-    covariances = tuple(system_covariance(fit.system, noise.sigma) for fit in fits)
-    experiments = [Experiment(case.wrench, fit.deflection, case.source)
-                   for case, fit in zip(cases, fits)]
-
-    canonical = canonical_order(experiments) is not None
-    if canonical:
-        assembled = assemble_canonical(experiments)
-        report, matrix = significance_test(assembled, experiments, covariances,
-                                           options.confidence_multiplier)
-    else:
-        assembled = assemble_overdetermined(experiments)
-        report, matrix = None, assembled
+    assembled = ComplianceMatrix(batch.assembled[0])
+    report = None
+    if batch.order is None:
         log.info("non-canonical wrench set: significance test skipped")
+    else:
+        report = _report(batch.assembled[0], batch.halfwidth[0], batch.significant[0],
+                         batch.safety[0], options.confidence_multiplier)
     log.info("assembled matrix asymmetry %.3e", assembled.asymmetry())
-
-    if options.symmetrize:
-        matrix = symmetrize(matrix)
-    return IdentificationResult(matrix, assembled, report, noise,
-                                tuple(fits), covariances, tuple(removed),
-                                canonical, options,
+    mask = None if batch.mask is None else batch.mask[0]
+    matrix = ComplianceMatrix(batch.matrix[0], mask, symmetrized=options.symmetrize)
+    return IdentificationResult(matrix, assembled, report, noise, fits, covariances,
+                                removed, batch.order is not None, options,
                                 tuple(case.source for case in cases))

@@ -6,6 +6,15 @@ rigid fit then carries 3n - 6 degrees of freedom per experiment, the
 estimated deflection is Gaussian with a covariance that follows from the
 normal equations, and compliance elements whose confidence interval
 contains zero are treated as structural zeros.
+
+Each stage is one batched function over S independent identifications
+(the leading axis of its arrays): :func:`_pool_sigma`,
+:func:`_drop_mask`, :func:`_covariance`, :func:`_halfwidth` and
+:func:`_significance`.  The identification core
+(:func:`stiffid.pipeline.identify_batch`) runs them on whole batches;
+the public per-field functions (:func:`estimate_sigma`,
+:func:`filter_outliers`, :func:`system_covariance`,
+:func:`significance_test`) run them on one row.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from .errors import (
     NotCanonical,
     TooFewRemaining,
 )
-from .estimation import FitResult, NormalSystem, _normal_system
+from .estimation import FitResult, NormalSystem, _normal_system, _system_row
 from .field import DisplacementField
 
 DEFAULT_OUTLIER_FRACTION = 0.10
@@ -39,6 +48,31 @@ class NoiseEstimate:
     per_experiment_sigma: tuple[float, ...]
 
 
+def _pool_sigma(objectives: Sequence[np.ndarray], counts: Sequence[int],
+                ) -> tuple[np.ndarray, int, list[np.ndarray]]:
+    """Pool the residual sums of squares of a batch of identifications.
+
+    `objectives[j]` holds experiment j's residual sum of squares for
+    each row, from a fit of `counts[j]` nodes.  Returns the pooled sigma
+    of each row, the pooled degrees of freedom and each experiment's own
+    sigma per row.
+    """
+    if not objectives:
+        raise InsufficientDof("no fits supplied")
+    total_objective = 0.0
+    total_dof = 0
+    per_experiment = []
+    for objective, n in zip(objectives, counts):
+        dof = 3 * n - 6
+        if dof <= 0:
+            raise InsufficientDof(
+                f"fit with {n} nodes has no residual degrees of freedom")
+        per_experiment.append(np.sqrt(objective / dof))
+        total_objective = total_objective + objective
+        total_dof += dof
+    return np.sqrt(total_objective / total_dof), total_dof, per_experiment
+
+
 def estimate_sigma(fits: Sequence[FitResult]) -> NoiseEstimate:
     """Pool fit residuals into one nodal noise estimate.
 
@@ -46,21 +80,10 @@ def estimate_sigma(fits: Sequence[FitResult]) -> NoiseEstimate:
     with 3n - 6 degrees of freedom; sigma^2 is the ratio of the pooled
     sums.  Raises :class:`InsufficientDof` for fits with n < 3.
     """
-    if not fits:
-        raise InsufficientDof("no fits supplied")
-    total_objective = 0.0
-    total_dof = 0
-    per_experiment = []
-    for fit in fits:
-        dof = 3 * fit.n - 6
-        if dof <= 0:
-            raise InsufficientDof(
-                f"fit with {fit.n} nodes has no residual degrees of freedom")
-        per_experiment.append(math.sqrt(fit.objective / dof))
-        total_objective += fit.objective
-        total_dof += dof
-    return NoiseEstimate(math.sqrt(total_objective / total_dof), total_dof,
-                         tuple(per_experiment))
+    sigma, dof, per_experiment = _pool_sigma(
+        [np.array([fit.objective]) for fit in fits], [fit.n for fit in fits])
+    return NoiseEstimate(float(sigma[0]), dof,
+                         tuple(float(s[0]) for s in per_experiment))
 
 
 @dataclass(frozen=True)
@@ -80,14 +103,34 @@ class DeflectionCovariance:
             object.__setattr__(self, name, m)
 
     def translation_std(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.translation))
+        return self.component_std()[:3]
 
     def rotation_std(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.rotation))
+        return self.component_std()[3:]
 
     def component_std(self) -> np.ndarray:
         """Standard deviations of the 6 deflection components."""
-        return np.concatenate([self.translation_std(), self.rotation_std()])
+        return _component_std(self.translation, self.rotation)
+
+
+def _covariance(system: NormalSystem, sigma: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Translation and rotation covariance blocks, (..., 3, 3) each, of
+    the fits whose normal systems are `system` for noise levels `sigma`
+    (...,).  See :func:`system_covariance`."""
+    # Python's float power, not np.square: the two differ in the last
+    # bit for about one sigma in a thousand, and the halfwidths have
+    # always been computed from the former.
+    variance = np.reshape([s ** 2 for s in np.ravel(sigma).tolist()], np.shape(sigma))
+    return ((variance / system.n)[..., None, None] * np.eye(3),
+            variance[..., None, None] * system.inverse)
+
+
+def _component_std(translation: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """Standard deviations (..., 6) of the deflection components from
+    the covariance blocks (..., 3, 3)."""
+    return np.sqrt(np.concatenate([np.diagonal(translation, axis1=-2, axis2=-1),
+                                   np.diagonal(rotation, axis1=-2, axis2=-1)], axis=-1))
 
 
 def system_covariance(system: NormalSystem, sigma: float) -> DeflectionCovariance:
@@ -100,9 +143,7 @@ def system_covariance(system: NormalSystem, sigma: float) -> DeflectionCovarianc
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    variance = sigma ** 2
-    return DeflectionCovariance((variance / system.n) * np.eye(3),
-                                variance * system.inverse)
+    return DeflectionCovariance(*_covariance(system, np.float64(sigma)))
 
 
 def deflection_covariance(field: DisplacementField, sigma: float) -> DeflectionCovariance:
@@ -112,8 +153,42 @@ def deflection_covariance(field: DisplacementField, sigma: float) -> DeflectionC
     Raises :class:`DegenerateGeometry` for fewer than 3 nodes or a
     singular rotation normal matrix.
     """
-    system, _, _ = _normal_system(field)
-    return system_covariance(system, sigma)
+    system, _, _ = _normal_system(field.positions, field.displacements[None])
+    return system_covariance(_system_row(system, 0), sigma)
+
+
+def _drop_mask(residuals: np.ndarray, fraction: float) -> np.ndarray | None:
+    """Nodes to drop from each row of a batch of fits, by their
+    residuals (S, n, 3): True where a node goes, or None when
+    ``ceil(fraction * n)`` is 0.  See :func:`filter_outliers`.
+
+    Every row loses the same number of nodes, so the survivors of a
+    batch stay one rectangular (S, n - ceil(fraction * n), 3) array.
+    """
+    if not 0.0 <= fraction < 1.0:
+        raise ValueError("fraction must be in [0, 1)")
+    n = residuals.shape[-2]
+    remove = math.ceil(fraction * n)
+    if remove == 0:
+        return None
+    if n - remove < 3:
+        raise TooFewRemaining(
+            f"removing {remove} of {n} nodes leaves fewer than 3")
+    a = np.abs(residuals)
+    score = np.maximum(a[..., 0], a[..., 1])
+    np.maximum(score, a[..., 2], out=score)
+    # Drop every score at or above the row's threshold, then keep the
+    # first of the ties at it until `remove` go: the last ones are the
+    # set a stable ascending sort puts last, so an earlier node survives
+    # a tie.
+    kth = n - remove
+    threshold = np.partition(score, kth, axis=-1)[:, kth:kth + 1]
+    drop = score >= threshold
+    spare = np.count_nonzero(drop, axis=-1) - remove
+    for row in np.flatnonzero(spare).tolist():
+        ties = np.flatnonzero(score[row] == threshold[row])
+        drop[row, ties[:spare[row]]] = False
+    return drop
 
 
 def filter_outliers(field: DisplacementField, fit: FitResult,
@@ -122,40 +197,23 @@ def filter_outliers(field: DisplacementField, fit: FitResult,
     """Drop the worst-fitting nodes of a field.
 
     Nodes are ranked by the largest per-axis absolute residual of `fit`
-    and the worst ``ceil(fraction * n)`` are removed in a single pass.
+    and the worst ``ceil(fraction * n)`` are removed in a single pass;
+    among equal scores at the cut, the nodes with the higher indices go.
     Survivor order is preserved.  Returns the reduced field and the
     integer indices of the removed nodes.
 
     Raises :class:`TooFewRemaining` if fewer than 3 nodes would survive.
     """
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("fraction must be in [0, 1)")
     if fit.n != field.n:
         raise ValueError("fit residuals do not match the field")
-    n = field.n
-    remove = math.ceil(fraction * n)
-    if remove == 0:
+    drop = _drop_mask(fit.residuals[None], fraction)
+    if drop is None:
         return field, np.empty(0, dtype=int)
-    if n - remove < 3:
-        raise TooFewRemaining(
-            f"removing {remove} of {n} nodes leaves fewer than 3")
-    a = np.abs(fit.residuals)
-    score = np.maximum(a[:, 0], a[:, 1])
-    np.maximum(score, a[:, 2], out=score)
-    # Drop every score above the threshold, then the last indices among
-    # the ties at it: the set a stable ascending sort puts last, so an
-    # earlier node survives a tie.
-    kth = n - remove
-    threshold = np.partition(score, kth)[kth]
-    drop = score > threshold
-    ties = np.flatnonzero(score == threshold)
-    drop[ties[len(ties) - (remove - np.count_nonzero(drop)):]] = True
-    keep = ~drop
+    keep = ~drop[0]
     reduced = DisplacementField(np.compress(keep, field.positions, axis=0),
                                 np.compress(keep, field.displacements, axis=0),
                                 field.reference_point, centered=field.centered)
-    removed = np.flatnonzero(drop)
-    return reduced, removed
+    return reduced, np.flatnonzero(drop[0])
 
 
 @dataclass(frozen=True)
@@ -195,6 +253,39 @@ class SignificanceReport:
         }
 
 
+def _halfwidth(std_columns: np.ndarray, magnitudes: Sequence[float],
+               multiplier: float) -> np.ndarray:
+    """Confidence halfwidths (..., 6, 6) of canonical compliance elements.
+
+    Column j of `std_columns` holds the deflection standard deviations of
+    the experiment loading component j with magnitude `magnitudes[j]`.
+    """
+    return multiplier * std_columns / np.abs(np.asarray(magnitudes, dtype=float))
+
+
+def _significance(k: np.ndarray, halfwidth: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Significance mask, zeroed matrices and safety factors (NaN where
+    not significant) of compliance matrices `k` (..., 6, 6)."""
+    significant = np.abs(k) > halfwidth
+    with np.errstate(divide="ignore", invalid="ignore"):
+        safety = np.where(significant, np.abs(k) / halfwidth, np.nan)
+    return significant, np.where(significant, k, 0.0), safety
+
+
+def _report(k: np.ndarray, halfwidth: np.ndarray, significant: np.ndarray,
+            safety: np.ndarray, multiplier: float) -> SignificanceReport:
+    """One identification's significance stage as a report."""
+    elements = []
+    for i, rows in enumerate(zip(k.tolist(), halfwidth.tolist(),
+                                 significant.tolist(), safety.tolist())):
+        for j, (est, hw, sig, factor) in enumerate(zip(*rows)):
+            elements.append(SignificanceElement(i + 1, j + 1, est, hw, sig,
+                                                factor if sig else None))
+    confidence = math.erf(multiplier / math.sqrt(2.0))
+    return SignificanceReport(tuple(elements), float(multiplier), confidence)
+
+
 def significance_test(matrix: ComplianceMatrix,
                       experiments: Sequence[Experiment],
                       covariances: Sequence[DeflectionCovariance],
@@ -210,7 +301,8 @@ def significance_test(matrix: ComplianceMatrix,
     component i of the column-j experiment, divided by the wrench
     magnitude.  Elements whose interval contains zero are set to
     zero and recorded in the significance mask; significant elements
-    report the safety factor |estimate| / halfwidth.
+    report the safety factor |estimate| / halfwidth (infinite for a
+    zero halfwidth).
     """
     if level_multiplier <= 0:
         raise ValueError("level_multiplier must be positive")
@@ -219,23 +311,9 @@ def significance_test(matrix: ComplianceMatrix,
     order = canonical_order(experiments)
     if order is None:
         raise NotCanonical(NOT_CANONICAL)
-
-    halfwidth = np.column_stack(
-        [level_multiplier * covariances[i].component_std() / abs(magnitude)
-         for i, magnitude in order])
-
-    significant = np.abs(matrix.k) > halfwidth
-    zeroed = np.where(significant, matrix.k, 0.0)
-    elements = []
-    for i, (k_row, hw_row, sig_row) in enumerate(zip(
-            matrix.k.tolist(), halfwidth.tolist(), significant.tolist())):
-        for j, (est, hw, sig) in enumerate(zip(k_row, hw_row, sig_row)):
-            if sig:
-                safety = abs(est) / hw if hw > 0 else math.inf
-            else:
-                safety = None
-            elements.append(SignificanceElement(i + 1, j + 1, est, hw, sig, safety))
-    confidence = math.erf(level_multiplier / math.sqrt(2.0))
-    report = SignificanceReport(tuple(elements), float(level_multiplier), confidence)
+    std = np.stack([covariances[i].component_std() for i, _ in order], axis=-1)
+    halfwidth = _halfwidth(std, [magnitude for _, magnitude in order], level_multiplier)
+    significant, zeroed, safety = _significance(matrix.k, halfwidth)
+    report = _report(matrix.k, halfwidth, significant, safety, level_multiplier)
     result = ComplianceMatrix(zeroed, significant, symmetrized=matrix.symmetrized)
     return report, result

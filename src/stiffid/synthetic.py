@@ -11,10 +11,16 @@ bit-identical fields.
 
 The studies build what does not change between trials once: the node
 pattern, and the noise-free rigid displacements (with the oracle and the
-six wrenches for the beam).  Each trial then only draws its noise.  The
-arithmetic per field is unchanged, so a study's fields stay bit-identical
-to those of :func:`beam_load_cases`, :func:`beam_tip_field` and
-:func:`apply_rigid_transform` for the same seeds.
+six wrenches for the beam).  Each trial then only draws its noise, into
+one (S, n, 3) batch per experiment, with S the trials of a block of
+about ``_BLOCK_NODES`` nodes in all.  The arithmetic per field is
+unchanged, so a study's fields stay bit-identical to those of
+:func:`beam_load_cases`, :func:`beam_tip_field` and
+:func:`apply_rigid_transform` for the same seeds.  The noise and
+zero-detection studies hand each block to the batched core
+(:func:`~stiffid.estimation._fit_lin` and
+:func:`~stiffid.pipeline.identify_batch`), whose rows equal one-trial
+runs bit for bit, so a study's results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -27,18 +33,20 @@ from typing import Sequence
 import numpy as np
 
 from .compliance import ComplianceMatrix, Wrench, canonical_wrench_scheme
-from .errors import InvalidPattern, LinearizationWarning, NotCanonical
+from .errors import InvalidArgument, InvalidPattern, LinearizationWarning, NotCanonical
 from .estimation import (
     AngleExtractionMethod,
     Deflection,
+    _fit_lin,
+    _system_row,
     differential_rotation,
     estimate_lin,
     estimate_svd,
     rotation_xyz,
 )
 from .field import DisplacementField, axis_index
-from .pipeline import IdentifyOptions, LoadCase, run_identification
-from .stats import deflection_covariance
+from .pipeline import IdentifyOptions, LoadCase, identify_batch
+from .stats import system_covariance
 
 # Canonical load set used by the beam studies: forces N, torques N mm.
 DEFAULT_LOADS = (1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)
@@ -47,6 +55,13 @@ _EXPERIMENT_NAMES = ("fx", "fy", "fz", "mx", "my", "mz")
 
 STUDY_METHODS = ("lin", "svd-plus", "svd-minus", "svd-avg",
                  "svd-plus-asin", "svd-minus-asin", "svd-avg-asin")
+
+# Nodes (trials times the nodes of one trial's fields) identified per
+# batch.  It bounds a study's arrays to about 1 MB, whatever its trial
+# count (the zero-detection study at 100 seeds held 4.7 MB in one
+# batch), while each call's overhead is still spread over 22 seeds of
+# that study.
+_BLOCK_NODES = 1 << 14
 
 
 def _normal_samples(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -154,8 +169,12 @@ class GroundTruth:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        _check_sigma(self.sigma)
+
+
+def _check_sigma(sigma: float) -> None:
+    if not sigma >= 0.0:
+        raise InvalidArgument(f"sigma must be nonnegative, got {sigma!r}")
 
 
 def apply_rigid_transform(field: DisplacementField, truth: GroundTruth,
@@ -186,18 +205,42 @@ def _noisy_field(field: DisplacementField, rigid: np.ndarray, sigma: float,
                  seed: int) -> DisplacementField:
     """`field`'s nodes displaced by `rigid` plus seeded Box-Muller noise.
 
-    The studies compute `rigid` once and call this per trial; the field
+    The studies compute `rigid` once and draw many seeds; the field
     equals :func:`apply_rigid_transform`'s for the same truth and seed.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    disp = rigid
-    if sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        noise = _normal_samples(rng, disp.size).reshape(disp.shape)
-        disp = disp + sigma * noise
-    return DisplacementField(field.positions, disp, field.reference_point,
+    displacements = _noisy_displacements(rigid, sigma, [seed])[0]
+    return DisplacementField(field.positions, displacements, field.reference_point,
                              centered=True)
+
+
+def _noisy_displacements(rigid: np.ndarray, sigma: float,
+                         seeds: Sequence[int]) -> np.ndarray:
+    """(S, n, 3) displacements: row s is `rigid` plus the Box-Muller
+    noise of ``default_rng(seeds[s])`` times `sigma`."""
+    _check_sigma(sigma)
+    if sigma == 0.0:
+        return np.broadcast_to(rigid, (len(seeds),) + rigid.shape)
+    if min(seeds) < 0:
+        raise InvalidArgument(f"noise seeds must be nonnegative, got {min(seeds)}")
+    noise = np.empty((len(seeds),) + rigid.shape)
+    for row, seed in zip(noise, seeds):
+        rng = np.random.default_rng(seed)
+        row[...] = _normal_samples(rng, rigid.size).reshape(rigid.shape)
+    noise *= sigma
+    noise += rigid
+    return noise
+
+
+def _blocks(count: int, nodes: int) -> list[range]:
+    """Consecutive ranges of `count` trials of `nodes` nodes each, with
+    at most ``_BLOCK_NODES`` nodes (and at least one trial) per range."""
+    size = max(1, _BLOCK_NODES // nodes)
+    return [range(start, min(count, start + size)) for start in range(0, count, size)]
+
+
+def _check_trials(count: int, what: str) -> None:
+    if count < 1:
+        raise InvalidArgument(f"{what} must be at least 1, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -210,10 +253,10 @@ class BeamSpec:
     poisson: float = 0.266
 
     def __post_init__(self):
-        if self.length <= 0 or self.edge <= 0 or self.youngs_modulus <= 0:
-            raise ValueError("beam dimensions and modulus must be positive")
+        if not (self.length > 0 and self.edge > 0 and self.youngs_modulus > 0):
+            raise InvalidArgument("beam dimensions and modulus must be positive")
         if not 0.0 <= self.poisson < 0.5:
-            raise ValueError("poisson ratio must be in [0, 0.5)")
+            raise InvalidArgument("poisson ratio must be in [0, 0.5)")
 
     @property
     def area(self) -> float:
@@ -285,7 +328,8 @@ def beam_load_cases(spec: BeamSpec = BeamSpec(),
     seed + j)``.
     """
     base, experiments = _beam_experiments(spec, pattern, loads)
-    return _beam_cases(base, experiments, sigma, seed)
+    return [LoadCase(_noisy_field(base, rigid, sigma, seed + j), w, name)
+            for j, (name, w, rigid) in enumerate(experiments)]
 
 
 def _beam_experiments(spec: BeamSpec, pattern: MeshPattern, loads: Sequence[float],
@@ -304,15 +348,6 @@ def _beam_experiments(spec: BeamSpec, pattern: MeshPattern, loads: Sequence[floa
         rigid = _rigid_displacement(base.positions, Deflection(d[:3], d[3:]))
         experiments.append((name, w, rigid))
     return base, experiments
-
-
-def _beam_cases(base: DisplacementField,
-                experiments: list[tuple[str, Wrench, np.ndarray]],
-                sigma: float, seed: int) -> list[LoadCase]:
-    """Load cases of one seed from :func:`_beam_experiments`' result;
-    field j draws its noise from seed + j."""
-    return [LoadCase(_noisy_field(base, rigid, sigma, seed + j), w, name)
-            for j, (name, w, rigid) in enumerate(experiments)]
 
 
 @dataclass(frozen=True)
@@ -449,16 +484,22 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
     """Repeatedly identify a fixed small deflection under nodal noise.
 
     Fields use the first-order transform, so estimator errors are pure
-    noise and their spread should match :func:`deflection_covariance`.
+    noise and their spread should match :func:`system_covariance`.
+    Trial t draws its noise from seed ``seed + t``; the trials of a
+    block are fit in one batch that shares the pattern's geometry.
     """
+    _check_trials(trials, "trials")
+    _check_sigma(sigma)
     base = generate_pattern(pattern)
     truth_defl = Deflection(translation, np.deg2rad([rotation_deg] * 3))
     rigid = _rigid_displacement(base.positions, truth_defl)
-    err = np.zeros((trials, 6))
-    for t in range(trials):
-        fit = estimate_lin(_noisy_field(base, rigid, sigma, seed + t))
-        err[t] = fit.deflection.as_vector() - truth_defl.as_vector()
-    cov = deflection_covariance(base, sigma)
+    err = np.empty((trials, 6))
+    for block in _blocks(trials, base.n):
+        fits = _fit_lin(base.positions,
+                        _noisy_displacements(rigid, sigma, [seed + t for t in block]))
+        err[block.start:block.stop] = np.concatenate(
+            [fits.translation, fits.rotation], axis=-1) - truth_defl.as_vector()
+    cov = system_covariance(_system_row(fits.system, 0), sigma)
     emp = err.std(axis=0, ddof=1) if trials > 1 else np.zeros(6)
     return NoiseStudy(
         sigma, trials,
@@ -516,32 +557,40 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
     zeroed, every nonzero element survives, and each surviving element
     carries a safety factor at or above `safety_threshold`.  Study seed
     s draws the noise of its six load cases from field seeds
-    ``seed + 6 s`` to ``seed + 6 s + 5``.
+    ``seed + 6 s`` to ``seed + 6 s + 5``.  The seeds of a block run as
+    the rows of one :func:`~stiffid.pipeline.identify_batch` call, and
+    each row equals :func:`~stiffid.pipeline.run_identification` on that
+    seed's :func:`beam_load_cases` bit for bit.
     """
+    _check_trials(seeds, "seeds")
+    _check_sigma(sigma)
     oracle = beam_compliance_oracle(spec)
     nonzero = oracle.k != 0.0
     options = IdentifyOptions(outlier_fraction=outlier_fraction,
                               confidence_multiplier=multiplier)
     base, experiments = _beam_experiments(spec, pattern, loads)
-    perfect = 0
+    wrenches = [w for _, w, _ in experiments]
     zeros_missed = []
     nonzeros_lost = []
     min_safety = []
-    for s in range(seeds):
-        cases = _beam_cases(base, experiments, sigma, seed + 6 * s)
-        result = run_identification(cases, options)
-        k = result.matrix.k
-        missed = int(np.count_nonzero(k[~nonzero] != 0.0))
-        lost = int(np.count_nonzero(k[nonzero] == 0.0))
-        safeties = [e.safety_factor for e in result.significance.elements
-                    if nonzero[e.row - 1, e.col - 1] and e.safety_factor is not None]
-        low = min(safeties) if len(safeties) == int(np.count_nonzero(nonzero)) \
-            else 0.0
-        zeros_missed.append(missed)
-        nonzeros_lost.append(lost)
-        min_safety.append(low)
-        if missed == 0 and lost == 0 and low >= safety_threshold:
-            perfect += 1
+    for block in _blocks(seeds, len(experiments) * base.n):
+        # A generator: each experiment's noise is drawn when the core
+        # reaches it and freed once it is fit.
+        displacements = (
+            _noisy_displacements(rigid, sigma, [seed + 6 * s + j for s in block])
+            for j, (_, _, rigid) in enumerate(experiments))
+        batch = identify_batch([base.positions] * len(experiments), displacements,
+                               wrenches, options)
+        k = batch.matrix
+        zeros_missed += np.count_nonzero(k[:, ~nonzero] != 0.0, axis=1).tolist()
+        nonzeros_lost += np.count_nonzero(k[:, nonzero] == 0.0, axis=1).tolist()
+        # The lowest safety factor of the nonzero elements, 0 when one of
+        # them is not significant.
+        kept = batch.significant[:, nonzero]
+        low = np.min(np.where(kept, batch.safety[:, nonzero], np.inf), axis=1)
+        min_safety += np.where(kept.all(axis=1), low, 0.0).tolist()
+    perfect = sum(missed == 0 and lost == 0 and low >= safety_threshold
+                  for missed, lost, low in zip(zeros_missed, nonzeros_lost, min_safety))
     return ZeroDetectionStudy(seeds, sigma, multiplier, safety_threshold,
                               perfect, tuple(zeros_missed), tuple(nonzeros_lost),
                               tuple(min_safety))

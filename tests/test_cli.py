@@ -463,6 +463,25 @@ class TestBenchmark:
                      "--multiplier", "1e9", "--out", str(out)]) == 4
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, word", [
+        (["simulate", "--sigma", "-1"], "sigma"),
+        (["simulate", "--poisson", "0.5"], "poisson"),
+        (["simulate", "--sigma", "1e-4", "--seed", "-1"], "seeds"),
+        (["benchmark", "zero-detection", "--sigma", "-1"], "sigma"),
+        (["benchmark", "zero-detection", "--multiplier", "0"], "confidence_multiplier"),
+        (["benchmark", "zero-detection", "--trials", "0"], "seeds"),
+        (["benchmark", "noise", "--trials", "0"], "trials"),
+        (["benchmark", "noise", "--trials", "-1"], "trials"),
+        (["benchmark", "zero-detection", "--seed", "-1", "--trials", "1"], "seeds"),
+    ], ids=["simulate-sigma", "simulate-poisson", "simulate-seed", "zero-detection-sigma",
+            "zero-detection-multiplier", "zero-detection-trials", "noise-trials-0",
+            "noise-trials-negative", "zero-detection-seed"])
+    def test_bad_number_exit_2(self, tmp_path, capsys, argv, word):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidArgument"
+        assert word in payload["message"]
+
     def test_amplitude_study(self, tmp_path, capsys):
         out = tmp_path / "bench"
         assert main(["benchmark", "amplitude", "--out", str(out)]) == 0

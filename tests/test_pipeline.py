@@ -1,19 +1,30 @@
 """End-to-end identification: scheme detection, filtering, noise-free zeros."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import stiffid
 import stiffid.pipeline
 from stiffid import (
     BeamSpec,
+    DegenerateGeometry,
+    DisplacementField,
     IdentifyOptions,
+    LinearizationWarning,
     LoadCase,
     MeshPattern,
+    TooFewRemaining,
     Wrench,
     beam_compliance_oracle,
     beam_load_cases,
+    canonical_wrench_scheme,
+    estimate_lin,
+    filter_outliers,
     run_identification,
 )
+from stiffid.estimation import _system_row
 
 ZERO = beam_compliance_oracle().k == 0.0
 
@@ -51,8 +62,7 @@ def test_zero_outlier_fraction_equals_a_run_without_filter(noisy_cases, monkeypa
     options = IdentifyOptions(outlier_fraction=0.0)
     result = run_identification(noisy_cases, options)
     assert all(removed == () for removed in result.removed)
-    monkeypatch.setattr(stiffid.pipeline, "filter_outliers",
-                        lambda field, fit, fraction: (field, np.empty(0, dtype=int)))
+    monkeypatch.setattr(stiffid.pipeline, "_drop_mask", lambda residuals, fraction: None)
     unfiltered = run_identification(noisy_cases, options)
     assert result.matrix.k.tobytes() == unfiltered.matrix.k.tobytes()
     assert result.significance.to_json_dict() == unfiltered.significance.to_json_dict()
@@ -74,3 +84,147 @@ def test_boolean_numeric_options_rejected(name, value):
     # range checks as 0 and 1.
     with pytest.raises(ValueError, match=name):
         IdentifyOptions(**{name: value})
+
+
+# The batch axis of identify_batch: S independent identifications.
+
+def beam_batch(seeds, jitter=0.0):
+    """The six beam experiments of each seed, stacked along the batch axis;
+    with `jitter`, every row moves its nodes by its own small offsets."""
+    rows = [beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"),
+                            sigma=5.6e-5, seed=6 * s) for s in seeds]
+    rng = np.random.default_rng(17)
+    positions, displacements = [], []
+    for j in range(6):
+        shared = rows[0][j].field.positions
+        offsets = jitter * rng.standard_normal((len(seeds),) + shared.shape)
+        positions.append(shared + offsets if jitter else shared)
+        displacements.append(np.stack([row[j].field.displacements for row in rows]))
+    return positions, displacements, [case.wrench for case in rows[0]]
+
+
+def batch_row(batch, s):
+    """Every array of one row of a BatchIdentification, as bytes."""
+    out = [batch.sigma[s], batch.assembled[s], batch.halfwidth[s], batch.significant[s],
+           batch.safety[s], batch.matrix[s], batch.mask[s]]
+    for j, fit in enumerate(batch.fits):
+        out += [fit.translation[s], fit.rotation[s], fit.residuals[s], fit.objective[s],
+                batch.dropped[j][s], batch.per_experiment_sigma[j][s],
+                batch.covariances[j][0][s], batch.covariances[j][1][s]]
+        out += _system_row(fit.system, s)[1:]
+    return [np.asarray(a).tobytes() for a in out]
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["shared-positions", "row-positions"])
+def test_batch_rows_equal_one_row_batches(jitter):
+    positions, displacements, wrenches = beam_batch(range(4), jitter)
+    batch = stiffid.identify_batch(positions, displacements, wrenches)
+    assert batch.order is not None
+    for s in range(4):
+        one = stiffid.identify_batch(
+            [p if p.ndim == 2 else p[s:s + 1] for p in positions],
+            [d[s:s + 1] for d in displacements], wrenches)
+        assert batch_row(batch, s) == batch_row(one, 0)
+        assert one.dof == batch.dof
+
+
+def test_run_identification_is_the_one_row_batch():
+    positions, displacements, wrenches = beam_batch([2, 5])
+    batch = stiffid.identify_batch(positions, displacements, wrenches)
+    for s, seed in enumerate([2, 5]):
+        cases = beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"),
+                                sigma=5.6e-5, seed=6 * seed)
+        result = run_identification(cases)
+        assert result.matrix.k.tobytes() == batch.matrix[s].tobytes()
+        assert result.assembled.k.tobytes() == batch.assembled[s].tobytes()
+        assert result.noise.sigma == batch.sigma[s]
+        assert [list(r) for r in result.removed] == \
+            [np.flatnonzero(d[s]).tolist() for d in batch.dropped]
+
+
+def line_and_apex(count=9):
+    """`count` nodes on the x axis and one node off it."""
+    pos = np.zeros((count + 1, 3))
+    pos[:count, 0] = np.linspace(-4.0, 4.0, count)
+    pos[count] = [0.0, 3.0, 0.0]
+    return pos
+
+
+def test_batch_degenerate_row_raises():
+    wrench = [Wrench([1000.0, 0.0, 0.0], np.zeros(3))]
+    rng = np.random.default_rng(5)
+    # initial fit: row 1's nodes are collinear
+    pos = np.stack([line_and_apex(), line_and_apex(), line_and_apex()])
+    pos[1, -1] = [5.0, 0.0, 0.0]
+    disp = rng.normal(0.0, 1e-5, pos.shape)
+    with pytest.raises(DegenerateGeometry):
+        stiffid.identify_batch([pos], [disp], wrench)
+    with pytest.raises(DegenerateGeometry):
+        estimate_lin(DisplacementField(pos[1], disp[1], centered=True))
+    # refit: the filter drops row 1's only node off the line
+    shared = line_and_apex()
+    disp = rng.normal(0.0, 1e-5, (2,) + shared.shape)
+    disp[0, 4] += 1e-2
+    disp[1, -1] += 1e-2
+    field = DisplacementField(shared, disp[1], centered=True)
+    reduced, removed = filter_outliers(field, estimate_lin(field), 0.1)
+    assert removed.tolist() == [9]
+    with pytest.raises(DegenerateGeometry):
+        estimate_lin(reduced)
+    with pytest.raises(DegenerateGeometry):
+        stiffid.identify_batch([shared], [disp], wrench)
+
+
+def test_batch_too_few_remaining_raises():
+    pos = line_and_apex(3)  # 4 nodes; half of them would go
+    disp = np.random.default_rng(6).normal(0.0, 1e-5, (2,) + pos.shape)
+    field = DisplacementField(pos, disp[0], centered=True)
+    with pytest.raises(TooFewRemaining):
+        filter_outliers(field, estimate_lin(field), 0.5)
+    with pytest.raises(TooFewRemaining):
+        stiffid.identify_batch([pos], [disp], [Wrench([1.0, 0.0, 0.0], np.zeros(3))],
+                               IdentifyOptions(outlier_fraction=0.5))
+
+
+@pytest.mark.parametrize("fraction, expected", [(0.0, 1), (0.1, 2)])
+def test_batch_row_out_of_small_angles_warns(fraction, expected):
+    # row 1 of three rotates by 0.05 rad in its first experiment: one
+    # warning per fit of that row, the initial fit and, with a filter,
+    # the refit
+    pos = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3, indexing="ij"), -1).reshape(-1, 3)
+    disp = np.zeros((3,) + pos.shape)
+    disp[1] = np.cross([0.0, 0.0, 0.05], pos)
+    quiet = np.zeros_like(disp)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stiffid.identify_batch([pos] * 6, [disp] + [quiet] * 5,
+                               canonical_wrench_scheme(*[1.0] * 6),
+                               IdentifyOptions(outlier_fraction=fraction))
+    linear = [w for w in caught if issubclass(w.category, LinearizationWarning)]
+    assert len(linear) == expected
+    assert all("0.05 rad" in str(w.message) for w in linear)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimate_lin(DisplacementField(pos, disp[1], centered=True))
+    assert [w.category for w in caught] == [LinearizationWarning]
+
+
+@pytest.mark.parametrize("positions, displacements", [
+    ((5, 3), (5, 3)),          # displacements without the batch axis
+    ((5, 3), (2, 5, 2)),       # not 3-vectors
+    ((4, 3), (2, 5, 3)),       # node counts differ
+    ((3, 5, 3), (2, 5, 3)),    # row counts differ
+    ((5, 3), (0, 5, 3)),       # no rows
+], ids=["no-batch-axis", "two-components", "node-count", "row-count", "no-rows"])
+def test_batch_shapes_checked(positions, displacements):
+    with pytest.raises(ValueError, match="experiment 0"):
+        stiffid.identify_batch([np.ones(positions)], [np.ones(displacements)],
+                               [Wrench([1.0, 0.0, 0.0], np.zeros(3))])
+
+
+def test_batch_row_count_shared_by_experiments():
+    pos = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3, indexing="ij"), -1).reshape(-1, 3)
+    with pytest.raises(ValueError, match="experiment 1"):
+        stiffid.identify_batch([pos, pos], [np.zeros((2,) + pos.shape),
+                                            np.zeros((3,) + pos.shape)],
+                               canonical_wrench_scheme(*[1.0] * 6)[:2])

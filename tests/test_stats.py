@@ -31,7 +31,11 @@ from stiffid import (
     run_identification,
     significance_test,
 )
-from stiffid.stats import DEFAULT_CONFIDENCE_MULTIPLIER, DEFAULT_OUTLIER_FRACTION
+from stiffid.stats import (
+    DEFAULT_CONFIDENCE_MULTIPLIER,
+    DEFAULT_OUTLIER_FRACTION,
+    _drop_mask,
+)
 
 
 def cube_nodes(edge, step):
@@ -249,6 +253,35 @@ class TestFilterOutliers:
         expected = np.sort(np.argsort(score, kind="stable")[60 - 6:])
         assert_array_equal(removed, expected)
         assert_array_equal(np.sort(score[removed]), [4.0] * 3 + [5.0] * 3)
+
+    def test_batch_rows_with_different_tie_counts(self):
+        # 60 nodes at the 10% trim drop 6 per row.  Row r has r + 1
+        # equal top scores and 8 - r ties at 4.0, so rows 0-4 take 5 to
+        # 1 of their ties at 4.0, row 5 has its 6 top scores tie at the
+        # cut, and in the last row every score ties.  The batch must
+        # drop each row's own set.
+        rng = np.random.default_rng(41)
+        rows = []
+        for r in range(6):
+            score = rng.permutation(np.concatenate(
+                [[5.0 + r] * (r + 1), [4.0] * (8 - r),
+                 rng.uniform(0.0, 3.9, 51)]))
+            rows.append(score)
+        rows.append(np.full(60, 2.0))
+        batch = []
+        for score in rows:
+            residuals = rng.uniform(0.0, 1.0, (60, 3)) * score[:, None]
+            residuals[np.arange(60), rng.integers(0, 3, 60)] = score
+            batch.append(residuals * rng.choice([-1.0, 1.0], (60, 3)))
+        batch = np.array(batch)
+        drop = _drop_mask(batch, 0.1)
+        pos = rng.uniform(-5.0, 5.0, (60, 3))
+        field = make_field(pos, np.zeros_like(pos))
+        for row, residuals in zip(drop, batch):
+            fit = FitResult(Deflection(np.zeros(3), np.zeros(3)), residuals, 0.0)
+            _, removed = filter_outliers(field, fit, 0.1)
+            assert_array_equal(np.flatnonzero(row), removed)
+        assert_array_equal(np.flatnonzero(drop[-1]), np.arange(54, 60))
 
     def test_too_few_survivors_rejected(self):
         pos = cube_nodes(2.0, 1.0)[:4]
