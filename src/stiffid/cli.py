@@ -11,6 +11,15 @@ Three subcommands cover the full workflow:
 * ``stiffid benchmark``  runs one of the validation studies (amplitude,
   noise, zero-detection) and checks its acceptance bands.
 
+The manifest format is stated once, in :data:`MANIFEST`: each object's
+keys, which of them are required and the kind of each value.
+:func:`load_manifest` checks a parsed manifest against it before it
+reads any field file and names the key path of the first fault.  A
+sensor's values then go to the ``SensorRegion`` constructor of its
+shape and the options to ``IdentifyOptions``, which check the ranges
+and own the option defaults; the study functions own the benchmark
+defaults, and only the flags the user gave are passed on.
+
 Exit codes: 0 success, 2 input/parse error (a bad option value, manifest
 or field file), 3 numerical failure, 4 benchmark outside its acceptance
 band.  Errors are reported as one JSON object on stderr.  The STIFFID_LOG
@@ -24,9 +33,12 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,62 +88,94 @@ AMPLITUDE_REF_PLUS = (2e-6, 4e-5, 2e-4, 4e-3, 2e-2, 0.48)
 _EXPERIMENT_NAMES = ("fx", "fy", "fz", "mx", "my", "mz")
 
 
-def _unit_scale(table: dict, unit, what: str, manifest: str) -> float:
-    if not isinstance(unit, str) or unit not in table:
-        allowed = ", ".join(sorted(table))
-        raise ManifestError(manifest,
-                            f"{what} unit must be one of: {allowed}; got {unit!r}")
-    return table[unit]
+def _number(value) -> bool:
+    # bool is an int subclass: a JSON true/false is not a number.
+    return type(value) in (int, float) and math.isfinite(value)
 
 
-def _vector3(value, what: str, manifest: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float).reshape(3)
-    except (TypeError, ValueError):
-        raise ManifestError(manifest, f"{what} must be a 3-vector") from None
-    if not np.all(np.isfinite(arr)):
-        raise ManifestError(manifest, f"{what} must be finite")
-    return arr
+class _Value(NamedTuple):
+    """One kind of JSON value; `what` names it in error messages."""
+
+    what: str
+    test: Callable[[object], bool]
 
 
-def _parse_sensor(data, manifest: str) -> SensorRegion | None:
-    if data is None:
-        return None
-    if not isinstance(data, dict) or "shape" not in data:
-        raise ManifestError(manifest, "sensor must be an object with a 'shape'")
-    shape = data["shape"]
-    try:
-        if shape == "cube":
-            return SensorRegion.cube(float(data["edge"]),
-                                     data.get("center", (0.0, 0.0, 0.0)))
-        if shape == "square":
-            return SensorRegion.square(float(data["edge"]), data["axis"],
-                                       data.get("center", (0.0, 0.0, 0.0)))
-        if shape == "layer":
-            return SensorRegion.layer(data["axis"], float(data["coordinate"]),
-                                      float(data["thickness"]))
-        if shape == "sphere":
-            return SensorRegion.sphere(float(data["radius"]),
-                                       data.get("center", (0.0, 0.0, 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(manifest, f"bad {shape} sensor: {exc}") from None
-    raise ManifestError(manifest, f"unknown sensor shape {shape!r}")
+class _Object(NamedTuple):
+    """A JSON object with these required and optional keys."""
+
+    required: dict
+    optional: dict = {}
 
 
-def _parse_wrench(data, manifest: str) -> Wrench:
-    if not isinstance(data, dict):
-        raise ManifestError(manifest, "wrench must be an object")
-    for key in ("force", "torque", "force_unit", "torque_unit"):
-        if key not in data:
-            raise ManifestError(manifest, f"wrench is missing '{key}'")
-    fscale = _unit_scale(FORCE_UNITS, data["force_unit"], "force", manifest)
-    tscale = _unit_scale(TORQUE_UNITS, data["torque_unit"], "torque", manifest)
-    force = _vector3(data["force"], "wrench force", manifest) * fscale
-    torque = _vector3(data["torque"], "wrench torque", manifest) * tscale
-    try:
-        return Wrench(force, torque)
-    except ValueError as exc:
-        raise ManifestError(manifest, str(exc)) from None
+_NUMBER = _Value("a finite number", _number)
+_VECTOR = _Value("a list of 3 finite numbers",
+                lambda v: type(v) is list and len(v) == 3 and all(map(_number, v)))
+_STRING = _Value("a string", lambda v: type(v) is str)
+_BOOLEAN = _Value("true or false", lambda v: type(v) is bool)
+
+
+def _unit(table: dict) -> _Value:
+    return _Value("one of " + ", ".join(sorted(table)),
+                  lambda v: type(v) is str and v in table)
+
+
+_CENTER = {"center": _VECTOR}
+
+# The manifest format.  Besides _Value and _Object, a schema is a
+# one-item list (a non-empty list of that item) or a dict of sensor
+# shapes (an object whose "shape" key names the object its other keys
+# follow).  A sensor's keys are the keyword arguments of the
+# SensorRegion constructor of its shape, and the options' keys those of
+# IdentifyOptions, which check the ranges.
+MANIFEST = _Object(
+    {"units": _Object({"length": _unit(LENGTH_UNITS)},
+                      {"force": _unit(FORCE_UNITS), "torque": _unit(TORQUE_UNITS)}),
+     "reference_point": _VECTOR,
+     "experiments": [_Object(
+         {"field_file": _STRING,
+          "wrench": _Object({"force": _VECTOR, "force_unit": _unit(FORCE_UNITS),
+                             "torque": _VECTOR, "torque_unit": _unit(TORQUE_UNITS)})},
+         {"sensor": {"cube": _Object({"edge": _NUMBER}, _CENTER),
+                     "square": _Object({"edge": _NUMBER, "axis": _STRING}, _CENTER),
+                     "layer": _Object({"axis": _STRING, "coordinate": _NUMBER,
+                                       "thickness": _NUMBER}),
+                     "sphere": _Object({"radius": _NUMBER}, _CENTER)}})]},
+    {"options": _Object({}, {"estimator": _STRING, "angles": _STRING,
+                             "outlier_fraction": _NUMBER,
+                             "confidence_multiplier": _NUMBER, "symmetrize": _BOOLEAN})})
+
+
+def _check(value, schema, path: str, manifest: str) -> None:
+    """Raise ManifestError, naming the key path, where `value` breaks `schema`."""
+    if isinstance(schema, _Value):
+        if not schema.test(value):
+            raise ManifestError(manifest, f"{path} must be {schema.what}, got {value!r}")
+        return
+    if isinstance(schema, list):
+        if type(value) is not list or not value:
+            raise ManifestError(manifest, f"{path} must be a non-empty list")
+        for i, item in enumerate(value):
+            _check(item, schema[0], f"{path}[{i}]", manifest)
+        return
+    if type(value) is not dict:
+        raise ManifestError(manifest, f"{path or 'top level'} must be an object")
+    prefix = f"{path}." if path else ""
+    if isinstance(schema, dict):
+        shape = value.get("shape")
+        if type(shape) is not str or shape not in schema:
+            raise ManifestError(manifest, f"{prefix}shape must be one of "
+                                f"{', '.join(schema)}, got {shape!r}")
+        schema = _Object({"shape": _STRING, **schema[shape].required},
+                         schema[shape].optional)
+    keys = {**schema.required, **schema.optional}
+    for key in value:
+        if key not in keys:
+            raise ManifestError(manifest, f"unknown key {prefix}{key}")
+    for key in schema.required:
+        if key not in value:
+            raise ManifestError(manifest, f"missing key {prefix}{key}")
+    for key, item in value.items():
+        _check(item, keys[key], prefix + key, manifest)
 
 
 def load_manifest(path) -> tuple[list[LoadCase], dict]:
@@ -146,55 +190,36 @@ def load_manifest(path) -> tuple[list[LoadCase], dict]:
         raise ManifestError(manifest, f"line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ManifestError(manifest, f"not UTF-8 text: {exc.reason}") from None
-    if not isinstance(data, dict):
-        raise ManifestError(manifest, "top level must be an object")
-    options = data.get("options", {})
-    if not isinstance(options, dict):
-        raise ManifestError(manifest, "options must be an object")
-    units = data.get("units")
-    if not isinstance(units, dict) or "length" not in units:
-        raise ManifestError(manifest, "missing units.length tag")
-    lscale = _unit_scale(LENGTH_UNITS, units["length"], "length", manifest)
-    if "reference_point" not in data:
-        raise ManifestError(manifest, "missing reference_point")
-    reference = _vector3(data["reference_point"], "reference_point", manifest)
-    experiments = data.get("experiments")
-    if not isinstance(experiments, list) or not experiments:
-        raise ManifestError(manifest, "missing experiments list")
+    _check(data, MANIFEST, "", manifest)
 
+    lscale = LENGTH_UNITS[data["units"]["length"]]
     base = Path(manifest).parent
     cases = []
-    for i, entry in enumerate(experiments):
-        if not isinstance(entry, dict) or not isinstance(entry.get("field_file"), str) \
-                or "wrench" not in entry:
-            raise ManifestError(manifest,
-                                f"experiment {i}: needs a field_file string and a wrench")
-        wrench = _parse_wrench(entry["wrench"], manifest)
-        sensor = _parse_sensor(entry.get("sensor"), manifest)
-        file_path = base / entry["field_file"]
-        field = read_field_csv(file_path, reference, lscale)
-        field = center_field(field)
-        if sensor is not None:
-            field = select_sensor(field, sensor)
+    for i, entry in enumerate(data["experiments"]):
+        w = entry["wrench"]
+        sensor = dict(entry.get("sensor", {}))
+        try:
+            wrench = Wrench(np.multiply(w["force"], FORCE_UNITS[w["force_unit"]]),
+                            np.multiply(w["torque"], TORQUE_UNITS[w["torque_unit"]]))
+            region = getattr(SensorRegion, sensor.pop("shape"))(**sensor) if sensor else None
+        except ValueError as exc:
+            raise ManifestError(manifest, f"experiments[{i}]: {exc}") from None
+        field = center_field(read_field_csv(base / entry["field_file"],
+                                            data["reference_point"], lscale))
+        if region is not None:
+            field = select_sensor(field, region)
         cases.append(LoadCase(field, wrench, entry["field_file"]))
-    return cases, options
+    return cases, data.get("options", {})
 
 
 def _options_from(manifest_options: dict, args) -> IdentifyOptions:
     opts = dict(manifest_options)
-    if args.estimator is not None:
-        opts["estimator"] = args.estimator
-    if args.angles is not None:
-        opts["angles"] = args.angles
-    if args.outlier_fraction is not None:
-        opts["outlier_fraction"] = args.outlier_fraction
-    if args.confidence_multiplier is not None:
-        opts["confidence_multiplier"] = args.confidence_multiplier
-    if args.no_symmetrize:
-        opts["symmetrize"] = False
+    for option in fields(IdentifyOptions):
+        if getattr(args, option.name) is not None:
+            opts[option.name] = getattr(args, option.name)
     try:
         return IdentifyOptions(**opts)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ManifestError(args.manifest, f"bad option: {exc}") from None
 
 
@@ -289,17 +314,22 @@ def cmd_simulate(args) -> int:
         "units": {"length": "mm", "force": "N", "torque": "N·mm"},
         "reference_point": reference,
         "experiments": entries,
-        "options": {"estimator": "lin", "angles": "avg",
-                    "outlier_fraction": 0.1, "confidence_multiplier": 3.0,
-                    "symmetrize": True},
+        "options": IdentifyOptions().to_json_dict(),
     }
     _write_json(out / "manifest.json", manifest)
     print(f"wrote manifest and {len(entries)} field files to {out}")
     return 0
 
 
+def _given(args, **params) -> dict:
+    """Study keywords (`params` values) for the flags (`params` keys) given;
+    the study function owns the defaults of the others."""
+    return {param: getattr(args, flag) for flag, param in params.items()
+            if getattr(args, flag) is not None}
+
+
 def _benchmark_amplitude(args, out: Path) -> int:
-    study = run_amplitude_study(AMPLITUDE_BENCH_DEG, trials=1, seed=args.seed)
+    study = run_amplitude_study(AMPLITUDE_BENCH_DEG, trials=1, **_given(args, seed="seed"))
     study.write_csv(out / "amplitude_study.csv")
     checks = []
     ok = True
@@ -326,9 +356,9 @@ def _benchmark_amplitude(args, out: Path) -> int:
 
 
 def _benchmark_noise(args, out: Path) -> int:
-    study = run_noise_study(sigma=args.sigma, trials=args.trials, seed=args.seed)
+    study = run_noise_study(**_given(args, sigma="sigma", trials="trials", seed="seed"))
     ok = True
-    if args.sigma == 0.0:
+    if study.sigma == 0.0:
         ok = bool(study.max_translation_error <= 1e-12
                   and study.max_rotation_error <= 1e-12)
     else:
@@ -342,8 +372,8 @@ def _benchmark_noise(args, out: Path) -> int:
 
 
 def _benchmark_zero_detection(args, out: Path) -> int:
-    study = run_zero_detection_study(seeds=args.trials, sigma=args.sigma,
-                                     multiplier=args.multiplier, seed=args.seed)
+    study = run_zero_detection_study(**_given(args, sigma="sigma", trials="seeds",
+                                              multiplier="multiplier", seed="seed"))
     ok = study.pass_fraction >= 0.95
     _write_json(out / "zero_detection_summary.json",
                 {"study": study.to_json_dict(), "pass": bool(ok)})
@@ -358,15 +388,7 @@ def cmd_benchmark(args) -> int:
     if args.study == "amplitude":
         return _benchmark_amplitude(args, out)
     if args.study == "noise":
-        if args.sigma is None:
-            args.sigma = 5e-5
-        if args.trials is None:
-            args.trials = 500
         return _benchmark_noise(args, out)
-    if args.sigma is None:
-        args.sigma = 5.6e-5
-    if args.trials is None:
-        args.trials = 100
     return _benchmark_zero_detection(args, out)
 
 
@@ -383,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=[m.value for m in AngleExtractionMethod])
     p_id.add_argument("--outlier-fraction", type=float, default=None)
     p_id.add_argument("--confidence-multiplier", type=float, default=None)
-    p_id.add_argument("--no-symmetrize", action="store_true")
+    p_id.add_argument("--no-symmetrize", dest="symmetrize", action="store_false",
+                      default=None)
     p_id.add_argument("--out", default="identify_out")
     p_id.add_argument("--format", choices=["json", "text", "csv"], default="text")
     p_id.set_defaults(func=cmd_identify)
@@ -395,11 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--edge", type=float, default=10.0, help="sensor edge, mm")
     p_sim.add_argument("--step", type=float, default=1.0, help="grid step, mm")
     p_sim.add_argument("--axis", default="x", help="square pattern normal axis")
-    p_sim.add_argument("--length", type=float, default=1000.0)
-    p_sim.add_argument("--section", type=float, default=10.0,
+    p_sim.add_argument("--length", type=float, default=BeamSpec.length)
+    p_sim.add_argument("--section", type=float, default=BeamSpec.edge,
                        help="square section edge, mm")
-    p_sim.add_argument("--youngs", type=float, default=2.0e5)
-    p_sim.add_argument("--poisson", type=float, default=0.266)
+    p_sim.add_argument("--youngs", type=float, default=BeamSpec.youngs_modulus)
+    p_sim.add_argument("--poisson", type=float, default=BeamSpec.poisson)
     p_sim.add_argument("--fx", type=float, default=DEFAULT_LOADS[0])
     p_sim.add_argument("--fy", type=float, default=DEFAULT_LOADS[1])
     p_sim.add_argument("--fz", type=float, default=DEFAULT_LOADS[2])
@@ -411,10 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bm = sub.add_parser("benchmark", help="run a validation study")
     p_bm.add_argument("study", choices=["amplitude", "noise", "zero-detection"])
-    p_bm.add_argument("--seed", type=int, default=0)
+    p_bm.add_argument("--seed", type=int, default=None)
     p_bm.add_argument("--trials", type=int, default=None)
     p_bm.add_argument("--sigma", type=float, default=None)
-    p_bm.add_argument("--multiplier", type=float, default=4.0,
+    p_bm.add_argument("--multiplier", type=float, default=None,
                       help="confidence multiplier for zero detection")
     p_bm.add_argument("--out", default="benchmark_out")
     p_bm.set_defaults(func=cmd_benchmark)

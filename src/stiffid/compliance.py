@@ -10,6 +10,7 @@ experiment sets are reduced by least squares.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    InvalidArgument,
     NotCanonical,
     RankDeficientWrenches,
     SingularCompliance,
@@ -161,12 +163,14 @@ def canonical_wrench_scheme(fx: float, fy: float, fz: float,
     """Six single-component wrenches, one per load direction.
 
     Forces in N, torques in N mm.  Any zero magnitude raises
-    :class:`ZeroMagnitude`.
+    :class:`ZeroMagnitude`, any non-finite one :class:`InvalidArgument`.
     """
     magnitudes = (fx, fy, fz, mx, my, mz)
     for name, value in zip(_COMPONENTS, magnitudes):
         if value == 0.0:
             raise ZeroMagnitude(f"{name} magnitude must be nonzero")
+        if not math.isfinite(value):
+            raise InvalidArgument(f"{name} magnitude must be finite, got {value!r}")
     wrenches = []
     for j, value in enumerate(magnitudes):
         v = np.zeros(6)

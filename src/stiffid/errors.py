@@ -29,7 +29,7 @@ class EntryOutOfRange(StiffidError):
     """Rotation matrix entry outside the asin domain."""
 
 
-class ZeroMagnitude(StiffidError):
+class ZeroMagnitude(InvalidArgument):
     """Wrench component magnitude must be nonzero."""
 
 
@@ -57,7 +57,7 @@ class MissingCovariance(StiffidError):
     """Significance test needs one covariance per experiment."""
 
 
-class InvalidPattern(StiffidError):
+class InvalidPattern(InvalidArgument):
     """Mesh pattern parameters are inconsistent."""
 
 

@@ -19,6 +19,7 @@ from .errors import (
     EmptyField,
     EmptySelection,
     FieldFileError,
+    InvalidArgument,
 )
 
 # Boundary nodes of a sensor region count as inside within this tolerance (mm).
@@ -121,14 +122,19 @@ def column_mean(a: np.ndarray) -> np.ndarray:
 
 
 def axis_index(axis: int | str) -> int:
-    """Coordinate index of an axis given as 'x'/'y'/'z' (any case) or 0/1/2."""
+    """Coordinate index of an axis given as 'x'/'y'/'z' (any case) or 0/1/2.
+
+    Raises :class:`InvalidArgument` (a ``ValueError``) for anything else,
+    ``True`` and ``False`` included.
+    """
     if isinstance(axis, str):
         try:
             return _AXES[axis.lower()]
         except KeyError:
-            raise ValueError(f"axis must be one of x, y, z, got {axis!r}") from None
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis index must be 0, 1 or 2, got {axis}")
+            raise InvalidArgument(f"axis must be one of x, y, z, got {axis!r}") from None
+    # bool is an int subclass: True would select axis 1.
+    if isinstance(axis, bool) or axis not in (0, 1, 2):
+        raise InvalidArgument(f"axis index must be 0, 1 or 2, got {axis!r}")
     return int(axis)
 
 

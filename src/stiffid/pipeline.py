@@ -18,6 +18,7 @@ the load cases' fields; it stacks no array across experiments.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -92,13 +93,24 @@ class IdentifyOptions:
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise InvalidArgument("outlier_fraction must be in [0, 1), "
                                   f"got {self.outlier_fraction!r}")
-        if not self.confidence_multiplier > 0.0:
-            raise InvalidArgument("confidence_multiplier must be positive, "
+        if not 0.0 < self.confidence_multiplier < math.inf:
+            raise InvalidArgument("confidence_multiplier must be positive and finite, "
                                   f"got {self.confidence_multiplier!r}")
-        if self.symmetrize not in (True, False):
+        # Not `in (True, False)`: 1 and 0 compare equal to True and False.
+        if not isinstance(self.symmetrize, bool):
             raise InvalidArgument(
                 f"symmetrize must be true or false, got {self.symmetrize!r}")
         object.__setattr__(self, "angles", AngleExtractionMethod(self.angles))
+
+    def to_json_dict(self) -> dict:
+        """The options as a manifest ``options`` block."""
+        return {
+            "estimator": self.estimator,
+            "angles": self.angles.value,
+            "outlier_fraction": float(self.outlier_fraction),
+            "confidence_multiplier": float(self.confidence_multiplier),
+            "symmetrize": self.symmetrize,
+        }
 
 
 @dataclass(frozen=True)
@@ -122,13 +134,7 @@ class IdentificationResult:
         is enough to rerun the identification.
         """
         return {
-            "options": {
-                "estimator": self.options.estimator,
-                "angles": self.options.angles.value,
-                "outlier_fraction": float(self.options.outlier_fraction),
-                "confidence_multiplier": float(self.options.confidence_multiplier),
-                "symmetrize": bool(self.options.symmetrize),
-            },
+            "options": self.options.to_json_dict(),
             "experiments": [
                 {
                     "field_file": self.sources[i],

@@ -115,8 +115,9 @@ class MeshPattern:
 
 
 def _check_edge_step(edge: float, step: float) -> None:
-    if edge <= 0 or step <= 0:
-        raise InvalidPattern("edge and step must be positive")
+    if not (0.0 < edge < math.inf and 0.0 < step < math.inf):
+        raise InvalidPattern("edge and step must be positive and finite, "
+                             f"got {edge!r} and {step!r}")
     ratio = edge / step
     if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
         raise InvalidPattern(f"step {step} does not divide edge {edge}")
@@ -173,8 +174,8 @@ class GroundTruth:
 
 
 def _check_sigma(sigma: float) -> None:
-    if not sigma >= 0.0:
-        raise InvalidArgument(f"sigma must be nonnegative, got {sigma!r}")
+    if not 0.0 <= sigma < math.inf:
+        raise InvalidArgument(f"sigma must be nonnegative and finite, got {sigma!r}")
 
 
 def apply_rigid_transform(field: DisplacementField, truth: GroundTruth,
@@ -253,8 +254,8 @@ class BeamSpec:
     poisson: float = 0.266
 
     def __post_init__(self):
-        if not (self.length > 0 and self.edge > 0 and self.youngs_modulus > 0):
-            raise InvalidArgument("beam dimensions and modulus must be positive")
+        if not all(0.0 < v < math.inf for v in (self.length, self.edge, self.youngs_modulus)):
+            raise InvalidArgument("beam dimensions and modulus must be positive and finite")
         if not 0.0 <= self.poisson < 0.5:
             raise InvalidArgument("poisson ratio must be in [0, 0.5)")
 

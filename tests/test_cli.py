@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import stiffid
 from stiffid import beam_compliance_oracle, load_compliance_json, read_field_csv
-from stiffid.cli import load_manifest, main
+from stiffid.cli import MANIFEST, load_manifest, main
 
 NONZERO = beam_compliance_oracle().k != 0.0
 
@@ -241,10 +241,12 @@ class TestReadmeInputFormat:
 
     README = Path(__file__).resolve().parent.parent / "README.md"
 
-    def blocks(self):
-        section = self.README.read_text(encoding="utf-8").split(
+    def section(self):
+        return self.README.read_text(encoding="utf-8").split(
             "## Input format")[1].split("\n## ")[0]
-        return re.findall(r"```(\w*)\n(.*?)```", section, flags=re.S)
+
+    def blocks(self):
+        return re.findall(r"```(\w*)\n(.*?)```", self.section(), flags=re.S)
 
     def test_csv_example_parses(self, tmp_path):
         (csv_text,) = [body for lang, body in self.blocks() if not lang]
@@ -266,6 +268,24 @@ class TestReadmeInputFormat:
         assert cases[0].field.centered
         assert_allclose(cases[0].wrench.as_vector(), [1000.0, 0, 0, 0, 0, 0])
         assert options == {"estimator": "lin", "outlier_fraction": 0.1}
+
+    def test_manifest_keys_match_schema(self):
+        def paths(schema, path):
+            if isinstance(schema, list):
+                yield from paths(schema[0], path + "[]")
+            elif isinstance(schema, dict):  # sensor shapes
+                yield path + ".shape"
+                for shape in schema.values():
+                    yield from paths(shape, path)
+            elif hasattr(schema, "required"):
+                for key, kind in {**schema.required, **schema.optional}.items():
+                    child = f"{path}.{key}" if path else key
+                    yield child
+                    yield from paths(kind, child)
+
+        documented = re.findall(r"^\| `([^`]+)` \|", self.section(), flags=re.M)
+        assert len(documented) == len(set(documented))
+        assert set(documented) == set(paths(MANIFEST, ""))
 
 
 class TestIdentifyErrors:
@@ -345,6 +365,7 @@ class TestIdentifyErrors:
         ("--outlier-fraction", "1.5"),
         ("--outlier-fraction", "-0.2"),
         ("--confidence-multiplier", "0"),
+        ("--confidence-multiplier", "inf"),
     ])
     def test_out_of_range_option_exit_2(self, sim_dir, tmp_path, capsys,
                                         flag, value):
@@ -389,8 +410,36 @@ class TestIdentifyErrors:
         (lambda data: data["options"].update(outlier_fraction=False), "outlier_fraction"),
         (lambda data: data["options"].update(confidence_multiplier=True),
          "confidence_multiplier"),
+        (lambda data: data["experiments"][0].update(sensr={"shape": "cube", "edge": 1.0}),
+         "experiments[0].sensr"),
+        (lambda data: data["experiments"][0]["sensor"].update(edg=1.0),
+         "experiments[0].sensor.edg"),
+        (lambda data: data["experiments"][0]["wrench"].update(forc=[1.0, 0.0, 0.0]),
+         "experiments[0].wrench.forc"),
+        (lambda data: data.update(referense_point=[0.0, 0.0, 0.0]), "referense_point"),
+        (lambda data: data["experiments"][0]["sensor"].update(edge="10"),
+         "experiments[0].sensor.edge"),
+        (lambda data: data["experiments"][0].update(
+            sensor={"shape": "square", "edge": 10.0, "axis": True}),
+         "experiments[0].sensor.axis"),
+        (lambda data: data.update(reference_point=[1000.0, True, 0.0]), "reference_point"),
+        (lambda data: data["experiments"][0]["wrench"].update(force=[True, 0.0, 0.0]),
+         "experiments[0].wrench.force"),
+        (lambda data: data["units"].update(force="lbf"), "units.force"),
+        (lambda data: data["options"].update(symmetrize=1), "options.symmetrize"),
+        (lambda data: data["experiments"][0]["sensor"].update(edge=True),
+         "experiments[0].sensor.edge"),
+        (lambda data: data["experiments"][0]["sensor"].update(center=[float("nan"), 0, 0]),
+         "experiments[0].sensor.center"),
+        (lambda data: data["experiments"][0]["sensor"].update(shape=[1]),
+         "experiments[0].sensor.shape"),
     ], ids=["misspelled-key", "options-list", "symmetrize-string", "field-file-number",
-            "outlier-fraction-false", "confidence-multiplier-true"])
+            "outlier-fraction-false", "confidence-multiplier-true", "sensor-misspelled",
+            "sensor-edge-misspelled", "wrench-force-misspelled",
+            "reference-point-misspelled", "sensor-edge-string", "sensor-axis-true",
+            "reference-point-holds-true", "wrench-force-holds-true", "units-force-lbf",
+            "symmetrize-one", "sensor-edge-true", "sensor-center-nan",
+            "sensor-shape-list"])
     def test_manifest_hole_exit_2(self, sim_dir, tmp_path, capsys, hole, word):
         data = read_manifest(sim_dir / "manifest.json")
         for entry in data["experiments"]:
@@ -473,13 +522,32 @@ class TestBenchmark:
         (["benchmark", "noise", "--trials", "0"], "trials"),
         (["benchmark", "noise", "--trials", "-1"], "trials"),
         (["benchmark", "zero-detection", "--seed", "-1", "--trials", "1"], "seeds"),
+        (["simulate", "--pattern", "square", "--axis", "w"], "axis"),
+        (["simulate", "--sigma", "inf"], "sigma"),
+        (["benchmark", "noise", "--sigma", "inf", "--trials", "2"], "sigma"),
+        (["simulate", "--fx", "nan"], "Fx"),
+        (["simulate", "--length", "inf"], "beam"),
     ], ids=["simulate-sigma", "simulate-poisson", "simulate-seed", "zero-detection-sigma",
             "zero-detection-multiplier", "zero-detection-trials", "noise-trials-0",
-            "noise-trials-negative", "zero-detection-seed"])
+            "noise-trials-negative", "zero-detection-seed", "simulate-axis",
+            "simulate-sigma-inf", "noise-sigma-inf", "simulate-load-nan",
+            "simulate-length-inf"])
     def test_bad_number_exit_2(self, tmp_path, capsys, argv, word):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "InvalidArgument"
+        assert word in payload["message"]
+
+    @pytest.mark.parametrize("argv, error, word", [
+        (["simulate", "--edge", "-1"], "InvalidPattern", "edge"),
+        (["simulate", "--edge", "nan"], "InvalidPattern", "edge"),
+        (["simulate", "--step", "0.3"], "InvalidPattern", "step"),
+        (["simulate", "--fx", "0"], "ZeroMagnitude", "Fx"),
+    ], ids=["edge-negative", "edge-nan", "step-not-dividing", "load-zero"])
+    def test_bad_pattern_or_load_exit_2(self, tmp_path, capsys, argv, error, word):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == error
         assert word in payload["message"]
 
     def test_amplitude_study(self, tmp_path, capsys):

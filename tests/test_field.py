@@ -12,6 +12,7 @@ from stiffid import (
     EmptyField,
     EmptySelection,
     FieldFileError,
+    InvalidArgument,
     SensorRegion,
     center_field,
     centroid,
@@ -178,6 +179,12 @@ class TestSensorRegions:
     @pytest.mark.parametrize("bad", ["w", 3, -1])
     def test_bad_axis_rejected(self, bad):
         with pytest.raises(ValueError):
+            SensorRegion.square(10.0, bad)
+
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_boolean_axis_rejected(self, bad):
+        # bool is an int subclass: True would select axis y.
+        with pytest.raises(InvalidArgument, match="axis"):
             SensorRegion.square(10.0, bad)
 
     def test_bad_dimensions_rejected(self):

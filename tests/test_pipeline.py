@@ -12,6 +12,7 @@ from stiffid import (
     DegenerateGeometry,
     DisplacementField,
     IdentifyOptions,
+    InvalidArgument,
     LinearizationWarning,
     LoadCase,
     MeshPattern,
@@ -84,6 +85,13 @@ def test_boolean_numeric_options_rejected(name, value):
     # range checks as 0 and 1.
     with pytest.raises(ValueError, match=name):
         IdentifyOptions(**{name: value})
+
+
+@pytest.mark.parametrize("value", [1, 0])
+def test_integer_symmetrize_rejected(value):
+    # 1 and 0 compare equal to True and False.
+    with pytest.raises(InvalidArgument, match="symmetrize"):
+        IdentifyOptions(symmetrize=value)
 
 
 # The batch axis of identify_batch: S independent identifications.
