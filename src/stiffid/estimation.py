@@ -16,16 +16,23 @@ displacements of shape (S, n, 3) and positions of shape (n, 3), shared
 by every row, or (S, n, 3).  The fit's arrays carry the leading S axis,
 and each row's numbers are bit-identical to those of a one-row fit of
 that row alone: every stage runs the same numpy operation (the same
-BLAS or LAPACK call) on each row.  With shared positions the
-position-only part of the normal system (centroid, moment matrix,
-eigendecomposition, inverse) is computed once for all rows.
+BLAS or LAPACK call) on each row.
 
-Every fit builds the :class:`NormalSystem` once: the node count, the
-centroid, the mean displacement, the rotation normal matrix from one
-``rel.T @ rel`` product of the centroid-relative positions, its inverse,
-and the rotation right-hand side read off the antisymmetric part of
-``rel.T @ (displacements - mean displacement)``.  The degeneracy check
-of the normal matrix lives there and nowhere else.  The fit result
+The position-only part of the normal equations is the
+:class:`FitGeometry` of a node layout, built by :func:`_fit_geometry`
+and nowhere else: the node count, the centroid, the centroid-relative
+positions, the rotation normal matrix from one ``rel.T @ rel`` product,
+its eigendecomposition, which is the degeneracy check, and its inverse.
+The fits take a geometry already built, so whoever holds one layout
+builds it once: shared positions give one geometry for all rows of a
+batch, and the identification core builds one for all experiments on
+equal node positions (the load cases of one mesh).  Each refit after
+outlier removal keeps its own survivors and builds its own geometry.
+
+Every fit then builds its :class:`NormalSystem` from the geometry and
+the displacements: the mean displacement and the rotation right-hand
+side read off the antisymmetric part of
+``rel.T @ (displacements - mean displacement)``.  The fit result
 carries the system, so the deflection covariance follows from it
 without another pass over the nodes.
 
@@ -264,6 +271,17 @@ class FitResult:
         object.__setattr__(self, "residuals", r)
         object.__setattr__(self, "objective", float(self.objective))
 
+    @classmethod
+    def _holding(cls, deflection: Deflection, residuals: np.ndarray,
+                 objective: float, system: NormalSystem) -> "FitResult":
+        """A fit result that holds `residuals` itself, not a copy: the
+        caller hands over a read-only (n, 3) view of a read-only array."""
+        fit = object.__new__(cls)
+        for name, value in (("deflection", deflection), ("residuals", residuals),
+                            ("objective", objective), ("system", system)):
+            object.__setattr__(fit, name, value)
+        return fit
+
     @property
     def n(self) -> int:
         return self.residuals.shape[0]
@@ -299,28 +317,33 @@ def _require_centered(field: DisplacementField, who: str) -> None:
         raise ValueError(f"{who} needs a field centered on its reference point")
 
 
-def _normal_system(positions: np.ndarray, displacements: np.ndarray,
-                   ) -> tuple[NormalSystem, np.ndarray, np.ndarray]:
-    """Build the normal systems of a batch of fields; also return the
-    positions relative to the centroid and the displacements relative to
-    their mean.
+class FitGeometry(NamedTuple):
+    """The position-only part of the normal equations of a node layout.
 
-    `displacements` is (S, n, 3); `positions` is (n, 3), shared by all
-    rows, or (S, n, 3).  Shared positions give one centroid, moment
-    matrix, eigendecomposition and inverse for the whole batch.
+    ``rel`` holds the positions relative to the ``centroid``, ``moment``
+    is the rotation normal matrix sum(|r|^2 I - r r^T) of those (mm^2)
+    and ``inverse`` its inverse.  Positions (n, 3) give one geometry;
+    positions (S, n, 3) give every array a leading batch axis.
+    """
 
-    Centering both factors of the right-hand side keeps it free of the
-    summation error of sum(r) times the mean displacement, which would
-    otherwise leak into structural zeros of noise-free fields.
+    n: int
+    centroid: np.ndarray
+    rel: np.ndarray
+    moment: np.ndarray
+    inverse: np.ndarray
+
+
+def _fit_geometry(positions: np.ndarray) -> FitGeometry:
+    """Build the fit geometry of node positions (n, 3) or (S, n, 3).
 
     Raises
     ------
     DegenerateGeometry
-        If the fields have fewer than 3 nodes or the rotation normal
+        If the layout has fewer than 3 nodes or the rotation normal
         matrix of any row is numerically singular (rotation unobservable
         about some axis).
     """
-    n = displacements.shape[-2]
+    n = positions.shape[-2]
     if n < 3:
         raise DegenerateGeometry(f"a rigid fit needs at least 3 nodes, got {n}")
     c = column_mean(positions)
@@ -331,11 +354,28 @@ def _normal_system(positions: np.ndarray, displacements: np.ndarray,
         raise DegenerateGeometry(
             "rotation normal matrix is singular for this node layout")
     inverse = (vec / eig[..., None, :]) @ vec.swapaxes(-1, -2)
+    return FitGeometry(n, c, rel, m, inverse)
+
+
+def _normal_system(geometry: FitGeometry, displacements: np.ndarray,
+                   ) -> tuple[NormalSystem, np.ndarray]:
+    """Build the normal systems of a batch of fields on `geometry`; also
+    return the displacements relative to their mean.
+
+    `displacements` is (S, n, 3).  A geometry without the batch axis
+    serves every row, so its centroid, moment matrix and inverse are
+    computed once for the whole batch.
+
+    Centering both factors of the right-hand side keeps it free of the
+    summation error of sum(r) times the mean displacement, which would
+    otherwise leak into structural zeros of noise-free fields.
+    """
     q = column_mean(displacements)
     disp_rel = displacements - q[..., None, :]
-    g = rel.swapaxes(-1, -2) @ disp_rel
+    g = geometry.rel.swapaxes(-1, -2) @ disp_rel
     rhs = (g - g.swapaxes(-1, -2))[..., (1, 2, 0), (2, 0, 1)]
-    return NormalSystem(n, c, q, m, inverse, rhs), rel, disp_rel
+    return NormalSystem(geometry.n, geometry.centroid, q, geometry.moment,
+                        geometry.inverse, rhs), disp_rel
 
 
 def _system_row(system: NormalSystem, row: int) -> NormalSystem:
@@ -356,9 +396,14 @@ def _fits(system: NormalSystem, translation: np.ndarray, rotation: np.ndarray,
 
 
 def _fit_result(fits: Fits, row: int) -> FitResult:
-    """Row `row` of a batched fit as a :class:`FitResult`."""
-    return FitResult(_deflection(fits, row), fits.residuals[row],
-                     float(fits.objective[row]), _system_row(fits.system, row))
+    """Row `row` of a batched fit as a :class:`FitResult`.
+
+    The result holds a view of the batch's residuals, which this makes
+    read-only: callers hand over a batch they keep no use for.
+    """
+    fits.residuals.flags.writeable = False
+    return FitResult._holding(_deflection(fits, row), fits.residuals[row],
+                              float(fits.objective[row]), _system_row(fits.system, row))
 
 
 def _deflection(fits: Fits, row: int) -> Deflection:
@@ -366,12 +411,13 @@ def _deflection(fits: Fits, row: int) -> Deflection:
     return Deflection._checked(fits.translation[row], fits.rotation[row])
 
 
-def _fit_svd(positions: np.ndarray, displacements: np.ndarray,
+def _fit_svd(geometry: FitGeometry, displacements: np.ndarray,
              method: AngleExtractionMethod = AngleExtractionMethod.AVERAGED,
              ) -> Fits:
     """Orthogonal Procrustes fits of a batch of fields; see
     :func:`estimate_svd` and, for the shapes, :func:`_normal_system`."""
-    system, rel, disp_rel = _normal_system(positions, displacements)
+    system, disp_rel = _normal_system(geometry, displacements)
+    rel = geometry.rel
     moved_rel = rel + disp_rel
     cross = rel.swapaxes(-1, -2) @ moved_rel
     U, s, Vt = np.linalg.svd(cross)
@@ -391,14 +437,14 @@ def _fit_svd(positions: np.ndarray, displacements: np.ndarray,
     return _fits(system, translation, rotation.reshape(translation.shape), residuals)
 
 
-def _fit_lin(positions: np.ndarray, displacements: np.ndarray) -> Fits:
+def _fit_lin(geometry: FitGeometry, displacements: np.ndarray) -> Fits:
     """Linearized least-squares fits of a batch of fields; see
     :func:`estimate_lin` and, for the shapes, :func:`_normal_system`."""
-    system, rel, residuals = _normal_system(positions, displacements)
+    system, residuals = _normal_system(geometry, displacements)
     rotation = (system.inverse @ system.rhs[..., None])[..., 0]
     spin = skew(rotation)
     # residuals holds d - q, a fresh array: finish d - q - dphi x r in place
-    residuals -= rel @ spin.swapaxes(-1, -2)
+    residuals -= geometry.rel @ spin.swapaxes(-1, -2)
     translation = system.mean_displacement - (spin @ system.centroid[..., None])[..., 0]
     return _fits(system, translation, rotation, residuals)
 
@@ -421,7 +467,8 @@ def estimate_svd(field: DisplacementField,
         cross-covariance has rank < 2.
     """
     _require_centered(field, "estimate_svd")
-    return _fit_result(_fit_svd(field.positions, field.displacements[None], method), 0)
+    geometry = _fit_geometry(field.positions)
+    return _fit_result(_fit_svd(geometry, field.displacements[None], method), 0)
 
 
 def estimate_lin(field: DisplacementField) -> FitResult:
@@ -439,4 +486,5 @@ def estimate_lin(field: DisplacementField) -> FitResult:
         If the rotation normal matrix is numerically singular.
     """
     _require_centered(field, "estimate_lin")
-    return _fit_result(_fit_lin(field.positions, field.displacements[None]), 0)
+    geometry = _fit_geometry(field.positions)
+    return _fit_result(_fit_lin(geometry, field.displacements[None]), 0)

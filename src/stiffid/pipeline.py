@@ -13,6 +13,11 @@ shared by all rows, or (S, n_j, 3), and every stage runs batched over
 the rows.  Row s of the result is bit-identical to a one-row batch of
 row s alone.  :func:`run_identification` is the S = 1 case on views of
 the load cases' fields; it stacks no array across experiments.
+
+The load cases of one mesh share their node positions, so the core
+builds the fit geometry (see :mod:`stiffid.estimation`) once per
+distinct node layout and fits every experiment on that layout with it.
+Each refit builds its own geometry from its survivors.
 """
 
 from __future__ import annotations
@@ -36,9 +41,11 @@ from .compliance import (
 from .errors import InvalidArgument
 from .estimation import (
     AngleExtractionMethod,
+    FitGeometry,
     FitResult,
     Fits,
     _deflection,
+    _fit_geometry,
     _fit_lin,
     _fit_result,
     _fit_svd,
@@ -185,11 +192,22 @@ class BatchIdentification(NamedTuple):
     mask: np.ndarray | None
 
 
-def _fit(positions: np.ndarray, displacements: np.ndarray,
+def _fit(geometry: FitGeometry, displacements: np.ndarray,
          options: IdentifyOptions) -> Fits:
     if options.estimator == "svd":
-        return _fit_svd(positions, displacements, options.angles)
-    return _fit_lin(positions, displacements)
+        return _fit_svd(geometry, displacements, options.angles)
+    return _fit_lin(geometry, displacements)
+
+
+def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether float node layouts `a` and `b` are one object or hold the
+    same values bit for bit, so that one geometry fits both exactly.
+
+    The values are compared as 64-bit integers: 0.0 and -0.0 compare
+    equal as floats but can leave zeros of opposite sign in a fit.
+    """
+    return a is b or (a.shape == b.shape and
+                      np.array_equal(a.view(np.int64), b.view(np.int64)))
 
 
 def _survivors(a: np.ndarray, keep: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -219,7 +237,10 @@ def identify_batch(positions: Sequence[np.ndarray],
     drop outliers, refit, covariances, assembly, significance (for the
     canonical scheme) and symmetrization.  Any row's failure (a
     degenerate node layout, too few nodes left) raises for the batch.
+    Experiments whose positions equal an earlier experiment's share its
+    fit geometry.
     """
+    layouts: list[tuple[np.ndarray, FitGeometry]] = []
     fits = []
     dropped = []
     objectives = []
@@ -235,14 +256,18 @@ def identify_batch(positions: Sequence[np.ndarray],
                 f"experiment {j}: displacements must be (S, n, 3) and positions "
                 f"(n, 3) or (S, n, 3), with one S >= 1 for all experiments; got "
                 f"{d.shape} and {p.shape}")
-        fit = _fit(p, d, options)
+        geometry = next((g for q, g in layouts if _same_layout(q, p)), None)
+        if geometry is None:
+            geometry = _fit_geometry(p)
+            layouts.append((p, geometry))
+        fit = _fit(geometry, d, options)
         objectives.append(fit.objective)
         counts.append(d.shape[-2])
         drop = _drop_mask(fit.residuals, options.outlier_fraction)
         if drop is not None:
             keep = ~drop.ravel()
-            fit = _fit(_survivors(p, keep, d.shape), _survivors(d, keep, d.shape),
-                       options)
+            fit = _fit(_fit_geometry(_survivors(p, keep, d.shape)),
+                       _survivors(d, keep, d.shape), options)
         fits.append(fit)
         dropped.append(drop)
     sigma, dof, per_experiment = _pool_sigma(objectives, counts)

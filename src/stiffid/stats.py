@@ -32,7 +32,7 @@ from .errors import (
     NotCanonical,
     TooFewRemaining,
 )
-from .estimation import FitResult, NormalSystem, _normal_system, _system_row
+from .estimation import FitGeometry, FitResult, NormalSystem, _fit_geometry
 from .field import DisplacementField
 
 DEFAULT_OUTLIER_FRACTION = 0.10
@@ -113,11 +113,11 @@ class DeflectionCovariance:
         return _component_std(self.translation, self.rotation)
 
 
-def _covariance(system: NormalSystem, sigma: np.ndarray,
+def _covariance(system: NormalSystem | FitGeometry, sigma: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Translation and rotation covariance blocks, (..., 3, 3) each, of
-    the fits whose normal systems are `system` for noise levels `sigma`
-    (...,).  See :func:`system_covariance`."""
+    the fits whose normal systems (or geometries) are `system` for noise
+    levels `sigma` (...,).  See :func:`system_covariance`."""
     # Python's float power, not np.square: the two differ in the last
     # bit for about one sigma in a thousand, and the halfwidths have
     # always been computed from the former.
@@ -133,13 +133,15 @@ def _component_std(translation: np.ndarray, rotation: np.ndarray) -> np.ndarray:
                                    np.diagonal(rotation, axis1=-2, axis2=-1)], axis=-1))
 
 
-def system_covariance(system: NormalSystem, sigma: float) -> DeflectionCovariance:
+def system_covariance(system: NormalSystem | FitGeometry,
+                      sigma: float) -> DeflectionCovariance:
     """Covariance of the linearized estimate for noise level `sigma`.
 
     Translation: (sigma^2 / n) I about the field centroid.  Rotation:
     sigma^2 times the inverse of the rotation normal matrix.  Both come
     from the normal system a fit already built (``FitResult.system``), so
-    no node is visited again.
+    no node is visited again; a :class:`FitGeometry`, which holds the
+    same node count and inverse, serves as well.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -148,13 +150,13 @@ def system_covariance(system: NormalSystem, sigma: float) -> DeflectionCovarianc
 
 def deflection_covariance(field: DisplacementField, sigma: float) -> DeflectionCovariance:
     """Covariance of the linearized estimate of `field` for noise level
-    `sigma`; see :func:`system_covariance`.
+    `sigma`; see :func:`system_covariance`.  It depends on the node
+    positions only, so only the fit geometry is built.
 
     Raises :class:`DegenerateGeometry` for fewer than 3 nodes or a
     singular rotation normal matrix.
     """
-    system, _, _ = _normal_system(field.positions, field.displacements[None])
-    return system_covariance(_system_row(system, 0), sigma)
+    return system_covariance(_fit_geometry(field.positions), sigma)
 
 
 def _drop_mask(residuals: np.ndarray, fraction: float) -> np.ndarray | None:

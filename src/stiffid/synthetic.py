@@ -37,8 +37,8 @@ from .errors import InvalidArgument, InvalidPattern, LinearizationWarning, NotCa
 from .estimation import (
     AngleExtractionMethod,
     Deflection,
+    _fit_geometry,
     _fit_lin,
-    _system_row,
     differential_rotation,
     estimate_lin,
     estimate_svd,
@@ -486,21 +486,23 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
 
     Fields use the first-order transform, so estimator errors are pure
     noise and their spread should match :func:`system_covariance`.
-    Trial t draws its noise from seed ``seed + t``; the trials of a
-    block are fit in one batch that shares the pattern's geometry.
+    Trial t draws its noise from seed ``seed + t``; the pattern's fit
+    geometry is built once, and the trials of a block are fit on it in
+    one batch.
     """
     _check_trials(trials, "trials")
     _check_sigma(sigma)
     base = generate_pattern(pattern)
     truth_defl = Deflection(translation, np.deg2rad([rotation_deg] * 3))
     rigid = _rigid_displacement(base.positions, truth_defl)
+    geometry = _fit_geometry(base.positions)
     err = np.empty((trials, 6))
     for block in _blocks(trials, base.n):
-        fits = _fit_lin(base.positions,
+        fits = _fit_lin(geometry,
                         _noisy_displacements(rigid, sigma, [seed + t for t in block]))
         err[block.start:block.stop] = np.concatenate(
             [fits.translation, fits.rotation], axis=-1) - truth_defl.as_vector()
-    cov = system_covariance(_system_row(fits.system, 0), sigma)
+    cov = system_covariance(geometry, sigma)
     emp = err.std(axis=0, ddof=1) if trials > 1 else np.zeros(6)
     return NoiseStudy(
         sigma, trials,

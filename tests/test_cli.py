@@ -433,20 +433,28 @@ class TestIdentifyErrors:
          "experiments[0].sensor.center"),
         (lambda data: data["experiments"][0]["sensor"].update(shape=[1]),
          "experiments[0].sensor.shape"),
+        # json.load keeps the last of two equal keys; the hole is written
+        # as text, a second "sensor" ahead of the first
+        (lambda data: json.dumps(data).replace(
+            '"sensor": ', '"sensor": {"shape": "cube", "edge": 4.0}, "sensor": ', 1),
+         "repeated key experiments[0].sensor"),
     ], ids=["misspelled-key", "options-list", "symmetrize-string", "field-file-number",
             "outlier-fraction-false", "confidence-multiplier-true", "sensor-misspelled",
             "sensor-edge-misspelled", "wrench-force-misspelled",
             "reference-point-misspelled", "sensor-edge-string", "sensor-axis-true",
             "reference-point-holds-true", "wrench-force-holds-true", "units-force-lbf",
             "symmetrize-one", "sensor-edge-true", "sensor-center-nan",
-            "sensor-shape-list"])
+            "sensor-shape-list", "sensor-repeated"])
     def test_manifest_hole_exit_2(self, sim_dir, tmp_path, capsys, hole, word):
         data = read_manifest(sim_dir / "manifest.json")
         for entry in data["experiments"]:
             entry["field_file"] = str(sim_dir / entry["field_file"])
-        hole(data)
+        text = hole(data)
         manifest = tmp_path / "m.json"
-        write_manifest(manifest, data)
+        if text is None:
+            write_manifest(manifest, data)
+        else:
+            manifest.write_text(text, encoding="utf-8")
         assert main(["identify", str(manifest),
                      "--out", str(tmp_path / "o")]) == 2
         payload = self.stderr_payload(capsys)
@@ -527,16 +535,37 @@ class TestBenchmark:
         (["benchmark", "noise", "--sigma", "inf", "--trials", "2"], "sigma"),
         (["simulate", "--fx", "nan"], "Fx"),
         (["simulate", "--length", "inf"], "beam"),
+        (["benchmark", "noise", "--trials", "50"], "100 trials"),
+        (["benchmark", "noise", "--trials", "99", "--sigma", "1e-9"], "100 trials"),
     ], ids=["simulate-sigma", "simulate-poisson", "simulate-seed", "zero-detection-sigma",
             "zero-detection-multiplier", "zero-detection-trials", "noise-trials-0",
             "noise-trials-negative", "zero-detection-seed", "simulate-axis",
             "simulate-sigma-inf", "noise-sigma-inf", "simulate-load-nan",
-            "simulate-length-inf"])
+            "simulate-length-inf", "noise-trials-50", "noise-trials-99-noisy"])
     def test_bad_number_exit_2(self, tmp_path, capsys, argv, word):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "InvalidArgument"
         assert word in payload["message"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["amplitude", "--trials", "7", "--multiplier", "9", "--sigma", "1"], "--trials"),
+        (["amplitude", "--sigma", "1"], "--sigma"),
+        (["amplitude", "--multiplier", "9"], "--multiplier"),
+        (["noise", "--multiplier", "9"], "--multiplier"),
+    ], ids=["amplitude-all", "amplitude-sigma", "amplitude-multiplier",
+            "noise-multiplier"])
+    def test_unused_flag_exit_2(self, tmp_path, capsys, argv, flag):
+        # a study that ignored the flag would print PASS for a run the
+        # user did not ask for
+        out = tmp_path / "o"
+        assert main(["benchmark"] + argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidArgument"
+        assert flag in payload["message"]
+        assert not list(out.glob("*_summary.json"))
 
     @pytest.mark.parametrize("argv, error, word", [
         (["simulate", "--edge", "-1"], "InvalidPattern", "edge"),

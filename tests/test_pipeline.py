@@ -236,3 +236,120 @@ def test_batch_row_count_shared_by_experiments():
         stiffid.identify_batch([pos, pos], [np.zeros((2,) + pos.shape),
                                             np.zeros((3,) + pos.shape)],
                                canonical_wrench_scheme(*[1.0] * 6)[:2])
+
+
+# One fit geometry per distinct node layout of an identification.
+
+def mixed_layout_cases():
+    """Six beam experiments on a 125-node cube: fy and my list its nodes
+    in reverse order (layout B), the others in grid order (layout A), so
+    the layouts run A, B, A, ... with one shape."""
+    cases = beam_load_cases(BeamSpec(), MeshPattern.cubic(4.0, 1.0), sigma=5.6e-5, seed=3)
+    for j in (1, 4):
+        field = cases[j].field
+        cases[j] = LoadCase(DisplacementField(field.positions[::-1],
+                                              field.displacements[::-1], centered=True),
+                            cases[j].wrench)
+    return cases
+
+
+def result_bytes(result):
+    """Every number of an IdentificationResult, as bytes."""
+    out = [result.matrix.k, result.assembled.k,
+           repr(result.significance.to_json_dict()).encode(), repr(result.noise).encode(),
+           repr(result.removed).encode()]
+    for fit, cov in zip(result.fits, result.covariances):
+        out += [fit.residuals, fit.objective, fit.deflection.as_vector(),
+                cov.translation, cov.rotation, *fit.system[1:]]
+    return [a if isinstance(a, bytes) else np.asarray(a).tobytes() for a in out]
+
+
+@pytest.fixture
+def own_geometry(monkeypatch):
+    """Make every experiment build its own geometry, as a reference."""
+    def run(call, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(stiffid.pipeline, "_same_layout", lambda a, b: False)
+            return call(*args)
+    return run
+
+
+@pytest.fixture
+def geometry_builds(monkeypatch):
+    """The node counts of the geometries the pipeline builds."""
+    built = []
+    original = stiffid.pipeline._fit_geometry
+
+    def counted(positions):
+        built.append(positions.shape[-2])
+        return original(positions)
+
+    monkeypatch.setattr(stiffid.pipeline, "_fit_geometry", counted)
+    return built
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.1], ids=["no-refit", "refit"])
+@pytest.mark.parametrize("layouts", ["A-B-A", "equal-copies"])
+def test_shared_geometry_gives_the_same_bytes(layouts, fraction, own_geometry,
+                                              geometry_builds, noisy_cases):
+    cases, distinct = (mixed_layout_cases(), 2) if layouts == "A-B-A" else (noisy_cases, 1)
+    # DisplacementField copies its positions: no two cases share an array
+    assert cases[0].field.positions is not cases[2].field.positions
+    options = IdentifyOptions(outlier_fraction=fraction)
+    reference = own_geometry(run_identification, cases, options)
+    n = cases[0].field.n
+    del geometry_builds[:]
+    shared = run_identification(cases, options)
+    assert result_bytes(shared) == result_bytes(reference)
+    # once per distinct layout; each refit builds one of its own
+    assert geometry_builds.count(n) == distinct
+    assert len(geometry_builds) == distinct + (6 if fraction else 0)
+
+
+def test_shared_positions_object_gives_the_same_bytes(own_geometry, geometry_builds):
+    positions, displacements, wrenches = beam_batch(range(3))
+    shared_object = [positions[0]] * 6
+    reference = own_geometry(stiffid.identify_batch, shared_object, displacements,
+                             wrenches)
+    del geometry_builds[:]
+    batch = stiffid.identify_batch(shared_object, displacements, wrenches)
+    assert geometry_builds == [121] + [108] * 6
+    for s in range(3):
+        assert batch_row(batch, s) == batch_row(reference, s)
+
+
+def test_degenerate_shared_layout_raises(own_geometry):
+    line = np.zeros((9, 3))
+    line[:, 0] = np.linspace(-4.0, 4.0, 9)
+    disp = np.random.default_rng(8).normal(0.0, 1e-5, (1,) + line.shape)
+    wrenches = canonical_wrench_scheme(*[1.0] * 6)
+    for positions in ([line] * 6, [line.copy() for _ in range(6)]):
+        with pytest.raises(DegenerateGeometry):
+            stiffid.identify_batch(positions, [disp] * 6, wrenches)
+        with pytest.raises(DegenerateGeometry):
+            own_geometry(stiffid.identify_batch, positions, [disp] * 6, wrenches)
+    cases = [LoadCase(DisplacementField(line, disp[0], centered=True), w)
+             for w in wrenches]
+    with pytest.raises(DegenerateGeometry):
+        run_identification(cases)
+
+
+def test_same_layout_compares_bits():
+    a = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    assert stiffid.pipeline._same_layout(a, a.copy())
+    assert not stiffid.pipeline._same_layout(a, a[:1])
+    signed = a.copy()
+    signed[0, 0] = -0.0  # equal as floats, not as bits
+    assert np.array_equal(a, signed)
+    assert not stiffid.pipeline._same_layout(a, signed)
+
+
+def test_refit_residuals_are_read_only(noisy_cases):
+    result = run_identification(noisy_cases)
+    assert all(result.removed)
+    for fit in result.fits:
+        residuals = fit.residuals
+        assert not residuals.flags.writeable
+        assert residuals.base is None or not residuals.base.flags.writeable
+        with pytest.raises(ValueError):
+            residuals[0, 0] = 1.0
