@@ -267,13 +267,20 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _out_dir(args) -> Path:
+    """Make and return ``--out``.  Commands call it only once their
+    results are in, so an input error (exit 2) writes nothing there."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def cmd_identify(args) -> int:
     cases, manifest_options = load_manifest(args.manifest)
     options = _options_from(manifest_options, args)
     result = run_identification(cases, options)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     save_compliance_json(out / "compliance.json", result.matrix)
     with open(out / "compliance.txt", "w", encoding="utf-8", newline="\n") as handle:
         handle.write(result.matrix.format_table() + "\n")
@@ -311,15 +318,14 @@ def cmd_simulate(args) -> int:
     from .compliance import canonical_wrench_scheme
 
     wrenches = canonical_wrench_scheme(*loads)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    fields = [beam_tip_field(spec, wrench, pattern, sigma=args.sigma, seed=args.seed + j)
+              for j, wrench in enumerate(wrenches)]
+    out = _out_dir(args)
     reference = [spec.length, 0.0, 0.0]
 
     entries = []
-    for j, wrench in enumerate(wrenches):
+    for j, (wrench, field) in enumerate(zip(wrenches, fields)):
         name = f"field_{_EXPERIMENT_NAMES[j]}.csv"
-        field = beam_tip_field(spec, wrench, pattern,
-                               sigma=args.sigma, seed=args.seed + j)
         write_field_csv(out / name, field, comments=(
             "synthetic cantilever experiment " + _EXPERIMENT_NAMES[j],
             f"sigma={args.sigma!r} mm, seed={args.seed + j}",
@@ -363,9 +369,10 @@ def _reject_flags(args, *flags: str) -> None:
             raise InvalidArgument(f"benchmark {args.study} does not take --{flag}")
 
 
-def _benchmark_amplitude(args, out: Path) -> int:
+def _benchmark_amplitude(args) -> int:
     _reject_flags(args, "trials", "sigma", "multiplier")
     study = run_amplitude_study(AMPLITUDE_BENCH_DEG, trials=1, **_given(args, seed="seed"))
+    out = _out_dir(args)
     study.write_csv(out / "amplitude_study.csv")
     checks = []
     ok = True
@@ -391,7 +398,7 @@ def _benchmark_amplitude(args, out: Path) -> int:
     return 0 if ok else 4
 
 
-def _benchmark_noise(args, out: Path) -> int:
+def _benchmark_noise(args) -> int:
     _reject_flags(args, "multiplier")
     # Below NOISE_MIN_TRIALS noisy trials the sampling error of the stds
     # alone fills the band, so correct code would fail.  A bad sigma or a
@@ -402,6 +409,7 @@ def _benchmark_noise(args, out: Path) -> int:
             f"--trials {args.trials} is too few for the noise band: with sigma > 0 "
             f"it needs at least {NOISE_MIN_TRIALS} trials")
     study = run_noise_study(**_given(args, sigma="sigma", trials="trials", seed="seed"))
+    out = _out_dir(args)
     ok = True
     if study.sigma == 0.0:
         ok = bool(study.max_translation_error <= 1e-12
@@ -416,9 +424,10 @@ def _benchmark_noise(args, out: Path) -> int:
     return 0 if ok else 4
 
 
-def _benchmark_zero_detection(args, out: Path) -> int:
+def _benchmark_zero_detection(args) -> int:
     study = run_zero_detection_study(**_given(args, sigma="sigma", trials="seeds",
                                               multiplier="multiplier", seed="seed"))
+    out = _out_dir(args)
     ok = study.pass_fraction >= 0.95
     _write_json(out / "zero_detection_summary.json",
                 {"study": study.to_json_dict(), "pass": bool(ok)})
@@ -428,13 +437,11 @@ def _benchmark_zero_detection(args, out: Path) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.study == "amplitude":
-        return _benchmark_amplitude(args, out)
+        return _benchmark_amplitude(args)
     if args.study == "noise":
-        return _benchmark_noise(args, out)
-    return _benchmark_zero_detection(args, out)
+        return _benchmark_noise(args)
+    return _benchmark_zero_detection(args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -567,6 +567,18 @@ class TestBenchmark:
         assert flag in payload["message"]
         assert not list(out.glob("*_summary.json"))
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--sigma", "-1"],
+        ["benchmark", "noise", "--sigma", "-1"],
+        ["benchmark", "amplitude", "--trials", "3"],
+        ["benchmark", "zero-detection", "--trials", "0"],
+    ], ids=["simulate-sigma", "noise-sigma", "amplitude-trials", "zero-trials"])
+    def test_input_error_leaves_no_out_dir(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, error, word", [
         (["simulate", "--edge", "-1"], "InvalidPattern", "edge"),
         (["simulate", "--edge", "nan"], "InvalidPattern", "edge"),

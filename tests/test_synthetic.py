@@ -32,9 +32,11 @@ from stiffid import (
     run_noise_study,
     run_zero_detection_study,
 )
+from stiffid import synthetic
 from stiffid.synthetic import (
     DEFAULT_LOADS,
     STUDY_METHODS,
+    _noisy_displacements,
     _normal_samples,
     _study_estimates,
 )
@@ -162,6 +164,32 @@ class TestRigidTransform:
         assert abs(samples.std() - 1.0) < 0.01
         # roughly symmetric tails
         assert 0.9 < -samples.min() / samples.max() < 1.1
+
+    @pytest.mark.parametrize("seeds", [[0], [7, 3, 12], list(range(40, 62))],
+                             ids=["S1", "S3", "S22"])
+    @pytest.mark.parametrize("n", [2, 121])
+    def test_noise_definition_pinned(self, seeds, n):
+        # The noise of seed s, rebuilt one seed at a time: m uniforms for
+        # the radius, then m for the angle, radius * cos before radius *
+        # sin, trimmed to 3n values.  Every study summary and simulated
+        # CSV depends on these bits.
+        rigid = np.arange(3.0 * n).reshape(n, 3) * 1e-3
+        sigma = 5.6e-5
+        m = (3 * n + 1) // 2
+        expected = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            u1 = 1.0 - rng.random(m)
+            u2 = rng.random(m)
+            radius = np.sqrt(-2.0 * np.log(u1))
+            z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
+                                radius * np.sin(2.0 * np.pi * u2)])
+            expected.append(z[:3 * n].reshape(n, 3) * sigma + rigid)
+        got = _noisy_displacements(rigid, sigma, seeds)
+        assert got.shape == (len(seeds), n, 3)
+        assert_array_equal(got.view(np.int64), np.array(expected).view(np.int64))
+        assert_same_bits(_noisy_displacements(rigid, 0.0, seeds),
+                         np.broadcast_to(rigid, got.shape))
 
     def test_requires_centered_field(self):
         base = generate_pattern(MeshPattern.cubic(2.0, 1.0))
@@ -432,6 +460,13 @@ class TestZeroDetectionStudy:
         assert_same_bits(study.min_safety, low)
         assert study.perfect_seeds == sum(
             m == 0 and n == 0 and f >= 100.0 for m, n, f in zip(missed, lost, low))
+
+    def test_block_size_does_not_matter(self, monkeypatch):
+        # Blocks of 22 seeds draw their noise in one batched transform;
+        # one seed per block must give the same study.
+        batched = run_zero_detection_study(seeds=30).to_json_dict()
+        monkeypatch.setattr(synthetic, "_BLOCK_NODES", 121 * 6)
+        assert run_zero_detection_study(seeds=30).to_json_dict() == batched
 
     def test_impossible_threshold_counts_failures(self):
         study = run_zero_detection_study(seeds=2, safety_threshold=1e12)
