@@ -18,6 +18,14 @@ and each row's numbers are bit-identical to those of a one-row fit of
 that row alone: every stage runs the same numpy operation (the same
 BLAS or LAPACK call) on each row.
 
+Every per-node array of a fit lives in component planes: the memory
+is a C-contiguous (..., 3, n) array, and the fit hands it around as its
+(..., n, 3) view ``a.swapaxes(-1, -2)`` (see :func:`_planes`).  Each
+elementwise pass then runs along n contiguous values of one component
+instead of n rows of three, and the products with the nodes are
+``(3, 3) @ (3, n)`` instead of gemms with an inner dimension of 3.  The
+shapes that callers see do not change.
+
 The position-only part of the normal equations is the
 :class:`FitGeometry` of a node layout, built by :func:`_fit_geometry`
 and nowhere else: the node count, the centroid, the centroid-relative
@@ -290,8 +298,9 @@ class FitResult:
 class Fits(NamedTuple):
     """Batched rigid fits: row s of every array belongs to field s.
 
-    ``translation`` and ``rotation`` are (S, 3), ``residuals`` (S, n, 3)
-    and ``objective`` (S,), the residual sum of squares of each row.
+    ``translation`` and ``rotation`` are (S, 3), ``residuals`` (S, n, 3),
+    a view of planes, and ``objective`` (S,), the residual sum of
+    squares of each row.
     """
 
     system: NormalSystem
@@ -333,8 +342,16 @@ class FitGeometry(NamedTuple):
     inverse: np.ndarray
 
 
+def _planes(a: np.ndarray) -> np.ndarray:
+    """`a` (..., n, 3) as the (..., n, 3) view of C-contiguous component
+    planes (..., 3, n); an array already held that way comes back as it
+    is, without a copy."""
+    return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
 def _fit_geometry(positions: np.ndarray) -> FitGeometry:
-    """Build the fit geometry of node positions (n, 3) or (S, n, 3).
+    """Build the fit geometry of node positions (n, 3) or (S, n, 3); its
+    ``rel`` is held in planes (see :func:`_planes`).
 
     Raises
     ------
@@ -346,6 +363,7 @@ def _fit_geometry(positions: np.ndarray) -> FitGeometry:
     n = positions.shape[-2]
     if n < 3:
         raise DegenerateGeometry(f"a rigid fit needs at least 3 nodes, got {n}")
+    positions = _planes(positions)
     c = column_mean(positions)
     rel = positions - c[..., None, :]
     m = moment_matrix(rel)
@@ -360,9 +378,10 @@ def _fit_geometry(positions: np.ndarray) -> FitGeometry:
 def _normal_system(geometry: FitGeometry, displacements: np.ndarray,
                    ) -> tuple[NormalSystem, np.ndarray]:
     """Build the normal systems of a batch of fields on `geometry`; also
-    return the displacements relative to their mean.
+    return the displacements relative to their mean, in planes.
 
-    `displacements` is (S, n, 3).  A geometry without the batch axis
+    `displacements` is (S, n, 3), in planes or rows: rows are copied
+    into planes here, once per fit.  A geometry without the batch axis
     serves every row, so its centroid, moment matrix and inverse are
     computed once for the whole batch.
 
@@ -370,6 +389,7 @@ def _normal_system(geometry: FitGeometry, displacements: np.ndarray,
     summation error of sum(r) times the mean displacement, which would
     otherwise leak into structural zeros of noise-free fields.
     """
+    displacements = _planes(displacements)
     q = column_mean(displacements)
     disp_rel = displacements - q[..., None, :]
     g = geometry.rel.swapaxes(-1, -2) @ disp_rel
@@ -388,9 +408,10 @@ def _system_row(system: NormalSystem, row: int) -> NormalSystem:
 def _fits(system: NormalSystem, translation: np.ndarray, rotation: np.ndarray,
           residuals: np.ndarray) -> Fits:
     _check_deflections(translation, rotation)
-    # One dot product per row: a (1, 3n) @ (3n, 1) matmul runs the same
-    # BLAS dot as np.vdot on that row alone.
-    flat = residuals.reshape(residuals.shape[:-2] + (1, -1))
+    # One dot product per row over the planes of `residuals`, a view with
+    # no copy: a (1, 3n) @ (3n, 1) matmul runs the same BLAS dot as
+    # np.vdot on that row alone.
+    flat = residuals.swapaxes(-1, -2).reshape(residuals.shape[:-2] + (1, -1))
     objective = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
     return Fits(system, translation, rotation, residuals, objective)
 
@@ -433,18 +454,23 @@ def _fit_svd(geometry: FitGeometry, displacements: np.ndarray,
         (R - np.eye(3)) @ system.centroid[..., None])[..., 0]
     rotation = np.array([extract_angles(r, method) for r in R.reshape(-1, 3, 3)])
     # p + d - R p - translation, taken about the centroid
-    residuals = moved_rel - rel @ R.swapaxes(-1, -2)
+    residuals = moved_rel - (R @ rel.swapaxes(-1, -2)).swapaxes(-1, -2)
     return _fits(system, translation, rotation.reshape(translation.shape), residuals)
 
 
 def _fit_lin(geometry: FitGeometry, displacements: np.ndarray) -> Fits:
     """Linearized least-squares fits of a batch of fields; see
     :func:`estimate_lin` and, for the shapes, :func:`_normal_system`."""
-    system, residuals = _normal_system(geometry, displacements)
+    system, disp_rel = _normal_system(geometry, displacements)
     rotation = (system.inverse @ system.rhs[..., None])[..., 0]
     spin = skew(rotation)
-    # residuals holds d - q, a fresh array: finish d - q - dphi x r in place
-    residuals -= geometry.rel @ spin.swapaxes(-1, -2)
+    # d - q - dphi x r, in a new array of planes like d - q, which is
+    # freed here.  Finishing d - q in place instead made a study's blocks
+    # fault their temporaries in again (ten times the minor page faults
+    # of `benchmark noise --trials 500`).
+    residuals = np.empty_like(disp_rel)
+    np.matmul(spin, geometry.rel.swapaxes(-1, -2), out=residuals.swapaxes(-1, -2))
+    np.subtract(disp_rel, residuals, out=residuals)
     translation = system.mean_displacement - (spin @ system.centroid[..., None])[..., 0]
     return _fits(system, translation, rotation, residuals)
 

@@ -114,9 +114,11 @@ def column_mean(a: np.ndarray) -> np.ndarray:
     """Mean of the rows of an (n, 3) array, or of each (n, 3) slice of an
     (..., n, 3) array.
 
-    ``einsum`` streams the rows once; ``mean(axis=0)`` on a C-ordered
-    (n, 3) array reduces along the strided axis, several times slower
-    on large fields.
+    The fits pass the (..., n, 3) view of component planes (see
+    :func:`stiffid.estimation._planes`), so ``einsum`` sums each
+    component's n contiguous values.  It also reads a C-ordered (n, 3)
+    array in one pass, where ``mean(axis=0)`` would reduce along the
+    strided axis, several times slower on large fields.
     """
     return np.einsum("...ij->...j", a) / a.shape[-2]
 

@@ -49,6 +49,7 @@ from .estimation import (
     _fit_lin,
     _fit_result,
     _fit_svd,
+    _planes,
     _require_centered,
 )
 from .field import DisplacementField
@@ -210,14 +211,21 @@ def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
                       np.array_equal(a.view(np.int64), b.view(np.int64)))
 
 
-def _survivors(a: np.ndarray, keep: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The rows of `a`, (S, n, 3) or shared (n, 3), at the nodes where
-    the flattened (S * n,) mask `keep` is True; (S, m, 3)."""
-    if a.ndim == 2 and shape[0] > 1:
-        a = np.broadcast_to(a, shape)
-    # np.compress on one axis; boolean indexing with an (S, n) mask is
-    # several times slower on large fields.
-    return np.compress(keep, a.reshape(-1, 3), axis=0).reshape(shape[0], -1, 3)
+def _survivors(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The nodes of `a`, (S, n, 3) or shared (n, 3), where the (S, n)
+    mask `keep` is True; each row keeps the same count m.  Gathered along
+    the node axis of the planes ``a.swapaxes(-1, -2)``, so the result is
+    the (S, m, 3) view of new planes (S, 3, m)."""
+    planes = a.swapaxes(-1, -2)
+    rows, n = keep.shape
+    if rows == 1:
+        # np.compress on one axis; boolean indexing is several times
+        # slower on large fields.
+        kept = np.compress(keep[0], planes, axis=-1)
+    else:
+        nodes = np.nonzero(keep)[1].reshape(rows, 1, -1)
+        kept = np.take_along_axis(planes.reshape(-1, 3, n), nodes, axis=-1)
+    return kept.reshape(rows, 3, -1).swapaxes(-1, -2)
 
 
 def identify_batch(positions: Sequence[np.ndarray],
@@ -240,7 +248,9 @@ def identify_batch(positions: Sequence[np.ndarray],
     Experiments whose positions equal an earlier experiment's share its
     fit geometry.
     """
-    layouts: list[tuple[np.ndarray, FitGeometry]] = []
+    # Per distinct node layout: the positions as given, in planes, and
+    # their fit geometry.
+    layouts: list[tuple[np.ndarray, np.ndarray, FitGeometry]] = []
     fits = []
     dropped = []
     objectives = []
@@ -256,18 +266,23 @@ def identify_batch(positions: Sequence[np.ndarray],
                 f"experiment {j}: displacements must be (S, n, 3) and positions "
                 f"(n, 3) or (S, n, 3), with one S >= 1 for all experiments; got "
                 f"{d.shape} and {p.shape}")
-        geometry = next((g for q, g in layouts if _same_layout(q, p)), None)
-        if geometry is None:
-            geometry = _fit_geometry(p)
-            layouts.append((p, geometry))
+        layout = next((l for l in layouts if _same_layout(l[0], p)), None)
+        if layout is None:
+            planes = _planes(p)
+            layout = (p, planes, _fit_geometry(planes))
+            layouts.append(layout)
+        _, planes, geometry = layout
+        # The fit copies rows `d` into planes; its survivors below are
+        # gathered into planes directly.
         fit = _fit(geometry, d, options)
         objectives.append(fit.objective)
         counts.append(d.shape[-2])
         drop = _drop_mask(fit.residuals, options.outlier_fraction)
         if drop is not None:
-            keep = ~drop.ravel()
-            fit = _fit(_fit_geometry(_survivors(p, keep, d.shape)),
-                       _survivors(d, keep, d.shape), options)
+            del fit  # free its residuals before the refit makes its own
+            keep = ~drop
+            fit = _fit(_fit_geometry(_survivors(planes, keep)),
+                       _survivors(d, keep), options)
         fits.append(fit)
         dropped.append(drop)
     sigma, dof, per_experiment = _pool_sigma(objectives, counts)

@@ -28,6 +28,7 @@ import numpy as np
 from .compliance import NOT_CANONICAL, ComplianceMatrix, Experiment, canonical_order
 from .errors import (
     InsufficientDof,
+    InvalidArgument,
     MissingCovariance,
     NotCanonical,
     TooFewRemaining,
@@ -113,6 +114,11 @@ class DeflectionCovariance:
         return _component_std(self.translation, self.rotation)
 
 
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 <= sigma < math.inf:
+        raise InvalidArgument(f"sigma must be nonnegative and finite, got {sigma!r}")
+
+
 def _covariance(system: NormalSystem | FitGeometry, sigma: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Translation and rotation covariance blocks, (..., 3, 3) each, of
@@ -142,9 +148,11 @@ def system_covariance(system: NormalSystem | FitGeometry,
     from the normal system a fit already built (``FitResult.system``), so
     no node is visited again; a :class:`FitGeometry`, which holds the
     same node count and inverse, serves as well.
+
+    Raises :class:`InvalidArgument` (a ``ValueError``) unless `sigma` is
+    nonnegative and finite.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    _check_sigma(sigma)
     return DeflectionCovariance(*_covariance(system, np.float64(sigma)))
 
 
@@ -154,7 +162,8 @@ def deflection_covariance(field: DisplacementField, sigma: float) -> DeflectionC
     positions only, so only the fit geometry is built.
 
     Raises :class:`DegenerateGeometry` for fewer than 3 nodes or a
-    singular rotation normal matrix.
+    singular rotation normal matrix, and :class:`InvalidArgument` for a
+    negative or non-finite `sigma`.
     """
     return system_covariance(_fit_geometry(field.positions), sigma)
 
@@ -304,10 +313,12 @@ def significance_test(matrix: ComplianceMatrix,
     magnitude.  Elements whose interval contains zero are set to
     zero and recorded in the significance mask; significant elements
     report the safety factor |estimate| / halfwidth (infinite for a
-    zero halfwidth).
+    zero halfwidth).  ``level_multiplier`` must be positive and finite,
+    else :class:`InvalidArgument` (a ``ValueError``) is raised.
     """
-    if level_multiplier <= 0:
-        raise ValueError("level_multiplier must be positive")
+    if not 0.0 < level_multiplier < math.inf:
+        raise InvalidArgument("level_multiplier must be positive and finite, "
+                              f"got {level_multiplier!r}")
     if len(covariances) != len(experiments) or any(c is None for c in covariances):
         raise MissingCovariance("need one deflection covariance per experiment")
     order = canonical_order(experiments)

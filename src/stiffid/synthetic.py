@@ -48,7 +48,7 @@ from .estimation import (
 )
 from .field import DisplacementField, axis_index
 from .pipeline import IdentifyOptions, LoadCase, identify_batch
-from .stats import system_covariance
+from .stats import _check_sigma, system_covariance
 
 # Canonical load set used by the beam studies: forces N, torques N mm.
 DEFAULT_LOADS = (1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)
@@ -196,11 +196,6 @@ class GroundTruth:
         _check_sigma(self.sigma)
 
 
-def _check_sigma(sigma: float) -> None:
-    if not 0.0 <= sigma < math.inf:
-        raise InvalidArgument(f"sigma must be nonnegative and finite, got {sigma!r}")
-
-
 def apply_rigid_transform(field: DisplacementField, truth: GroundTruth,
                           exact_rotation: bool = False) -> DisplacementField:
     """Displace a centered field by a rigid transform plus Gaussian noise.
@@ -240,7 +235,9 @@ def _noisy_field(field: DisplacementField, rigid: np.ndarray, sigma: float,
 def _noisy_displacements(rigid: np.ndarray, sigma: float,
                          seeds: Sequence[int]) -> np.ndarray:
     """(S, n, 3) displacements: row s is `rigid` plus the Box-Muller
-    noise of ``default_rng(seeds[s])`` times `sigma`."""
+    noise of ``default_rng(seeds[s])`` times `sigma`, held in the
+    component planes (S, 3, n) that the fits read (see
+    :func:`stiffid.estimation._planes`)."""
     _check_sigma(sigma)
     if sigma == 0.0:
         return np.broadcast_to(rigid, (len(seeds),) + rigid.shape)
@@ -253,9 +250,12 @@ def _noisy_displacements(rigid: np.ndarray, sigma: float,
         np.random.default_rng(seed).random(out=row)
     noise = np.empty((len(seeds),) + rigid.shape)
     _box_muller(uniforms, noise.reshape(len(seeds), -1))
-    noise *= sigma
-    noise += rigid
-    return noise
+    # The spent uniforms hold at least 3n values per seed: the result
+    # goes there, as planes, so the block allocates nothing more.
+    out = uniforms.reshape(-1)[:noise.size].reshape(len(seeds), 3, -1).swapaxes(-1, -2)
+    np.multiply(noise, sigma, out=out)
+    out += rigid
+    return out
 
 
 def _blocks(count: int, nodes: int) -> list[range]:

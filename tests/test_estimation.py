@@ -23,7 +23,7 @@ from stiffid import (
     rotation_xyz,
     skew,
 )
-from stiffid.estimation import ROTATION_WARN_LIMIT, check_rotation
+from stiffid.estimation import ROTATION_WARN_LIMIT, _planes, check_rotation
 
 
 def cube_nodes(edge, step):
@@ -116,6 +116,25 @@ class TestMomentMatrix:
     def test_square_grid_value(self):
         m = moment_matrix(square_nodes(10.0, 1.0))
         assert_allclose(m, np.diag([2420.0, 1210.0, 1210.0]), atol=1e-9)
+
+
+class TestPlanes:
+    @pytest.mark.parametrize("shape", [(7, 3), (4, 7, 3)], ids=["shared", "batch"])
+    def test_rows_become_planes_with_the_same_bits(self, shape):
+        rows = np.random.default_rng(5).normal(size=shape)
+        rows[0, 0] = -0.0
+        planes = _planes(rows)
+        assert planes.shape == rows.shape
+        assert planes.swapaxes(-1, -2).flags.c_contiguous
+        assert not np.shares_memory(planes, rows)
+        assert planes.tobytes() == rows.tobytes()  # C-order values
+
+    def test_planes_are_not_copied(self):
+        planes = _planes(np.random.default_rng(6).normal(size=(4, 7, 3)))
+        again = _planes(planes)
+        assert np.shares_memory(again, planes)
+        assert again.strides == planes.strides
+        assert np.shares_memory(_planes(planes[1]), planes)
 
 
 class TestAngleExtraction:

@@ -25,7 +25,7 @@ from stiffid import (
     filter_outliers,
     run_identification,
 )
-from stiffid.estimation import _system_row
+from stiffid.estimation import _planes, _system_row
 
 ZERO = beam_compliance_oracle().k == 0.0
 
@@ -148,6 +148,41 @@ def test_run_identification_is_the_one_row_batch():
         assert result.noise.sigma == batch.sigma[s]
         assert [list(r) for r in result.removed] == \
             [np.flatnonzero(d[s]).tolist() for d in batch.dropped]
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.1], ids=["no-refit", "refit"])
+@pytest.mark.parametrize("estimator", ["lin", "svd"])
+def test_row_inputs_give_plane_backed_residuals(estimator, fraction):
+    positions, displacements, wrenches = beam_batch(range(3))
+    assert positions[0].flags.c_contiguous and displacements[0].flags.c_contiguous
+    options = IdentifyOptions(estimator=estimator, outlier_fraction=fraction)
+    batch = stiffid.identify_batch(positions, displacements, wrenches, options)
+    for fit in batch.fits:
+        assert fit.residuals.swapaxes(-1, -2).flags.c_contiguous
+    cases = beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"),
+                            sigma=5.6e-5, seed=3)
+    for fit in run_identification(cases, options).fits:
+        assert fit.residuals.shape == (fit.n, 3)
+        assert fit.residuals.swapaxes(-1, -2).flags.c_contiguous
+
+
+@pytest.mark.parametrize("layout", ["rows", "planes"])
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+def test_survivors_equal_boolean_indexing(shared, rows, layout):
+    rng = np.random.default_rng(9)
+    n, m = 12, 8
+    a = rng.normal(size=(n, 3) if shared else (rows, n, 3))
+    keep = np.zeros((rows, n), dtype=bool)
+    for row in keep:  # a different mask in every row, m nodes each
+        row[rng.permutation(n)[:m]] = True
+    if layout == "planes":
+        a = _planes(a)
+    got = stiffid.pipeline._survivors(a, keep)
+    expected = np.stack([(a if shared else a[s])[keep[s]] for s in range(rows)])
+    assert got.shape == expected.shape == (rows, m, 3)
+    assert got.tobytes() == expected.tobytes()
+    assert got.swapaxes(-1, -2).flags.c_contiguous
 
 
 def line_and_apex(count=9):

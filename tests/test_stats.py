@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from stiffid import (
     DisplacementField,
     Experiment,
     FitResult,
+    IdentifyOptions,
     InsufficientDof,
+    InvalidArgument,
     MeshPattern,
     MissingCovariance,
     NotCanonical,
@@ -35,6 +38,7 @@ from stiffid.stats import (
     DEFAULT_CONFIDENCE_MULTIPLIER,
     DEFAULT_OUTLIER_FRACTION,
     _drop_mask,
+    system_covariance,
 )
 
 
@@ -136,6 +140,16 @@ class TestDeflectionCovariance:
         pos = cube_nodes(4.0, 1.0)
         with pytest.raises(ValueError):
             deflection_covariance(make_field(pos, np.zeros_like(pos)), -1.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        field = make_field(cube_nodes(4.0, 1.0), np.zeros((125, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            with pytest.raises(InvalidArgument):
+                deflection_covariance(field, sigma)
+            with pytest.raises(InvalidArgument):
+                system_covariance(estimate_lin(field).system, sigma)
 
     def test_collinear_nodes_degenerate(self):
         pos = np.outer(np.linspace(-5, 5, 9), [1.0, 0.0, 0.0])
@@ -450,6 +464,16 @@ class TestSignificanceTest:
         with pytest.raises(NotCanonical):
             significance_test(matrix, [combined] + experiments[1:],
                               uniform_covariances(1e-9, 1e-11))
+
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf, -1.0])
+    def test_multiplier_positive_and_finite(self, multiplier):
+        cases = beam_load_cases(sigma=5.6e-5, seed=1)
+        result = run_identification(cases, IdentifyOptions(symmetrize=False))
+        experiments = [Experiment(case.wrench, fit.deflection)
+                       for case, fit in zip(cases, result.fits)]
+        with pytest.raises(InvalidArgument):
+            significance_test(result.assembled, experiments, result.covariances,
+                              multiplier)
 
     def test_positive_multiplier_enforced(self):
         k = beam_matrix()

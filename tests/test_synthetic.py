@@ -187,6 +187,7 @@ class TestRigidTransform:
             expected.append(z[:3 * n].reshape(n, 3) * sigma + rigid)
         got = _noisy_displacements(rigid, sigma, seeds)
         assert got.shape == (len(seeds), n, 3)
+        assert got.swapaxes(-1, -2).flags.c_contiguous  # planes, as the fits read
         assert_array_equal(got.view(np.int64), np.array(expected).view(np.int64))
         assert_same_bits(_noisy_displacements(rigid, 0.0, seeds),
                          np.broadcast_to(rigid, got.shape))
