@@ -250,11 +250,14 @@ def _noisy_displacements(rigid: np.ndarray, sigma: float,
         np.random.default_rng(seed).random(out=row)
     noise = np.empty((len(seeds),) + rigid.shape)
     _box_muller(uniforms, noise.reshape(len(seeds), -1))
-    # The spent uniforms hold at least 3n values per seed: the result
-    # goes there, as planes, so the block allocates nothing more.
+    noise *= sigma
+    noise += rigid
+    # One transposing copy into planes, after the arithmetic on rows
+    # (a ufunc writing planes from rows runs several times slower).  The
+    # spent uniforms hold at least 3n values per seed, so the planes go
+    # there and the block allocates nothing more.
     out = uniforms.reshape(-1)[:noise.size].reshape(len(seeds), 3, -1).swapaxes(-1, -2)
-    np.multiply(noise, sigma, out=out)
-    out += rigid
+    np.copyto(out, noise)
     return out
 
 
