@@ -17,7 +17,8 @@ the load cases' fields; it stacks no array across experiments.
 The load cases of one mesh share their node positions, so the core
 builds the fit geometry (see :mod:`stiffid.estimation`) once per
 distinct node layout and fits every experiment on that layout with it.
-Each refit builds its own geometry from its survivors.
+Each refit builds its own geometry from its survivors, which are
+gathered straight into the component planes the fits work on.
 """
 
 from __future__ import annotations
@@ -269,14 +270,15 @@ def identify_batch(positions: Sequence[np.ndarray],
                 f"experiment {j}: displacements must be (S, n, 3) and positions "
                 f"(n, 3) or (S, n, 3), with one S >= 1 for all experiments; got "
                 f"{d.shape} and {p.shape}")
-        layout = next((l for l in layouts if _same_layout(l[0], p)), None)
+        layout = next((known for known in layouts if _same_layout(known[0], p)), None)
         if layout is None:
             planes = _planes(p)
             layout = (p, planes, _fit_geometry(planes))
             layouts.append(layout)
         _, planes, geometry = layout
-        # The fit copies rows `d` into planes; its survivors below are
-        # gathered into planes directly.
+        # `d` is kept as given: the fit copies rows into planes for its
+        # own pass only, since a plane copy held through the experiment
+        # adds an array to the peak memory of a large field.
         fit = _fit(geometry, d, options)
         objectives.append(fit.objective)
         counts.append(d.shape[-2])

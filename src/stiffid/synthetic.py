@@ -237,7 +237,8 @@ def _noisy_displacements(rigid: np.ndarray, sigma: float,
     """(S, n, 3) displacements: row s is `rigid` plus the Box-Muller
     noise of ``default_rng(seeds[s])`` times `sigma`, held in the
     component planes (S, 3, n) that the fits read (see
-    :func:`stiffid.estimation._planes`)."""
+    :func:`stiffid.estimation._planes`); `sigma` = 0 gives a read-only
+    broadcast of `rigid`."""
     _check_sigma(sigma)
     if sigma == 0.0:
         return np.broadcast_to(rigid, (len(seeds),) + rigid.shape)
