@@ -58,6 +58,12 @@ class DisplacementField:
         Point at which the body deflection is reported, mm.
     centered : bool
         True once positions are relative to the reference point.
+
+    The field holds read-only copies of its arrays.  `positions` and
+    `displacements` are (n, 3) views of C-contiguous component planes
+    (3, n), the layout the fits work on (see
+    :func:`stiffid.estimation._planes`), so identifying a field copies
+    neither of them again.
     """
 
     positions: np.ndarray
@@ -75,7 +81,8 @@ class DisplacementField:
             raise ValueError("reference_point contains non-finite values")
         for name, arr in (("positions", pos), ("displacements", disp),
                           ("reference_point", ref)):
-            arr = arr.copy()
+            # The one copy of each array is made in component planes.
+            arr = arr.T.copy().T
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -12,7 +12,9 @@ displacements of shape (S, n_j, 3) and positions of shape (n_j, 3),
 shared by all rows, or (S, n_j, 3), and every stage runs batched over
 the rows.  Row s of the result is bit-identical to a one-row batch of
 row s alone.  :func:`run_identification` is the S = 1 case on views of
-the load cases' fields; it stacks no array across experiments.
+the load cases' fields; it stacks no array across experiments, and
+since a field holds its arrays in component planes, it copies none of
+them into planes.
 
 The load cases of one mesh share their node positions, so the core
 builds the fit geometry (see :mod:`stiffid.estimation`) once per
@@ -276,9 +278,10 @@ def identify_batch(positions: Sequence[np.ndarray],
             layout = (p, planes, _fit_geometry(planes))
             layouts.append(layout)
         _, planes, geometry = layout
-        # `d` is kept as given: the fit copies rows into planes for its
-        # own pass only, since a plane copy held through the experiment
-        # adds an array to the peak memory of a large field.
+        # `d` is kept as given.  A field's arrays are planes already; rows
+        # are copied into planes by the fit for its own pass only, since a
+        # plane copy held through the experiment adds an array to the peak
+        # memory of a large field.
         fit = _fit(geometry, d, options)
         objectives.append(fit.objective)
         counts.append(d.shape[-2])

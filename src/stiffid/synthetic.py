@@ -142,6 +142,10 @@ def _check_edge_step(edge: float, step: float) -> None:
         raise InvalidPattern("edge and step must be positive and finite, "
                              f"got {edge!r} and {step!r}")
     ratio = edge / step
+    if round(ratio) < 1:
+        # Within the tolerance below, a ratio near 0 would pass as 0
+        # steps: a pattern of one node.
+        raise InvalidPattern(f"edge {edge} must span at least one step {step}")
     if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
         raise InvalidPattern(f"step {step} does not divide edge {edge}")
 

@@ -569,10 +569,12 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--sigma", "-1"],
+        ["simulate", "--edge", "1e-9"],
         ["benchmark", "noise", "--sigma", "-1"],
         ["benchmark", "amplitude", "--trials", "3"],
         ["benchmark", "zero-detection", "--trials", "0"],
-    ], ids=["simulate-sigma", "noise-sigma", "amplitude-trials", "zero-trials"])
+    ], ids=["simulate-sigma", "simulate-edge-below-step", "noise-sigma",
+            "amplitude-trials", "zero-trials"])
     def test_input_error_leaves_no_out_dir(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 2

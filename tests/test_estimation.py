@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from stiffid import (
     AngleExtractionMethod,
@@ -23,7 +23,13 @@ from stiffid import (
     rotation_xyz,
     skew,
 )
-from stiffid.estimation import ROTATION_WARN_LIMIT, _planes, check_rotation
+from stiffid.estimation import (
+    _GRAM_BLOCK,
+    ROTATION_WARN_LIMIT,
+    _gram,
+    _planes,
+    check_rotation,
+)
 
 
 def cube_nodes(edge, step):
@@ -135,6 +141,53 @@ class TestPlanes:
         assert np.shares_memory(again, planes)
         assert again.strides == planes.strides
         assert np.shares_memory(_planes(planes[1]), planes)
+
+
+def gram_operands(n, rows=None, seed=0):
+    """Two (n, 3) or (rows, n, 3) views of planes, with signed zeros."""
+    rng = np.random.default_rng(seed)
+    shape = (n, 3) if rows is None else (rows, n, 3)
+    a, b = rng.normal(size=shape), rng.normal(size=shape)
+    a[..., 0, :] = -0.0
+    b[..., 1, 0] = -0.0
+    return _planes(a), _planes(b)
+
+
+GRAM_SIZES = [3, _GRAM_BLOCK - 1, _GRAM_BLOCK, _GRAM_BLOCK + 1, 2 * _GRAM_BLOCK + 7]
+GRAM_IDS = ["3", "B-1", "B", "B+1", "2B+7"]
+
+
+class TestGram:
+    @pytest.mark.parametrize("n", GRAM_SIZES[:3], ids=GRAM_IDS[:3])
+    def test_one_block_is_the_single_product(self, n):
+        a, b = gram_operands(n)
+        expected = a.swapaxes(-1, -2) @ b
+        assert_array_equal(_gram(a, b).view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("n", GRAM_SIZES[3:], ids=GRAM_IDS[3:])
+    def test_blocks_sum_to_the_exact_sum(self, n):
+        a, b = gram_operands(n)
+        got = _gram(a, b)
+        for i in range(3):
+            for j in range(3):
+                terms = a[:, i] * b[:, j]
+                exact = math.fsum(terms.tolist())
+                scale = math.fsum(np.abs(terms).tolist())
+                # a few ulps of the summed magnitudes; losing or repeating
+                # even a one-node block is off by about 1e11 of them
+                assert abs(got[i, j] - exact) <= 4 * np.spacing(scale)
+
+    @pytest.mark.parametrize("n", GRAM_SIZES, ids=GRAM_IDS)
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+    def test_batch_rows_equal_one_row_calls(self, n, shared):
+        a, b = gram_operands(n, rows=3, seed=1)
+        if shared:
+            a = a[0]
+        got = _gram(a, b)
+        assert got.shape == (3, 3, 3)
+        for s in range(3):
+            one = _gram(a if shared else a[s], b[s])
+            assert got[s].tobytes() == one.tobytes()
 
 
 class TestAngleExtraction:

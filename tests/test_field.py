@@ -8,19 +8,25 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from stiffid import (
     AlreadyCentered,
+    BeamSpec,
     DisplacementField,
     EmptyField,
     EmptySelection,
     FieldFileError,
     InvalidArgument,
+    MeshPattern,
     SensorRegion,
+    beam_load_cases,
     center_field,
     centroid,
+    estimate_lin,
+    filter_outliers,
     read_field_csv,
     select_sensor,
     write_field_csv,
 )
 from stiffid.field import _WRITE_BLOCK_ROWS, BOUNDARY_TOL
+from stiffid.synthetic import DEFAULT_LOADS, _beam_experiments, _noisy_displacements
 
 
 def grid_field(edge=10.0, step=1.0, origin=(0.0, 0.0, 0.0), centered=True):
@@ -74,6 +80,76 @@ class TestDisplacementField:
         f = DisplacementField(pos, disp)
         pos[0, 0] = 99.0
         assert f.positions[0, 0] == 0.0
+
+
+def _row_arrays():
+    rng = np.random.default_rng(21)
+    pos = rng.uniform(-5.0, 5.0, (40, 3))
+    disp = rng.normal(0.0, 1e-3, (40, 3))
+    disp[0] = -0.0
+    return pos, disp, np.array([1.0, -2.0, 0.5])
+
+
+def _by_constructor(tmp_path):
+    pos, disp, ref = _row_arrays()
+    return DisplacementField(pos, disp, ref), pos, disp
+
+
+def _by_center_field(tmp_path):
+    pos, disp, ref = _row_arrays()
+    return center_field(DisplacementField(pos, disp, ref)), pos - ref, disp
+
+
+def _by_select_sensor(tmp_path):
+    pos, disp, _ = _row_arrays()
+    region = SensorRegion.cube(6.0)
+    keep = region.mask(pos)
+    assert 0 < keep.sum() < len(pos)
+    field = select_sensor(DisplacementField(pos, disp, centered=True), region)
+    return field, pos[keep], disp[keep]
+
+
+def _by_read_field_csv(tmp_path):
+    pos, disp, _ = _row_arrays()
+    path = tmp_path / "field.csv"
+    write_field_csv(path, DisplacementField(pos, disp))
+    return read_field_csv(path), pos, disp
+
+
+def _by_filter_outliers(tmp_path):
+    pos, disp, _ = _row_arrays()
+    source = DisplacementField(pos, disp, centered=True)
+    field, removed = filter_outliers(source, estimate_lin(source), 0.1)
+    keep = np.ones(len(pos), dtype=bool)
+    keep[removed] = False
+    assert removed.size
+    return field, pos[keep], disp[keep]
+
+
+def _by_beam_load_cases(tmp_path):
+    pattern = MeshPattern.square(4.0, 1.0, "x")
+    field = beam_load_cases(BeamSpec(), pattern, sigma=5.6e-5, seed=3)[2].field
+    off = np.arange(-2.0, 3.0)
+    u, v = np.meshgrid(off, off, indexing="ij")
+    pos = np.column_stack([np.zeros(u.size), u.ravel(), v.ravel()])
+    rigid = _beam_experiments(BeamSpec(), pattern, DEFAULT_LOADS)[1][2][2]
+    return field, pos, _noisy_displacements(rigid, 5.6e-5, [5])[0]
+
+
+@pytest.mark.parametrize("build", [
+    _by_constructor, _by_center_field, _by_select_sensor, _by_read_field_csv,
+    _by_filter_outliers, _by_beam_load_cases,
+], ids=lambda build: build.__name__[4:])
+def test_fields_hold_read_only_planes(build, tmp_path):
+    # The fits read (3, n) component planes; a field holds its arrays
+    # that way, with the values it was given, bit for bit.
+    field, positions, displacements = build(tmp_path)
+    for got, expected in ((field.positions, positions),
+                          (field.displacements, displacements)):
+        assert got.shape == expected.shape
+        assert got.swapaxes(-1, -2).flags.c_contiguous
+        assert not got.flags.writeable
+        assert got.tobytes() == np.asarray(expected).tobytes()
 
 
 class TestCentering:

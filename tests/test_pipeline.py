@@ -9,6 +9,7 @@ import stiffid
 import stiffid.pipeline
 from stiffid import (
     BeamSpec,
+    Deflection,
     DegenerateGeometry,
     DisplacementField,
     IdentifyOptions,
@@ -25,7 +26,13 @@ from stiffid import (
     filter_outliers,
     run_identification,
 )
-from stiffid.estimation import _planes, _system_row
+from stiffid.estimation import _GRAM_BLOCK, _planes, _system_row
+from stiffid.synthetic import (
+    DEFAULT_LOADS,
+    GroundTruth,
+    apply_rigid_transform,
+    generate_pattern,
+)
 
 ZERO = beam_compliance_oracle().k == 0.0
 
@@ -76,6 +83,29 @@ def test_noise_free_square_structural_zeros():
     cases = beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"), sigma=0.0)
     result = run_identification(cases)
     assert np.max(np.abs(result.assembled.k[ZERO])) <= 1e-17
+
+
+@pytest.mark.parametrize("estimator", ["lin", "svd"])
+def test_noise_free_cube_over_three_blocks(estimator):
+    # 27^3 nodes, so every node sum of the fits runs over three blocks.
+    # Each estimator gets the motion of its own model: svd reads its
+    # angles off an orthogonal matrix, and first-order displacements
+    # would leave it a second-order error of about 2e-8 in the zeros.
+    pattern = MeshPattern.cubic(13.0, 0.5)
+    if estimator == "lin":
+        cases = beam_load_cases(BeamSpec(), pattern, sigma=0.0)
+    else:
+        base = generate_pattern(pattern, center=(BeamSpec().length, 0.0, 0.0))
+        k = beam_compliance_oracle().k
+        cases = []
+        for w in canonical_wrench_scheme(*DEFAULT_LOADS):
+            d = k @ w.as_vector()
+            truth = GroundTruth(Deflection(d[:3], d[3:]))
+            field = apply_rigid_transform(base, truth, exact_rotation=True)
+            cases.append(LoadCase(field, w))
+    assert cases[0].field.n > 2 * _GRAM_BLOCK
+    result = run_identification(cases, IdentifyOptions(estimator=estimator))
+    assert np.max(np.abs(result.assembled.k[ZERO])) <= 1e-15
 
 
 @pytest.mark.parametrize("name, value", [("outlier_fraction", False),
@@ -154,6 +184,9 @@ def test_run_identification_is_the_one_row_batch():
 @pytest.mark.parametrize("estimator", ["lin", "svd"])
 def test_row_inputs_give_plane_backed_residuals(estimator, fraction):
     positions, displacements, wrenches = beam_batch(range(3))
+    # Fields hold planes, so the row inputs are made here.
+    positions = [np.ascontiguousarray(p) for p in positions]
+    displacements = [np.ascontiguousarray(d) for d in displacements]
     assert positions[0].flags.c_contiguous and displacements[0].flags.c_contiguous
     options = IdentifyOptions(estimator=estimator, outlier_fraction=fraction)
     batch = stiffid.identify_batch(positions, displacements, wrenches, options)

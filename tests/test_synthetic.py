@@ -91,6 +91,19 @@ class TestPatterns:
         with pytest.raises(InvalidPattern):
             MeshPattern.cubic(10.0, 0.3)
 
+    @pytest.mark.parametrize("edge", [1e-9, 0.4])
+    def test_edge_spans_at_least_one_step(self, edge):
+        # edge / step = 1e-9 is within the divisibility tolerance of 0
+        # steps, a one-node pattern.
+        with pytest.raises(InvalidPattern, match="at least one step"):
+            MeshPattern.cubic(edge, 1.0)
+        with pytest.raises(InvalidPattern, match="at least one step"):
+            MeshPattern.square(edge, 1.0, "x")
+
+    def test_one_step_edge_allowed(self):
+        assert generate_pattern(MeshPattern.cubic(1.0, 1.0)).n == 8
+        assert generate_pattern(MeshPattern.square(1.0, 1.0, "y")).n == 4
+
     def test_positive_dimensions_required(self):
         with pytest.raises(InvalidPattern):
             MeshPattern.cubic(0.0, 1.0)
