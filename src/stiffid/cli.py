@@ -52,7 +52,6 @@ from .errors import (
 )
 from .estimation import AngleExtractionMethod
 from .field import (
-    DisplacementField,
     SensorRegion,
     center_field,
     read_field_csv,
@@ -64,7 +63,7 @@ from .synthetic import (
     DEFAULT_LOADS,
     BeamSpec,
     MeshPattern,
-    beam_tip_field,
+    beam_load_cases,
     run_amplitude_study,
     run_noise_study,
     run_zero_detection_study,
@@ -91,8 +90,6 @@ AMPLITUDE_REF_PLUS = (2e-6, 4e-5, 2e-4, 4e-3, 2e-2, 0.48)
 # 100 trials on.
 NOISE_BAND = 0.15
 NOISE_MIN_TRIALS = 100
-
-_EXPERIMENT_NAMES = ("fx", "fy", "fz", "mx", "my", "mz")
 
 
 def _number(value) -> bool:
@@ -284,8 +281,13 @@ def cmd_identify(args) -> int:
     save_compliance_json(out / "compliance.json", result.matrix)
     with open(out / "compliance.txt", "w", encoding="utf-8", newline="\n") as handle:
         handle.write(result.matrix.format_table() + "\n")
-    if result.significance is not None:
-        _write_json(out / "significance.json", result.significance.to_json_dict())
+    # A run without a significance stage removes the report of an earlier
+    # canonical run, which would otherwise stand beside its results.
+    significance = out / "significance.json"
+    if result.significance is None:
+        significance.unlink(missing_ok=True)
+    else:
+        _write_json(significance, result.significance.to_json_dict())
     run_log = result.diagnostics()
     run_log["stiffid_version"] = __version__
     run_log["manifest_sha256"] = _sha256(args.manifest)
@@ -315,19 +317,15 @@ def cmd_simulate(args) -> int:
     spec = BeamSpec(args.length, args.section, args.youngs, args.poisson)
     pattern = _simulate_pattern(args)
     loads = (args.fx, args.fy, args.fz, args.mx, args.my, args.mz)
-    from .compliance import canonical_wrench_scheme
-
-    wrenches = canonical_wrench_scheme(*loads)
-    fields = [beam_tip_field(spec, wrench, pattern, sigma=args.sigma, seed=args.seed + j)
-              for j, wrench in enumerate(wrenches)]
+    cases = beam_load_cases(spec, pattern, loads, args.sigma, args.seed)
     out = _out_dir(args)
     reference = [spec.length, 0.0, 0.0]
 
     entries = []
-    for j, (wrench, field) in enumerate(zip(wrenches, fields)):
-        name = f"field_{_EXPERIMENT_NAMES[j]}.csv"
-        write_field_csv(out / name, field, comments=(
-            "synthetic cantilever experiment " + _EXPERIMENT_NAMES[j],
+    for j, case in enumerate(cases):
+        name = f"field_{case.source}.csv"
+        write_field_csv(out / name, case.field, comments=(
+            "synthetic cantilever experiment " + case.source,
             f"sigma={args.sigma!r} mm, seed={args.seed + j}",
         ))
         sensor = {"shape": "cube", "edge": args.edge, "center": [0.0, 0.0, 0.0]}
@@ -337,9 +335,9 @@ def cmd_simulate(args) -> int:
         entries.append({
             "field_file": name,
             "wrench": {
-                "force": [float(v) for v in wrench.force],
+                "force": [float(v) for v in case.wrench.force],
                 "force_unit": "N",
-                "torque": [float(v) for v in wrench.torque],
+                "torque": [float(v) for v in case.wrench.torque],
                 "torque_unit": "N·mm",
             },
             "sensor": sensor,

@@ -37,23 +37,25 @@ cache-sized blocks: at n = 175,616, 1.12 ms against 0.38 ms (OpenBLAS
 forms 19 of these sums.  A field of at most one block gets the single
 product, bit for bit.
 
-The position-only part of the normal equations is the
-:class:`FitGeometry` of a node layout, built by :func:`_fit_geometry`
-and nowhere else: the node count, the centroid, the centroid-relative
-positions, the rotation normal matrix from one ``rel.T @ rel`` product,
-its eigendecomposition, which is the degeneracy check, and its inverse.
-The fits take a geometry already built, so whoever holds one layout
-builds it once: shared positions give one geometry for all rows of a
-batch, and the identification core builds one for all experiments on
-equal node positions (the load cases of one mesh).  Each refit after
-outlier removal keeps its own survivors and builds its own geometry.
+The normal equations of a node layout are its :class:`FitGeometry`,
+built by :func:`_fit_geometry` and nowhere else: the node count, the
+centroid and the inverse of the rotation normal matrix.  That matrix
+comes from one ``rel.T @ rel`` product over the centroid-relative
+positions ``rel``; its eigendecomposition is the degeneracy check and
+gives the inverse.  :func:`_fit_geometry` returns ``rel`` beside the
+geometry, and the fits take both, so whoever holds one layout builds
+it once: shared positions give one geometry for all rows of a batch,
+and the identification core builds one for all experiments on equal
+node positions (the load cases of one mesh).  Each refit after outlier
+removal keeps its own survivors and builds its own geometry.
 
-Every fit then builds its :class:`NormalSystem` from the geometry and
-the displacements: the mean displacement and the rotation right-hand
-side read off the antisymmetric part of
-``rel.T @ (displacements - mean displacement)``.  The fit result
-carries the system, so the deflection covariance follows from it
-without another pass over the nodes.
+Both fits centre the displacements on their mean (:func:`_centred`).
+The linearized fit then forms the rotation right-hand side from the
+antisymmetric part of ``rel.T @ (displacements - mean displacement)``,
+and the Procrustes fit its cross-covariance from ``rel.T @ (rel +
+displacements - mean displacement)``.  Each fit keeps its geometry,
+which holds no per-node array, so the deflection covariance follows
+from it without another pass over the nodes.
 
 Units: mm for translations, rad for rotation components.  The linearized
 model `dp_i = dphi x p_i + p` is valid for small angles; estimates with
@@ -253,38 +255,34 @@ def _check_deflections(translation: np.ndarray, rotation: np.ndarray) -> None:
             LinearizationWarning, stacklevel=3)
 
 
-class NormalSystem(NamedTuple):
-    """Normal equations of the linearized rigid fit about the field centroid.
+class FitGeometry(NamedTuple):
+    """The normal equations of a node layout, which hold no displacement.
 
-    ``mean_displacement`` q is the translation at the centroid (mm),
-    ``moment`` the rotation normal matrix sum(|r|^2 I - r r^T) over the
-    centroid-relative positions r (mm^2), ``inverse`` its inverse, and
-    ``rhs`` the rotation right-hand side sum(r x (d - q)) (mm^2).  In a
-    batched fit the arrays carry the leading batch axis, except that
-    ``centroid``, ``moment`` and ``inverse`` keep the shape of shared
-    positions: one (3,) or (3, 3) array for every row.
+    ``n`` is the node count, ``centroid`` the mean position (mm) about
+    which the fit runs, and ``inverse`` the inverse of the rotation
+    normal matrix sum(|r|^2 I - r r^T) over the centroid-relative
+    positions r (1/mm^2).  Positions (n, 3) give one geometry; positions
+    (S, n, 3) give both arrays a leading batch axis.  It holds no
+    per-node array, so a fit keeps it at no memory cost.
     """
 
     n: int
     centroid: np.ndarray
-    mean_displacement: np.ndarray
-    moment: np.ndarray
     inverse: np.ndarray
-    rhs: np.ndarray
 
 
 @dataclass(frozen=True)
 class FitResult:
     """Estimated deflection plus per-node residuals of the fit.
 
-    ``system`` is the normal system of the fitted field; the estimators
-    always set it.
+    ``geometry`` is the :class:`FitGeometry` of the fitted nodes; the
+    estimators always set it.
     """
 
     deflection: Deflection
     residuals: np.ndarray
     objective: float
-    system: NormalSystem | None = None
+    geometry: FitGeometry | None = None
 
     def __post_init__(self):
         r = np.asarray(self.residuals, dtype=float)
@@ -297,12 +295,12 @@ class FitResult:
 
     @classmethod
     def _holding(cls, deflection: Deflection, residuals: np.ndarray,
-                 objective: float, system: NormalSystem) -> "FitResult":
+                 objective: float, geometry: FitGeometry) -> "FitResult":
         """A fit result that holds `residuals` itself, not a copy: the
         caller hands over a read-only (n, 3) view of a read-only array."""
         fit = object.__new__(cls)
         for name, value in (("deflection", deflection), ("residuals", residuals),
-                            ("objective", objective), ("system", system)):
+                            ("objective", objective), ("geometry", geometry)):
             object.__setattr__(fit, name, value)
         return fit
 
@@ -314,12 +312,12 @@ class FitResult:
 class Fits(NamedTuple):
     """Batched rigid fits: row s of every array belongs to field s.
 
-    ``translation`` and ``rotation`` are (S, 3), ``residuals`` (S, n, 3),
-    a view of planes, and ``objective`` (S,), the residual sum of
-    squares of each row.
+    ``geometry`` is the geometry the fits ran on, ``translation`` and
+    ``rotation`` are (S, 3), ``residuals`` (S, n, 3), a view of planes,
+    and ``objective`` (S,), the residual sum of squares of each row.
     """
 
-    system: NormalSystem
+    geometry: FitGeometry
     translation: np.ndarray
     rotation: np.ndarray
     residuals: np.ndarray
@@ -359,22 +357,6 @@ def _require_centered(field: DisplacementField, who: str) -> None:
         raise ValueError(f"{who} needs a field centered on its reference point")
 
 
-class FitGeometry(NamedTuple):
-    """The position-only part of the normal equations of a node layout.
-
-    ``rel`` holds the positions relative to the ``centroid``, ``moment``
-    is the rotation normal matrix sum(|r|^2 I - r r^T) of those (mm^2)
-    and ``inverse`` its inverse.  Positions (n, 3) give one geometry;
-    positions (S, n, 3) give every array a leading batch axis.
-    """
-
-    n: int
-    centroid: np.ndarray
-    rel: np.ndarray
-    moment: np.ndarray
-    inverse: np.ndarray
-
-
 def _planes(a: np.ndarray) -> np.ndarray:
     """`a` (..., n, 3) as the (..., n, 3) view of C-contiguous component
     planes (..., 3, n); an array already held that way comes back as it
@@ -382,9 +364,10 @@ def _planes(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _fit_geometry(positions: np.ndarray) -> FitGeometry:
-    """Build the fit geometry of node positions (n, 3) or (S, n, 3); its
-    ``rel`` is held in planes (see :func:`_planes`).
+def _fit_geometry(positions: np.ndarray) -> tuple[FitGeometry, np.ndarray]:
+    """Build the fit geometry of node positions (n, 3) or (S, n, 3), and
+    return it with the centroid-relative positions, held in planes (see
+    :func:`_planes`), which the fits on that geometry take.
 
     Raises
     ------
@@ -405,41 +388,32 @@ def _fit_geometry(positions: np.ndarray) -> FitGeometry:
         raise DegenerateGeometry(
             "rotation normal matrix is singular for this node layout")
     inverse = (vec / eig[..., None, :]) @ vec.swapaxes(-1, -2)
-    return FitGeometry(n, c, rel, m, inverse)
+    return FitGeometry(n, c, inverse), rel
 
 
-def _normal_system(geometry: FitGeometry, displacements: np.ndarray,
-                   ) -> tuple[NormalSystem, np.ndarray]:
-    """Build the normal systems of a batch of fields on `geometry`; also
-    return the displacements relative to their mean, in planes.
+def _geometry_row(geometry: FitGeometry, row: int) -> FitGeometry:
+    """Row `row` of a batched geometry; arrays that shared positions
+    left without the batch axis are the same for every row."""
+    return FitGeometry(geometry.n, *(a if a.ndim == ndim else a[row] for a, ndim
+                                     in zip(geometry[1:], (1, 2))))
 
-    `displacements` is (S, n, 3), in planes or rows: rows, which only
-    arrays handed to ``identify_batch`` directly can be, are copied into
-    planes here, once per fit.  A geometry without the batch axis
-    serves every row, so its centroid, moment matrix and inverse are
-    computed once for the whole batch.
 
-    Centering both factors of the right-hand side keeps it free of the
-    summation error of sum(r) times the mean displacement, which would
-    otherwise leak into structural zeros of noise-free fields.
+def _centred(displacements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean displacement q (S, 3) of a batch of fields (S, n, 3) and
+    the displacements relative to it, in planes.
+
+    `displacements` is in planes or rows: rows, which only arrays handed
+    to ``identify_batch`` directly can be, are copied into planes here,
+    once per fit.  Centering the displacements as well as the positions
+    keeps the node sums free of the summation error of sum(r) times q,
+    which would otherwise leak into structural zeros of noise-free fields.
     """
     displacements = _planes(displacements)
     q = column_mean(displacements)
-    disp_rel = displacements - q[..., None, :]
-    g = _gram(geometry.rel, disp_rel)
-    rhs = (g - g.swapaxes(-1, -2))[..., (1, 2, 0), (2, 0, 1)]
-    return NormalSystem(geometry.n, geometry.centroid, q, geometry.moment,
-                        geometry.inverse, rhs), disp_rel
+    return q, displacements - q[..., None, :]
 
 
-def _system_row(system: NormalSystem, row: int) -> NormalSystem:
-    """Row `row` of a batched normal system; arrays that shared
-    positions left without the batch axis are the same for every row."""
-    return NormalSystem(system.n, *(a if a.ndim == ndim else a[row] for a, ndim
-                                    in zip(system[1:], (1, 1, 2, 2, 1))))
-
-
-def _fits(system: NormalSystem, translation: np.ndarray, rotation: np.ndarray,
+def _fits(geometry: FitGeometry, translation: np.ndarray, rotation: np.ndarray,
           residuals: np.ndarray) -> Fits:
     _check_deflections(translation, rotation)
     # One dot product per row over the planes of `residuals`, a view with
@@ -447,7 +421,7 @@ def _fits(system: NormalSystem, translation: np.ndarray, rotation: np.ndarray,
     # np.vdot on that row alone.
     flat = residuals.swapaxes(-1, -2).reshape(residuals.shape[:-2] + (1, -1))
     objective = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
-    return Fits(system, translation, rotation, residuals, objective)
+    return Fits(geometry, translation, rotation, residuals, objective)
 
 
 def _fit_result(fits: Fits, row: int) -> FitResult:
@@ -458,7 +432,8 @@ def _fit_result(fits: Fits, row: int) -> FitResult:
     """
     fits.residuals.flags.writeable = False
     return FitResult._holding(_deflection(fits, row), fits.residuals[row],
-                              float(fits.objective[row]), _system_row(fits.system, row))
+                              float(fits.objective[row]),
+                              _geometry_row(fits.geometry, row))
 
 
 def _deflection(fits: Fits, row: int) -> Deflection:
@@ -466,13 +441,13 @@ def _deflection(fits: Fits, row: int) -> Deflection:
     return Deflection._checked(fits.translation[row], fits.rotation[row])
 
 
-def _fit_svd(geometry: FitGeometry, displacements: np.ndarray,
+def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
              method: AngleExtractionMethod = AngleExtractionMethod.AVERAGED,
              ) -> Fits:
-    """Orthogonal Procrustes fits of a batch of fields; see
-    :func:`estimate_svd` and, for the shapes, :func:`_normal_system`."""
-    system, disp_rel = _normal_system(geometry, displacements)
-    rel = geometry.rel
+    """Orthogonal Procrustes fits of a batch of fields on `geometry` and
+    its relative positions `rel`; see :func:`estimate_svd` and, for the
+    shapes, :func:`_centred`."""
+    q, disp_rel = _centred(displacements)
     moved_rel = rel + disp_rel
     cross = _gram(rel, moved_rel)
     U, s, Vt = np.linalg.svd(cross)
@@ -484,29 +459,31 @@ def _fit_svd(geometry: FitGeometry, displacements: np.ndarray,
     flip[..., 0, 0] = flip[..., 1, 1] = 1.0
     flip[..., 2, 2] = np.sign(np.linalg.det(V @ Ut))
     R = V @ flip @ Ut
-    translation = system.mean_displacement - (
-        (R - np.eye(3)) @ system.centroid[..., None])[..., 0]
+    translation = q - ((R - np.eye(3)) @ geometry.centroid[..., None])[..., 0]
     rotation = np.array([extract_angles(r, method) for r in R.reshape(-1, 3, 3)])
     # p + d - R p - translation, taken about the centroid
     residuals = moved_rel - (R @ rel.swapaxes(-1, -2)).swapaxes(-1, -2)
-    return _fits(system, translation, rotation.reshape(translation.shape), residuals)
+    return _fits(geometry, translation, rotation.reshape(translation.shape), residuals)
 
 
-def _fit_lin(geometry: FitGeometry, displacements: np.ndarray) -> Fits:
-    """Linearized least-squares fits of a batch of fields; see
-    :func:`estimate_lin` and, for the shapes, :func:`_normal_system`."""
-    system, disp_rel = _normal_system(geometry, displacements)
-    rotation = (system.inverse @ system.rhs[..., None])[..., 0]
+def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray) -> Fits:
+    """Linearized least-squares fits of a batch of fields on `geometry`
+    and its relative positions `rel`; see :func:`estimate_lin` and, for
+    the shapes, :func:`_centred`."""
+    q, disp_rel = _centred(displacements)
+    g = _gram(rel, disp_rel)
+    rhs = (g - g.swapaxes(-1, -2))[..., (1, 2, 0), (2, 0, 1)]
+    rotation = (geometry.inverse @ rhs[..., None])[..., 0]
     spin = skew(rotation)
     # d - q - dphi x r, in a new array of planes like d - q, which is
     # freed here.  Finishing d - q in place instead made a study's blocks
     # fault their temporaries in again (ten times the minor page faults
     # of `benchmark noise --trials 500`).
     residuals = np.empty_like(disp_rel)
-    np.matmul(spin, geometry.rel.swapaxes(-1, -2), out=residuals.swapaxes(-1, -2))
+    np.matmul(spin, rel.swapaxes(-1, -2), out=residuals.swapaxes(-1, -2))
     np.subtract(disp_rel, residuals, out=residuals)
-    translation = system.mean_displacement - (spin @ system.centroid[..., None])[..., 0]
-    return _fits(system, translation, rotation, residuals)
+    translation = q - (spin @ geometry.centroid[..., None])[..., 0]
+    return _fits(geometry, translation, rotation, residuals)
 
 
 def estimate_svd(field: DisplacementField,
@@ -527,18 +504,19 @@ def estimate_svd(field: DisplacementField,
         cross-covariance has rank < 2.
     """
     _require_centered(field, "estimate_svd")
-    geometry = _fit_geometry(field.positions)
-    return _fit_result(_fit_svd(geometry, field.displacements[None], method), 0)
+    return _fit_result(_fit_svd(*_fit_geometry(field.positions),
+                                field.displacements[None], method), 0)
 
 
 def estimate_lin(field: DisplacementField) -> FitResult:
     """Fit the linearized rigid model by least squares.
 
     The solve runs about the field centroid, which decouples translation
-    and rotation: the rotation is the inverse normal matrix times the
-    right-hand side of the field's :class:`NormalSystem`, and the
-    translation is then transported back to the reference point via
-    ``p = q - dphi x c`` where c is the centroid.
+    and rotation: the rotation is the inverse of the rotation normal
+    matrix (the field's :class:`FitGeometry`) times the right-hand side
+    sum(r x (d - q)) over the centroid-relative positions r, with q the
+    mean displacement, and the translation is then transported back to
+    the reference point via ``p = q - dphi x c`` where c is the centroid.
 
     Raises
     ------
@@ -546,5 +524,5 @@ def estimate_lin(field: DisplacementField) -> FitResult:
         If the rotation normal matrix is numerically singular.
     """
     _require_centered(field, "estimate_lin")
-    geometry = _fit_geometry(field.positions)
-    return _fit_result(_fit_lin(geometry, field.displacements[None]), 0)
+    return _fit_result(_fit_lin(*_fit_geometry(field.positions),
+                                field.displacements[None]), 0)

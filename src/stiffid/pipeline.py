@@ -26,7 +26,6 @@ gathered straight into the component planes the fits work on.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -62,6 +61,8 @@ from .stats import (
     DeflectionCovariance,
     NoiseEstimate,
     SignificanceReport,
+    _check_fraction,
+    _check_multiplier,
     _component_std,
     _covariance,
     _drop_mask,
@@ -95,18 +96,8 @@ class IdentifyOptions:
         if self.estimator not in ("lin", "svd"):
             raise InvalidArgument(
                 f"estimator must be 'lin' or 'svd', got {self.estimator!r}")
-        for name in ("outlier_fraction", "confidence_multiplier"):
-            # bool is an int subclass, so a JSON true/false would pass the
-            # range checks below as 1 or 0.
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise InvalidArgument(f"{name} must be a number, got {value!r}")
-        if not 0.0 <= self.outlier_fraction < 1.0:
-            raise InvalidArgument("outlier_fraction must be in [0, 1), "
-                                  f"got {self.outlier_fraction!r}")
-        if not 0.0 < self.confidence_multiplier < math.inf:
-            raise InvalidArgument("confidence_multiplier must be positive and finite, "
-                                  f"got {self.confidence_multiplier!r}")
+        _check_fraction(self.outlier_fraction, "outlier_fraction")
+        _check_multiplier(self.confidence_multiplier, "confidence_multiplier")
         # Not `in (True, False)`: 1 and 0 compare equal to True and False.
         if not isinstance(self.symmetrize, bool):
             raise InvalidArgument(
@@ -196,11 +187,11 @@ class BatchIdentification(NamedTuple):
     mask: np.ndarray | None
 
 
-def _fit(geometry: FitGeometry, displacements: np.ndarray,
+def _fit(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
          options: IdentifyOptions) -> Fits:
     if options.estimator == "svd":
-        return _fit_svd(geometry, displacements, options.angles)
-    return _fit_lin(geometry, displacements)
+        return _fit_svd(geometry, rel, displacements, options.angles)
+    return _fit_lin(geometry, rel, displacements)
 
 
 def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
@@ -255,8 +246,8 @@ def identify_batch(positions: Sequence[np.ndarray],
     fit geometry.
     """
     # Per distinct node layout: the positions as given, in planes, and
-    # their fit geometry.
-    layouts: list[tuple[np.ndarray, np.ndarray, FitGeometry]] = []
+    # their fit geometry with the centroid-relative positions.
+    layouts: list[tuple[np.ndarray, np.ndarray, FitGeometry, np.ndarray]] = []
     fits = []
     dropped = []
     objectives = []
@@ -275,26 +266,26 @@ def identify_batch(positions: Sequence[np.ndarray],
         layout = next((known for known in layouts if _same_layout(known[0], p)), None)
         if layout is None:
             planes = _planes(p)
-            layout = (p, planes, _fit_geometry(planes))
+            layout = (p, planes, *_fit_geometry(planes))
             layouts.append(layout)
-        _, planes, geometry = layout
+        _, planes, geometry, rel = layout
         # `d` is kept as given.  A field's arrays are planes already; rows
         # are copied into planes by the fit for its own pass only, since a
         # plane copy held through the experiment adds an array to the peak
         # memory of a large field.
-        fit = _fit(geometry, d, options)
+        fit = _fit(geometry, rel, d, options)
         objectives.append(fit.objective)
         counts.append(d.shape[-2])
         drop = _drop_mask(fit.residuals, options.outlier_fraction)
         if drop is not None:
             del fit  # free its residuals before the refit makes its own
             keep = ~drop
-            fit = _fit(_fit_geometry(_survivors(planes, keep)),
+            fit = _fit(*_fit_geometry(_survivors(planes, keep)),
                        _survivors(d, keep), options)
         fits.append(fit)
         dropped.append(drop)
     sigma, dof, per_experiment = _pool_sigma(objectives, counts)
-    covariances = tuple(_covariance(fit.system, sigma) for fit in fits)
+    covariances = tuple(_covariance(fit.geometry, sigma) for fit in fits)
     deflections = [np.concatenate([fit.translation, fit.rotation], axis=-1)
                    for fit in fits]
 
@@ -302,8 +293,7 @@ def identify_batch(positions: Sequence[np.ndarray],
     halfwidth = significant = safety = None
     if order is not None:
         matrix = assembled = _assemble_columns(deflections, order)
-        std = np.stack([_component_std(*covariances[i]) for i, _ in order], axis=-1)
-        halfwidth = _halfwidth(std, [magnitude for _, magnitude in order],
+        halfwidth = _halfwidth([_component_std(*c) for c in covariances], order,
                                options.confidence_multiplier)
         significant, matrix, safety = _significance(assembled, halfwidth)
     else:

@@ -33,7 +33,7 @@ from .errors import (
     NotCanonical,
     TooFewRemaining,
 )
-from .estimation import FitGeometry, FitResult, NormalSystem, _fit_geometry
+from .estimation import FitGeometry, FitResult, _fit_geometry
 from .field import DisplacementField
 
 DEFAULT_OUTLIER_FRACTION = 0.10
@@ -119,17 +119,30 @@ def _check_sigma(sigma: float) -> None:
         raise InvalidArgument(f"sigma must be nonnegative and finite, got {sigma!r}")
 
 
-def _covariance(system: NormalSystem | FitGeometry, sigma: np.ndarray,
+# bool is an int subclass, so a true or false would pass the range checks
+# of these two as 1 or 0; NaN fails every comparison.
+def _check_fraction(fraction: float, name: str = "fraction") -> None:
+    if isinstance(fraction, bool) or not 0.0 <= fraction < 1.0:
+        raise InvalidArgument(f"{name} must be a number in [0, 1), got {fraction!r}")
+
+
+def _check_multiplier(multiplier: float, name: str) -> None:
+    if isinstance(multiplier, bool) or not 0.0 < multiplier < math.inf:
+        raise InvalidArgument(
+            f"{name} must be a positive and finite number, got {multiplier!r}")
+
+
+def _covariance(geometry: FitGeometry, sigma: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Translation and rotation covariance blocks, (..., 3, 3) each, of
-    the fits whose normal systems (or geometries) are `system` for noise
-    levels `sigma` (...,).  See :func:`system_covariance`."""
+    the fits on `geometry` for noise levels `sigma` (...,).  See
+    :func:`system_covariance`."""
     # Python's float power, not np.square: the two differ in the last
     # bit for about one sigma in a thousand, and the halfwidths have
     # always been computed from the former.
     variance = np.reshape([s ** 2 for s in np.ravel(sigma).tolist()], np.shape(sigma))
-    return ((variance / system.n)[..., None, None] * np.eye(3),
-            variance[..., None, None] * system.inverse)
+    return ((variance / geometry.n)[..., None, None] * np.eye(3),
+            variance[..., None, None] * geometry.inverse)
 
 
 def _component_std(translation: np.ndarray, rotation: np.ndarray) -> np.ndarray:
@@ -139,21 +152,19 @@ def _component_std(translation: np.ndarray, rotation: np.ndarray) -> np.ndarray:
                                    np.diagonal(rotation, axis1=-2, axis2=-1)], axis=-1))
 
 
-def system_covariance(system: NormalSystem | FitGeometry,
-                      sigma: float) -> DeflectionCovariance:
+def system_covariance(geometry: FitGeometry, sigma: float) -> DeflectionCovariance:
     """Covariance of the linearized estimate for noise level `sigma`.
 
     Translation: (sigma^2 / n) I about the field centroid.  Rotation:
     sigma^2 times the inverse of the rotation normal matrix.  Both come
-    from the normal system a fit already built (``FitResult.system``), so
-    no node is visited again; a :class:`FitGeometry`, which holds the
-    same node count and inverse, serves as well.
+    from the :class:`FitGeometry` of the fitted nodes, which a fit keeps
+    (``FitResult.geometry``), so no node is visited again.
 
     Raises :class:`InvalidArgument` (a ``ValueError``) unless `sigma` is
     nonnegative and finite.
     """
     _check_sigma(sigma)
-    return DeflectionCovariance(*_covariance(system, np.float64(sigma)))
+    return DeflectionCovariance(*_covariance(geometry, np.float64(sigma)))
 
 
 def deflection_covariance(field: DisplacementField, sigma: float) -> DeflectionCovariance:
@@ -165,7 +176,7 @@ def deflection_covariance(field: DisplacementField, sigma: float) -> DeflectionC
     singular rotation normal matrix, and :class:`InvalidArgument` for a
     negative or non-finite `sigma`.
     """
-    return system_covariance(_fit_geometry(field.positions), sigma)
+    return system_covariance(_fit_geometry(field.positions)[0], sigma)
 
 
 def _drop_mask(residuals: np.ndarray, fraction: float) -> np.ndarray | None:
@@ -176,8 +187,7 @@ def _drop_mask(residuals: np.ndarray, fraction: float) -> np.ndarray | None:
     Every row loses the same number of nodes, so the survivors of a
     batch stay one rectangular (S, n - ceil(fraction * n), 3) array.
     """
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("fraction must be in [0, 1)")
+    _check_fraction(fraction)
     n = residuals.shape[-2]
     remove = math.ceil(fraction * n)
     if remove == 0:
@@ -213,7 +223,10 @@ def filter_outliers(field: DisplacementField, fit: FitResult,
     Survivor order is preserved.  Returns the reduced field and the
     integer indices of the removed nodes.
 
-    Raises :class:`TooFewRemaining` if fewer than 3 nodes would survive.
+    Raises :class:`TooFewRemaining` if fewer than 3 nodes would survive,
+    and :class:`InvalidArgument` (a ``ValueError``) unless `fraction` is
+    a number in [0, 1), not a bool (the rule of ``IdentifyOptions``'
+    ``outlier_fraction``).
     """
     if fit.n != field.n:
         raise ValueError("fit residuals do not match the field")
@@ -264,14 +277,15 @@ class SignificanceReport:
         }
 
 
-def _halfwidth(std_columns: np.ndarray, magnitudes: Sequence[float],
+def _halfwidth(std: Sequence[np.ndarray], order: list[tuple[int, float]],
                multiplier: float) -> np.ndarray:
-    """Confidence halfwidths (..., 6, 6) of canonical compliance elements.
-
-    Column j of `std_columns` holds the deflection standard deviations of
-    the experiment loading component j with magnitude `magnitudes[j]`.
-    """
-    return multiplier * std_columns / np.abs(np.asarray(magnitudes, dtype=float))
+    """Confidence halfwidths (..., 6, 6) of canonical compliance elements
+    from the deflection standard deviations (..., 6) of each experiment
+    and the scheme's column order (see
+    :func:`~stiffid.compliance.canonical_columns`): column j holds those
+    of the experiment loading component j over its magnitude."""
+    columns = np.stack([std[i] for i, _ in order], axis=-1)
+    return multiplier * columns / np.abs(np.asarray([m for _, m in order], dtype=float))
 
 
 def _significance(k: np.ndarray, halfwidth: np.ndarray,
@@ -313,19 +327,19 @@ def significance_test(matrix: ComplianceMatrix,
     magnitude.  Elements whose interval contains zero are set to
     zero and recorded in the significance mask; significant elements
     report the safety factor |estimate| / halfwidth (infinite for a
-    zero halfwidth).  ``level_multiplier`` must be positive and finite,
-    else :class:`InvalidArgument` (a ``ValueError``) is raised.
+    zero halfwidth).  ``level_multiplier`` must be a positive and finite
+    number, not a bool (the rule of ``IdentifyOptions``'
+    ``confidence_multiplier``), else :class:`InvalidArgument` (a
+    ``ValueError``) is raised.
     """
-    if not 0.0 < level_multiplier < math.inf:
-        raise InvalidArgument("level_multiplier must be positive and finite, "
-                              f"got {level_multiplier!r}")
+    _check_multiplier(level_multiplier, "level_multiplier")
     if len(covariances) != len(experiments) or any(c is None for c in covariances):
         raise MissingCovariance("need one deflection covariance per experiment")
     order = canonical_order(experiments)
     if order is None:
         raise NotCanonical(NOT_CANONICAL)
-    std = np.stack([covariances[i].component_std() for i, _ in order], axis=-1)
-    halfwidth = _halfwidth(std, [magnitude for _, magnitude in order], level_multiplier)
+    halfwidth = _halfwidth([c.component_std() for c in covariances], order,
+                           level_multiplier)
     significant, zeroed, safety = _significance(matrix.k, halfwidth)
     report = _report(matrix.k, halfwidth, significant, safety, level_multiplier)
     result = ComplianceMatrix(zeroed, significant, symmetrized=matrix.symmetrized)

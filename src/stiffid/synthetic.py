@@ -529,10 +529,10 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
     base = generate_pattern(pattern)
     truth_defl = Deflection(translation, np.deg2rad([rotation_deg] * 3))
     rigid = _rigid_displacement(base.positions, truth_defl)
-    geometry = _fit_geometry(base.positions)
+    geometry, rel = _fit_geometry(base.positions)
     err = np.empty((trials, 6))
     for block in _blocks(trials, base.n):
-        fits = _fit_lin(geometry,
+        fits = _fit_lin(geometry, rel,
                         _noisy_displacements(rigid, sigma, [seed + t for t in block]))
         err[block.start:block.stop] = np.concatenate(
             [fits.translation, fits.rotation], axis=-1) - truth_defl.as_vector()

@@ -216,6 +216,22 @@ class TestIdentify:
                      "--no-symmetrize", "--out", str(out)]) == 0
         assert not load_compliance_json(out / "compliance.json").symmetrized
 
+    def test_non_canonical_run_removes_old_significance(self, sim_dir, tmp_path):
+        out = tmp_path / "ident"
+        assert main(["identify", str(sim_dir / "manifest.json"), "--out", str(out)]) == 0
+        assert (out / "significance.json").exists()
+        # A seventh experiment, a repeat of the first, makes the set
+        # least-squares: it has no significance stage.
+        data = read_manifest(sim_dir / "manifest.json")
+        data["experiments"].append(data["experiments"][0])
+        for entry in data["experiments"]:
+            entry["field_file"] = str(sim_dir / entry["field_file"])
+        manifest = tmp_path / "seven.json"
+        write_manifest(manifest, data)
+        assert main(["identify", str(manifest), "--out", str(out)]) == 0
+        assert not read_manifest(out / "run_log.json")["canonical"]
+        assert not (out / "significance.json").exists()
+
     def test_json_format_stdout(self, sim_dir, tmp_path, capsys):
         main(["identify", str(sim_dir / "manifest.json"),
               "--out", str(tmp_path / "o"), "--format", "json"])
@@ -366,6 +382,8 @@ class TestIdentifyErrors:
         ("--outlier-fraction", "-0.2"),
         ("--confidence-multiplier", "0"),
         ("--confidence-multiplier", "inf"),
+        ("--outlier-fraction", "nan"),
+        ("--confidence-multiplier", "nan"),
     ])
     def test_out_of_range_option_exit_2(self, sim_dir, tmp_path, capsys,
                                         flag, value):

@@ -23,9 +23,14 @@ from stiffid import (
     rotation_xyz,
     skew,
 )
+from stiffid import estimation
 from stiffid.estimation import (
     _GRAM_BLOCK,
     ROTATION_WARN_LIMIT,
+    FitGeometry,
+    _fit_geometry,
+    _fit_lin,
+    _fit_svd,
     _gram,
     _planes,
     check_rotation,
@@ -188,6 +193,32 @@ class TestGram:
         for s in range(3):
             one = _gram(a if shared else a[s], b[s])
             assert got[s].tobytes() == one.tobytes()
+
+
+class TestFitGeometry:
+    def test_geometry_holds_no_per_node_array(self):
+        assert FitGeometry._fields == ("n", "centroid", "inverse")
+        geometry, rel = _fit_geometry(cube_nodes(4.0, 1.0))
+        assert geometry.centroid.shape == (3,) and geometry.inverse.shape == (3, 3)
+        assert rel.shape == (125, 3)
+
+    @pytest.mark.parametrize("fit", [_fit_lin, _fit_svd], ids=["lin", "svd"])
+    def test_fit_forms_one_node_sum(self, fit, monkeypatch):
+        # the geometry already holds the moment matrix's inverse, so a fit
+        # sums over the nodes once: the rotation right-hand side (lin) or
+        # the Procrustes cross-covariance (svd)
+        pos = cube_nodes(4.0, 1.0)
+        geometry, rel = _fit_geometry(pos)
+        disp = first_order_field(pos, [0.1, 0.2, 0.3], [1e-4, 2e-4, 3e-4]).displacements
+        calls = []
+
+        def counting_gram(a, b):
+            calls.append(a.shape)
+            return _gram(a, b)
+
+        monkeypatch.setattr(estimation, "_gram", counting_gram)
+        fit(geometry, rel, disp[None])
+        assert len(calls) == 1
 
 
 class TestAngleExtraction:

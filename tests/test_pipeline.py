@@ -26,7 +26,7 @@ from stiffid import (
     filter_outliers,
     run_identification,
 )
-from stiffid.estimation import _GRAM_BLOCK, _planes, _system_row
+from stiffid.estimation import _GRAM_BLOCK, _geometry_row, _planes
 from stiffid.synthetic import (
     DEFAULT_LOADS,
     GroundTruth,
@@ -149,7 +149,7 @@ def batch_row(batch, s):
         out += [fit.translation[s], fit.rotation[s], fit.residuals[s], fit.objective[s],
                 batch.dropped[j][s], batch.per_experiment_sigma[j][s],
                 batch.covariances[j][0][s], batch.covariances[j][1][s]]
-        out += _system_row(fit.system, s)[1:]
+        out += _geometry_row(fit.geometry, s)[1:]
     return [np.asarray(a).tobytes() for a in out]
 
 
@@ -164,6 +164,21 @@ def test_batch_rows_equal_one_row_batches(jitter):
             [d[s:s + 1] for d in displacements], wrenches)
         assert batch_row(batch, s) == batch_row(one, 0)
         assert one.dof == batch.dof
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["shared-positions", "row-positions"])
+def test_fits_keep_no_per_node_geometry(jitter):
+    # A fit keeps its geometry for the covariance; the centroid-relative
+    # positions stay with the layout (and a refit's die with it), so the
+    # kept record must stay 3x3-sized however large the field.
+    positions, displacements, wrenches = beam_batch(range(3), jitter)
+    batch = stiffid.identify_batch(positions, displacements, wrenches)
+    for fit, drop in zip(batch.fits, batch.dropped):
+        assert drop is not None  # every fit is a refit
+        assert max(np.size(a) for a in fit.geometry) <= 9 * len(fit.objective)
+    cases = beam_load_cases(BeamSpec(), MeshPattern.cubic(6.0, 1.0), sigma=5.6e-5, seed=2)
+    for fit in run_identification(cases).fits:
+        assert max(np.size(a) for a in fit.geometry) <= 9
 
 
 def test_run_identification_is_the_one_row_batch():
@@ -328,7 +343,7 @@ def result_bytes(result):
            repr(result.removed).encode()]
     for fit, cov in zip(result.fits, result.covariances):
         out += [fit.residuals, fit.objective, fit.deflection.as_vector(),
-                cov.translation, cov.rotation, *fit.system[1:]]
+                cov.translation, cov.rotation, *fit.geometry[1:]]
     return [a if isinstance(a, bytes) else np.asarray(a).tobytes() for a in out]
 
 

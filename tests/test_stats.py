@@ -149,7 +149,7 @@ class TestDeflectionCovariance:
             with pytest.raises(InvalidArgument):
                 deflection_covariance(field, sigma)
             with pytest.raises(InvalidArgument):
-                system_covariance(estimate_lin(field).system, sigma)
+                system_covariance(estimate_lin(field).geometry, sigma)
 
     def test_collinear_nodes_degenerate(self):
         pos = np.outer(np.linspace(-5, 5, 9), [1.0, 0.0, 0.0])
@@ -157,7 +157,7 @@ class TestDeflectionCovariance:
             deflection_covariance(make_field(pos, np.zeros_like(pos)), 1e-5)
 
     def test_pipeline_covariances_match_reduced_fields(self):
-        # the pipeline reuses each refit's normal system; the result must
+        # the pipeline reuses each refit's geometry; the result must
         # equal a fresh covariance of the outlier-filtered field
         cases = beam_load_cases(BeamSpec(), MeshPattern.cubic(6.0, 1.0),
                                 sigma=5.6e-5, seed=4)
@@ -304,12 +304,12 @@ class TestFilterOutliers:
         with pytest.raises(TooFewRemaining):
             filter_outliers(field, fit, 0.5)
 
-    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5, True, math.nan])
     def test_bad_fraction_rejected(self, fraction):
         pos = cube_nodes(2.0, 1.0)
         field = make_field(pos, np.zeros_like(pos))
         fit = estimate_lin(field)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             filter_outliers(field, fit, fraction)
 
     def test_mismatched_fit_rejected(self):
@@ -465,7 +465,7 @@ class TestSignificanceTest:
             significance_test(matrix, [combined] + experiments[1:],
                               uniform_covariances(1e-9, 1e-11))
 
-    @pytest.mark.parametrize("multiplier", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf, -1.0, True])
     def test_multiplier_positive_and_finite(self, multiplier):
         cases = beam_load_cases(sigma=5.6e-5, seed=1)
         result = run_identification(cases, IdentifyOptions(symmetrize=False))

@@ -288,8 +288,9 @@ class TestBeamModel:
                              ids=["cubic", "square"])
     @pytest.mark.parametrize("sigma", [5.6e-5, 0.0])
     def test_load_cases_match_beam_tip_field(self, pattern, sigma):
-        # beam_load_cases builds the pattern and the noise-free fields once;
-        # each case must still equal the one-field path that simulate uses.
+        # beam_load_cases, which simulate writes, builds the pattern and the
+        # noise-free fields once; each case must still equal the one-field
+        # path beam_tip_field.
         cases = beam_load_cases(BeamSpec(), pattern, DEFAULT_LOADS, sigma, seed=3)
         for j, (case, wrench) in enumerate(zip(
                 cases, canonical_wrench_scheme(*DEFAULT_LOADS))):
