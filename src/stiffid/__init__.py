@@ -26,6 +26,7 @@ from .errors import (
     LinearizationWarning,
     ManifestError,
     MissingCovariance,
+    NonFiniteDeflection,
     NotCanonical,
     RankDeficientWrenches,
     SingularCompliance,

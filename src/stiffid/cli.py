@@ -281,13 +281,7 @@ def cmd_identify(args) -> int:
     save_compliance_json(out / "compliance.json", result.matrix)
     with open(out / "compliance.txt", "w", encoding="utf-8", newline="\n") as handle:
         handle.write(result.matrix.format_table() + "\n")
-    # A run without a significance stage removes the report of an earlier
-    # canonical run, which would otherwise stand beside its results.
-    significance = out / "significance.json"
-    if result.significance is None:
-        significance.unlink(missing_ok=True)
-    else:
-        _write_json(significance, result.significance.to_json_dict())
+    _write_json(out / "significance.json", result.significance.to_json_dict())
     run_log = result.diagnostics()
     run_log["stiffid_version"] = __version__
     run_log["manifest_sha256"] = _sha256(args.manifest)
@@ -518,7 +512,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # The library checks every fit for non-finite values and raises;
+        # numpy's own overflow warnings would only precede that error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ManifestError as exc:
         _emit_error(type(exc).__name__, exc, file=exc.file)
         return 2

@@ -2,9 +2,11 @@
 
 A wrench w = (F; M) applied at the reference point produces the
 deflection d = (p; dphi) = k w, with k the compliance matrix in units of
-mm/N, mm/(N mm), rad/N and rad/(N mm) by block.  Six single-component
-wrenches (the canonical scheme) give the columns of k directly; larger
-experiment sets are reduced by least squares.
+mm/N, mm/(N mm), rad/N and rad/(N mm) by block.  Any set of at least
+six wrenches that spans all six load directions is reduced by least
+squares, k = D W^+; for six single-component wrenches (the canonical
+scheme) that gives each column of k as one deflection over its load
+magnitude.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ UNITS_NOTE = {
 
 _COMPONENTS = ("Fx", "Fy", "Fz", "Mx", "My", "Mz")
 
-NOT_CANONICAL = ("experiments must form the canonical scheme: six "
-                 "single-component wrenches, one per component")
-
-
 @dataclass(frozen=True)
 class Wrench:
     """Force (N) and torque (N mm) applied at the reference point."""
@@ -59,8 +57,8 @@ class Wrench:
         t.flags.writeable = False
         object.__setattr__(self, "force", f)
         object.__setattr__(self, "torque", t)
-        # Found once here: canonical_columns asks for it on every
-        # wrench of every identification.
+        # Found once here: is_canonical asks for it on every wrench of
+        # every identification.
         object.__setattr__(self, "_single", (nonzero[0], values[nonzero[0]])
                            if len(nonzero) == 1 else None)
 
@@ -136,15 +134,23 @@ class ComplianceMatrix:
 
 
 def compliance_from_json_dict(data: dict) -> ComplianceMatrix:
-    """Rebuild a matrix from the dictionary written by ``to_json_dict``."""
+    """Rebuild a matrix from the dictionary written by ``to_json_dict``.
+
+    ``symmetrized`` and the mask entries must be true or false, else
+    :class:`InvalidArgument` (a ``ValueError``) is raised: a cast would
+    read ``"false"`` or ``0.5`` as true.
+    """
     if "k" not in data:
         raise ValueError("missing 'k' entry")
-    return ComplianceMatrix(
-        np.asarray(data["k"], dtype=float),
-        None if data.get("significance_mask") is None
-        else np.asarray(data["significance_mask"], dtype=bool),
-        bool(data.get("symmetrized", False)),
-    )
+    mask = data.get("significance_mask")
+    if mask is not None:
+        mask = np.asarray(mask)
+        if mask.dtype != bool:
+            raise InvalidArgument("significance_mask entries must be true or false")
+    symmetrized = data.get("symmetrized", False)
+    if not isinstance(symmetrized, bool):
+        raise InvalidArgument(f"symmetrized must be true or false, got {symmetrized!r}")
+    return ComplianceMatrix(np.asarray(data["k"], dtype=float), mask, symmetrized)
 
 
 def load_compliance_json(path) -> ComplianceMatrix:
@@ -179,69 +185,76 @@ def canonical_wrench_scheme(fx: float, fy: float, fz: float,
     return wrenches
 
 
-def canonical_columns(wrenches: Sequence[Wrench]) -> list[tuple[int, float]] | None:
-    """Detect the canonical scheme: six single-component wrenches, one
-    per component, in any order.
+def is_canonical(wrenches: Sequence[Wrench]) -> bool:
+    """Whether the wrenches form the canonical scheme: six
+    single-component wrenches, one per component, in any order."""
+    singles = [w.single_component() for w in wrenches]
+    return len(singles) == 6 and None not in singles and \
+        len({index for index, _ in singles}) == 6
 
-    Returns, for each column j, the index of the wrench that loads
-    component j and that component's magnitude; None for any other set.
+
+def _wrench_svd(wrenches: Sequence[Wrench]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The thin SVD ``U, s, Vt`` of the wrench matrix W (6, m), whose
+    columns are the wrenches, after the rank check it serves: raises
+    :class:`RankDeficientWrenches` for fewer than six wrenches or a set
+    that does not span all six load directions."""
+    m = len(wrenches)
+    if m < 6:
+        raise RankDeficientWrenches(
+            f"insufficient experiments: need at least 6, got {m}")
+    U, s, Vt = np.linalg.svd(np.column_stack([w.as_vector() for w in wrenches]),
+                             full_matrices=False)
+    if s[-1] <= 1e-12 * s[0]:
+        raise RankDeficientWrenches(
+            "wrench set does not span all six load directions")
+    return U, s, Vt
+
+
+def _pseudo_inverse(svd: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """W^+ = V diag(1/s) U^T (m, 6) from the :func:`_wrench_svd` of W."""
+    U, s, Vt = svd
+    return (Vt.T / s) @ U.T
+
+
+def _least_squares(deflections: np.ndarray,
+                   svd: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Compliance matrices k = D W^+ (..., 6, 6) of the deflections D
+    (..., 6, m), whose column j belongs to wrench j, from the
+    :func:`_wrench_svd` of W.
+
+    Formed as ((D V) / s) U^T: for the canonical scheme the SVD's U and
+    V are signed permutations, so each element is one deflection
+    component divided by its wrench magnitude, exactly (a zero may lose
+    its sign), where D W^+ would multiply by a rounded 1 / magnitude.
     """
-    if len(wrenches) != 6:
-        return None
-    order: list[tuple[int, float] | None] = [None] * 6
-    for i, wrench in enumerate(wrenches):
-        single = wrench.single_component()
-        if single is None or order[single[0]] is not None:
-            return None
-        order[single[0]] = (i, single[1])
-    return order
-
-
-def canonical_order(experiments: Sequence[Experiment]) -> list[tuple[int, float]] | None:
-    """:func:`canonical_columns` of the experiments' wrenches."""
-    return canonical_columns([exp.wrench for exp in experiments])
-
-
-def _assemble_columns(deflections: Sequence[np.ndarray],
-                      order: list[tuple[int, float]]) -> np.ndarray:
-    """Canonical compliance matrices (..., 6, 6) from the deflection
-    vectors (..., 6) of each experiment and the scheme's column order."""
-    return np.stack([deflections[i] / magnitude for i, magnitude in order], axis=-1)
-
-
-def assemble_canonical(experiments: Sequence[Experiment]) -> ComplianceMatrix:
-    """Assemble k column by column from a canonical 6-wrench scheme.
-
-    The experiment loading component j fills column j with
-    deflection / magnitude.  Input order does not matter.  Raises
-    :class:`NotCanonical` for any other experiment set.
-    """
-    order = canonical_order(experiments)
-    if order is None:
-        raise NotCanonical(NOT_CANONICAL)
-    return ComplianceMatrix(_assemble_columns(
-        [exp.deflection.as_vector() for exp in experiments], order))
+    U, s, Vt = svd
+    return ((deflections @ Vt.T) / s) @ U.T
 
 
 def assemble_overdetermined(experiments: Sequence[Experiment]) -> ComplianceMatrix:
     """Least-squares assembly from m >= 6 wrenches of any structure.
 
     Solves min |k W - D| over k, where W and D stack the wrench and
-    deflection vectors column-wise.  Requires the wrenches to span all
-    six directions.
+    deflection vectors column-wise: k = D W^+.  Requires the wrenches
+    to span all six directions, else :class:`RankDeficientWrenches`.
     """
-    m = len(experiments)
-    if m < 6:
-        raise RankDeficientWrenches(
-            f"insufficient experiments: need at least 6, got {m}")
-    W = np.column_stack([e.wrench.as_vector() for e in experiments])
-    D = np.column_stack([e.deflection.as_vector() for e in experiments])
-    s = np.linalg.svd(W, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
-        raise RankDeficientWrenches(
-            "wrench set does not span all six load directions")
-    kT, *_ = np.linalg.lstsq(W.T, D.T, rcond=None)
-    return ComplianceMatrix(kT.T)
+    svd = _wrench_svd([e.wrench for e in experiments])
+    return ComplianceMatrix(_least_squares(
+        np.column_stack([e.deflection.as_vector() for e in experiments]), svd))
+
+
+def assemble_canonical(experiments: Sequence[Experiment]) -> ComplianceMatrix:
+    """Assemble k from a canonical 6-wrench scheme.
+
+    The experiment loading component j fills column j with
+    deflection / magnitude; this is :func:`assemble_overdetermined`
+    on a set it accepts.  Input order does not matter.  Raises
+    :class:`NotCanonical` for any other experiment set.
+    """
+    if not is_canonical([exp.wrench for exp in experiments]):
+        raise NotCanonical("experiments must form the canonical scheme: six "
+                           "single-component wrenches, one per component")
+    return assemble_overdetermined(experiments)
 
 
 def _symmetrize(k: np.ndarray, mask: np.ndarray | None,

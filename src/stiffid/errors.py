@@ -25,6 +25,11 @@ class DegenerateGeometry(StiffidError):
     """Node layout leaves part of the rigid motion unobservable."""
 
 
+class NonFiniteDeflection(StiffidError, ValueError):
+    """Deflection is infinite or NaN, as when a field value overflows
+    the fit."""
+
+
 class EntryOutOfRange(StiffidError):
     """Rotation matrix entry outside the asin domain."""
 

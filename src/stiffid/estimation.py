@@ -72,7 +72,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGeometry, EntryOutOfRange, LinearizationWarning
+from .errors import (
+    DegenerateGeometry,
+    EntryOutOfRange,
+    LinearizationWarning,
+    NonFiniteDeflection,
+)
 from .field import DisplacementField, column_mean
 
 # Small-angle validity bound for the linearized model, rad (about 1 degree).
@@ -242,11 +247,12 @@ class Deflection:
 
 
 def _check_deflections(translation: np.ndarray, rotation: np.ndarray) -> None:
-    """Reject non-finite deflections and warn once for each row (leading
-    axes of the (..., 3) arrays) whose rotation leaves the small-angle
-    regime."""
+    """Reject non-finite deflections with :class:`NonFiniteDeflection`
+    (a ``ValueError``) and warn once for each row (leading axes of the
+    (..., 3) arrays) whose rotation leaves the small-angle regime."""
     if not (np.isfinite(translation).all() and np.isfinite(rotation).all()):
-        raise ValueError("deflection components must be finite")
+        raise NonFiniteDeflection("deflection components must be finite (a field "
+                                  "value too large for the fit overflows)")
     norms = np.sqrt(np.einsum("...i,...i->...", rotation, rotation)).ravel()
     for norm in norms[norms >= ROTATION_WARN_LIMIT].tolist():
         warnings.warn(
@@ -374,7 +380,7 @@ def _fit_geometry(positions: np.ndarray) -> tuple[FitGeometry, np.ndarray]:
     DegenerateGeometry
         If the layout has fewer than 3 nodes or the rotation normal
         matrix of any row is numerically singular (rotation unobservable
-        about some axis).
+        about some axis) or overflows.
     """
     n = positions.shape[-2]
     if n < 3:
@@ -383,6 +389,8 @@ def _fit_geometry(positions: np.ndarray) -> tuple[FitGeometry, np.ndarray]:
     c = column_mean(positions)
     rel = positions - c[..., None, :]
     m = moment_matrix(rel)
+    if not np.isfinite(m).all():
+        raise DegenerateGeometry("node positions overflow the rotation normal matrix")
     eig, vec = np.linalg.eigh(m)
     if (eig[..., 0] <= DEGENERACY_RTOL * m.trace(axis1=-2, axis2=-1)).any():
         raise DegenerateGeometry(
@@ -450,6 +458,8 @@ def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
     q, disp_rel = _centred(displacements)
     moved_rel = rel + disp_rel
     cross = _gram(rel, moved_rel)
+    if not np.isfinite(cross).all():
+        raise NonFiniteDeflection("displacements overflow the Procrustes fit")
     U, s, Vt = np.linalg.svd(cross)
     if ((s[..., 0] <= 0.0) | (s[..., 1] <= DEGENERACY_RTOL * s[..., 0])).any():
         raise DegenerateGeometry(
@@ -500,8 +510,10 @@ def estimate_svd(field: DisplacementField,
     Raises
     ------
     DegenerateGeometry
-        If the rotation normal matrix is numerically singular, or the
-        cross-covariance has rank < 2.
+        If the rotation normal matrix is numerically singular or
+        overflows, or the cross-covariance has rank < 2.
+    NonFiniteDeflection
+        If the displacements overflow the fit (a ``ValueError``).
     """
     _require_centered(field, "estimate_svd")
     return _fit_result(_fit_svd(*_fit_geometry(field.positions),
@@ -521,7 +533,10 @@ def estimate_lin(field: DisplacementField) -> FitResult:
     Raises
     ------
     DegenerateGeometry
-        If the rotation normal matrix is numerically singular.
+        If the rotation normal matrix is numerically singular or
+        overflows.
+    NonFiniteDeflection
+        If the displacements overflow the fit (a ``ValueError``).
     """
     _require_centered(field, "estimate_lin")
     return _fit_result(_fit_lin(*_fit_geometry(field.positions),

@@ -33,12 +33,11 @@ import numpy as np
 
 from .compliance import (
     ComplianceMatrix,
-    Experiment,
     Wrench,
-    _assemble_columns,
+    _least_squares,
     _symmetrize,
-    assemble_overdetermined,
-    canonical_columns,
+    _wrench_svd,
+    is_canonical,
 )
 from .errors import InvalidArgument
 from .estimation import (
@@ -46,7 +45,6 @@ from .estimation import (
     FitGeometry,
     FitResult,
     Fits,
-    _deflection,
     _fit_geometry,
     _fit_lin,
     _fit_result,
@@ -63,7 +61,7 @@ from .stats import (
     SignificanceReport,
     _check_fraction,
     _check_multiplier,
-    _component_std,
+    _component_variance,
     _covariance,
     _drop_mask,
     _halfwidth,
@@ -119,7 +117,7 @@ class IdentifyOptions:
 class IdentificationResult:
     matrix: ComplianceMatrix
     assembled: ComplianceMatrix
-    significance: SignificanceReport | None
+    significance: SignificanceReport
     noise: NoiseEstimate
     fits: tuple[FitResult, ...]
     covariances: tuple[DeflectionCovariance, ...]
@@ -163,13 +161,12 @@ class BatchIdentification(NamedTuple):
     noise level of the initial fit and ``covariances[j]`` the
     translation and rotation covariance blocks (S, 3, 3) of the final
     fit.  ``sigma`` (S,) is the pooled noise level with ``dof`` degrees
-    of freedom.  ``order`` is the canonical column order, or None for a
-    least-squares wrench set, which has no significance stage
-    (``halfwidth``, ``significant`` and ``safety`` are then None).
-    ``assembled`` (S, 6, 6) is the matrix before the significance stage,
-    ``safety`` the safety factors of the significant elements (NaN
-    elsewhere), and ``matrix`` and ``mask`` the final matrices and
-    significance masks.
+    of freedom.  Every admissible wrench set gives every array:
+    ``assembled`` (S, 6, 6) is the least-squares matrix before the
+    significance stage, ``halfwidth`` its confidence halfwidths,
+    ``significant`` the elements outside them, ``safety`` the safety
+    factors of the significant elements (NaN elsewhere), and ``matrix``
+    and ``mask`` the final matrices and significance masks.
     """
 
     fits: tuple[Fits, ...]
@@ -178,13 +175,12 @@ class BatchIdentification(NamedTuple):
     dof: int
     per_experiment_sigma: tuple[np.ndarray, ...]
     covariances: tuple[tuple[np.ndarray, np.ndarray], ...]
-    order: list[tuple[int, float]] | None
     assembled: np.ndarray
-    halfwidth: np.ndarray | None
-    significant: np.ndarray | None
-    safety: np.ndarray | None
+    halfwidth: np.ndarray
+    significant: np.ndarray
+    safety: np.ndarray
     matrix: np.ndarray
-    mask: np.ndarray | None
+    mask: np.ndarray
 
 
 def _fit(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
@@ -239,9 +235,14 @@ def identify_batch(positions: Sequence[np.ndarray],
     so `displacements` may be a generator that makes each array only
     when it is needed.  Each row runs the full chain of
     :func:`run_identification`: fit, pool sigma over the experiments,
-    drop outliers, refit, covariances, assembly, significance (for the
-    canonical scheme) and symmetrization.  Any row's failure (a
-    degenerate node layout, too few nodes left) raises for the batch.
+    drop outliers, refit, covariances, least-squares assembly,
+    significance and symmetrization.  The wrenches, at least six that
+    span all six load directions, have one SVD per call, shared by
+    every row: it gives the assembly k = D W^+ and the element
+    variances sum_j (W^+)_jl^2 Var(D_ij) of the significance stage.
+    Any row's failure (a degenerate node layout, too few nodes left)
+    raises for the batch, and a wrench set that is not admissible
+    raises :class:`~stiffid.errors.RankDeficientWrenches`.
     Experiments whose positions equal an earlier experiment's share its
     fit geometry.
     """
@@ -286,28 +287,22 @@ def identify_batch(positions: Sequence[np.ndarray],
         dropped.append(drop)
     sigma, dof, per_experiment = _pool_sigma(objectives, counts)
     covariances = tuple(_covariance(fit.geometry, sigma) for fit in fits)
-    deflections = [np.concatenate([fit.translation, fit.rotation], axis=-1)
-                   for fit in fits]
-
-    order = canonical_columns(wrenches)
-    halfwidth = significant = safety = None
-    if order is not None:
-        matrix = assembled = _assemble_columns(deflections, order)
-        halfwidth = _halfwidth([_component_std(*c) for c in covariances], order,
-                               options.confidence_multiplier)
-        significant, matrix, safety = _significance(assembled, halfwidth)
-    else:
-        matrix = assembled = np.stack([
-            assemble_overdetermined([Experiment(w, _deflection(fit, row))
-                                     for w, fit in zip(wrenches, fits)]).k
-            for row in range(len(sigma))])
+    # Least squares for every admissible wrench set: k = D W^+, and
+    # Var(k_il) = sum_j (W^+)_jl^2 Var(D_ij) from the diagonals of the
+    # experiments' covariances, with D and Var stacked (S, 6, m).
+    svd = _wrench_svd(wrenches)
+    deflections = np.stack([np.concatenate([fit.translation, fit.rotation], axis=-1)
+                            for fit in fits], axis=-1)
+    variances = np.stack([_component_variance(*c) for c in covariances], axis=-1)
+    assembled = _least_squares(deflections, svd)
+    halfwidth = _halfwidth(variances, svd, options.confidence_multiplier)
+    significant, matrix, safety = _significance(assembled, halfwidth)
     mask = significant
     if options.symmetrize:
         matrix, mask = _symmetrize(matrix, mask)
     return BatchIdentification(tuple(fits), tuple(dropped), sigma, dof,
-                               tuple(per_experiment), covariances, order,
-                               assembled, halfwidth, significant, safety,
-                               matrix, mask)
+                               tuple(per_experiment), covariances, assembled,
+                               halfwidth, significant, safety, matrix, mask)
 
 
 def run_identification(cases: Sequence[LoadCase],
@@ -316,17 +311,18 @@ def run_identification(cases: Sequence[LoadCase],
     """Run the full identification pipeline over a set of load cases.
 
     Fields must be centered (and already restricted to their sensor
-    region).  With the canonical scheme (six single-component wrenches,
-    one per component, in any order) the matrix is assembled column by
-    column and significance-tested; any other admissible set is reduced
-    by least squares and the significance stage is skipped.  This is
-    :func:`identify_batch` with one row.
+    region).  Any set of at least six wrenches that spans all six load
+    directions is assembled by least squares and significance-tested;
+    ``canonical`` records whether it was the canonical scheme (six
+    single-component wrenches, one per component, in any order), which
+    no stage depends on.  This is :func:`identify_batch` with one row.
     """
     for case in cases:
         _require_centered(case.field, "run_identification")
+    wrenches = [case.wrench for case in cases]
     batch = identify_batch([case.field.positions for case in cases],
                            [case.field.displacements[None] for case in cases],
-                           [case.wrench for case in cases], options)
+                           wrenches, options)
     noise = NoiseEstimate(float(batch.sigma[0]), batch.dof,
                           tuple(float(s[0]) for s in batch.per_experiment_sigma))
     log.info("pooled noise sigma=%.6g from %d experiments", noise.sigma, len(cases))
@@ -339,15 +335,11 @@ def run_identification(cases: Sequence[LoadCase],
     covariances = tuple(DeflectionCovariance(t[0], r[0]) for t, r in batch.covariances)
 
     assembled = ComplianceMatrix(batch.assembled[0])
-    report = None
-    if batch.order is None:
-        log.info("non-canonical wrench set: significance test skipped")
-    else:
-        report = _report(batch.assembled[0], batch.halfwidth[0], batch.significant[0],
-                         batch.safety[0], options.confidence_multiplier)
+    report = _report(batch.assembled[0], batch.halfwidth[0], batch.significant[0],
+                     batch.safety[0], options.confidence_multiplier)
     log.info("assembled matrix asymmetry %.3e", assembled.asymmetry())
-    mask = None if batch.mask is None else batch.mask[0]
-    matrix = ComplianceMatrix(batch.matrix[0], mask, symmetrized=options.symmetrize)
+    matrix = ComplianceMatrix(batch.matrix[0], batch.mask[0],
+                              symmetrized=options.symmetrize)
     return IdentificationResult(matrix, assembled, report, noise, fits, covariances,
-                                removed, batch.order is not None, options,
+                                removed, is_canonical(wrenches), options,
                                 tuple(case.source for case in cases))

@@ -25,12 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .compliance import NOT_CANONICAL, ComplianceMatrix, Experiment, canonical_order
+from .compliance import ComplianceMatrix, Experiment, _pseudo_inverse, _wrench_svd
 from .errors import (
     InsufficientDof,
     InvalidArgument,
     MissingCovariance,
-    NotCanonical,
     TooFewRemaining,
 )
 from .estimation import FitGeometry, FitResult, _fit_geometry
@@ -111,7 +110,7 @@ class DeflectionCovariance:
 
     def component_std(self) -> np.ndarray:
         """Standard deviations of the 6 deflection components."""
-        return _component_std(self.translation, self.rotation)
+        return np.sqrt(_component_variance(self.translation, self.rotation))
 
 
 def _check_sigma(sigma: float) -> None:
@@ -145,11 +144,11 @@ def _covariance(geometry: FitGeometry, sigma: np.ndarray,
             variance[..., None, None] * geometry.inverse)
 
 
-def _component_std(translation: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """Standard deviations (..., 6) of the deflection components from
-    the covariance blocks (..., 3, 3)."""
-    return np.sqrt(np.concatenate([np.diagonal(translation, axis1=-2, axis2=-1),
-                                   np.diagonal(rotation, axis1=-2, axis2=-1)], axis=-1))
+def _component_variance(translation: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """Variances (..., 6) of the deflection components from the
+    covariance blocks (..., 3, 3)."""
+    return np.concatenate([np.diagonal(translation, axis1=-2, axis2=-1),
+                           np.diagonal(rotation, axis1=-2, axis2=-1)], axis=-1)
 
 
 def system_covariance(geometry: FitGeometry, sigma: float) -> DeflectionCovariance:
@@ -277,15 +276,17 @@ class SignificanceReport:
         }
 
 
-def _halfwidth(std: Sequence[np.ndarray], order: list[tuple[int, float]],
+def _halfwidth(variances: np.ndarray, svd: tuple[np.ndarray, np.ndarray, np.ndarray],
                multiplier: float) -> np.ndarray:
-    """Confidence halfwidths (..., 6, 6) of canonical compliance elements
-    from the deflection standard deviations (..., 6) of each experiment
-    and the scheme's column order (see
-    :func:`~stiffid.compliance.canonical_columns`): column j holds those
-    of the experiment loading component j over its magnitude."""
-    columns = np.stack([std[i] for i, _ in order], axis=-1)
-    return multiplier * columns / np.abs(np.asarray([m for _, m in order], dtype=float))
+    """Confidence halfwidths (..., 6, 6) of least-squares compliance
+    elements k = D A with A = W^+, from the variances (..., 6, m) of
+    the deflection components of each experiment and the
+    :func:`~stiffid.compliance._wrench_svd` of W.
+
+    The experiments are independent, so Var(k_il) = sum_j A_jl^2
+    Var(D_ij): only the diagonal of each deflection covariance enters.
+    """
+    return multiplier * np.sqrt(variances @ np.square(_pseudo_inverse(svd)))
 
 
 def _significance(k: np.ndarray, halfwidth: np.ndarray,
@@ -318,16 +319,19 @@ def significance_test(matrix: ComplianceMatrix,
                       ) -> tuple[SignificanceReport, ComplianceMatrix]:
     """Zero out compliance elements indistinguishable from zero.
 
-    The experiments must form the canonical scheme (see
-    :func:`~stiffid.compliance.canonical_order`) so every column of the
-    matrix maps to exactly one experiment; otherwise :class:`NotCanonical`
-    is raised.  The confidence halfwidth of element (i, j) is
-    ``level_multiplier`` times the standard deviation of deflection
-    component i of the column-j experiment, divided by the wrench
-    magnitude.  Elements whose interval contains zero are set to
-    zero and recorded in the significance mask; significant elements
-    report the safety factor |estimate| / halfwidth (infinite for a
-    zero halfwidth).  ``level_multiplier`` must be a positive and finite
+    `matrix` is taken as the least-squares assembly k = D W^+ of the
+    experiments (see :func:`~stiffid.compliance.assemble_overdetermined`),
+    whose wrenches may be any set of at least six that spans all six
+    load directions, else :class:`RankDeficientWrenches` is raised.
+    The confidence halfwidth of element (i, l) is ``level_multiplier``
+    times its standard deviation sqrt(sum_j A_jl^2 Var(d_j[i])), with
+    A = W^+ and Var(d_j[i]) the variance of deflection component i of
+    experiment j from its covariance.  For the canonical scheme that is
+    the standard deviation of component i of the column-l experiment
+    over the wrench magnitude.  Elements whose interval contains zero
+    are set to zero and recorded in the significance mask; significant
+    elements report the safety factor |estimate| / halfwidth (infinite
+    for a zero halfwidth).  ``level_multiplier`` must be a positive and finite
     number, not a bool (the rule of ``IdentifyOptions``'
     ``confidence_multiplier``), else :class:`InvalidArgument` (a
     ``ValueError``) is raised.
@@ -335,10 +339,9 @@ def significance_test(matrix: ComplianceMatrix,
     _check_multiplier(level_multiplier, "level_multiplier")
     if len(covariances) != len(experiments) or any(c is None for c in covariances):
         raise MissingCovariance("need one deflection covariance per experiment")
-    order = canonical_order(experiments)
-    if order is None:
-        raise NotCanonical(NOT_CANONICAL)
-    halfwidth = _halfwidth([c.component_std() for c in covariances], order,
+    variances = np.stack([_component_variance(c.translation, c.rotation)
+                          for c in covariances], axis=-1)
+    halfwidth = _halfwidth(variances, _wrench_svd([e.wrench for e in experiments]),
                            level_multiplier)
     significant, zeroed, safety = _significance(matrix.k, halfwidth)
     report = _report(matrix.k, halfwidth, significant, safety, level_multiplier)

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .compliance import ComplianceMatrix, Wrench, canonical_wrench_scheme
-from .errors import InvalidArgument, InvalidPattern, LinearizationWarning, NotCanonical
+from .errors import InvalidArgument, InvalidPattern, LinearizationWarning
 from .estimation import (
     AngleExtractionMethod,
     Deflection,
@@ -336,14 +336,11 @@ def beam_compliance_oracle(spec: BeamSpec = BeamSpec()) -> ComplianceMatrix:
 def beam_tip_field(spec: BeamSpec, wrench: Wrench, pattern: MeshPattern,
                    sigma: float = 0.0, seed: int = 0,
                    center=None) -> DisplacementField:
-    """Synthesize the sensor field of one canonical beam experiment.
+    """Synthesize the sensor field of one beam experiment under any wrench.
 
-    The tip deflection follows from the beam oracle; sensor nodes near
-    the tip move rigidly with it.  Only single-component wrenches are
-    accepted.
+    The tip deflection d = k w follows from the beam oracle k; sensor
+    nodes near the tip move rigidly with it.
     """
-    if wrench.single_component() is None:
-        raise NotCanonical("beam experiments use single-component wrenches")
     k = beam_compliance_oracle(spec)
     d = k.k @ wrench.as_vector()
     truth = GroundTruth(Deflection(d[:3], d[3:]), sigma, seed)

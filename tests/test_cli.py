@@ -216,12 +216,13 @@ class TestIdentify:
                      "--no-symmetrize", "--out", str(out)]) == 0
         assert not load_compliance_json(out / "compliance.json").symmetrized
 
-    def test_non_canonical_run_removes_old_significance(self, sim_dir, tmp_path):
+    def test_seven_wrench_run_writes_its_own_report(self, sim_dir, tmp_path):
         out = tmp_path / "ident"
         assert main(["identify", str(sim_dir / "manifest.json"), "--out", str(out)]) == 0
-        assert (out / "significance.json").exists()
+        six = read_manifest(out / "significance.json")
         # A seventh experiment, a repeat of the first, makes the set
-        # least-squares: it has no significance stage.
+        # least-squares; it runs the same significance stage into the
+        # same --out, which now holds this run's report.
         data = read_manifest(sim_dir / "manifest.json")
         data["experiments"].append(data["experiments"][0])
         for entry in data["experiments"]:
@@ -230,7 +231,14 @@ class TestIdentify:
         write_manifest(manifest, data)
         assert main(["identify", str(manifest), "--out", str(out)]) == 0
         assert not read_manifest(out / "run_log.json")["canonical"]
-        assert not (out / "significance.json").exists()
+        seven = read_manifest(out / "significance.json")
+        assert len(seven["elements"]) == 36
+        assert seven != six
+        significant = np.zeros((6, 6), dtype=bool)
+        for e in seven["elements"]:
+            significant[e["row"] - 1, e["col"] - 1] = e["significant"]
+        mask = load_compliance_json(out / "compliance.json").significance_mask
+        assert_array_equal(mask, significant | significant.T)
 
     def test_json_format_stdout(self, sim_dir, tmp_path, capsys):
         main(["identify", str(sim_dir / "manifest.json"),
@@ -321,6 +329,46 @@ class TestIdentifyErrors:
         payload = self.stderr_payload(capsys)
         assert payload["error"] == "RankDeficientWrenches"
         assert "insufficient experiments" in payload["message"]
+
+    def overflow_manifest(self, sim_dir, tmp_path, column, value, rows):
+        """The simulated manifest with field_fx.csv's `column` set to
+        `value` on the given data rows."""
+        lines = (sim_dir / "field_fx.csv").read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        index = lines[header].split(",").index(column)
+        for row in rows:
+            cells = lines[header + 1 + row].split(",")
+            cells[index] = value
+            lines[header + 1 + row] = ",".join(cells)
+        (tmp_path / "field_fx.csv").write_text("\n".join(lines) + "\n")
+        data = read_manifest(sim_dir / "manifest.json")
+        for entry in data["experiments"][1:]:
+            entry["field_file"] = str(sim_dir / entry["field_file"])
+        manifest = tmp_path / "m.json"
+        write_manifest(manifest, data)
+        return manifest
+
+    @pytest.mark.parametrize("estimator", ["lin", "svd"])
+    def test_overflowing_displacement_exit_3(self, sim_dir, tmp_path, capsys, estimator):
+        # Three dx of 1e308 make the mean displacement infinite.
+        manifest = self.overflow_manifest(sim_dir, tmp_path, "dx", "1e308", (0, 1, 2))
+        assert main(["identify", str(manifest), "--estimator", estimator,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert self.stderr_payload(capsys)["error"] == "NonFiniteDeflection"
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_position_exit_3(self, sim_dir, tmp_path, capsys):
+        # Without a sensor block the node at x = 1e200 stays in the fit,
+        # and its squared distance overflows the rotation normal matrix.
+        manifest = self.overflow_manifest(sim_dir, tmp_path, "x", "1e200", (0,))
+        data = read_manifest(manifest)
+        for entry in data["experiments"]:
+            del entry["sensor"]
+        write_manifest(manifest, data)
+        assert main(["identify", str(manifest), "--out", str(tmp_path / "o")]) == 3
+        payload = self.stderr_payload(capsys)
+        assert payload["error"] == "DegenerateGeometry"
+        assert "overflow" in payload["message"]
 
     def test_corrupt_field_file_exit_2(self, tmp_path, capsys):
         out = tmp_path / "sim"

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from stiffid import (
     ComplianceMatrix,
     Deflection,
-    DeflectionCovariance,
     Experiment,
+    InvalidArgument,
     NotCanonical,
     RankDeficientWrenches,
     SingularCompliance,
@@ -23,10 +23,9 @@ from stiffid import (
     invert_to_stiffness,
     load_compliance_json,
     save_compliance_json,
-    significance_test,
     symmetrize,
 )
-from stiffid.compliance import canonical_order
+from stiffid.compliance import is_canonical
 
 # Closed-form tip compliance of the clamped 1000 x 10 x 10 mm cantilever
 # (E = 2e5 N/mm^2, nu = 0.266), assembled here from first principles so
@@ -60,14 +59,10 @@ def forward_experiments(k, magnitudes=(1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)
 
 
 def assert_not_canonical(experiments):
-    """canonical_order finds no scheme, so both of its consumers raise."""
-    assert canonical_order(experiments) is None
+    """is_canonical finds no scheme, so assemble_canonical raises."""
+    assert not is_canonical([exp.wrench for exp in experiments])
     with pytest.raises(NotCanonical):
         assemble_canonical(experiments)
-    cov = DeflectionCovariance(np.eye(3), np.eye(3))
-    with pytest.raises(NotCanonical):
-        significance_test(ComplianceMatrix(np.eye(6)), experiments,
-                          [cov] * len(experiments))
 
 
 class TestWrench:
@@ -151,8 +146,7 @@ class TestAssembleCanonical:
         shuffled = [experiments[i] for i in (4, 0, 5, 2, 1, 3)]
         assert_allclose(assemble_canonical(shuffled).k,
                         assemble_canonical(experiments).k, atol=0)
-        assert canonical_order(shuffled) == [(1, 1000.0), (4, 1.0), (3, 1.0),
-                                             (5, 1000.0), (0, 1000.0), (2, 1000.0)]
+        assert is_canonical([exp.wrench for exp in shuffled])
 
     def test_magnitude_scaling_cancels(self):
         k = reference_matrix()
@@ -184,6 +178,20 @@ class TestAssembleCanonical:
 
 
 class TestAssembleOverdetermined:
+    @pytest.mark.parametrize("order", [range(6), (4, 0, 5, 2, 1, 3)],
+                             ids=["in-order", "shuffled"])
+    def test_canonical_columns_are_deflection_over_magnitude(self, order):
+        # The least-squares assembly divides by the singular values after
+        # the product with V, so a canonical column is each deflection
+        # over its magnitude exactly, not times a rounded reciprocal (only
+        # the sign of a zero may differ: the products' zeros add to +0).
+        magnitudes = (1000.0, 1.0, 3.0, -1000.0, 7.0, 1000.0)
+        experiments = forward_experiments(reference_matrix(), magnitudes)
+        expected = np.column_stack([e.deflection.as_vector() / m
+                                    for e, m in zip(experiments, magnitudes)])
+        got = assemble_overdetermined([experiments[i] for i in order]).k
+        assert_array_equal(got, expected)
+
     def test_matches_canonical_on_canonical_set(self):
         experiments = forward_experiments(reference_matrix())
         a = assemble_canonical(experiments).k
@@ -345,3 +353,16 @@ class TestSerialization:
     def test_missing_matrix_key_rejected(self):
         with pytest.raises(ValueError):
             compliance_from_json_dict({"symmetrized": True})
+
+    @pytest.mark.parametrize("key, value", [
+        ("symmetrized", "false"), ("symmetrized", 0), ("symmetrized", None),
+        ("significance_mask", [[0.5] * 6] * 6),
+        ("significance_mask", [[1] * 6] * 6),
+        ("significance_mask", [[True] * 5 + ["no"]] + [[True] * 6] * 5),
+    ])
+    def test_non_boolean_flags_rejected(self, key, value):
+        # A cast would load "false" and a mask of 0.5 as all true.
+        data = ComplianceMatrix(reference_matrix()).to_json_dict()
+        data[key] = value
+        with pytest.raises(InvalidArgument, match=key):
+            compliance_from_json_dict(data)

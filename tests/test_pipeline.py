@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose, assert_array_equal
 
 import stiffid
 import stiffid.pipeline
@@ -12,6 +13,7 @@ from stiffid import (
     Deflection,
     DegenerateGeometry,
     DisplacementField,
+    Experiment,
     IdentifyOptions,
     InvalidArgument,
     LinearizationWarning,
@@ -19,17 +21,21 @@ from stiffid import (
     MeshPattern,
     TooFewRemaining,
     Wrench,
+    assemble_overdetermined,
     beam_compliance_oracle,
     beam_load_cases,
+    beam_tip_field,
     canonical_wrench_scheme,
     estimate_lin,
     filter_outliers,
     run_identification,
+    significance_test,
 )
 from stiffid.estimation import _GRAM_BLOCK, _geometry_row, _planes
 from stiffid.synthetic import (
     DEFAULT_LOADS,
     GroundTruth,
+    _noisy_displacements,
     apply_rigid_transform,
     generate_pattern,
 )
@@ -42,20 +48,22 @@ def noisy_cases():
     return beam_load_cases(BeamSpec(), MeshPattern.cubic(6.0, 1.0), sigma=5.6e-5, seed=4)
 
 
-def test_extra_combined_wrench_is_least_squares(noisy_cases, monkeypatch):
-    calls = []
-    original = stiffid.pipeline.assemble_overdetermined
-
-    def spy(experiments):
-        calls.append(len(experiments))
-        return original(experiments)
-
-    monkeypatch.setattr(stiffid.pipeline, "assemble_overdetermined", spy)
+def test_extra_combined_wrench_is_least_squares(noisy_cases):
     extra = LoadCase(noisy_cases[0].field, Wrench([1000.0, 1.0, 0.0], np.zeros(3)))
-    result = run_identification(noisy_cases + [extra])
+    cases = noisy_cases + [extra]
+    result = run_identification(cases)
     assert not result.canonical
-    assert result.significance is None
-    assert calls == [7]
+    experiments = [Experiment(case.wrench, fit.deflection)
+                   for case, fit in zip(cases, result.fits)]
+    assert_allclose(result.assembled.k, assemble_overdetermined(experiments).k,
+                    rtol=1e-13, atol=1e-20)
+    # The seven-wrench set runs the same significance stage as the
+    # canonical scheme, and significance_test agrees with it.
+    report, tested = significance_test(result.assembled, experiments,
+                                       result.covariances)
+    assert result.significance == report
+    assert_array_equal(result.matrix.significance_mask,
+                       tested.significance_mask | tested.significance_mask.T)
 
 
 def test_shuffled_canonical_scheme_gives_same_bytes(noisy_cases):
@@ -75,6 +83,47 @@ def test_zero_outlier_fraction_equals_a_run_without_filter(noisy_cases, monkeypa
     assert result.matrix.k.tobytes() == unfiltered.matrix.k.tobytes()
     assert result.significance.to_json_dict() == unfiltered.significance.to_json_dict()
     assert result.noise == unfiltered.noise
+
+
+def seven_wrench_set(combined):
+    """The six canonical wrenches plus `combined`, a least-squares set,
+    and their noise-free fields on the 121-node square."""
+    wrenches = canonical_wrench_scheme(*DEFAULT_LOADS) + [combined]
+    pattern = MeshPattern.square(10.0, 1.0, "x")
+    return wrenches, [beam_tip_field(BeamSpec(), w, pattern) for w in wrenches]
+
+
+def test_seven_wrench_halfwidths_match_monte_carlo_spread():
+    # 2,000 seeds as the rows of one batch: the error of each element
+    # over its reported std, halfwidth / multiplier, must have unit
+    # spread.  The combined wrench loads every component, so every
+    # column mixes two experiments.  With outlier_fraction=0 every node
+    # is fit; the trim's effect on the spread is not tested here.
+    wrenches, fields = seven_wrench_set(Wrench([500.0, 0.5, 0.5], [500.0] * 3))
+    seeds = 2000
+    options = IdentifyOptions(outlier_fraction=0.0)
+    displacements = (_noisy_displacements(field.displacements, 5.6e-5,
+                                          [7 * s + j for s in range(seeds)])
+                     for j, field in enumerate(fields))
+    batch = stiffid.identify_batch([fields[0].positions] * 7, displacements, wrenches,
+                                   options)
+    std = batch.halfwidth / options.confidence_multiplier
+    z = (batch.assembled - beam_compliance_oracle().k) / std
+    spread = z.std(axis=0, ddof=1)
+    assert np.all(np.abs(spread - 1.0) <= 0.06), spread
+
+
+def test_seven_wrench_noise_free_structural_zeros():
+    # Fx and Fy combined.  A combined wrench that mixes the 1 N forces
+    # with 1000 N mm torques leaves zeros of up to 2e-13 by any
+    # least-squares formula: the wrench matrix's condition number (about
+    # 1e3) times the roundoff of the 2 mm/N elements.
+    wrenches, fields = seven_wrench_set(Wrench([1000.0, 1.0, 0.0], np.zeros(3)))
+    result = run_identification([LoadCase(f, w) for f, w in zip(fields, wrenches)])
+    assert not result.canonical
+    assert np.max(np.abs(result.assembled.k[ZERO])) <= 1e-15
+    assert_allclose(result.assembled.k[~ZERO], beam_compliance_oracle().k[~ZERO],
+                    rtol=1e-12)
 
 
 def test_noise_free_square_structural_zeros():
@@ -157,7 +206,6 @@ def batch_row(batch, s):
 def test_batch_rows_equal_one_row_batches(jitter):
     positions, displacements, wrenches = beam_batch(range(4), jitter)
     batch = stiffid.identify_batch(positions, displacements, wrenches)
-    assert batch.order is not None
     for s in range(4):
         one = stiffid.identify_batch(
             [p if p.ndim == 2 else p[s:s + 1] for p in positions],

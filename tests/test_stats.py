@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from stiffid import (
     BeamSpec,
+    ComplianceMatrix,
     Deflection,
     DeflectionCovariance,
     DegenerateGeometry,
@@ -21,7 +22,7 @@ from stiffid import (
     InvalidArgument,
     MeshPattern,
     MissingCovariance,
-    NotCanonical,
+    RankDeficientWrenches,
     TooFewRemaining,
     Wrench,
     assemble_canonical,
@@ -455,15 +456,35 @@ class TestSignificanceTest:
             significance_test(matrix, experiments,
                               uniform_covariances(1e-9, 1e-11, count=5))
 
-    def test_needs_canonical_scheme(self):
+    def test_any_admissible_wrench_set(self):
+        # A combined wrench in place of Fx: the halfwidths are those of
+        # least squares, mult * sqrt(sum_j A_jl^2 Var(d_j[i])), A = W^+.
         k = beam_matrix()
         experiments = canonical_experiments(k)
-        matrix = assemble_canonical(experiments)
-        combined = Experiment(Wrench([1.0, 1.0, 0.0], [0.0, 0.0, 0.0]),
-                              experiments[0].deflection)
-        with pytest.raises(NotCanonical):
-            significance_test(matrix, [combined] + experiments[1:],
-                              uniform_covariances(1e-9, 1e-11))
+        combined = Wrench([1000.0, 1.0, 0.0], [0.0, 0.0, 0.0])
+        experiments[0] = Experiment(combined, Deflection.from_vector(
+            k @ combined.as_vector()))
+        covariances = [DeflectionCovariance((j + 1) * 1e-16 * np.eye(3),
+                                            (j + 1) * 1e-20 * np.eye(3))
+                       for j in range(6)]
+        report, _ = significance_test(ComplianceMatrix(k), experiments, covariances, 3.0)
+        A = np.linalg.pinv(np.column_stack([e.wrench.as_vector() for e in experiments]))
+        variances = np.column_stack([c.component_std() ** 2 for c in covariances])
+        expected = 3.0 * np.sqrt(variances @ A ** 2)
+        got = np.array([e.halfwidth for e in report.elements]).reshape(6, 6)
+        assert_allclose(got, expected, rtol=1e-12)
+        # column Fx is (d_0 - d_1) / 1000, so it carries the variance of
+        # both experiments; column Fy is d_1 alone
+        assert_allclose(got[0, 0], 3.0 * np.sqrt(1e-16 + 2e-16) / 1000.0, rtol=1e-12)
+        assert_allclose(got[0, 1], 3.0 * np.sqrt(2e-16), rtol=1e-12)
+        with pytest.raises(RankDeficientWrenches):
+            significance_test(ComplianceMatrix(k), experiments[:1] + experiments[2:],
+                              covariances[:5])
+        # twice the combined wrench in place of Fy: no wrench loads Fy alone
+        experiments[1] = Experiment(Wrench([2000.0, 2.0, 0.0], [0.0, 0.0, 0.0]),
+                                    experiments[1].deflection)
+        with pytest.raises(RankDeficientWrenches, match="span"):
+            significance_test(ComplianceMatrix(k), experiments, covariances)
 
     @pytest.mark.parametrize("multiplier", [math.nan, math.inf, -1.0, True])
     def test_multiplier_positive_and_finite(self, multiplier):

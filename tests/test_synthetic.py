@@ -16,7 +16,6 @@ from stiffid import (
     InvalidPattern,
     LinearizationWarning,
     MeshPattern,
-    NotCanonical,
     Wrench,
     apply_rigid_transform,
     beam_compliance_oracle,
@@ -269,10 +268,15 @@ class TestBeamModel:
         expected = beam_compliance_oracle().k @ wrench.as_vector()
         assert_allclose(fit.deflection.as_vector(), expected, atol=1e-12)
 
-    def test_combined_wrench_rejected(self):
-        with pytest.raises(NotCanonical):
-            beam_tip_field(BeamSpec(), Wrench([1.0, 1.0, 0.0], [0, 0, 0]),
-                           MeshPattern.cubic(10.0, 1.0))
+    def test_combined_wrench_moves_rigidly(self):
+        # d = k w holds for any wrench: every node moves by the oracle's
+        # translation plus its rotation crossed with the node offset.
+        wrench = Wrench([500.0, 0.5, 0.5], [500.0, 500.0, 500.0])
+        field = beam_tip_field(BeamSpec(), wrench, MeshPattern.cubic(4.0, 1.0))
+        d = beam_compliance_oracle().k @ wrench.as_vector()
+        expected = d[:3] + np.cross(d[3:], field.positions)
+        assert_allclose(field.displacements, expected, rtol=0, atol=1e-15)
+        assert_allclose(estimate_lin(field).deflection.as_vector(), d, atol=1e-15)
 
     def test_load_cases_layout(self):
         cases = beam_load_cases()
