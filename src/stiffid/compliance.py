@@ -37,6 +37,7 @@ UNITS_NOTE = {
 
 _COMPONENTS = ("Fx", "Fy", "Fz", "Mx", "My", "Mz")
 
+
 @dataclass(frozen=True)
 class Wrench:
     """Force (N) and torque (N mm) applied at the reference point."""
