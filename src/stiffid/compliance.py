@@ -134,24 +134,33 @@ class ComplianceMatrix:
         return "\n".join(lines)
 
 
+def _is_grid(value, accept) -> bool:
+    """Whether `value` is a list of 6 lists of 6 entries that `accept`."""
+    return isinstance(value, list) and len(value) == 6 and all(
+        isinstance(row, list) and len(row) == 6 and all(map(accept, row)) for row in value)
+
+
 def compliance_from_json_dict(data: dict) -> ComplianceMatrix:
     """Rebuild a matrix from the dictionary written by ``to_json_dict``.
 
-    ``symmetrized`` and the mask entries must be true or false, else
+    ``k`` must be 6 rows of 6 numbers, the mask (when given) 6 rows of
+    6 booleans and ``symmetrized`` a boolean, else
     :class:`InvalidArgument` (a ``ValueError``) is raised: a cast would
-    read ``"false"`` or ``0.5`` as true.
+    read ``"2.5"`` as 2.5, ``true`` as 1.0, and ``"false"`` or ``0.5``
+    as true.
     """
     if "k" not in data:
         raise ValueError("missing 'k' entry")
+    k = data["k"]
+    if not _is_grid(k, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)):
+        raise InvalidArgument("'k' must be 6 rows of 6 numbers")
     mask = data.get("significance_mask")
-    if mask is not None:
-        mask = np.asarray(mask)
-        if mask.dtype != bool:
-            raise InvalidArgument("significance_mask entries must be true or false")
+    if mask is not None and not _is_grid(mask, lambda v: isinstance(v, bool)):
+        raise InvalidArgument("significance_mask must be 6 rows of 6 true or false entries")
     symmetrized = data.get("symmetrized", False)
     if not isinstance(symmetrized, bool):
         raise InvalidArgument(f"symmetrized must be true or false, got {symmetrized!r}")
-    return ComplianceMatrix(np.asarray(data["k"], dtype=float), mask, symmetrized)
+    return ComplianceMatrix(np.asarray(k, dtype=float), mask, symmetrized)
 
 
 def load_compliance_json(path) -> ComplianceMatrix:
@@ -194,42 +203,57 @@ def is_canonical(wrenches: Sequence[Wrench]) -> bool:
         len({index for index, _ in singles}) == 6
 
 
-def _wrench_svd(wrenches: Sequence[Wrench]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _wrench_svd(wrenches: Sequence[Wrench]) -> tuple[np.ndarray, ...]:
     """The thin SVD ``U, s, Vt`` of the wrench matrix W (6, m), whose
-    columns are the wrenches, after the rank check it serves: raises
-    :class:`RankDeficientWrenches` for fewer than six wrenches or a set
-    that does not span all six load directions."""
+    columns are the wrenches, after each load component's row is
+    divided by its largest |entry|, and those row scales (6,).  The SVD
+    is also the rank check: raises :class:`RankDeficientWrenches` for
+    fewer than six wrenches or a set that does not span all six load
+    directions.
+
+    W mixes forces in N with torques in N mm, so its rows can differ in
+    size by the ratio of the load units.  Scaled rows make the rank
+    check independent of those units, and keep the roundoff of the
+    small elements of k from growing with that ratio.  A row of zeros,
+    a component that no wrench loads, fails before the division.
+    """
     m = len(wrenches)
     if m < 6:
         raise RankDeficientWrenches(
             f"insufficient experiments: need at least 6, got {m}")
-    U, s, Vt = np.linalg.svd(np.column_stack([w.as_vector() for w in wrenches]),
-                             full_matrices=False)
+    W = np.column_stack([w.as_vector() for w in wrenches])
+    scale = np.abs(W).max(axis=1)
+    if not scale.all():
+        raise RankDeficientWrenches(
+            f"no wrench loads {_COMPONENTS[int(np.argmin(scale))]}: the wrench set "
+            "does not span all six load directions")
+    U, s, Vt = np.linalg.svd(W / scale[:, None], full_matrices=False)
     if s[-1] <= 1e-12 * s[0]:
         raise RankDeficientWrenches(
             "wrench set does not span all six load directions")
-    return U, s, Vt
+    return U, s, Vt, scale
 
 
-def _pseudo_inverse(svd: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """W^+ = V diag(1/s) U^T (m, 6) from the :func:`_wrench_svd` of W."""
-    U, s, Vt = svd
-    return (Vt.T / s) @ U.T
+def _pseudo_inverse(svd: tuple[np.ndarray, ...]) -> np.ndarray:
+    """W^+ = V diag(1/s) U^T C^-1 (m, 6) from the :func:`_wrench_svd` of
+    W = C U diag(s) V^T, with C the diagonal of the row scales."""
+    U, s, Vt, scale = svd
+    return ((Vt.T / s) @ U.T) / scale
 
 
-def _least_squares(deflections: np.ndarray,
-                   svd: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+def _least_squares(deflections: np.ndarray, svd: tuple[np.ndarray, ...]) -> np.ndarray:
     """Compliance matrices k = D W^+ (..., 6, 6) of the deflections D
     (..., 6, m), whose column j belongs to wrench j, from the
     :func:`_wrench_svd` of W.
 
-    Formed as ((D V) / s) U^T: for the canonical scheme the SVD's U and
-    V are signed permutations, so each element is one deflection
-    component divided by its wrench magnitude, exactly (a zero may lose
-    its sign), where D W^+ would multiply by a rounded 1 / magnitude.
+    Formed as (((D V) / s) U^T) C^-1: for the canonical scheme the
+    scaled SVD's U and V are signed permutations and s is all ones, so
+    each element is one deflection component divided by its wrench
+    magnitude, exactly (a zero may lose its sign), where D W^+ would
+    multiply by a rounded 1 / magnitude.
     """
-    U, s, Vt = svd
-    return ((deflections @ Vt.T) / s) @ U.T
+    U, s, Vt, scale = svd
+    return (((deflections @ Vt.T) / s) @ U.T) / scale
 
 
 def assemble_overdetermined(experiments: Sequence[Experiment]) -> ComplianceMatrix:

@@ -130,13 +130,17 @@ def differential_rotation(angles) -> np.ndarray:
 
 
 def check_rotation(R: np.ndarray) -> None:
-    """Raise ValueError unless R is orthogonal with determinant +1."""
+    """Raise ValueError unless R is orthogonal with determinant +1.
+
+    `R` is one matrix (3, 3) or a stack (..., 3, 3), which fails if any
+    of its matrices does.  A non-finite entry fails the check.
+    """
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
+    if R.shape[-2:] != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got {R.shape}")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > ORTHOGONALITY_TOL:
+    if not (np.abs(R.swapaxes(-1, -2) @ R - np.eye(3)) <= ORTHOGONALITY_TOL).all():
         raise ValueError("matrix is not orthogonal within tolerance")
-    if abs(np.linalg.det(R) - 1.0) > ORTHOGONALITY_TOL:
+    if not (np.abs(np.linalg.det(R) - 1.0) <= ORTHOGONALITY_TOL).all():
         raise ValueError("matrix determinant is not +1 within tolerance")
 
 
@@ -155,11 +159,16 @@ class AngleExtractionMethod(enum.Enum):
     AVERAGED_ASIN = "avg-asin"
 
 
-def _asin(value: float) -> float:
-    # Entries may exceed 1 by roundoff for a matrix orthogonal within tol.
-    if abs(value) > 1.0 + ORTHOGONALITY_TOL:
-        raise EntryOutOfRange(f"rotation entry {value!r} outside the asin domain")
-    return math.asin(max(-1.0, min(1.0, value)))
+def _asin(values: np.ndarray) -> np.ndarray:
+    """``math.asin`` of each entry.  Entries may exceed 1 by roundoff for
+    a matrix orthogonal within tol.  ``np.arcsin`` is not used: it
+    differs from ``math.asin`` in the last bit for some inputs."""
+    outside = np.abs(values) > 1.0 + ORTHOGONALITY_TOL
+    if outside.any():
+        raise EntryOutOfRange(
+            f"rotation entry {values[outside][0]!r} outside the asin domain")
+    clipped = np.clip(values, -1.0, 1.0).ravel().tolist()
+    return np.array([math.asin(v) for v in clipped]).reshape(values.shape)
 
 
 def extract_angles(R: np.ndarray,
@@ -169,45 +178,39 @@ def extract_angles(R: np.ndarray,
 
     Parameters
     ----------
-    R : (3, 3) array
-        Rotation matrix (orthogonal within ``ORTHOGONALITY_TOL``).
+    R : (3, 3) or (..., 3, 3) array
+        Rotation matrix, or a stack of them (each orthogonal within
+        ``ORTHOGONALITY_TOL``).
     method : AngleExtractionMethod
-        Entry selection variant.
+        Entry selection variant: the entries above the diagonal
+        (``plus``), the negated ones below it (``minus``) or their mean
+        (``avg``), each read as they are or through asin.
 
     Returns
     -------
-    (3,) array of angles in rad.
+    (3,) or (..., 3) array of angles in rad.  Each matrix of a stack
+    gives the same bits as a call on that matrix alone.
 
     Raises
     ------
     EntryOutOfRange
-        For asin variants when an entry falls outside the asin domain by
-        more than roundoff.  Checked before orthogonality so a corrupt
-        matrix fails with the specific error.
+        For asin variants when an entry of any matrix falls outside the
+        asin domain by more than roundoff.  Checked before orthogonality
+        so a corrupt matrix fails with the specific error.
     ValueError
-        If R is not orthogonal with determinant +1.
+        If any matrix is not orthogonal with determinant +1.
     """
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
+    if R.shape[-2:] != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got {R.shape}")
-    method = AngleExtractionMethod(method)
-    plus = (R[2, 1], R[0, 2], R[1, 0])
-    minus = (-R[1, 2], -R[2, 0], -R[0, 1])
-    avg = tuple((p + m) / 2.0 for p, m in zip(plus, minus))
-    if method is AngleExtractionMethod.PLUS_ENTRIES:
-        vals = plus
-    elif method is AngleExtractionMethod.MINUS_ENTRIES:
-        vals = minus
-    elif method is AngleExtractionMethod.AVERAGED:
-        vals = avg
-    elif method is AngleExtractionMethod.PLUS_ASIN:
-        vals = tuple(_asin(v) for v in plus)
-    elif method is AngleExtractionMethod.MINUS_ASIN:
-        vals = tuple(_asin(v) for v in minus)
-    else:
-        vals = tuple(_asin(v) for v in avg)
+    entries, _, asin = AngleExtractionMethod(method).value.partition("-")
+    plus = R[..., (2, 0, 1), (1, 2, 0)]
+    minus = -R[..., (1, 2, 0), (2, 0, 1)]
+    vals = {"plus": plus, "minus": minus, "avg": (plus + minus) / 2.0}[entries]
+    if asin:
+        vals = _asin(vals)
     check_rotation(R)
-    return np.array(vals)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -470,10 +473,10 @@ def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
     flip[..., 2, 2] = np.sign(np.linalg.det(V @ Ut))
     R = V @ flip @ Ut
     translation = q - ((R - np.eye(3)) @ geometry.centroid[..., None])[..., 0]
-    rotation = np.array([extract_angles(r, method) for r in R.reshape(-1, 3, 3)])
+    rotation = extract_angles(R, method)
     # p + d - R p - translation, taken about the centroid
     residuals = moved_rel - (R @ rel.swapaxes(-1, -2)).swapaxes(-1, -2)
-    return _fits(geometry, translation, rotation.reshape(translation.shape), residuals)
+    return _fits(geometry, translation, rotation, residuals)
 
 
 def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray) -> Fits:

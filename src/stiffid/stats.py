@@ -276,7 +276,7 @@ class SignificanceReport:
         }
 
 
-def _halfwidth(variances: np.ndarray, svd: tuple[np.ndarray, np.ndarray, np.ndarray],
+def _halfwidth(variances: np.ndarray, svd: tuple[np.ndarray, ...],
                multiplier: float) -> np.ndarray:
     """Confidence halfwidths (..., 6, 6) of least-squares compliance
     elements k = D A with A = W^+, from the variances (..., 6, m) of

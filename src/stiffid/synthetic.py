@@ -18,9 +18,9 @@ one (S, n, 3) batch per experiment, with S the trials of a block of
 about ``_BLOCK_NODES`` nodes in all.  The arithmetic per field is
 unchanged, so a study's fields stay bit-identical to those of
 :func:`beam_load_cases`, :func:`beam_tip_field` and
-:func:`apply_rigid_transform` for the same seeds.  The noise and
-zero-detection studies hand each block to the batched core
-(:func:`~stiffid.estimation._fit_lin` and
+:func:`apply_rigid_transform` for the same seeds.  Every study hands
+each block to the batched core (:func:`~stiffid.estimation._fit_lin`,
+:func:`~stiffid.estimation._fit_svd` and
 :func:`~stiffid.pipeline.identify_batch`), whose rows equal one-trial
 runs bit for bit, so a study's results do not depend on the block size.
 """
@@ -41,9 +41,8 @@ from .estimation import (
     Deflection,
     _fit_geometry,
     _fit_lin,
+    _fit_svd,
     differential_rotation,
-    estimate_lin,
-    estimate_svd,
     rotation_xyz,
 )
 from .field import DisplacementField, axis_index
@@ -55,8 +54,8 @@ DEFAULT_LOADS = (1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)
 
 _EXPERIMENT_NAMES = ("fx", "fy", "fz", "mx", "my", "mz")
 
-STUDY_METHODS = ("lin", "svd-plus", "svd-minus", "svd-avg",
-                 "svd-plus-asin", "svd-minus-asin", "svd-avg-asin")
+# The amplitude study's estimators: lin, and svd with each angle reading.
+STUDY_METHODS = ("lin",) + tuple(f"svd-{m.value}" for m in AngleExtractionMethod)
 
 # Nodes (trials times the nodes of one trial's fields) identified per
 # batch.  It bounds a study's arrays to about 1 MB, whatever its trial
@@ -418,14 +417,6 @@ class AmplitudeStudy:
                              + "\n")
 
 
-def _study_estimates(field: DisplacementField) -> dict[str, Deflection]:
-    out = {"lin": estimate_lin(field).deflection}
-    for method in AngleExtractionMethod:
-        name = "svd-" + method.value
-        out[name] = estimate_svd(field, method).deflection
-    return out
-
-
 def run_amplitude_study(amplitudes: Sequence[float],
                         pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
                         trials: int = 1, seed: int = 0, sigma: float = 0.0,
@@ -435,15 +426,22 @@ def run_amplitude_study(amplitudes: Sequence[float],
 
     ``kind="rotation"`` applies exact rotations with all three angles at
     the given amplitude (deg) and reports the largest per-axis angle
-    error in deg; rotation reference fields deliberately leave the
-    small-angle regime, so the linearization error is the measurand.
-    ``kind="translation"`` applies pure translations (mm) and reports
-    translation errors in mm.  With noise, the study also locates the
-    amplitude band minimizing the relative rotation error.
+    error in deg of every method of ``STUDY_METHODS``; rotation
+    reference fields deliberately leave the small-angle regime, so the
+    linearization error is the measurand.  ``kind="translation"``
+    applies pure translations (mm) and reports the translation errors
+    in mm of ``lin`` and ``svd-avg``.  With noise, the study also
+    locates the amplitude band minimizing the relative rotation error.
+
+    Trial t of amplitude i draws its noise from seed ``seed + i *
+    trials + t``.  The pattern's fit geometry is built once, and the
+    trials of a block are fit on it as the rows of one batch per method.
     """
     if kind not in ("rotation", "translation"):
         raise ValueError(f"kind must be 'rotation' or 'translation', got {kind!r}")
+    _check_trials(trials, "trials")
     base = generate_pattern(pattern)
+    geometry, rel = _fit_geometry(base.positions)
     translation = np.asarray(translation, dtype=float)
     method_names = [m for m in STUDY_METHODS
                     if kind == "rotation" or m in ("lin", "svd-avg")]
@@ -457,16 +455,15 @@ def run_amplitude_study(amplitudes: Sequence[float],
                 truth_defl = Deflection([amp, amp, amp], np.zeros(3))
             rigid = _rigid_displacement(base.positions, truth_defl,
                                         exact_rotation=(kind == "rotation"))
-            for t in range(trials):
-                field = _noisy_field(base, rigid, sigma, seed + ai * trials + t)
-                for name, est in _study_estimates(field).items():
-                    if name not in errors:
-                        continue
-                    if kind == "rotation":
-                        err = np.max(np.abs(np.rad2deg(est.rotation) - amp))
-                    else:
-                        err = np.max(np.abs(est.translation - amp))
-                    errors[name][ai, t] = err
+            for block in _blocks(trials, base.n):
+                displacements = _noisy_displacements(
+                    rigid, sigma, [seed + ai * trials + t for t in block])
+                for name, err in errors.items():
+                    fits = _fit_lin(geometry, rel, displacements) if name == "lin" else \
+                        _fit_svd(geometry, rel, displacements,
+                                 AngleExtractionMethod(name.removeprefix("svd-")))
+                    got = np.rad2deg(fits.rotation) if kind == "rotation" else fits.translation
+                    err[ai, block.start:block.stop] = np.max(np.abs(got - amp), axis=-1)
 
     max_errors = {m: tuple(v.max(axis=1)) for m, v in errors.items()}
     mean_errors = {m: tuple(v.mean(axis=1)) for m, v in errors.items()}

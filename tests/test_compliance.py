@@ -181,16 +181,28 @@ class TestAssembleOverdetermined:
     @pytest.mark.parametrize("order", [range(6), (4, 0, 5, 2, 1, 3)],
                              ids=["in-order", "shuffled"])
     def test_canonical_columns_are_deflection_over_magnitude(self, order):
-        # The least-squares assembly divides by the singular values after
-        # the product with V, so a canonical column is each deflection
-        # over its magnitude exactly, not times a rounded reciprocal (only
-        # the sign of a zero may differ: the products' zeros add to +0).
+        # The least-squares assembly divides by the row scales after the
+        # products with V and U^T, which for the canonical scheme are
+        # signed permutations with unit singular values, so a canonical
+        # column is each deflection over its magnitude exactly, not times
+        # a rounded reciprocal (only the sign of a zero may differ: the
+        # products' zeros add to +0).
         magnitudes = (1000.0, 1.0, 3.0, -1000.0, 7.0, 1000.0)
         experiments = forward_experiments(reference_matrix(), magnitudes)
         expected = np.column_stack([e.deflection.as_vector() / m
                                     for e, m in zip(experiments, magnitudes)])
         got = assemble_overdetermined([experiments[i] for i in order]).k
         assert_array_equal(got, expected)
+
+    def test_rank_check_does_not_depend_on_load_units(self):
+        # Magnitudes 1e15 apart: the unscaled wrench matrix's singular
+        # values span 1e15, past the rank check's 1e12, but each row is
+        # scaled to unit size before the SVD.
+        magnitudes = (1e9, 1e-6, 1.0, 1.0, 1.0, 1.0)
+        experiments = forward_experiments(reference_matrix(), magnitudes)
+        expected = np.column_stack([e.deflection.as_vector() / m
+                                    for e, m in zip(experiments, magnitudes)])
+        assert_array_equal(assemble_overdetermined(experiments).k, expected)
 
     def test_matches_canonical_on_canonical_set(self):
         experiments = forward_experiments(reference_matrix())
@@ -232,7 +244,7 @@ class TestAssembleOverdetermined:
             w[5] = 0.0
             experiments.append(Experiment(Wrench(w[:3], w[3:]),
                                           Deflection(np.zeros(3), np.zeros(3))))
-        with pytest.raises(RankDeficientWrenches):
+        with pytest.raises(RankDeficientWrenches, match="no wrench loads Mz"):
             assemble_overdetermined(experiments)
 
 
@@ -359,10 +371,27 @@ class TestSerialization:
         ("significance_mask", [[0.5] * 6] * 6),
         ("significance_mask", [[1] * 6] * 6),
         ("significance_mask", [[True] * 5 + ["no"]] + [[True] * 6] * 5),
+        ("significance_mask", [[True] * 6] * 5 + [[True] * 5]),
     ])
     def test_non_boolean_flags_rejected(self, key, value):
         # A cast would load "false" and a mask of 0.5 as all true.
         data = ComplianceMatrix(reference_matrix()).to_json_dict()
         data[key] = value
         with pytest.raises(InvalidArgument, match=key):
+            compliance_from_json_dict(data)
+
+    @pytest.mark.parametrize("k", [
+        [[1.0] * 5 + ["2.5"]] + [[1.0] * 6] * 5,
+        [[True] + [1.0] * 5] + [[1.0] * 6] * 5,
+        [[1.0] * 6] * 5 + [[1.0] * 5],
+        [[1.0] * 6] * 5,
+        [[1.0] * 6] * 5 + [None],
+        "identity",
+    ], ids=["string", "boolean", "ragged", "five-rows", "null-row", "not-a-list"])
+    def test_non_numeric_matrix_rejected(self, k):
+        # A cast would load "2.5" as 2.5 and true as 1.0, and a ragged
+        # matrix would fail with numpy's own shape error.
+        data = ComplianceMatrix(reference_matrix()).to_json_dict()
+        data["k"] = k
+        with pytest.raises(InvalidArgument, match="'k'"):
             compliance_from_json_dict(data)

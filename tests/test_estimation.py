@@ -106,6 +106,13 @@ class TestRotationHelpers:
         with pytest.raises(ValueError):
             check_rotation(1.001 * np.eye(3))
 
+    def test_check_rotation_checks_every_matrix_of_a_stack(self):
+        stack = np.array([rotation_xyz([0.1, 0.2, 0.3])] * 4)
+        check_rotation(stack)
+        stack[2] = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="determinant"):
+            check_rotation(stack)
+
 
 class TestMomentMatrix:
     def test_matches_direct_summation(self):
@@ -280,6 +287,37 @@ class TestAngleExtraction:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             extract_angles(np.eye(4))
+
+    @pytest.mark.parametrize("method", list(AngleExtractionMethod), ids=lambda m: m.value)
+    def test_stack_equals_per_matrix_calls(self, method):
+        rng = np.random.default_rng(5)
+        stack = np.array([rotation_xyz(a) for a in rng.uniform(-0.3, 0.3, (20, 3))])
+        stack = stack.reshape(4, 5, 3, 3)
+        got = extract_angles(stack, method)
+        assert got.shape == (4, 5, 3)
+        want = np.array([extract_angles(R, method) for R in stack.reshape(-1, 3, 3)])
+        assert got.tobytes() == want.tobytes()
+        entries, _, asin = method.value.partition("-")
+        if asin:
+            # math.asin of each entry reading, which np.arcsin is not
+            # bit for bit.
+            plain = extract_angles(stack, entries).ravel().tolist()
+            assert got.tobytes() == np.array([math.asin(v) for v in plain]).tobytes()
+
+    def test_one_out_of_domain_row_raises(self):
+        stack = np.array([rotation_xyz([1e-3, 0.0, 0.0])] * 3)
+        stack[1, 2, 1] = 1.0 + 1e-6
+        with pytest.raises(EntryOutOfRange):
+            extract_angles(stack, AngleExtractionMethod.PLUS_ASIN)
+        with pytest.raises(ValueError, match="orthogonal"):
+            extract_angles(stack, AngleExtractionMethod.PLUS_ENTRIES)
+
+    def test_non_finite_matrix_rejected(self):
+        R = np.eye(3)
+        R[0, 1] = np.nan
+        for method in AngleExtractionMethod:
+            with pytest.raises(ValueError):
+                extract_angles(R, method)
 
 
 class TestDeflection:

@@ -114,16 +114,21 @@ def test_seven_wrench_halfwidths_match_monte_carlo_spread():
 
 
 def test_seven_wrench_noise_free_structural_zeros():
-    # Fx and Fy combined.  A combined wrench that mixes the 1 N forces
-    # with 1000 N mm torques leaves zeros of up to 2e-13 by any
-    # least-squares formula: the wrench matrix's condition number (about
-    # 1e3) times the roundoff of the 2 mm/N elements.
-    wrenches, fields = seven_wrench_set(Wrench([1000.0, 1.0, 0.0], np.zeros(3)))
-    result = run_identification([LoadCase(f, w) for f, w in zip(fields, wrenches)])
-    assert not result.canonical
-    assert np.max(np.abs(result.assembled.k[ZERO])) <= 1e-15
-    assert_allclose(result.assembled.k[~ZERO], beam_compliance_oracle().k[~ZERO],
-                    rtol=1e-12)
+    # Fx and Fy combined; every component; unit components.  A combined
+    # wrench that mixes the 1 N forces with 1000 N mm torques gives a
+    # wrench matrix of condition number about 1e3, and with its rows
+    # unscaled that times the roundoff of the 2 mm/N elements left zeros
+    # of up to 2e-13.  Each load component's row is scaled by its
+    # largest entry before the SVD.
+    for combined in (Wrench([1000.0, 1.0, 0.0], np.zeros(3)),
+                     Wrench([500.0, 0.5, 0.5], [500.0] * 3),
+                     Wrench([1.0] * 3, [1.0] * 3)):
+        wrenches, fields = seven_wrench_set(combined)
+        result = run_identification([LoadCase(f, w) for f, w in zip(fields, wrenches)])
+        assert not result.canonical
+        assert np.max(np.abs(result.assembled.k[ZERO])) <= 1e-15
+        assert_allclose(result.assembled.k[~ZERO], beam_compliance_oracle().k[~ZERO],
+                        rtol=1e-12)
 
 
 def test_noise_free_square_structural_zeros():
@@ -202,14 +207,23 @@ def batch_row(batch, s):
     return [np.asarray(a).tobytes() for a in out]
 
 
-@pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["shared-positions", "row-positions"])
-def test_batch_rows_equal_one_row_batches(jitter):
+SVD_ASIN = IdentifyOptions(estimator="svd", angles="plus-asin")
+
+
+@pytest.mark.parametrize("jitter, options", [
+    (0.0, IdentifyOptions()), (1e-3, IdentifyOptions()),
+    (0.0, SVD_ASIN), (1e-3, SVD_ASIN),
+], ids=["shared-positions", "row-positions",
+        "shared-positions-svd-plus-asin", "row-positions-svd-plus-asin"])
+def test_batch_rows_equal_one_row_batches(jitter, options):
+    # The svd rows read their angles in one pass over the batch's
+    # rotation matrices, through math.asin entry by entry.
     positions, displacements, wrenches = beam_batch(range(4), jitter)
-    batch = stiffid.identify_batch(positions, displacements, wrenches)
+    batch = stiffid.identify_batch(positions, displacements, wrenches, options)
     for s in range(4):
         one = stiffid.identify_batch(
             [p if p.ndim == 2 else p[s:s + 1] for p in positions],
-            [d[s:s + 1] for d in displacements], wrenches)
+            [d[s:s + 1] for d in displacements], wrenches, options)
         assert batch_row(batch, s) == batch_row(one, 0)
         assert one.dof == batch.dof
 

@@ -13,6 +13,7 @@ from stiffid import (
     DisplacementField,
     GroundTruth,
     IdentifyOptions,
+    InvalidArgument,
     InvalidPattern,
     LinearizationWarning,
     MeshPattern,
@@ -24,6 +25,7 @@ from stiffid import (
     canonical_wrench_scheme,
     centroid,
     estimate_lin,
+    estimate_svd,
     generate_pattern,
     rotation_xyz,
     run_amplitude_study,
@@ -37,7 +39,6 @@ from stiffid.synthetic import (
     STUDY_METHODS,
     _noisy_displacements,
     _normal_samples,
-    _study_estimates,
 )
 
 
@@ -344,12 +345,22 @@ class TestAmplitudeStudy:
         with pytest.raises(ValueError):
             run_amplitude_study([0.1], kind="spiral")
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_bad_trial_count_rejected(self, trials):
+        # as in the noise and zero-detection studies, not numpy's error
+        # on an empty or negative trial axis
+        with pytest.raises(InvalidArgument, match="trials"):
+            run_amplitude_study([0.1], trials=trials)
+
     @pytest.mark.parametrize("kind", ["rotation", "translation"])
-    def test_matches_reference_loop(self, kind):
-        # The study computes each amplitude's rigid displacement once; the
-        # reference applies the whole transform per trial.
+    def test_matches_reference_loop(self, kind, monkeypatch):
+        # The study computes each amplitude's rigid displacement once and
+        # fits each block of trials as batch rows, here a block of two
+        # trials and one of one; the reference applies the whole
+        # transform per trial and runs each estimator on each field.
         amplitudes, trials, seed, sigma = [0.05, 0.5], 3, 4, 5e-5
         pattern = MeshPattern.cubic(4.0, 1.0)
+        monkeypatch.setattr(synthetic, "_BLOCK_NODES", 2 * 125)
         study = run_amplitude_study(amplitudes, pattern, trials, seed, sigma, kind)
         base = generate_pattern(pattern)
         errors = {m: np.zeros((len(amplitudes), trials)) for m in study.max_errors}
@@ -364,9 +375,10 @@ class TestAmplitudeStudy:
                     truth = GroundTruth(truth_defl, sigma, seed + ai * trials + t)
                     field = apply_rigid_transform(
                         base, truth, exact_rotation=(kind == "rotation"))
-                    for name, est in _study_estimates(field).items():
-                        if name not in errors:
-                            continue
+                    for name in errors:
+                        fit = estimate_lin(field) if name == "lin" else \
+                            estimate_svd(field, name.removeprefix("svd-"))
+                        est = fit.deflection
                         if kind == "rotation":
                             err = np.max(np.abs(np.rad2deg(est.rotation) - amp))
                         else:
