@@ -20,6 +20,7 @@ the public per-field functions (:func:`estimate_sigma`,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -113,9 +114,15 @@ class DeflectionCovariance:
         return np.sqrt(_component_variance(self.translation, self.rotation))
 
 
+# The largest sigma whose square is finite: the covariances square sigma
+# with Python's float power, which raises OverflowError above it.
+_SIGMA_MAX = math.sqrt(sys.float_info.max)
+
+
 def _check_sigma(sigma: float) -> None:
-    if not 0.0 <= sigma < math.inf:
-        raise InvalidArgument(f"sigma must be nonnegative and finite, got {sigma!r}")
+    if not 0.0 <= sigma <= _SIGMA_MAX:
+        raise InvalidArgument(f"sigma must be nonnegative and finite, with a finite "
+                              f"square (at most {_SIGMA_MAX!r}), got {sigma!r}")
 
 
 # bool is an int subclass, so a true or false would pass the range checks
@@ -160,7 +167,7 @@ def system_covariance(geometry: FitGeometry, sigma: float) -> DeflectionCovarian
     (``FitResult.geometry``), so no node is visited again.
 
     Raises :class:`InvalidArgument` (a ``ValueError``) unless `sigma` is
-    nonnegative and finite.
+    nonnegative with a finite square (at most about 1.34e154).
     """
     _check_sigma(sigma)
     return DeflectionCovariance(*_covariance(geometry, np.float64(sigma)))

@@ -603,11 +603,17 @@ class TestBenchmark:
         (["simulate", "--length", "inf"], "beam"),
         (["benchmark", "noise", "--trials", "50"], "100 trials"),
         (["benchmark", "noise", "--trials", "99", "--sigma", "1e-9"], "100 trials"),
+        # the covariances square sigma, so its square must be finite too
+        (["simulate", "--sigma", "1e300"], "square"),
+        (["benchmark", "noise", "--sigma", "1e300", "--trials", "100"], "square"),
+        (["benchmark", "zero-detection", "--sigma", "1e300"], "square"),
     ], ids=["simulate-sigma", "simulate-poisson", "simulate-seed", "zero-detection-sigma",
             "zero-detection-multiplier", "zero-detection-trials", "noise-trials-0",
             "noise-trials-negative", "zero-detection-seed", "simulate-axis",
             "simulate-sigma-inf", "noise-sigma-inf", "simulate-load-nan",
-            "simulate-length-inf", "noise-trials-50", "noise-trials-99-noisy"])
+            "simulate-length-inf", "noise-trials-50", "noise-trials-99-noisy",
+            "simulate-sigma-square-overflows", "noise-sigma-square-overflows",
+            "zero-detection-sigma-square-overflows"])
     def test_bad_number_exit_2(self, tmp_path, capsys, argv, word):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -639,8 +645,9 @@ class TestBenchmark:
         ["benchmark", "noise", "--sigma", "-1"],
         ["benchmark", "amplitude", "--trials", "3"],
         ["benchmark", "zero-detection", "--trials", "0"],
+        ["benchmark", "noise", "--trials", "100", "--sigma", "1e300"],
     ], ids=["simulate-sigma", "simulate-edge-below-step", "noise-sigma",
-            "amplitude-trials", "zero-trials"])
+            "amplitude-trials", "zero-trials", "noise-sigma-square-overflows"])
     def test_input_error_leaves_no_out_dir(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 2

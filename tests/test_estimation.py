@@ -1,6 +1,7 @@
 """Rigid-transform estimators, rotation helpers and angle extraction."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -179,27 +180,54 @@ class TestGram:
     @pytest.mark.parametrize("n", GRAM_SIZES[3:], ids=GRAM_IDS[3:])
     def test_blocks_sum_to_the_exact_sum(self, n):
         a, b = gram_operands(n)
-        got = _gram(a, b)
-        for i in range(3):
-            for j in range(3):
-                terms = a[:, i] * b[:, j]
-                exact = math.fsum(terms.tolist())
-                scale = math.fsum(np.abs(terms).tolist())
-                # a few ulps of the summed magnitudes; losing or repeating
-                # even a one-node block is off by about 1e11 of them
-                assert abs(got[i, j] - exact) <= 4 * np.spacing(scale)
+        # (a, a) is the moment matrix's scatter, formed from block copies
+        for left, right in ((a, b), (a, a)):
+            got = _gram(left, right)
+            for i in range(3):
+                for j in range(3):
+                    terms = left[:, i] * right[:, j]
+                    exact = math.fsum(terms.tolist())
+                    scale = math.fsum(np.abs(terms).tolist())
+                    # a few ulps of the summed magnitudes; losing or repeating
+                    # even a one-node block is off by about 1e11 of them
+                    assert abs(got[i, j] - exact) <= 4 * np.spacing(scale)
 
     @pytest.mark.parametrize("n", GRAM_SIZES, ids=GRAM_IDS)
-    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
-    def test_batch_rows_equal_one_row_calls(self, n, shared):
+    @pytest.mark.parametrize("operands", ["shared", "per-row", "same-array"])
+    def test_batch_rows_equal_one_row_calls(self, n, operands):
         a, b = gram_operands(n, rows=3, seed=1)
-        if shared:
+        if operands == "shared":
             a = a[0]
+        elif operands == "same-array":
+            b = a
         got = _gram(a, b)
         assert got.shape == (3, 3, 3)
         for s in range(3):
-            one = _gram(a if shared else a[s], b[s])
+            row = a if operands == "shared" else a[s]
+            # one row object twice, as moment_matrix passes it
+            one = _gram(row, row if operands == "same-array" else b[s])
             assert got[s].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2 * _GRAM_BLOCK + 7, 3), (22, 109, 3)],
+                             ids=["2B+7", "batch-22x109"])
+    def test_same_array_equals_distinct_copy(self, shape):
+        # one buffer on both sides would make numpy call BLAS syrk, whose
+        # bits differ from the gemm every other operand pair gets
+        a, _ = gram_operands(shape[-2], rows=shape[0] if len(shape) == 3 else None,
+                             seed=2)
+        copy = a.copy(order="K")
+        assert copy.strides == a.strides and not np.shares_memory(copy, a)
+        assert_array_equal(_gram(a, a).view(np.int64), _gram(a, copy).view(np.int64))
+
+    def test_moment_matrix_copies_one_block_at_a_time(self):
+        a, _ = gram_operands(2 * _GRAM_BLOCK + 7)
+        tracemalloc.start()
+        try:
+            moment_matrix(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes
 
 
 class TestFitGeometry:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -151,6 +152,16 @@ class TestDeflectionCovariance:
                 deflection_covariance(field, sigma)
             with pytest.raises(InvalidArgument):
                 system_covariance(estimate_lin(field).geometry, sigma)
+
+    def test_sigma_whose_square_overflows_rejected(self):
+        # the covariances square sigma; the largest sigma with a finite
+        # square is still accepted
+        geometry = estimate_lin(make_field(cube_nodes(4.0, 1.0), np.zeros((125, 3)))).geometry
+        largest = math.sqrt(sys.float_info.max)
+        system_covariance(geometry, largest)
+        for sigma in (math.nextafter(largest, math.inf), 1.35e154, 1e300):
+            with pytest.raises(InvalidArgument, match="square"):
+                system_covariance(geometry, sigma)
 
     def test_collinear_nodes_degenerate(self):
         pos = np.outer(np.linspace(-5, 5, 9), [1.0, 0.0, 0.0])

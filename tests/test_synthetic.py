@@ -215,6 +215,11 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             GroundTruth(Deflection(np.zeros(3), np.zeros(3)), sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [1.35e154, 1e300])
+    def test_sigma_whose_square_overflows_rejected(self, sigma):
+        with pytest.raises(InvalidArgument, match="square"):
+            GroundTruth(Deflection(np.zeros(3), np.zeros(3)), sigma=sigma)
+
 
 class TestBeamModel:
     def test_section_properties(self):
