@@ -30,6 +30,7 @@ verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -436,7 +437,10 @@ def cmd_benchmark(args) -> int:
     return _benchmark_zero_detection(args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing fills a
+    fresh namespace each time, so calls share no option values."""
     parser = argparse.ArgumentParser(
         prog="stiffid",
         description="Identify 6x6 compliance matrices from displacement fields.")

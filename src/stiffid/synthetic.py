@@ -9,13 +9,16 @@ Noise is reproducible: each trial's seed starts its own PCG64 generator,
 which draws that trial's uniforms, and the basic (trigonometric)
 Box-Muller transform then runs once over a whole block of trials.  Each
 value goes through the same operations as in a one-trial draw, so equal
-seeds give bit-identical fields.
+seeds give bit-identical fields.  Every call that draws noise hashes all
+of its seeds in one vectorized pass of numpy's SeedSequence hash
+(:func:`_seed_states`), so each generator starts from the state that
+``default_rng(seed)`` starts from, without a SeedSequence per seed.
 
 The studies build what does not change between trials once: the node
 pattern, and the noise-free rigid displacements (with the oracle and the
 six wrenches for the beam).  Each trial then only draws its noise, into
-one (S, n, 3) batch per experiment, with S the trials of a block of
-about ``_BLOCK_NODES`` nodes in all.  The arithmetic per field is
+one (S, n, 3) batch per experiment, with S the trials of a block of at
+most ``_BLOCK_NODES`` nodes per experiment.  The arithmetic per field is
 unchanged, so a study's fields stay bit-identical to those of
 :func:`beam_load_cases`, :func:`beam_tip_field` and
 :func:`apply_rigid_transform` for the same seeds.  Every study hands
@@ -27,7 +30,9 @@ runs bit for bit, so a study's results do not depend on the block size.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -57,19 +62,13 @@ _EXPERIMENT_NAMES = ("fx", "fy", "fz", "mx", "my", "mz")
 # The amplitude study's estimators: lin, and svd with each angle reading.
 STUDY_METHODS = ("lin",) + tuple(f"svd-{m.value}" for m in AngleExtractionMethod)
 
-# Nodes (trials times the nodes of one trial's fields) identified per
-# batch.  It bounds a study's arrays to about 1 MB, whatever its trial
-# count (the zero-detection study at 100 seeds held 4.7 MB in one
-# batch), while each call's overhead is still spread over 22 seeds of
-# that study.
+# Nodes per experiment (trials times the nodes of one trial's field)
+# identified per batch, which bounds a study's arrays whatever its trial
+# count.  The zero-detection study draws one experiment's noise at a
+# time, so its default 100 seeds of 121 nodes run as one block: 6 fit
+# chains, where 22-seed blocks ran 30, at a traced peak of about 3.0 MiB
+# per study call (1.16 MiB in 22-seed blocks).
 _BLOCK_NODES = 1 << 14
-
-
-def _normal_samples(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Standard normal draws via the basic Box-Muller transform."""
-    out = np.empty(count)
-    _box_muller(rng.random((2, (count + 1) // 2)), out)
-    return out
 
 
 def _box_muller(u: np.ndarray, out: np.ndarray) -> None:
@@ -212,7 +211,10 @@ def apply_rigid_transform(field: DisplacementField, truth: GroundTruth,
     if not field.centered:
         raise ValueError("apply_rigid_transform needs a centered field")
     rigid = _rigid_displacement(field.positions, truth.deflection, exact_rotation)
-    return _noisy_field(field, rigid, truth.sigma, truth.seed)
+    states = _noise_states(truth.sigma, [truth.seed])
+    displacements = _noisy_displacements(rigid, truth.sigma, states)[0]
+    return DisplacementField(field.positions, displacements, field.reference_point,
+                             centered=True)
 
 
 def _rigid_displacement(positions: np.ndarray, deflection: Deflection,
@@ -223,44 +225,122 @@ def _rigid_displacement(positions: np.ndarray, deflection: Deflection,
     return positions @ (R - np.eye(3)).T + deflection.translation
 
 
-def _noisy_field(field: DisplacementField, rigid: np.ndarray, sigma: float,
-                 seed: int) -> DisplacementField:
-    """`field`'s nodes displaced by `rigid` plus seeded Box-Muller noise.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on uint32
+# words: entropy mixing from _HASH_A, state output from _HASH_B.
+_HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
-    The studies compute `rigid` once and draw many seeds; the field
-    equals :func:`apply_rigid_transform`'s for the same truth and seed.
+
+@functools.cache
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier constants of `count` successive hash steps."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)
+    return consts[:-1], consts[1:]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mult
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _seed_states(seeds: Sequence[int]) -> np.ndarray:
+    """(S, 4) uint64: row s is ``SeedSequence(seeds[s]).generate_state(4,
+    np.uint64)``, the state with which ``default_rng(seeds[s])`` seeds its
+    PCG64, hashed for all seeds in one pass.
+
+    A seed's entropy is its little-endian uint32 words.  The pool takes the
+    first four, zero-padded, which is what SeedSequence does for shorter
+    entropy; each further word is mixed in only for the seeds that have it.
     """
-    displacements = _noisy_displacements(rigid, sigma, [seed])[0]
-    return DisplacementField(field.positions, displacements, field.reference_point,
-                             centered=True)
+    seeds = [operator.index(s) for s in seeds]
+    if seeds and min(seeds) < 0:
+        raise InvalidArgument(f"noise seeds must be nonnegative, got {min(seeds)}")
+    width = max(4, -(-max(seeds, default=0).bit_length() // 32))
+    words = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds),
+                          dtype="<u4").reshape(len(seeds), width)
+    xor, mult = _hash_consts(_HASH_A, _MULT_A, 4 + 12 + 4 * (width - 4))
+    pool = _hashmix(words[:, :4], xor[:4], mult[:4])
+    step = 4
+    for src in range(4):
+        # Mix pool word src into each other word, in SeedSequence's order.
+        dst = [i for i in range(4) if i != src]
+        mixed = _hashmix(pool[:, src, None], xor[step:step + 3], mult[step:step + 3])
+        pool[:, dst] = _mix(pool[:, dst], mixed)
+        step += 3
+    for word in range(4, width):
+        rows = words[:, word:].any(axis=1)
+        mixed = _hashmix(words[rows, word, None], xor[step:step + 4], mult[step:step + 4])
+        pool[rows] = _mix(pool[rows], mixed)
+        step += 4
+    xor, mult = _hash_consts(_HASH_B, _MULT_B, 8)
+    state = _hashmix(np.tile(pool, 2), xor, mult)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _hashed_seed() -> type:
+    """A numpy ``ISeedSequence`` that hands a bit generator one row of
+    :func:`_seed_states`.  Built on first use: numpy 2 imports
+    numpy.random lazily, and importing it with the package would slow
+    down every CLI start (numpy 1.x imports it with numpy itself)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return HashedSeed
+
+
+def _noise_states(sigma: float, seeds: Sequence[int]) -> np.ndarray:
+    """The states of `seeds` for :func:`_noisy_displacements`, which reads
+    them only for noise of std `sigma` > 0: no seed is hashed or checked
+    at sigma = 0."""
+    _check_sigma(sigma)
+    if sigma == 0.0:
+        return np.zeros((len(seeds), 4), dtype=np.uint64)
+    return _seed_states(seeds)
 
 
 def _noisy_displacements(rigid: np.ndarray, sigma: float,
-                         seeds: Sequence[int]) -> np.ndarray:
-    """(S, n, 3) displacements: row s is `rigid` plus the Box-Muller
-    noise of ``default_rng(seeds[s])`` times `sigma`, held in the
-    component planes (S, 3, n) that the fits read (see
-    :func:`stiffid.estimation._planes`); `sigma` = 0 gives a read-only
-    broadcast of `rigid`."""
-    _check_sigma(sigma)
+                         states: np.ndarray) -> np.ndarray:
+    """(S, n, 3) displacements: row s is `rigid` (or ``rigid[s]``, for an
+    (S, n, 3) `rigid`) plus the Box-Muller noise of the PCG64 stream that
+    ``states[s]`` seeds, times `sigma`, held in the component planes
+    (S, 3, n) that the fits read (see :func:`stiffid.estimation._planes`).
+    With ``states = _noise_states(sigma, seeds)``, stream s is that of
+    ``default_rng(seeds[s])``.  `sigma` = 0 gives a read-only broadcast
+    of `rigid`."""
+    count, n = len(states), rigid.shape[-2]
     if sigma == 0.0:
-        return np.broadcast_to(rigid, (len(seeds),) + rigid.shape)
-    if min(seeds) < 0:
-        raise InvalidArgument(f"noise seeds must be nonnegative, got {min(seeds)}")
-    # Each seed draws its own uniforms, in the order of _normal_samples;
-    # the transform then runs once over the whole block.
-    uniforms = np.empty((len(seeds), 2, (rigid.size + 1) // 2))
-    for row, seed in zip(uniforms, seeds):
-        np.random.default_rng(seed).random(out=row)
-    noise = np.empty((len(seeds),) + rigid.shape)
-    _box_muller(uniforms, noise.reshape(len(seeds), -1))
+        return np.broadcast_to(rigid, (count, n, 3))
+    # Each seed draws its own uniforms, m for the radius and then m for
+    # the angle; the transform then runs once over the whole block.
+    uniforms = np.empty((count, 2, (3 * n + 1) // 2))
+    generator, bits, seed = np.random.Generator, np.random.PCG64, _hashed_seed()
+    for row, state in zip(uniforms, states):
+        generator(bits(seed(state))).random(out=row)
+    noise = np.empty((count, n, 3))
+    _box_muller(uniforms, noise.reshape(count, -1))
     noise *= sigma
     noise += rigid
     # One transposing copy into planes, after the arithmetic on rows
     # (a ufunc writing planes from rows runs several times slower).  The
     # spent uniforms hold at least 3n values per seed, so the planes go
     # there and the block allocates nothing more.
-    out = uniforms.reshape(-1)[:noise.size].reshape(len(seeds), 3, -1).swapaxes(-1, -2)
+    out = uniforms.reshape(-1)[:noise.size].reshape(count, 3, n).swapaxes(-1, -2)
     np.copyto(out, noise)
     return out
 
@@ -359,8 +439,13 @@ def beam_load_cases(spec: BeamSpec = BeamSpec(),
     seed + j)``.
     """
     base, experiments = _beam_experiments(spec, pattern, loads)
-    return [LoadCase(_noisy_field(base, rigid, sigma, seed + j), w, name)
-            for j, (name, w, rigid) in enumerate(experiments)]
+    # The six fields' noise is drawn as the rows of one batch.
+    rigid = np.stack([r for _, _, r in experiments])
+    displacements = _noisy_displacements(
+        rigid, sigma, _noise_states(sigma, range(seed, seed + len(experiments))))
+    return [LoadCase(DisplacementField(base.positions, d, base.reference_point,
+                                       centered=True), w, name)
+            for d, (name, w, _) in zip(displacements, experiments)]
 
 
 def _beam_experiments(spec: BeamSpec, pattern: MeshPattern, loads: Sequence[float],
@@ -443,6 +528,8 @@ def run_amplitude_study(amplitudes: Sequence[float],
     base = generate_pattern(pattern)
     geometry, rel = _fit_geometry(base.positions)
     translation = np.asarray(translation, dtype=float)
+    states = _noise_states(sigma, range(seed, seed + len(amplitudes) * trials)) \
+        .reshape(len(amplitudes), trials, 4)
     method_names = [m for m in STUDY_METHODS
                     if kind == "rotation" or m in ("lin", "svd-avg")]
     errors = {m: np.zeros((len(amplitudes), trials)) for m in method_names}
@@ -457,7 +544,7 @@ def run_amplitude_study(amplitudes: Sequence[float],
                                         exact_rotation=(kind == "rotation"))
             for block in _blocks(trials, base.n):
                 displacements = _noisy_displacements(
-                    rigid, sigma, [seed + ai * trials + t for t in block])
+                    rigid, sigma, states[ai, block.start:block.stop])
                 for name, err in errors.items():
                     fits = _fit_lin(geometry, rel, displacements) if name == "lin" else \
                         _fit_svd(geometry, rel, displacements,
@@ -519,7 +606,7 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
     one batch.
     """
     _check_trials(trials, "trials")
-    _check_sigma(sigma)
+    states = _noise_states(sigma, range(seed, seed + trials))
     base = generate_pattern(pattern)
     truth_defl = Deflection(translation, np.deg2rad([rotation_deg] * 3))
     rigid = _rigid_displacement(base.positions, truth_defl)
@@ -527,7 +614,7 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
     err = np.empty((trials, 6))
     for block in _blocks(trials, base.n):
         fits = _fit_lin(geometry, rel,
-                        _noisy_displacements(rigid, sigma, [seed + t for t in block]))
+                        _noisy_displacements(rigid, sigma, states[block.start:block.stop]))
         err[block.start:block.stop] = np.concatenate(
             [fits.translation, fits.rotation], axis=-1) - truth_defl.as_vector()
     cov = system_covariance(geometry, sigma)
@@ -588,13 +675,14 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
     zeroed, every nonzero element survives, and each surviving element
     carries a safety factor at or above `safety_threshold`.  Study seed
     s draws the noise of its six load cases from field seeds
-    ``seed + 6 s`` to ``seed + 6 s + 5``.  The seeds of a block run as
-    the rows of one :func:`~stiffid.pipeline.identify_batch` call, and
+    ``seed + 6 s`` to ``seed + 6 s + 5``, all hashed in one pass.  A
+    block holds up to 135 seeds of 121 nodes, and its seeds run as the
+    rows of one :func:`~stiffid.pipeline.identify_batch` call, and
     each row equals :func:`~stiffid.pipeline.run_identification` on that
     seed's :func:`beam_load_cases` bit for bit.
     """
     _check_trials(seeds, "seeds")
-    _check_sigma(sigma)
+    states = _noise_states(sigma, range(seed, seed + 6 * seeds)).reshape(seeds, 6, 4)
     oracle = beam_compliance_oracle(spec)
     nonzero = oracle.k != 0.0
     options = IdentifyOptions(outlier_fraction=outlier_fraction,
@@ -604,11 +692,11 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
     zeros_missed = []
     nonzeros_lost = []
     min_safety = []
-    for block in _blocks(seeds, len(experiments) * base.n):
+    for block in _blocks(seeds, base.n):
         # A generator: each experiment's noise is drawn when the core
         # reaches it and freed once it is fit.
         displacements = (
-            _noisy_displacements(rigid, sigma, [seed + 6 * s + j for s in block])
+            _noisy_displacements(rigid, sigma, states[block.start:block.stop, j])
             for j, (_, _, rigid) in enumerate(experiments))
         batch = identify_batch([base.positions] * len(experiments), displacements,
                                wrenches, options)

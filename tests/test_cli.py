@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import stiffid
 from stiffid import beam_compliance_oracle, load_compliance_json, read_field_csv
-from stiffid.cli import MANIFEST, load_manifest, main
+from stiffid.cli import MANIFEST, build_parser, load_manifest, main
 
 NONZERO = beam_compliance_oracle().k != 0.0
 
@@ -672,3 +675,34 @@ class TestBenchmark:
         summary = read_manifest(out / "amplitude_summary.json")
         assert summary["pass"] is True
         assert (out / "amplitude_study.csv").exists()
+
+
+def test_cached_parser_shares_no_option_values(tmp_path, capsys):
+    # main() parses with one parser per process.  Each command must write
+    # the bytes it writes on a freshly built parser, whichever ran before.
+    commands = {"simulate": ["simulate", "--seed", "5"],
+                "noise": ["benchmark", "noise", "--trials", "100", "--seed", "3"]}
+
+    def run(name, out):
+        assert main(commands[name] + ["--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, \
+            capsys.readouterr().out.replace(str(out), "OUT")
+
+    alone, after = {}, {}
+    for first, second in (("simulate", "noise"), ("noise", "simulate")):
+        build_parser.cache_clear()
+        alone[first] = run(first, tmp_path / f"{first}-alone")
+        after[second] = run(second, tmp_path / f"{second}-after-{first}")
+    assert after == alone
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # The noise streams need numpy.random only once a study draws them.
+    # numpy 2 loads it lazily, so importing it with the CLI would slow
+    # down every command's start; numpy 1.x loads it with numpy itself,
+    # so only what the CLI's import adds is checked.
+    src = Path(stiffid.__file__).resolve().parents[1]
+    code = ("import sys, numpy; pre = 'numpy.random' in sys.modules; "
+            "import stiffid.cli; sys.exit(not pre and 'numpy.random' in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})

@@ -26,7 +26,12 @@ from stiffid import (
     write_field_csv,
 )
 from stiffid.field import _WRITE_BLOCK_ROWS, BOUNDARY_TOL
-from stiffid.synthetic import DEFAULT_LOADS, _beam_experiments, _noisy_displacements
+from stiffid.synthetic import (
+    DEFAULT_LOADS,
+    _beam_experiments,
+    _noisy_displacements,
+    _seed_states,
+)
 
 
 def grid_field(edge=10.0, step=1.0, origin=(0.0, 0.0, 0.0), centered=True):
@@ -133,7 +138,7 @@ def _by_beam_load_cases(tmp_path):
     u, v = np.meshgrid(off, off, indexing="ij")
     pos = np.column_stack([np.zeros(u.size), u.ravel(), v.ravel()])
     rigid = _beam_experiments(BeamSpec(), pattern, DEFAULT_LOADS)[1][2][2]
-    return field, pos, _noisy_displacements(rigid, 5.6e-5, [5])[0]
+    return field, pos, _noisy_displacements(rigid, 5.6e-5, _seed_states([5]))[0]
 
 
 @pytest.mark.parametrize("build", [

@@ -36,6 +36,7 @@ from stiffid.synthetic import (
     DEFAULT_LOADS,
     GroundTruth,
     _noisy_displacements,
+    _seed_states,
     apply_rigid_transform,
     generate_pattern,
 )
@@ -102,8 +103,8 @@ def test_seven_wrench_halfwidths_match_monte_carlo_spread():
     wrenches, fields = seven_wrench_set(Wrench([500.0, 0.5, 0.5], [500.0] * 3))
     seeds = 2000
     options = IdentifyOptions(outlier_fraction=0.0)
-    displacements = (_noisy_displacements(field.displacements, 5.6e-5,
-                                          [7 * s + j for s in range(seeds)])
+    states = _seed_states(range(7 * seeds)).reshape(seeds, 7, 4)
+    displacements = (_noisy_displacements(field.displacements, 5.6e-5, states[:, j])
                      for j, field in enumerate(fields))
     batch = stiffid.identify_batch([fields[0].positions] * 7, displacements, wrenches,
                                    options)

@@ -27,6 +27,7 @@ from stiffid import (
     estimate_lin,
     estimate_svd,
     generate_pattern,
+    identify_batch,
     rotation_xyz,
     run_amplitude_study,
     run_identification,
@@ -37,8 +38,9 @@ from stiffid import synthetic
 from stiffid.synthetic import (
     DEFAULT_LOADS,
     STUDY_METHODS,
+    _noise_states,
     _noisy_displacements,
-    _normal_samples,
+    _seed_states,
 )
 
 
@@ -170,16 +172,19 @@ class TestRigidTransform:
         assert abs(noise.mean()) < 0.05
 
     def test_gaussian_sampler_moments(self):
-        rng = np.random.default_rng(0)
-        samples = _normal_samples(rng, 200001)  # odd count exercises the trim
-        assert samples.size == 200001
+        # 3n = 200,001 values: the odd count exercises the trim of the
+        # last sine.
+        n = 66667
+        samples = _noisy_displacements(np.zeros((n, 3)), 1.0, _seed_states([0]))
+        assert samples.shape == (1, n, 3)
         assert abs(samples.mean()) < 0.01
         assert abs(samples.std() - 1.0) < 0.01
         # roughly symmetric tails
         assert 0.9 < -samples.min() / samples.max() < 1.1
 
-    @pytest.mark.parametrize("seeds", [[0], [7, 3, 12], list(range(40, 62))],
-                             ids=["S1", "S3", "S22"])
+    @pytest.mark.parametrize("seeds", [[0], [7, 3, 12], list(range(40, 62)),
+                                       list(range(2 ** 128 - 2, 2 ** 128 + 2))],
+                             ids=["S1", "S3", "S22", "S4-across-2**128"])
     @pytest.mark.parametrize("n", [2, 121])
     def test_noise_definition_pinned(self, seeds, n):
         # The noise of seed s, rebuilt one seed at a time: m uniforms for
@@ -198,12 +203,27 @@ class TestRigidTransform:
             z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
                                 radius * np.sin(2.0 * np.pi * u2)])
             expected.append(z[:3 * n].reshape(n, 3) * sigma + rigid)
-        got = _noisy_displacements(rigid, sigma, seeds)
+        got = _noisy_displacements(rigid, sigma, _noise_states(sigma, seeds))
         assert got.shape == (len(seeds), n, 3)
         assert got.swapaxes(-1, -2).flags.c_contiguous  # planes, as the fits read
         assert_array_equal(got.view(np.int64), np.array(expected).view(np.int64))
-        assert_same_bits(_noisy_displacements(rigid, 0.0, seeds),
+        assert_same_bits(_noisy_displacements(rigid, 0.0, _noise_states(0.0, seeds)),
                          np.broadcast_to(rigid, got.shape))
+
+    def test_seed_states_match_seed_sequence(self):
+        # One mixed call: one to eight entropy words, each side of every
+        # word boundary up to 2**128.
+        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1,
+                 2 ** 128, 2 ** 160 + 5, 2 ** 255]
+        expected = [np.random.SeedSequence(s).generate_state(4, np.uint64)
+                    for s in seeds]
+        assert_same_bits(_seed_states(seeds), np.array(expected))
+
+    def test_negative_seed_rejected_only_with_noise(self):
+        with pytest.raises(InvalidArgument, match="nonnegative"):
+            _seed_states([3, -1])
+        # No noise is drawn at sigma = 0, so no seed is read.
+        assert_same_bits(_noise_states(0.0, [-1]), np.zeros((1, 4), np.uint64))
 
     def test_requires_centered_field(self):
         base = generate_pattern(MeshPattern.cubic(2.0, 1.0))
@@ -299,8 +319,9 @@ class TestBeamModel:
     @pytest.mark.parametrize("sigma", [5.6e-5, 0.0])
     def test_load_cases_match_beam_tip_field(self, pattern, sigma):
         # beam_load_cases, which simulate writes, builds the pattern and the
-        # noise-free fields once; each case must still equal the one-field
-        # path beam_tip_field.
+        # noise-free fields once and draws the six fields' noise as one
+        # batch; each case must still equal the one-field path
+        # beam_tip_field.
         cases = beam_load_cases(BeamSpec(), pattern, DEFAULT_LOADS, sigma, seed=3)
         for j, (case, wrench) in enumerate(zip(
                 cases, canonical_wrench_scheme(*DEFAULT_LOADS))):
@@ -498,11 +519,23 @@ class TestZeroDetectionStudy:
             m == 0 and n == 0 and f >= 100.0 for m, n, f in zip(missed, lost, low))
 
     def test_block_size_does_not_matter(self, monkeypatch):
-        # Blocks of 22 seeds draw their noise in one batched transform;
-        # one seed per block must give the same study.
+        # The 30 seeds run as one block, which draws each experiment's
+        # noise in one batched transform; one seed per block must give
+        # the same study.
         batched = run_zero_detection_study(seeds=30).to_json_dict()
-        monkeypatch.setattr(synthetic, "_BLOCK_NODES", 121 * 6)
+        monkeypatch.setattr(synthetic, "_BLOCK_NODES", 121)
         assert run_zero_detection_study(seeds=30).to_json_dict() == batched
+
+    def test_default_study_is_one_block(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return identify_batch(*args)
+
+        monkeypatch.setattr(synthetic, "identify_batch", counting)
+        assert run_zero_detection_study().seeds == 100
+        assert len(calls) == 1
 
     def test_impossible_threshold_counts_failures(self):
         study = run_zero_detection_study(seeds=2, safety_threshold=1e12)
