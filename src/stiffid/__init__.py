@@ -16,7 +16,6 @@ from .compliance import (
 from .errors import (
     AlreadyCentered,
     DegenerateGeometry,
-    EmptyField,
     EmptySelection,
     EntryOutOfRange,
     FieldFileError,
@@ -50,7 +49,6 @@ from .field import (
     DisplacementField,
     SensorRegion,
     center_field,
-    centroid,
     read_field_csv,
     select_sensor,
     write_field_csv,

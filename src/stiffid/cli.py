@@ -302,15 +302,15 @@ def cmd_identify(args) -> int:
     return 0
 
 
-def _simulate_pattern(args) -> MeshPattern:
-    if args.pattern == "cubic":
-        return MeshPattern.cubic(args.edge, args.step)
-    return MeshPattern.square(args.edge, args.step, args.axis)
-
-
 def cmd_simulate(args) -> int:
     spec = BeamSpec(args.length, args.section, args.youngs, args.poisson)
-    pattern = _simulate_pattern(args)
+    # Each experiment's sensor selects the whole simulated pattern.
+    sensor = {"shape": "cube", "edge": args.edge, "center": [0.0, 0.0, 0.0]}
+    if args.pattern == "cubic":
+        pattern = MeshPattern.cubic(args.edge, args.step)
+    else:
+        pattern = MeshPattern.square(args.edge, args.step, args.axis)
+        sensor.update(shape="square", axis=args.axis)
     loads = (args.fx, args.fy, args.fz, args.mx, args.my, args.mz)
     cases = beam_load_cases(spec, pattern, loads, args.sigma, args.seed)
     out = _out_dir(args)
@@ -323,10 +323,6 @@ def cmd_simulate(args) -> int:
             "synthetic cantilever experiment " + case.source,
             f"sigma={args.sigma!r} mm, seed={args.seed + j}",
         ))
-        sensor = {"shape": "cube", "edge": args.edge, "center": [0.0, 0.0, 0.0]}
-        if pattern.kind == "square":
-            sensor = {"shape": "square", "edge": args.edge, "axis": args.axis,
-                      "center": [0.0, 0.0, 0.0]}
         entries.append({
             "field_file": name,
             "wrench": {

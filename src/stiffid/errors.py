@@ -13,10 +13,6 @@ class AlreadyCentered(StiffidError):
     """Field has already been shifted to its reference point."""
 
 
-class EmptyField(StiffidError):
-    """Operation needs at least one node."""
-
-
 class EmptySelection(StiffidError):
     """Sensor region contains no nodes."""
 

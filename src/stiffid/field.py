@@ -9,6 +9,7 @@ fields.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field as _field
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from .errors import (
     AlreadyCentered,
-    EmptyField,
     EmptySelection,
     FieldFileError,
     InvalidArgument,
@@ -90,9 +90,6 @@ class DisplacementField:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    def __len__(self) -> int:
-        return self.n
-
 
 def center_field(field: DisplacementField) -> DisplacementField:
     """Shift node positions so they are relative to the reference point.
@@ -108,13 +105,6 @@ def center_field(field: DisplacementField) -> DisplacementField:
         field.reference_point,
         centered=True,
     )
-
-
-def centroid(field: DisplacementField) -> np.ndarray:
-    """Arithmetic mean of the node positions."""
-    if field.n == 0:
-        raise EmptyField("cannot take the centroid of an empty field")
-    return column_mean(field.positions)
 
 
 def column_mean(a: np.ndarray) -> np.ndarray:
@@ -149,73 +139,72 @@ def axis_index(axis: int | str) -> int:
 
 @dataclass(frozen=True)
 class SensorRegion:
-    """Geometric region selecting the nodes of a virtual sensor.
+    """Box or ball selecting the nodes of a virtual sensor.
 
-    Construct through :meth:`cube`, :meth:`square`, :meth:`layer` or
+    A box holds the nodes within ``half[i]`` of `center` along each axis
+    i, with ``inf`` along an axis it does not bound; a ball (`half`
+    None) holds the nodes within `radius` of `center`.  Construct
+    through :meth:`cube`, :meth:`square`, :meth:`layer` or
     :meth:`sphere`.  Coordinates are relative to the reference point of
     the (centered) field the region is applied to.  Boundary nodes are
-    inside within ``BOUNDARY_TOL``.
+    inside within ``BOUNDARY_TOL``.  The region holds read-only copies
+    of its arrays.
     """
 
     shape: str
     center: np.ndarray
-    edge: float = 0.0
-    axis: int = 0
-    coordinate: float = 0.0
-    thickness: float = 0.0
+    half: np.ndarray | None = None
     radius: float = 0.0
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).reshape(3)
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
+        for name in ("center", "half"):
+            if getattr(self, name) is not None:
+                arr = np.array(getattr(self, name), dtype=float).reshape(3)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
+        if not np.isfinite(self.center).all():
+            raise InvalidArgument(
+                f"{self.shape} center must be finite, got {self.center.tolist()}")
 
     @classmethod
     def cube(cls, edge: float, center=(0.0, 0.0, 0.0)) -> "SensorRegion":
-        if edge <= 0:
-            raise ValueError("cube edge must be positive")
-        return cls("cube", center, edge=float(edge))
+        return cls("cube", center, np.full(3, _size(edge, "cube edge") / 2))
 
     @classmethod
     def square(cls, edge: float, axis: int | str, center=(0.0, 0.0, 0.0)) -> "SensorRegion":
         """Planar square sensor of zero thickness, normal to `axis`."""
-        if edge <= 0:
-            raise ValueError("square edge must be positive")
-        return cls("square", center, edge=float(edge), axis=axis_index(axis))
+        half = np.full(3, _size(edge, "square edge") / 2)
+        half[axis_index(axis)] = 0.0
+        return cls("square", center, half)
 
     @classmethod
     def layer(cls, axis: int | str, coordinate: float, thickness: float) -> "SensorRegion":
-        """Slab of nodes with the `axis` coordinate near `coordinate`."""
-        if thickness <= 0:
-            raise ValueError("layer thickness must be positive")
+        """Slab of nodes with the `axis` coordinate near `coordinate`,
+        unbounded along the other two axes."""
+        thickness = _size(thickness, "layer thickness")
         ax = axis_index(axis)
-        center = np.zeros(3)
-        center[ax] = coordinate
-        return cls("layer", center, axis=ax, coordinate=float(coordinate),
-                   thickness=float(thickness))
+        half, center = np.full(3, np.inf), np.zeros(3)
+        half[ax], center[ax] = thickness / 2, coordinate
+        return cls("layer", center, half)
 
     @classmethod
     def sphere(cls, radius: float, center=(0.0, 0.0, 0.0)) -> "SensorRegion":
-        if radius <= 0:
-            raise ValueError("sphere radius must be positive")
-        return cls("sphere", center, radius=float(radius))
+        return cls("sphere", center, radius=_size(radius, "sphere radius"))
 
     def mask(self, positions: np.ndarray) -> np.ndarray:
         """Boolean inclusion mask for an (n, 3) position array."""
         rel = positions - self.center
-        if self.shape == "cube":
-            return np.all(np.abs(rel) <= self.edge / 2 + BOUNDARY_TOL, axis=1)
-        if self.shape == "square":
-            others = [i for i in range(3) if i != self.axis]
-            on_plane = np.abs(rel[:, self.axis]) <= BOUNDARY_TOL
-            inside = np.all(np.abs(rel[:, others]) <= self.edge / 2 + BOUNDARY_TOL, axis=1)
-            return on_plane & inside
-        if self.shape == "layer":
-            d = np.abs(positions[:, self.axis] - self.coordinate)
-            return d <= self.thickness / 2 + BOUNDARY_TOL
-        if self.shape == "sphere":
+        if self.half is None:
             return np.linalg.norm(rel, axis=1) <= self.radius + BOUNDARY_TOL
-        raise ValueError(f"unknown region shape {self.shape!r}")
+        return np.all(np.abs(rel) <= self.half + BOUNDARY_TOL, axis=1)
+
+
+def _size(value: float, name: str) -> float:
+    """A region size as a float; raises :class:`InvalidArgument` unless it
+    is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise InvalidArgument(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 def select_sensor(field: DisplacementField, region: SensorRegion) -> DisplacementField:

@@ -244,8 +244,12 @@ def identify_batch(positions: Sequence[np.ndarray],
     raises for the batch, and a wrench set that is not admissible
     raises :class:`~stiffid.errors.RankDeficientWrenches`.
     Experiments whose positions equal an earlier experiment's share its
-    fit geometry.
+    fit geometry.  Positions, displacements and wrenches must count the
+    same experiments; a mismatch raises ``ValueError``.
     """
+    if len(wrenches) != len(positions):
+        raise ValueError(f"{len(positions)} experiments' positions but "
+                         f"{len(wrenches)} wrenches")
     # Per distinct node layout: the positions as given, in planes, and
     # their fit geometry with the centroid-relative positions.
     layouts: list[tuple[np.ndarray, np.ndarray, FitGeometry, np.ndarray]] = []
@@ -254,7 +258,7 @@ def identify_batch(positions: Sequence[np.ndarray],
     objectives = []
     counts = []
     rows = None
-    for j, (p, d) in enumerate(zip(positions, displacements)):
+    for j, (p, d) in enumerate(zip(positions, displacements, strict=True)):
         p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
         if rows is None and d.ndim == 3:
             rows = len(d)

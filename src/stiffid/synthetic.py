@@ -98,59 +98,51 @@ def _box_muller(u: np.ndarray, out: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class MeshPattern:
-    """Regular node pattern of a virtual sensor.
+    """Node pattern of a virtual sensor: a read-only (n, 3) array of node
+    offsets from the sensor centre.
 
-    ``cubic`` fills a cube with a uniform grid, ``square`` fills a plane
-    normal to one axis, ``custom`` takes explicit node offsets.
+    ``cubic`` fills a cube with a uniform grid and ``square`` fills a
+    plane normal to one axis; the constructor takes any offsets.
     """
 
-    kind: str
-    edge: float = 0.0
-    step: float = 0.0
-    axis: int = 0
-    nodes: np.ndarray | None = None
+    nodes: np.ndarray
 
     def __post_init__(self):
-        if self.nodes is not None:
-            arr = np.asarray(self.nodes, dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != 3:
-                raise InvalidPattern("custom nodes must have shape (n, 3)")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, "nodes", arr)
+        nodes = np.array(self.nodes, dtype=float)
+        if nodes.ndim != 2 or nodes.shape[1] != 3:
+            raise InvalidPattern(f"nodes must have shape (n, 3), got {nodes.shape}")
+        nodes.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
 
     @classmethod
     def cubic(cls, edge: float, step: float) -> "MeshPattern":
-        _check_edge_step(edge, step)
-        return cls("cubic", edge=float(edge), step=float(step))
+        off = _axis_offsets(edge, step)
+        x, y, z = np.meshgrid(off, off, off, indexing="ij")
+        return cls(np.column_stack([x.ravel(), y.ravel(), z.ravel()]))
 
     @classmethod
     def square(cls, edge: float, step: float, axis: int | str = "x") -> "MeshPattern":
-        _check_edge_step(edge, step)
-        return cls("square", edge=float(edge), step=float(step),
-                   axis=axis_index(axis))
-
-    @classmethod
-    def custom(cls, nodes) -> "MeshPattern":
-        return cls("custom", nodes=np.asarray(nodes, dtype=float))
+        off = _axis_offsets(edge, step)
+        u, v = np.meshgrid(off, off, indexing="ij")
+        # A zero column at `axis` puts the grid in the plane normal to it.
+        return cls(np.insert(np.column_stack([u.ravel(), v.ravel()]),
+                             axis_index(axis), 0.0, axis=1))
 
 
-def _check_edge_step(edge: float, step: float) -> None:
+def _axis_offsets(edge: float, step: float) -> np.ndarray:
+    """Grid coordinates along one axis: `edge` in steps of `step`, about 0."""
     if not (0.0 < edge < math.inf and 0.0 < step < math.inf):
         raise InvalidPattern("edge and step must be positive and finite, "
                              f"got {edge!r} and {step!r}")
     ratio = edge / step
-    if round(ratio) < 1:
+    steps = int(round(ratio))
+    if steps < 1:
         # Within the tolerance below, a ratio near 0 would pass as 0
         # steps: a pattern of one node.
         raise InvalidPattern(f"edge {edge} must span at least one step {step}")
-    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+    if abs(ratio - steps) > 1e-9 * max(1.0, ratio):
         raise InvalidPattern(f"step {step} does not divide edge {edge}")
-
-
-def _axis_offsets(edge: float, step: float) -> np.ndarray:
-    count = int(round(edge / step)) + 1
-    return (np.arange(count) - (count - 1) / 2.0) * step
+    return (np.arange(steps + 1) - steps / 2.0) * step
 
 
 def generate_pattern(pattern: MeshPattern, center=(0.0, 0.0, 0.0),
@@ -158,30 +150,13 @@ def generate_pattern(pattern: MeshPattern, center=(0.0, 0.0, 0.0),
     """Build a centered zero-displacement field from a node pattern.
 
     Nodes are laid out around `center`; positions are stored relative to
-    `reference_point` (defaults to `center`, giving a field whose
-    centroid sits at the reference point).
+    `reference_point` (defaults to `center`, giving the pattern's
+    offsets as positions).
     """
     center = np.asarray(center, dtype=float).reshape(3)
     ref = center if reference_point is None else \
         np.asarray(reference_point, dtype=float).reshape(3)
-    if pattern.kind == "cubic":
-        off = _axis_offsets(pattern.edge, pattern.step)
-        x, y, z = np.meshgrid(off, off, off, indexing="ij")
-        grid = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
-    elif pattern.kind == "square":
-        off = _axis_offsets(pattern.edge, pattern.step)
-        u, v = np.meshgrid(off, off, indexing="ij")
-        grid = np.zeros((u.size, 3))
-        others = [i for i in range(3) if i != pattern.axis]
-        grid[:, others[0]] = u.ravel()
-        grid[:, others[1]] = v.ravel()
-    elif pattern.kind == "custom":
-        if pattern.nodes is None:
-            raise InvalidPattern("custom pattern has no nodes")
-        grid = pattern.nodes
-    else:
-        raise InvalidPattern(f"unknown pattern kind {pattern.kind!r}")
-    positions = grid + (center - ref)
+    positions = pattern.nodes + (center - ref)
     return DisplacementField(positions, np.zeros_like(positions), ref,
                              centered=True)
 

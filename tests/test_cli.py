@@ -170,6 +170,43 @@ class TestIdentify:
         assert ([e["removed_indices"] for e in rerun_log["experiments"]]
                 == [e["removed_indices"] for e in log["experiments"]])
 
+    def test_every_sensor_shape(self, sim_dir, tmp_path):
+        # The simulated nodes are the integer points of [-5, 5]^3 about
+        # the reference point; each count below follows from the shape's
+        # definition there, boundary nodes included.
+        grid = np.stack(np.meshgrid(*[np.arange(-5.0, 6.0)] * 3, indexing="ij"),
+                        -1).reshape(-1, 3)
+        sensors = [
+            ({"shape": "cube", "edge": 6.0, "center": [1.0, -2.0, 1.5]},
+             np.all(np.abs(grid - [1.0, -2.0, 1.5]) <= 3.0, axis=1)),
+            ({"shape": "square", "edge": 8.0, "axis": "z", "center": [0.0, 0.0, 2.0]},
+             (grid[:, 2] == 2.0) & np.all(np.abs(grid[:, :2]) <= 4.0, axis=1)),
+            ({"shape": "layer", "axis": "x", "coordinate": 1.0, "thickness": 2.0},
+             np.abs(grid[:, 0] - 1.0) <= 1.0),
+            ({"shape": "sphere", "radius": 4.0},
+             np.sum(grid ** 2, axis=1) <= 16.0),
+            ({"shape": "layer", "axis": "y", "coordinate": -2.0, "thickness": 3.0},
+             np.abs(grid[:, 1] + 2.0) <= 1.5),
+            ({"shape": "sphere", "radius": 3.0, "center": [1.0, 1.0, 0.0]},
+             np.sum((grid - [1.0, 1.0, 0.0]) ** 2, axis=1) <= 9.0),
+        ]
+        expected = [int(np.count_nonzero(inside)) for _, inside in sensors]
+        assert expected == [294, 81, 363, 257, 363, 123]
+        data = read_manifest(sim_dir / "manifest.json")
+        for entry, (sensor, _) in zip(data["experiments"], sensors):
+            entry["field_file"] = str(sim_dir / entry["field_file"])
+            entry["sensor"] = sensor
+        manifest = tmp_path / "shapes.json"
+        write_manifest(manifest, data)
+        out = tmp_path / "ident"
+        assert main(["identify", str(manifest), "--outlier-fraction", "0",
+                     "--out", str(out)]) == 0
+        log = read_manifest(out / "run_log.json")
+        assert [entry["nodes"] for entry in log["experiments"]] == expected
+        k = load_compliance_json(out / "compliance.json").k
+        oracle = beam_compliance_oracle().k
+        assert_allclose(k[NONZERO], oracle[NONZERO], rtol=1e-10)
+
     def test_torque_unit_invariance(self, sim_dir, tmp_path):
         data = read_manifest(sim_dir / "manifest.json")
         for entry in data["experiments"]:

@@ -10,7 +10,6 @@ from stiffid import (
     AlreadyCentered,
     BeamSpec,
     DisplacementField,
-    EmptyField,
     EmptySelection,
     FieldFileError,
     InvalidArgument,
@@ -18,14 +17,13 @@ from stiffid import (
     SensorRegion,
     beam_load_cases,
     center_field,
-    centroid,
     estimate_lin,
     filter_outliers,
     read_field_csv,
     select_sensor,
     write_field_csv,
 )
-from stiffid.field import _WRITE_BLOCK_ROWS, BOUNDARY_TOL
+from stiffid.field import _WRITE_BLOCK_ROWS, BOUNDARY_TOL, column_mean
 from stiffid.synthetic import (
     DEFAULT_LOADS,
     _beam_experiments,
@@ -53,7 +51,6 @@ class TestDisplacementField:
     def test_basic_properties(self):
         f = grid_field(2.0, 1.0)
         assert f.n == 27
-        assert len(f) == 27
         assert_array_equal(f.positions[0], [-1.0, -1.0, -1.0])
 
     def test_arrays_are_frozen(self):
@@ -176,17 +173,13 @@ class TestCentering:
 
 class TestCentroid:
     def test_symmetric_grid_lands_on_origin(self):
-        assert_allclose(centroid(grid_field(10.0, 1.0)), np.zeros(3), atol=1e-12)
+        assert_allclose(column_mean(grid_field(10.0, 1.0).positions), np.zeros(3),
+                        atol=1e-12)
 
     def test_plain_average(self):
         pos = np.array([[0.0, 0.0, 0.0], [2.0, 4.0, 6.0], [1.0, 2.0, 0.0]])
         f = DisplacementField(pos, np.zeros((3, 3)), centered=True)
-        assert_allclose(centroid(f), [1.0, 2.0, 2.0])
-
-    def test_empty_field_raises(self):
-        f = DisplacementField(np.zeros((0, 3)), np.zeros((0, 3)))
-        with pytest.raises(EmptyField):
-            centroid(f)
+        assert_allclose(column_mean(f.positions), [1.0, 2.0, 2.0])
 
 
 class TestSensorRegions:
@@ -246,7 +239,7 @@ class TestSensorRegions:
         f = grid_field(10.0, 1.0)
         sel = select_sensor(f, SensorRegion.cube(2.0, center=(4.0, 4.0, 4.0)))
         assert sel.n == 27
-        assert_allclose(centroid(sel), [4.0, 4.0, 4.0], atol=1e-12)
+        assert_allclose(column_mean(sel.positions), [4.0, 4.0, 4.0], atol=1e-12)
 
     def test_empty_selection_raises(self):
         with pytest.raises(EmptySelection):
@@ -267,6 +260,27 @@ class TestSensorRegions:
         # bool is an int subclass: True would select axis y.
         with pytest.raises(InvalidArgument, match="axis"):
             SensorRegion.square(10.0, bad)
+
+    def test_center_is_copied(self):
+        c = np.zeros(3)
+        region = SensorRegion.cube(10.0, c)
+        c[0] = 5.0
+        assert_array_equal(region.center, np.zeros(3))
+        assert not region.center.flags.writeable
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: SensorRegion.cube(v),
+        lambda v: SensorRegion.square(v, "y"),
+        lambda v: SensorRegion.layer("x", 0.0, v),
+        lambda v: SensorRegion.layer("x", v, 1.0),
+        lambda v: SensorRegion.sphere(v),
+        lambda v: SensorRegion.sphere(1.0, center=(0.0, v, 0.0)),
+    ], ids=["cube-edge", "square-edge", "layer-thickness", "layer-coordinate",
+            "sphere-radius", "sphere-center"])
+    def test_non_finite_sizes_rejected(self, make, value):
+        with pytest.raises(InvalidArgument, match="finite"):
+            make(value)
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ValueError):

@@ -376,6 +376,23 @@ def test_batch_shapes_checked(positions, displacements):
                                [Wrench([1.0, 0.0, 0.0], np.zeros(3))])
 
 
+def test_batch_experiment_counts_checked(noisy_cases):
+    # Positions, displacements and wrenches must count the same
+    # experiments: an extra wrench or position raises before any fit, and
+    # an extra or missing displacement array is not silently dropped.
+    P = [case.field.positions for case in noisy_cases]
+    D = [case.field.displacements[None] for case in noisy_cases]
+    W = [case.wrench for case in noisy_cases]
+    with pytest.raises(ValueError, match="6 experiments' positions but 7 wrenches"):
+        stiffid.identify_batch(P, D, W + W[:1])
+    with pytest.raises(ValueError, match="7 experiments' positions but 6 wrenches"):
+        stiffid.identify_batch(P + P[:1], D + D[:1], W)
+    with pytest.raises(ValueError, match="longer"):
+        stiffid.identify_batch(P, D + [D[0] * 100], W)
+    with pytest.raises(ValueError, match="shorter"):
+        stiffid.identify_batch(P, D[:5], W)
+
+
 def test_batch_row_count_shared_by_experiments():
     pos = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3, indexing="ij"), -1).reshape(-1, 3)
     with pytest.raises(ValueError, match="experiment 1"):

@@ -23,7 +23,6 @@ from stiffid import (
     beam_load_cases,
     beam_tip_field,
     canonical_wrench_scheme,
-    centroid,
     estimate_lin,
     estimate_svd,
     generate_pattern,
@@ -35,6 +34,7 @@ from stiffid import (
     run_zero_detection_study,
 )
 from stiffid import synthetic
+from stiffid.field import column_mean
 from stiffid.synthetic import (
     DEFAULT_LOADS,
     STUDY_METHODS,
@@ -61,7 +61,7 @@ class TestPatterns:
         assert field.n == count
         assert field.centered
         assert np.all(field.displacements == 0.0)
-        assert_allclose(centroid(field), np.zeros(3), atol=1e-12)
+        assert_allclose(column_mean(field.positions), np.zeros(3), atol=1e-12)
 
     def test_square_node_count_and_plane(self):
         field = generate_pattern(MeshPattern.square(10.0, 1.0, "x"))
@@ -81,13 +81,19 @@ class TestPatterns:
         field = generate_pattern(MeshPattern.cubic(10.0, 5.0),
                                  center=(995.0, 0.0, 0.0),
                                  reference_point=(1000.0, 0.0, 0.0))
-        assert_allclose(centroid(field), [-5.0, 0.0, 0.0], atol=1e-12)
+        assert_allclose(column_mean(field.positions), [-5.0, 0.0, 0.0], atol=1e-12)
         assert_allclose(field.reference_point, [1000.0, 0.0, 0.0])
 
     def test_custom_pattern(self):
-        nodes = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]
-        field = generate_pattern(MeshPattern.custom(nodes))
-        assert_array_equal(field.positions, nodes)
+        # The constructor takes any offsets and keeps a read-only copy.
+        nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        pattern = MeshPattern(nodes)
+        nodes[0, 0] = 9.0
+        assert not pattern.nodes.flags.writeable
+        field = generate_pattern(pattern, center=(1.0, 1.0, 1.0))
+        assert_array_equal(field.positions, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                             [0.0, 2.0, 0.0]])
+        assert_array_equal(field.reference_point, [1.0, 1.0, 1.0])
 
     def test_step_must_divide_edge(self):
         with pytest.raises(InvalidPattern):
@@ -114,7 +120,7 @@ class TestPatterns:
 
     def test_custom_nodes_shape_checked(self):
         with pytest.raises(InvalidPattern):
-            MeshPattern.custom(np.zeros((4, 2)))
+            MeshPattern(np.zeros((4, 2)))
 
 
 class TestRigidTransform:
