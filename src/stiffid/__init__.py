@@ -74,7 +74,6 @@ from .synthetic import (
     DEFAULT_LOADS,
     AmplitudeStudy,
     BeamSpec,
-    GroundTruth,
     MeshPattern,
     apply_rigid_transform,
     beam_compliance_oracle,

@@ -46,12 +46,13 @@ import numpy as np
 from . import __version__
 from .compliance import Wrench, save_compliance_json
 from .errors import (
+    EmptySelection,
     FieldFileError,
     InvalidArgument,
     ManifestError,
     StiffidError,
 )
-from .estimation import AngleExtractionMethod
+from .estimation import MIN_FIT_NODES, AngleExtractionMethod
 from .field import (
     SensorRegion,
     center_field,
@@ -60,6 +61,7 @@ from .field import (
     write_field_csv,
 )
 from .pipeline import IdentifyOptions, LoadCase, run_identification
+from .stats import _SIGMA_MAX
 from .synthetic import (
     DEFAULT_LOADS,
     BeamSpec,
@@ -205,7 +207,11 @@ def _check(value, schema, path: str, manifest: str) -> None:
 
 
 def load_manifest(path) -> tuple[list[LoadCase], dict]:
-    """Parse a manifest file into centered, sensor-restricted load cases."""
+    """Parse a manifest file into centered, sensor-restricted load cases.
+
+    A sensor that selects fewer than ``MIN_FIT_NODES`` nodes of its
+    field raises :class:`ManifestError`, which names the experiment.
+    """
     manifest = str(path)
     try:
         with open(manifest, "r", encoding="utf-8") as handle:
@@ -233,7 +239,15 @@ def load_manifest(path) -> tuple[list[LoadCase], dict]:
         field = center_field(read_field_csv(base / entry["field_file"],
                                             data["reference_point"], lscale))
         if region is not None:
-            field = select_sensor(field, region)
+            try:
+                field = select_sensor(field, region)
+                nodes = field.n
+            except EmptySelection:
+                nodes = 0
+            if nodes < MIN_FIT_NODES:
+                raise ManifestError(manifest, f"experiments[{i}]: the sensor selects "
+                                    f"{nodes} nodes of {entry['field_file']}, and a rigid "
+                                    f"fit needs at least {MIN_FIT_NODES}")
         cases.append(LoadCase(field, wrench, entry["field_file"]))
     return cases, data.get("options", {})
 
@@ -393,7 +407,7 @@ def _benchmark_noise(args) -> int:
     # alone fills the band, so correct code would fail.  A bad sigma or a
     # count below 1 is left to the study's own checks.
     if args.trials is not None and 1 <= args.trials < NOISE_MIN_TRIALS and \
-            (args.sigma is None or 0.0 < args.sigma < math.inf):
+            (args.sigma is None or 0.0 < args.sigma <= _SIGMA_MAX):
         raise InvalidArgument(
             f"--trials {args.trials} is too few for the noise band: with sigma > 0 "
             f"it needs at least {NOISE_MIN_TRIALS} trials")
@@ -401,8 +415,8 @@ def _benchmark_noise(args) -> int:
     out = _out_dir(args)
     ok = True
     if study.sigma == 0.0:
-        ok = bool(study.max_translation_error <= 1e-12
-                  and study.max_rotation_error <= 1e-12)
+        ok = bool(study.max_translation_error_mm <= 1e-12
+                  and study.max_rotation_error_rad <= 1e-12)
     else:
         for emp, ana in zip(study.empirical_translation_std + study.empirical_rotation_std,
                             study.analytic_translation_std + study.analytic_rotation_std):
@@ -526,8 +540,7 @@ def main(argv=None) -> int:
         _emit_error(type(exc).__name__, exc)
         return 2
     except StiffidError as exc:
-        _emit_error(type(exc).__name__, exc,
-                    experiment=getattr(exc, "experiment", None))
+        _emit_error(type(exc).__name__, exc)
         return 3
 
 

@@ -50,25 +50,15 @@ class Wrench:
         t = np.asarray(self.torque, dtype=float).reshape(3).copy()
         if not (np.isfinite(f).all() and np.isfinite(t).all()):
             raise ValueError("wrench components must be finite")
-        values = f.tolist() + t.tolist()
-        nonzero = [i for i, v in enumerate(values) if v != 0.0]
-        if not nonzero:
+        if not (f.any() or t.any()):
             raise ValueError("wrench must have at least one nonzero component")
         f.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "force", f)
         object.__setattr__(self, "torque", t)
-        # Found once here: is_canonical asks for it on every wrench of
-        # every identification.
-        object.__setattr__(self, "_single", (nonzero[0], values[nonzero[0]])
-                           if len(nonzero) == 1 else None)
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.force, self.torque])
-
-    def single_component(self) -> tuple[int, float] | None:
-        """(index, value) when exactly one of the six components is nonzero."""
-        return self._single
 
 
 @dataclass(frozen=True)
@@ -197,10 +187,16 @@ def canonical_wrench_scheme(fx: float, fy: float, fz: float,
 
 def is_canonical(wrenches: Sequence[Wrench]) -> bool:
     """Whether the wrenches form the canonical scheme: six
-    single-component wrenches, one per component, in any order."""
-    singles = [w.single_component() for w in wrenches]
-    return len(singles) == 6 and None not in singles and \
-        len({index for index, _ in singles}) == 6
+    single-component wrenches, one per component, in any order.
+
+    Every wrench has a nonzero component, so six wrenches with six
+    nonzeros in all load one component each, and with no component left
+    unloaded, each a different one.
+    """
+    if len(wrenches) != 6:
+        return False
+    vectors = np.array([w.as_vector() for w in wrenches])  # one row per wrench
+    return bool(np.count_nonzero(vectors) == 6 and vectors.any(axis=0).all())
 
 
 def _wrench_svd(wrenches: Sequence[Wrench]) -> tuple[np.ndarray, ...]:

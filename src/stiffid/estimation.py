@@ -88,6 +88,9 @@ from .field import DisplacementField, column_mean
 # Small-angle validity bound for the linearized model, rad (about 1 degree).
 ROTATION_WARN_LIMIT = 0.0175
 
+# Fewest nodes a rigid fit takes.
+MIN_FIT_NODES = 3
+
 # Relative eigenvalue / singular value floor below which the node layout is
 # treated as degenerate (rotation unobservable about some axis).
 DEGENERACY_RTOL = 1e-12
@@ -236,11 +239,6 @@ class Deflection:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.translation, self.rotation])
-
-    @classmethod
-    def from_vector(cls, v) -> "Deflection":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return cls(v[:3], v[3:])
 
     @classmethod
     def _checked(cls, translation: np.ndarray, rotation: np.ndarray) -> "Deflection":
@@ -406,8 +404,9 @@ def _fit_geometry(positions: np.ndarray) -> tuple[FitGeometry, np.ndarray]:
         about some axis) or overflows.
     """
     n = positions.shape[-2]
-    if n < 3:
-        raise DegenerateGeometry(f"a rigid fit needs at least 3 nodes, got {n}")
+    if n < MIN_FIT_NODES:
+        raise DegenerateGeometry(
+            f"a rigid fit needs at least {MIN_FIT_NODES} nodes, got {n}")
     positions = _planes(positions)
     c = column_mean(positions)
     rel = positions - c[..., None, :]

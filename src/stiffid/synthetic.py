@@ -161,33 +161,23 @@ def generate_pattern(pattern: MeshPattern, center=(0.0, 0.0, 0.0),
                              centered=True)
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Prescribed rigid deflection plus the noise model of a synthetic field."""
-
-    deflection: Deflection
-    sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_sigma(self.sigma)
-
-
-def apply_rigid_transform(field: DisplacementField, truth: GroundTruth,
+def apply_rigid_transform(field: DisplacementField, deflection: Deflection,
+                          sigma: float = 0.0, seed: int = 0,
                           exact_rotation: bool = False) -> DisplacementField:
-    """Displace a centered field by a rigid transform plus Gaussian noise.
+    """Displace a centered field by a rigid `deflection` plus Gaussian
+    noise of std `sigma` (mm) drawn from `seed`.
 
     ``exact_rotation=True`` moves the nodes with the orthogonal matrix
     Rx @ Ry @ Rz built from the rotation vector, which is how reference
     fields for linearization-error studies are produced; the default
     uses the first-order matrix I + skew(dphi), matching the model the
-    estimators invert.
+    estimators invert.  A `sigma` that is negative, non-finite or whose
+    square overflows raises :class:`InvalidArgument`.
     """
     if not field.centered:
         raise ValueError("apply_rigid_transform needs a centered field")
-    rigid = _rigid_displacement(field.positions, truth.deflection, exact_rotation)
-    states = _noise_states(truth.sigma, [truth.seed])
-    displacements = _noisy_displacements(rigid, truth.sigma, states)[0]
+    rigid = _rigid_displacement(field.positions, deflection, exact_rotation)
+    displacements = _noisy_displacements(rigid, sigma, _noise_states(sigma, [seed]))[0]
     return DisplacementField(field.positions, displacements, field.reference_point,
                              centered=True)
 
@@ -397,11 +387,10 @@ def beam_tip_field(spec: BeamSpec, wrench: Wrench, pattern: MeshPattern,
     """
     k = beam_compliance_oracle(spec)
     d = k.k @ wrench.as_vector()
-    truth = GroundTruth(Deflection(d[:3], d[3:]), sigma, seed)
     if center is None:
         center = (spec.length, 0.0, 0.0)
     base = generate_pattern(pattern, center=center)
-    return apply_rigid_transform(base, truth)
+    return apply_rigid_transform(base, Deflection(d[:3], d[3:]), sigma, seed)
 
 
 def beam_load_cases(spec: BeamSpec = BeamSpec(),
@@ -455,16 +444,7 @@ class AmplitudeStudy:
     band: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "amplitudes": list(self.amplitudes),
-            "sigma": self.sigma,
-            "trials": self.trials,
-            "max_errors": {m: list(v) for m, v in self.max_errors.items()},
-            "mean_errors": {m: list(v) for m, v in self.mean_errors.items()},
-            "best_amplitude": self.best_amplitude,
-            "band": list(self.band),
-        }
+        return dict(vars(self))
 
     def write_csv(self, path) -> None:
         """Wide table: one row per method, one column per amplitude."""
@@ -546,8 +526,8 @@ class NoiseStudy:
 
     sigma: float
     trials: int
-    max_translation_error: float
-    max_rotation_error: float
+    max_translation_error_mm: float
+    max_rotation_error_rad: float
     empirical_translation_std: tuple[float, ...]
     empirical_rotation_std: tuple[float, ...]
     analytic_translation_std: tuple[float, ...]
@@ -555,17 +535,7 @@ class NoiseStudy:
     mean_error: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "trials": self.trials,
-            "max_translation_error_mm": self.max_translation_error,
-            "max_rotation_error_rad": self.max_rotation_error,
-            "empirical_translation_std": list(self.empirical_translation_std),
-            "empirical_rotation_std": list(self.empirical_rotation_std),
-            "analytic_translation_std": list(self.analytic_translation_std),
-            "analytic_rotation_std": list(self.analytic_rotation_std),
-            "mean_error": list(self.mean_error),
-        }
+        return dict(vars(self))
 
 
 def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
@@ -613,26 +583,16 @@ class ZeroDetectionStudy:
     multiplier: float
     safety_threshold: float
     perfect_seeds: int
+    pass_fraction: float
     zeros_missed: tuple[int, ...]
     nonzeros_lost: tuple[int, ...]
     min_safety: tuple[float, ...]
 
-    @property
-    def pass_fraction(self) -> float:
-        return self.perfect_seeds / self.seeds if self.seeds else 0.0
-
     def to_json_dict(self) -> dict:
-        return {
-            "seeds": self.seeds,
-            "sigma": self.sigma,
-            "multiplier": self.multiplier,
-            "safety_threshold": self.safety_threshold,
-            "perfect_seeds": self.perfect_seeds,
-            "pass_fraction": self.pass_fraction,
-            "zeros_missed": list(self.zeros_missed),
-            "nonzeros_lost": list(self.nonzeros_lost),
-            "min_safety": [s if math.isfinite(s) else None for s in self.min_safety],
-        }
+        """The fields, with a non-finite safety factor as None (JSON null)."""
+        data = dict(vars(self))
+        data["min_safety"] = [s if math.isfinite(s) else None for s in self.min_safety]
+        return data
 
 
 def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
@@ -686,5 +646,5 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
     perfect = sum(missed == 0 and lost == 0 and low >= safety_threshold
                   for missed, lost, low in zip(zeros_missed, nonzeros_lost, min_safety))
     return ZeroDetectionStudy(seeds, sigma, multiplier, safety_threshold,
-                              perfect, tuple(zeros_missed), tuple(nonzeros_lost),
-                              tuple(min_safety))
+                              perfect, perfect / seeds, tuple(zeros_missed),
+                              tuple(nonzeros_lost), tuple(min_safety))

@@ -17,7 +17,6 @@ import pytest
 from stiffid import (
     Deflection,
     DisplacementField,
-    GroundTruth,
     MeshPattern,
     apply_rigid_transform,
     beam_compliance_oracle,
@@ -184,7 +183,7 @@ def test_08_outlier_filtering_helps(capsys):
 
     wins = 0
     for seed in range(100):
-        field = apply_rigid_transform(base, GroundTruth(truth, sigma=sigma, seed=seed))
+        field = apply_rigid_transform(base, truth, sigma=sigma, seed=seed)
         rng = np.random.default_rng(10_000 + seed)
         idx = rng.choice(field.n, size=n_bad, replace=False)
         spikes = rng.normal(size=(n_bad, 3))
@@ -223,8 +222,8 @@ def test_09_estimator_agreement(capsys):
         axis /= np.linalg.norm(axis)
         angles = axis * math.radians(rng.uniform(0.0, 0.1))
         shift = rng.uniform(-10.0, 10.0, 3)
-        moved = apply_rigid_transform(
-            field, GroundTruth(Deflection(shift, angles)), exact_rotation=True)
+        moved = apply_rigid_transform(field, Deflection(shift, angles),
+                                      exact_rotation=True)
         a = estimate_lin(moved).deflection
         b = estimate_svd(moved).deflection
         worst_t = max(worst_t, np.max(np.abs(a.translation - b.translation)))

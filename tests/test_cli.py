@@ -567,6 +567,28 @@ class TestIdentifyErrors:
         assert payload["error"] == "ManifestError"
         assert word in payload["message"]
 
+    @pytest.mark.parametrize("sensor, nodes", [
+        ({"shape": "layer", "axis": "x", "coordinate": 100.0, "thickness": 1.0}, 0),
+        ({"shape": "sphere", "radius": 0.5}, 1),
+    ], ids=["layer-outside-field", "sphere-one-node"])
+    def test_sensor_selecting_too_few_nodes_exit_2(self, sim_dir, tmp_path, capsys,
+                                                   sensor, nodes):
+        # A rigid fit needs 3 nodes: a sensor that selects fewer is a
+        # manifest error that names the experiment and its field file.
+        data = read_manifest(sim_dir / "manifest.json")
+        for entry in data["experiments"]:
+            entry["field_file"] = str(sim_dir / entry["field_file"])
+        data["experiments"][0]["sensor"] = sensor
+        manifest = tmp_path / "m.json"
+        write_manifest(manifest, data)
+        assert main(["identify", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        payload = self.stderr_payload(capsys)
+        assert payload["error"] == "ManifestError"
+        assert payload["file"] == str(manifest)
+        assert (f"experiments[0]: the sensor selects {nodes} nodes of "
+                f"{sim_dir / 'field_fx.csv'}") in payload["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_non_finite_field_value_exit_2(self, tmp_path, capsys):
         out = tmp_path / "sim"
         main(["simulate", "--sigma", "0", "--out", str(out)])
@@ -646,6 +668,8 @@ class TestBenchmark:
         # the covariances square sigma, so its square must be finite too
         (["simulate", "--sigma", "1e300"], "square"),
         (["benchmark", "noise", "--sigma", "1e300", "--trials", "100"], "square"),
+        # a bad sigma is reported ahead of a trial count that is too few
+        (["benchmark", "noise", "--trials", "50", "--sigma", "1e300"], "square"),
         (["benchmark", "zero-detection", "--sigma", "1e300"], "square"),
     ], ids=["simulate-sigma", "simulate-poisson", "simulate-seed", "zero-detection-sigma",
             "zero-detection-multiplier", "zero-detection-trials", "noise-trials-0",
@@ -653,6 +677,7 @@ class TestBenchmark:
             "simulate-sigma-inf", "noise-sigma-inf", "simulate-load-nan",
             "simulate-length-inf", "noise-trials-50", "noise-trials-99-noisy",
             "simulate-sigma-square-overflows", "noise-sigma-square-overflows",
+            "noise-trials-50-sigma-square-overflows",
             "zero-detection-sigma-square-overflows"])
     def test_bad_number_exit_2(self, tmp_path, capsys, argv, word):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2

@@ -65,23 +65,44 @@ def assert_not_canonical(experiments):
         assemble_canonical(experiments)
 
 
+def single(j, value=1.0):
+    """The wrench whose component j is `value` and the others zero."""
+    v = np.zeros(6)
+    v[j] = value
+    return Wrench(v[:3], v[3:])
+
+
+def wrench_vectors(wrenches):
+    return np.array([w.as_vector() for w in wrenches])
+
+
 class TestWrench:
+    """Which components a wrench loads is read by is_canonical, from the
+    wrench matrix; it returns a Python bool, which the run log
+    serializes."""
+
     def test_vector_layout(self):
         w = Wrench([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
         assert_array_equal(w.as_vector(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
     def test_single_component(self):
-        assert Wrench([0, 0, 0], [0, 500.0, 0]).single_component() == (4, 500.0)
-        assert Wrench([1.0, 0, 0], [0, 0, 1.0]).single_component() is None
+        wrenches = [single(i) for i in range(6)]
+        wrenches[4] = Wrench([0, 0, 0], [0, 500.0, 0])
+        assert is_canonical(wrenches) is True
+        wrenches[4] = Wrench([1.0, 0, 0], [0, 0, 1.0])
+        assert is_canonical(wrenches) is False
 
     @pytest.mark.parametrize("value", [2.5, -7.0, 1e-300])
     def test_single_component_every_index(self, value):
+        # Every index with either sign, in any order; then component j
+        # loaded twice and component (j + 1) % 6 not at all.
         for j in range(6):
-            v = np.zeros(6)
-            v[j] = value
-            single = Wrench(v[:3], v[3:]).single_component()
-            assert single == (j, value)
-            assert type(single[0]) is int and type(single[1]) is float
+            for sign in (1.0, -1.0):
+                wrenches = [single(i, sign * value if i == j else value) for i in range(6)]
+                assert is_canonical(wrenches) is True
+                assert is_canonical(wrenches[j:] + wrenches[:j]) is True
+                wrenches[(j + 1) % 6] = single(j, value)
+                assert is_canonical(wrenches) is False
 
     @pytest.mark.parametrize("force, torque", [
         ([1.0, -2.0, 0.0], [0.0, 0.0, 0.0]),
@@ -89,10 +110,15 @@ class TestWrench:
         ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
     ])
     def test_multi_component_is_not_single(self, force, torque):
-        assert Wrench(force, torque).single_component() is None
+        # Five single-component wrenches, Fy to Mz, and a combined one:
+        # every component is loaded, by seven or more nonzeros.
+        wrenches = [single(i) for i in range(1, 6)] + [Wrench(force, torque)]
+        assert is_canonical(wrenches) is False
+        assert is_canonical(wrenches[::-1]) is False
 
     def test_negative_zero_is_zero(self):
-        assert Wrench([-0.0, 0.0, 0.0], [0.0, 0.0, -3.0]).single_component() == (5, -3.0)
+        wrenches = [single(i) for i in range(5)]
+        assert is_canonical(wrenches + [Wrench([-0.0, 0.0, 0.0], [0.0, -0.0, -3.0])]) is True
         with pytest.raises(ValueError):
             Wrench([-0.0, 0.0, 0.0], [0.0, -0.0, 0.0])
 
@@ -107,21 +133,35 @@ class TestWrench:
 
 class TestCanonicalScheme:
     def test_six_single_component_wrenches(self):
-        wrenches = canonical_wrench_scheme(1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)
-        assert len(wrenches) == 6
-        for j, w in enumerate(wrenches):
-            index, value = w.single_component()
-            assert index == j
-            assert value == (1000.0 if j not in (1, 2) else 1.0)
+        magnitudes = (1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)
+        wrenches = canonical_wrench_scheme(*magnitudes)
+        assert_array_equal(wrench_vectors(wrenches), np.diag(magnitudes))
+        assert is_canonical(wrenches) is True
 
     def test_zero_magnitude_rejected(self):
         with pytest.raises(ZeroMagnitude):
             canonical_wrench_scheme(1.0, 1.0, 0.0, 1.0, 1.0, 1.0)
 
     def test_negative_magnitudes_allowed(self):
-        wrenches = canonical_wrench_scheme(-1.0, 1.0, 1.0, 1.0, 1.0, -2.0)
-        assert wrenches[0].single_component() == (0, -1.0)
-        assert wrenches[5].single_component() == (5, -2.0)
+        magnitudes = (-1.0, 1.0, 1.0, 1.0, 1.0, -2.0)
+        wrenches = canonical_wrench_scheme(*magnitudes)
+        assert_array_equal(wrench_vectors(wrenches), np.diag(magnitudes))
+        assert is_canonical(wrenches) is True
+
+    def test_repeated_component(self):
+        wrenches = [single(i) for i in range(6)]
+        wrenches[3] = single(0, -5.0)
+        assert is_canonical(wrenches) is False
+
+    def test_five_and_seven_wrenches(self):
+        wrenches = [single(i) for i in range(6)]
+        assert is_canonical(wrenches[:5]) is False
+        assert is_canonical(wrenches[1:]) is False
+        assert is_canonical(wrenches + [single(2, 4.0)]) is False
+        assert is_canonical(wrenches + [Wrench([1.0, 1.0, 0.0], np.zeros(3))]) is False
+
+    def test_empty_set(self):
+        assert is_canonical([]) is False
 
 
 class TestAssembleCanonical:

@@ -351,7 +351,8 @@ class TestAngleExtraction:
 class TestDeflection:
     def test_vector_roundtrip(self):
         d = Deflection([1.0, 2.0, 3.0], [1e-4, -2e-4, 3e-4])
-        back = Deflection.from_vector(d.as_vector())
+        v = d.as_vector()
+        back = Deflection(v[:3], v[3:])
         assert_allclose(back.translation, d.translation, atol=0)
         assert_allclose(back.rotation, d.rotation, atol=0)
 

@@ -34,7 +34,6 @@ from stiffid import (
 from stiffid.estimation import _GRAM_BLOCK, _geometry_row, _planes
 from stiffid.synthetic import (
     DEFAULT_LOADS,
-    GroundTruth,
     _noisy_displacements,
     _seed_states,
     apply_rigid_transform,
@@ -155,8 +154,8 @@ def test_noise_free_cube_over_three_blocks(estimator):
         cases = []
         for w in canonical_wrench_scheme(*DEFAULT_LOADS):
             d = k @ w.as_vector()
-            truth = GroundTruth(Deflection(d[:3], d[3:]))
-            field = apply_rigid_transform(base, truth, exact_rotation=True)
+            field = apply_rigid_transform(base, Deflection(d[:3], d[3:]),
+                                          exact_rotation=True)
             cases.append(LoadCase(field, w))
     assert cases[0].field.n > 2 * _GRAM_BLOCK
     result = run_identification(cases, IdentifyOptions(estimator=estimator))

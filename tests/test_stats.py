@@ -473,8 +473,8 @@ class TestSignificanceTest:
         k = beam_matrix()
         experiments = canonical_experiments(k)
         combined = Wrench([1000.0, 1.0, 0.0], [0.0, 0.0, 0.0])
-        experiments[0] = Experiment(combined, Deflection.from_vector(
-            k @ combined.as_vector()))
+        d = k @ combined.as_vector()
+        experiments[0] = Experiment(combined, Deflection(d[:3], d[3:]))
         covariances = [DeflectionCovariance((j + 1) * 1e-16 * np.eye(3),
                                             (j + 1) * 1e-20 * np.eye(3))
                        for j in range(6)]

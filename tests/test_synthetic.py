@@ -1,5 +1,7 @@
 """Synthetic fields, the cantilever forward model and the validation studies."""
 
+import dataclasses
+import json
 import math
 import warnings
 
@@ -11,7 +13,6 @@ from stiffid import (
     BeamSpec,
     Deflection,
     DisplacementField,
-    GroundTruth,
     IdentifyOptions,
     InvalidArgument,
     InvalidPattern,
@@ -34,6 +35,7 @@ from stiffid import (
     run_zero_detection_study,
 )
 from stiffid import synthetic
+from stiffid.compliance import is_canonical
 from stiffid.field import column_mean
 from stiffid.synthetic import (
     DEFAULT_LOADS,
@@ -50,6 +52,27 @@ def assert_same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
+
+
+def as_json_reads(value):
+    """`value` as JSON reads it back: tuples become lists."""
+    if isinstance(value, dict):
+        return {k: as_json_reads(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [as_json_reads(v) for v in value]
+    return value
+
+
+def assert_summary_holds_fields(study, keys):
+    """The study's JSON summary has exactly `keys`, written out here so
+    that a field added to a study must be added to its test, and each
+    value is the record's field of that name.  The summary is strict
+    JSON: no NaN or infinity."""
+    data = json.loads(json.dumps(study.to_json_dict(), allow_nan=False))
+    assert set(data) == keys
+    for key in keys:
+        assert data[key] == as_json_reads(getattr(study, key)), key
+    return data
 
 
 class TestPatterns:
@@ -126,24 +149,22 @@ class TestPatterns:
 class TestRigidTransform:
     def test_pure_translation(self):
         base = generate_pattern(MeshPattern.cubic(4.0, 1.0))
-        truth = GroundTruth(Deflection([0.1, -0.2, 0.3], np.zeros(3)))
-        moved = apply_rigid_transform(base, truth)
+        moved = apply_rigid_transform(base, Deflection([0.1, -0.2, 0.3], np.zeros(3)))
         assert_allclose(moved.displacements,
                         np.tile([0.1, -0.2, 0.3], (base.n, 1)), atol=0)
 
     def test_first_order_transform_formula(self):
         base = generate_pattern(MeshPattern.cubic(4.0, 1.0))
         rotation = np.array([1e-4, -2e-4, 3e-4])
-        truth = GroundTruth(Deflection([0.5, 0.0, -0.5], rotation))
-        moved = apply_rigid_transform(base, truth)
+        moved = apply_rigid_transform(base, Deflection([0.5, 0.0, -0.5], rotation))
         expected = np.cross(rotation, base.positions) + [0.5, 0.0, -0.5]
         assert_allclose(moved.displacements, expected, atol=1e-15)
 
     def test_exact_rotation_formula(self):
         base = generate_pattern(MeshPattern.cubic(4.0, 1.0))
         angles = np.deg2rad([0.1, 0.1, 0.1])
-        truth = GroundTruth(Deflection(np.zeros(3), angles))
-        moved = apply_rigid_transform(base, truth, exact_rotation=True)
+        moved = apply_rigid_transform(base, Deflection(np.zeros(3), angles),
+                                      exact_rotation=True)
         R = rotation_xyz(angles)
         expected = base.positions @ (R - np.eye(3)).T
         assert_allclose(moved.displacements, expected, atol=1e-15)
@@ -151,7 +172,7 @@ class TestRigidTransform:
     def test_exact_and_first_order_differ_at_second_order(self):
         base = generate_pattern(MeshPattern.cubic(10.0, 1.0))
         angles = np.deg2rad([0.1, 0.1, 0.1])
-        truth = GroundTruth(Deflection(np.zeros(3), angles))
+        truth = Deflection(np.zeros(3), angles)
         diff = (apply_rigid_transform(base, truth, exact_rotation=True).displacements
                 - apply_rigid_transform(base, truth).displacements)
         worst = np.max(np.abs(diff))
@@ -159,21 +180,17 @@ class TestRigidTransform:
 
     def test_noise_is_seeded(self):
         base = generate_pattern(MeshPattern.cubic(4.0, 1.0))
-        truth = GroundTruth(Deflection([0.1, 0.0, 0.0], np.zeros(3)),
-                            sigma=1e-4, seed=7)
-        a = apply_rigid_transform(base, truth)
-        b = apply_rigid_transform(base, truth)
+        truth = Deflection([0.1, 0.0, 0.0], np.zeros(3))
+        a = apply_rigid_transform(base, truth, sigma=1e-4, seed=7)
+        b = apply_rigid_transform(base, truth, sigma=1e-4, seed=7)
         assert_array_equal(a.displacements, b.displacements)
-        other = GroundTruth(Deflection([0.1, 0.0, 0.0], np.zeros(3)),
-                            sigma=1e-4, seed=8)
-        c = apply_rigid_transform(base, other)
+        c = apply_rigid_transform(base, truth, sigma=1e-4, seed=8)
         assert np.max(np.abs(c.displacements - a.displacements)) > 0.0
 
     def test_noise_level_matches_sigma(self):
         base = generate_pattern(MeshPattern.cubic(10.0, 1.0))
-        truth = GroundTruth(Deflection(np.zeros(3), np.zeros(3)),
-                            sigma=1.0, seed=0)
-        noise = apply_rigid_transform(base, truth).displacements
+        truth = Deflection(np.zeros(3), np.zeros(3))
+        noise = apply_rigid_transform(base, truth, sigma=1.0, seed=0).displacements
         assert abs(noise.std() - 1.0) < 0.05   # 3993 samples
         assert abs(noise.mean()) < 0.05
 
@@ -235,16 +252,18 @@ class TestRigidTransform:
         base = generate_pattern(MeshPattern.cubic(2.0, 1.0))
         raw = DisplacementField(base.positions, base.displacements)
         with pytest.raises(ValueError):
-            apply_rigid_transform(raw, GroundTruth(Deflection([1, 0, 0], np.zeros(3))))
+            apply_rigid_transform(raw, Deflection([1, 0, 0], np.zeros(3)))
 
     def test_negative_sigma_rejected(self):
+        base = generate_pattern(MeshPattern.cubic(2.0, 1.0))
         with pytest.raises(ValueError):
-            GroundTruth(Deflection(np.zeros(3), np.zeros(3)), sigma=-1.0)
+            apply_rigid_transform(base, Deflection(np.zeros(3), np.zeros(3)), sigma=-1.0)
 
     @pytest.mark.parametrize("sigma", [1.35e154, 1e300])
     def test_sigma_whose_square_overflows_rejected(self, sigma):
+        base = generate_pattern(MeshPattern.cubic(2.0, 1.0))
         with pytest.raises(InvalidArgument, match="square"):
-            GroundTruth(Deflection(np.zeros(3), np.zeros(3)), sigma=sigma)
+            apply_rigid_transform(base, Deflection(np.zeros(3), np.zeros(3)), sigma=sigma)
 
 
 class TestBeamModel:
@@ -313,11 +332,10 @@ class TestBeamModel:
     def test_load_cases_layout(self):
         cases = beam_load_cases()
         assert [c.source for c in cases] == ["fx", "fy", "fz", "mx", "my", "mz"]
-        for j, case in enumerate(cases):
-            index, value = case.wrench.single_component()
-            assert index == j
-            assert value == DEFAULT_LOADS[j]
-            assert case.field.n == 1331
+        wrenches = [case.wrench for case in cases]
+        assert_array_equal([w.as_vector() for w in wrenches], np.diag(DEFAULT_LOADS))
+        assert is_canonical(wrenches) is True
+        assert all(case.field.n == 1331 for case in cases)
 
     @pytest.mark.parametrize("pattern", [MeshPattern.cubic(4.0, 1.0),
                                          MeshPattern.square(10.0, 1.0, "x")],
@@ -404,9 +422,9 @@ class TestAmplitudeStudy:
                 else:
                     truth_defl = Deflection([amp] * 3, np.zeros(3))
                 for t in range(trials):
-                    truth = GroundTruth(truth_defl, sigma, seed + ai * trials + t)
                     field = apply_rigid_transform(
-                        base, truth, exact_rotation=(kind == "rotation"))
+                        base, truth_defl, sigma, seed + ai * trials + t,
+                        exact_rotation=(kind == "rotation"))
                     for name in errors:
                         fit = estimate_lin(field) if name == "lin" else \
                             estimate_svd(field, name.removeprefix("svd-"))
@@ -420,6 +438,15 @@ class TestAmplitudeStudy:
             assert_same_bits(study.max_errors[name], values.max(axis=1))
             assert_same_bits(study.mean_errors[name], values.mean(axis=1))
 
+    def test_json_dict_holds_fields(self):
+        study = run_amplitude_study([0.05, 0.5], MeshPattern.cubic(2.0, 1.0),
+                                    trials=2, seed=3, sigma=5e-5)
+        data = assert_summary_holds_fields(study, {
+            "kind", "amplitudes", "sigma", "trials", "max_errors", "mean_errors",
+            "best_amplitude", "band"})
+        assert set(data["max_errors"]) == set(STUDY_METHODS)
+        assert data["best_amplitude"] in data["band"]
+
     def test_csv_and_json_outputs(self, tmp_path):
         study = run_amplitude_study([0.1, 1.0])
         path = tmp_path / "study.csv"
@@ -427,7 +454,7 @@ class TestAmplitudeStudy:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + len(STUDY_METHODS)
         assert lines[0].startswith("method,0.1,1.0")
-        data = study.to_json_dict()
+        data = json.loads(json.dumps(study.to_json_dict()))
         assert data["kind"] == "rotation"
         assert data["amplitudes"] == [0.1, 1.0]
         assert set(data["max_errors"]) == set(STUDY_METHODS)
@@ -436,8 +463,8 @@ class TestAmplitudeStudy:
 class TestNoiseStudy:
     def test_noise_free_errors_vanish(self):
         study = run_noise_study(sigma=0.0, trials=3)
-        assert study.max_translation_error <= 1e-12
-        assert study.max_rotation_error <= 1e-12
+        assert study.max_translation_error_mm <= 1e-12
+        assert study.max_rotation_error_rad <= 1e-12
 
     def test_spread_matches_analytic_stds(self):
         study = run_noise_study(sigma=5e-5, trials=100, seed=1)
@@ -463,22 +490,21 @@ class TestNoiseStudy:
         truth_defl = Deflection((1.0, 1.0, 1.0), np.deg2rad([0.1] * 3))
         err = np.zeros((trials, 6))
         for t in range(trials):
-            truth = GroundTruth(truth_defl, sigma, seed + t)
-            fit = estimate_lin(apply_rigid_transform(base, truth))
+            fit = estimate_lin(apply_rigid_transform(base, truth_defl, sigma, seed + t))
             err[t] = fit.deflection.as_vector() - truth_defl.as_vector()
         emp = err.std(axis=0, ddof=1)
-        assert_same_bits(study.max_translation_error, np.max(np.abs(err[:, :3])))
-        assert_same_bits(study.max_rotation_error, np.max(np.abs(err[:, 3:])))
+        assert_same_bits(study.max_translation_error_mm, np.max(np.abs(err[:, :3])))
+        assert_same_bits(study.max_rotation_error_rad, np.max(np.abs(err[:, 3:])))
         assert_same_bits(study.empirical_translation_std, emp[:3])
         assert_same_bits(study.empirical_rotation_std, emp[3:])
         assert_same_bits(study.mean_error, err.mean(axis=0))
 
     def test_json_dict_keys(self):
         study = run_noise_study(sigma=0.0, trials=2)
-        data = study.to_json_dict()
-        for key in ("sigma", "trials", "empirical_rotation_std",
-                    "analytic_rotation_std", "mean_error"):
-            assert key in data
+        assert_summary_holds_fields(study, {
+            "sigma", "trials", "max_translation_error_mm", "max_rotation_error_rad",
+            "empirical_translation_std", "empirical_rotation_std",
+            "analytic_translation_std", "analytic_rotation_std", "mean_error"})
 
 
 class TestZeroDetectionStudy:
@@ -492,10 +518,21 @@ class TestZeroDetectionStudy:
 
     def test_json_dict_round_numbers(self):
         study = run_zero_detection_study(seeds=2)
-        data = study.to_json_dict()
+        data = assert_summary_holds_fields(study, {
+            "seeds", "sigma", "multiplier", "safety_threshold", "perfect_seeds",
+            "pass_fraction", "zeros_missed", "nonzeros_lost", "min_safety"})
         assert data["seeds"] == 2
         assert data["pass_fraction"] == 1.0
         assert len(data["min_safety"]) == 2
+
+    def test_json_dict_writes_non_finite_safety_as_null(self):
+        # A zero halfwidth, as from a fit with exactly zero residuals,
+        # gives an infinite safety factor.
+        study = dataclasses.replace(run_zero_detection_study(seeds=1),
+                                    min_safety=(math.inf, 7.5, -math.inf, math.nan))
+        text = json.dumps(study.to_json_dict(), allow_nan=False)
+        assert json.loads(text)["min_safety"] == [None, 7.5, None, None]
+        assert study.min_safety[0] == math.inf  # the record keeps its value
 
     def test_matches_reference_loop(self):
         # The study builds the seed-invariant beam fields once; the
