@@ -2,7 +2,6 @@
 
 from .compliance import (
     ComplianceMatrix,
-    Experiment,
     Wrench,
     assemble_canonical,
     assemble_overdetermined,

@@ -214,7 +214,7 @@ def load_manifest(path) -> tuple[list[LoadCase], dict]:
     """
     manifest = str(path)
     try:
-        with open(manifest, "r", encoding="utf-8") as handle:
+        with open(manifest, "r", encoding="utf-8-sig") as handle:
             data = json.load(handle, object_pairs_hook=_pairs_to_object)
     except OSError as exc:
         raise ManifestError(manifest, str(exc)) from exc

@@ -62,15 +62,6 @@ class Wrench:
 
 
 @dataclass(frozen=True)
-class Experiment:
-    """One virtual loading experiment: applied wrench and measured deflection."""
-
-    wrench: Wrench
-    deflection: Deflection
-    field_source: str = ""
-
-
-@dataclass(frozen=True)
 class ComplianceMatrix:
     """6x6 compliance matrix with optional significance bookkeeping.
 
@@ -154,7 +145,7 @@ def compliance_from_json_dict(data: dict) -> ComplianceMatrix:
 
 
 def load_compliance_json(path) -> ComplianceMatrix:
-    with open(str(path), "r", encoding="utf-8") as handle:
+    with open(str(path), "r", encoding="utf-8-sig") as handle:
         return compliance_from_json_dict(json.load(handle))
 
 
@@ -252,30 +243,36 @@ def _least_squares(deflections: np.ndarray, svd: tuple[np.ndarray, ...]) -> np.n
     return (((deflections @ Vt.T) / s) @ U.T) / scale
 
 
-def assemble_overdetermined(experiments: Sequence[Experiment]) -> ComplianceMatrix:
-    """Least-squares assembly from m >= 6 wrenches of any structure.
+def assemble_overdetermined(wrenches: Sequence[Wrench],
+                            deflections: Sequence[Deflection]) -> ComplianceMatrix:
+    """Least-squares assembly from m >= 6 wrenches of any structure and
+    the deflection each produced, in the same order.
 
     Solves min |k W - D| over k, where W and D stack the wrench and
     deflection vectors column-wise: k = D W^+.  Requires the wrenches
-    to span all six directions, else :class:`RankDeficientWrenches`.
+    to span all six directions, else :class:`RankDeficientWrenches`,
+    and one deflection per wrench, else ``ValueError``.
     """
-    svd = _wrench_svd([e.wrench for e in experiments])
+    if len(deflections) != len(wrenches):
+        raise ValueError(f"{len(wrenches)} wrenches but {len(deflections)} deflections")
+    svd = _wrench_svd(wrenches)
     return ComplianceMatrix(_least_squares(
-        np.column_stack([e.deflection.as_vector() for e in experiments]), svd))
+        np.column_stack([d.as_vector() for d in deflections]), svd))
 
 
-def assemble_canonical(experiments: Sequence[Experiment]) -> ComplianceMatrix:
+def assemble_canonical(wrenches: Sequence[Wrench],
+                       deflections: Sequence[Deflection]) -> ComplianceMatrix:
     """Assemble k from a canonical 6-wrench scheme.
 
     The experiment loading component j fills column j with
     deflection / magnitude; this is :func:`assemble_overdetermined`
     on a set it accepts.  Input order does not matter.  Raises
-    :class:`NotCanonical` for any other experiment set.
+    :class:`NotCanonical` for any other wrench set.
     """
-    if not is_canonical([exp.wrench for exp in experiments]):
+    if not is_canonical(wrenches):
         raise NotCanonical("experiments must form the canonical scheme: six "
                            "single-component wrenches, one per component")
-    return assemble_overdetermined(experiments)
+    return assemble_overdetermined(wrenches, deflections)
 
 
 def _symmetrize(k: np.ndarray, mask: np.ndarray | None,

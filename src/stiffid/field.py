@@ -234,7 +234,8 @@ def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
     character is '#' are comments and skipped (a '#' after a value is an
     error).  The first other line must be the header, compared case-
     and space-insensitively; every further line holds exactly six
-    comma-separated finite numbers.  The file must be UTF-8 text.
+    comma-separated finite numbers.  The file must be UTF-8 text, with
+    or without a byte-order mark.
     Errors carry the file's line number where there is one.
     `length_scale` converts the file's length unit to mm (1000.0 for
     metres).  The returned field is not centered.
@@ -247,7 +248,7 @@ def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
     """
     path = str(path)
     try:
-        handle = open(path, "r", encoding="utf-8")
+        handle = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise FieldFileError(path, None, str(exc)) from exc
     try:
@@ -316,7 +317,7 @@ def _read_rows(handle, path: str, first_line: int) -> np.ndarray:
 def _data_line(path: str, row: int) -> int:
     """Line number of data row `row` (0-based, after the header) of a
     field CSV that :func:`read_field_csv` has already parsed."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         data_lines = (lineno for lineno, raw in enumerate(handle, start=1)
                       if raw.strip() and not raw.strip().startswith("#"))
         return next(itertools.islice(data_lines, row + 1, None))

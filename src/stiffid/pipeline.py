@@ -61,12 +61,10 @@ from .stats import (
     SignificanceReport,
     _check_fraction,
     _check_multiplier,
-    _component_variance,
     _covariance,
     _drop_mask,
     _halfwidth,
     _pool_sigma,
-    _report,
     _significance,
 )
 
@@ -159,9 +157,9 @@ class BatchIdentification(NamedTuple):
     outlier removal), ``dropped[j]`` the (S, n_j) mask of removed nodes
     (None when none are removed), ``per_experiment_sigma[j]`` (S,) the
     noise level of the initial fit and ``covariances[j]`` the
-    translation and rotation covariance blocks (S, 3, 3) of the final
-    fit.  ``sigma`` (S,) is the pooled noise level with ``dof`` degrees
-    of freedom.  Every admissible wrench set gives every array:
+    deflection covariances (S, 6, 6) of the final fit, block-diagonal in
+    translation and rotation.  ``sigma`` (S,) is the pooled noise level
+    with ``dof`` degrees of freedom.  Every admissible wrench set gives every array:
     ``assembled`` (S, 6, 6) is the least-squares matrix before the
     significance stage, ``halfwidth`` its confidence halfwidths,
     ``significant`` the elements outside them, ``safety`` the safety
@@ -174,7 +172,7 @@ class BatchIdentification(NamedTuple):
     sigma: np.ndarray
     dof: int
     per_experiment_sigma: tuple[np.ndarray, ...]
-    covariances: tuple[tuple[np.ndarray, np.ndarray], ...]
+    covariances: tuple[np.ndarray, ...]
     assembled: np.ndarray
     halfwidth: np.ndarray
     significant: np.ndarray
@@ -291,15 +289,14 @@ def identify_batch(positions: Sequence[np.ndarray],
         dropped.append(drop)
     sigma, dof, per_experiment = _pool_sigma(objectives, counts)
     covariances = tuple(_covariance(fit.geometry, sigma) for fit in fits)
-    # Least squares for every admissible wrench set: k = D W^+, and
-    # Var(k_il) = sum_j (W^+)_jl^2 Var(D_ij) from the diagonals of the
-    # experiments' covariances, with D and Var stacked (S, 6, m).
+    # Least squares for every admissible wrench set: k = D W^+, with D
+    # stacked (S, 6, m), and Var(k_il) = sum_j (W^+)_jl^2 Var(D_ij) from
+    # the diagonals of the experiments' covariances.
     svd = _wrench_svd(wrenches)
     deflections = np.stack([np.concatenate([fit.translation, fit.rotation], axis=-1)
                             for fit in fits], axis=-1)
-    variances = np.stack([_component_variance(*c) for c in covariances], axis=-1)
     assembled = _least_squares(deflections, svd)
-    halfwidth = _halfwidth(variances, svd, options.confidence_multiplier)
+    halfwidth = _halfwidth(covariances, svd, options.confidence_multiplier)
     significant, matrix, safety = _significance(assembled, halfwidth)
     mask = significant
     if options.symmetrize:
@@ -319,7 +316,9 @@ def run_identification(cases: Sequence[LoadCase],
     directions is assembled by least squares and significance-tested;
     ``canonical`` records whether it was the canonical scheme (six
     single-component wrenches, one per component, in any order), which
-    no stage depends on.  This is :func:`identify_batch` with one row.
+    no stage depends on.  This is :func:`identify_batch` with one row;
+    the result's covariances and significance report hold copies of
+    that row's (6, 6) arrays.
     """
     for case in cases:
         _require_centered(case.field, "run_identification")
@@ -336,11 +335,12 @@ def run_identification(cases: Sequence[LoadCase],
     for case, fit, dropped in zip(cases, fits, removed):
         log.info("experiment %s: n=%d, removed=%d", case.source or "?",
                  fit.n, len(dropped))
-    covariances = tuple(DeflectionCovariance(t[0], r[0]) for t, r in batch.covariances)
+    covariances = tuple(DeflectionCovariance(c[0]) for c in batch.covariances)
 
     assembled = ComplianceMatrix(batch.assembled[0])
-    report = _report(batch.assembled[0], batch.halfwidth[0], batch.significant[0],
-                     batch.safety[0], options.confidence_multiplier)
+    report = SignificanceReport(batch.assembled[0], batch.halfwidth[0],
+                                batch.significant[0], batch.safety[0],
+                                options.confidence_multiplier)
     log.info("assembled matrix asymmetry %.3e", assembled.asymmetry())
     matrix = ComplianceMatrix(batch.matrix[0], batch.mask[0],
                               symmetrized=options.symmetrize)

@@ -3,8 +3,8 @@
 Nodal displacement errors are modelled as i.i.d. zero-mean Gaussian with
 standard deviation sigma per component.  The residual sum of squares of a
 rigid fit then carries 3n - 6 degrees of freedom per experiment, the
-estimated deflection is Gaussian with a covariance that follows from the
-normal equations, and compliance elements whose confidence interval
+estimated deflection is Gaussian with a 6x6 covariance that follows from
+the normal equations, and compliance elements whose confidence interval
 contains zero are treated as structural zeros.
 
 Each stage is one batched function over S independent identifications
@@ -14,7 +14,10 @@ Each stage is one batched function over S independent identifications
 (:func:`stiffid.pipeline.identify_batch`) runs them on whole batches;
 the public per-field functions (:func:`estimate_sigma`,
 :func:`filter_outliers`, :func:`system_covariance`,
-:func:`significance_test`) run them on one row.
+:func:`significance_test`) run them on one row.  The records hold one
+row of those arrays: a :class:`DeflectionCovariance` one (6, 6)
+covariance, a :class:`SignificanceReport` the (6, 6) estimates,
+halfwidths, significance mask and safety factors.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compliance import ComplianceMatrix, Experiment, _pseudo_inverse, _wrench_svd
+from .compliance import ComplianceMatrix, Wrench, _pseudo_inverse, _wrench_svd
 from .errors import (
     InsufficientDof,
     InvalidArgument,
@@ -89,29 +92,22 @@ def estimate_sigma(fits: Sequence[FitResult]) -> NoiseEstimate:
 
 @dataclass(frozen=True)
 class DeflectionCovariance:
-    """Covariance of an estimated deflection: translation mm^2, rotation rad^2."""
+    """Covariance (6, 6) of an estimated deflection (p; dphi): mm^2,
+    mm rad and rad^2 by block.  Stored symmetrized and read-only."""
 
-    translation: np.ndarray
-    rotation: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
-        for name in ("translation", "rotation"):
-            m = np.asarray(getattr(self, name), dtype=float)
-            if m.shape != (3, 3):
-                raise ValueError(f"{name} covariance must be 3x3")
-            m = (m + m.T) / 2.0
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
-
-    def translation_std(self) -> np.ndarray:
-        return self.component_std()[:3]
-
-    def rotation_std(self) -> np.ndarray:
-        return self.component_std()[3:]
+        m = np.asarray(self.matrix, dtype=float)
+        if m.shape != (6, 6):
+            raise ValueError(f"deflection covariance must be 6x6, got {m.shape}")
+        m = (m + m.T) / 2.0
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     def component_std(self) -> np.ndarray:
         """Standard deviations of the 6 deflection components."""
-        return np.sqrt(_component_variance(self.translation, self.rotation))
+        return np.sqrt(np.diagonal(self.matrix))
 
 
 # The largest sigma whose square is finite: the covariances square sigma
@@ -138,39 +134,33 @@ def _check_multiplier(multiplier: float, name: str) -> None:
             f"{name} must be a positive and finite number, got {multiplier!r}")
 
 
-def _covariance(geometry: FitGeometry, sigma: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Translation and rotation covariance blocks, (..., 3, 3) each, of
-    the fits on `geometry` for noise levels `sigma` (...,).  See
-    :func:`system_covariance`."""
+def _covariance(geometry: FitGeometry, sigma: np.ndarray) -> np.ndarray:
+    """Deflection covariances (..., 6, 6) of the fits on `geometry` for
+    noise levels `sigma` (...,).  See :func:`system_covariance`."""
     # Python's float power, not np.square: the two differ in the last
     # bit for about one sigma in a thousand, and the halfwidths have
     # always been computed from the former.
     variance = np.reshape([s ** 2 for s in np.ravel(sigma).tolist()], np.shape(sigma))
-    return ((variance / geometry.n)[..., None, None] * np.eye(3),
-            variance[..., None, None] * geometry.inverse)
-
-
-def _component_variance(translation: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """Variances (..., 6) of the deflection components from the
-    covariance blocks (..., 3, 3)."""
-    return np.concatenate([np.diagonal(translation, axis1=-2, axis2=-1),
-                           np.diagonal(rotation, axis1=-2, axis2=-1)], axis=-1)
+    covariance = np.zeros(np.shape(sigma) + (6, 6))
+    covariance[..., :3, :3] = (variance / geometry.n)[..., None, None] * np.eye(3)
+    covariance[..., 3:, 3:] = variance[..., None, None] * geometry.inverse
+    return covariance
 
 
 def system_covariance(geometry: FitGeometry, sigma: float) -> DeflectionCovariance:
     """Covariance of the linearized estimate for noise level `sigma`.
 
-    Translation: (sigma^2 / n) I about the field centroid.  Rotation:
-    sigma^2 times the inverse of the rotation normal matrix.  Both come
-    from the :class:`FitGeometry` of the fitted nodes, which a fit keeps
+    One block-diagonal 6x6 matrix: translation (sigma^2 / n) I about the
+    field centroid, rotation sigma^2 times the inverse of the rotation
+    normal matrix, and zero translation-rotation blocks.  It comes from
+    the :class:`FitGeometry` of the fitted nodes, which a fit keeps
     (``FitResult.geometry``), so no node is visited again.
 
     Raises :class:`InvalidArgument` (a ``ValueError``) unless `sigma` is
     nonnegative with a finite square (at most about 1.34e154).
     """
     _check_sigma(sigma)
-    return DeflectionCovariance(*_covariance(geometry, np.float64(sigma)))
+    return DeflectionCovariance(_covariance(geometry, np.float64(sigma)))
 
 
 def deflection_covariance(field: DisplacementField, sigma: float) -> DeflectionCovariance:
@@ -247,52 +237,60 @@ def filter_outliers(field: DisplacementField, fit: FitResult,
 
 
 @dataclass(frozen=True)
-class SignificanceElement:
-    row: int
-    col: int
-    estimate: float
-    halfwidth: float
-    significant: bool
-    safety_factor: float | None
-
-
-@dataclass(frozen=True)
 class SignificanceReport:
-    """Per-element confidence intervals of a compliance matrix."""
+    """Confidence intervals of the elements of a compliance matrix, as
+    read-only (6, 6) copies: the estimates, their halfwidths at
+    ``multiplier`` standard deviations, the significance mask and the
+    safety factors |estimate| / halfwidth (NaN where not significant)."""
 
-    elements: tuple[SignificanceElement, ...]
+    estimate: np.ndarray
+    halfwidth: np.ndarray
+    significant: np.ndarray
+    safety: np.ndarray
     multiplier: float
-    confidence_level: float
+
+    def __post_init__(self):
+        for name in ("estimate", "halfwidth", "significant", "safety"):
+            a = np.array(getattr(self, name))
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "multiplier", float(self.multiplier))
+
+    @property
+    def confidence_level(self) -> float:
+        """Two-sided normal coverage of +/- ``multiplier`` standard deviations."""
+        return math.erf(self.multiplier / math.sqrt(2.0))
 
     def to_json_dict(self) -> dict:
-        return {
-            "multiplier": self.multiplier,
-            "confidence_level": self.confidence_level,
-            "elements": [
-                {
-                    "row": e.row,
-                    "col": e.col,
-                    "estimate": e.estimate,
-                    "halfwidth": e.halfwidth,
-                    "significant": e.significant,
-                    "safety_factor": None if e.safety_factor is None
-                    or not math.isfinite(e.safety_factor) else e.safety_factor,
-                }
-                for e in self.elements
-            ],
-        }
+        """The 36 elements row by row; a non-finite safety factor is None."""
+        elements = []
+        for i, rows in enumerate(zip(self.estimate.tolist(), self.halfwidth.tolist(),
+                                     self.significant.tolist(), self.safety.tolist())):
+            for j, (est, hw, sig, factor) in enumerate(zip(*rows)):
+                elements.append({
+                    "row": i + 1,
+                    "col": j + 1,
+                    "estimate": est,
+                    "halfwidth": hw,
+                    "significant": sig,
+                    "safety_factor": factor if math.isfinite(factor) else None,
+                })
+        return {"multiplier": self.multiplier,
+                "confidence_level": self.confidence_level,
+                "elements": elements}
 
 
-def _halfwidth(variances: np.ndarray, svd: tuple[np.ndarray, ...],
+def _halfwidth(covariances: Sequence[np.ndarray], svd: tuple[np.ndarray, ...],
                multiplier: float) -> np.ndarray:
     """Confidence halfwidths (..., 6, 6) of least-squares compliance
-    elements k = D A with A = W^+, from the variances (..., 6, m) of
-    the deflection components of each experiment and the
+    elements k = D A with A = W^+, from the deflection covariance
+    (..., 6, 6) of each experiment and the
     :func:`~stiffid.compliance._wrench_svd` of W.
 
     The experiments are independent, so Var(k_il) = sum_j A_jl^2
     Var(D_ij): only the diagonal of each deflection covariance enters.
     """
+    variances = np.stack([np.diagonal(c, axis1=-2, axis2=-1) for c in covariances], axis=-1)
     return multiplier * np.sqrt(variances @ np.square(_pseudo_inverse(svd)))
 
 
@@ -306,30 +304,19 @@ def _significance(k: np.ndarray, halfwidth: np.ndarray,
     return significant, np.where(significant, k, 0.0), safety
 
 
-def _report(k: np.ndarray, halfwidth: np.ndarray, significant: np.ndarray,
-            safety: np.ndarray, multiplier: float) -> SignificanceReport:
-    """One identification's significance stage as a report."""
-    elements = []
-    for i, rows in enumerate(zip(k.tolist(), halfwidth.tolist(),
-                                 significant.tolist(), safety.tolist())):
-        for j, (est, hw, sig, factor) in enumerate(zip(*rows)):
-            elements.append(SignificanceElement(i + 1, j + 1, est, hw, sig,
-                                                factor if sig else None))
-    confidence = math.erf(multiplier / math.sqrt(2.0))
-    return SignificanceReport(tuple(elements), float(multiplier), confidence)
-
-
 def significance_test(matrix: ComplianceMatrix,
-                      experiments: Sequence[Experiment],
+                      wrenches: Sequence[Wrench],
                       covariances: Sequence[DeflectionCovariance],
                       level_multiplier: float = DEFAULT_CONFIDENCE_MULTIPLIER,
                       ) -> tuple[SignificanceReport, ComplianceMatrix]:
     """Zero out compliance elements indistinguishable from zero.
 
     `matrix` is taken as the least-squares assembly k = D W^+ of the
-    experiments (see :func:`~stiffid.compliance.assemble_overdetermined`),
-    whose wrenches may be any set of at least six that spans all six
-    load directions, else :class:`RankDeficientWrenches` is raised.
+    experiments loaded by `wrenches` (see
+    :func:`~stiffid.compliance.assemble_overdetermined`), any set of at
+    least six that spans all six load directions, else
+    :class:`RankDeficientWrenches` is raised; `covariances` holds each
+    experiment's deflection covariance, in the same order.
     The confidence halfwidth of element (i, l) is ``level_multiplier``
     times its standard deviation sqrt(sum_j A_jl^2 Var(d_j[i])), with
     A = W^+ and Var(d_j[i]) the variance of deflection component i of
@@ -344,13 +331,10 @@ def significance_test(matrix: ComplianceMatrix,
     ``ValueError``) is raised.
     """
     _check_multiplier(level_multiplier, "level_multiplier")
-    if len(covariances) != len(experiments) or any(c is None for c in covariances):
+    if len(covariances) != len(wrenches) or any(c is None for c in covariances):
         raise MissingCovariance("need one deflection covariance per experiment")
-    variances = np.stack([_component_variance(c.translation, c.rotation)
-                          for c in covariances], axis=-1)
-    halfwidth = _halfwidth(variances, _wrench_svd([e.wrench for e in experiments]),
+    halfwidth = _halfwidth([c.matrix for c in covariances], _wrench_svd(wrenches),
                            level_multiplier)
     significant, zeroed, safety = _significance(matrix.k, halfwidth)
-    report = _report(matrix.k, halfwidth, significant, safety, level_multiplier)
-    result = ComplianceMatrix(zeroed, significant, symmetrized=matrix.symmetrized)
-    return report, result
+    report = SignificanceReport(matrix.k, halfwidth, significant, safety, level_multiplier)
+    return report, ComplianceMatrix(zeroed, significant, symmetrized=matrix.symmetrized)

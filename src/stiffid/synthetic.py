@@ -562,14 +562,14 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
                         _noisy_displacements(rigid, sigma, states[block.start:block.stop]))
         err[block.start:block.stop] = np.concatenate(
             [fits.translation, fits.rotation], axis=-1) - truth_defl.as_vector()
-    cov = system_covariance(geometry, sigma)
+    analytic = system_covariance(geometry, sigma).component_std()
     emp = err.std(axis=0, ddof=1) if trials > 1 else np.zeros(6)
     return NoiseStudy(
         sigma, trials,
         float(np.max(np.abs(err[:, :3]))),
         float(np.max(np.abs(err[:, 3:]))),
         tuple(emp[:3]), tuple(emp[3:]),
-        tuple(cov.translation_std()), tuple(cov.rotation_std()),
+        tuple(analytic[:3]), tuple(analytic[3:]),
         tuple(err.mean(axis=0)),
     )
 
@@ -615,8 +615,14 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
     rows of one :func:`~stiffid.pipeline.identify_batch` call, and
     each row equals :func:`~stiffid.pipeline.run_identification` on that
     seed's :func:`beam_load_cases` bit for bit.
+
+    Raises :class:`InvalidArgument` for `sigma` = 0: the pooled sigma and
+    the structural zeros are then both roundoff, so the test has nothing
+    to measure.
     """
     _check_trials(seeds, "seeds")
+    if sigma == 0.0:
+        raise InvalidArgument("zero detection needs noise: sigma must be positive, got 0.0")
     states = _noise_states(sigma, range(seed, seed + 6 * seeds)).reshape(seeds, 6, 4)
     oracle = beam_compliance_oracle(spec)
     nonzero = oracle.k != 0.0

@@ -108,6 +108,22 @@ class TestIdentify:
         for name in ("compliance.json", "significance.json", "run_log.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_byte_order_mark_inputs_give_the_same_bytes(self, tmp_path):
+        # Each field and the manifest start with a UTF-8 byte-order mark,
+        # as Windows tools often write them.
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        assert main(["simulate", "--sigma", "5.6e-5", "--seed", "7",
+                     "--out", str(plain)]) == 0
+        marked.mkdir()
+        for path in plain.iterdir():
+            (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for sim in (plain, marked):
+            assert main(["identify", str(sim / "manifest.json"),
+                         "--out", str(sim / "result")]) == 0
+        for name in ("compliance.json", "significance.json"):
+            assert (marked / "result" / name).read_bytes() == \
+                (plain / "result" / name).read_bytes()
+
     def test_run_log_contents(self, sim_dir, tmp_path):
         out = tmp_path / "ident"
         main(["identify", str(sim_dir / "manifest.json"), "--out", str(out)])
@@ -671,6 +687,8 @@ class TestBenchmark:
         # a bad sigma is reported ahead of a trial count that is too few
         (["benchmark", "noise", "--trials", "50", "--sigma", "1e300"], "square"),
         (["benchmark", "zero-detection", "--sigma", "1e300"], "square"),
+        # noise-free structural zeros are roundoff: nothing to detect
+        (["benchmark", "zero-detection", "--sigma", "0"], "sigma"),
     ], ids=["simulate-sigma", "simulate-poisson", "simulate-seed", "zero-detection-sigma",
             "zero-detection-multiplier", "zero-detection-trials", "noise-trials-0",
             "noise-trials-negative", "zero-detection-seed", "simulate-axis",
@@ -678,7 +696,7 @@ class TestBenchmark:
             "simulate-length-inf", "noise-trials-50", "noise-trials-99-noisy",
             "simulate-sigma-square-overflows", "noise-sigma-square-overflows",
             "noise-trials-50-sigma-square-overflows",
-            "zero-detection-sigma-square-overflows"])
+            "zero-detection-sigma-square-overflows", "zero-detection-sigma-zero"])
     def test_bad_number_exit_2(self, tmp_path, capsys, argv, word):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -711,8 +729,10 @@ class TestBenchmark:
         ["benchmark", "amplitude", "--trials", "3"],
         ["benchmark", "zero-detection", "--trials", "0"],
         ["benchmark", "noise", "--trials", "100", "--sigma", "1e300"],
+        ["benchmark", "zero-detection", "--sigma", "0"],
     ], ids=["simulate-sigma", "simulate-edge-below-step", "noise-sigma",
-            "amplitude-trials", "zero-trials", "noise-sigma-square-overflows"])
+            "amplitude-trials", "zero-trials", "noise-sigma-square-overflows",
+            "zero-sigma-zero"])
     def test_input_error_leaves_no_out_dir(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 2

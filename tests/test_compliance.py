@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from stiffid import (
     ComplianceMatrix,
     Deflection,
-    Experiment,
     InvalidArgument,
     NotCanonical,
     RankDeficientWrenches,
@@ -48,21 +47,22 @@ def reference_matrix():
 
 
 def forward_experiments(k, magnitudes=(1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)):
-    """Experiments whose deflections follow d = k w exactly."""
-    experiments = []
+    """Canonical wrenches and the deflections d = k w they produce exactly."""
+    wrenches = canonical_wrench_scheme(*magnitudes)
+    deflections = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # synthetic deflections may be large
-        for wrench in canonical_wrench_scheme(*magnitudes):
+        for wrench in wrenches:
             d = k @ wrench.as_vector()
-            experiments.append(Experiment(wrench, Deflection(d[:3], d[3:])))
-    return experiments
+            deflections.append(Deflection(d[:3], d[3:]))
+    return wrenches, deflections
 
 
-def assert_not_canonical(experiments):
+def assert_not_canonical(wrenches, deflections):
     """is_canonical finds no scheme, so assemble_canonical raises."""
-    assert not is_canonical([exp.wrench for exp in experiments])
+    assert not is_canonical(wrenches)
     with pytest.raises(NotCanonical):
-        assemble_canonical(experiments)
+        assemble_canonical(wrenches, deflections)
 
 
 def single(j, value=1.0):
@@ -167,12 +167,12 @@ class TestCanonicalScheme:
 class TestAssembleCanonical:
     def test_recovers_forward_model(self):
         k = reference_matrix()
-        got = assemble_canonical(forward_experiments(k))
+        got = assemble_canonical(*forward_experiments(k))
         assert_allclose(got.k, k, rtol=1e-14, atol=1e-20)
 
     def test_column_values(self):
         k = reference_matrix()
-        got = assemble_canonical(forward_experiments(k)).k
+        got = assemble_canonical(*forward_experiments(k)).k
         assert_allclose(got[0, 0], 5.0e-5, rtol=1e-12)
         assert_allclose(got[1, 1], 2.0, rtol=1e-12)
         assert_allclose(got[3, 3], 9.0043e-6, rtol=1e-4)
@@ -182,39 +182,39 @@ class TestAssembleCanonical:
 
     def test_experiment_order_does_not_matter(self):
         k = reference_matrix()
-        experiments = forward_experiments(k)
-        shuffled = [experiments[i] for i in (4, 0, 5, 2, 1, 3)]
-        assert_allclose(assemble_canonical(shuffled).k,
-                        assemble_canonical(experiments).k, atol=0)
-        assert is_canonical([exp.wrench for exp in shuffled])
+        wrenches, deflections = forward_experiments(k)
+        order = (4, 0, 5, 2, 1, 3)
+        shuffled = [wrenches[i] for i in order]
+        assert_allclose(assemble_canonical(shuffled, [deflections[i] for i in order]).k,
+                        assemble_canonical(wrenches, deflections).k, atol=0)
+        assert is_canonical(shuffled)
 
     def test_magnitude_scaling_cancels(self):
         k = reference_matrix()
         small = forward_experiments(k, (10.0, 0.1, 0.1, 10.0, 10.0, 10.0))
         big = forward_experiments(k, (5000.0, 7.0, 3.0, 2000.0, 999.0, 1.0))
-        assert_allclose(assemble_canonical(small).k, assemble_canonical(big).k,
+        assert_allclose(assemble_canonical(*small).k, assemble_canonical(*big).k,
                         rtol=1e-12, atol=1e-20)
 
     def test_duplicate_component_rejected(self):
-        experiments = forward_experiments(reference_matrix())
-        experiments[1] = experiments[0]
-        assert_not_canonical(experiments)
+        wrenches, deflections = forward_experiments(reference_matrix())
+        wrenches[1], deflections[1] = wrenches[0], deflections[0]
+        assert_not_canonical(wrenches, deflections)
 
     def test_combined_wrench_rejected(self):
-        experiments = forward_experiments(reference_matrix())
-        combined = Wrench([1.0, 1.0, 0.0], [0.0, 0.0, 0.0])
-        experiments[0] = Experiment(combined, experiments[0].deflection)
-        assert_not_canonical(experiments)
+        wrenches, deflections = forward_experiments(reference_matrix())
+        wrenches[0] = Wrench([1.0, 1.0, 0.0], [0.0, 0.0, 0.0])
+        assert_not_canonical(wrenches, deflections)
 
     def test_wrong_count_rejected(self):
-        experiments = forward_experiments(reference_matrix())
-        assert_not_canonical(experiments[:5])
+        wrenches, deflections = forward_experiments(reference_matrix())
+        assert_not_canonical(wrenches[:5], deflections[:5])
 
     def test_seven_experiments_rejected(self):
-        experiments = forward_experiments(reference_matrix())
-        combined = Wrench([1.0, 1.0, 0.0], [0.0, 0.0, 0.0])
-        experiments.append(Experiment(combined, experiments[0].deflection))
-        assert_not_canonical(experiments)
+        wrenches, deflections = forward_experiments(reference_matrix())
+        wrenches.append(Wrench([1.0, 1.0, 0.0], [0.0, 0.0, 0.0]))
+        deflections.append(deflections[0])
+        assert_not_canonical(wrenches, deflections)
 
 
 class TestAssembleOverdetermined:
@@ -228,10 +228,11 @@ class TestAssembleOverdetermined:
         # a rounded reciprocal (only the sign of a zero may differ: the
         # products' zeros add to +0).
         magnitudes = (1000.0, 1.0, 3.0, -1000.0, 7.0, 1000.0)
-        experiments = forward_experiments(reference_matrix(), magnitudes)
-        expected = np.column_stack([e.deflection.as_vector() / m
-                                    for e, m in zip(experiments, magnitudes)])
-        got = assemble_overdetermined([experiments[i] for i in order]).k
+        wrenches, deflections = forward_experiments(reference_matrix(), magnitudes)
+        expected = np.column_stack([d.as_vector() / m
+                                    for d, m in zip(deflections, magnitudes)])
+        got = assemble_overdetermined([wrenches[i] for i in order],
+                                      [deflections[i] for i in order]).k
         assert_array_equal(got, expected)
 
     def test_rank_check_does_not_depend_on_load_units(self):
@@ -239,53 +240,58 @@ class TestAssembleOverdetermined:
         # values span 1e15, past the rank check's 1e12, but each row is
         # scaled to unit size before the SVD.
         magnitudes = (1e9, 1e-6, 1.0, 1.0, 1.0, 1.0)
-        experiments = forward_experiments(reference_matrix(), magnitudes)
-        expected = np.column_stack([e.deflection.as_vector() / m
-                                    for e, m in zip(experiments, magnitudes)])
-        assert_array_equal(assemble_overdetermined(experiments).k, expected)
+        wrenches, deflections = forward_experiments(reference_matrix(), magnitudes)
+        expected = np.column_stack([d.as_vector() / m
+                                    for d, m in zip(deflections, magnitudes)])
+        assert_array_equal(assemble_overdetermined(wrenches, deflections).k, expected)
 
     def test_matches_canonical_on_canonical_set(self):
         experiments = forward_experiments(reference_matrix())
-        a = assemble_canonical(experiments).k
-        b = assemble_overdetermined(experiments).k
+        a = assemble_canonical(*experiments).k
+        b = assemble_overdetermined(*experiments).k
         assert_allclose(b, a, rtol=1e-10, atol=1e-18)
 
     def test_duplicated_experiments_average_cleanly(self):
-        experiments = forward_experiments(reference_matrix())
-        got = assemble_overdetermined(experiments + experiments)
+        wrenches, deflections = forward_experiments(reference_matrix())
+        got = assemble_overdetermined(wrenches + wrenches, deflections + deflections)
         assert_allclose(got.k, reference_matrix(), rtol=1e-10, atol=1e-18)
 
     def test_recovers_random_matrix_from_general_wrenches(self):
         rng = np.random.default_rng(21)
         a = rng.normal(size=(6, 6))
         k_true = a @ a.T / 6.0 + np.eye(6)
-        experiments = []
+        wrenches, deflections = [], []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for _ in range(12):
                 w = rng.normal(size=6) * [100, 100, 100, 1000, 1000, 1000]
                 d = k_true @ w
-                experiments.append(Experiment(Wrench(w[:3], w[3:]),
-                                              Deflection(d[:3], d[3:])))
-        got = assemble_overdetermined(experiments)
+                wrenches.append(Wrench(w[:3], w[3:]))
+                deflections.append(Deflection(d[:3], d[3:]))
+        got = assemble_overdetermined(wrenches, deflections)
         assert_allclose(got.k, k_true, rtol=1e-9)
 
     def test_too_few_experiments(self):
-        experiments = forward_experiments(reference_matrix())[:5]
+        wrenches, deflections = forward_experiments(reference_matrix())
         with pytest.raises(RankDeficientWrenches, match="insufficient experiments"):
-            assemble_overdetermined(experiments)
+            assemble_overdetermined(wrenches[:5], deflections[:5])
 
     def test_span_deficient_wrenches(self):
         # eight wrenches, none with a z-torque: direction 6 is unobservable
         rng = np.random.default_rng(22)
-        experiments = []
+        wrenches = []
         for _ in range(8):
             w = rng.normal(size=6)
             w[5] = 0.0
-            experiments.append(Experiment(Wrench(w[:3], w[3:]),
-                                          Deflection(np.zeros(3), np.zeros(3))))
+            wrenches.append(Wrench(w[:3], w[3:]))
+        deflections = [Deflection(np.zeros(3), np.zeros(3))] * 8
         with pytest.raises(RankDeficientWrenches, match="no wrench loads Mz"):
-            assemble_overdetermined(experiments)
+            assemble_overdetermined(wrenches, deflections)
+
+    def test_one_deflection_per_wrench(self):
+        wrenches, deflections = forward_experiments(reference_matrix())
+        with pytest.raises(ValueError, match="6 wrenches but 5 deflections"):
+            assemble_overdetermined(wrenches, deflections[:5])
 
 
 class TestComplianceMatrix:
@@ -396,6 +402,13 @@ class TestSerialization:
         back = load_compliance_json(path)
         assert_array_equal(back.k, m.k)
         assert back.significance_mask is None
+
+    def test_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "compliance.json"
+        m = ComplianceMatrix(reference_matrix())
+        save_compliance_json(path, m)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert_array_equal(load_compliance_json(path).k, m.k)
 
     def test_units_block_written(self):
         data = ComplianceMatrix(reference_matrix()).to_json_dict()

@@ -462,6 +462,23 @@ class TestCsv:
             read_field_csv(path)
         assert err.value.line is None
 
+    @pytest.mark.parametrize("mid", ["", "# between rows\n"],
+                             ids=["one-pass", "line-loop"])
+    def test_byte_order_mark_skipped(self, tmp_path, mid):
+        # Spreadsheet exports often start UTF-8 text with a byte-order
+        # mark; lines still count from the first.  A comment between rows
+        # sends the body to the line loop, which seeks back past the mark.
+        path = tmp_path / "field.csv"
+        text = f"# export\nx,y,z,dx,dy,dz\n0,0,0,0,0,1\n{mid}1,2,3,4,5,6\n"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        f = read_field_csv(path)
+        assert_array_equal(f.positions, [[0, 0, 0], [1, 2, 3]])
+        assert_array_equal(f.displacements, [[0, 0, 1], [4, 5, 6]])
+        path.write_bytes(b"\xef\xbb\xbf" + text.replace("4,5,6", "4,nan,6").encode())
+        with pytest.raises(FieldFileError, match="non-finite") as err:
+            read_field_csv(path)
+        assert err.value.line == 4 + bool(mid)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "field.csv"
         path.write_text("")

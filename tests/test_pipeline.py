@@ -13,7 +13,6 @@ from stiffid import (
     Deflection,
     DegenerateGeometry,
     DisplacementField,
-    Experiment,
     IdentifyOptions,
     InvalidArgument,
     LinearizationWarning,
@@ -53,15 +52,15 @@ def test_extra_combined_wrench_is_least_squares(noisy_cases):
     cases = noisy_cases + [extra]
     result = run_identification(cases)
     assert not result.canonical
-    experiments = [Experiment(case.wrench, fit.deflection)
-                   for case, fit in zip(cases, result.fits)]
-    assert_allclose(result.assembled.k, assemble_overdetermined(experiments).k,
+    wrenches = [case.wrench for case in cases]
+    assert_allclose(result.assembled.k,
+                    assemble_overdetermined(wrenches, [fit.deflection for fit in result.fits]).k,
                     rtol=1e-13, atol=1e-20)
     # The seven-wrench set runs the same significance stage as the
     # canonical scheme, and significance_test agrees with it.
-    report, tested = significance_test(result.assembled, experiments,
-                                       result.covariances)
-    assert result.significance == report
+    report, tested = significance_test(result.assembled, wrenches, result.covariances)
+    assert result.significance.to_json_dict() == report.to_json_dict()
+    assert_array_equal(result.significance.safety, report.safety)  # JSON writes inf as null
     assert_array_equal(result.matrix.significance_mask,
                        tested.significance_mask | tested.significance_mask.T)
 
@@ -83,6 +82,26 @@ def test_zero_outlier_fraction_equals_a_run_without_filter(noisy_cases, monkeypa
     assert result.matrix.k.tobytes() == unfiltered.matrix.k.tobytes()
     assert result.significance.to_json_dict() == unfiltered.significance.to_json_dict()
     assert result.noise == unfiltered.noise
+
+
+def test_report_is_a_read_only_copy_of_the_batch(noisy_cases, monkeypatch):
+    original = stiffid.pipeline.identify_batch
+    batches = []
+
+    def recording(*args):
+        batches.append(original(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(stiffid.pipeline, "identify_batch", recording)
+    result = run_identification(noisy_cases)
+    report = result.significance
+    before = report.to_json_dict()
+    batch, = batches
+    for name in ("assembled", "halfwidth", "significant", "safety"):
+        getattr(batch, name)[...] = 0
+    assert report.to_json_dict() == before
+    for name in ("estimate", "halfwidth", "significant", "safety"):
+        assert not getattr(report, name).flags.writeable
 
 
 def seven_wrench_set(combined):
@@ -202,7 +221,7 @@ def batch_row(batch, s):
     for j, fit in enumerate(batch.fits):
         out += [fit.translation[s], fit.rotation[s], fit.residuals[s], fit.objective[s],
                 batch.dropped[j][s], batch.per_experiment_sigma[j][s],
-                batch.covariances[j][0][s], batch.covariances[j][1][s]]
+                batch.covariances[j][s]]
         out += _geometry_row(fit.geometry, s)[1:]
     return [np.asarray(a).tobytes() for a in out]
 
@@ -422,7 +441,7 @@ def result_bytes(result):
            repr(result.removed).encode()]
     for fit, cov in zip(result.fits, result.covariances):
         out += [fit.residuals, fit.objective, fit.deflection.as_vector(),
-                cov.translation, cov.rotation, *fit.geometry[1:]]
+                cov.matrix, *fit.geometry[1:]]
     return [a if isinstance(a, bytes) else np.asarray(a).tobytes() for a in out]
 
 

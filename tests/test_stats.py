@@ -16,7 +16,6 @@ from stiffid import (
     DeflectionCovariance,
     DegenerateGeometry,
     DisplacementField,
-    Experiment,
     FitResult,
     IdentifyOptions,
     InsufficientDof,
@@ -104,16 +103,20 @@ class TestDeflectionCovariance:
         pos = cube_nodes(10.0, 1.0)
         sigma = 5.0e-5
         cov = deflection_covariance(make_field(pos, np.zeros_like(pos)), sigma)
-        assert_allclose(cov.translation, sigma ** 2 / 1331.0 * np.eye(3),
+        assert cov.matrix.shape == (6, 6)
+        assert_allclose(cov.matrix[:3, :3], sigma ** 2 / 1331.0 * np.eye(3),
                         rtol=1e-12, atol=0)
-        assert_allclose(cov.translation_std(), sigma / math.sqrt(1331.0),
+        assert_allclose(cov.component_std()[:3], sigma / math.sqrt(1331.0),
                         rtol=1e-12)
+        # no translation-rotation cross-covariance is modelled yet
+        assert np.all(cov.matrix[:3, 3:] == 0.0)
+        assert np.all(cov.matrix[3:, :3] == 0.0)
 
     def test_rotation_block_inverts_moment_matrix(self):
         pos = cube_nodes(10.0, 1.0)
         sigma = 5.0e-5
         cov = deflection_covariance(make_field(pos, np.zeros_like(pos)), sigma)
-        assert_allclose(cov.rotation, sigma ** 2 / 26620.0 * np.eye(3),
+        assert_allclose(cov.matrix[3:, 3:], sigma ** 2 / 26620.0 * np.eye(3),
                         rtol=1e-10, atol=1e-25)
 
     def test_headline_std_values(self):
@@ -121,22 +124,36 @@ class TestDeflectionCovariance:
         # translation spread and 1.8e-5 deg of rotation spread
         pos = cube_nodes(10.0, 1.0)
         cov = deflection_covariance(make_field(pos, np.zeros_like(pos)), 5.0e-5)
-        assert_allclose(cov.translation_std(), 1.37e-6, rtol=5e-3)
-        assert_allclose(np.rad2deg(cov.rotation_std()), 1.8e-5, rtol=0.03)
+        assert_allclose(cov.component_std()[:3], 1.37e-6, rtol=5e-3)
+        assert_allclose(np.rad2deg(cov.component_std()[3:]), 1.8e-5, rtol=0.03)
 
     def test_component_std_layout(self):
         pos = cube_nodes(4.0, 1.0)
         cov = deflection_covariance(make_field(pos, np.zeros_like(pos)), 1e-4)
         stds = cov.component_std()
         assert stds.shape == (6,)
-        assert_allclose(stds[:3], cov.translation_std(), atol=0)
-        assert_allclose(stds[3:], cov.rotation_std(), atol=0)
+        assert_allclose(stds[:3], np.sqrt(np.diagonal(cov.matrix[:3, :3])), atol=0)
+        assert_allclose(stds[3:], np.sqrt(np.diagonal(cov.matrix[3:, 3:])), atol=0)
 
     def test_zero_sigma_gives_zero_covariance(self):
         pos = cube_nodes(4.0, 1.0)
         cov = deflection_covariance(make_field(pos, np.zeros_like(pos)), 0.0)
-        assert np.all(cov.translation == 0.0)
-        assert np.all(cov.rotation == 0.0)
+        assert np.all(cov.matrix == 0.0)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (6, 5), (2, 6, 6)],
+                             ids=["3x3", "6x5", "stacked"])
+    def test_matrix_must_be_6x6(self, shape):
+        with pytest.raises(ValueError, match="6x6"):
+            DeflectionCovariance(np.ones(shape))
+
+    def test_matrix_is_symmetrized_read_only_copy(self):
+        given = np.diag(np.arange(1.0, 7.0))
+        given[0, 5] = 2.0
+        cov = DeflectionCovariance(given)
+        given[1, 1] = 100.0
+        assert cov.matrix[1, 1] == 2.0
+        assert cov.matrix[0, 5] == cov.matrix[5, 0] == 1.0
+        assert not cov.matrix.flags.writeable
 
     def test_negative_sigma_rejected(self):
         pos = cube_nodes(4.0, 1.0)
@@ -179,8 +196,7 @@ class TestDeflectionCovariance:
             reduced = make_field(case.field.positions[keep],
                                  case.field.displacements[keep])
             fresh = deflection_covariance(reduced, result.noise.sigma)
-            assert_allclose(cov.translation, fresh.translation, rtol=1e-12, atol=0)
-            assert_allclose(cov.rotation, fresh.rotation, rtol=1e-12, atol=0)
+            assert_allclose(cov.matrix, fresh.matrix, rtol=1e-12, atol=0)
 
     def test_monte_carlo_spread_matches(self):
         pos = cube_nodes(10.0, 2.0)  # 216 nodes keeps this quick
@@ -344,52 +360,56 @@ def beam_matrix():
 
 
 def canonical_experiments(k, magnitudes=(1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)):
-    experiments = []
-    for wrench in canonical_wrench_scheme(*magnitudes):
+    """Canonical wrenches and the deflections d = k w they produce."""
+    wrenches = canonical_wrench_scheme(*magnitudes)
+    deflections = []
+    for wrench in wrenches:
         d = k @ wrench.as_vector()
-        experiments.append(Experiment(wrench, Deflection(d[:3], d[3:])))
-    return experiments
+        deflections.append(Deflection(d[:3], d[3:]))
+    return wrenches, deflections
+
+
+def block_covariance(translation_var, rotation_var):
+    """A deflection covariance with isotropic translation and rotation blocks."""
+    return DeflectionCovariance(np.diag([translation_var] * 3 + [rotation_var] * 3))
 
 
 def uniform_covariances(translation_std, rotation_std, count=6):
-    cov = DeflectionCovariance(translation_std ** 2 * np.eye(3),
-                               rotation_std ** 2 * np.eye(3))
-    return [cov] * count
+    return [block_covariance(translation_std ** 2, rotation_std ** 2)] * count
 
 
 class TestSignificanceTest:
     def test_structural_zeros_stay_zero_and_nonzeros_survive(self):
         k = beam_matrix()
-        matrix = assemble_canonical(canonical_experiments(k))
+        wrenches, deflections = canonical_experiments(k)
+        matrix = assemble_canonical(wrenches, deflections)
         report, zeroed = significance_test(
-            matrix, canonical_experiments(k),
-            uniform_covariances(1e-9, 1e-11))
+            matrix, wrenches, uniform_covariances(1e-9, 1e-11))
         assert_array_equal(zeroed.k, k)
         assert np.count_nonzero(zeroed.significance_mask) == 10
 
     def test_halfwidth_formula(self):
         k = beam_matrix()
-        experiments = canonical_experiments(k)
-        matrix = assemble_canonical(experiments)
+        wrenches, deflections = canonical_experiments(k)
+        matrix = assemble_canonical(wrenches, deflections)
         t_std, r_std, mult = 1e-8, 1e-10, 3.0
-        report, _ = significance_test(matrix, experiments,
+        report, _ = significance_test(matrix, wrenches,
                                       uniform_covariances(t_std, r_std), mult)
-        by_pos = {(e.row, e.col): e for e in report.elements}
         # row 1 responds in translation; column 1 was loaded with 1000 N
-        assert_allclose(by_pos[(1, 1)].halfwidth, mult * t_std / 1000.0,
+        assert_allclose(report.halfwidth[0, 0], mult * t_std / 1000.0,
                         rtol=1e-12)
         # row 4 responds in rotation; column 2 was loaded with 1 N
-        assert_allclose(by_pos[(4, 2)].halfwidth, mult * r_std / 1.0,
+        assert_allclose(report.halfwidth[3, 1], mult * r_std / 1.0,
                         rtol=1e-12)
-        safety = by_pos[(1, 1)].safety_factor
-        assert_allclose(safety, 5.0e-5 / (mult * t_std / 1000.0), rtol=1e-12)
+        assert_allclose(report.safety[0, 0], 5.0e-5 / (mult * t_std / 1000.0),
+                        rtol=1e-12)
 
     def test_small_element_is_zeroed(self):
         k = beam_matrix()
         k[0, 1] = 1e-12  # below any reasonable confidence halfwidth
-        experiments = canonical_experiments(k)
-        matrix = assemble_canonical(experiments)
-        _, zeroed = significance_test(matrix, experiments,
+        wrenches, deflections = canonical_experiments(k)
+        matrix = assemble_canonical(wrenches, deflections)
+        _, zeroed = significance_test(matrix, wrenches,
                                       uniform_covariances(1e-8, 1e-10))
         assert zeroed.k[0, 1] == 0.0
         assert not zeroed.significance_mask[0, 1]
@@ -397,21 +417,22 @@ class TestSignificanceTest:
 
     def test_wide_intervals_zero_everything(self):
         k = beam_matrix()
-        experiments = canonical_experiments(k)
-        matrix = assemble_canonical(experiments)
-        report, zeroed = significance_test(matrix, experiments,
+        wrenches, deflections = canonical_experiments(k)
+        matrix = assemble_canonical(wrenches, deflections)
+        report, zeroed = significance_test(matrix, wrenches,
                                            uniform_covariances(1.0, 1.0))
         assert np.all(zeroed.k == 0.0)
-        assert all(e.safety_factor is None for e in report.elements)
+        assert not report.significant.any()
+        assert np.isnan(report.safety).all()
+        assert all(e["safety_factor"] is None for e in report.to_json_dict()["elements"])
 
     def test_zero_covariance_gives_infinite_safety(self):
         k = beam_matrix()
-        experiments = canonical_experiments(k)
-        matrix = assemble_canonical(experiments)
-        report, _ = significance_test(matrix, experiments,
+        wrenches, deflections = canonical_experiments(k)
+        matrix = assemble_canonical(wrenches, deflections)
+        report, _ = significance_test(matrix, wrenches,
                                       uniform_covariances(0.0, 0.0))
-        by_pos = {(e.row, e.col): e for e in report.elements}
-        assert by_pos[(1, 1)].safety_factor == math.inf
+        assert report.safety[0, 0] == math.inf
         data = report.to_json_dict()
         first = [e for e in data["elements"] if e["row"] == 1 and e["col"] == 1]
         assert first[0]["safety_factor"] is None  # inf is not JSON-portable
@@ -419,9 +440,9 @@ class TestSignificanceTest:
     def test_json_dict_holds_python_scalars(self):
         k = beam_matrix()
         k[0, 1] = 1e-12  # one zeroed element, so the report holds None too
-        experiments = canonical_experiments(k)
-        matrix = assemble_canonical(experiments)
-        report, _ = significance_test(matrix, experiments,
+        wrenches, deflections = canonical_experiments(k)
+        matrix = assemble_canonical(wrenches, deflections)
+        report, _ = significance_test(matrix, wrenches,
                                       uniform_covariances(1e-8, 1e-10))
         data = report.to_json_dict()
         assert type(data["multiplier"]) is float
@@ -439,78 +460,75 @@ class TestSignificanceTest:
 
     def test_confidence_level_from_multiplier(self):
         k = beam_matrix()
-        experiments = canonical_experiments(k)
-        matrix = assemble_canonical(experiments)
-        report, _ = significance_test(matrix, experiments,
+        wrenches, deflections = canonical_experiments(k)
+        matrix = assemble_canonical(wrenches, deflections)
+        report, _ = significance_test(matrix, wrenches,
                                       uniform_covariances(1e-9, 1e-11),
                                       DEFAULT_CONFIDENCE_MULTIPLIER)
         assert_allclose(report.confidence_level, 0.99730, atol=1e-5)
-        report2, _ = significance_test(matrix, experiments,
+        report2, _ = significance_test(matrix, wrenches,
                                        uniform_covariances(1e-9, 1e-11), 2.0)
         assert_allclose(report2.confidence_level, 0.95450, atol=1e-5)
 
     def test_report_covers_all_elements(self):
         k = beam_matrix()
-        experiments = canonical_experiments(k)
-        matrix = assemble_canonical(experiments)
-        report, _ = significance_test(matrix, experiments,
+        wrenches, deflections = canonical_experiments(k)
+        matrix = assemble_canonical(wrenches, deflections)
+        report, _ = significance_test(matrix, wrenches,
                                       uniform_covariances(1e-9, 1e-11))
-        assert len(report.elements) == 36
-        rows = {(e.row, e.col) for e in report.elements}
+        for name in ("estimate", "halfwidth", "significant", "safety"):
+            assert getattr(report, name).shape == (6, 6)
+        elements = report.to_json_dict()["elements"]
+        assert len(elements) == 36
+        rows = {(e["row"], e["col"]) for e in elements}
         assert rows == {(i, j) for i in range(1, 7) for j in range(1, 7)}
 
     def test_covariance_count_enforced(self):
         k = beam_matrix()
-        experiments = canonical_experiments(k)
-        matrix = assemble_canonical(experiments)
+        wrenches, deflections = canonical_experiments(k)
+        matrix = assemble_canonical(wrenches, deflections)
         with pytest.raises(MissingCovariance):
-            significance_test(matrix, experiments,
+            significance_test(matrix, wrenches,
                               uniform_covariances(1e-9, 1e-11, count=5))
 
     def test_any_admissible_wrench_set(self):
         # A combined wrench in place of Fx: the halfwidths are those of
         # least squares, mult * sqrt(sum_j A_jl^2 Var(d_j[i])), A = W^+.
         k = beam_matrix()
-        experiments = canonical_experiments(k)
-        combined = Wrench([1000.0, 1.0, 0.0], [0.0, 0.0, 0.0])
-        d = k @ combined.as_vector()
-        experiments[0] = Experiment(combined, Deflection(d[:3], d[3:]))
-        covariances = [DeflectionCovariance((j + 1) * 1e-16 * np.eye(3),
-                                            (j + 1) * 1e-20 * np.eye(3))
+        wrenches, _ = canonical_experiments(k)
+        wrenches[0] = Wrench([1000.0, 1.0, 0.0], [0.0, 0.0, 0.0])
+        covariances = [block_covariance((j + 1) * 1e-16, (j + 1) * 1e-20)
                        for j in range(6)]
-        report, _ = significance_test(ComplianceMatrix(k), experiments, covariances, 3.0)
-        A = np.linalg.pinv(np.column_stack([e.wrench.as_vector() for e in experiments]))
+        report, _ = significance_test(ComplianceMatrix(k), wrenches, covariances, 3.0)
+        A = np.linalg.pinv(np.column_stack([w.as_vector() for w in wrenches]))
         variances = np.column_stack([c.component_std() ** 2 for c in covariances])
         expected = 3.0 * np.sqrt(variances @ A ** 2)
-        got = np.array([e.halfwidth for e in report.elements]).reshape(6, 6)
+        got = report.halfwidth
         assert_allclose(got, expected, rtol=1e-12)
         # column Fx is (d_0 - d_1) / 1000, so it carries the variance of
         # both experiments; column Fy is d_1 alone
         assert_allclose(got[0, 0], 3.0 * np.sqrt(1e-16 + 2e-16) / 1000.0, rtol=1e-12)
         assert_allclose(got[0, 1], 3.0 * np.sqrt(2e-16), rtol=1e-12)
         with pytest.raises(RankDeficientWrenches):
-            significance_test(ComplianceMatrix(k), experiments[:1] + experiments[2:],
+            significance_test(ComplianceMatrix(k), wrenches[:1] + wrenches[2:],
                               covariances[:5])
         # twice the combined wrench in place of Fy: no wrench loads Fy alone
-        experiments[1] = Experiment(Wrench([2000.0, 2.0, 0.0], [0.0, 0.0, 0.0]),
-                                    experiments[1].deflection)
+        wrenches[1] = Wrench([2000.0, 2.0, 0.0], [0.0, 0.0, 0.0])
         with pytest.raises(RankDeficientWrenches, match="span"):
-            significance_test(ComplianceMatrix(k), experiments, covariances)
+            significance_test(ComplianceMatrix(k), wrenches, covariances)
 
     @pytest.mark.parametrize("multiplier", [math.nan, math.inf, -1.0, True])
     def test_multiplier_positive_and_finite(self, multiplier):
         cases = beam_load_cases(sigma=5.6e-5, seed=1)
         result = run_identification(cases, IdentifyOptions(symmetrize=False))
-        experiments = [Experiment(case.wrench, fit.deflection)
-                       for case, fit in zip(cases, result.fits)]
         with pytest.raises(InvalidArgument):
-            significance_test(result.assembled, experiments, result.covariances,
-                              multiplier)
+            significance_test(result.assembled, [case.wrench for case in cases],
+                              result.covariances, multiplier)
 
     def test_positive_multiplier_enforced(self):
         k = beam_matrix()
-        experiments = canonical_experiments(k)
-        matrix = assemble_canonical(experiments)
+        wrenches, deflections = canonical_experiments(k)
+        matrix = assemble_canonical(wrenches, deflections)
         with pytest.raises(ValueError):
-            significance_test(matrix, experiments,
+            significance_test(matrix, wrenches,
                               uniform_covariances(1e-9, 1e-11), 0.0)

@@ -551,8 +551,8 @@ class TestZeroDetectionStudy:
             k = result.matrix.k
             missed.append(int(np.count_nonzero(k[~nonzero] != 0.0)))
             lost.append(int(np.count_nonzero(k[nonzero] == 0.0)))
-            safeties = [e.safety_factor for e in result.significance.elements
-                        if nonzero[e.row - 1, e.col - 1] and e.safety_factor is not None]
+            report = result.significance
+            safeties = report.safety[nonzero & report.significant].tolist()
             low.append(min(safeties) if len(safeties) == np.count_nonzero(nonzero)
                        else 0.0)
         assert study.zeros_missed == tuple(missed)
