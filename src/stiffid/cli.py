@@ -22,9 +22,9 @@ defaults, and only the flags the user gave are passed on.
 
 Exit codes: 0 success, 2 input/parse error (a bad option value, manifest
 or field file), 3 numerical failure, 4 benchmark outside its acceptance
-band.  Errors are reported as one JSON object on stderr.  The STIFFID_LOG
-environment variable (debug, info, warning, error) controls diagnostic
-verbosity.
+band.  Errors and warnings are reported on stderr, one JSON object per
+line.  A run's noise level, node counts, removed nodes and asymmetry are
+in the run log (``run_log.json``) that ``identify`` writes.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ import argparse
 import functools
 import hashlib
 import json
-import logging
 import math
-import os
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -71,8 +70,6 @@ from .synthetic import (
     run_noise_study,
     run_zero_detection_study,
 )
-
-log = logging.getLogger("stiffid")
 
 LENGTH_UNITS = {"mm": 1.0, "m": 1000.0}
 FORCE_UNITS = {"N": 1.0}
@@ -312,7 +309,6 @@ def cmd_identify(args) -> int:
             print(",".join(repr(float(v)) for v in row))
     else:
         print(result.matrix.format_table())
-    log.info("wrote results to %s", out)
     return 0
 
 
@@ -502,46 +498,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(kind: str, exc: Exception, **extra) -> None:
-    payload = {"error": kind, "message": str(exc)}
-    for key, value in extra.items():
+def _emit(key: str, kind: str, message, **extra) -> None:
+    """Print ``{key: kind, "message": message}`` and the `extra` items
+    that are not None to stderr as one JSON line."""
+    payload = {key: kind, "message": str(message)}
+    for name, value in extra.items():
         if value is not None:
-            payload[key] = value
+            payload[name] = value
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("STIFFID_LOG", "warning").lower()
-    levels = {"debug": logging.DEBUG, "info": logging.INFO,
-              "warning": logging.WARNING, "error": logging.ERROR}
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("stiffid: %(message)s"))
-    log.handlers.clear()
-    log.addHandler(handler)
-    log.setLevel(levels.get(level_name, logging.WARNING))
+def _emit_warning(message, category, *_) -> None:
+    """Print a warning as one JSON line on stderr; :func:`main` installs
+    it as ``warnings.showwarning``."""
+    _emit("warning", category.__name__, message)
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        # The library checks every fit for non-finite values and raises;
-        # numpy's own overflow warnings would only precede that error.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
-    except ManifestError as exc:
-        _emit_error(type(exc).__name__, exc, file=exc.file)
-        return 2
-    except FieldFileError as exc:
-        _emit_error(type(exc).__name__, exc, file=exc.file, line=exc.line)
-        return 2
-    except (OSError, InvalidArgument) as exc:
-        _emit_error(type(exc).__name__, exc)
-        return 2
-    except StiffidError as exc:
-        _emit_error(type(exc).__name__, exc)
-        return 3
+    # Each warning is printed as it is issued, so an error stays the last
+    # line; the block gives every call its own warning registries.
+    with warnings.catch_warnings():
+        warnings.showwarning = _emit_warning
+        try:
+            # The library checks every fit for non-finite values and raises;
+            # numpy's own overflow warnings would only precede that error.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return args.func(args)
+        except ManifestError as exc:
+            _emit("error", type(exc).__name__, exc, file=exc.file)
+            return 2
+        except FieldFileError as exc:
+            _emit("error", type(exc).__name__, exc, file=exc.file, line=exc.line)
+            return 2
+        except (OSError, InvalidArgument) as exc:
+            _emit("error", type(exc).__name__, exc)
+            return 2
+        except StiffidError as exc:
+            _emit("error", type(exc).__name__, exc)
+            return 3
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .errors import (
     RankDeficientWrenches,
     SingularCompliance,
     ZeroMagnitude,
+    warn,
 )
 from .estimation import Deflection
 
@@ -287,9 +287,8 @@ def _symmetrize(k: np.ndarray, mask: np.ndarray | None,
     floor = np.max(np.abs(eig), axis=-1)
     indefinite = (floor > 0.0) & (eig[..., 0] < -1e-9 * floor)
     for low in eig[..., 0][indefinite].tolist():
-        warnings.warn("symmetrized compliance matrix is not positive "
-                      f"semidefinite (min eigenvalue {low:.3e})",
-                      stacklevel=3)
+        warn("symmetrized compliance matrix is not positive "
+             f"semidefinite (min eigenvalue {low:.3e})")
     return k, mask
 
 

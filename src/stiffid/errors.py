@@ -1,4 +1,7 @@
-"""Exception and warning types used across the package."""
+"""Exception and warning types used across the package, and :func:`warn`."""
+
+import sys
+import warnings
 
 
 class StiffidError(Exception):
@@ -23,7 +26,7 @@ class DegenerateGeometry(StiffidError):
 
 class NonFiniteDeflection(StiffidError, ValueError):
     """Deflection is infinite or NaN, as when a field value overflows
-    the fit."""
+    the fit, or the fit's residual sum of squares overflows."""
 
 
 class EntryOutOfRange(StiffidError):
@@ -84,3 +87,15 @@ class FieldFileError(StiffidError):
 
 class LinearizationWarning(UserWarning):
     """Rotation amplitude is outside the small-angle regime."""
+
+
+def warn(message: str, category: type[Warning] = UserWarning) -> None:
+    """Issue a warning that names the first caller outside the package.
+
+    Frames are matched on their module name, not their file: code that
+    a dataclass generates reports ``<string>`` as its file."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and \
+            frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

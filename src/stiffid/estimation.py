@@ -63,15 +63,14 @@ which holds no per-node array, so the deflection covariance follows
 from it without another pass over the nodes.
 
 Units: mm for translations, rad for rotation components.  The linearized
-model `dp_i = dphi x p_i + p` is valid for small angles; estimates with
-`|dphi|` above ``ROTATION_WARN_LIMIT`` trigger a warning, one per row.
+model `dp_i = dphi x p_i + p` is valid for small angles; a fit whose
+`|dphi|` reaches ``ROTATION_WARN_LIMIT`` warns, once per row.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,6 +81,7 @@ from .errors import (
     EntryOutOfRange,
     LinearizationWarning,
     NonFiniteDeflection,
+    warn,
 )
 from .field import DisplacementField, column_mean
 
@@ -240,31 +240,13 @@ class Deflection:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.translation, self.rotation])
 
-    @classmethod
-    def _checked(cls, translation: np.ndarray, rotation: np.ndarray) -> "Deflection":
-        """A deflection from one row of a batched fit, which has already
-        checked (and warned about) it: frozen copies, no second warning."""
-        deflection = object.__new__(cls)
-        for name, value in (("translation", translation), ("rotation", rotation)):
-            value = np.array(value, dtype=float)
-            value.flags.writeable = False
-            object.__setattr__(deflection, name, value)
-        return deflection
-
 
 def _check_deflections(translation: np.ndarray, rotation: np.ndarray) -> None:
     """Reject non-finite deflections with :class:`NonFiniteDeflection`
-    (a ``ValueError``) and warn once for each row (leading axes of the
-    (..., 3) arrays) whose rotation leaves the small-angle regime."""
+    (a ``ValueError``)."""
     if not (np.isfinite(translation).all() and np.isfinite(rotation).all()):
         raise NonFiniteDeflection("deflection components must be finite (a field "
                                   "value too large for the fit overflows)")
-    norms = np.sqrt(np.einsum("...i,...i->...", rotation, rotation)).ravel()
-    for norm in norms[norms >= ROTATION_WARN_LIMIT].tolist():
-        warnings.warn(
-            f"rotation magnitude {norm:.3g} rad exceeds the "
-            f"small-angle regime ({ROTATION_WARN_LIMIT} rad)",
-            LinearizationWarning, stacklevel=3)
 
 
 class FitGeometry(NamedTuple):
@@ -451,6 +433,13 @@ def _fits(geometry: FitGeometry, translation: np.ndarray, rotation: np.ndarray,
     # np.vdot on that row alone.
     flat = residuals.swapaxes(-1, -2).reshape(residuals.shape[:-2] + (1, -1))
     objective = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+    if not np.isfinite(objective).all():
+        raise NonFiniteDeflection("the residual sum of squares of the fit overflows")
+    # One warning for each row whose rotation leaves the small-angle regime.
+    norms = np.sqrt(np.einsum("...i,...i->...", rotation, rotation)).ravel()
+    for norm in norms[norms >= ROTATION_WARN_LIMIT].tolist():
+        warn(f"rotation magnitude {norm:.3g} rad exceeds the small-angle "
+             f"regime ({ROTATION_WARN_LIMIT} rad)", LinearizationWarning)
     return Fits(geometry, translation, rotation, residuals, objective)
 
 
@@ -461,14 +450,9 @@ def _fit_result(fits: Fits, row: int) -> FitResult:
     read-only: callers hand over a batch they keep no use for.
     """
     fits.residuals.flags.writeable = False
-    return FitResult._holding(_deflection(fits, row), fits.residuals[row],
-                              float(fits.objective[row]),
+    return FitResult._holding(Deflection(fits.translation[row], fits.rotation[row]),
+                              fits.residuals[row], float(fits.objective[row]),
                               _geometry_row(fits.geometry, row))
-
-
-def _deflection(fits: Fits, row: int) -> Deflection:
-    """Row `row` of a batched fit as a :class:`Deflection`."""
-    return Deflection._checked(fits.translation[row], fits.rotation[row])
 
 
 def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
@@ -535,7 +519,8 @@ def estimate_svd(field: DisplacementField,
         If the rotation normal matrix is numerically singular or
         overflows, or the cross-covariance has rank < 2.
     NonFiniteDeflection
-        If the displacements overflow the fit (a ``ValueError``).
+        If the displacements overflow the fit or its residual sum of
+        squares (a ``ValueError``).
     """
     _require_centered(field, "estimate_svd")
     return _fit_result(_fit_svd(*_fit_geometry(field.positions),
@@ -558,7 +543,8 @@ def estimate_lin(field: DisplacementField) -> FitResult:
         If the rotation normal matrix is numerically singular or
         overflows.
     NonFiniteDeflection
-        If the displacements overflow the fit (a ``ValueError``).
+        If the displacements overflow the fit or its residual sum of
+        squares (a ``ValueError``).
     """
     _require_centered(field, "estimate_lin")
     return _fit_result(_fit_lin(*_fit_geometry(field.positions),

@@ -8,7 +8,6 @@ fields.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field as _field
@@ -242,9 +241,10 @@ def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
 
     The body is parsed by one ``np.loadtxt`` call, which converts text
     to floats exactly as ``float()`` does.  Files it rejects (a bad
-    value, or comment and whitespace-only lines between rows) are read
-    again line by line, which accepts the latter and reports the line
-    of the former.
+    value, or comment and whitespace-only lines between rows) and files
+    with a value that is not finite after scaling are read again line by
+    line, which accepts the comment and blank lines and reports the line
+    of the first bad value.
     """
     path = str(path)
     try:
@@ -262,15 +262,11 @@ def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
                     warnings.simplefilter("ignore", UserWarning)
                     data = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
             except ValueError:
-                data = None
-            if data is None or data.shape[1] != 6 or not len(data):
+                data = np.empty((0, 0))
+            data = data * length_scale
+            if data.shape[1] != 6 or not len(data) or not np.isfinite(data).all():
                 handle.seek(body)
-                data = _read_rows(handle, path, header_line + 1)
-        data = data * length_scale
-        if not np.all(np.isfinite(data)):
-            row = int(np.argmin(np.isfinite(data).all(axis=1)))
-            raise FieldFileError(path, _data_line(path, row),
-                                 f"non-finite value in data row {row + 1}")
+                data = _read_rows(handle, path, header_line + 1, length_scale)
     except UnicodeDecodeError as exc:
         # np.loadtxt reports it as a ValueError, so the line loop meets it.
         raise FieldFileError(path, None, f"not UTF-8 text: {exc.reason}") from None
@@ -292,9 +288,10 @@ def _read_header(handle, path: str) -> int:
     raise FieldFileError(path, None, "missing header line")
 
 
-def _read_rows(handle, path: str, first_line: int) -> np.ndarray:
+def _read_rows(handle, path: str, first_line: int, length_scale: float) -> np.ndarray:
     """Parse the data lines of a field CSV one by one, from line number
-    `first_line` on; raise :class:`FieldFileError` at the first bad one."""
+    `first_line` on, and scale each value by `length_scale`; raise
+    :class:`FieldFileError` at the first bad line."""
     rows = []
     for lineno, raw in enumerate(handle, start=first_line):
         line = raw.strip()
@@ -305,22 +302,17 @@ def _read_rows(handle, path: str, first_line: int) -> np.ndarray:
             raise FieldFileError(path, lineno,
                                  f"expected 6 columns, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) * length_scale for p in parts]
         except ValueError:
             raise FieldFileError(path, lineno,
                                  f"non-numeric value in {line!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise FieldFileError(path, lineno,
+                                 f"non-finite value in data row {len(rows) + 1}")
+        rows.append(row)
     if not rows:
         raise FieldFileError(path, None, "no data rows")
     return np.asarray(rows, dtype=float)
-
-
-def _data_line(path: str, row: int) -> int:
-    """Line number of data row `row` (0-based, after the header) of a
-    field CSV that :func:`read_field_csv` has already parsed."""
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        data_lines = (lineno for lineno, raw in enumerate(handle, start=1)
-                      if raw.strip() and not raw.strip().startswith("#"))
-        return next(itertools.islice(data_lines, row + 1, None))
 
 
 def write_field_csv(path, field: DisplacementField, comments=()) -> None:

@@ -25,7 +25,6 @@ gathered straight into the component planes the fits work on.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -67,8 +66,6 @@ from .stats import (
     _pool_sigma,
     _significance,
 )
-
-log = logging.getLogger("stiffid")
 
 
 @dataclass(frozen=True)
@@ -328,20 +325,15 @@ def run_identification(cases: Sequence[LoadCase],
                            wrenches, options)
     noise = NoiseEstimate(float(batch.sigma[0]), batch.dof,
                           tuple(float(s[0]) for s in batch.per_experiment_sigma))
-    log.info("pooled noise sigma=%.6g from %d experiments", noise.sigma, len(cases))
     fits = tuple(_fit_result(fit, 0) for fit in batch.fits)
     removed = tuple(() if drop is None else tuple(np.flatnonzero(drop[0]).tolist())
                     for drop in batch.dropped)
-    for case, fit, dropped in zip(cases, fits, removed):
-        log.info("experiment %s: n=%d, removed=%d", case.source or "?",
-                 fit.n, len(dropped))
     covariances = tuple(DeflectionCovariance(c[0]) for c in batch.covariances)
 
     assembled = ComplianceMatrix(batch.assembled[0])
     report = SignificanceReport(batch.assembled[0], batch.halfwidth[0],
                                 batch.significant[0], batch.safety[0],
                                 options.confidence_multiplier)
-    log.info("assembled matrix asymmetry %.3e", assembled.asymmetry())
     matrix = ComplianceMatrix(batch.matrix[0], batch.mask[0],
                               symmetrized=options.symmetrize)
     return IdentificationResult(matrix, assembled, report, noise, fits, covariances,

@@ -36,7 +36,7 @@ from .errors import (
     MissingCovariance,
     TooFewRemaining,
 )
-from .estimation import FitGeometry, FitResult, _fit_geometry
+from .estimation import MIN_FIT_NODES, FitGeometry, FitResult, _fit_geometry
 from .field import DisplacementField
 
 DEFAULT_OUTLIER_FRACTION = 0.10
@@ -188,9 +188,9 @@ def _drop_mask(residuals: np.ndarray, fraction: float) -> np.ndarray | None:
     remove = math.ceil(fraction * n)
     if remove == 0:
         return None
-    if n - remove < 3:
+    if n - remove < MIN_FIT_NODES:
         raise TooFewRemaining(
-            f"removing {remove} of {n} nodes leaves fewer than 3")
+            f"removing {remove} of {n} nodes leaves fewer than {MIN_FIT_NODES}")
     a = np.abs(residuals)
     score = np.maximum(a[..., 0], a[..., 1])
     np.maximum(score, a[..., 2], out=score)

@@ -52,7 +52,7 @@ from .estimation import (
 )
 from .field import DisplacementField, axis_index
 from .pipeline import IdentifyOptions, LoadCase, identify_batch
-from .stats import _check_sigma, system_covariance
+from .stats import DEFAULT_OUTLIER_FRACTION, _check_sigma, system_covariance
 
 # Canonical load set used by the beam studies: forces N, torques N mm.
 DEFAULT_LOADS = (1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)
@@ -601,7 +601,7 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
                              spec: BeamSpec = BeamSpec(),
                              pattern: MeshPattern = MeshPattern.square(10.0, 1.0, "x"),
                              loads: Sequence[float] = DEFAULT_LOADS,
-                             outlier_fraction: float = 0.10,
+                             outlier_fraction: float = DEFAULT_OUTLIER_FRACTION,
                              seed: int = 0,
                              ) -> ZeroDetectionStudy:
     """Count seeds where the pipeline recovers the exact beam zero pattern.

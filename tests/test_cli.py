@@ -310,10 +310,28 @@ class TestIdentify:
         assert all(len(r.split(",")) == 6 for r in rows)
 
     def test_log_verbosity_env(self, sim_dir, tmp_path, capsys, monkeypatch):
+        # The run facts are in run_log.json; STIFFID_LOG sets no
+        # second channel, so a clean run writes nothing to stderr.
         monkeypatch.setenv("STIFFID_LOG", "info")
-        main(["identify", str(sim_dir / "manifest.json"),
-              "--out", str(tmp_path / "o")])
-        assert "stiffid:" in capsys.readouterr().err
+        assert main(["identify", str(sim_dir / "manifest.json"),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_warnings_are_json_lines(self, tmp_path, capsys):
+        # This noisy square set symmetrizes to a matrix that is not
+        # positive semidefinite.  Each call reports its own warnings.
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--pattern", "square", "--sigma", "2e-2",
+                     "--seed", "11", "--out", str(sim)]) == 0
+        capsys.readouterr()
+        for run in range(2):
+            assert main(["identify", str(sim / "manifest.json"),
+                         "--out", str(tmp_path / f"o{run}")]) == 0
+            lines = [json.loads(line)
+                     for line in capsys.readouterr().err.splitlines()]
+            assert any(line.get("warning") == "UserWarning" and
+                       "not positive semidefinite" in line["message"]
+                       for line in lines)
 
 
 class TestReadmeInputFormat:
@@ -410,6 +428,14 @@ class TestIdentifyErrors:
         manifest = self.overflow_manifest(sim_dir, tmp_path, "dx", "1e308", (0, 1, 2))
         assert main(["identify", str(manifest), "--estimator", estimator,
                      "--out", str(tmp_path / "o")]) == 3
+        assert self.stderr_payload(capsys)["error"] == "NonFiniteDeflection"
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_residual_exit_3(self, sim_dir, tmp_path, capsys):
+        # One dy of 1e160 leaves the deflections finite, but its squared
+        # residual overflows the fit's residual sum of squares.
+        manifest = self.overflow_manifest(sim_dir, tmp_path, "dy", "1e160", (0,))
+        assert main(["identify", str(manifest), "--out", str(tmp_path / "o")]) == 3
         assert self.stderr_payload(capsys)["error"] == "NonFiniteDeflection"
         assert not (tmp_path / "o").exists()
 

@@ -16,6 +16,7 @@ from stiffid import (
     EntryOutOfRange,
     FitResult,
     LinearizationWarning,
+    NonFiniteDeflection,
     differential_rotation,
     estimate_lin,
     estimate_svd,
@@ -357,8 +358,17 @@ class TestDeflection:
         assert_allclose(back.rotation, d.rotation, atol=0)
 
     def test_large_rotation_warns(self):
-        with pytest.warns(LinearizationWarning):
-            Deflection(np.zeros(3), [ROTATION_WARN_LIMIT, 0.0, 0.0])
+        # The fit that estimates a rotation outside the small-angle regime
+        # warns, once; a Deflection record of that rotation does not.
+        rotation = [ROTATION_WARN_LIMIT, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Deflection(np.zeros(3), rotation)
+        field = first_order_field(cube_nodes(2.0, 1.0), np.zeros(3), rotation)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            estimate_lin(field)
+        assert [w.category for w in caught] == [LinearizationWarning]
 
     def test_small_rotation_is_silent(self):
         with warnings.catch_warnings():
@@ -416,6 +426,16 @@ class TestLinEstimator:
         assert_allclose(fit.residuals.sum(axis=0), np.zeros(3), atol=1e-12)
         moments = np.cross(pos - pos.mean(axis=0), fit.residuals).sum(axis=0)
         assert_allclose(moments, np.zeros(3), atol=1e-12)
+
+    def test_overflowing_residual_sum_rejected(self):
+        # The deflections stay finite, but the squared residual of the
+        # node moved by 1e160 does not.
+        pos = cube_nodes(10.0, 1.0)
+        disp = np.zeros_like(pos)
+        disp[0, 1] = 1e160
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteDeflection, match="residual sum of squares"):
+            estimate_lin(make_field(pos, disp))
 
     def test_objective_is_a_minimum(self):
         rng = np.random.default_rng(6)

@@ -436,6 +436,21 @@ class TestCsv:
         assert err.value.line == 3
         assert "# note" in str(err.value)
 
+    def test_first_bad_line_is_reported(self, tmp_path):
+        # One line loop reports every fault in file order: a non-finite
+        # value on line 2 comes before a non-numeric one on line 3, and a
+        # value that overflows only once scaled is reported at its line.
+        path = tmp_path / "field.csv"
+        path.write_text("x,y,z,dx,dy,dz\ninf,0,0,0,0,0\n1,2,three,0,0,0\n")
+        with pytest.raises(FieldFileError, match="non-finite value in data row 1") as err:
+            read_field_csv(path)
+        assert err.value.line == 2
+        path.write_text("x,y,z,dx,dy,dz\n0,0,0,0,0,0\n# c\n0,0,0,0,1e306,0\n")
+        assert read_field_csv(path).displacements[1, 1] == 1e306
+        with pytest.raises(FieldFileError, match="non-finite value in data row 2") as err:
+            read_field_csv(path, length_scale=1000.0)
+        assert err.value.line == 4
+
     def test_wrong_column_count_reports_line(self, tmp_path):
         path = tmp_path / "field.csv"
         path.write_text("x,y,z,dx,dy,dz\n1,2,3,4,5\n")

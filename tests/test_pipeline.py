@@ -26,9 +26,11 @@ from stiffid import (
     beam_tip_field,
     canonical_wrench_scheme,
     estimate_lin,
+    estimate_svd,
     filter_outliers,
     run_identification,
     significance_test,
+    symmetrize,
 )
 from stiffid.estimation import _GRAM_BLOCK, _geometry_row, _planes
 from stiffid.synthetic import (
@@ -379,6 +381,38 @@ def test_batch_row_out_of_small_angles_warns(fraction, expected):
         warnings.simplefilter("always")
         estimate_lin(DisplacementField(pos, disp[1], centered=True))
     assert [w.category for w in caught] == [LinearizationWarning]
+
+
+def _warning_calls():
+    """Calls that warn, by name: a 27-node cube rotated by 0.05 rad, and
+    a noisy square set whose symmetrized matrix is not positive
+    semidefinite."""
+    pos = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3, indexing="ij"), -1).reshape(-1, 3)
+    rotated = DisplacementField(pos, np.cross([0.0, 0.0, 0.05], pos), centered=True)
+    cases = beam_load_cases(pattern=MeshPattern.square(10.0, 1.0, "x"), sigma=2e-2, seed=11)
+    return {
+        "estimate_lin": lambda: estimate_lin(rotated),
+        "estimate_svd": lambda: estimate_svd(rotated),
+        "run_identification": lambda: run_identification(cases),
+        "identify_batch": lambda: stiffid.identify_batch(
+            [case.field.positions for case in cases],
+            [case.field.displacements[None] for case in cases],
+            [case.wrench for case in cases]),
+        "symmetrize": lambda: symmetrize(
+            run_identification(cases, IdentifyOptions(symmetrize=False)).matrix),
+    }
+
+
+@pytest.mark.parametrize("call", ["estimate_lin", "estimate_svd", "run_identification",
+                                  "identify_batch", "symmetrize"])
+def test_warning_names_the_caller(call):
+    # A filter on the caller's module, or a line on stderr, points at the
+    # call that was made, not at a line inside the package.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _warning_calls()[call]()
+    assert caught
+    assert {w.filename for w in caught} == {__file__}
 
 
 @pytest.mark.parametrize("positions, displacements", [
