@@ -6,8 +6,9 @@ Three subcommands cover the full workflow:
   (manifest plus one field CSV per canonical load) for a chosen noise
   level and seed.
 * ``stiffid identify``   runs the identification pipeline over a
-  manifest of experiments and writes the compliance matrix, the
-  significance report and a run log.
+  manifest of experiments, writes the compliance matrix, the
+  significance report and a run log, and prints the matrix as the
+  table it writes to ``compliance.txt``.
 * ``stiffid benchmark``  runs one of the validation studies (amplitude,
   noise, zero-detection) and checks its acceptance bands.
 
@@ -18,7 +19,10 @@ reads any field file and names the key path of the first fault.  A
 sensor's values then go to the ``SensorRegion`` constructor of its
 shape and the options to ``IdentifyOptions``, which check the ranges
 and own the option defaults; the study functions own the benchmark
-defaults, and only the flags the user gave are passed on.
+defaults, and only the flags the user gave are passed on.  A flag that
+the run would not read (one a study does not take, or ``--axis`` with
+the cubic pattern) is an input error rather than a setting ignored, as
+are a flag the command does not know and every other usage error.
 
 Exit codes: 0 success, 2 input/parse error (a bad option value, manifest
 or field file), 3 numerical failure, 4 benchmark outside its acceptance
@@ -301,14 +305,7 @@ def cmd_identify(args) -> int:
     for entry in run_log["experiments"]:
         entry["field_sha256"] = _sha256(base / entry["field_file"])
     _write_json(out / "run_log.json", run_log, indent=None)
-
-    if args.format == "json":
-        print(json.dumps(result.matrix.to_json_dict(), indent=2, sort_keys=True))
-    elif args.format == "csv":
-        for row in result.matrix.k:
-            print(",".join(repr(float(v)) for v in row))
-    else:
-        print(result.matrix.format_table())
+    print(result.matrix.format_table())
     return 0
 
 
@@ -317,10 +314,13 @@ def cmd_simulate(args) -> int:
     # Each experiment's sensor selects the whole simulated pattern.
     sensor = {"shape": "cube", "edge": args.edge, "center": [0.0, 0.0, 0.0]}
     if args.pattern == "cubic":
+        if args.axis is not None:
+            raise InvalidArgument("simulate --pattern cubic does not take --axis")
         pattern = MeshPattern.cubic(args.edge, args.step)
     else:
-        pattern = MeshPattern.square(args.edge, args.step, args.axis)
-        sensor.update(shape="square", axis=args.axis)
+        axis = "x" if args.axis is None else args.axis
+        pattern = MeshPattern.square(args.edge, args.step, axis)
+        sensor.update(shape="square", axis=axis)
     loads = (args.fx, args.fy, args.fz, args.mx, args.my, args.mz)
     cases = beam_load_cases(spec, pattern, loads, args.sigma, args.seed)
     out = _out_dir(args)
@@ -369,8 +369,8 @@ def _reject_flags(args, *flags: str) -> None:
 
 
 def _benchmark_amplitude(args) -> int:
-    _reject_flags(args, "trials", "sigma", "multiplier")
-    study = run_amplitude_study(AMPLITUDE_BENCH_DEG, trials=1, **_given(args, seed="seed"))
+    _reject_flags(args, "trials", "sigma", "multiplier", "seed")
+    study = run_amplitude_study(AMPLITUDE_BENCH_DEG)
     out = _out_dir(args)
     study.write_csv(out / "amplitude_study.csv")
     checks = []
@@ -443,11 +443,20 @@ def cmd_benchmark(args) -> int:
     return _benchmark_zero_detection(args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises a usage error, such as a flag the
+    command does not take, as InvalidArgument for :func:`main` to print
+    as JSON like any other input error."""
+
+    def error(self, message):
+        raise InvalidArgument(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: parsing fills a
     fresh namespace each time, so calls share no option values."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stiffid",
         description="Identify 6x6 compliance matrices from displacement fields.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -462,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--no-symmetrize", dest="symmetrize", action="store_false",
                       default=None)
     p_id.add_argument("--out", default="identify_out")
-    p_id.add_argument("--format", choices=["json", "text", "csv"], default="text")
     p_id.set_defaults(func=cmd_identify)
 
     p_sim = sub.add_parser("simulate", help="write synthetic beam experiments")
@@ -471,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--pattern", choices=["cubic", "square"], default="cubic")
     p_sim.add_argument("--edge", type=float, default=10.0, help="sensor edge, mm")
     p_sim.add_argument("--step", type=float, default=1.0, help="grid step, mm")
-    p_sim.add_argument("--axis", default="x", help="square pattern normal axis")
+    p_sim.add_argument("--axis", default=None, help="square pattern normal, default x")
     p_sim.add_argument("--length", type=float, default=BeamSpec.length)
     p_sim.add_argument("--section", type=float, default=BeamSpec.edge,
                        help="square section edge, mm")
@@ -515,13 +523,12 @@ def _emit_warning(message, category, *_) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # Each warning is printed as it is issued, so an error stays the last
     # line; the block gives every call its own warning registries.
     with warnings.catch_warnings():
         warnings.showwarning = _emit_warning
         try:
+            args = build_parser().parse_args(argv)
             # The library checks every fit for non-finite values and raises;
             # numpy's own overflow warnings would only precede that error.
             with np.errstate(over="ignore", invalid="ignore"):

@@ -98,6 +98,9 @@ DEGENERACY_RTOL = 1e-12
 # Orthogonality tolerance for matrices accepted as rotations.
 ORTHOGONALITY_TOL = 1e-9
 
+# The error both fits raise when the residual sum of squares is not finite.
+_RSS_OVERFLOW = "the residual sum of squares of the fit overflows"
+
 # Nodes per block of the 3x3 node sums of _gram: a block of both
 # operands' planes (384 KiB) stays in cache.  4,096 to 32,768 measured
 # the same.
@@ -434,7 +437,7 @@ def _fits(geometry: FitGeometry, translation: np.ndarray, rotation: np.ndarray,
     flat = residuals.swapaxes(-1, -2).reshape(residuals.shape[:-2] + (1, -1))
     objective = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
     if not np.isfinite(objective).all():
-        raise NonFiniteDeflection("the residual sum of squares of the fit overflows")
+        raise NonFiniteDeflection(_RSS_OVERFLOW)
     # One warning for each row whose rotation leaves the small-angle regime.
     norms = np.sqrt(np.einsum("...i,...i->...", rotation, rotation)).ravel()
     for norm in norms[norms >= ROTATION_WARN_LIMIT].tolist():
@@ -467,18 +470,22 @@ def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
     if not np.isfinite(cross).all():
         raise NonFiniteDeflection("displacements overflow the Procrustes fit")
     U, s, Vt = np.linalg.svd(cross)
-    if ((s[..., 0] <= 0.0) | (s[..., 1] <= DEGENERACY_RTOL * s[..., 0])).any():
-        raise DegenerateGeometry(
-            "displaced nodes are collinear, the rotation is not determined")
     V, Ut = Vt.swapaxes(-1, -2), U.swapaxes(-1, -2)
     flip = np.zeros(cross.shape)
     flip[..., 0, 0] = flip[..., 1, 1] = 1.0
     flip[..., 2, 2] = np.sign(np.linalg.det(V @ Ut))
     R = V @ flip @ Ut
-    translation = q - ((R - np.eye(3)) @ geometry.centroid[..., None])[..., 0]
-    rotation = extract_angles(R, method)
     # p + d - R p - translation, taken about the centroid
     residuals = moved_rel - (R @ rel.swapaxes(-1, -2)).swapaxes(-1, -2)
+    if ((s[..., 0] <= 0.0) | (s[..., 1] <= DEGENERACY_RTOL * s[..., 0])).any():
+        # One displacement that dwarfs the others makes the cross-covariance
+        # rank 1: name the overflow it causes, as the lin fit does.
+        if not np.isfinite(np.vdot(residuals, residuals)):
+            raise NonFiniteDeflection(_RSS_OVERFLOW)
+        raise DegenerateGeometry(
+            "displaced nodes are collinear, the rotation is not determined")
+    translation = q - ((R - np.eye(3)) @ geometry.centroid[..., None])[..., 0]
+    rotation = extract_angles(R, method)
     return _fits(geometry, translation, rotation, residuals)
 
 

@@ -378,18 +378,16 @@ def beam_compliance_oracle(spec: BeamSpec = BeamSpec()) -> ComplianceMatrix:
 
 
 def beam_tip_field(spec: BeamSpec, wrench: Wrench, pattern: MeshPattern,
-                   sigma: float = 0.0, seed: int = 0,
-                   center=None) -> DisplacementField:
+                   sigma: float = 0.0, seed: int = 0) -> DisplacementField:
     """Synthesize the sensor field of one beam experiment under any wrench.
 
-    The tip deflection d = k w follows from the beam oracle k; sensor
-    nodes near the tip move rigidly with it.
+    The pattern is laid out about the beam tip, which is also the
+    reference point, and moves rigidly with the tip deflection d = k w
+    of the beam oracle k, plus noise of std `sigma` drawn from `seed`.
     """
     k = beam_compliance_oracle(spec)
     d = k.k @ wrench.as_vector()
-    if center is None:
-        center = (spec.length, 0.0, 0.0)
-    base = generate_pattern(pattern, center=center)
+    base = generate_pattern(pattern, center=(spec.length, 0.0, 0.0))
     return apply_rigid_transform(base, Deflection(d[:3], d[3:]), sigma, seed)
 
 
@@ -399,8 +397,8 @@ def beam_load_cases(spec: BeamSpec = BeamSpec(),
                     sigma: float = 0.0, seed: int = 0) -> list[LoadCase]:
     """All six canonical beam experiments as pipeline load cases.
 
-    Case j equals ``beam_tip_field(spec, wrench_j, pattern, sigma,
-    seed + j)``.
+    Case j equals ``beam_tip_field(spec, w, pattern, sigma, seed + j)``
+    with w the j-th wrench of ``canonical_wrench_scheme(*loads)``.
     """
     base, experiments = _beam_experiments(spec, pattern, loads)
     # The six fields' noise is drawn as the rows of one batch.
@@ -447,11 +445,12 @@ class AmplitudeStudy:
         return dict(vars(self))
 
     def write_csv(self, path) -> None:
-        """Wide table: one row per method, one column per amplitude."""
+        """Wide table: one row per method, one column per amplitude, after
+        a ``#`` line that names the unit of the errors."""
         unit = "deg" if self.kind == "rotation" else "mm"
         with open(str(path), "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("method," + ",".join(repr(a) for a in self.amplitudes)
-                         + f"  # max error, {unit}\n")
+            handle.write(f"# max error, {unit}\n")
+            handle.write("method," + ",".join(repr(a) for a in self.amplitudes) + "\n")
             for method, values in self.max_errors.items():
                 handle.write(method + "," + ",".join(f"{v:.6e}" for v in values)
                              + "\n")
@@ -460,18 +459,18 @@ class AmplitudeStudy:
 def run_amplitude_study(amplitudes: Sequence[float],
                         pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
                         trials: int = 1, seed: int = 0, sigma: float = 0.0,
-                        kind: str = "rotation",
-                        translation=(1.0, 1.0, 1.0)) -> AmplitudeStudy:
+                        kind: str = "rotation") -> AmplitudeStudy:
     """Sweep transform amplitudes and tabulate identification errors.
 
     ``kind="rotation"`` applies exact rotations with all three angles at
-    the given amplitude (deg) and reports the largest per-axis angle
-    error in deg of every method of ``STUDY_METHODS``; rotation
-    reference fields deliberately leave the small-angle regime, so the
-    linearization error is the measurand.  ``kind="translation"``
-    applies pure translations (mm) and reports the translation errors
-    in mm of ``lin`` and ``svd-avg``.  With noise, the study also
-    locates the amplitude band minimizing the relative rotation error.
+    the given amplitude (deg), and a translation of 1 mm along each
+    axis, and reports the largest per-axis angle error in deg of every
+    method of ``STUDY_METHODS``; rotation reference fields deliberately
+    leave the small-angle regime, so the linearization error is the
+    measurand.  ``kind="translation"`` applies pure translations (mm)
+    and reports the translation errors in mm of ``lin`` and
+    ``svd-avg``.  With noise, the study also locates the amplitude band
+    minimizing the relative rotation error.
 
     Trial t of amplitude i draws its noise from seed ``seed + i *
     trials + t``.  The pattern's fit geometry is built once, and the
@@ -482,7 +481,6 @@ def run_amplitude_study(amplitudes: Sequence[float],
     _check_trials(trials, "trials")
     base = generate_pattern(pattern)
     geometry, rel = _fit_geometry(base.positions)
-    translation = np.asarray(translation, dtype=float)
     states = _noise_states(sigma, range(seed, seed + len(amplitudes) * trials)) \
         .reshape(len(amplitudes), trials, 4)
     method_names = [m for m in STUDY_METHODS
@@ -492,7 +490,7 @@ def run_amplitude_study(amplitudes: Sequence[float],
         warnings.simplefilter("ignore", LinearizationWarning)
         for ai, amp in enumerate(amplitudes):
             if kind == "rotation":
-                truth_defl = Deflection(translation, np.deg2rad([amp, amp, amp]))
+                truth_defl = Deflection([1.0, 1.0, 1.0], np.deg2rad([amp, amp, amp]))
             else:
                 truth_defl = Deflection([amp, amp, amp], np.zeros(3))
             rigid = _rigid_displacement(base.positions, truth_defl,
@@ -539,10 +537,9 @@ class NoiseStudy:
 
 
 def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
-                    sigma: float = 5.0e-5, trials: int = 500, seed: int = 0,
-                    translation=(1.0, 1.0, 1.0),
-                    rotation_deg: float = 0.1) -> NoiseStudy:
-    """Repeatedly identify a fixed small deflection under nodal noise.
+                    sigma: float = 5.0e-5, trials: int = 500, seed: int = 0) -> NoiseStudy:
+    """Repeatedly identify a fixed small deflection under nodal noise:
+    1 mm along, and 0.1 deg about, each axis.
 
     Fields use the first-order transform, so estimator errors are pure
     noise and their spread should match :func:`system_covariance`.
@@ -553,7 +550,7 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
     _check_trials(trials, "trials")
     states = _noise_states(sigma, range(seed, seed + trials))
     base = generate_pattern(pattern)
-    truth_defl = Deflection(translation, np.deg2rad([rotation_deg] * 3))
+    truth_defl = Deflection([1.0, 1.0, 1.0], np.deg2rad([0.1] * 3))
     rigid = _rigid_displacement(base.positions, truth_defl)
     geometry, rel = _fit_geometry(base.positions)
     err = np.empty((trials, 6))
@@ -598,13 +595,12 @@ class ZeroDetectionStudy:
 def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
                              multiplier: float = 4.0,
                              safety_threshold: float = 100.0,
-                             spec: BeamSpec = BeamSpec(),
                              pattern: MeshPattern = MeshPattern.square(10.0, 1.0, "x"),
-                             loads: Sequence[float] = DEFAULT_LOADS,
                              outlier_fraction: float = DEFAULT_OUTLIER_FRACTION,
                              seed: int = 0,
                              ) -> ZeroDetectionStudy:
-    """Count seeds where the pipeline recovers the exact beam zero pattern.
+    """Count seeds where the pipeline recovers the exact zero pattern of
+    the default beam, ``BeamSpec()`` under ``DEFAULT_LOADS``.
 
     A seed is perfect when every structural zero of the oracle matrix is
     zeroed, every nonzero element survives, and each surviving element
@@ -624,11 +620,11 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
     if sigma == 0.0:
         raise InvalidArgument("zero detection needs noise: sigma must be positive, got 0.0")
     states = _noise_states(sigma, range(seed, seed + 6 * seeds)).reshape(seeds, 6, 4)
-    oracle = beam_compliance_oracle(spec)
+    oracle = beam_compliance_oracle()
     nonzero = oracle.k != 0.0
     options = IdentifyOptions(outlier_fraction=outlier_fraction,
                               confidence_multiplier=multiplier)
-    base, experiments = _beam_experiments(spec, pattern, loads)
+    base, experiments = _beam_experiments(BeamSpec(), pattern, DEFAULT_LOADS)
     wrenches = [w for _, w, _ in experiments]
     zeros_missed = []
     nonzeros_lost = []

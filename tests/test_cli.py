@@ -296,19 +296,6 @@ class TestIdentify:
         mask = load_compliance_json(out / "compliance.json").significance_mask
         assert_array_equal(mask, significant | significant.T)
 
-    def test_json_format_stdout(self, sim_dir, tmp_path, capsys):
-        main(["identify", str(sim_dir / "manifest.json"),
-              "--out", str(tmp_path / "o"), "--format", "json"])
-        data = json.loads(capsys.readouterr().out)
-        assert len(data["k"]) == 6
-
-    def test_csv_format_stdout(self, sim_dir, tmp_path, capsys):
-        main(["identify", str(sim_dir / "manifest.json"),
-              "--out", str(tmp_path / "o"), "--format", "csv"])
-        rows = capsys.readouterr().out.strip().splitlines()
-        assert len(rows) == 6
-        assert all(len(r.split(",")) == 6 for r in rows)
-
     def test_log_verbosity_env(self, sim_dir, tmp_path, capsys, monkeypatch):
         # The run facts are in run_log.json; STIFFID_LOG sets no
         # second channel, so a clean run writes nothing to stderr.
@@ -431,11 +418,15 @@ class TestIdentifyErrors:
         assert self.stderr_payload(capsys)["error"] == "NonFiniteDeflection"
         assert not (tmp_path / "o").exists()
 
-    def test_overflowing_residual_exit_3(self, sim_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("estimator", ["lin", "svd"])
+    def test_overflowing_residual_exit_3(self, sim_dir, tmp_path, capsys, estimator):
         # One dy of 1e160 leaves the deflections finite, but its squared
-        # residual overflows the fit's residual sum of squares.
+        # residual overflows the fit's residual sum of squares.  It also
+        # leaves the svd fit's cross-covariance rank 1, which is reported
+        # as the overflow, not as collinear nodes.
         manifest = self.overflow_manifest(sim_dir, tmp_path, "dy", "1e160", (0,))
-        assert main(["identify", str(manifest), "--out", str(tmp_path / "o")]) == 3
+        assert main(["identify", str(manifest), "--estimator", estimator,
+                     "--out", str(tmp_path / "o")]) == 3
         assert self.stderr_payload(capsys)["error"] == "NonFiniteDeflection"
         assert not (tmp_path / "o").exists()
 
@@ -715,6 +706,13 @@ class TestBenchmark:
         (["benchmark", "zero-detection", "--sigma", "1e300"], "square"),
         # noise-free structural zeros are roundoff: nothing to detect
         (["benchmark", "zero-detection", "--sigma", "0"], "sigma"),
+        # the cubic pattern has no normal axis, so any --axis is unread
+        (["simulate", "--axis", "q"], "axis"),
+        (["simulate", "--axis", "y"], "axis"),
+        # stdout is the table of compliance.txt, so no flag picks another
+        # rendering; argparse's usage errors are input errors as well
+        (["identify", "manifest.json", "--format", "json"], "--format"),
+        (["simulate", "--pattern", "cube"], "--pattern"),
     ], ids=["simulate-sigma", "simulate-poisson", "simulate-seed", "zero-detection-sigma",
             "zero-detection-multiplier", "zero-detection-trials", "noise-trials-0",
             "noise-trials-negative", "zero-detection-seed", "simulate-axis",
@@ -722,7 +720,9 @@ class TestBenchmark:
             "simulate-length-inf", "noise-trials-50", "noise-trials-99-noisy",
             "simulate-sigma-square-overflows", "noise-sigma-square-overflows",
             "noise-trials-50-sigma-square-overflows",
-            "zero-detection-sigma-square-overflows", "zero-detection-sigma-zero"])
+            "zero-detection-sigma-square-overflows", "zero-detection-sigma-zero",
+            "simulate-cubic-axis-q", "simulate-cubic-axis-y", "identify-format",
+            "simulate-pattern-choice"])
     def test_bad_number_exit_2(self, tmp_path, capsys, argv, word):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -734,8 +734,10 @@ class TestBenchmark:
         (["amplitude", "--sigma", "1"], "--sigma"),
         (["amplitude", "--multiplier", "9"], "--multiplier"),
         (["noise", "--multiplier", "9"], "--multiplier"),
+        # the amplitude sweep is noise-free, so no seed reaches it
+        (["amplitude", "--seed", "3"], "--seed"),
     ], ids=["amplitude-all", "amplitude-sigma", "amplitude-multiplier",
-            "noise-multiplier"])
+            "noise-multiplier", "amplitude-seed"])
     def test_unused_flag_exit_2(self, tmp_path, capsys, argv, flag):
         # a study that ignored the flag would print PASS for a run the
         # user did not ask for
@@ -756,9 +758,11 @@ class TestBenchmark:
         ["benchmark", "zero-detection", "--trials", "0"],
         ["benchmark", "noise", "--trials", "100", "--sigma", "1e300"],
         ["benchmark", "zero-detection", "--sigma", "0"],
+        ["benchmark", "amplitude", "--seed", "3"],
+        ["simulate", "--axis", "y"],
     ], ids=["simulate-sigma", "simulate-edge-below-step", "noise-sigma",
             "amplitude-trials", "zero-trials", "noise-sigma-square-overflows",
-            "zero-sigma-zero"])
+            "zero-sigma-zero", "amplitude-seed", "simulate-cubic-axis"])
     def test_input_error_leaves_no_out_dir(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 2

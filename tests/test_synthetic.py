@@ -1,5 +1,6 @@
 """Synthetic fields, the cantilever forward model and the validation studies."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -451,9 +452,13 @@ class TestAmplitudeStudy:
         study = run_amplitude_study([0.1, 1.0])
         path = tmp_path / "study.csv"
         study.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + len(STUDY_METHODS)
-        assert lines[0].startswith("method,0.1,1.0")
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(line for line in handle if not line.startswith("#")))
+        assert len(rows) == 1 + len(STUDY_METHODS)
+        assert {len(row) for row in rows} == {3}
+        assert rows[0][0] == "method"
+        assert [float(cell) for cell in rows[0][1:]] == [0.1, 1.0]
+        assert [row[0] for row in rows[1:]] == list(STUDY_METHODS)
         data = json.loads(json.dumps(study.to_json_dict()))
         assert data["kind"] == "rotation"
         assert data["amplitudes"] == [0.1, 1.0]
