@@ -330,7 +330,10 @@ def write_field_csv(path, field: DisplacementField, comments=()) -> None:
     table = np.hstack((pos, field.displacements))
     with open(str(path), "w", encoding="utf-8", newline="\n") as handle:
         for comment in comments:
-            handle.write(f"# {comment}\n")
+            # One `#` line per line of the comment, so a line break in it
+            # cannot start a line the reader takes for the header.
+            for line in comment.splitlines() or [""]:
+                handle.write(f"# {line}\n")
         handle.write(",".join(CSV_HEADER) + "\n")
         for start in range(0, len(table), _WRITE_BLOCK_ROWS):
             block = table[start:start + _WRITE_BLOCK_ROWS]

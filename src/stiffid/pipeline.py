@@ -26,6 +26,7 @@ gathered straight into the component planes the fits work on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -108,18 +109,34 @@ class IdentifyOptions:
         }
 
 
+def _indices(mask: np.ndarray | None) -> list[int]:
+    return [] if mask is None else np.flatnonzero(mask).tolist()
+
+
 @dataclass(frozen=True)
 class IdentificationResult:
+    """One identification.  Per experiment, ``dropped`` holds the
+    read-only mask of the nodes the outlier stage removed, over the
+    sensor's nodes in file order, or None when it removed none."""
+
     matrix: ComplianceMatrix
     assembled: ComplianceMatrix
     significance: SignificanceReport
     noise: NoiseEstimate
     fits: tuple[FitResult, ...]
     covariances: tuple[DeflectionCovariance, ...]
-    removed: tuple[tuple[int, ...], ...]
+    dropped: tuple[np.ndarray | None, ...]
     canonical: bool
     options: IdentifyOptions
     sources: tuple[str, ...]
+
+    @cached_property
+    def removed(self) -> tuple[tuple[int, ...], ...]:
+        """Per experiment, the file-order indices of the removed nodes
+        among the sensor's nodes, read from ``dropped`` when first asked
+        for: a large field's indices cost time and memory that no stage
+        needs."""
+        return tuple(tuple(_indices(mask)) for mask in self.dropped)
 
     def diagnostics(self) -> dict:
         """Per-stage run log entries, JSON-serializable.
@@ -128,6 +145,7 @@ class IdentificationResult:
         and the indices of the removed nodes: with the same inputs that
         is enough to rerun the identification.
         """
+        removed = [_indices(mask) for mask in self.dropped]
         return {
             "options": self.options.to_json_dict(),
             "experiments": [
@@ -135,8 +153,8 @@ class IdentificationResult:
                     "field_file": self.sources[i],
                     "nodes": fit.n,
                     "sigma": self.noise.per_experiment_sigma[i],
-                    "removed_nodes": len(self.removed[i]),
-                    "removed_indices": list(self.removed[i]),
+                    "removed_nodes": len(removed[i]),
+                    "removed_indices": removed[i],
                 }
                 for i, fit in enumerate(self.fits)
             ],
@@ -151,17 +169,18 @@ class BatchIdentification(NamedTuple):
     """S independent identifications; see :func:`identify_batch`.
 
     Per experiment j: ``fits[j]`` is the final fit (the refit after
-    outlier removal), ``dropped[j]`` the (S, n_j) mask of removed nodes
-    (None when none are removed), ``per_experiment_sigma[j]`` (S,) the
-    noise level of the initial fit and ``covariances[j]`` the
-    deflection covariances (S, 6, 6) of the final fit, block-diagonal in
-    translation and rotation.  ``sigma`` (S,) is the pooled noise level
-    with ``dof`` degrees of freedom.  Every admissible wrench set gives every array:
-    ``assembled`` (S, 6, 6) is the least-squares matrix before the
-    significance stage, ``halfwidth`` its confidence halfwidths,
-    ``significant`` the elements outside them, ``safety`` the safety
-    factors of the significant elements (NaN elsewhere), and ``matrix``
-    and ``mask`` the final matrices and significance masks.
+    outlier removal), ``dropped[j]`` the read-only (S, n_j) mask of
+    removed nodes (None when none are removed),
+    ``per_experiment_sigma[j]`` (S,) the noise level of the initial fit
+    and ``covariances[j]`` the deflection covariances (S, 6, 6) of the
+    final fit, block-diagonal in translation and rotation.  ``sigma``
+    (S,) is the pooled noise level with ``dof`` degrees of freedom.
+    Every admissible wrench set gives every array: ``assembled``
+    (S, 6, 6) is the least-squares matrix before the significance
+    stage, ``halfwidth`` its confidence halfwidths, ``significant`` the
+    elements outside them, ``safety`` the safety factors of the
+    significant elements (NaN elsewhere), and ``matrix`` and ``mask``
+    the final matrices and significance masks.
     """
 
     fits: tuple[Fits, ...]
@@ -278,6 +297,7 @@ def identify_batch(positions: Sequence[np.ndarray],
         counts.append(d.shape[-2])
         drop = _drop_mask(fit.residuals, options.outlier_fraction)
         if drop is not None:
+            drop.flags.writeable = False
             del fit  # free its residuals before the refit makes its own
             keep = ~drop
             fit = _fit(*_fit_geometry(_survivors(planes, keep)),
@@ -315,7 +335,8 @@ def run_identification(cases: Sequence[LoadCase],
     single-component wrenches, one per component, in any order), which
     no stage depends on.  This is :func:`identify_batch` with one row;
     the result's covariances and significance report hold copies of
-    that row's (6, 6) arrays.
+    that row's (6, 6) arrays, and its ``dropped`` masks are read-only
+    views of that row's masks.
     """
     for case in cases:
         _require_centered(case.field, "run_identification")
@@ -326,8 +347,7 @@ def run_identification(cases: Sequence[LoadCase],
     noise = NoiseEstimate(float(batch.sigma[0]), batch.dof,
                           tuple(float(s[0]) for s in batch.per_experiment_sigma))
     fits = tuple(_fit_result(fit, 0) for fit in batch.fits)
-    removed = tuple(() if drop is None else tuple(np.flatnonzero(drop[0]).tolist())
-                    for drop in batch.dropped)
+    dropped = tuple(None if drop is None else drop[0] for drop in batch.dropped)
     covariances = tuple(DeflectionCovariance(c[0]) for c in batch.covariances)
 
     assembled = ComplianceMatrix(batch.assembled[0])
@@ -337,5 +357,5 @@ def run_identification(cases: Sequence[LoadCase],
     matrix = ComplianceMatrix(batch.matrix[0], batch.mask[0],
                               symmetrized=options.symmetrize)
     return IdentificationResult(matrix, assembled, report, noise, fits, covariances,
-                                removed, is_canonical(wrenches), options,
+                                dropped, is_canonical(wrenches), options,
                                 tuple(case.source for case in cases))

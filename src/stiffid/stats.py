@@ -191,9 +191,11 @@ def _drop_mask(residuals: np.ndarray, fraction: float) -> np.ndarray | None:
     if n - remove < MIN_FIT_NODES:
         raise TooFewRemaining(
             f"removing {remove} of {n} nodes leaves fewer than {MIN_FIT_NODES}")
-    a = np.abs(residuals)
-    score = np.maximum(a[..., 0], a[..., 1])
-    np.maximum(score, a[..., 2], out=score)
+    # Folded one component at a time into one (S, n) score: no (S, n, 3)
+    # copy of |residuals|.
+    score = np.abs(residuals[..., 0])
+    for k in (1, 2):
+        np.maximum(score, np.abs(residuals[..., k]), out=score)
     # Drop every score at or above the row's threshold, then keep the
     # first of the ties at it until `remove` go: the last ones are the
     # set a stable ascending sort puts last, so an earlier node survives

@@ -379,6 +379,17 @@ class TestCsv:
         assert_array_equal(back.displacements, disp)
         assert not back.centered
 
+    def test_line_breaks_in_comments_stay_comments(self, tmp_path):
+        f = DisplacementField(np.array(CSV_ROWS)[:, :3], np.array(CSV_ROWS)[:, 3:])
+        path = tmp_path / "field.csv"
+        write_field_csv(path, f, comments=("one\ntwo", "three\r\nfour", "five\rsix", ""))
+        lines = path.read_bytes().decode().split("\n")
+        assert lines[:8] == ["# one", "# two", "# three", "# four", "# five", "# six",
+                             "# ", "x,y,z,dx,dy,dz"]
+        back = read_field_csv(path)
+        assert back.positions.tobytes() == f.positions.tobytes()
+        assert back.displacements.tobytes() == f.displacements.tobytes()
+
     def test_centered_field_written_absolute(self, tmp_path):
         f = center_field(DisplacementField(
             np.array([[1001.0, 0.0, 0.0]]), np.array([[0.5, 0.0, 0.0]]),

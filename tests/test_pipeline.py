@@ -86,6 +86,28 @@ def test_zero_outlier_fraction_equals_a_run_without_filter(noisy_cases, monkeypa
     assert result.noise == unfiltered.noise
 
 
+@pytest.mark.parametrize("options", [IdentifyOptions(outlier_fraction=0.0), IdentifyOptions()],
+                         ids=["no-filter", "default"])
+def test_removed_indices_are_read_from_the_drop_masks(noisy_cases, options):
+    result = run_identification(noisy_cases, options)
+    filtered = options.outlier_fraction > 0.0
+    log = result.diagnostics()["experiments"]
+    assert type(result.removed) is tuple
+    for j, case in enumerate(noisy_cases):
+        mask = result.dropped[j]
+        if not filtered:
+            assert mask is None
+        else:
+            assert mask.dtype == bool and mask.shape == (case.field.n,)
+            assert not mask.flags.writeable
+        expected = [] if mask is None else np.flatnonzero(mask).tolist()
+        removed = result.removed[j]
+        assert type(removed) is tuple and all(type(i) is int for i in removed)
+        assert list(removed) == expected == log[j]["removed_indices"]
+        assert log[j]["removed_nodes"] == len(expected)
+    assert any(result.removed) == filtered
+
+
 def test_report_is_a_read_only_copy_of_the_batch(noisy_cases, monkeypatch):
     original = stiffid.pipeline.identify_batch
     batches = []
