@@ -61,7 +61,6 @@ from .pipeline import (
     run_identification,
 )
 from .stats import (
-    DeflectionCovariance,
     NoiseEstimate,
     SignificanceReport,
     deflection_covariance,

@@ -210,8 +210,10 @@ def _check(value, schema, path: str, manifest: str) -> None:
 def load_manifest(path) -> tuple[list[LoadCase], dict]:
     """Parse a manifest file into centered, sensor-restricted load cases.
 
-    A sensor that selects fewer than ``MIN_FIT_NODES`` nodes of its
-    field raises :class:`ManifestError`, which names the experiment.
+    A reference point that overflows in mm, node positions that overflow
+    relative to it, and a field or sensor of fewer than
+    ``MIN_FIT_NODES`` nodes raise :class:`ManifestError`, which names
+    the experiment.
     """
     manifest = str(path)
     try:
@@ -231,25 +233,31 @@ def load_manifest(path) -> tuple[list[LoadCase], dict]:
     for i, entry in enumerate(data["experiments"]):
         w = entry["wrench"]
         sensor = dict(entry.get("sensor", {}))
+        source = entry["field_file"]
         try:
             wrench = Wrench(np.multiply(w["force"], FORCE_UNITS[w["force_unit"]]),
                             np.multiply(w["torque"], TORQUE_UNITS[w["torque_unit"]]))
             region = getattr(SensorRegion, sensor.pop("shape"))(**sensor) if sensor else None
         except ValueError as exc:
             raise ManifestError(manifest, f"experiments[{i}]: {exc}") from None
-        field = center_field(read_field_csv(base / entry["field_file"],
-                                            data["reference_point"], lscale))
-        if region is not None:
-            try:
+        try:
+            field = center_field(read_field_csv(base / source, data["reference_point"],
+                                                lscale))
+        except ValueError as exc:  # the field rejects a value that overflows
+            raise ManifestError(manifest, f"experiments[{i}]: {source} in mm, centered on "
+                                f"reference_point: {exc}") from None
+        try:
+            if region is not None:
                 field = select_sensor(field, region)
-                nodes = field.n
-            except EmptySelection:
-                nodes = 0
-            if nodes < MIN_FIT_NODES:
-                raise ManifestError(manifest, f"experiments[{i}]: the sensor selects "
-                                    f"{nodes} nodes of {entry['field_file']}, and a rigid "
-                                    f"fit needs at least {MIN_FIT_NODES}")
-        cases.append(LoadCase(field, wrench, entry["field_file"]))
+            nodes = field.n
+        except EmptySelection:
+            nodes = 0
+        if nodes < MIN_FIT_NODES:
+            selects = "" if region is None else "the sensor selects "
+            raise ManifestError(manifest, f"experiments[{i}]: {selects}{nodes} nodes "
+                                f"of {source}, and a rigid fit needs at least "
+                                f"{MIN_FIT_NODES}")
+        cases.append(LoadCase(field, wrench, source))
     return cases, data.get("options", {})
 
 

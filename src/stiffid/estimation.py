@@ -270,7 +270,8 @@ class FitGeometry(NamedTuple):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Estimated deflection plus per-node residuals of the fit.
+    """Estimated deflection plus per-node residuals of the fit, held as
+    a read-only (n, 3) copy.
 
     ``geometry`` is the :class:`FitGeometry` of the fitted nodes; the
     estimators always set it.
@@ -289,17 +290,6 @@ class FitResult:
         r.flags.writeable = False
         object.__setattr__(self, "residuals", r)
         object.__setattr__(self, "objective", float(self.objective))
-
-    @classmethod
-    def _holding(cls, deflection: Deflection, residuals: np.ndarray,
-                 objective: float, geometry: FitGeometry) -> "FitResult":
-        """A fit result that holds `residuals` itself, not a copy: the
-        caller hands over a read-only (n, 3) view of a read-only array."""
-        fit = object.__new__(cls)
-        for name, value in (("deflection", deflection), ("residuals", residuals),
-                            ("objective", objective), ("geometry", geometry)):
-            object.__setattr__(fit, name, value)
-        return fit
 
     @property
     def n(self) -> int:
@@ -406,13 +396,6 @@ def _fit_geometry(positions: np.ndarray) -> tuple[FitGeometry, np.ndarray]:
     return FitGeometry(n, c, inverse), rel
 
 
-def _geometry_row(geometry: FitGeometry, row: int) -> FitGeometry:
-    """Row `row` of a batched geometry; arrays that shared positions
-    left without the batch axis are the same for every row."""
-    return FitGeometry(geometry.n, *(a if a.ndim == ndim else a[row] for a, ndim
-                                     in zip(geometry[1:], (1, 2))))
-
-
 def _centred(displacements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The mean displacement q (S, 3) of a batch of fields (S, n, 3) and
     the displacements relative to it, in planes.
@@ -446,16 +429,11 @@ def _fits(geometry: FitGeometry, translation: np.ndarray, rotation: np.ndarray,
     return Fits(geometry, translation, rotation, residuals, objective)
 
 
-def _fit_result(fits: Fits, row: int) -> FitResult:
-    """Row `row` of a batched fit as a :class:`FitResult`.
-
-    The result holds a view of the batch's residuals, which this makes
-    read-only: callers hand over a batch they keep no use for.
-    """
-    fits.residuals.flags.writeable = False
-    return FitResult._holding(Deflection(fits.translation[row], fits.rotation[row]),
-                              fits.residuals[row], float(fits.objective[row]),
-                              _geometry_row(fits.geometry, row))
+def _fit_result(fits: Fits) -> FitResult:
+    """The one row of a fit of one field on a geometry without a batch
+    axis, as a :class:`FitResult`."""
+    return FitResult(Deflection(fits.translation[0], fits.rotation[0]),
+                     fits.residuals[0], fits.objective[0], fits.geometry)
 
 
 def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
@@ -531,7 +509,7 @@ def estimate_svd(field: DisplacementField,
     """
     _require_centered(field, "estimate_svd")
     return _fit_result(_fit_svd(*_fit_geometry(field.positions),
-                                field.displacements[None], method), 0)
+                                field.displacements[None], method))
 
 
 def estimate_lin(field: DisplacementField) -> FitResult:
@@ -555,4 +533,4 @@ def estimate_lin(field: DisplacementField) -> FitResult:
     """
     _require_centered(field, "estimate_lin")
     return _fit_result(_fit_lin(*_fit_geometry(field.positions),
-                                field.displacements[None]), 0)
+                                field.displacements[None]))

@@ -43,11 +43,9 @@ from .errors import InvalidArgument
 from .estimation import (
     AngleExtractionMethod,
     FitGeometry,
-    FitResult,
     Fits,
     _fit_geometry,
     _fit_lin,
-    _fit_result,
     _fit_svd,
     _planes,
     _require_centered,
@@ -56,7 +54,6 @@ from .field import DisplacementField
 from .stats import (
     DEFAULT_CONFIDENCE_MULTIPLIER,
     DEFAULT_OUTLIER_FRACTION,
-    DeflectionCovariance,
     NoiseEstimate,
     SignificanceReport,
     _check_fraction,
@@ -115,16 +112,23 @@ def _indices(mask: np.ndarray | None) -> list[int]:
 
 @dataclass(frozen=True)
 class IdentificationResult:
-    """One identification.  Per experiment, ``dropped`` holds the
-    read-only mask of the nodes the outlier stage removed, over the
-    sensor's nodes in file order, or None when it removed none."""
+    """One identification: row 0 of a :class:`BatchIdentification`.
+
+    ``deflections`` (6, m) holds each experiment's deflection (p; dphi)
+    at the reference point as a column, in experiment order.  Per
+    experiment, ``nodes`` is the node count of the final fit,
+    ``covariances`` its (6, 6) deflection covariance and ``dropped`` the
+    mask of the nodes the outlier stage removed, over the sensor's nodes
+    in file order, or None when it removed none; every array is
+    read-only."""
 
     matrix: ComplianceMatrix
     assembled: ComplianceMatrix
     significance: SignificanceReport
     noise: NoiseEstimate
-    fits: tuple[FitResult, ...]
-    covariances: tuple[DeflectionCovariance, ...]
+    deflections: np.ndarray
+    nodes: tuple[int, ...]
+    covariances: tuple[np.ndarray, ...]
     dropped: tuple[np.ndarray | None, ...]
     canonical: bool
     options: IdentifyOptions
@@ -151,12 +155,12 @@ class IdentificationResult:
             "experiments": [
                 {
                     "field_file": self.sources[i],
-                    "nodes": fit.n,
+                    "nodes": n,
                     "sigma": self.noise.per_experiment_sigma[i],
                     "removed_nodes": len(removed[i]),
                     "removed_indices": removed[i],
                 }
-                for i, fit in enumerate(self.fits)
+                for i, n in enumerate(self.nodes)
             ],
             "sigma": self.noise.sigma,
             "dof": self.noise.dof,
@@ -168,13 +172,16 @@ class IdentificationResult:
 class BatchIdentification(NamedTuple):
     """S independent identifications; see :func:`identify_batch`.
 
-    Per experiment j: ``fits[j]`` is the final fit (the refit after
-    outlier removal), ``dropped[j]`` the read-only (S, n_j) mask of
-    removed nodes (None when none are removed),
-    ``per_experiment_sigma[j]`` (S,) the noise level of the initial fit
-    and ``covariances[j]`` the deflection covariances (S, 6, 6) of the
-    final fit, block-diagonal in translation and rotation.  ``sigma``
-    (S,) is the pooled noise level with ``dof`` degrees of freedom.
+    ``deflections`` (S, 6, m) holds the deflections (p; dphi) of the
+    final fits (the refits after outlier removal), experiment j in
+    column j.  Per experiment j: ``nodes[j]`` is the node count of the
+    final fit, ``dropped[j]`` the read-only (S, n_j) mask of removed
+    nodes (None when none are removed), ``per_experiment_sigma[j]``
+    (S,) the noise level of the initial fit and ``covariances[j]`` the
+    read-only deflection covariances (S, 6, 6) of the final fit,
+    block-diagonal in translation and rotation.  No array holds a
+    per-node value but the drop masks.  ``sigma`` (S,) is the pooled
+    noise level with ``dof`` degrees of freedom.
     Every admissible wrench set gives every array: ``assembled``
     (S, 6, 6) is the least-squares matrix before the significance
     stage, ``halfwidth`` its confidence halfwidths, ``significant`` the
@@ -183,7 +190,8 @@ class BatchIdentification(NamedTuple):
     the final matrices and significance masks.
     """
 
-    fits: tuple[Fits, ...]
+    deflections: np.ndarray
+    nodes: tuple[int, ...]
     dropped: tuple[np.ndarray | None, ...]
     sigma: np.ndarray
     dof: int
@@ -267,7 +275,8 @@ def identify_batch(positions: Sequence[np.ndarray],
     # Per distinct node layout: the positions as given, in planes, and
     # their fit geometry with the centroid-relative positions.
     layouts: list[tuple[np.ndarray, np.ndarray, FitGeometry, np.ndarray]] = []
-    fits = []
+    geometries = []
+    deflections = []
     dropped = []
     objectives = []
     counts = []
@@ -302,23 +311,26 @@ def identify_batch(positions: Sequence[np.ndarray],
             keep = ~drop
             fit = _fit(*_fit_geometry(_survivors(planes, keep)),
                        _survivors(d, keep), options)
-        fits.append(fit)
+        geometries.append(fit.geometry)
+        deflections.append(np.concatenate([fit.translation, fit.rotation], axis=-1))
         dropped.append(drop)
+        del fit  # free its residuals before the next experiment's arrays are made
     sigma, dof, per_experiment = _pool_sigma(objectives, counts)
-    covariances = tuple(_covariance(fit.geometry, sigma) for fit in fits)
+    covariances = tuple(_covariance(geometry, sigma) for geometry in geometries)
     # Least squares for every admissible wrench set: k = D W^+, with D
     # stacked (S, 6, m), and Var(k_il) = sum_j (W^+)_jl^2 Var(D_ij) from
     # the diagonals of the experiments' covariances.
     svd = _wrench_svd(wrenches)
-    deflections = np.stack([np.concatenate([fit.translation, fit.rotation], axis=-1)
-                            for fit in fits], axis=-1)
+    deflections = np.stack(deflections, axis=-1)
+    deflections.flags.writeable = False
     assembled = _least_squares(deflections, svd)
     halfwidth = _halfwidth(covariances, svd, options.confidence_multiplier)
     significant, matrix, safety = _significance(assembled, halfwidth)
     mask = significant
     if options.symmetrize:
         matrix, mask = _symmetrize(matrix, mask)
-    return BatchIdentification(tuple(fits), tuple(dropped), sigma, dof,
+    return BatchIdentification(deflections, tuple(g.n for g in geometries),
+                               tuple(dropped), sigma, dof,
                                tuple(per_experiment), covariances, assembled,
                                halfwidth, significant, safety, matrix, mask)
 
@@ -333,10 +345,10 @@ def run_identification(cases: Sequence[LoadCase],
     directions is assembled by least squares and significance-tested;
     ``canonical`` records whether it was the canonical scheme (six
     single-component wrenches, one per component, in any order), which
-    no stage depends on.  This is :func:`identify_batch` with one row;
-    the result's covariances and significance report hold copies of
-    that row's (6, 6) arrays, and its ``dropped`` masks are read-only
-    views of that row's masks.
+    no stage depends on.  This is :func:`identify_batch` with one row:
+    the result's deflections, covariances and ``dropped`` masks are
+    read-only views of that row, and its significance report holds
+    copies of the row's (6, 6) arrays.
     """
     for case in cases:
         _require_centered(case.field, "run_identification")
@@ -346,9 +358,7 @@ def run_identification(cases: Sequence[LoadCase],
                            wrenches, options)
     noise = NoiseEstimate(float(batch.sigma[0]), batch.dof,
                           tuple(float(s[0]) for s in batch.per_experiment_sigma))
-    fits = tuple(_fit_result(fit, 0) for fit in batch.fits)
     dropped = tuple(None if drop is None else drop[0] for drop in batch.dropped)
-    covariances = tuple(DeflectionCovariance(c[0]) for c in batch.covariances)
 
     assembled = ComplianceMatrix(batch.assembled[0])
     report = SignificanceReport(batch.assembled[0], batch.halfwidth[0],
@@ -356,6 +366,7 @@ def run_identification(cases: Sequence[LoadCase],
                                 options.confidence_multiplier)
     matrix = ComplianceMatrix(batch.matrix[0], batch.mask[0],
                               symmetrized=options.symmetrize)
-    return IdentificationResult(matrix, assembled, report, noise, fits, covariances,
+    return IdentificationResult(matrix, assembled, report, noise, batch.deflections[0],
+                                batch.nodes, tuple(c[0] for c in batch.covariances),
                                 dropped, is_canonical(wrenches), options,
                                 tuple(case.source for case in cases))

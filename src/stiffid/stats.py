@@ -14,9 +14,9 @@ Each stage is one batched function over S independent identifications
 (:func:`stiffid.pipeline.identify_batch`) runs them on whole batches;
 the public per-field functions (:func:`estimate_sigma`,
 :func:`filter_outliers`, :func:`system_covariance`,
-:func:`significance_test`) run them on one row.  The records hold one
-row of those arrays: a :class:`DeflectionCovariance` one (6, 6)
-covariance, a :class:`SignificanceReport` the (6, 6) estimates,
+:func:`significance_test`) run them on one row.  A deflection
+covariance is a read-only (6, 6) array, and a
+:class:`SignificanceReport` holds one row's (6, 6) estimates,
 halfwidths, significance mask and safety factors.
 """
 
@@ -90,26 +90,6 @@ def estimate_sigma(fits: Sequence[FitResult]) -> NoiseEstimate:
                          tuple(float(s[0]) for s in per_experiment))
 
 
-@dataclass(frozen=True)
-class DeflectionCovariance:
-    """Covariance (6, 6) of an estimated deflection (p; dphi): mm^2,
-    mm rad and rad^2 by block.  Stored symmetrized and read-only."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (6, 6):
-            raise ValueError(f"deflection covariance must be 6x6, got {m.shape}")
-        m = (m + m.T) / 2.0
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def component_std(self) -> np.ndarray:
-        """Standard deviations of the 6 deflection components."""
-        return np.sqrt(np.diagonal(self.matrix))
-
-
 # The largest sigma whose square is finite: the covariances square sigma
 # with Python's float power, which raises OverflowError above it.
 _SIGMA_MAX = math.sqrt(sys.float_info.max)
@@ -136,7 +116,8 @@ def _check_multiplier(multiplier: float, name: str) -> None:
 
 def _covariance(geometry: FitGeometry, sigma: np.ndarray) -> np.ndarray:
     """Deflection covariances (..., 6, 6) of the fits on `geometry` for
-    noise levels `sigma` (...,).  See :func:`system_covariance`."""
+    noise levels `sigma` (...,), symmetrized and read-only.  See
+    :func:`system_covariance`."""
     # Python's float power, not np.square: the two differ in the last
     # bit for about one sigma in a thousand, and the halfwidths have
     # always been computed from the former.
@@ -144,11 +125,16 @@ def _covariance(geometry: FitGeometry, sigma: np.ndarray) -> np.ndarray:
     covariance = np.zeros(np.shape(sigma) + (6, 6))
     covariance[..., :3, :3] = (variance / geometry.n)[..., None, None] * np.eye(3)
     covariance[..., 3:, 3:] = variance[..., None, None] * geometry.inverse
+    # The inverse normal matrix is symmetric only to roundoff.
+    covariance = (covariance + covariance.swapaxes(-1, -2)) / 2.0
+    covariance.flags.writeable = False
     return covariance
 
 
-def system_covariance(geometry: FitGeometry, sigma: float) -> DeflectionCovariance:
-    """Covariance of the linearized estimate for noise level `sigma`.
+def system_covariance(geometry: FitGeometry, sigma: float) -> np.ndarray:
+    """Covariance of the linearized estimate (p; dphi) for noise level
+    `sigma`, a read-only symmetric (6, 6) array: mm^2, mm rad and rad^2
+    by block.
 
     One block-diagonal 6x6 matrix: translation (sigma^2 / n) I about the
     field centroid, rotation sigma^2 times the inverse of the rotation
@@ -160,10 +146,10 @@ def system_covariance(geometry: FitGeometry, sigma: float) -> DeflectionCovarian
     nonnegative with a finite square (at most about 1.34e154).
     """
     _check_sigma(sigma)
-    return DeflectionCovariance(_covariance(geometry, np.float64(sigma)))
+    return _covariance(geometry, np.float64(sigma))
 
 
-def deflection_covariance(field: DisplacementField, sigma: float) -> DeflectionCovariance:
+def deflection_covariance(field: DisplacementField, sigma: float) -> np.ndarray:
     """Covariance of the linearized estimate of `field` for noise level
     `sigma`; see :func:`system_covariance`.  It depends on the node
     positions only, so only the fit geometry is built.
@@ -308,7 +294,7 @@ def _significance(k: np.ndarray, halfwidth: np.ndarray,
 
 def significance_test(matrix: ComplianceMatrix,
                       wrenches: Sequence[Wrench],
-                      covariances: Sequence[DeflectionCovariance],
+                      covariances: Sequence[np.ndarray],
                       level_multiplier: float = DEFAULT_CONFIDENCE_MULTIPLIER,
                       ) -> tuple[SignificanceReport, ComplianceMatrix]:
     """Zero out compliance elements indistinguishable from zero.
@@ -318,7 +304,8 @@ def significance_test(matrix: ComplianceMatrix,
     :func:`~stiffid.compliance.assemble_overdetermined`), any set of at
     least six that spans all six load directions, else
     :class:`RankDeficientWrenches` is raised; `covariances` holds each
-    experiment's deflection covariance, in the same order.
+    experiment's (6, 6) deflection covariance, in the same order (see
+    :func:`system_covariance`), else ``ValueError`` is raised.
     The confidence halfwidth of element (i, l) is ``level_multiplier``
     times its standard deviation sqrt(sum_j A_jl^2 Var(d_j[i])), with
     A = W^+ and Var(d_j[i]) the variance of deflection component i of
@@ -335,8 +322,10 @@ def significance_test(matrix: ComplianceMatrix,
     _check_multiplier(level_multiplier, "level_multiplier")
     if len(covariances) != len(wrenches) or any(c is None for c in covariances):
         raise MissingCovariance("need one deflection covariance per experiment")
-    halfwidth = _halfwidth([c.matrix for c in covariances], _wrench_svd(wrenches),
-                           level_multiplier)
+    for c in covariances:
+        if np.shape(c) != (6, 6):
+            raise ValueError(f"deflection covariance must be 6x6, got {np.shape(c)}")
+    halfwidth = _halfwidth(covariances, _wrench_svd(wrenches), level_multiplier)
     significant, zeroed, safety = _significance(matrix.k, halfwidth)
     report = SignificanceReport(matrix.k, halfwidth, significant, safety, level_multiplier)
     return report, ComplianceMatrix(zeroed, significant, symmetrized=matrix.symmetrized)

@@ -66,8 +66,8 @@ STUDY_METHODS = ("lin",) + tuple(f"svd-{m.value}" for m in AngleExtractionMethod
 # identified per batch, which bounds a study's arrays whatever its trial
 # count.  The zero-detection study draws one experiment's noise at a
 # time, so its default 100 seeds of 121 nodes run as one block: 6 fit
-# chains, where 22-seed blocks ran 30, at a traced peak of about 3.0 MiB
-# per study call (1.16 MiB in 22-seed blocks).
+# chains, where 22-seed blocks ran 30, at a traced peak of about 1.8 MiB
+# per study call.
 _BLOCK_NODES = 1 << 14
 
 
@@ -116,21 +116,17 @@ class MeshPattern:
 
     @classmethod
     def cubic(cls, edge: float, step: float) -> "MeshPattern":
-        off = _axis_offsets(edge, step)
-        x, y, z = np.meshgrid(off, off, off, indexing="ij")
-        return cls(np.column_stack([x.ravel(), y.ravel(), z.ravel()]))
+        return cls(_grid(edge, step, 3))
 
     @classmethod
     def square(cls, edge: float, step: float, axis: int | str = "x") -> "MeshPattern":
-        off = _axis_offsets(edge, step)
-        u, v = np.meshgrid(off, off, indexing="ij")
         # A zero column at `axis` puts the grid in the plane normal to it.
-        return cls(np.insert(np.column_stack([u.ravel(), v.ravel()]),
-                             axis_index(axis), 0.0, axis=1))
+        return cls(np.insert(_grid(edge, step, 2), axis_index(axis), 0.0, axis=1))
 
 
-def _axis_offsets(edge: float, step: float) -> np.ndarray:
-    """Grid coordinates along one axis: `edge` in steps of `step`, about 0."""
+def _grid(edge: float, step: float, dims: int) -> np.ndarray:
+    """The (m**dims, dims) nodes of a regular grid of `dims` axes, each
+    `edge` long in steps of `step`, about 0."""
     if not (0.0 < edge < math.inf and 0.0 < step < math.inf):
         raise InvalidPattern("edge and step must be positive and finite, "
                              f"got {edge!r} and {step!r}")
@@ -142,7 +138,12 @@ def _axis_offsets(edge: float, step: float) -> np.ndarray:
         raise InvalidPattern(f"edge {edge} must span at least one step {step}")
     if abs(ratio - steps) > 1e-9 * max(1.0, ratio):
         raise InvalidPattern(f"step {step} does not divide edge {edge}")
-    return (np.arange(steps + 1) - steps / 2.0) * step
+    try:
+        off = (np.arange(steps + 1) - steps / 2.0) * step
+        axes = np.meshgrid(*[off] * dims, indexing="ij")
+    except ValueError:  # numpy cannot size an array that large
+        raise InvalidPattern(f"a grid of edge {edge} in steps of {step} is too large") from None
+    return np.column_stack([a.ravel() for a in axes])
 
 
 def generate_pattern(pattern: MeshPattern, center=(0.0, 0.0, 0.0),
@@ -559,7 +560,7 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
                         _noisy_displacements(rigid, sigma, states[block.start:block.stop]))
         err[block.start:block.stop] = np.concatenate(
             [fits.translation, fits.rotation], axis=-1) - truth_defl.as_vector()
-    analytic = system_covariance(geometry, sigma).component_std()
+    analytic = np.sqrt(np.diagonal(system_covariance(geometry, sigma)))
     emp = err.std(axis=0, ddof=1) if trials > 1 else np.zeros(6)
     return NoiseStudy(
         sigma, trials,

@@ -622,6 +622,69 @@ class TestIdentifyErrors:
                 f"{sim_dir / 'field_fx.csv'}") in payload["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("sensor", [False, True], ids=["no-sensor", "sensor"])
+    def test_field_of_too_few_nodes_exit_2(self, sim_dir, tmp_path, capsys, sensor):
+        # A field of 2 nodes is a manifest error whether or not a sensor
+        # selects from it.
+        lines = (sim_dir / "field_fx.csv").read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        (tmp_path / "two.csv").write_text("\n".join(lines[:header + 3]) + "\n")
+        data = read_manifest(sim_dir / "manifest.json")
+        for entry in data["experiments"]:
+            entry["field_file"] = str(sim_dir / entry["field_file"])
+        data["experiments"][0]["field_file"] = "two.csv"
+        if not sensor:
+            del data["experiments"][0]["sensor"]
+        manifest = tmp_path / "m.json"
+        write_manifest(manifest, data)
+        assert main(["identify", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        payload = self.stderr_payload(capsys)
+        assert payload["error"] == "ManifestError"
+        assert payload["file"] == str(manifest)
+        selects = "the sensor selects " if sensor else ""
+        assert f"experiments[0]: {selects}2 nodes of two.csv" in payload["message"]
+        assert not (tmp_path / "o").exists()
+
+    def overflow_error(self, tmp_path, capsys, data):
+        """Run `identify` on the manifest `data`; return its one line of
+        stderr, which must be a JSON ManifestError naming the manifest."""
+        manifest = tmp_path / "m.json"
+        write_manifest(manifest, data)
+        assert main(["identify", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "ManifestError"
+        assert payload["file"] == str(manifest)
+        assert not (tmp_path / "o").exists()
+        return payload["message"]
+
+    def test_reference_point_overflowing_in_mm_exit_2(self, sim_dir, tmp_path, capsys):
+        # 1e306 m is 1e309 mm, which is not a finite double.
+        data = read_manifest(sim_dir / "manifest.json")
+        for entry in data["experiments"]:
+            entry["field_file"] = str(sim_dir / entry["field_file"])
+        data["units"]["length"] = "m"
+        data["reference_point"] = [1e306, 0.0, 0.0]
+        message = self.overflow_error(tmp_path, capsys, data)
+        assert "experiments[0]:" in message
+        assert "reference_point contains non-finite values" in message
+
+    def test_position_overflowing_relative_to_reference_point_exit_2(self, sim_dir, tmp_path,
+                                                                     capsys):
+        # Each value is finite, but 1.7e308 - (-1.7e308) is not.
+        (tmp_path / "far.csv").write_text(
+            "x,y,z,dx,dy,dz\n1.7e308,0,0,0,0,0\n0,1,0,0,0,0\n0,0,1,0,0,0\n")
+        data = read_manifest(sim_dir / "manifest.json")
+        for entry in data["experiments"]:
+            entry["field_file"] = str(sim_dir / entry["field_file"])
+            del entry["sensor"]
+        data["experiments"][0]["field_file"] = "far.csv"
+        data["reference_point"] = [-1.7e308, 0.0, 0.0]
+        message = self.overflow_error(tmp_path, capsys, data)
+        assert ("experiments[0]: far.csv in mm, centered on reference_point: positions "
+                "contains non-finite values") in message
+
     def test_non_finite_field_value_exit_2(self, tmp_path, capsys):
         out = tmp_path / "sim"
         main(["simulate", "--sigma", "0", "--out", str(out)])
@@ -760,9 +823,12 @@ class TestBenchmark:
         ["benchmark", "zero-detection", "--sigma", "0"],
         ["benchmark", "amplitude", "--seed", "3"],
         ["simulate", "--axis", "y"],
+        # numpy cannot size the grid, so nothing is allocated
+        ["simulate", "--edge", "1", "--step", "1e-300"],
     ], ids=["simulate-sigma", "simulate-edge-below-step", "noise-sigma",
             "amplitude-trials", "zero-trials", "noise-sigma-square-overflows",
-            "zero-sigma-zero", "amplitude-seed", "simulate-cubic-axis"])
+            "zero-sigma-zero", "amplitude-seed", "simulate-cubic-axis",
+            "simulate-grid-too-large"])
     def test_input_error_leaves_no_out_dir(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 2
@@ -774,7 +840,12 @@ class TestBenchmark:
         (["simulate", "--edge", "nan"], "InvalidPattern", "edge"),
         (["simulate", "--step", "0.3"], "InvalidPattern", "step"),
         (["simulate", "--fx", "0"], "ZeroMagnitude", "Fx"),
-    ], ids=["edge-negative", "edge-nan", "step-not-dividing", "load-zero"])
+        # numpy cannot size the grid, so nothing is allocated
+        (["simulate", "--edge", "1", "--step", "1e-300"], "InvalidPattern", "too large"),
+        (["simulate", "--pattern", "square", "--edge", "1", "--step", "1e-300"],
+         "InvalidPattern", "too large"),
+    ], ids=["edge-negative", "edge-nan", "step-not-dividing", "load-zero",
+            "grid-too-large", "square-grid-too-large"])
     def test_bad_pattern_or_load_exit_2(self, tmp_path, capsys, argv, error, word):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

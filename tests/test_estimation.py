@@ -393,6 +393,25 @@ class TestFitResult:
         with pytest.raises(ValueError):
             FitResult(Deflection(np.zeros(3), np.zeros(3)), np.zeros((4, 2)), 0.0)
 
+    @pytest.mark.parametrize("estimate, fit", [(estimate_lin, _fit_lin),
+                                               (estimate_svd, _fit_svd)],
+                             ids=["lin", "svd"])
+    def test_residuals_are_a_read_only_copy(self, estimate, fit):
+        rng = np.random.default_rng(8)
+        pos = cube_nodes(4.0, 1.0)
+        disp = np.cross([1e-4, 2e-4, -1e-4], pos) + rng.normal(0, 1e-5, pos.shape)
+        result = estimate(make_field(pos, disp))
+        # the batched fit's row, bit for bit
+        assert result.residuals.tobytes() == \
+            fit(*_fit_geometry(pos), disp[None]).residuals[0].tobytes()
+        assert not result.residuals.flags.writeable
+        given = np.ones((4, 3))
+        held = FitResult(Deflection(np.zeros(3), np.zeros(3)), given, 0.0)
+        given[0, 0] = 2.0
+        assert held.residuals[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            held.residuals[0, 0] = 3.0
+
 
 class TestLinEstimator:
     def test_exact_on_first_order_fields(self):

@@ -1,5 +1,6 @@
 """End-to-end identification: scheme detection, filtering, noise-free zeros."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -32,7 +33,7 @@ from stiffid import (
     significance_test,
     symmetrize,
 )
-from stiffid.estimation import _GRAM_BLOCK, _geometry_row, _planes
+from stiffid.estimation import _GRAM_BLOCK, _fit_geometry, _fit_lin, _fit_svd, _planes
 from stiffid.synthetic import (
     DEFAULT_LOADS,
     _noisy_displacements,
@@ -55,8 +56,8 @@ def test_extra_combined_wrench_is_least_squares(noisy_cases):
     result = run_identification(cases)
     assert not result.canonical
     wrenches = [case.wrench for case in cases]
-    assert_allclose(result.assembled.k,
-                    assemble_overdetermined(wrenches, [fit.deflection for fit in result.fits]).k,
+    deflections = [Deflection(d[:3], d[3:]) for d in result.deflections.T]
+    assert_allclose(result.assembled.k, assemble_overdetermined(wrenches, deflections).k,
                     rtol=1e-13, atol=1e-20)
     # The seven-wrench set runs the same significance stage as the
     # canonical scheme, and significance_test agrees with it.
@@ -239,14 +240,14 @@ def beam_batch(seeds, jitter=0.0):
 
 
 def batch_row(batch, s):
-    """Every array of one row of a BatchIdentification, as bytes."""
-    out = [batch.sigma[s], batch.assembled[s], batch.halfwidth[s], batch.significant[s],
-           batch.safety[s], batch.matrix[s], batch.mask[s]]
-    for j, fit in enumerate(batch.fits):
-        out += [fit.translation[s], fit.rotation[s], fit.residuals[s], fit.objective[s],
-                batch.dropped[j][s], batch.per_experiment_sigma[j][s],
+    """Every array of one row of a BatchIdentification, and the node
+    counts, as bytes."""
+    out = [batch.sigma[s], batch.deflections[s], batch.assembled[s], batch.halfwidth[s],
+           batch.significant[s], batch.safety[s], batch.matrix[s], batch.mask[s],
+           batch.nodes]
+    for j in range(len(batch.nodes)):
+        out += [batch.dropped[j][s], batch.per_experiment_sigma[j][s],
                 batch.covariances[j][s]]
-        out += _geometry_row(fit.geometry, s)[1:]
     return [np.asarray(a).tobytes() for a in out]
 
 
@@ -271,19 +272,58 @@ def test_batch_rows_equal_one_row_batches(jitter, options):
         assert one.dof == batch.dof
 
 
+def node_axis_arrays(value, path="", skip="dropped"):
+    """The paths of the arrays in `value`, a result record with its
+    nested records and tuples, that have an axis of more than 6 entries;
+    the field `skip` is not searched."""
+    if isinstance(value, np.ndarray):
+        return [path] if any(size > 6 for size in value.shape) else []
+    if dataclasses.is_dataclass(value):
+        items = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+    elif isinstance(value, tuple):
+        items = value._asdict().items() if hasattr(value, "_asdict") else enumerate(value)
+    else:
+        return []
+    return [found for key, item in items if key != skip
+            for found in node_axis_arrays(item, f"{path}.{key}")]
+
+
 @pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["shared-positions", "row-positions"])
-def test_fits_keep_no_per_node_geometry(jitter):
-    # A fit keeps its geometry for the covariance; the centroid-relative
-    # positions stay with the layout (and a refit's die with it), so the
-    # kept record must stay 3x3-sized however large the field.
+def test_results_hold_no_per_node_array(jitter):
+    # Only the drop masks hold one value per node: the fits' residuals
+    # and the refits' survivors are freed experiment by experiment, so a
+    # result's size does not grow with the fields.  Three rows of the
+    # 121-node square keep 108 nodes in each refit.
     positions, displacements, wrenches = beam_batch(range(3), jitter)
     batch = stiffid.identify_batch(positions, displacements, wrenches)
-    for fit, drop in zip(batch.fits, batch.dropped):
-        assert drop is not None  # every fit is a refit
-        assert max(np.size(a) for a in fit.geometry) <= 9 * len(fit.objective)
-    cases = beam_load_cases(BeamSpec(), MeshPattern.cubic(6.0, 1.0), sigma=5.6e-5, seed=2)
-    for fit in run_identification(cases).fits:
-        assert max(np.size(a) for a in fit.geometry) <= 9
+    assert batch.nodes == (108,) * 6
+    assert all(drop.shape == (3, 121) for drop in batch.dropped)
+    assert node_axis_arrays(batch) == []
+    cases = beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"),
+                            sigma=5.6e-5, seed=2)
+    result = run_identification(cases)
+    assert result.nodes == (108,) * 6
+    assert result.deflections.shape == (6, 6)
+    assert node_axis_arrays(result) == []
+    assert node_axis_arrays(result, skip=None) == [f".dropped.{j}" for j in range(6)]
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["shared-positions", "row-positions"])
+def test_fits_keep_no_per_node_geometry(jitter):
+    # identify_batch keeps each experiment's final geometry for the
+    # covariance; the centroid-relative positions stay with the layout
+    # (and a refit's die with it), so the kept record must stay
+    # 3x3-sized per row however large the field.
+    positions, displacements, _ = beam_batch(range(3), jitter)
+    p, d = positions[0], displacements[0]
+    keep = np.ones(d.shape[:2], dtype=bool)
+    keep[:, ::10] = False
+    for fit in (_fit_lin, _fit_svd):
+        first = fit(*_fit_geometry(p), d)
+        refit = fit(*_fit_geometry(stiffid.pipeline._survivors(p, keep)),
+                    stiffid.pipeline._survivors(d, keep))
+        for kept in (first, refit):
+            assert max(np.size(a) for a in kept.geometry) <= 9 * len(kept.objective)
 
 
 def test_run_identification_is_the_one_row_batch():
@@ -295,28 +335,36 @@ def test_run_identification_is_the_one_row_batch():
         result = run_identification(cases)
         assert result.matrix.k.tobytes() == batch.matrix[s].tobytes()
         assert result.assembled.k.tobytes() == batch.assembled[s].tobytes()
+        assert result.deflections.tobytes() == batch.deflections[s].tobytes()
+        assert [c.tobytes() for c in result.covariances] == \
+            [c[s].tobytes() for c in batch.covariances]
+        assert result.nodes == batch.nodes
         assert result.noise.sigma == batch.sigma[s]
         assert [list(r) for r in result.removed] == \
             [np.flatnonzero(d[s]).tolist() for d in batch.dropped]
 
 
-@pytest.mark.parametrize("fraction", [0.0, 0.1], ids=["no-refit", "refit"])
-@pytest.mark.parametrize("estimator", ["lin", "svd"])
-def test_row_inputs_give_plane_backed_residuals(estimator, fraction):
-    positions, displacements, wrenches = beam_batch(range(3))
-    # Fields hold planes, so the row inputs are made here.
-    positions = [np.ascontiguousarray(p) for p in positions]
-    displacements = [np.ascontiguousarray(d) for d in displacements]
-    assert positions[0].flags.c_contiguous and displacements[0].flags.c_contiguous
-    options = IdentifyOptions(estimator=estimator, outlier_fraction=fraction)
-    batch = stiffid.identify_batch(positions, displacements, wrenches, options)
-    for fit in batch.fits:
-        assert fit.residuals.swapaxes(-1, -2).flags.c_contiguous
-    cases = beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"),
-                            sigma=5.6e-5, seed=3)
-    for fit in run_identification(cases, options).fits:
-        assert fit.residuals.shape == (fit.n, 3)
-        assert fit.residuals.swapaxes(-1, -2).flags.c_contiguous
+@pytest.mark.parametrize("refit", [False, True], ids=["no-refit", "refit"])
+@pytest.mark.parametrize("fit", [_fit_lin, _fit_svd], ids=["lin", "svd"])
+def test_row_inputs_give_plane_backed_residuals(fit, refit):
+    # identify_batch fits the arrays it is given (rows or planes), and
+    # each refit the survivors that _survivors gathers into planes.
+    for jitter in (0.0, 1e-3):  # shared and per-row positions
+        for layout in ("rows", "planes"):
+            positions, displacements, _ = beam_batch(range(3), jitter)
+            # Fields hold planes, so the row inputs are made here.
+            p = np.ascontiguousarray(positions[0])
+            d = np.ascontiguousarray(displacements[0])
+            assert p.flags.c_contiguous and d.flags.c_contiguous
+            if layout == "planes":
+                p, d = _planes(p), _planes(d)
+            if refit:
+                keep = np.ones(d.shape[:2], dtype=bool)
+                keep[:, ::10] = False
+                p, d = stiffid.pipeline._survivors(p, keep), stiffid.pipeline._survivors(d, keep)
+            fits = fit(*_fit_geometry(p), d)
+            assert fits.residuals.shape == d.shape
+            assert fits.residuals.swapaxes(-1, -2).flags.c_contiguous
 
 
 @pytest.mark.parametrize("layout", ["rows", "planes"])
@@ -494,10 +542,8 @@ def result_bytes(result):
     """Every number of an IdentificationResult, as bytes."""
     out = [result.matrix.k, result.assembled.k,
            repr(result.significance.to_json_dict()).encode(), repr(result.noise).encode(),
-           repr(result.removed).encode()]
-    for fit, cov in zip(result.fits, result.covariances):
-        out += [fit.residuals, fit.objective, fit.deflection.as_vector(),
-                cov.matrix, *fit.geometry[1:]]
+           repr(result.removed).encode(), result.deflections, result.nodes,
+           *result.covariances]
     return [a if isinstance(a, bytes) else np.asarray(a).tobytes() for a in out]
 
 
@@ -581,12 +627,11 @@ def test_same_layout_compares_bits():
     assert not stiffid.pipeline._same_layout(a, signed)
 
 
-def test_refit_residuals_are_read_only(noisy_cases):
+def test_result_arrays_are_read_only(noisy_cases):
     result = run_identification(noisy_cases)
     assert all(result.removed)
-    for fit in result.fits:
-        residuals = fit.residuals
-        assert not residuals.flags.writeable
-        assert residuals.base is None or not residuals.base.flags.writeable
+    for array in (result.deflections, *result.covariances, *result.dropped):
+        assert not array.flags.writeable
+        assert array.base is None or not array.base.flags.writeable
         with pytest.raises(ValueError):
-            residuals[0, 0] = 1.0
+            array[0] = 1

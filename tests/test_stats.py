@@ -13,7 +13,6 @@ from stiffid import (
     BeamSpec,
     ComplianceMatrix,
     Deflection,
-    DeflectionCovariance,
     DegenerateGeometry,
     DisplacementField,
     FitResult,
@@ -33,8 +32,10 @@ from stiffid import (
     estimate_sigma,
     filter_outliers,
     run_identification,
+    run_noise_study,
     significance_test,
 )
+from stiffid.estimation import _fit_geometry
 from stiffid.stats import (
     DEFAULT_CONFIDENCE_MULTIPLIER,
     DEFAULT_OUTLIER_FRACTION,
@@ -98,25 +99,30 @@ class TestEstimateSigma:
         assert pooled.dof == 6 * (3 * 1331 - 6)
 
 
+def component_std(covariance):
+    """Standard deviations of the 6 deflection components."""
+    return np.sqrt(np.diagonal(covariance))
+
+
 class TestDeflectionCovariance:
     def test_translation_block_closed_form(self):
         pos = cube_nodes(10.0, 1.0)
         sigma = 5.0e-5
         cov = deflection_covariance(make_field(pos, np.zeros_like(pos)), sigma)
-        assert cov.matrix.shape == (6, 6)
-        assert_allclose(cov.matrix[:3, :3], sigma ** 2 / 1331.0 * np.eye(3),
+        assert cov.shape == (6, 6)
+        assert_allclose(cov[:3, :3], sigma ** 2 / 1331.0 * np.eye(3),
                         rtol=1e-12, atol=0)
-        assert_allclose(cov.component_std()[:3], sigma / math.sqrt(1331.0),
+        assert_allclose(component_std(cov)[:3], sigma / math.sqrt(1331.0),
                         rtol=1e-12)
         # no translation-rotation cross-covariance is modelled yet
-        assert np.all(cov.matrix[:3, 3:] == 0.0)
-        assert np.all(cov.matrix[3:, :3] == 0.0)
+        assert np.all(cov[:3, 3:] == 0.0)
+        assert np.all(cov[3:, :3] == 0.0)
 
     def test_rotation_block_inverts_moment_matrix(self):
         pos = cube_nodes(10.0, 1.0)
         sigma = 5.0e-5
         cov = deflection_covariance(make_field(pos, np.zeros_like(pos)), sigma)
-        assert_allclose(cov.matrix[3:, 3:], sigma ** 2 / 26620.0 * np.eye(3),
+        assert_allclose(cov[3:, 3:], sigma ** 2 / 26620.0 * np.eye(3),
                         rtol=1e-10, atol=1e-25)
 
     def test_headline_std_values(self):
@@ -124,36 +130,53 @@ class TestDeflectionCovariance:
         # translation spread and 1.8e-5 deg of rotation spread
         pos = cube_nodes(10.0, 1.0)
         cov = deflection_covariance(make_field(pos, np.zeros_like(pos)), 5.0e-5)
-        assert_allclose(cov.component_std()[:3], 1.37e-6, rtol=5e-3)
-        assert_allclose(np.rad2deg(cov.component_std()[3:]), 1.8e-5, rtol=0.03)
+        assert_allclose(component_std(cov)[:3], 1.37e-6, rtol=5e-3)
+        assert_allclose(np.rad2deg(component_std(cov)[3:]), 1.8e-5, rtol=0.03)
 
     def test_component_std_layout(self):
+        # The noise study reports the covariance's diagonal, translation
+        # first and rotation second.
+        study = run_noise_study(MeshPattern.cubic(4.0, 1.0), sigma=1e-4, trials=2)
         pos = cube_nodes(4.0, 1.0)
         cov = deflection_covariance(make_field(pos, np.zeros_like(pos)), 1e-4)
-        stds = cov.component_std()
-        assert stds.shape == (6,)
-        assert_allclose(stds[:3], np.sqrt(np.diagonal(cov.matrix[:3, :3])), atol=0)
-        assert_allclose(stds[3:], np.sqrt(np.diagonal(cov.matrix[3:, 3:])), atol=0)
+        assert_allclose(study.analytic_translation_std, np.sqrt(np.diagonal(cov[:3, :3])),
+                        rtol=1e-12, atol=0)
+        assert_allclose(study.analytic_rotation_std, np.sqrt(np.diagonal(cov[3:, 3:])),
+                        rtol=1e-12, atol=0)
 
     def test_zero_sigma_gives_zero_covariance(self):
         pos = cube_nodes(4.0, 1.0)
         cov = deflection_covariance(make_field(pos, np.zeros_like(pos)), 0.0)
-        assert np.all(cov.matrix == 0.0)
+        assert np.all(cov == 0.0)
 
     @pytest.mark.parametrize("shape", [(3, 3), (6, 5), (2, 6, 6)],
                              ids=["3x3", "6x5", "stacked"])
     def test_matrix_must_be_6x6(self, shape):
+        k = beam_matrix()
+        wrenches, deflections = canonical_experiments(k)
+        covariances = uniform_covariances(1e-9, 1e-11)
+        covariances[2] = np.ones(shape)
         with pytest.raises(ValueError, match="6x6"):
-            DeflectionCovariance(np.ones(shape))
+            significance_test(assemble_canonical(wrenches, deflections), wrenches,
+                              covariances)
 
     def test_matrix_is_symmetrized_read_only_copy(self):
-        given = np.diag(np.arange(1.0, 7.0))
-        given[0, 5] = 2.0
-        cov = DeflectionCovariance(given)
-        given[1, 1] = 100.0
-        assert cov.matrix[1, 1] == 2.0
-        assert cov.matrix[0, 5] == cov.matrix[5, 0] == 1.0
-        assert not cov.matrix.flags.writeable
+        # An irregular node set, whose inverse normal matrix is symmetric
+        # only to roundoff: the covariance is the symmetric part of the
+        # block matrix, formed once, bit for bit.
+        pos = np.random.default_rng(12).normal(size=(40, 3))
+        geometry = _fit_geometry(pos)[0]
+        cov = system_covariance(geometry, 1e-3)
+        block = np.zeros((6, 6))
+        block[:3, :3] = 1e-3 ** 2 / 40 * np.eye(3)
+        block[3:, 3:] = 1e-3 ** 2 * geometry.inverse
+        assert not np.array_equal(block, block.T)
+        assert cov.tobytes() == ((block + block.T) / 2.0).tobytes()
+        assert np.array_equal(cov, cov.T)
+        assert not np.shares_memory(cov, geometry.inverse)
+        assert not cov.flags.writeable
+        with pytest.raises(ValueError):
+            cov[0, 0] = 1.0
 
     def test_negative_sigma_rejected(self):
         pos = cube_nodes(4.0, 1.0)
@@ -196,7 +219,7 @@ class TestDeflectionCovariance:
             reduced = make_field(case.field.positions[keep],
                                  case.field.displacements[keep])
             fresh = deflection_covariance(reduced, result.noise.sigma)
-            assert_allclose(cov.matrix, fresh.matrix, rtol=1e-12, atol=0)
+            assert_allclose(cov, fresh, rtol=1e-12, atol=0)
 
     def test_monte_carlo_spread_matches(self):
         pos = cube_nodes(10.0, 2.0)  # 216 nodes keeps this quick
@@ -212,9 +235,9 @@ class TestDeflectionCovariance:
             fit = estimate_lin(make_field(pos, disp))
             errors[t] = fit.deflection.as_vector() - truth.as_vector()
         emp = errors.std(axis=0, ddof=1)
-        assert_allclose(emp, cov.component_std(), rtol=0.25)
+        assert_allclose(emp, component_std(cov), rtol=0.25)
         # estimates are unbiased: mean error within 4 standard errors
-        se = cov.component_std() / math.sqrt(150.0)
+        se = component_std(cov) / math.sqrt(150.0)
         assert np.all(np.abs(errors.mean(axis=0)) <= 4.0 * se)
 
 
@@ -371,7 +394,7 @@ def canonical_experiments(k, magnitudes=(1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.
 
 def block_covariance(translation_var, rotation_var):
     """A deflection covariance with isotropic translation and rotation blocks."""
-    return DeflectionCovariance(np.diag([translation_var] * 3 + [rotation_var] * 3))
+    return np.diag([translation_var] * 3 + [rotation_var] * 3)
 
 
 def uniform_covariances(translation_std, rotation_std, count=6):
@@ -501,7 +524,7 @@ class TestSignificanceTest:
                        for j in range(6)]
         report, _ = significance_test(ComplianceMatrix(k), wrenches, covariances, 3.0)
         A = np.linalg.pinv(np.column_stack([w.as_vector() for w in wrenches]))
-        variances = np.column_stack([c.component_std() ** 2 for c in covariances])
+        variances = np.column_stack([np.diagonal(c) for c in covariances])
         expected = 3.0 * np.sqrt(variances @ A ** 2)
         got = report.halfwidth
         assert_allclose(got, expected, rtol=1e-12)
