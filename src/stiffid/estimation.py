@@ -62,6 +62,14 @@ displacements - mean displacement)``.  Each fit keeps its geometry,
 which holds no per-node array, so the deflection covariance follows
 from it without another pass over the nodes.
 
+The residuals (``d - q - dphi x r`` or ``rel + d - q - R rel``) and
+their sum of squares are one more pass over the nodes each, which only
+the noise estimate and the outlier ranking read.  A caller that reads
+only the deflection passes ``residuals=False`` to the fits (the
+identification core's refit after outlier removal, the amplitude
+study); the deflections keep their bits, and their finiteness check
+and small-angle warnings stay.
+
 Units: mm for translations, rad for rotation components.  The linearized
 model `dp_i = dphi x p_i + p` is valid for small angles; a fit whose
 `|dphi|` reaches ``ROTATION_WARN_LIMIT`` warns, once per row.
@@ -301,14 +309,15 @@ class Fits(NamedTuple):
 
     ``geometry`` is the geometry the fits ran on, ``translation`` and
     ``rotation`` are (S, 3), ``residuals`` (S, n, 3), a view of planes,
-    and ``objective`` (S,), the residual sum of squares of each row.
+    and ``objective`` (S,), the residual sum of squares of each row;
+    both are None for a fit that was asked for no residuals.
     """
 
     geometry: FitGeometry
     translation: np.ndarray
     rotation: np.ndarray
-    residuals: np.ndarray
-    objective: np.ndarray
+    residuals: np.ndarray | None
+    objective: np.ndarray | None
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -383,9 +392,12 @@ def _fit_geometry(positions: np.ndarray) -> tuple[FitGeometry, np.ndarray]:
         raise DegenerateGeometry(
             f"a rigid fit needs at least {MIN_FIT_NODES} nodes, got {n}")
     positions = _planes(positions)
-    c = column_mean(positions)
-    rel = positions - c[..., None, :]
-    m = moment_matrix(rel)
+    # Positions too large for the moment matrix give inf or nan, which the
+    # check below names; numpy's warning on the way is silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = column_mean(positions)
+        rel = positions - c[..., None, :]
+        m = moment_matrix(rel)
     if not np.isfinite(m).all():
         raise DegenerateGeometry("node positions overflow the rotation normal matrix")
     eig, vec = np.linalg.eigh(m)
@@ -412,15 +424,19 @@ def _centred(displacements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fits(geometry: FitGeometry, translation: np.ndarray, rotation: np.ndarray,
-          residuals: np.ndarray) -> Fits:
+          residuals: np.ndarray | None) -> Fits:
     _check_deflections(translation, rotation)
-    # One dot product per row over the planes of `residuals`, a view with
-    # no copy: a (1, 3n) @ (3n, 1) matmul runs the same BLAS dot as
-    # np.vdot on that row alone.
-    flat = residuals.swapaxes(-1, -2).reshape(residuals.shape[:-2] + (1, -1))
-    objective = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
-    if not np.isfinite(objective).all():
-        raise NonFiniteDeflection(_RSS_OVERFLOW)
+    objective = None
+    if residuals is not None:
+        # One dot product per row over the planes of `residuals`, a view
+        # with no copy: a (1, 3n) @ (3n, 1) matmul runs the same BLAS dot
+        # as np.vdot on that row alone.  An overflow is named below, not
+        # by numpy's warning.
+        flat = residuals.swapaxes(-1, -2).reshape(residuals.shape[:-2] + (1, -1))
+        with np.errstate(over="ignore"):
+            objective = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+        if not np.isfinite(objective).all():
+            raise NonFiniteDeflection(_RSS_OVERFLOW)
     # One warning for each row whose rotation leaves the small-angle regime.
     norms = np.sqrt(np.einsum("...i,...i->...", rotation, rotation)).ravel()
     for norm in norms[norms >= ROTATION_WARN_LIMIT].tolist():
@@ -438,10 +454,12 @@ def _fit_result(fits: Fits) -> FitResult:
 
 def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
              method: AngleExtractionMethod = AngleExtractionMethod.AVERAGED,
-             ) -> Fits:
+             residuals: bool = True) -> Fits:
     """Orthogonal Procrustes fits of a batch of fields on `geometry` and
     its relative positions `rel`; see :func:`estimate_svd` and, for the
-    shapes, :func:`_centred`."""
+    shapes, :func:`_centred`.  With ``residuals=False`` the fits' residuals
+    and objective are None; the residuals are then formed only to name
+    an overflow before a rank failure."""
     q, disp_rel = _centred(displacements)
     moved_rel = rel + disp_rel
     cross = _gram(rel, moved_rel)
@@ -453,38 +471,43 @@ def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
     flip[..., 0, 0] = flip[..., 1, 1] = 1.0
     flip[..., 2, 2] = np.sign(np.linalg.det(V @ Ut))
     R = V @ flip @ Ut
+    degenerate = ((s[..., 0] <= 0.0) | (s[..., 1] <= DEGENERACY_RTOL * s[..., 0])).any()
     # p + d - R p - translation, taken about the centroid
-    residuals = moved_rel - (R @ rel.swapaxes(-1, -2)).swapaxes(-1, -2)
-    if ((s[..., 0] <= 0.0) | (s[..., 1] <= DEGENERACY_RTOL * s[..., 0])).any():
+    res = moved_rel - (R @ rel.swapaxes(-1, -2)).swapaxes(-1, -2) \
+        if residuals or degenerate else None
+    if degenerate:
         # One displacement that dwarfs the others makes the cross-covariance
         # rank 1: name the overflow it causes, as the lin fit does.
-        if not np.isfinite(np.vdot(residuals, residuals)):
+        if not np.isfinite(np.vdot(res, res)):
             raise NonFiniteDeflection(_RSS_OVERFLOW)
         raise DegenerateGeometry(
             "displaced nodes are collinear, the rotation is not determined")
     translation = q - ((R - np.eye(3)) @ geometry.centroid[..., None])[..., 0]
     rotation = extract_angles(R, method)
-    return _fits(geometry, translation, rotation, residuals)
+    return _fits(geometry, translation, rotation, res)
 
 
-def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray) -> Fits:
+def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
+             residuals: bool = True) -> Fits:
     """Linearized least-squares fits of a batch of fields on `geometry`
     and its relative positions `rel`; see :func:`estimate_lin` and, for
-    the shapes, :func:`_centred`."""
+    the shapes, :func:`_centred`.  With ``residuals=False`` the fits'
+    residuals and objective are None."""
     q, disp_rel = _centred(displacements)
     g = _gram(rel, disp_rel)
     rhs = (g - g.swapaxes(-1, -2))[..., (1, 2, 0), (2, 0, 1)]
     rotation = (geometry.inverse @ rhs[..., None])[..., 0]
     spin = skew(rotation)
+    translation = q - (spin @ geometry.centroid[..., None])[..., 0]
     # d - q - dphi x r, in a new array of planes like d - q, which is
     # freed here.  Finishing d - q in place instead made a study's blocks
     # fault their temporaries in again (ten times the minor page faults
     # of `benchmark noise --trials 500`).
-    residuals = np.empty_like(disp_rel)
-    np.matmul(spin, rel.swapaxes(-1, -2), out=residuals.swapaxes(-1, -2))
-    np.subtract(disp_rel, residuals, out=residuals)
-    translation = q - (spin @ geometry.centroid[..., None])[..., 0]
-    return _fits(geometry, translation, rotation, residuals)
+    res = np.empty_like(disp_rel) if residuals else None
+    if residuals:
+        np.matmul(spin, rel.swapaxes(-1, -2), out=res.swapaxes(-1, -2))
+        np.subtract(disp_rel, res, out=res)
+    return _fits(geometry, translation, rotation, res)
 
 
 def estimate_svd(field: DisplacementField,

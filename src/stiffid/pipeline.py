@@ -206,10 +206,10 @@ class BatchIdentification(NamedTuple):
 
 
 def _fit(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
-         options: IdentifyOptions) -> Fits:
+         options: IdentifyOptions, residuals: bool = True) -> Fits:
     if options.estimator == "svd":
-        return _fit_svd(geometry, rel, displacements, options.angles)
-    return _fit_lin(geometry, rel, displacements)
+        return _fit_svd(geometry, rel, displacements, options.angles, residuals)
+    return _fit_lin(geometry, rel, displacements, residuals)
 
 
 def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
@@ -307,14 +307,17 @@ def identify_batch(positions: Sequence[np.ndarray],
         drop = _drop_mask(fit.residuals, options.outlier_fraction)
         if drop is not None:
             drop.flags.writeable = False
-            del fit  # free its residuals before the refit makes its own
+            del fit  # free its residuals before the refit gathers the survivors
             keep = ~drop
+            # The refit forms no residuals: sigma comes from the initial
+            # fits, which checked their residual sum of squares, and a
+            # least-squares refit on a subset of the nodes has one no larger.
             fit = _fit(*_fit_geometry(_survivors(planes, keep)),
-                       _survivors(d, keep), options)
+                       _survivors(d, keep), options, residuals=False)
         geometries.append(fit.geometry)
         deflections.append(np.concatenate([fit.translation, fit.rotation], axis=-1))
         dropped.append(drop)
-        del fit  # free its residuals before the next experiment's arrays are made
+        del fit  # free any residuals before the next experiment's arrays are made
     sigma, dof, per_experiment = _pool_sigma(objectives, counts)
     covariances = tuple(_covariance(geometry, sigma) for geometry in geometries)
     # Least squares for every admissible wrench set: k = D W^+, with D

@@ -500,9 +500,11 @@ def run_amplitude_study(amplitudes: Sequence[float],
                 displacements = _noisy_displacements(
                     rigid, sigma, states[ai, block.start:block.stop])
                 for name, err in errors.items():
-                    fits = _fit_lin(geometry, rel, displacements) if name == "lin" else \
-                        _fit_svd(geometry, rel, displacements,
-                                 AngleExtractionMethod(name.removeprefix("svd-")))
+                    # Only the deflections are read: the fits form no residuals.
+                    fits = _fit_lin(geometry, rel, displacements, residuals=False) \
+                        if name == "lin" else _fit_svd(
+                            geometry, rel, displacements,
+                            AngleExtractionMethod(name.removeprefix("svd-")), residuals=False)
                     got = np.rad2deg(fits.rotation) if kind == "rotation" else fits.translation
                     err[ai, block.start:block.stop] = np.max(np.abs(got - amp), axis=-1)
 
@@ -556,6 +558,9 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
     geometry, rel = _fit_geometry(base.positions)
     err = np.empty((trials, 6))
     for block in _blocks(trials, base.n):
+        # The fit forms residuals that nothing reads: without them glibc
+        # faults each block's temporaries in again (7,750 against 342
+        # minor page faults per `benchmark noise --trials 500`, and slower).
         fits = _fit_lin(geometry, rel,
                         _noisy_displacements(rigid, sigma, states[block.start:block.stop]))
         err[block.start:block.stop] = np.concatenate(

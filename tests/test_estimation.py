@@ -257,6 +257,75 @@ class TestFitGeometry:
         assert len(calls) == 1
 
 
+def batch_fields(shared):
+    """Three noisy rotated fields of a 125-node cube, (3, n, 3), with
+    shared positions (n, 3) or per-row ones (3, n, 3)."""
+    rng = np.random.default_rng(21)
+    pos = cube_nodes(4.0, 1.0)
+    if not shared:
+        pos = pos + rng.normal(0.0, 1e-3, (3,) + pos.shape)
+    rotation = np.array([[1e-4, -2e-4, 3e-4], [2e-3, 0.0, -1e-3], [0.0, 5e-4, 0.0]])
+    disp = np.cross(rotation[:, None, :], pos) + [0.1, -0.2, 0.3]
+    return pos, disp + rng.normal(0.0, 1e-5, disp.shape)
+
+
+class TestFitsWithoutResiduals:
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+    @pytest.mark.parametrize("method", [None, *AngleExtractionMethod],
+                             ids=lambda m: "lin" if m is None else f"svd-{m.value}")
+    def test_deflections_keep_their_bits(self, method, shared):
+        pos, disp = batch_fields(shared)
+        geometry, rel = _fit_geometry(pos)
+
+        def fit(residuals):
+            if method is None:
+                return _fit_lin(geometry, rel, disp, residuals=residuals)
+            return _fit_svd(geometry, rel, disp, method, residuals=residuals)
+
+        full, bare = fit(True), fit(False)
+        assert full.residuals.shape == disp.shape and full.objective.shape == (3,)
+        assert bare.residuals is None and bare.objective is None
+        assert bare.geometry is geometry
+        assert bare.translation.tobytes() == full.translation.tobytes()
+        assert bare.rotation.tobytes() == full.rotation.tobytes()
+
+    @pytest.mark.parametrize("residuals", [True, False])
+    def test_svd_collinear_displaced_nodes_degenerate(self, residuals):
+        # every node moves onto the x axis: the cross-covariance has rank 1
+        pos = cube_nodes(2.0, 1.0)
+        disp = np.zeros_like(pos)
+        disp[:, 1:] = -pos[:, 1:]
+        with pytest.raises(DegenerateGeometry, match="collinear"):
+            _fit_svd(*_fit_geometry(pos), disp[None], residuals=residuals)
+
+    @pytest.mark.parametrize("residuals", [True, False])
+    def test_svd_overflowing_displacement_named(self, residuals):
+        pos = cube_nodes(2.0, 1.0)
+        disp = np.zeros_like(pos)
+        disp[0, 1] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteDeflection, match="residual sum of squares"):
+                _fit_svd(*_fit_geometry(pos), disp[None], residuals=residuals)
+
+    @pytest.mark.parametrize("fit", [_fit_lin, _fit_svd], ids=["lin", "svd"])
+    def test_small_angle_warning_stays(self, fit):
+        pos = cube_nodes(2.0, 1.0)
+        disp = np.cross([0.0, 0.0, 0.05], pos)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit(*_fit_geometry(pos), disp[None], residuals=False)
+        assert [w.category for w in caught] == [LinearizationWarning]
+
+    @pytest.mark.parametrize("fit", [_fit_lin, _fit_svd], ids=["lin", "svd"])
+    def test_non_finite_deflection_rejected(self, fit):
+        pos = cube_nodes(2.0, 1.0)
+        disp = np.zeros_like(pos)
+        disp[0, 0] = np.nan
+        with pytest.raises(NonFiniteDeflection):
+            fit(*_fit_geometry(pos), disp[None], residuals=False)
+
+
 class TestAngleExtraction:
     def test_identity_gives_zero(self):
         assert_allclose(extract_angles(np.eye(3)), np.zeros(3), atol=0)
@@ -452,9 +521,25 @@ class TestLinEstimator:
         pos = cube_nodes(10.0, 1.0)
         disp = np.zeros_like(pos)
         disp[0, 1] = 1e160
-        with np.errstate(over="ignore"), \
-                pytest.raises(NonFiniteDeflection, match="residual sum of squares"):
+        with pytest.raises(NonFiniteDeflection, match="residual sum of squares"):
             estimate_lin(make_field(pos, disp))
+
+    def test_overflowing_displacement_named_before_numpy_warns(self):
+        # under an "error" filter numpy's overflow warning in the residual
+        # sum of squares must not pre-empt the documented error
+        disp = np.zeros((27, 3))
+        disp[0, 1] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteDeflection, match="residual sum of squares"):
+                estimate_lin(make_field(cube_nodes(2.0, 1.0), disp))
+
+    def test_overflowing_positions_named_before_numpy_warns(self):
+        pos = cube_nodes(2.0, 1.0) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGeometry, match="overflow"):
+                estimate_lin(make_field(pos, np.zeros_like(pos)))
 
     def test_objective_is_a_minimum(self):
         rng = np.random.default_rng(6)

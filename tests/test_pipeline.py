@@ -617,6 +617,50 @@ def test_degenerate_shared_layout_raises(own_geometry):
         run_identification(cases)
 
 
+def cube27():
+    return np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3, indexing="ij"), -1).reshape(-1, 3)
+
+
+def test_overflowing_displacement_named_before_numpy_warns():
+    disp = np.zeros((1, 27, 3))
+    disp[0, 0, 1] = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(stiffid.NonFiniteDeflection, match="residual sum of squares"):
+            stiffid.identify_batch([cube27()] * 6, [disp] * 6,
+                                   canonical_wrench_scheme(*[1.0] * 6))
+
+
+def test_infinite_positions_named_before_numpy_warns():
+    pos = cube27()
+    pos[0, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateGeometry, match="overflow"):
+            stiffid.identify_batch([pos] * 6, [np.zeros((1, 27, 3))] * 6,
+                                   canonical_wrench_scheme(*[1.0] * 6))
+
+
+@pytest.mark.parametrize("estimator", ["lin", "svd"])
+def test_refits_form_no_residuals(estimator, monkeypatch):
+    # The default trim refits every experiment; only the initial fits'
+    # residuals are read (sigma, outlier ranking), so only they are formed.
+    formed = []
+
+    def spy(*args, **kwargs):
+        fits = fit(*args, **kwargs)
+        formed.append(fits.residuals is not None and fits.objective is not None)
+        return fits
+
+    fit = stiffid.pipeline._fit
+    monkeypatch.setattr(stiffid.pipeline, "_fit", spy)
+    positions, displacements, wrenches = beam_batch(range(2))
+    batch = stiffid.identify_batch(positions, displacements, wrenches,
+                                   IdentifyOptions(estimator=estimator))
+    assert all(drop is not None for drop in batch.dropped)
+    assert formed == [True, False] * 6
+
+
 def test_same_layout_compares_bits():
     a = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
     assert stiffid.pipeline._same_layout(a, a.copy())

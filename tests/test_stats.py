@@ -208,6 +208,13 @@ class TestDeflectionCovariance:
         with pytest.raises(DegenerateGeometry):
             deflection_covariance(make_field(pos, np.zeros_like(pos)), 1e-5)
 
+    def test_overflowing_positions_named_before_numpy_warns(self):
+        pos = cube_nodes(2.0, 1.0) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGeometry, match="overflow"):
+                deflection_covariance(make_field(pos, np.zeros_like(pos)), 1e-5)
+
     def test_pipeline_covariances_match_reduced_fields(self):
         # the pipeline reuses each refit's geometry; the result must
         # equal a fresh covariance of the outlier-filtered field
