@@ -40,7 +40,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -262,14 +262,15 @@ def load_manifest(path) -> tuple[list[LoadCase], dict]:
 
 
 def _options_from(manifest_options: dict, args) -> IdentifyOptions:
-    opts = dict(manifest_options)
-    for option in fields(IdentifyOptions):
-        if getattr(args, option.name) is not None:
-            opts[option.name] = getattr(args, option.name)
+    """The manifest's options, a bad one a :class:`ManifestError`, with
+    the given flags applied over them, a bad one an ``InvalidArgument``."""
     try:
-        return IdentifyOptions(**opts)
+        options = IdentifyOptions(**manifest_options)
     except ValueError as exc:
         raise ManifestError(args.manifest, f"bad option: {exc}") from None
+    return replace(options, **{option.name: getattr(args, option.name)
+                               for option in fields(IdentifyOptions)
+                               if getattr(args, option.name) is not None})
 
 
 def _write_json(path: Path, payload: dict, indent: int | None = 2) -> None:
@@ -537,10 +538,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _emit_warning
         try:
             args = build_parser().parse_args(argv)
-            # The library checks every fit for non-finite values and raises;
-            # numpy's own overflow warnings would only precede that error.
-            with np.errstate(over="ignore", invalid="ignore"):
-                return args.func(args)
+            return args.func(args)
         except ManifestError as exc:
             _emit("error", type(exc).__name__, exc, file=exc.file)
             return 2

@@ -419,8 +419,11 @@ def _centred(displacements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which would otherwise leak into structural zeros of noise-free fields.
     """
     displacements = _planes(displacements)
-    q = column_mean(displacements)
-    return q, displacements - q[..., None, :]
+    # A displacement that is not finite, or whose sum overflows, is named
+    # by the fit's checks; numpy's warning on the way is silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = column_mean(displacements)
+        return q, displacements - q[..., None, :]
 
 
 def _fits(geometry: FitGeometry, translation: np.ndarray, rotation: np.ndarray,
@@ -461,8 +464,9 @@ def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
     and objective are None; the residuals are then formed only to name
     an overflow before a rank failure."""
     q, disp_rel = _centred(displacements)
-    moved_rel = rel + disp_rel
-    cross = _gram(rel, moved_rel)
+    with np.errstate(over="ignore", invalid="ignore"):  # named just below
+        moved_rel = rel + disp_rel
+        cross = _gram(rel, moved_rel)
     if not np.isfinite(cross).all():
         raise NonFiniteDeflection("displacements overflow the Procrustes fit")
     U, s, Vt = np.linalg.svd(cross)
@@ -494,19 +498,22 @@ def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
     the shapes, :func:`_centred`.  With ``residuals=False`` the fits'
     residuals and objective are None."""
     q, disp_rel = _centred(displacements)
-    g = _gram(rel, disp_rel)
-    rhs = (g - g.swapaxes(-1, -2))[..., (1, 2, 0), (2, 0, 1)]
-    rotation = (geometry.inverse @ rhs[..., None])[..., 0]
-    spin = skew(rotation)
-    translation = q - (spin @ geometry.centroid[..., None])[..., 0]
-    # d - q - dphi x r, in a new array of planes like d - q, which is
-    # freed here.  Finishing d - q in place instead made a study's blocks
-    # fault their temporaries in again (ten times the minor page faults
-    # of `benchmark noise --trials 500`).
-    res = np.empty_like(disp_rel) if residuals else None
-    if residuals:
-        np.matmul(spin, rel.swapaxes(-1, -2), out=res.swapaxes(-1, -2))
-        np.subtract(disp_rel, res, out=res)
+    # A deflection that is not finite is named by _fits; numpy's warning
+    # on the way is silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _gram(rel, disp_rel)
+        rhs = (g - g.swapaxes(-1, -2))[..., (1, 2, 0), (2, 0, 1)]
+        rotation = (geometry.inverse @ rhs[..., None])[..., 0]
+        spin = skew(rotation)
+        translation = q - (spin @ geometry.centroid[..., None])[..., 0]
+        # d - q - dphi x r, in a new array of planes like d - q, which is
+        # freed here.  Finishing d - q in place instead made a study's
+        # blocks fault their temporaries in again (ten times the minor
+        # page faults of `benchmark noise --trials 500`).
+        res = np.empty_like(disp_rel) if residuals else None
+        if residuals:
+            np.matmul(spin, rel.swapaxes(-1, -2), out=res.swapaxes(-1, -2))
+            np.subtract(disp_rel, res, out=res)
     return _fits(geometry, translation, rotation, res)
 
 

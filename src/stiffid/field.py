@@ -98,12 +98,12 @@ def center_field(field: DisplacementField) -> DisplacementField:
     """
     if field.centered:
         raise AlreadyCentered("field is already centered on its reference point")
-    return DisplacementField(
-        field.positions - field.reference_point,
-        field.displacements,
-        field.reference_point,
-        centered=True,
-    )
+    # A position that overflows relative to the reference point is named
+    # by DisplacementField; numpy's warning on the way is silenced.
+    with np.errstate(over="ignore"):
+        positions = field.positions - field.reference_point
+    return DisplacementField(positions, field.displacements, field.reference_point,
+                             centered=True)
 
 
 def column_mean(a: np.ndarray) -> np.ndarray:
@@ -263,14 +263,18 @@ def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
                     data = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
             except ValueError:
                 data = np.empty((0, 0))
-            data = data * length_scale
+            with np.errstate(over="ignore"):  # an overflow is read again below
+                data = data * length_scale
             if data.shape[1] != 6 or not len(data) or not np.isfinite(data).all():
                 handle.seek(body)
                 data = _read_rows(handle, path, header_line + 1, length_scale)
     except UnicodeDecodeError as exc:
         # np.loadtxt reports it as a ValueError, so the line loop meets it.
         raise FieldFileError(path, None, f"not UTF-8 text: {exc.reason}") from None
-    ref = np.asarray(reference_point, dtype=float) * length_scale
+    # A reference point that overflows in mm is named by DisplacementField;
+    # numpy's warning on the way is silenced.
+    with np.errstate(over="ignore"):
+        ref = np.asarray(reference_point, dtype=float) * length_scale
     return DisplacementField(data[:, :3], data[:, 3:], ref, centered=False)
 
 

@@ -6,13 +6,12 @@ Gaussian noise, and a clamped square-section cantilever whose 6x6 tip
 compliance matrix has a textbook closed form.
 
 Noise is reproducible: each trial's seed starts its own PCG64 generator,
-which draws that trial's uniforms, and the basic (trigonometric)
-Box-Muller transform then runs once over a whole block of trials.  Each
-value goes through the same operations as in a one-trial draw, so equal
-seeds give bit-identical fields.  Every call that draws noise hashes all
-of its seeds in one vectorized pass of numpy's SeedSequence hash
-(:func:`_seed_states`), so each generator starts from the state that
-``default_rng(seed)`` starts from, without a SeedSequence per seed.
+whose numpy normal sampler (``Generator.standard_normal``) writes that
+trial's noise straight into the component planes that the fits read, so
+equal seeds give bit-identical fields.  Every call that draws noise
+hashes all of its seeds in one vectorized pass of numpy's SeedSequence
+hash (:func:`_seed_states`), so each generator starts from the state
+that ``default_rng(seed)`` starts from, without a SeedSequence per seed.
 
 The studies build what does not change between trials once: the node
 pattern, and the noise-free rigid displacements (with the oracle and the
@@ -66,34 +65,9 @@ STUDY_METHODS = ("lin",) + tuple(f"svd-{m.value}" for m in AngleExtractionMethod
 # identified per batch, which bounds a study's arrays whatever its trial
 # count.  The zero-detection study draws one experiment's noise at a
 # time, so its default 100 seeds of 121 nodes run as one block: 6 fit
-# chains, where 22-seed blocks ran 30, at a traced peak of about 1.8 MiB
+# chains, where 22-seed blocks ran 30, at a traced peak of about 1.6 MiB
 # per study call.
 _BLOCK_NODES = 1 << 14
-
-
-def _box_muller(u: np.ndarray, out: np.ndarray) -> None:
-    """Fill each row of `out` with radius * cos, then radius * sin, of the
-    uniforms ``u[..., 0, :]`` and ``u[..., 1, :]`` of the same row,
-    trimmed to the row's length.  Overwrites `u`.
-
-    Every element runs through the same ufuncs in the same order for any
-    leading shape, so a block of rows equals its rows drawn one by one.
-    It works in place because block-sized temporaries go back to the
-    system after each call: on 1,331-node fields, the page faults of
-    drawing them again cost more than batching saves.
-    """
-    radius, theta = u[..., 0, :], u[..., 1, :]
-    np.subtract(1.0, radius, out=radius)  # (0, 1], keeps the log finite
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    theta *= 2.0 * np.pi
-    pairs = radius.shape[-1]
-    sines = out.shape[-1] - pairs
-    np.cos(theta, out=out[..., :pairs])
-    np.sin(theta[..., :sines], out=out[..., pairs:])
-    out[..., :pairs] *= radius
-    out[..., pairs:] *= radius[..., :sines]
 
 
 @dataclass(frozen=True)
@@ -283,32 +257,23 @@ def _noise_states(sigma: float, seeds: Sequence[int]) -> np.ndarray:
 def _noisy_displacements(rigid: np.ndarray, sigma: float,
                          states: np.ndarray) -> np.ndarray:
     """(S, n, 3) displacements: row s is `rigid` (or ``rigid[s]``, for an
-    (S, n, 3) `rigid`) plus the Box-Muller noise of the PCG64 stream that
-    ``states[s]`` seeds, times `sigma`, held in the component planes
+    (S, n, 3) `rigid`) plus `sigma` times the standard normal noise of the
+    PCG64 stream that ``states[s]`` seeds, held in the component planes
     (S, 3, n) that the fits read (see :func:`stiffid.estimation._planes`).
-    With ``states = _noise_states(sigma, seeds)``, stream s is that of
-    ``default_rng(seeds[s])``.  `sigma` = 0 gives a read-only broadcast
-    of `rigid`."""
+    With ``states = _noise_states(sigma, seeds)``, row s is
+    ``default_rng(seeds[s]).standard_normal((3, n)).T * sigma + rigid``.
+    `sigma` = 0 gives a read-only broadcast of `rigid`."""
     count, n = len(states), rigid.shape[-2]
     if sigma == 0.0:
         return np.broadcast_to(rigid, (count, n, 3))
-    # Each seed draws its own uniforms, m for the radius and then m for
-    # the angle; the transform then runs once over the whole block.
-    uniforms = np.empty((count, 2, (3 * n + 1) // 2))
+    planes = np.empty((count, 3, n))
     generator, bits, seed = np.random.Generator, np.random.PCG64, _hashed_seed()
-    for row, state in zip(uniforms, states):
-        generator(bits(seed(state))).random(out=row)
-    noise = np.empty((count, n, 3))
-    _box_muller(uniforms, noise.reshape(count, -1))
-    noise *= sigma
-    noise += rigid
-    # One transposing copy into planes, after the arithmetic on rows
-    # (a ufunc writing planes from rows runs several times slower).  The
-    # spent uniforms hold at least 3n values per seed, so the planes go
-    # there and the block allocates nothing more.
-    out = uniforms.reshape(-1)[:noise.size].reshape(count, 3, n).swapaxes(-1, -2)
-    np.copyto(out, noise)
-    return out
+    for row, state in zip(planes, states):
+        generator(bits(seed(state))).standard_normal(out=row)
+    planes *= sigma
+    # Added in planes: through the (S, n, 3) view the add runs 3-6x slower.
+    planes += rigid.swapaxes(-1, -2)
+    return planes.swapaxes(-1, -2)
 
 
 def _blocks(count: int, nodes: int) -> list[range]:

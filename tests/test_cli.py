@@ -511,8 +511,51 @@ class TestIdentifyErrors:
         assert main(["identify", str(sim_dir / "manifest.json"), flag, value,
                      "--out", str(tmp_path / "o")]) == 2
         payload = self.stderr_payload(capsys)
-        assert payload["error"] == "ManifestError"
+        assert payload["error"] == "InvalidArgument"
         assert flag[2:].replace("-", "_") in payload["message"]
+
+    def test_out_of_range_manifest_option_is_a_manifest_error_under_a_flag(
+            self, sim_dir, tmp_path, capsys):
+        # The manifest is at fault whether or not a flag overrides its value;
+        # the flag's own value is fine.
+        data = read_manifest(sim_dir / "manifest.json")
+        for entry in data["experiments"]:
+            entry["field_file"] = str(sim_dir / entry["field_file"])
+        data["options"]["outlier_fraction"] = 1.5
+        manifest = tmp_path / "m.json"
+        write_manifest(manifest, data)
+        assert main(["identify", str(manifest), "--outlier-fraction", "0.1",
+                     "--out", str(tmp_path / "o")]) == 2
+        payload = self.stderr_payload(capsys)
+        assert payload["error"] == "ManifestError"
+        assert payload["file"] == str(manifest)
+        assert "outlier_fraction" in payload["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("hole, message", [
+        (lambda data: data.update(experiments=[]),
+         "experiments must be a non-empty list"),
+        (lambda data: data["experiments"][1]["wrench"].update(force=[0.0] * 3,
+                                                              torque=[0.0] * 3),
+         "experiments[1]: wrench must have at least one nonzero component"),
+        (lambda data: data["experiments"][2]["sensor"].update(edge=-1),
+         "experiments[2]: cube edge must be positive"),
+        (lambda data: data["experiments"][3].update(sensor={"shape": "sphere", "radius": 0}),
+         "experiments[3]: sphere radius must be positive"),
+    ], ids=["no-experiments", "zero-wrench", "negative-edge", "zero-radius"])
+    def test_bad_experiment_exit_2(self, sim_dir, tmp_path, capsys, hole, message):
+        data = read_manifest(sim_dir / "manifest.json")
+        for entry in data["experiments"]:
+            entry["field_file"] = str(sim_dir / entry["field_file"])
+        hole(data)
+        manifest = tmp_path / "m.json"
+        write_manifest(manifest, data)
+        assert main(["identify", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        payload = self.stderr_payload(capsys)
+        assert payload["error"] == "ManifestError"
+        assert payload["file"] == str(manifest)
+        assert message in payload["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_estimator_in_manifest_exit_2(self, sim_dir, tmp_path, capsys):
         data = read_manifest(sim_dir / "manifest.json")

@@ -165,6 +165,14 @@ class TestCentering:
         assert_array_equal(c.displacements, disp)
         assert_array_equal(c.reference_point, [1.0, 0.0, 0.0])
 
+    def test_position_overflowing_relative_to_reference_named_before_numpy_warns(self):
+        # Each value is finite, but 1.7e308 - (-1.7e308) is not.
+        f = DisplacementField(np.eye(3) * 1.7e308, np.zeros((3, 3)), (-1.7e308, 0.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positions contains non-finite values"):
+                center_field(f)
+
     def test_center_twice_raises(self):
         f = center_field(grid_field(centered=False))
         with pytest.raises(AlreadyCentered):
@@ -415,6 +423,19 @@ class TestCsv:
         assert_allclose(f.positions[0], [1000.0, 0.0, 0.0])
         assert_allclose(f.displacements[0], [1.0, 0.0, 0.0])
         assert_allclose(f.reference_point, [1000.0, 0.0, 0.0])
+
+    def test_overflow_in_mm_named_before_numpy_warns(self, tmp_path):
+        # 1e306 m is 1e309 mm, which is not a finite double: in a value
+        # read by the fast path, and in the reference point.
+        path = tmp_path / "field.csv"
+        path.write_text("x,y,z,dx,dy,dz\n0,0,0,0,1e306,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FieldFileError, match="non-finite value in data row 1"):
+                read_field_csv(path, length_scale=1000.0)
+            path.write_text("x,y,z,dx,dy,dz\n0,0,0,0,1,0\n")
+            with pytest.raises(ValueError, match="reference_point contains non-finite"):
+                read_field_csv(path, (1e306, 0.0, 0.0), 1000.0)
 
     def test_header_case_and_spacing_tolerated(self, tmp_path):
         path = tmp_path / "field.csv"

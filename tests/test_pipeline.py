@@ -631,6 +631,27 @@ def test_overflowing_displacement_named_before_numpy_warns():
                                    canonical_wrench_scheme(*[1.0] * 6))
 
 
+@pytest.mark.parametrize("estimator", ["lin", "svd"])
+@pytest.mark.parametrize("cells", [
+    {(0, 1): np.inf},
+    {(0, 1): 1e308, (1, 1): 1e308},
+    {(0, 0): 1e308, (1, 1): -1e308},
+], ids=["inf", "mean-overflows", "rotation-overflows"])
+def test_non_finite_displacement_named_before_numpy_warns(cells, estimator):
+    # An infinite dy; two finite dy whose sum overflows the mean; and a dx
+    # and a dy whose lin rotation overflows, and with it its product with
+    # the centroid.
+    disp = np.zeros((1, 27, 3))
+    for (node, axis), value in cells.items():
+        disp[0, node, axis] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(stiffid.NonFiniteDeflection):
+            stiffid.identify_batch([cube27()] * 6, [disp] * 6,
+                                   canonical_wrench_scheme(*[1.0] * 6),
+                                   IdentifyOptions(estimator=estimator))
+
+
 def test_infinite_positions_named_before_numpy_warns():
     pos = cube27()
     pos[0, 0] = np.inf

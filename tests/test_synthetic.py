@@ -196,8 +196,6 @@ class TestRigidTransform:
         assert abs(noise.mean()) < 0.05
 
     def test_gaussian_sampler_moments(self):
-        # 3n = 200,001 values: the odd count exercises the trim of the
-        # last sine.
         n = 66667
         samples = _noisy_displacements(np.zeros((n, 3)), 1.0, _seed_states([0]))
         assert samples.shape == (1, n, 3)
@@ -211,22 +209,14 @@ class TestRigidTransform:
                              ids=["S1", "S3", "S22", "S4-across-2**128"])
     @pytest.mark.parametrize("n", [2, 121])
     def test_noise_definition_pinned(self, seeds, n):
-        # The noise of seed s, rebuilt one seed at a time: m uniforms for
-        # the radius, then m for the angle, radius * cos before radius *
-        # sin, trimmed to 3n values.  Every study summary and simulated
-        # CSV depends on these bits.
+        # The noise of seed s, rebuilt one seed at a time with the running
+        # numpy: default_rng(s)'s standard normals, one plane per
+        # component.  Every study summary and simulated CSV depends on
+        # these bits.
         rigid = np.arange(3.0 * n).reshape(n, 3) * 1e-3
         sigma = 5.6e-5
-        m = (3 * n + 1) // 2
-        expected = []
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            u1 = 1.0 - rng.random(m)
-            u2 = rng.random(m)
-            radius = np.sqrt(-2.0 * np.log(u1))
-            z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
-                                radius * np.sin(2.0 * np.pi * u2)])
-            expected.append(z[:3 * n].reshape(n, 3) * sigma + rigid)
+        expected = [np.random.default_rng(seed).standard_normal((3, n)).T * sigma + rigid
+                    for seed in seeds]
         got = _noisy_displacements(rigid, sigma, _noise_states(sigma, seeds))
         assert got.shape == (len(seeds), n, 3)
         assert got.swapaxes(-1, -2).flags.c_contiguous  # planes, as the fits read
