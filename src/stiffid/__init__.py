@@ -24,6 +24,7 @@ from .errors import (
     LinearizationWarning,
     ManifestError,
     MissingCovariance,
+    NonFiniteCompliance,
     NonFiniteDeflection,
     NotCanonical,
     RankDeficientWrenches,

@@ -29,6 +29,11 @@ class NonFiniteDeflection(StiffidError, ValueError):
     the fit, or the fit's residual sum of squares overflows."""
 
 
+class NonFiniteCompliance(StiffidError, ValueError):
+    """Assembled compliance matrix or its halfwidths are infinite or NaN,
+    as when a wrench is too small for finite deflections."""
+
+
 class EntryOutOfRange(StiffidError):
     """Rotation matrix entry outside the asin domain."""
 

@@ -39,7 +39,7 @@ from .compliance import (
     _wrench_svd,
     is_canonical,
 )
-from .errors import InvalidArgument
+from .errors import InvalidArgument, NonFiniteCompliance
 from .estimation import (
     AngleExtractionMethod,
     FitGeometry,
@@ -178,10 +178,10 @@ class BatchIdentification(NamedTuple):
     final fit, ``dropped[j]`` the read-only (S, n_j) mask of removed
     nodes (None when none are removed), ``per_experiment_sigma[j]``
     (S,) the noise level of the initial fit and ``covariances[j]`` the
-    read-only deflection covariances (S, 6, 6) of the final fit,
-    block-diagonal in translation and rotation.  No array holds a
-    per-node value but the drop masks.  ``sigma`` (S,) is the pooled
-    noise level with ``dof`` degrees of freedom.
+    read-only deflection covariances (S, 6, 6) of the final fit at the
+    reference point (see :func:`~stiffid.stats.system_covariance`).
+    No array holds a per-node value but the drop masks.  ``sigma`` (S,)
+    is the pooled noise level with ``dof`` degrees of freedom.
     Every admissible wrench set gives every array: ``assembled``
     (S, 6, 6) is the least-squares matrix before the significance
     stage, ``halfwidth`` its confidence halfwidths, ``significant`` the
@@ -264,7 +264,9 @@ def identify_batch(positions: Sequence[np.ndarray],
     variances sum_j (W^+)_jl^2 Var(D_ij) of the significance stage.
     Any row's failure (a degenerate node layout, too few nodes left)
     raises for the batch, and a wrench set that is not admissible
-    raises :class:`~stiffid.errors.RankDeficientWrenches`.
+    raises :class:`~stiffid.errors.RankDeficientWrenches`.  Deflections
+    that overflow the assembled matrix or its halfwidths (a tiny wrench)
+    raise :class:`~stiffid.errors.NonFiniteCompliance`.
     Experiments whose positions equal an earlier experiment's share its
     fit geometry.  Positions, displacements and wrenches must count the
     same experiments; a mismatch raises ``ValueError``.
@@ -319,15 +321,21 @@ def identify_batch(positions: Sequence[np.ndarray],
         dropped.append(drop)
         del fit  # free any residuals before the next experiment's arrays are made
     sigma, dof, per_experiment = _pool_sigma(objectives, counts)
-    covariances = tuple(_covariance(geometry, sigma) for geometry in geometries)
     # Least squares for every admissible wrench set: k = D W^+, with D
     # stacked (S, 6, m), and Var(k_il) = sum_j (W^+)_jl^2 Var(D_ij) from
     # the diagonals of the experiments' covariances.
     svd = _wrench_svd(wrenches)
     deflections = np.stack(deflections, axis=-1)
     deflections.flags.writeable = False
-    assembled = _least_squares(deflections, svd)
-    halfwidth = _halfwidth(covariances, svd, options.confidence_multiplier)
+    # Values that overflow are named just below; numpy's warning on the
+    # way is silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        covariances = tuple(_covariance(geometry, sigma) for geometry in geometries)
+        assembled = _least_squares(deflections, svd)
+        halfwidth = _halfwidth(covariances, svd, options.confidence_multiplier)
+    if not (np.isfinite(assembled).all() and np.isfinite(halfwidth).all()):
+        raise NonFiniteCompliance("the deflections over the wrenches overflow the "
+                                  "compliance matrix or its halfwidths")
     significant, matrix, safety = _significance(assembled, halfwidth)
     mask = significant
     if options.symmetrize:

@@ -36,7 +36,7 @@ from .errors import (
     MissingCovariance,
     TooFewRemaining,
 )
-from .estimation import MIN_FIT_NODES, FitGeometry, FitResult, _fit_geometry
+from .estimation import MIN_FIT_NODES, FitGeometry, FitResult, _fit_geometry, skew
 from .field import DisplacementField
 
 DEFAULT_OUTLIER_FRACTION = 0.10
@@ -122,10 +122,16 @@ def _covariance(geometry: FitGeometry, sigma: np.ndarray) -> np.ndarray:
     # bit for about one sigma in a thousand, and the halfwidths have
     # always been computed from the former.
     variance = np.reshape([s ** 2 for s in np.ravel(sigma).tolist()], np.shape(sigma))
-    covariance = np.zeros(np.shape(sigma) + (6, 6))
-    covariance[..., :3, :3] = (variance / geometry.n)[..., None, None] * np.eye(3)
-    covariance[..., 3:, 3:] = variance[..., None, None] * geometry.inverse
-    # The inverse normal matrix is symmetric only to roundoff.
+    rotation = variance[..., None, None] * geometry.inverse
+    # The translation at the reference point is p = q + c x dphi, with q
+    # the mean displacement and c the centroid: lever = [c]x.
+    lever = skew(geometry.centroid)
+    cross = lever @ rotation
+    translation = (variance / geometry.n)[..., None, None] * np.eye(3) \
+        + cross @ lever.swapaxes(-1, -2)
+    covariance = np.block([[translation, cross], [cross.swapaxes(-1, -2), rotation]])
+    # The inverse normal matrix, and with it the lever-arm term, is
+    # symmetric only to roundoff.
     covariance = (covariance + covariance.swapaxes(-1, -2)) / 2.0
     covariance.flags.writeable = False
     return covariance
@@ -136,11 +142,15 @@ def system_covariance(geometry: FitGeometry, sigma: float) -> np.ndarray:
     `sigma`, a read-only symmetric (6, 6) array: mm^2, mm rad and rad^2
     by block.
 
-    One block-diagonal 6x6 matrix: translation (sigma^2 / n) I about the
-    field centroid, rotation sigma^2 times the inverse of the rotation
-    normal matrix, and zero translation-rotation blocks.  It comes from
-    the :class:`FitGeometry` of the fitted nodes, which a fit keeps
-    (``FitResult.geometry``), so no node is visited again.
+    With C = sigma^2 M^-1 the rotation block (M the rotation normal
+    matrix) and L = [c]x the cross-product matrix of the field centroid
+    c, the translation at the reference point, p = q + c x dphi, has the
+    block (sigma^2 / n) I + L C L^T, and the translation-rotation block
+    is L C: the blocks are [[(sigma^2 / n) I + L C L^T, L C],
+    [C L^T, C]].  A field centred on its reference point (c = 0) gives
+    a block-diagonal matrix.  It comes from the :class:`FitGeometry` of
+    the fitted nodes, which a fit keeps (``FitResult.geometry``), so no
+    node is visited again.
 
     Raises :class:`InvalidArgument` (a ``ValueError``) unless `sigma` is
     nonnegative with a finite square (at most about 1.34e154).

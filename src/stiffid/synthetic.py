@@ -5,23 +5,23 @@ node patterns moved by a prescribed rigid transform plus optional
 Gaussian noise, and a clamped square-section cantilever whose 6x6 tip
 compliance matrix has a textbook closed form.
 
-Noise is reproducible: each trial's seed starts its own PCG64 generator,
-whose numpy normal sampler (``Generator.standard_normal``) writes that
-trial's noise straight into the component planes that the fits read, so
-equal seeds give bit-identical fields.  Every call that draws noise
-hashes all of its seeds in one vectorized pass of numpy's SeedSequence
-hash (:func:`_seed_states`), so each generator starts from the state
-that ``default_rng(seed)`` starts from, without a SeedSequence per seed.
+Noise is reproducible: numpy's normal sampler
+(``Generator.standard_normal``) writes it straight into the component
+planes that the fits read, so equal seeds give bit-identical fields.  A
+field drawn from a seed (:func:`apply_rigid_transform`,
+:func:`beam_tip_field`, and case j of :func:`beam_load_cases` from
+``seed + j``) takes the first normals of ``default_rng(seed)``.  A study
+draws one stream per experiment, in trial order: ``default_rng(seed)``
+for the amplitude and noise studies, and the six generators of
+``SeedSequence(seed).spawn(6)`` for zero detection.
 
 The studies build what does not change between trials once: the node
 pattern, and the noise-free rigid displacements (with the oracle and the
 six wrenches for the beam).  Each trial then only draws its noise, into
 one (S, n, 3) batch per experiment, with S the trials of a block of at
-most ``_BLOCK_NODES`` nodes per experiment.  The arithmetic per field is
-unchanged, so a study's fields stay bit-identical to those of
-:func:`beam_load_cases`, :func:`beam_tip_field` and
-:func:`apply_rigid_transform` for the same seeds.  Every study hands
-each block to the batched core (:func:`~stiffid.estimation._fit_lin`,
+most ``_BLOCK_NODES`` nodes per experiment; successive blocks continue
+the stream.  Every study hands each block to the batched core
+(:func:`~stiffid.estimation._fit_lin`,
 :func:`~stiffid.estimation._fit_svd` and
 :func:`~stiffid.pipeline.identify_batch`), whose rows equal one-trial
 runs bit for bit, so a study's results do not depend on the block size.
@@ -29,7 +29,6 @@ runs bit for bit, so a study's results do not depend on the block size.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import warnings
@@ -152,7 +151,7 @@ def apply_rigid_transform(field: DisplacementField, deflection: Deflection,
     if not field.centered:
         raise ValueError("apply_rigid_transform needs a centered field")
     rigid = _rigid_displacement(field.positions, deflection, exact_rotation)
-    displacements = _noisy_displacements(rigid, sigma, _noise_states(sigma, [seed]))[0]
+    displacements = _noisy_displacements(rigid, sigma, _generator(sigma, seed), 1)[0]
     return DisplacementField(field.positions, displacements, field.reference_point,
                              centered=True)
 
@@ -165,111 +164,37 @@ def _rigid_displacement(positions: np.ndarray, deflection: Deflection,
     return positions @ (R - np.eye(3)).T + deflection.translation
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on uint32
-# words: entropy mixing from _HASH_A, state output from _HASH_B.
-_HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-@functools.cache
-def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The xor and multiplier constants of `count` successive hash steps."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    consts = np.array(consts, dtype=np.uint32)
-    return consts[:-1], consts[1:]
-
-
-def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    values = (values ^ xor) * mult
-    return values ^ (values >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_L * x - _MIX_R * y
-    return out ^ (out >> np.uint32(16))
-
-
-def _seed_states(seeds: Sequence[int]) -> np.ndarray:
-    """(S, 4) uint64: row s is ``SeedSequence(seeds[s]).generate_state(4,
-    np.uint64)``, the state with which ``default_rng(seeds[s])`` seeds its
-    PCG64, hashed for all seeds in one pass.
-
-    A seed's entropy is its little-endian uint32 words.  The pool takes the
-    first four, zero-padded, which is what SeedSequence does for shorter
-    entropy; each further word is mixed in only for the seeds that have it.
-    """
-    seeds = [operator.index(s) for s in seeds]
-    if seeds and min(seeds) < 0:
-        raise InvalidArgument(f"noise seeds must be nonnegative, got {min(seeds)}")
-    width = max(4, -(-max(seeds, default=0).bit_length() // 32))
-    words = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds),
-                          dtype="<u4").reshape(len(seeds), width)
-    xor, mult = _hash_consts(_HASH_A, _MULT_A, 4 + 12 + 4 * (width - 4))
-    pool = _hashmix(words[:, :4], xor[:4], mult[:4])
-    step = 4
-    for src in range(4):
-        # Mix pool word src into each other word, in SeedSequence's order.
-        dst = [i for i in range(4) if i != src]
-        mixed = _hashmix(pool[:, src, None], xor[step:step + 3], mult[step:step + 3])
-        pool[:, dst] = _mix(pool[:, dst], mixed)
-        step += 3
-    for word in range(4, width):
-        rows = words[:, word:].any(axis=1)
-        mixed = _hashmix(words[rows, word, None], xor[step:step + 4], mult[step:step + 4])
-        pool[rows] = _mix(pool[rows], mixed)
-        step += 4
-    xor, mult = _hash_consts(_HASH_B, _MULT_B, 8)
-    state = _hashmix(np.tile(pool, 2), xor, mult)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-@functools.cache
-def _hashed_seed() -> type:
-    """A numpy ``ISeedSequence`` that hands a bit generator one row of
-    :func:`_seed_states`.  Built on first use: numpy 2 imports
-    numpy.random lazily, and importing it with the package would slow
-    down every CLI start (numpy 1.x imports it with numpy itself)."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class HashedSeed(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return HashedSeed
-
-
-def _noise_states(sigma: float, seeds: Sequence[int]) -> np.ndarray:
-    """The states of `seeds` for :func:`_noisy_displacements`, which reads
-    them only for noise of std `sigma` > 0: no seed is hashed or checked
-    at sigma = 0."""
+def _seed(sigma: float, seed: int) -> int:
+    """`seed` as an int for noise of std `sigma`, both checked: numpy
+    seeds with nonnegative ints only."""
     _check_sigma(sigma)
-    if sigma == 0.0:
-        return np.zeros((len(seeds), 4), dtype=np.uint64)
-    return _seed_states(seeds)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise InvalidArgument(f"noise seeds must be nonnegative, got {seed}")
+    return seed
 
 
-def _noisy_displacements(rigid: np.ndarray, sigma: float,
-                         states: np.ndarray) -> np.ndarray:
-    """(S, n, 3) displacements: row s is `rigid` (or ``rigid[s]``, for an
-    (S, n, 3) `rigid`) plus `sigma` times the standard normal noise of the
-    PCG64 stream that ``states[s]`` seeds, held in the component planes
-    (S, 3, n) that the fits read (see :func:`stiffid.estimation._planes`).
-    With ``states = _noise_states(sigma, seeds)``, row s is
-    ``default_rng(seeds[s]).standard_normal((3, n)).T * sigma + rigid``.
-    `sigma` = 0 gives a read-only broadcast of `rigid`."""
-    count, n = len(states), rigid.shape[-2]
+def _generator(sigma: float, seed: int):
+    """``default_rng(seed)``, the stream of noise of std `sigma`, or None
+    at `sigma` = 0: no seed is read or checked without noise."""
+    # np.random is first read here: numpy 2 imports it lazily, and
+    # importing it with the package would slow down every CLI start.
+    return None if sigma == 0.0 else np.random.default_rng(_seed(sigma, seed))
+
+
+def _noisy_displacements(rigid: np.ndarray, sigma: float, generator,
+                         count: int) -> np.ndarray:
+    """(count, n, 3) displacements: `rigid` (n, 3) plus `sigma` times the
+    next standard normals of `generator`, drawn straight into the
+    component planes (count, 3, n) that the fits read (see
+    :func:`stiffid.estimation._planes`).  Row s is the next
+    ``generator.standard_normal((3, n)).T * sigma + rigid``, so calls in
+    turn continue one stream whatever rows each draws.  `sigma` = 0
+    gives a read-only broadcast of `rigid` and reads no generator."""
+    n = rigid.shape[-2]
     if sigma == 0.0:
         return np.broadcast_to(rigid, (count, n, 3))
-    planes = np.empty((count, 3, n))
-    generator, bits, seed = np.random.Generator, np.random.PCG64, _hashed_seed()
-    for row, state in zip(planes, states):
-        generator(bits(seed(state))).standard_normal(out=row)
+    planes = generator.standard_normal((count, 3, n))
     planes *= sigma
     # Added in planes: through the (S, n, 3) view the add runs 3-6x slower.
     planes += rigid.swapaxes(-1, -2)
@@ -327,19 +252,28 @@ def beam_compliance_oracle(spec: BeamSpec = BeamSpec()) -> ComplianceMatrix:
     The beam axis is x with the tip frame right-handed: a transverse
     force along y rotates the tip about +z, one along z about -y, which
     fixes the signs of the two coupling pairs.  10 elements are nonzero,
-    the other 26 are structural zeros.
+    the other 26 are structural zeros.  Raises :class:`InvalidArgument`
+    for a spec whose elements leave the float range, as infinite or as 0.
     """
     L = spec.length
-    EA = spec.youngs_modulus * spec.area
-    EI = spec.youngs_modulus * spec.bending_inertia
-    GJ = spec.shear_modulus * spec.torsion_constant
     k = np.zeros((6, 6))
-    k[0, 0] = L / EA
-    k[1, 1] = k[2, 2] = L ** 3 / (3.0 * EI)
-    k[3, 3] = L / GJ
-    k[4, 4] = k[5, 5] = L / EI
-    k[1, 5] = k[5, 1] = L ** 2 / (2.0 * EI)
-    k[2, 4] = k[4, 2] = -L ** 2 / (2.0 * EI)
+    # Python floats raise on a power that overflows and on division by a
+    # product that underflowed to 0; a product that overflows gives inf.
+    try:
+        EA = spec.youngs_modulus * spec.area
+        EI = spec.youngs_modulus * spec.bending_inertia
+        GJ = spec.shear_modulus * spec.torsion_constant
+        k[0, 0] = L / EA
+        k[1, 1] = k[2, 2] = L ** 3 / (3.0 * EI)
+        k[3, 3] = L / GJ
+        k[4, 4] = k[5, 5] = L / EI
+        k[1, 5] = k[5, 1] = L ** 2 / (2.0 * EI)
+        k[2, 4] = k[4, 2] = -L ** 2 / (2.0 * EI)
+        in_range = np.isfinite(k).all() and np.count_nonzero(k) == 10
+    except ArithmeticError:
+        in_range = False
+    if not in_range:
+        raise InvalidArgument(f"the compliance of {spec} leaves the float range")
     return ComplianceMatrix(k, symmetrized=True)
 
 
@@ -367,13 +301,11 @@ def beam_load_cases(spec: BeamSpec = BeamSpec(),
     with w the j-th wrench of ``canonical_wrench_scheme(*loads)``.
     """
     base, experiments = _beam_experiments(spec, pattern, loads)
-    # The six fields' noise is drawn as the rows of one batch.
-    rigid = np.stack([r for _, _, r in experiments])
-    displacements = _noisy_displacements(
-        rigid, sigma, _noise_states(sigma, range(seed, seed + len(experiments))))
-    return [LoadCase(DisplacementField(base.positions, d, base.reference_point,
-                                       centered=True), w, name)
-            for d, (name, w, _) in zip(displacements, experiments)]
+    return [LoadCase(DisplacementField(
+                base.positions,
+                _noisy_displacements(rigid, sigma, _generator(sigma, seed + j), 1)[0],
+                base.reference_point, centered=True), w, name)
+            for j, (name, w, rigid) in enumerate(experiments)]
 
 
 def _beam_experiments(spec: BeamSpec, pattern: MeshPattern, loads: Sequence[float],
@@ -438,17 +370,18 @@ def run_amplitude_study(amplitudes: Sequence[float],
     ``svd-avg``.  With noise, the study also locates the amplitude band
     minimizing the relative rotation error.
 
-    Trial t of amplitude i draws its noise from seed ``seed + i *
-    trials + t``.  The pattern's fit geometry is built once, and the
-    trials of a block are fit on it as the rows of one batch per method.
+    The noise comes from one stream, ``default_rng(seed)``, drawn
+    amplitude by amplitude and trial by trial: each trial takes the next
+    (3, n) standard normals.  The pattern's fit geometry is built once,
+    and the trials of a block are fit on it as the rows of one batch per
+    method.
     """
     if kind not in ("rotation", "translation"):
         raise ValueError(f"kind must be 'rotation' or 'translation', got {kind!r}")
     _check_trials(trials, "trials")
     base = generate_pattern(pattern)
     geometry, rel = _fit_geometry(base.positions)
-    states = _noise_states(sigma, range(seed, seed + len(amplitudes) * trials)) \
-        .reshape(len(amplitudes), trials, 4)
+    generator = _generator(sigma, seed)
     method_names = [m for m in STUDY_METHODS
                     if kind == "rotation" or m in ("lin", "svd-avg")]
     errors = {m: np.zeros((len(amplitudes), trials)) for m in method_names}
@@ -462,8 +395,7 @@ def run_amplitude_study(amplitudes: Sequence[float],
             rigid = _rigid_displacement(base.positions, truth_defl,
                                         exact_rotation=(kind == "rotation"))
             for block in _blocks(trials, base.n):
-                displacements = _noisy_displacements(
-                    rigid, sigma, states[ai, block.start:block.stop])
+                displacements = _noisy_displacements(rigid, sigma, generator, len(block))
                 for name, err in errors.items():
                     # Only the deflections are read: the fits form no residuals.
                     fits = _fit_lin(geometry, rel, displacements, residuals=False) \
@@ -511,12 +443,13 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
 
     Fields use the first-order transform, so estimator errors are pure
     noise and their spread should match :func:`system_covariance`.
-    Trial t draws its noise from seed ``seed + t``; the pattern's fit
-    geometry is built once, and the trials of a block are fit on it in
-    one batch.
+    The noise comes from one stream, ``default_rng(seed)``, of which
+    each trial in turn takes the next (3, n) standard normals; the
+    pattern's fit geometry is built once, and the trials of a block are
+    fit on it in one batch.
     """
     _check_trials(trials, "trials")
-    states = _noise_states(sigma, range(seed, seed + trials))
+    generator = _generator(sigma, seed)
     base = generate_pattern(pattern)
     truth_defl = Deflection([1.0, 1.0, 1.0], np.deg2rad([0.1] * 3))
     rigid = _rigid_displacement(base.positions, truth_defl)
@@ -527,7 +460,7 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
         # faults each block's temporaries in again (7,750 against 342
         # minor page faults per `benchmark noise --trials 500`, and slower).
         fits = _fit_lin(geometry, rel,
-                        _noisy_displacements(rigid, sigma, states[block.start:block.stop]))
+                        _noisy_displacements(rigid, sigma, generator, len(block)))
         err[block.start:block.stop] = np.concatenate(
             [fits.translation, fits.rotation], axis=-1) - truth_defl.as_vector()
     analytic = np.sqrt(np.diagonal(system_covariance(geometry, sigma)))
@@ -575,13 +508,14 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
 
     A seed is perfect when every structural zero of the oracle matrix is
     zeroed, every nonzero element survives, and each surviving element
-    carries a safety factor at or above `safety_threshold`.  Study seed
-    s draws the noise of its six load cases from field seeds
-    ``seed + 6 s`` to ``seed + 6 s + 5``, all hashed in one pass.  A
-    block holds up to 135 seeds of 121 nodes, and its seeds run as the
-    rows of one :func:`~stiffid.pipeline.identify_batch` call, and
-    each row equals :func:`~stiffid.pipeline.run_identification` on that
-    seed's :func:`beam_load_cases` bit for bit.
+    carries a safety factor at or above `safety_threshold`.  Experiment
+    j draws its noise from the j-th generator of
+    ``SeedSequence(seed).spawn(6)``, of which study seed s in turn takes
+    the next (3, n) standard normals.  A block holds up to 135 seeds of
+    121 nodes, and its seeds run as the rows of one
+    :func:`~stiffid.pipeline.identify_batch` call; each row equals
+    :func:`~stiffid.pipeline.run_identification` on that seed's six
+    noisy load cases bit for bit.
 
     Raises :class:`InvalidArgument` for `sigma` = 0: the pooled sigma and
     the structural zeros are then both roundoff, so the test has nothing
@@ -590,7 +524,8 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
     _check_trials(seeds, "seeds")
     if sigma == 0.0:
         raise InvalidArgument("zero detection needs noise: sigma must be positive, got 0.0")
-    states = _noise_states(sigma, range(seed, seed + 6 * seeds)).reshape(seeds, 6, 4)
+    generators = [np.random.default_rng(s)
+                  for s in np.random.SeedSequence(_seed(sigma, seed)).spawn(6)]
     oracle = beam_compliance_oracle()
     nonzero = oracle.k != 0.0
     options = IdentifyOptions(outlier_fraction=outlier_fraction,
@@ -604,8 +539,8 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
         # A generator: each experiment's noise is drawn when the core
         # reaches it and freed once it is fit.
         displacements = (
-            _noisy_displacements(rigid, sigma, states[block.start:block.stop, j])
-            for j, (_, _, rigid) in enumerate(experiments))
+            _noisy_displacements(rigid, sigma, generator, len(block))
+            for generator, (_, _, rigid) in zip(generators, experiments))
         batch = identify_batch([base.positions] * len(experiments), displacements,
                                wrenches, options)
         k = batch.matrix

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import stiffid
-from stiffid import beam_compliance_oracle, load_compliance_json, read_field_csv
+from stiffid import (
+    IdentifyOptions,
+    beam_compliance_oracle,
+    load_compliance_json,
+    read_field_csv,
+    run_identification,
+    skew,
+)
 from stiffid.cli import MANIFEST, build_parser, load_manifest, main
 
 NONZERO = beam_compliance_oracle().k != 0.0
@@ -321,6 +329,55 @@ class TestIdentify:
                        for line in lines)
 
 
+class TestReferencePointMove:
+    """Moving the reference point from A to B = A + r moves each torque
+    to tau - r x f and each deflection d to J d, with
+    J = [[I, -[r]x], [0, I]]: the lin identification must give
+    K_B = J K_A J^T and each experiment's covariance J C J^T.  Sphere
+    sensors select the same nodes about either point."""
+
+    R = np.array([-50.0, 3.0, -2.0])
+
+    @pytest.fixture(scope="class")
+    def manifests(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("moved")
+        assert main(["simulate", "--sigma", "5.6e-5", "--seed", "7", "--out", str(out)]) == 0
+        data = read_manifest(out / "manifest.json")
+        for entry in data["experiments"]:
+            # No node of the unit grid lies within roundoff of radius 5.5.
+            entry["sensor"] = {"shape": "sphere", "radius": 5.5, "center": [0.0, 0.0, 0.0]}
+        write_manifest(out / "a.json", data)
+        data["reference_point"] = np.add(data["reference_point"], self.R).tolist()
+        for entry in data["experiments"]:
+            wrench = entry["wrench"]
+            wrench["torque"] = np.subtract(wrench["torque"],
+                                           np.cross(self.R, wrench["force"])).tolist()
+            entry["sensor"]["center"] = (-self.R).tolist()
+        write_manifest(out / "b.json", data)
+        return out / "a.json", out / "b.json"
+
+    @staticmethod
+    def assert_moved(got, expected):
+        # Each element within 1e-14 of sqrt(|e_ii e_jj|): elements near
+        # zero are formed by cancellation, so their own size is no scale.
+        scale = np.sqrt(np.abs(np.diagonal(expected)))
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.outer(scale, scale))
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1])
+    def test_matrix_and_covariances_move_with_the_reference_point(self, manifests,
+                                                                  fraction):
+        options = IdentifyOptions(outlier_fraction=fraction)
+        a, b = (run_identification(load_manifest(m)[0], options) for m in manifests)
+        assert a.nodes == b.nodes
+        assert all((x is None and y is None) or np.array_equal(x, y)
+                   for x, y in zip(a.dropped, b.dropped))
+        J = np.eye(6)
+        J[:3, 3:] = -skew(self.R)
+        self.assert_moved(b.assembled.k, J @ a.assembled.k @ J.T)
+        for covariance_a, covariance_b in zip(a.covariances, b.covariances):
+            self.assert_moved(covariance_b, J @ covariance_a @ J.T)
+
+
 class TestReadmeInputFormat:
     """The README's input examples go through the real parsers."""
 
@@ -390,6 +447,21 @@ class TestIdentifyErrors:
         payload = self.stderr_payload(capsys)
         assert payload["error"] == "RankDeficientWrenches"
         assert "insufficient experiments" in payload["message"]
+
+    def test_non_finite_compliance_exit_3(self, tmp_path, capsys):
+        # Deflections of about 1e98 over a force of 1e-300 N overflow the
+        # assembly though every fit is finite: a numerical failure, named
+        # before numpy warns, that writes no --out.
+        sim, out = tmp_path / "sim", tmp_path / "o"
+        assert main(["simulate", "--sigma", "1e100", "--fx", "1e-300",
+                     "--out", str(sim)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["identify", str(sim / "manifest.json"), "--out", str(out)]) == 3
+        payload = self.stderr_payload(capsys)
+        assert payload["error"] == "NonFiniteCompliance"
+        assert not out.exists()
 
     def overflow_manifest(self, sim_dir, tmp_path, column, value, rows):
         """The simulated manifest with field_fx.csv's `column` set to
@@ -876,6 +948,19 @@ class TestBenchmark:
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--length", "1e300"], ["--section", "1e200"], ["--section", "1e-200"],
+    ], ids=["length-overflows", "section-overflows", "section-underflows"])
+    def test_beam_compliance_out_of_float_range_exit_2(self, tmp_path, capsys, argv):
+        # Each passes BeamSpec's range check, but the closed-form
+        # compliance overflows or divides by an area that underflowed.
+        out = tmp_path / "o"
+        assert main(["simulate"] + argv + ["--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidArgument"
+        assert "float range" in payload["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, error, word", [

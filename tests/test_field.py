@@ -28,7 +28,6 @@ from stiffid.synthetic import (
     DEFAULT_LOADS,
     _beam_experiments,
     _noisy_displacements,
-    _seed_states,
 )
 
 
@@ -135,7 +134,7 @@ def _by_beam_load_cases(tmp_path):
     u, v = np.meshgrid(off, off, indexing="ij")
     pos = np.column_stack([np.zeros(u.size), u.ravel(), v.ravel()])
     rigid = _beam_experiments(BeamSpec(), pattern, DEFAULT_LOADS)[1][2][2]
-    return field, pos, _noisy_displacements(rigid, 5.6e-5, _seed_states([5]))[0]
+    return field, pos, _noisy_displacements(rigid, 5.6e-5, np.random.default_rng(5), 1)[0]
 
 
 @pytest.mark.parametrize("build", [

@@ -37,7 +37,6 @@ from stiffid.estimation import _GRAM_BLOCK, _fit_geometry, _fit_lin, _fit_svd, _
 from stiffid.synthetic import (
     DEFAULT_LOADS,
     _noisy_displacements,
-    _seed_states,
     apply_rigid_transform,
     generate_pattern,
 )
@@ -146,13 +145,37 @@ def test_seven_wrench_halfwidths_match_monte_carlo_spread():
     wrenches, fields = seven_wrench_set(Wrench([500.0, 0.5, 0.5], [500.0] * 3))
     seeds = 2000
     options = IdentifyOptions(outlier_fraction=0.0)
-    states = _seed_states(range(7 * seeds)).reshape(seeds, 7, 4)
-    displacements = (_noisy_displacements(field.displacements, 5.6e-5, states[:, j])
-                     for j, field in enumerate(fields))
+    # One noise stream per experiment, as the zero-detection study draws.
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(7)]
+    displacements = (_noisy_displacements(field.displacements, 5.6e-5, stream, seeds)
+                     for stream, field in zip(streams, fields))
     batch = stiffid.identify_batch([fields[0].positions] * 7, displacements, wrenches,
                                    options)
     std = batch.halfwidth / options.confidence_multiplier
     z = (batch.assembled - beam_compliance_oracle().k) / std
+    spread = z.std(axis=0, ddof=1)
+    assert np.all(np.abs(spread - 1.0) <= 0.06), spread
+
+
+def test_halfwidths_match_monte_carlo_spread_off_the_reference_point():
+    # The sensor sits 50 mm inboard of its reference point, the beam tip,
+    # so each translation at the reference point carries the rotation's
+    # error times that lever arm: the covariance's lever-arm and
+    # cross-covariance terms must give every element unit spread over
+    # 2,000 seeds, with every node fit.
+    base = generate_pattern(MeshPattern.square(10.0, 1.0, "x"),
+                            center=(950.0, 0.0, 0.0), reference_point=(1000.0, 0.0, 0.0))
+    oracle = beam_compliance_oracle().k
+    wrenches = canonical_wrench_scheme(*DEFAULT_LOADS)
+    seeds = 2000
+    options = IdentifyOptions(outlier_fraction=0.0, symmetrize=False)
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(1).spawn(6)]
+    displacements = (
+        _noisy_displacements(apply_rigid_transform(base, Deflection(d[:3], d[3:]))
+                             .displacements, 5.6e-5, stream, seeds)
+        for stream, d in zip(streams, (oracle @ w.as_vector() for w in wrenches)))
+    batch = stiffid.identify_batch([base.positions] * 6, displacements, wrenches, options)
+    z = (batch.assembled - oracle) / (batch.halfwidth / options.confidence_multiplier)
     spread = z.std(axis=0, ddof=1)
     assert np.all(np.abs(spread - 1.0) <= 0.06), spread
 
@@ -649,6 +672,19 @@ def test_non_finite_displacement_named_before_numpy_warns(cells, estimator):
         with pytest.raises(stiffid.NonFiniteDeflection):
             stiffid.identify_batch([cube27()] * 6, [disp] * 6,
                                    canonical_wrench_scheme(*[1.0] * 6),
+                                   IdentifyOptions(estimator=estimator))
+
+
+@pytest.mark.parametrize("estimator", ["lin", "svd"])
+def test_non_finite_assembly_named_before_numpy_warns(estimator):
+    # Finite deflections of 1e10 mm over a force of 1e-300 N overflow the
+    # compliance matrix.
+    disp = np.full((1, 27, 3), 1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(stiffid.NonFiniteCompliance, match="overflow"):
+            stiffid.identify_batch([cube27()] * 6, [disp] * 6,
+                                   canonical_wrench_scheme(1e-300, *[1.0] * 5),
                                    IdentifyOptions(estimator=estimator))
 
 

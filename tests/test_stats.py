@@ -34,6 +34,7 @@ from stiffid import (
     run_identification,
     run_noise_study,
     significance_test,
+    skew,
 )
 from stiffid.estimation import _fit_geometry
 from stiffid.stats import (
@@ -114,7 +115,8 @@ class TestDeflectionCovariance:
                         rtol=1e-12, atol=0)
         assert_allclose(component_std(cov)[:3], sigma / math.sqrt(1331.0),
                         rtol=1e-12)
-        # no translation-rotation cross-covariance is modelled yet
+        # the cube is centred on its reference point: no lever arm, so no
+        # translation-rotation cross-covariance
         assert np.all(cov[:3, 3:] == 0.0)
         assert np.all(cov[3:, :3] == 0.0)
 
@@ -162,14 +164,21 @@ class TestDeflectionCovariance:
 
     def test_matrix_is_symmetrized_read_only_copy(self):
         # An irregular node set, whose inverse normal matrix is symmetric
-        # only to roundoff: the covariance is the symmetric part of the
-        # block matrix, formed once, bit for bit.
+        # only to roundoff and whose centroid c is off the reference
+        # point: the covariance is the symmetric part of the block matrix
+        # [[sigma^2/n I + L C L^T, L C], [C L^T, C]], with C = sigma^2 M^-1
+        # and L = [c]x, formed once, bit for bit.
         pos = np.random.default_rng(12).normal(size=(40, 3))
         geometry = _fit_geometry(pos)[0]
         cov = system_covariance(geometry, 1e-3)
+        rotation = 1e-3 ** 2 * geometry.inverse
+        lever = skew(geometry.centroid)
         block = np.zeros((6, 6))
-        block[:3, :3] = 1e-3 ** 2 / 40 * np.eye(3)
-        block[3:, 3:] = 1e-3 ** 2 * geometry.inverse
+        block[:3, :3] = 1e-3 ** 2 / 40 * np.eye(3) + lever @ rotation @ lever.T
+        block[:3, 3:] = lever @ rotation
+        block[3:, :3] = (lever @ rotation).T
+        block[3:, 3:] = rotation
+        assert np.all(geometry.centroid != 0.0)
         assert not np.array_equal(block, block.T)
         assert cov.tobytes() == ((block + block.T) / 2.0).tobytes()
         assert np.array_equal(cov, cov.T)

@@ -16,6 +16,7 @@ from stiffid import (
     DisplacementField,
     IdentifyOptions,
     InvalidArgument,
+    LoadCase,
     InvalidPattern,
     LinearizationWarning,
     MeshPattern,
@@ -41,9 +42,8 @@ from stiffid.field import column_mean
 from stiffid.synthetic import (
     DEFAULT_LOADS,
     STUDY_METHODS,
-    _noise_states,
+    _generator,
     _noisy_displacements,
-    _seed_states,
 )
 
 
@@ -53,6 +53,15 @@ def assert_same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
+
+
+def with_noise(field, stream, sigma):
+    """`field` plus `sigma` times the next (3, n) standard normals of the
+    generator `stream`, one plane per component: a noisy trial's field,
+    rebuilt from the stream that a study documents."""
+    noise = stream.standard_normal((3, field.n)).T * sigma
+    return DisplacementField(field.positions, noise + field.displacements,
+                             field.reference_point, centered=True)
 
 
 def as_json_reads(value):
@@ -197,7 +206,7 @@ class TestRigidTransform:
 
     def test_gaussian_sampler_moments(self):
         n = 66667
-        samples = _noisy_displacements(np.zeros((n, 3)), 1.0, _seed_states([0]))
+        samples = _noisy_displacements(np.zeros((n, 3)), 1.0, np.random.default_rng(0), 1)
         assert samples.shape == (1, n, 3)
         assert abs(samples.mean()) < 0.01
         assert abs(samples.std() - 1.0) < 0.01
@@ -209,35 +218,33 @@ class TestRigidTransform:
                              ids=["S1", "S3", "S22", "S4-across-2**128"])
     @pytest.mark.parametrize("n", [2, 121])
     def test_noise_definition_pinned(self, seeds, n):
-        # The noise of seed s, rebuilt one seed at a time with the running
-        # numpy: default_rng(s)'s standard normals, one plane per
-        # component.  Every study summary and simulated CSV depends on
-        # these bits.
+        # The noise of each seed's stream, rebuilt one draw at a time with
+        # the running numpy: row s is default_rng(seed)'s next (3, n)
+        # standard normals, one plane per component, and a second call
+        # continues the stream.  Every study summary and simulated CSV
+        # depends on these bits.
         rigid = np.arange(3.0 * n).reshape(n, 3) * 1e-3
         sigma = 5.6e-5
-        expected = [np.random.default_rng(seed).standard_normal((3, n)).T * sigma + rigid
-                    for seed in seeds]
-        got = _noisy_displacements(rigid, sigma, _noise_states(sigma, seeds))
-        assert got.shape == (len(seeds), n, 3)
-        assert got.swapaxes(-1, -2).flags.c_contiguous  # planes, as the fits read
-        assert_array_equal(got.view(np.int64), np.array(expected).view(np.int64))
-        assert_same_bits(_noisy_displacements(rigid, 0.0, _noise_states(0.0, seeds)),
+        for seed in seeds:
+            stream = np.random.default_rng(seed)
+            expected = [stream.standard_normal((3, n)).T * sigma + rigid for _ in seeds]
+            generator = _generator(sigma, seed)
+            got = _noisy_displacements(rigid, sigma, generator, len(seeds))
+            assert got.shape == (len(seeds), n, 3)
+            assert got.swapaxes(-1, -2).flags.c_contiguous  # planes, as the fits read
+            assert_array_equal(got.view(np.int64), np.array(expected).view(np.int64))
+            expected = stream.standard_normal((3, n)).T * sigma + rigid
+            assert_array_equal(_noisy_displacements(rigid, sigma, generator, 1)[0]
+                               .view(np.int64), expected.view(np.int64))
+        assert_same_bits(_noisy_displacements(rigid, 0.0, _generator(0.0, seeds[0]),
+                                              len(seeds)),
                          np.broadcast_to(rigid, got.shape))
-
-    def test_seed_states_match_seed_sequence(self):
-        # One mixed call: one to eight entropy words, each side of every
-        # word boundary up to 2**128.
-        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1,
-                 2 ** 128, 2 ** 160 + 5, 2 ** 255]
-        expected = [np.random.SeedSequence(s).generate_state(4, np.uint64)
-                    for s in seeds]
-        assert_same_bits(_seed_states(seeds), np.array(expected))
 
     def test_negative_seed_rejected_only_with_noise(self):
         with pytest.raises(InvalidArgument, match="nonnegative"):
-            _seed_states([3, -1])
+            _generator(5.6e-5, -1)
         # No noise is drawn at sigma = 0, so no seed is read.
-        assert_same_bits(_noise_states(0.0, [-1]), np.zeros((1, 4), np.uint64))
+        assert _generator(0.0, -1) is None
 
     def test_requires_centered_field(self):
         base = generate_pattern(MeshPattern.cubic(2.0, 1.0))
@@ -398,12 +405,15 @@ class TestAmplitudeStudy:
         # The study computes each amplitude's rigid displacement once and
         # fits each block of trials as batch rows, here a block of two
         # trials and one of one; the reference applies the whole
-        # transform per trial and runs each estimator on each field.
+        # transform per trial, adds the trial's noise from the study's
+        # one stream, default_rng(seed), drawn amplitude by amplitude and
+        # trial by trial, and runs each estimator on each field.
         amplitudes, trials, seed, sigma = [0.05, 0.5], 3, 4, 5e-5
         pattern = MeshPattern.cubic(4.0, 1.0)
         monkeypatch.setattr(synthetic, "_BLOCK_NODES", 2 * 125)
         study = run_amplitude_study(amplitudes, pattern, trials, seed, sigma, kind)
         base = generate_pattern(pattern)
+        stream = np.random.default_rng(seed)
         errors = {m: np.zeros((len(amplitudes), trials)) for m in study.max_errors}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinearizationWarning)
@@ -413,9 +423,9 @@ class TestAmplitudeStudy:
                 else:
                     truth_defl = Deflection([amp] * 3, np.zeros(3))
                 for t in range(trials):
-                    field = apply_rigid_transform(
-                        base, truth_defl, sigma, seed + ai * trials + t,
-                        exact_rotation=(kind == "rotation"))
+                    field = with_noise(apply_rigid_transform(
+                        base, truth_defl, exact_rotation=(kind == "rotation")),
+                        stream, sigma)
                     for name in errors:
                         fit = estimate_lin(field) if name == "lin" else \
                             estimate_svd(field, name.removeprefix("svd-"))
@@ -478,14 +488,17 @@ class TestNoiseStudy:
 
     def test_matches_reference_loop(self):
         # The study computes the noise-free displacement once; the
-        # reference applies the whole transform per trial.
+        # reference applies the whole transform per trial and adds the
+        # trial's noise from the study's one stream, default_rng(seed).
         pattern, sigma, trials, seed = MeshPattern.cubic(4.0, 1.0), 1e-4, 6, 2
         study = run_noise_study(pattern, sigma, trials, seed)
         base = generate_pattern(pattern)
         truth_defl = Deflection((1.0, 1.0, 1.0), np.deg2rad([0.1] * 3))
+        stream = np.random.default_rng(seed)
         err = np.zeros((trials, 6))
         for t in range(trials):
-            fit = estimate_lin(apply_rigid_transform(base, truth_defl, sigma, seed + t))
+            fit = estimate_lin(with_noise(apply_rigid_transform(base, truth_defl),
+                                          stream, sigma))
             err[t] = fit.deflection.as_vector() - truth_defl.as_vector()
         emp = err.std(axis=0, ddof=1)
         assert_same_bits(study.max_translation_error_mm, np.max(np.abs(err[:, :3])))
@@ -531,17 +544,21 @@ class TestZeroDetectionStudy:
 
     def test_matches_reference_loop(self):
         # The study builds the seed-invariant beam fields once; the
-        # reference builds every seed's load cases from scratch.
+        # reference builds every seed's load cases from the noise-free
+        # ones, with experiment j's noise drawn seed by seed from the j-th
+        # stream that SeedSequence(seed) spawns.
         seeds, seed, sigma, multiplier = 5, 7, 5.6e-5, 4.0
         study = run_zero_detection_study(seeds=seeds, seed=seed, sigma=sigma,
                                          multiplier=multiplier)
         nonzero = beam_compliance_oracle().k != 0.0
         options = IdentifyOptions(outlier_fraction=0.10,
                                   confidence_multiplier=multiplier)
+        clean = beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"))
+        streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
         missed, lost, low = [], [], []
         for s in range(seeds):
-            cases = beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"),
-                                    DEFAULT_LOADS, sigma, seed=seed + 6 * s)
+            cases = [LoadCase(with_noise(case.field, stream, sigma), case.wrench, case.source)
+                     for case, stream in zip(clean, streams)]
             result = run_identification(cases, options)
             k = result.matrix.k
             missed.append(int(np.count_nonzero(k[~nonzero] != 0.0)))
