@@ -64,7 +64,6 @@ from .field import (
     write_field_csv,
 )
 from .pipeline import IdentifyOptions, LoadCase, run_identification
-from .stats import _SIGMA_MAX
 from .synthetic import (
     DEFAULT_LOADS,
     BeamSpec,
@@ -408,15 +407,14 @@ def _benchmark_amplitude(args) -> int:
 
 def _benchmark_noise(args) -> int:
     _reject_flags(args, "multiplier")
-    # Below NOISE_MIN_TRIALS noisy trials the sampling error of the stds
-    # alone fills the band, so correct code would fail.  A bad sigma or a
-    # count below 1 is left to the study's own checks.
-    if args.trials is not None and 1 <= args.trials < NOISE_MIN_TRIALS and \
-            (args.sigma is None or 0.0 < args.sigma <= _SIGMA_MAX):
-        raise InvalidArgument(
-            f"--trials {args.trials} is too few for the noise band: with sigma > 0 "
-            f"it needs at least {NOISE_MIN_TRIALS} trials")
     study = run_noise_study(**_given(args, sigma="sigma", trials="trials", seed="seed"))
+    # Below NOISE_MIN_TRIALS noisy trials the sampling error of the stds
+    # alone fills the band, so correct code would fail.  The study has
+    # checked sigma and the trial count by now.
+    if study.sigma > 0.0 and study.trials < NOISE_MIN_TRIALS:
+        raise InvalidArgument(
+            f"--trials {study.trials} is too few for the noise band: with sigma > 0 "
+            f"it needs at least {NOISE_MIN_TRIALS} trials")
     out = _out_dir(args)
     ok = True
     if study.sigma == 0.0:

@@ -124,14 +124,14 @@ def _is_grid(value, accept) -> bool:
 def compliance_from_json_dict(data: dict) -> ComplianceMatrix:
     """Rebuild a matrix from the dictionary written by ``to_json_dict``.
 
-    ``k`` must be 6 rows of 6 numbers, the mask (when given) 6 rows of
-    6 booleans and ``symmetrized`` a boolean, else
+    `data` must be a dictionary, ``k`` 6 rows of 6 numbers, the mask
+    (when given) 6 rows of 6 booleans and ``symmetrized`` a boolean, else
     :class:`InvalidArgument` (a ``ValueError``) is raised: a cast would
     read ``"2.5"`` as 2.5, ``true`` as 1.0, and ``"false"`` or ``0.5``
     as true.
     """
-    if "k" not in data:
-        raise ValueError("missing 'k' entry")
+    if not isinstance(data, dict) or "k" not in data:
+        raise InvalidArgument("a compliance matrix needs a JSON object with a 'k' entry")
     k = data["k"]
     if not _is_grid(k, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)):
         raise InvalidArgument("'k' must be 6 rows of 6 numbers")

@@ -87,6 +87,7 @@ import numpy as np
 from .errors import (
     DegenerateGeometry,
     EntryOutOfRange,
+    InvalidArgument,
     LinearizationWarning,
     NonFiniteDeflection,
     warn,
@@ -176,6 +177,12 @@ class AngleExtractionMethod(enum.Enum):
     PLUS_ASIN = "plus-asin"
     MINUS_ASIN = "minus-asin"
     AVERAGED_ASIN = "avg-asin"
+
+    @classmethod
+    def _missing_(cls, value):
+        # Called by the constructor for a value that names no member.
+        raise InvalidArgument(f"angles must be one of "
+                              f"{', '.join(repr(m.value) for m in cls)}, got {value!r}")
 
 
 def _asin(values: np.ndarray) -> np.ndarray:

@@ -5,6 +5,11 @@ node patterns moved by a prescribed rigid transform plus optional
 Gaussian noise, and a clamped square-section cantilever whose 6x6 tip
 compliance matrix has a textbook closed form.
 
+Every synthetic field, noise-free or noisy, comes from
+:func:`apply_rigid_transform`, the one place where a deflection turns
+into nodal displacements; :func:`beam_tip_field` and
+:func:`beam_load_cases` call it with the oracle's tip deflections.
+
 Noise is reproducible: numpy's normal sampler
 (``Generator.standard_normal``) writes it straight into the component
 planes that the fits read, so equal seeds give bit-identical fields.  A
@@ -16,12 +21,13 @@ for the amplitude and noise studies, and the six generators of
 ``SeedSequence(seed).spawn(6)`` for zero detection.
 
 The studies build what does not change between trials once: the node
-pattern, and the noise-free rigid displacements (with the oracle and the
-six wrenches for the beam).  Each trial then only draws its noise, into
-one (S, n, 3) batch per experiment, with S the trials of a block of at
-most ``_BLOCK_NODES`` nodes per experiment; successive blocks continue
-the stream.  Every study hands each block to the batched core
-(:func:`~stiffid.estimation._fit_lin`,
+pattern, and the noise-free rigid displacements, from
+:func:`apply_rigid_transform` at sigma = 0 (zero detection starts from
+the six cases of ``beam_load_cases(sigma=0)``).  Each trial then only
+draws its noise, into one (S, n, 3) batch per experiment, with S the
+trials of a block of at most ``_BLOCK_NODES`` nodes per experiment;
+successive blocks continue the stream.  Every study hands each block to
+the batched core (:func:`~stiffid.estimation._fit_lin`,
 :func:`~stiffid.estimation._fit_svd` and
 :func:`~stiffid.pipeline.identify_batch`), whose rows equal one-trial
 runs bit for bit, so a study's results do not depend on the block size.
@@ -150,18 +156,12 @@ def apply_rigid_transform(field: DisplacementField, deflection: Deflection,
     """
     if not field.centered:
         raise ValueError("apply_rigid_transform needs a centered field")
-    rigid = _rigid_displacement(field.positions, deflection, exact_rotation)
+    angles = deflection.rotation
+    R = rotation_xyz(angles) if exact_rotation else differential_rotation(angles)
+    rigid = field.positions @ (R - np.eye(3)).T + deflection.translation
     displacements = _noisy_displacements(rigid, sigma, _generator(sigma, seed), 1)[0]
     return DisplacementField(field.positions, displacements, field.reference_point,
                              centered=True)
-
-
-def _rigid_displacement(positions: np.ndarray, deflection: Deflection,
-                        exact_rotation: bool = False) -> np.ndarray:
-    """Noise-free nodal displacements of a rigid transform about the origin."""
-    angles = deflection.rotation
-    R = rotation_xyz(angles) if exact_rotation else differential_rotation(angles)
-    return positions @ (R - np.eye(3)).T + deflection.translation
 
 
 def _seed(sigma: float, seed: int) -> int:
@@ -300,30 +300,14 @@ def beam_load_cases(spec: BeamSpec = BeamSpec(),
     Case j equals ``beam_tip_field(spec, w, pattern, sigma, seed + j)``
     with w the j-th wrench of ``canonical_wrench_scheme(*loads)``.
     """
-    base, experiments = _beam_experiments(spec, pattern, loads)
-    return [LoadCase(DisplacementField(
-                base.positions,
-                _noisy_displacements(rigid, sigma, _generator(sigma, seed + j), 1)[0],
-                base.reference_point, centered=True), w, name)
-            for j, (name, w, rigid) in enumerate(experiments)]
-
-
-def _beam_experiments(spec: BeamSpec, pattern: MeshPattern, loads: Sequence[float],
-                      ) -> tuple[DisplacementField, list[tuple[str, Wrench, np.ndarray]]]:
-    """Seed-invariant part of the six canonical beam experiments.
-
-    Returns the base pattern at the beam tip and, per experiment, its
-    name, wrench and noise-free tip displacement, so that any number of
-    seeds only draw noise.
-    """
     k = beam_compliance_oracle(spec).k
     base = generate_pattern(pattern, center=(spec.length, 0.0, 0.0))
-    experiments = []
-    for name, w in zip(_EXPERIMENT_NAMES, canonical_wrench_scheme(*loads)):
+    cases = []
+    for j, (name, w) in enumerate(zip(_EXPERIMENT_NAMES, canonical_wrench_scheme(*loads))):
         d = k @ w.as_vector()
-        rigid = _rigid_displacement(base.positions, Deflection(d[:3], d[3:]))
-        experiments.append((name, w, rigid))
-    return base, experiments
+        field = apply_rigid_transform(base, Deflection(d[:3], d[3:]), sigma, seed + j)
+        cases.append(LoadCase(field, w, name))
+    return cases
 
 
 @dataclass(frozen=True)
@@ -392,8 +376,8 @@ def run_amplitude_study(amplitudes: Sequence[float],
                 truth_defl = Deflection([1.0, 1.0, 1.0], np.deg2rad([amp, amp, amp]))
             else:
                 truth_defl = Deflection([amp, amp, amp], np.zeros(3))
-            rigid = _rigid_displacement(base.positions, truth_defl,
-                                        exact_rotation=(kind == "rotation"))
+            rigid = apply_rigid_transform(base, truth_defl,
+                                          exact_rotation=(kind == "rotation")).displacements
             for block in _blocks(trials, base.n):
                 displacements = _noisy_displacements(rigid, sigma, generator, len(block))
                 for name, err in errors.items():
@@ -452,7 +436,7 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
     generator = _generator(sigma, seed)
     base = generate_pattern(pattern)
     truth_defl = Deflection([1.0, 1.0, 1.0], np.deg2rad([0.1] * 3))
-    rigid = _rigid_displacement(base.positions, truth_defl)
+    rigid = apply_rigid_transform(base, truth_defl).displacements
     geometry, rel = _fit_geometry(base.positions)
     err = np.empty((trials, 6))
     for block in _blocks(trials, base.n):
@@ -530,19 +514,19 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
     nonzero = oracle.k != 0.0
     options = IdentifyOptions(outlier_fraction=outlier_fraction,
                               confidence_multiplier=multiplier)
-    base, experiments = _beam_experiments(BeamSpec(), pattern, DEFAULT_LOADS)
-    wrenches = [w for _, w, _ in experiments]
+    cases = beam_load_cases(BeamSpec(), pattern)
+    positions = cases[0].field.positions
     zeros_missed = []
     nonzeros_lost = []
     min_safety = []
-    for block in _blocks(seeds, base.n):
+    for block in _blocks(seeds, len(positions)):
         # A generator: each experiment's noise is drawn when the core
         # reaches it and freed once it is fit.
         displacements = (
-            _noisy_displacements(rigid, sigma, generator, len(block))
-            for generator, (_, _, rigid) in zip(generators, experiments))
-        batch = identify_batch([base.positions] * len(experiments), displacements,
-                               wrenches, options)
+            _noisy_displacements(case.field.displacements, sigma, generator, len(block))
+            for generator, case in zip(generators, cases))
+        batch = identify_batch([positions] * len(cases), displacements,
+                               [case.wrench for case in cases], options)
         k = batch.matrix
         zeros_missed += np.count_nonzero(k[:, ~nonzero] != 0.0, axis=1).tolist()
         nonzeros_lost += np.count_nonzero(k[:, nonzero] == 0.0, axis=1).tolist()

@@ -681,6 +681,7 @@ class TestIdentifyErrors:
          "experiments[0].wrench.force"),
         (lambda data: data["units"].update(force="lbf"), "units.force"),
         (lambda data: data["options"].update(symmetrize=1), "options.symmetrize"),
+        (lambda data: data["options"].update(angles="bogus"), "angles must be one of"),
         (lambda data: data["experiments"][0]["sensor"].update(edge=True),
          "experiments[0].sensor.edge"),
         (lambda data: data["experiments"][0]["sensor"].update(center=[float("nan"), 0, 0]),
@@ -697,7 +698,7 @@ class TestIdentifyErrors:
             "sensor-edge-misspelled", "wrench-force-misspelled",
             "reference-point-misspelled", "sensor-edge-string", "sensor-axis-true",
             "reference-point-holds-true", "wrench-force-holds-true", "units-force-lbf",
-            "symmetrize-one", "sensor-edge-true", "sensor-center-nan",
+            "symmetrize-one", "angles-unknown", "sensor-edge-true", "sensor-center-nan",
             "sensor-shape-list", "sensor-repeated"])
     def test_manifest_hole_exit_2(self, sim_dir, tmp_path, capsys, hole, word):
         data = read_manifest(sim_dir / "manifest.json")

@@ -303,8 +303,16 @@ class TestComplianceMatrix:
         with pytest.raises(ValueError):
             ComplianceMatrix(bad)
 
+    def test_mask_shape_enforced(self):
+        with pytest.raises(ValueError, match="mask must be 6x6"):
+            ComplianceMatrix(reference_matrix(), np.ones((5, 6), dtype=bool))
+
     def test_asymmetry_zero_for_symmetric(self):
         assert ComplianceMatrix(reference_matrix()).asymmetry() == 0.0
+
+    def test_asymmetry_of_zero_matrix_is_zero(self):
+        # |k| = 0 leaves nothing to divide by.
+        assert ComplianceMatrix(np.zeros((6, 6))).asymmetry() == 0.0
 
     def test_asymmetry_detects_one_bad_pair(self):
         k = reference_matrix()
@@ -418,6 +426,14 @@ class TestSerialization:
     def test_missing_matrix_key_rejected(self):
         with pytest.raises(ValueError):
             compliance_from_json_dict({"symmetrized": True})
+
+    @pytest.mark.parametrize("data", [5, None, "k", [1], {"symmetrized": True}],
+                             ids=["number", "null", "string", "list", "no-k"])
+    def test_json_without_matrix_object_rejected(self, data):
+        # The top level of any JSON file, not only an object, reaches the
+        # loader.
+        with pytest.raises(InvalidArgument, match="'k'"):
+            compliance_from_json_dict(data)
 
     @pytest.mark.parametrize("key, value", [
         ("symmetrized", "false"), ("symmetrized", 0), ("symmetrized", None),

@@ -15,6 +15,7 @@ from stiffid import (
     DisplacementField,
     EntryOutOfRange,
     FitResult,
+    InvalidArgument,
     LinearizationWarning,
     NonFiniteDeflection,
     differential_rotation,
@@ -70,6 +71,11 @@ class TestRotationHelpers:
             a, b = rng.normal(size=3), rng.normal(size=3)
             assert_allclose(skew(a) @ b, np.cross(a, b), atol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(2,), (3, 2)], ids=["2", "3x2"])
+    def test_skew_rejects_non_3_vectors(self, shape):
+        with pytest.raises(ValueError, match="3-vectors"):
+            skew(np.zeros(shape))
+
     def test_rotation_xyz_is_proper_rotation(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -103,6 +109,12 @@ class TestRotationHelpers:
     def test_check_rotation_rejects_reflection(self):
         with pytest.raises(ValueError):
             check_rotation(np.diag([1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3,), (3, 3, 2)],
+                             ids=["2x2", "4x4", "3", "3x3x2"])
+    def test_check_rotation_rejects_non_3x3(self, shape):
+        with pytest.raises(ValueError, match="3x3"):
+            check_rotation(np.zeros(shape))
 
     def test_check_rotation_rejects_scaled_matrix(self):
         with pytest.raises(ValueError):
@@ -365,6 +377,12 @@ class TestAngleExtraction:
         R = rotation_xyz([1e-4, 0.0, 0.0])
         assert_allclose(extract_angles(R, "plus"),
                         extract_angles(R, AngleExtractionMethod.PLUS_ENTRIES))
+
+    @pytest.mark.parametrize("method", ["bogus", "AVERAGED", None])
+    def test_unknown_method_is_invalid_argument(self, method):
+        with pytest.raises(InvalidArgument, match="'plus', 'minus', 'avg', 'plus-asin', "
+                                                  "'minus-asin', 'avg-asin'"):
+            extract_angles(np.eye(3), method)
 
     def test_corrupt_entry_raises_for_asin(self):
         R = np.eye(3)

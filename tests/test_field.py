@@ -24,11 +24,7 @@ from stiffid import (
     write_field_csv,
 )
 from stiffid.field import _WRITE_BLOCK_ROWS, BOUNDARY_TOL, column_mean
-from stiffid.synthetic import (
-    DEFAULT_LOADS,
-    _beam_experiments,
-    _noisy_displacements,
-)
+from stiffid.synthetic import _noisy_displacements
 
 
 def grid_field(edge=10.0, step=1.0, origin=(0.0, 0.0, 0.0), centered=True):
@@ -133,7 +129,7 @@ def _by_beam_load_cases(tmp_path):
     off = np.arange(-2.0, 3.0)
     u, v = np.meshgrid(off, off, indexing="ij")
     pos = np.column_stack([np.zeros(u.size), u.ravel(), v.ravel()])
-    rigid = _beam_experiments(BeamSpec(), pattern, DEFAULT_LOADS)[1][2][2]
+    rigid = beam_load_cases(BeamSpec(), pattern)[2].field.displacements
     return field, pos, _noisy_displacements(rigid, 5.6e-5, np.random.default_rng(5), 1)[0]
 
 

@@ -238,6 +238,13 @@ def test_boolean_numeric_options_rejected(name, value):
         IdentifyOptions(**{name: value})
 
 
+@pytest.mark.parametrize("value", ["bogus", "", 3], ids=["bogus", "empty", "number"])
+def test_unknown_angle_reading_rejected(value):
+    # The same error as every other option check, naming the readings.
+    with pytest.raises(InvalidArgument, match="angles must be one of 'plus'.*'avg-asin'"):
+        IdentifyOptions(angles=value)
+
+
 @pytest.mark.parametrize("value", [1, 0])
 def test_integer_symmetrize_rejected(value):
     # 1 and 0 compare equal to True and False.
