@@ -148,8 +148,13 @@ MANIFEST = _Object(
                                        "thickness": _NUMBER}),
                      "sphere": _Object({"radius": _NUMBER}, _CENTER)}})]},
     {"options": _Object({}, {"estimator": _STRING, "angles": _STRING,
-                             "outlier_fraction": _NUMBER,
+                             "outlier_level": _NUMBER,
                              "confidence_multiplier": _NUMBER, "symmetrize": _BOOLEAN})})
+
+
+# Keys that an earlier release read, and what replaced them.
+_RENAMED = {"outlier_fraction": "outlier_level: the fixed-fraction trim became a "
+                                "chi-square cut at a family-wise level"}
 
 
 class _RepeatedKey(NamedTuple):
@@ -198,7 +203,8 @@ def _check(value, schema, path: str, manifest: str) -> None:
     keys = {**schema.required, **schema.optional}
     for key in value:
         if key not in keys:
-            raise ManifestError(manifest, f"unknown key {prefix}{key}")
+            hint = f"; use {_RENAMED[key]}" if key in _RENAMED else ""
+            raise ManifestError(manifest, f"unknown key {prefix}{key}{hint}")
     for key in schema.required:
         if key not in value:
             raise ManifestError(manifest, f"missing key {prefix}{key}")
@@ -473,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--estimator", choices=["lin", "svd"], default=None)
     p_id.add_argument("--angles", default=None,
                       choices=[m.value for m in AngleExtractionMethod])
-    p_id.add_argument("--outlier-fraction", type=float, default=None)
+    p_id.add_argument("--outlier-level", type=float, default=None)
     p_id.add_argument("--confidence-multiplier", type=float, default=None)
     p_id.add_argument("--no-symmetrize", dest="symmetrize", action="store_false",
                       default=None)

@@ -145,8 +145,18 @@ def compliance_from_json_dict(data: dict) -> ComplianceMatrix:
 
 
 def load_compliance_json(path) -> ComplianceMatrix:
-    with open(str(path), "r", encoding="utf-8-sig") as handle:
-        return compliance_from_json_dict(json.load(handle))
+    """Read a matrix written by :func:`save_compliance_json`.  A file that
+    is not UTF-8 JSON raises :class:`InvalidArgument`, which names it;
+    see :func:`compliance_from_json_dict` for the checks of its entries.
+    """
+    try:
+        with open(str(path), "r", encoding="utf-8-sig") as handle:
+            data = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise InvalidArgument(f"{path}: not JSON: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidArgument(f"{path}: not UTF-8 text: {exc.reason}") from None
+    return compliance_from_json_dict(data)
 
 
 def save_compliance_json(path, matrix: ComplianceMatrix) -> None:

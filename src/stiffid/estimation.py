@@ -33,8 +33,9 @@ B = ``_GRAM_BLOCK`` nodes.  OpenBLAS runs one gemm with an inner
 dimension of n several times slower than the same sum over
 cache-sized blocks: at n = 175,616, 1.12 ms against 0.38 ms (OpenBLAS
 0.3.31, 2-core Xeon VM, median of 200 calls), and blocks of 4,096 to
-32,768 nodes measured the same.  An identification of six such fields with outlier refits
-forms 19 of these sums.  A field of at most one block gets the single
+32,768 nodes measured the same.  An identification of six such fields
+on one mesh forms 7 of these sums, and each refit after outlier removal
+two more.  A field of at most one block gets the single
 product, bit for bit.  The moment matrix sums the products of one
 array with itself, and on one buffer numpy calls BLAS ``syrk``, which
 OpenBLAS runs about 3x slower than ``gemm`` here; so :func:`_gram`
@@ -44,7 +45,7 @@ against 0.65 ms for the moment matrix).
 
 The normal equations of a node layout are its :class:`FitGeometry`,
 built by :func:`_fit_geometry` and nowhere else: the node count, the
-centroid and the inverse of the rotation normal matrix.  That matrix
+centroid, and the rotation normal matrix with its inverse.  That matrix
 comes from one ``rel.T @ rel`` product over the centroid-relative
 positions ``rel``; its eigendecomposition is the degeneracy check and
 gives the inverse.  :func:`_fit_geometry` returns ``rel`` beside the
@@ -63,12 +64,13 @@ which holds no per-node array, so the deflection covariance follows
 from it without another pass over the nodes.
 
 The residuals (``d - q - dphi x r`` or ``rel + d - q - R rel``) and
-their sum of squares are one more pass over the nodes each, which only
-the noise estimate and the outlier ranking read.  A caller that reads
-only the deflection passes ``residuals=False`` to the fits (the
-identification core's refit after outlier removal, the amplitude
-study); the deflections keep their bits, and their finiteness check
-and small-angle warnings stay.
+each node's squared residual |r|^2 (:func:`_node_score`) are one more
+pass over the nodes each, which only the outlier cut reads; the row
+sums of those scores are the residual sums of squares that the noise
+estimate reads.  A caller that reads only the deflection passes
+``residuals=False`` to the fits (the amplitude study); the deflections
+keep their bits, and their finiteness check and small-angle warnings
+stay.
 
 Units: mm for translations, rad for rotation components.  The linearized
 model `dp_i = dphi x p_i + p` is valid for small angles; a fit whose
@@ -271,15 +273,16 @@ class FitGeometry(NamedTuple):
     """The normal equations of a node layout, which hold no displacement.
 
     ``n`` is the node count, ``centroid`` the mean position (mm) about
-    which the fit runs, and ``inverse`` the inverse of the rotation
-    normal matrix sum(|r|^2 I - r r^T) over the centroid-relative
-    positions r (1/mm^2).  Positions (n, 3) give one geometry; positions
-    (S, n, 3) give both arrays a leading batch axis.  It holds no
-    per-node array, so a fit keeps it at no memory cost.
+    which the fit runs, ``moment`` the rotation normal matrix
+    sum(|r|^2 I - r r^T) over the centroid-relative positions r (mm^2)
+    and ``inverse`` its inverse (1/mm^2).  Positions (n, 3) give one
+    geometry; positions (S, n, 3) give the arrays a leading batch axis.
+    It holds no per-node array, so a fit keeps it at no memory cost.
     """
 
     n: int
     centroid: np.ndarray
+    moment: np.ndarray
     inverse: np.ndarray
 
 
@@ -316,14 +319,17 @@ class Fits(NamedTuple):
 
     ``geometry`` is the geometry the fits ran on, ``translation`` and
     ``rotation`` are (S, 3), ``residuals`` (S, n, 3), a view of planes,
-    and ``objective`` (S,), the residual sum of squares of each row;
-    both are None for a fit that was asked for no residuals.
+    ``score`` (S, n) each node's squared residual |r|^2 (see
+    :func:`_node_score`) and ``objective`` (S,) its row sums, the
+    residual sum of squares of each row; all three are None for a fit
+    that was asked for no residuals.
     """
 
     geometry: FitGeometry
     translation: np.ndarray
     rotation: np.ndarray
     residuals: np.ndarray | None
+    score: np.ndarray | None
     objective: np.ndarray | None
 
 
@@ -412,7 +418,7 @@ def _fit_geometry(positions: np.ndarray) -> tuple[FitGeometry, np.ndarray]:
         raise DegenerateGeometry(
             "rotation normal matrix is singular for this node layout")
     inverse = (vec / eig[..., None, :]) @ vec.swapaxes(-1, -2)
-    return FitGeometry(n, c, inverse), rel
+    return FitGeometry(n, c, m, inverse), rel
 
 
 def _centred(displacements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,18 +439,27 @@ def _centred(displacements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return q, displacements - q[..., None, :]
 
 
+def _node_score(residuals: np.ndarray) -> np.ndarray:
+    """Each node's squared residual |r|^2, (..., n), from residuals
+    (..., n, 3): one pass over their planes, copied into planes first
+    only if they are held as rows, so that planes and rows give the same
+    bits.  An overflow gives inf, which the caller names."""
+    planes = _planes(residuals).swapaxes(-1, -2)
+    with np.errstate(over="ignore"):
+        return np.einsum("...kn,...kn->...n", planes, planes)
+
+
 def _fits(geometry: FitGeometry, translation: np.ndarray, rotation: np.ndarray,
           residuals: np.ndarray | None) -> Fits:
     _check_deflections(translation, rotation)
-    objective = None
+    score = objective = None
     if residuals is not None:
-        # One dot product per row over the planes of `residuals`, a view
-        # with no copy: a (1, 3n) @ (3n, 1) matmul runs the same BLAS dot
-        # as np.vdot on that row alone.  An overflow is named below, not
-        # by numpy's warning.
-        flat = residuals.swapaxes(-1, -2).reshape(residuals.shape[:-2] + (1, -1))
-        with np.errstate(over="ignore"):
-            objective = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+        # The node scores that the outlier cut reads, and their row sums:
+        # one pass over the residuals' planes, then one over a third of
+        # their size.  An overflow is named below, not by numpy's warning.
+        score = _node_score(residuals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            objective = score.sum(axis=-1)
         if not np.isfinite(objective).all():
             raise NonFiniteDeflection(_RSS_OVERFLOW)
     # One warning for each row whose rotation leaves the small-angle regime.
@@ -452,7 +467,7 @@ def _fits(geometry: FitGeometry, translation: np.ndarray, rotation: np.ndarray,
     for norm in norms[norms >= ROTATION_WARN_LIMIT].tolist():
         warn(f"rotation magnitude {norm:.3g} rad exceeds the small-angle "
              f"regime ({ROTATION_WARN_LIMIT} rad)", LinearizationWarning)
-    return Fits(geometry, translation, rotation, residuals, objective)
+    return Fits(geometry, translation, rotation, residuals, score, objective)
 
 
 def _fit_result(fits: Fits) -> FitResult:
@@ -467,8 +482,8 @@ def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
              residuals: bool = True) -> Fits:
     """Orthogonal Procrustes fits of a batch of fields on `geometry` and
     its relative positions `rel`; see :func:`estimate_svd` and, for the
-    shapes, :func:`_centred`.  With ``residuals=False`` the fits' residuals
-    and objective are None; the residuals are then formed only to name
+    shapes, :func:`_centred`.  With ``residuals=False`` the fits' residuals,
+    scores and objective are None; the residuals are then formed only to name
     an overflow before a rank failure."""
     q, disp_rel = _centred(displacements)
     with np.errstate(over="ignore", invalid="ignore"):  # named just below
@@ -503,7 +518,7 @@ def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
     """Linearized least-squares fits of a batch of fields on `geometry`
     and its relative positions `rel`; see :func:`estimate_lin` and, for
     the shapes, :func:`_centred`.  With ``residuals=False`` the fits'
-    residuals and objective are None."""
+    residuals, scores and objective are None."""
     q, disp_rel = _centred(displacements)
     # A deflection that is not finite is named by _fits; numpy's warning
     # on the way is silenced.

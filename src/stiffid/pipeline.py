@@ -19,8 +19,10 @@ them into planes.
 The load cases of one mesh share their node positions, so the core
 builds the fit geometry (see :mod:`stiffid.estimation`) once per
 distinct node layout and fits every experiment on that layout with it.
-Each refit builds its own geometry from its survivors, which are
-gathered straight into the component planes the fits work on.
+Only the rows whose outlier cut drops a node are refit, each as a
+one-row fit of its own survivors, which are gathered straight into the
+component planes the fits work on and get their own geometry; every
+other row keeps its initial fit.
 """
 
 from __future__ import annotations
@@ -53,15 +55,17 @@ from .estimation import (
 from .field import DisplacementField
 from .stats import (
     DEFAULT_CONFIDENCE_MULTIPLIER,
-    DEFAULT_OUTLIER_FRACTION,
+    DEFAULT_OUTLIER_LEVEL,
     NoiseEstimate,
     SignificanceReport,
-    _check_fraction,
+    _check_level,
     _check_multiplier,
     _covariance,
+    _cut_level,
     _drop_mask,
     _halfwidth,
     _pool_sigma,
+    _roundoff_floor,
     _significance,
 )
 
@@ -79,7 +83,7 @@ class LoadCase:
 class IdentifyOptions:
     estimator: str = "lin"
     angles: AngleExtractionMethod = AngleExtractionMethod.AVERAGED
-    outlier_fraction: float = DEFAULT_OUTLIER_FRACTION
+    outlier_level: float = DEFAULT_OUTLIER_LEVEL
     confidence_multiplier: float = DEFAULT_CONFIDENCE_MULTIPLIER
     symmetrize: bool = True
 
@@ -87,7 +91,7 @@ class IdentifyOptions:
         if self.estimator not in ("lin", "svd"):
             raise InvalidArgument(
                 f"estimator must be 'lin' or 'svd', got {self.estimator!r}")
-        _check_fraction(self.outlier_fraction, "outlier_fraction")
+        _check_level(self.outlier_level, "outlier_level")
         _check_multiplier(self.confidence_multiplier, "confidence_multiplier")
         # Not `in (True, False)`: 1 and 0 compare equal to True and False.
         if not isinstance(self.symmetrize, bool):
@@ -100,7 +104,7 @@ class IdentifyOptions:
         return {
             "estimator": self.estimator,
             "angles": self.angles.value,
-            "outlier_fraction": float(self.outlier_fraction),
+            "outlier_level": float(self.outlier_level),
             "confidence_multiplier": float(self.confidence_multiplier),
             "symmetrize": self.symmetrize,
         }
@@ -117,19 +121,23 @@ class IdentificationResult:
     ``deflections`` (6, m) holds each experiment's deflection (p; dphi)
     at the reference point as a column, in experiment order.  Per
     experiment, ``nodes`` is the node count of the final fit,
-    ``covariances`` its (6, 6) deflection covariance and ``dropped`` the
-    mask of the nodes the outlier stage removed, over the sensor's nodes
-    in file order, or None when it removed none; every array is
-    read-only."""
+    ``covariances`` its (6, 6) deflection covariance, ``dropped`` the
+    mask of the nodes the outlier cut removed, over the sensor's nodes
+    in file order, or None when it removed none, and ``cut_levels`` the
+    cut c on |r|^2 / s0^2 (None with the cut off); every array is
+    read-only.  ``noise`` is pooled from the final fits, and
+    ``sigma_before_cut`` from the initial fits of every node."""
 
     matrix: ComplianceMatrix
     assembled: ComplianceMatrix
     significance: SignificanceReport
     noise: NoiseEstimate
+    sigma_before_cut: float
     deflections: np.ndarray
     nodes: tuple[int, ...]
     covariances: tuple[np.ndarray, ...]
     dropped: tuple[np.ndarray | None, ...]
+    cut_levels: tuple[float | None, ...]
     canonical: bool
     options: IdentifyOptions
     sources: tuple[str, ...]
@@ -145,9 +153,10 @@ class IdentificationResult:
     def diagnostics(self) -> dict:
         """Per-stage run log entries, JSON-serializable.
 
-        Holds the resolved options and, per experiment, the field file
-        and the indices of the removed nodes: with the same inputs that
-        is enough to rerun the identification.
+        Holds the resolved options and, per experiment, the field file,
+        the cut level and the indices of the removed nodes: with the same
+        inputs that is enough to rerun the identification.  The pooled
+        sigma is given before and after the cut.
         """
         removed = [_indices(mask) for mask in self.dropped]
         return {
@@ -157,11 +166,13 @@ class IdentificationResult:
                     "field_file": self.sources[i],
                     "nodes": n,
                     "sigma": self.noise.per_experiment_sigma[i],
+                    "cut_level": self.cut_levels[i],
                     "removed_nodes": len(removed[i]),
                     "removed_indices": removed[i],
                 }
                 for i, n in enumerate(self.nodes)
             ],
+            "sigma_before_cut": self.sigma_before_cut,
             "sigma": self.noise.sigma,
             "dof": self.noise.dof,
             "canonical": self.canonical,
@@ -173,15 +184,19 @@ class BatchIdentification(NamedTuple):
     """S independent identifications; see :func:`identify_batch`.
 
     ``deflections`` (S, 6, m) holds the deflections (p; dphi) of the
-    final fits (the refits after outlier removal), experiment j in
-    column j.  Per experiment j: ``nodes[j]`` is the node count of the
-    final fit, ``dropped[j]`` the read-only (S, n_j) mask of removed
-    nodes (None when none are removed), ``per_experiment_sigma[j]``
-    (S,) the noise level of the initial fit and ``covariances[j]`` the
+    final fits, experiment j in column j: the refit of a row whose
+    outlier cut dropped a node, else the initial fit.  Per experiment j:
+    ``nodes[j]`` (S,) is the node count of each row's final fit,
+    ``dropped[j]`` the read-only (S, n_j) mask of removed nodes (None
+    when no row loses one), ``cut_levels[j]`` the cut c on
+    |r|^2 / s0^2 (None with the cut off), ``per_experiment_sigma[j]``
+    (S,) the noise level of the final fit and ``covariances[j]`` the
     read-only deflection covariances (S, 6, 6) of the final fit at the
     reference point (see :func:`~stiffid.stats.system_covariance`).
     No array holds a per-node value but the drop masks.  ``sigma`` (S,)
-    is the pooled noise level with ``dof`` degrees of freedom.
+    is the noise level pooled from the final fits with ``dof`` (S,)
+    degrees of freedom, and ``sigma_before_cut`` (S,) the one pooled
+    from the initial fits.
     Every admissible wrench set gives every array: ``assembled``
     (S, 6, 6) is the least-squares matrix before the significance
     stage, ``halfwidth`` its confidence halfwidths, ``significant`` the
@@ -191,10 +206,12 @@ class BatchIdentification(NamedTuple):
     """
 
     deflections: np.ndarray
-    nodes: tuple[int, ...]
+    nodes: tuple[np.ndarray, ...]
     dropped: tuple[np.ndarray | None, ...]
+    cut_levels: tuple[float | None, ...]
     sigma: np.ndarray
-    dof: int
+    dof: np.ndarray
+    sigma_before_cut: np.ndarray
     per_experiment_sigma: tuple[np.ndarray, ...]
     covariances: tuple[np.ndarray, ...]
     assembled: np.ndarray
@@ -224,23 +241,13 @@ def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _survivors(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The nodes of `a`, (S, n, 3) or shared (n, 3), where the (S, n)
-    mask `keep` is True; each row keeps the same count m.  Gathered along
-    the node axis of the planes ``a.swapaxes(-1, -2)``, so the result is
-    the (S, m, 3) view of new planes (S, 3, m)."""
-    planes = a.swapaxes(-1, -2)
-    rows, n = keep.shape
-    if rows == 1:
-        # np.compress on one axis; boolean indexing is several times
-        # slower on large fields.
-        kept = np.compress(keep[0], planes, axis=-1)
-    else:
-        # One boolean index of the (S * 3, n) planes, each row's mask
-        # repeated for its three components; on a study's small blocks
-        # it takes a fifth of the time of np.take_along_axis.
-        planes = np.broadcast_to(planes, (rows, 3, n)).reshape(-1, n)
-        kept = planes[np.repeat(keep, 3, axis=0)]
-    return kept.reshape(rows, 3, -1).swapaxes(-1, -2)
+    """The nodes of `a`, (1, n, 3) or shared (n, 3), where the (1, n)
+    mask `keep` is True.  Gathered along the node axis of the planes
+    ``a.swapaxes(-1, -2)`` with np.compress (boolean indexing is several
+    times slower on large fields), so the result is the (1, m, 3) view
+    of new planes (1, 3, m)."""
+    kept = np.compress(keep[0], a.swapaxes(-1, -2), axis=-1)
+    return kept.reshape(1, 3, -1).swapaxes(-1, -2)
 
 
 def identify_batch(positions: Sequence[np.ndarray],
@@ -256,9 +263,10 @@ def identify_batch(positions: Sequence[np.ndarray],
     common to all rows.  The experiments are fit one after the other,
     so `displacements` may be a generator that makes each array only
     when it is needed.  Each row runs the full chain of
-    :func:`run_identification`: fit, pool sigma over the experiments,
-    drop outliers, refit, covariances, least-squares assembly,
-    significance and symmetrization.  The wrenches, at least six that
+    :func:`run_identification`: fit, outlier cut, refit of the rows
+    that lost a node, pool sigma over the experiments' final fits,
+    covariances, least-squares assembly, significance and
+    symmetrization.  The wrenches, at least six that
     span all six load directions, have one SVD per call, shared by
     every row: it gives the assembly k = D W^+ and the element
     variances sum_j (W^+)_jl^2 Var(D_ij) of the significance stage.
@@ -277,9 +285,14 @@ def identify_batch(positions: Sequence[np.ndarray],
     # Per distinct node layout: the positions as given, in planes, and
     # their fit geometry with the centroid-relative positions.
     layouts: list[tuple[np.ndarray, np.ndarray, FitGeometry, np.ndarray]] = []
+    # Per experiment: the geometry of the initial fits, and the (row,
+    # geometry) of each refit.
     geometries = []
     deflections = []
     dropped = []
+    cut_levels = []
+    initial_objectives = []
+    sizes = []
     objectives = []
     counts = []
     rows = None
@@ -304,22 +317,40 @@ def identify_batch(positions: Sequence[np.ndarray],
         # plane copy held through the experiment adds an array to the peak
         # memory of a large field.
         fit = _fit(geometry, rel, d, options)
-        objectives.append(fit.objective)
-        counts.append(d.shape[-2])
-        drop = _drop_mask(fit.residuals, options.outlier_fraction)
+        n = d.shape[-2]
+        cut = _cut_level(options.outlier_level, n)
+        drop = _drop_mask(fit.score, cut,
+                          _roundoff_floor(geometry, fit.translation, fit.rotation))
+        deflection = np.concatenate([fit.translation, fit.rotation], axis=-1)
+        initial_objectives.append(fit.objective)
+        sizes.append(n)
+        objective = fit.objective.copy()
+        count = np.full(rows, n)
+        row_refits = []
+        del fit  # free its residuals before any refit gathers survivors
         if drop is not None:
             drop.flags.writeable = False
-            del fit  # free its residuals before the refit gathers the survivors
-            keep = ~drop
-            # The refit forms no residuals: sigma comes from the initial
-            # fits, which checked their residual sum of squares, and a
-            # least-squares refit on a subset of the nodes has one no larger.
-            fit = _fit(*_fit_geometry(_survivors(planes, keep)),
-                       _survivors(d, keep), options, residuals=False)
-        geometries.append(fit.geometry)
-        deflections.append(np.concatenate([fit.translation, fit.rotation], axis=-1))
+            count -= np.count_nonzero(drop, axis=-1)
+            # Each row that loses a node is refit alone, so it keeps the
+            # bits of a one-row batch; the refit's residual sum of
+            # squares feeds sigma.
+            for s in np.flatnonzero(count < n).tolist():
+                keep = ~drop[s:s + 1]
+                refit = _fit(*_fit_geometry(_survivors(
+                    planes if planes.ndim == 2 else planes[s:s + 1], keep)),
+                    _survivors(d[s:s + 1], keep), options)
+                deflection[s] = np.concatenate([refit.translation, refit.rotation],
+                                               axis=-1)[0]
+                objective[s] = refit.objective[0]
+                row_refits.append((s, refit.geometry))
+                del refit
+        geometries.append((geometry, row_refits))
+        deflections.append(deflection)
         dropped.append(drop)
-        del fit  # free any residuals before the next experiment's arrays are made
+        cut_levels.append(cut)
+        objectives.append(objective)
+        counts.append(count)
+    sigma_before_cut = _pool_sigma(initial_objectives, sizes)[0]
     sigma, dof, per_experiment = _pool_sigma(objectives, counts)
     # Least squares for every admissible wrench set: k = D W^+, with D
     # stacked (S, 6, m), and Var(k_il) = sum_j (W^+)_jl^2 Var(D_ij) from
@@ -330,7 +361,13 @@ def identify_batch(positions: Sequence[np.ndarray],
     # Values that overflow are named just below; numpy's warning on the
     # way is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        covariances = tuple(_covariance(geometry, sigma) for geometry in geometries)
+        covariances = []
+        for geometry, row_refits in geometries:
+            covariance = _covariance(geometry, sigma)
+            for s, refit_geometry in row_refits:
+                covariance[s] = _covariance(refit_geometry, sigma[s:s + 1])[0]
+            covariance.flags.writeable = False
+            covariances.append(covariance)
         assembled = _least_squares(deflections, svd)
         halfwidth = _halfwidth(covariances, svd, options.confidence_multiplier)
     if not (np.isfinite(assembled).all() and np.isfinite(halfwidth).all()):
@@ -340,9 +377,9 @@ def identify_batch(positions: Sequence[np.ndarray],
     mask = significant
     if options.symmetrize:
         matrix, mask = _symmetrize(matrix, mask)
-    return BatchIdentification(deflections, tuple(g.n for g in geometries),
-                               tuple(dropped), sigma, dof,
-                               tuple(per_experiment), covariances, assembled,
+    return BatchIdentification(deflections, tuple(counts), tuple(dropped),
+                               tuple(cut_levels), sigma, dof, sigma_before_cut,
+                               tuple(per_experiment), tuple(covariances), assembled,
                                halfwidth, significant, safety, matrix, mask)
 
 
@@ -367,7 +404,7 @@ def run_identification(cases: Sequence[LoadCase],
     batch = identify_batch([case.field.positions for case in cases],
                            [case.field.displacements[None] for case in cases],
                            wrenches, options)
-    noise = NoiseEstimate(float(batch.sigma[0]), batch.dof,
+    noise = NoiseEstimate(float(batch.sigma[0]), int(batch.dof[0]),
                           tuple(float(s[0]) for s in batch.per_experiment_sigma))
     dropped = tuple(None if drop is None else drop[0] for drop in batch.dropped)
 
@@ -377,7 +414,9 @@ def run_identification(cases: Sequence[LoadCase],
                                 options.confidence_multiplier)
     matrix = ComplianceMatrix(batch.matrix[0], batch.mask[0],
                               symmetrized=options.symmetrize)
-    return IdentificationResult(matrix, assembled, report, noise, batch.deflections[0],
-                                batch.nodes, tuple(c[0] for c in batch.covariances),
-                                dropped, is_canonical(wrenches), options,
+    return IdentificationResult(matrix, assembled, report, noise,
+                                float(batch.sigma_before_cut[0]), batch.deflections[0],
+                                tuple(int(n[0]) for n in batch.nodes),
+                                tuple(c[0] for c in batch.covariances), dropped,
+                                batch.cut_levels, is_canonical(wrenches), options,
                                 tuple(case.source for case in cases))

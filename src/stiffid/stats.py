@@ -10,7 +10,18 @@ contains zero are treated as structural zeros.
 Each stage is one batched function over S independent identifications
 (the leading axis of its arrays): :func:`_pool_sigma`,
 :func:`_drop_mask`, :func:`_covariance`, :func:`_halfwidth` and
-:func:`_significance`.  The identification core
+:func:`_significance`.
+
+Outlier nodes are cut by a chi-square test on a robust scale.  Under
+the model a node's squared residual |r|^2 is sigma^2 times a chi^2_3
+variable, whatever the frame of the export.  The scale comes from the
+median: s0^2 = median(|r|^2) / m3, with m3 = 2.3660 the chi^2_3
+median, which a minority of outliers cannot move.  A node goes when
+|r|^2 > c s0^2, with c the chi^2_3 quantile at 1 - level / n: on
+Gaussian data every node of an experiment survives with probability
+about 1 - level (the reweighting step after a robust start;
+Rousseeuw & Leroy 1987, *Robust Regression and Outlier Detection*,
+ch. 5).  The identification core
 (:func:`stiffid.pipeline.identify_batch`) runs them on whole batches;
 the public per-field functions (:func:`estimate_sigma`,
 :func:`filter_outliers`, :func:`system_covariance`,
@@ -22,6 +33,7 @@ halfwidths, significance mask and safety factors.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -36,11 +48,23 @@ from .errors import (
     MissingCovariance,
     TooFewRemaining,
 )
-from .estimation import MIN_FIT_NODES, FitGeometry, FitResult, _fit_geometry, skew
+from .estimation import (
+    MIN_FIT_NODES,
+    FitGeometry,
+    FitResult,
+    _fit_geometry,
+    _node_score,
+    skew,
+)
 from .field import DisplacementField
 
-DEFAULT_OUTLIER_FRACTION = 0.10
+DEFAULT_OUTLIER_LEVEL = 0.01
 DEFAULT_CONFIDENCE_MULTIPLIER = 3.0
+
+# Below this ratio of the robust noise scale s0 to the rms of the fitted
+# rigid displacement, the residuals are roundoff and no node is cut.
+# Noise-free fields read up to 4e-13 (175,616 nodes) and many read 0.
+ROUNDOFF_SCALE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,14 +76,14 @@ class NoiseEstimate:
     per_experiment_sigma: tuple[float, ...]
 
 
-def _pool_sigma(objectives: Sequence[np.ndarray], counts: Sequence[int],
-                ) -> tuple[np.ndarray, int, list[np.ndarray]]:
+def _pool_sigma(objectives: Sequence[np.ndarray], counts: Sequence,
+                ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Pool the residual sums of squares of a batch of identifications.
 
     `objectives[j]` holds experiment j's residual sum of squares for
-    each row, from a fit of `counts[j]` nodes.  Returns the pooled sigma
-    of each row, the pooled degrees of freedom and each experiment's own
-    sigma per row.
+    each row, from fits of `counts[j]` nodes, one count for every row or
+    one per row.  Returns the pooled sigma of each row, the pooled
+    degrees of freedom and each experiment's own sigma per row.
     """
     if not objectives:
         raise InsufficientDof("no fits supplied")
@@ -67,10 +91,10 @@ def _pool_sigma(objectives: Sequence[np.ndarray], counts: Sequence[int],
     total_dof = 0
     per_experiment = []
     for objective, n in zip(objectives, counts):
-        dof = 3 * n - 6
-        if dof <= 0:
+        dof = 3 * np.asarray(n) - 6
+        if (dof <= 0).any():
             raise InsufficientDof(
-                f"fit with {n} nodes has no residual degrees of freedom")
+                f"fit with {np.min(n)} nodes has no residual degrees of freedom")
         per_experiment.append(np.sqrt(objective / dof))
         total_objective = total_objective + objective
         total_dof += dof
@@ -86,7 +110,7 @@ def estimate_sigma(fits: Sequence[FitResult]) -> NoiseEstimate:
     """
     sigma, dof, per_experiment = _pool_sigma(
         [np.array([fit.objective]) for fit in fits], [fit.n for fit in fits])
-    return NoiseEstimate(float(sigma[0]), dof,
+    return NoiseEstimate(float(sigma[0]), int(dof),
                          tuple(float(s[0]) for s in per_experiment))
 
 
@@ -103,9 +127,9 @@ def _check_sigma(sigma: float) -> None:
 
 # bool is an int subclass, so a true or false would pass the range checks
 # of these two as 1 or 0; NaN fails every comparison.
-def _check_fraction(fraction: float, name: str = "fraction") -> None:
-    if isinstance(fraction, bool) or not 0.0 <= fraction < 1.0:
-        raise InvalidArgument(f"{name} must be a number in [0, 1), got {fraction!r}")
+def _check_level(level: float, name: str = "level") -> None:
+    if isinstance(level, bool) or not 0.0 <= level < 1.0:
+        raise InvalidArgument(f"{name} must be a number in [0, 1), got {level!r}")
 
 
 def _check_multiplier(multiplier: float, name: str) -> None:
@@ -116,7 +140,7 @@ def _check_multiplier(multiplier: float, name: str) -> None:
 
 def _covariance(geometry: FitGeometry, sigma: np.ndarray) -> np.ndarray:
     """Deflection covariances (..., 6, 6) of the fits on `geometry` for
-    noise levels `sigma` (...,), symmetrized and read-only.  See
+    noise levels `sigma` (...,), symmetrized.  See
     :func:`system_covariance`."""
     # Python's float power, not np.square: the two differ in the last
     # bit for about one sigma in a thousand, and the halfwidths have
@@ -132,9 +156,7 @@ def _covariance(geometry: FitGeometry, sigma: np.ndarray) -> np.ndarray:
     covariance = np.block([[translation, cross], [cross.swapaxes(-1, -2), rotation]])
     # The inverse normal matrix, and with it the lever-arm term, is
     # symmetric only to roundoff.
-    covariance = (covariance + covariance.swapaxes(-1, -2)) / 2.0
-    covariance.flags.writeable = False
-    return covariance
+    return (covariance + covariance.swapaxes(-1, -2)) / 2.0
 
 
 def system_covariance(geometry: FitGeometry, sigma: float) -> np.ndarray:
@@ -156,7 +178,9 @@ def system_covariance(geometry: FitGeometry, sigma: float) -> np.ndarray:
     nonnegative with a finite square (at most about 1.34e154).
     """
     _check_sigma(sigma)
-    return _covariance(geometry, np.float64(sigma))
+    covariance = _covariance(geometry, np.float64(sigma))
+    covariance.flags.writeable = False
+    return covariance
 
 
 def deflection_covariance(field: DisplacementField, sigma: float) -> np.ndarray:
@@ -171,60 +195,108 @@ def deflection_covariance(field: DisplacementField, sigma: float) -> np.ndarray:
     return system_covariance(_fit_geometry(field.positions)[0], sigma)
 
 
-def _drop_mask(residuals: np.ndarray, fraction: float) -> np.ndarray | None:
-    """Nodes to drop from each row of a batch of fits, by their
-    residuals (S, n, 3): True where a node goes, or None when
-    ``ceil(fraction * n)`` is 0.  See :func:`filter_outliers`.
+def _chi2_3_tail(x: float) -> float:
+    """P(chi^2_3 > x), in closed form."""
+    return math.erfc(math.sqrt(x / 2.0)) + math.sqrt(2.0 * x / math.pi) * math.exp(-x / 2.0)
 
-    Every row loses the same number of nodes, so the survivors of a
-    batch stay one rectangular (S, n - ceil(fraction * n), 3) array.
+
+@functools.lru_cache(maxsize=None)
+def _chi2_3_quantile(tail: float) -> float:
+    """The x with P(chi^2_3 > x) = `tail`, in [0, 1], by bisection to the
+    last bit.  The tail underflows to 0 from about x = 1,490 on, so
+    2,048 bounds every quantile."""
+    low, high = 0.0, 2048.0
+    while low < (middle := (low + high) / 2.0) < high:
+        if _chi2_3_tail(middle) > tail:
+            low = middle
+        else:
+            high = middle
+    return high
+
+
+_CHI2_3_MEDIAN = _chi2_3_quantile(0.5)
+
+
+def _cut_level(level: float, n: int) -> float | None:
+    """The cut c of an experiment of `n` nodes at family-wise `level`:
+    the chi^2_3 quantile at 1 - level / n, or None for level 0 (no
+    cut).  See :func:`filter_outliers`."""
+    _check_level(level)
+    return None if level == 0.0 else _chi2_3_quantile(level / n)
+
+
+def _roundoff_floor(geometry: FitGeometry, translation: np.ndarray,
+                    rotation: np.ndarray) -> np.ndarray:
+    """The s0^2 (S,) at or below which fits (S, 3) on `geometry` cut no
+    node: ``ROUNDOFF_SCALE**2`` times the mean square of the fitted
+    rigid displacement q + dphi x r over the nodes, |q|^2 +
+    dphi^T M dphi / n (q the mean displacement, M the rotation normal
+    matrix).  Like the score, it does not depend on the frame."""
+    # Values that overflow give an infinite floor, which cuts nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = translation + np.cross(rotation, geometry.centroid)
+        square = np.einsum("...i,...i->...", mean, mean) + np.einsum(
+            "...i,...ij,...j->...", rotation, geometry.moment, rotation) / geometry.n
+        return ROUNDOFF_SCALE ** 2 * square
+
+
+def _drop_mask(score: np.ndarray, cut: float | None,
+               floor: np.ndarray) -> np.ndarray | None:
+    """Nodes to drop from each row of a batch of fits, by their squared
+    residuals `score` (S, n): True where |r|^2 > cut * s0^2, with s0^2
+    the row's order statistic at n // 2 over the chi^2_3 median.  A row
+    whose s0^2 is at or below its roundoff `floor` (S,) drops nothing.
+    Returns None when no row drops a node.  See :func:`filter_outliers`.
     """
-    _check_fraction(fraction)
-    n = residuals.shape[-2]
-    remove = math.ceil(fraction * n)
-    if remove == 0:
+    if cut is None:
         return None
-    if n - remove < MIN_FIT_NODES:
+    n = score.shape[-1]
+    kth = n // 2
+    scale = np.partition(score, kth, axis=-1)[..., kth] / _CHI2_3_MEDIAN
+    # A strict threshold: nodes of equal score share one fate.  One that
+    # overflows drops nothing.
+    with np.errstate(over="ignore"):
+        threshold = np.where(scale > floor, cut * scale, np.inf)
+    drop = score > threshold[..., None]
+    if not drop.any():
+        return None
+    # The cut keeps every node at or below the median, so only a field
+    # of 3 nodes can fall short.
+    if (n - np.count_nonzero(drop, axis=-1) < MIN_FIT_NODES).any():
         raise TooFewRemaining(
-            f"removing {remove} of {n} nodes leaves fewer than {MIN_FIT_NODES}")
-    # Folded one component at a time into one (S, n) score: no (S, n, 3)
-    # copy of |residuals|.
-    score = np.abs(residuals[..., 0])
-    for k in (1, 2):
-        np.maximum(score, np.abs(residuals[..., k]), out=score)
-    # Drop every score at or above the row's threshold, then keep the
-    # first of the ties at it until `remove` go: the last ones are the
-    # set a stable ascending sort puts last, so an earlier node survives
-    # a tie.
-    kth = n - remove
-    threshold = np.partition(score, kth, axis=-1)[:, kth:kth + 1]
-    drop = score >= threshold
-    spare = np.count_nonzero(drop, axis=-1) - remove
-    for row in np.flatnonzero(spare).tolist():
-        ties = np.flatnonzero(score[row] == threshold[row])
-        drop[row, ties[:spare[row]]] = False
+            f"the outlier cut leaves fewer than {MIN_FIT_NODES} of {n} nodes")
     return drop
 
 
 def filter_outliers(field: DisplacementField, fit: FitResult,
-                    fraction: float = DEFAULT_OUTLIER_FRACTION,
+                    level: float = DEFAULT_OUTLIER_LEVEL,
                     ) -> tuple[DisplacementField, np.ndarray]:
-    """Drop the worst-fitting nodes of a field.
+    """Drop the nodes of a field that fit too badly to be noise.
 
-    Nodes are ranked by the largest per-axis absolute residual of `fit`
-    and the worst ``ceil(fraction * n)`` are removed in a single pass;
-    among equal scores at the cut, the nodes with the higher indices go.
-    Survivor order is preserved.  Returns the reduced field and the
-    integer indices of the removed nodes.
+    Each node is scored by its squared residual |r|^2 under `fit`, and
+    the scale s0^2 is the median score over 2.3660, the chi^2_3 median.
+    The nodes with |r|^2 > c s0^2 go, where c is the chi^2_3 quantile at
+    1 - `level` / n: on Gaussian noise all n nodes stay with probability
+    about 1 - `level`.  The threshold is strict, so nodes of equal score
+    stay or go together.  Nothing goes at `level` 0, nor when s0 is at
+    most ``ROUNDOFF_SCALE`` times the rms of the fitted rigid
+    displacement (the residuals are then roundoff).  Survivor order is
+    preserved.  Returns the reduced field and the integer indices of the
+    removed nodes.
 
     Raises :class:`TooFewRemaining` if fewer than 3 nodes would survive,
-    and :class:`InvalidArgument` (a ``ValueError``) unless `fraction` is
-    a number in [0, 1), not a bool (the rule of ``IdentifyOptions``'
-    ``outlier_fraction``).
+    and :class:`InvalidArgument` (a ``ValueError``) unless `level` is a
+    number in [0, 1), not a bool (the rule of ``IdentifyOptions``'
+    ``outlier_level``).
     """
     if fit.n != field.n:
         raise ValueError("fit residuals do not match the field")
-    drop = _drop_mask(fit.residuals[None], fraction)
+    cut = _cut_level(level, field.n)
+    geometry = fit.geometry if fit.geometry is not None \
+        else _fit_geometry(field.positions)[0]
+    deflection = fit.deflection
+    drop = _drop_mask(_node_score(fit.residuals[None]), cut, _roundoff_floor(
+        geometry, deflection.translation[None], deflection.rotation[None]))
     if drop is None:
         return field, np.empty(0, dtype=int)
     keep = ~drop[0]

@@ -56,7 +56,7 @@ from .estimation import (
 )
 from .field import DisplacementField, axis_index
 from .pipeline import IdentifyOptions, LoadCase, identify_batch
-from .stats import DEFAULT_OUTLIER_FRACTION, _check_sigma, system_covariance
+from .stats import DEFAULT_OUTLIER_LEVEL, _check_sigma, system_covariance
 
 # Canonical load set used by the beam studies: forces N, torques N mm.
 DEFAULT_LOADS = (1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)
@@ -484,7 +484,7 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
                              multiplier: float = 4.0,
                              safety_threshold: float = 100.0,
                              pattern: MeshPattern = MeshPattern.square(10.0, 1.0, "x"),
-                             outlier_fraction: float = DEFAULT_OUTLIER_FRACTION,
+                             outlier_level: float = DEFAULT_OUTLIER_LEVEL,
                              seed: int = 0,
                              ) -> ZeroDetectionStudy:
     """Count seeds where the pipeline recovers the exact zero pattern of
@@ -512,7 +512,7 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
                   for s in np.random.SeedSequence(_seed(sigma, seed)).spawn(6)]
     oracle = beam_compliance_oracle()
     nonzero = oracle.k != 0.0
-    options = IdentifyOptions(outlier_fraction=outlier_fraction,
+    options = IdentifyOptions(outlier_level=outlier_level,
                               confidence_multiplier=multiplier)
     cases = beam_load_cases(BeamSpec(), pattern)
     positions = cases[0].field.positions

@@ -196,7 +196,7 @@ def test_08_outlier_filtering_helps(capsys):
 
         fit = estimate_lin(dirty)
         err_raw = np.linalg.norm(fit.deflection.as_vector() - truth_vec)
-        kept, _ = filter_outliers(dirty, fit, fraction=0.10)
+        kept, _ = filter_outliers(dirty, fit)
         err_filtered = np.linalg.norm(
             estimate_lin(kept).deflection.as_vector() - truth_vec)
         if err_filtered < err_raw:

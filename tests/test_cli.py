@@ -23,6 +23,8 @@ from stiffid import (
     skew,
 )
 from stiffid.cli import MANIFEST, build_parser, load_manifest, main
+from stiffid.estimation import rotation_xyz
+from stiffid.stats import _cut_level
 
 NONZERO = beam_compliance_oracle().k != 0.0
 
@@ -139,8 +141,10 @@ class TestIdentify:
         assert log["stiffid_version"] == stiffid.__version__
         assert log["canonical"]
         assert len(log["experiments"]) == 6
-        assert log["experiments"][0]["nodes"] == 1331 - 134  # after 10% removal
-        assert log["sigma"] >= 0.0
+        # Noise-free residuals are roundoff, so the cut drops nothing.
+        assert [e["nodes"] for e in log["experiments"]] == [1331] * 6
+        assert [e["cut_level"] for e in log["experiments"]] == [_cut_level(0.01, 1331)] * 6
+        assert log["sigma"] == log["sigma_before_cut"] >= 0.0
 
     def test_run_log_reruns_identification(self, tmp_path):
         sim = tmp_path / "sim"
@@ -149,17 +153,18 @@ class TestIdentify:
         first = tmp_path / "first"
         assert main(["identify", str(sim / "manifest.json"), "--out", str(first),
                      "--estimator", "svd", "--angles", "plus-asin",
-                     "--outlier-fraction", "0.07",
+                     "--outlier-level", "0.3",
                      "--confidence-multiplier", "2.5", "--no-symmetrize"]) == 0
         log = read_manifest(first / "run_log.json")
         assert log["options"] == {"estimator": "svd", "angles": "plus-asin",
-                                  "outlier_fraction": 0.07,
+                                  "outlier_level": 0.3,
                                   "confidence_multiplier": 2.5,
                                   "symmetrize": False}
         for tag, entry in zip(("fx", "fy", "fz", "mx", "my", "mz"),
                               log["experiments"]):
             assert entry["field_file"] == f"field_{tag}.csv"
-            assert len(set(entry["removed_indices"])) == entry["removed_nodes"] == 94
+            assert len(set(entry["removed_indices"])) == entry["removed_nodes"]
+            assert entry["nodes"] == 1331 - entry["removed_nodes"]
         assert log["manifest_sha256"] == hashlib.sha256(
             (sim / "manifest.json").read_bytes()).hexdigest()
         for entry in log["experiments"]:
@@ -173,7 +178,7 @@ class TestIdentify:
         write_manifest(sim / "bare.json", data)
         opts = log["options"]
         flags = ["--estimator", opts["estimator"], "--angles", opts["angles"],
-                 "--outlier-fraction", repr(opts["outlier_fraction"]),
+                 "--outlier-level", repr(opts["outlier_level"]),
                  "--confidence-multiplier", repr(opts["confidence_multiplier"])]
         if not opts["symmetrize"]:
             flags.append("--no-symmetrize")
@@ -187,12 +192,41 @@ class TestIdentify:
         assert ((default / "compliance.json").read_bytes()
                 != (first / "compliance.json").read_bytes())
         assert read_manifest(default / "run_log.json")["options"] == {
-            "estimator": "lin", "angles": "avg", "outlier_fraction": 0.1,
+            "estimator": "lin", "angles": "avg", "outlier_level": 0.01,
             "confidence_multiplier": 3.0, "symmetrize": True}
         rerun_log = read_manifest(rerun / "run_log.json")
         assert rerun_log["options"] == opts
         assert ([e["removed_indices"] for e in rerun_log["experiments"]]
                 == [e["removed_indices"] for e in log["experiments"]])
+
+    def test_one_wild_node_is_cut_not_spread(self, tmp_path):
+        # One dy of 1e150 in a noisy field: the initial fit of that
+        # experiment is ruined and its pooled sigma reads about 6e147.
+        # The cut drops that node alone, the refit recovers the
+        # deflection, and sigma comes from the final fits; under the
+        # fixed-fraction trim sigma stayed at 6e147 and every element
+        # was zeroed.
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--sigma", "5.6e-5", "--seed", "7",
+                     "--out", str(sim)]) == 0
+        path = sim / "field_fx.csv"
+        lines = path.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        cells = lines[header + 1].split(",")
+        cells[4] = "1e150"
+        lines[header + 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "ident"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", stiffid.LinearizationWarning)
+            assert main(["identify", str(sim / "manifest.json"), "--out", str(out)]) == 0
+        matrix = load_compliance_json(out / "compliance.json")
+        assert_array_equal(matrix.significance_mask, NONZERO)
+        assert_allclose(matrix.k[NONZERO], beam_compliance_oracle().k[NONZERO], rtol=1e-3)
+        log = read_manifest(out / "run_log.json")
+        assert [e["removed_indices"] for e in log["experiments"]] == [[0]] + [[]] * 5
+        assert log["sigma_before_cut"] > 1e147
+        assert abs(log["sigma"] / 5.6e-5 - 1.0) < 0.05
 
     def test_every_sensor_shape(self, sim_dir, tmp_path):
         # The simulated nodes are the integer points of [-5, 5]^3 about
@@ -223,7 +257,7 @@ class TestIdentify:
         manifest = tmp_path / "shapes.json"
         write_manifest(manifest, data)
         out = tmp_path / "ident"
-        assert main(["identify", str(manifest), "--outlier-fraction", "0",
+        assert main(["identify", str(manifest), "--outlier-level", "0",
                      "--out", str(out)]) == 0
         log = read_manifest(out / "run_log.json")
         assert [entry["nodes"] for entry in log["experiments"]] == expected
@@ -317,7 +351,7 @@ class TestIdentify:
         # positive semidefinite.  Each call reports its own warnings.
         sim = tmp_path / "sim"
         assert main(["simulate", "--pattern", "square", "--sigma", "2e-2",
-                     "--seed", "11", "--out", str(sim)]) == 0
+                     "--seed", "5", "--out", str(sim)]) == 0
         capsys.readouterr()
         for run in range(2):
             assert main(["identify", str(sim / "manifest.json"),
@@ -363,10 +397,10 @@ class TestReferencePointMove:
         scale = np.sqrt(np.abs(np.diagonal(expected)))
         assert np.all(np.abs(got - expected) <= 1e-14 * np.outer(scale, scale))
 
-    @pytest.mark.parametrize("fraction", [0.0, 0.1])
+    @pytest.mark.parametrize("level", [0.0, 0.1])
     def test_matrix_and_covariances_move_with_the_reference_point(self, manifests,
-                                                                  fraction):
-        options = IdentifyOptions(outlier_fraction=fraction)
+                                                                  level):
+        options = IdentifyOptions(outlier_level=level)
         a, b = (run_identification(load_manifest(m)[0], options) for m in manifests)
         assert a.nodes == b.nodes
         assert all((x is None and y is None) or np.array_equal(x, y)
@@ -376,6 +410,70 @@ class TestReferencePointMove:
         self.assert_moved(b.assembled.k, J @ a.assembled.k @ J.T)
         for covariance_a, covariance_b in zip(a.covariances, b.covariances):
             self.assert_moved(covariance_b, J @ covariance_a @ J.T)
+
+
+class TestFrameRotation:
+    """Rotating every position, displacement, wrench and the reference
+    point by R turns K into R6 K R6^T, with R6 = diag(R, R), and each
+    covariance C into R6 C R6^T.  The outlier score |r|^2 does not depend
+    on the frame, so the cut removes the same nodes in both.
+
+    Both manifests hold the simulated fields moved, exactly, so that the
+    reference point sits at the origin; the second turns them by R.  The
+    rotated values are rounded to doubles as they are written, which
+    moves the pooled sigma by up to about 2e-14 relatively: each C is
+    compared over its own sigma^2, and sigma on its own.  Sphere sensors
+    select the same nodes in either frame."""
+
+    R = rotation_xyz([0.3, -0.7, 1.1])
+
+    @pytest.fixture(scope="class", params=[0.0, 100.0], ids=["clean", "spiked"])
+    def manifests(self, tmp_path_factory, request):
+        # With a spike, three nodes of each field move 100 sigma along
+        # random directions, and the cut drops them.
+        out = tmp_path_factory.mktemp("rotated")
+        assert main(["simulate", "--sigma", "5.6e-5", "--seed", "7", "--out", str(out)]) == 0
+        data = read_manifest(out / "manifest.json")
+        reference = np.array(data["reference_point"])
+        data["reference_point"] = [0.0, 0.0, 0.0]
+        rng = np.random.default_rng(3)
+        fields = []
+        for entry in data["experiments"]:
+            field = read_field_csv(out / entry["field_file"])
+            positions = field.positions - reference  # exact: nodes within 5 mm of it
+            displacements = field.displacements.copy()
+            spiked = rng.choice(np.flatnonzero(np.linalg.norm(positions, axis=1) < 5.0), 3,
+                                replace=False)
+            direction = rng.standard_normal((3, 3))
+            displacements[spiked] += request.param * 5.6e-5 * direction / np.linalg.norm(
+                direction, axis=1, keepdims=True)
+            fields.append((entry["field_file"], positions, displacements))
+            entry["sensor"] = {"shape": "sphere", "radius": 5.5, "center": [0.0, 0.0, 0.0]}
+        paths = []
+        for name, turn in (("a", np.eye(3)), ("b", self.R)):
+            for entry, (source, positions, displacements) in zip(data["experiments"], fields):
+                entry["field_file"] = f"{name}_{source}"
+                stiffid.write_field_csv(out / entry["field_file"], stiffid.DisplacementField(
+                    positions @ turn.T, displacements @ turn.T))
+                wrench = entry["wrench"]
+                wrench["force"] = (turn @ wrench["force"]).tolist()
+                wrench["torque"] = (turn @ wrench["torque"]).tolist()
+            write_manifest(out / f"{name}.json", data)
+            paths.append(out / f"{name}.json")
+        return paths, request.param
+
+    def test_matrix_covariances_and_cut_follow_the_frame(self, manifests):
+        paths, spike = manifests
+        a, b = (run_identification(load_manifest(m)[0]) for m in paths)
+        assert a.removed == b.removed
+        assert all(len(removed) == (3 if spike else 0) for removed in a.removed)
+        assert abs(b.noise.sigma / a.noise.sigma - 1.0) <= 1e-13
+        R6 = np.kron(np.eye(2), self.R)
+        TestReferencePointMove.assert_moved(b.assembled.k, R6 @ a.assembled.k @ R6.T)
+        for covariance_a, covariance_b in zip(a.covariances, b.covariances):
+            TestReferencePointMove.assert_moved(
+                covariance_b / b.noise.sigma ** 2,
+                R6 @ (covariance_a / a.noise.sigma ** 2) @ R6.T)
 
 
 class TestReadmeInputFormat:
@@ -409,7 +507,7 @@ class TestReadmeInputFormat:
         assert cases[0].field.n == 1331
         assert cases[0].field.centered
         assert_allclose(cases[0].wrench.as_vector(), [1000.0, 0, 0, 0, 0, 0])
-        assert options == {"estimator": "lin", "outlier_fraction": 0.1}
+        assert options == {"estimator": "lin", "outlier_level": 0.01}
 
     def test_manifest_keys_match_schema(self):
         def paths(schema, path):
@@ -571,11 +669,11 @@ class TestIdentifyErrors:
         assert "line" in self.stderr_payload(capsys)["message"]
 
     @pytest.mark.parametrize("flag, value", [
-        ("--outlier-fraction", "1.5"),
-        ("--outlier-fraction", "-0.2"),
+        ("--outlier-level", "1.5"),
+        ("--outlier-level", "-0.2"),
         ("--confidence-multiplier", "0"),
         ("--confidence-multiplier", "inf"),
-        ("--outlier-fraction", "nan"),
+        ("--outlier-level", "nan"),
         ("--confidence-multiplier", "nan"),
     ])
     def test_out_of_range_option_exit_2(self, sim_dir, tmp_path, capsys,
@@ -593,15 +691,33 @@ class TestIdentifyErrors:
         data = read_manifest(sim_dir / "manifest.json")
         for entry in data["experiments"]:
             entry["field_file"] = str(sim_dir / entry["field_file"])
-        data["options"]["outlier_fraction"] = 1.5
+        data["options"]["outlier_level"] = 1.5
         manifest = tmp_path / "m.json"
         write_manifest(manifest, data)
-        assert main(["identify", str(manifest), "--outlier-fraction", "0.1",
+        assert main(["identify", str(manifest), "--outlier-level", "0.1",
                      "--out", str(tmp_path / "o")]) == 2
         payload = self.stderr_payload(capsys)
         assert payload["error"] == "ManifestError"
         assert payload["file"] == str(manifest)
-        assert "outlier_fraction" in payload["message"]
+        assert "outlier_level" in payload["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_old_outlier_fraction_key_names_its_replacement(self, sim_dir, tmp_path,
+                                                            capsys):
+        # The fixed-fraction trim is gone; a manifest that still asks for
+        # it is told which key replaced it, and nothing is written.
+        data = read_manifest(sim_dir / "manifest.json")
+        for entry in data["experiments"]:
+            entry["field_file"] = str(sim_dir / entry["field_file"])
+        del data["options"]["outlier_level"]
+        data["options"]["outlier_fraction"] = 0.1
+        manifest = tmp_path / "m.json"
+        write_manifest(manifest, data)
+        assert main(["identify", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        payload = self.stderr_payload(capsys)
+        assert payload["error"] == "ManifestError"
+        assert payload["file"] == str(manifest)
+        assert "unknown key options.outlier_fraction; use outlier_level" in payload["message"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("hole, message", [
@@ -657,11 +773,11 @@ class TestIdentifyErrors:
         assert "UTF-8" in payload["message"]
 
     @pytest.mark.parametrize("hole, word", [
-        (lambda data: data["options"].update(outlier_fracton=0.5), "outlier_fracton"),
+        (lambda data: data["options"].update(outlier_levle=0.5), "outlier_levle"),
         (lambda data: data.update(options=[1, 2]), "options"),
         (lambda data: data["options"].update(symmetrize="no"), "symmetrize"),
         (lambda data: data["experiments"][0].update(field_file=3), "field_file"),
-        (lambda data: data["options"].update(outlier_fraction=False), "outlier_fraction"),
+        (lambda data: data["options"].update(outlier_level=False), "outlier_level"),
         (lambda data: data["options"].update(confidence_multiplier=True),
          "confidence_multiplier"),
         (lambda data: data["experiments"][0].update(sensr={"shape": "cube", "edge": 1.0}),
@@ -694,7 +810,7 @@ class TestIdentifyErrors:
             '"sensor": ', '"sensor": {"shape": "cube", "edge": 4.0}, "sensor": ', 1),
          "repeated key experiments[0].sensor"),
     ], ids=["misspelled-key", "options-list", "symmetrize-string", "field-file-number",
-            "outlier-fraction-false", "confidence-multiplier-true", "sensor-misspelled",
+            "outlier-level-false", "confidence-multiplier-true", "sensor-misspelled",
             "sensor-edge-misspelled", "wrench-force-misspelled",
             "reference-point-misspelled", "sensor-edge-string", "sensor-axis-true",
             "reference-point-holds-true", "wrench-force-holds-true", "units-force-lbf",

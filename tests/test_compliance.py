@@ -418,6 +418,14 @@ class TestSerialization:
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert_array_equal(load_compliance_json(path).k, m.k)
 
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff{}"], ids=["not-json", "not-utf8"])
+    def test_unreadable_file_rejected(self, tmp_path, content):
+        # The error every other malformed matrix raises, naming the file.
+        path = tmp_path / "compliance.json"
+        path.write_bytes(content)
+        with pytest.raises(InvalidArgument, match="compliance.json: not"):
+            load_compliance_json(path)
+
     def test_units_block_written(self):
         data = ComplianceMatrix(reference_matrix()).to_json_dict()
         assert data["units"]["rows"][0] == "px (mm)"

@@ -245,9 +245,11 @@ class TestGram:
 
 class TestFitGeometry:
     def test_geometry_holds_no_per_node_array(self):
-        assert FitGeometry._fields == ("n", "centroid", "inverse")
+        assert FitGeometry._fields == ("n", "centroid", "moment", "inverse")
         geometry, rel = _fit_geometry(cube_nodes(4.0, 1.0))
-        assert geometry.centroid.shape == (3,) and geometry.inverse.shape == (3, 3)
+        assert geometry.centroid.shape == (3,)
+        assert geometry.moment.shape == geometry.inverse.shape == (3, 3)
+        assert_allclose(geometry.moment @ geometry.inverse, np.eye(3), atol=1e-14)
         assert rel.shape == (125, 3)
 
     @pytest.mark.parametrize("fit", [_fit_lin, _fit_svd], ids=["lin", "svd"])

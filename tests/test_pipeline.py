@@ -1,6 +1,7 @@
 """End-to-end identification: scheme detection, filtering, noise-free zeros."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -49,6 +50,23 @@ def noisy_cases():
     return beam_load_cases(BeamSpec(), MeshPattern.cubic(6.0, 1.0), sigma=5.6e-5, seed=4)
 
 
+# Nodes moved 100 sigma off their noisy place (sigma = 5.6e-5 mm), which
+# the default outlier cut drops; no other node of the fixtures below goes.
+SPIKED = [5, 60, 100]
+SPIKE = np.array([0.0, 5.6e-3, 0.0])
+
+
+def spiked(field):
+    """`field` with its nodes SPIKED moved by SPIKE."""
+    d = field.displacements.copy()
+    d[SPIKED] += SPIKE
+    return DisplacementField(field.positions, d, field.reference_point, centered=True)
+
+
+def spiked_cases(cases):
+    return [LoadCase(spiked(case.field), case.wrench, case.source) for case in cases]
+
+
 def test_extra_combined_wrench_is_least_squares(noisy_cases):
     extra = LoadCase(noisy_cases[0].field, Wrench([1000.0, 1.0, 0.0], np.zeros(3)))
     cases = noisy_cases + [extra]
@@ -76,21 +94,26 @@ def test_shuffled_canonical_scheme_gives_same_bytes(noisy_cases):
 
 
 def test_zero_outlier_fraction_equals_a_run_without_filter(noisy_cases, monkeypatch):
-    options = IdentifyOptions(outlier_fraction=0.0)
-    result = run_identification(noisy_cases, options)
+    # Level 0, a zero false-rejection fraction, turns the cut off, even
+    # for nodes far outside the noise.
+    options = IdentifyOptions(outlier_level=0.0)
+    cases = spiked_cases(noisy_cases)
+    result = run_identification(cases, options)
     assert all(removed == () for removed in result.removed)
-    monkeypatch.setattr(stiffid.pipeline, "_drop_mask", lambda residuals, fraction: None)
-    unfiltered = run_identification(noisy_cases, options)
+    assert result.cut_levels == (None,) * 6
+    assert result.sigma_before_cut == result.noise.sigma
+    monkeypatch.setattr(stiffid.pipeline, "_drop_mask", lambda score, cut, floor: None)
+    unfiltered = run_identification(cases, IdentifyOptions())
     assert result.matrix.k.tobytes() == unfiltered.matrix.k.tobytes()
     assert result.significance.to_json_dict() == unfiltered.significance.to_json_dict()
     assert result.noise == unfiltered.noise
 
 
-@pytest.mark.parametrize("options", [IdentifyOptions(outlier_fraction=0.0), IdentifyOptions()],
+@pytest.mark.parametrize("options", [IdentifyOptions(outlier_level=0.0), IdentifyOptions()],
                          ids=["no-filter", "default"])
 def test_removed_indices_are_read_from_the_drop_masks(noisy_cases, options):
-    result = run_identification(noisy_cases, options)
-    filtered = options.outlier_fraction > 0.0
+    result = run_identification(spiked_cases(noisy_cases), options)
+    filtered = options.outlier_level > 0.0
     log = result.diagnostics()["experiments"]
     assert type(result.removed) is tuple
     for j, case in enumerate(noisy_cases):
@@ -105,7 +128,35 @@ def test_removed_indices_are_read_from_the_drop_masks(noisy_cases, options):
         assert type(removed) is tuple and all(type(i) is int for i in removed)
         assert list(removed) == expected == log[j]["removed_indices"]
         assert log[j]["removed_nodes"] == len(expected)
-    assert any(result.removed) == filtered
+        assert expected == (SPIKED if filtered else [])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_five_percent_of_nodes_at_100_sigma(seed):
+    # 5% of each experiment's nodes sit 100 sigma off along random
+    # directions.  The median scale ignores them, the cut drops them, and
+    # sigma pooled from the refits is the noise's again, so the
+    # halfwidths and the zero pattern are those of clean data.  Pooled
+    # before the fixed-fraction trim, sigma read 13 times the truth.
+    sigma = 5.6e-5
+    cases = beam_load_cases(BeamSpec(), MeshPattern.cubic(10.0, 1.0), sigma=sigma,
+                            seed=6 * seed)
+    rng = np.random.default_rng(seed)
+    dirty = []
+    for case in cases:
+        n = case.field.n
+        bad = rng.choice(n, size=math.ceil(0.05 * n), replace=False)
+        direction = rng.standard_normal((len(bad), 3))
+        d = case.field.displacements.copy()
+        d[bad] += 100.0 * sigma * direction / np.linalg.norm(direction, axis=1, keepdims=True)
+        dirty.append(LoadCase(DisplacementField(case.field.positions, d,
+                                                case.field.reference_point, centered=True),
+                              case.wrench))
+    result = run_identification(dirty)
+    assert abs(result.noise.sigma / sigma - 1.0) <= 0.10
+    assert result.sigma_before_cut > 10.0 * sigma
+    assert_array_equal(result.matrix.significance_mask, ~ZERO)
+    assert all(len(removed) >= math.ceil(0.05 * 1331) for removed in result.removed)
 
 
 def test_report_is_a_read_only_copy_of_the_batch(noisy_cases, monkeypatch):
@@ -140,11 +191,12 @@ def test_seven_wrench_halfwidths_match_monte_carlo_spread():
     # 2,000 seeds as the rows of one batch: the error of each element
     # over its reported std, halfwidth / multiplier, must have unit
     # spread.  The combined wrench loads every component, so every
-    # column mixes two experiments.  With outlier_fraction=0 every node
-    # is fit; the trim's effect on the spread is not tested here.
+    # column mixes two experiments.  With outlier_level=0 every node is
+    # fit; the cut's effect on the spread is tested off the reference
+    # point below.
     wrenches, fields = seven_wrench_set(Wrench([500.0, 0.5, 0.5], [500.0] * 3))
     seeds = 2000
-    options = IdentifyOptions(outlier_fraction=0.0)
+    options = IdentifyOptions(outlier_level=0.0)
     # One noise stream per experiment, as the zero-detection study draws.
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(7)]
     displacements = (_noisy_displacements(field.displacements, 5.6e-5, stream, seeds)
@@ -162,22 +214,29 @@ def test_halfwidths_match_monte_carlo_spread_off_the_reference_point():
     # so each translation at the reference point carries the rotation's
     # error times that lever arm: the covariance's lever-arm and
     # cross-covariance terms must give every element unit spread over
-    # 2,000 seeds, with every node fit.
+    # 2,000 seeds, with every node fit, and under the default outlier
+    # cut, which drops a node in 1.5% of the fits here and takes sigma
+    # from the refits.  The 10% trim it replaced read up to 1.091.
     base = generate_pattern(MeshPattern.square(10.0, 1.0, "x"),
                             center=(950.0, 0.0, 0.0), reference_point=(1000.0, 0.0, 0.0))
     oracle = beam_compliance_oracle().k
     wrenches = canonical_wrench_scheme(*DEFAULT_LOADS)
     seeds = 2000
-    options = IdentifyOptions(outlier_fraction=0.0, symmetrize=False)
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(1).spawn(6)]
-    displacements = (
-        _noisy_displacements(apply_rigid_transform(base, Deflection(d[:3], d[3:]))
-                             .displacements, 5.6e-5, stream, seeds)
-        for stream, d in zip(streams, (oracle @ w.as_vector() for w in wrenches)))
-    batch = stiffid.identify_batch([base.positions] * 6, displacements, wrenches, options)
-    z = (batch.assembled - oracle) / (batch.halfwidth / options.confidence_multiplier)
-    spread = z.std(axis=0, ddof=1)
-    assert np.all(np.abs(spread - 1.0) <= 0.06), spread
+    for level, most in ((0.0, 0.0), (0.01, 0.03)):
+        options = IdentifyOptions(outlier_level=level, symmetrize=False)
+        streams = [np.random.default_rng(s) for s in np.random.SeedSequence(1).spawn(6)]
+        displacements = (
+            _noisy_displacements(apply_rigid_transform(base, Deflection(d[:3], d[3:]))
+                                 .displacements, 5.6e-5, stream, seeds)
+            for stream, d in zip(streams, (oracle @ w.as_vector() for w in wrenches)))
+        batch = stiffid.identify_batch([base.positions] * 6, displacements, wrenches,
+                                       options)
+        # The share of fits that lose a node.
+        refit = np.mean([np.mean(n < 121) for n in batch.nodes])
+        assert refit <= most
+        z = (batch.assembled - oracle) / (batch.halfwidth / options.confidence_multiplier)
+        spread = z.std(axis=0, ddof=1)
+        assert np.all(np.abs(spread - 1.0) <= 0.06), (level, spread)
 
 
 def test_seven_wrench_noise_free_structural_zeros():
@@ -229,7 +288,7 @@ def test_noise_free_cube_over_three_blocks(estimator):
     assert np.max(np.abs(result.assembled.k[ZERO])) <= 1e-15
 
 
-@pytest.mark.parametrize("name, value", [("outlier_fraction", False),
+@pytest.mark.parametrize("name, value", [("outlier_level", False),
                                          ("confidence_multiplier", True)])
 def test_boolean_numeric_options_rejected(name, value):
     # bool is an int, so without its own check these would pass the
@@ -254,9 +313,10 @@ def test_integer_symmetrize_rejected(value):
 
 # The batch axis of identify_batch: S independent identifications.
 
-def beam_batch(seeds, jitter=0.0):
+def beam_batch(seeds, jitter=0.0, spiked=()):
     """The six beam experiments of each seed, stacked along the batch axis;
-    with `jitter`, every row moves its nodes by its own small offsets."""
+    with `jitter`, every row moves its nodes by its own small offsets, and
+    the rows `spiked` move the nodes SPIKED of every experiment by SPIKE."""
     rows = [beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"),
                             sigma=5.6e-5, seed=6 * s) for s in seeds]
     rng = np.random.default_rng(17)
@@ -265,19 +325,23 @@ def beam_batch(seeds, jitter=0.0):
         shared = rows[0][j].field.positions
         offsets = jitter * rng.standard_normal((len(seeds),) + shared.shape)
         positions.append(shared + offsets if jitter else shared)
-        displacements.append(np.stack([row[j].field.displacements for row in rows]))
+        d = np.stack([row[j].field.displacements for row in rows])
+        for s in spiked:
+            d[s, SPIKED] += SPIKE
+        displacements.append(d)
     return positions, displacements, [case.wrench for case in rows[0]]
 
 
 def batch_row(batch, s):
-    """Every array of one row of a BatchIdentification, and the node
-    counts, as bytes."""
-    out = [batch.sigma[s], batch.deflections[s], batch.assembled[s], batch.halfwidth[s],
-           batch.significant[s], batch.safety[s], batch.matrix[s], batch.mask[s],
-           batch.nodes]
+    """Every array of one row of a BatchIdentification, the removed nodes
+    among them, and the cut levels, as bytes."""
+    out = [batch.sigma[s], batch.dof[s], batch.sigma_before_cut[s], batch.deflections[s],
+           batch.assembled[s], batch.halfwidth[s], batch.significant[s], batch.safety[s],
+           batch.matrix[s], batch.mask[s], batch.cut_levels]
     for j in range(len(batch.nodes)):
-        out += [batch.dropped[j][s], batch.per_experiment_sigma[j][s],
-                batch.covariances[j][s]]
+        drop = batch.dropped[j]
+        out += [batch.nodes[j][s], [] if drop is None else np.flatnonzero(drop[s]),
+                batch.per_experiment_sigma[j][s], batch.covariances[j][s]]
     return [np.asarray(a).tobytes() for a in out]
 
 
@@ -291,15 +355,19 @@ SVD_ASIN = IdentifyOptions(estimator="svd", angles="plus-asin")
         "shared-positions-svd-plus-asin", "row-positions-svd-plus-asin"])
 def test_batch_rows_equal_one_row_batches(jitter, options):
     # The svd rows read their angles in one pass over the batch's
-    # rotation matrices, through math.asin entry by entry.
-    positions, displacements, wrenches = beam_batch(range(4), jitter)
+    # rotation matrices, through math.asin entry by entry.  Rows 1 and 3
+    # lose nodes to the outlier cut and are refit; rows 0 and 2 keep
+    # their initial fits.
+    positions, displacements, wrenches = beam_batch(range(4), jitter, spiked=(1, 3))
     batch = stiffid.identify_batch(positions, displacements, wrenches, options)
+    assert [int(n[1]) for n in batch.nodes] == [118] * 6
     for s in range(4):
         one = stiffid.identify_batch(
             [p if p.ndim == 2 else p[s:s + 1] for p in positions],
             [d[s:s + 1] for d in displacements], wrenches, options)
         assert batch_row(batch, s) == batch_row(one, 0)
-        assert one.dof == batch.dof
+        assert one.dof[0] == batch.dof[s]
+        assert [n[0] for n in one.nodes] == [121 if s % 2 == 0 else 118] * 6
 
 
 def node_axis_arrays(value, path="", skip="dropped"):
@@ -320,19 +388,19 @@ def node_axis_arrays(value, path="", skip="dropped"):
 
 @pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["shared-positions", "row-positions"])
 def test_results_hold_no_per_node_array(jitter):
-    # Only the drop masks hold one value per node: the fits' residuals
-    # and the refits' survivors are freed experiment by experiment, so a
-    # result's size does not grow with the fields.  Three rows of the
-    # 121-node square keep 108 nodes in each refit.
-    positions, displacements, wrenches = beam_batch(range(3), jitter)
+    # Only the drop masks hold one value per node: the fits' residuals,
+    # scores and the refits' survivors are freed experiment by
+    # experiment, so a result's size does not grow with the fields.  Three
+    # rows of the 121-node square keep 118 nodes in each refit.
+    positions, displacements, wrenches = beam_batch(range(3), jitter, spiked=(0, 1, 2))
     batch = stiffid.identify_batch(positions, displacements, wrenches)
-    assert batch.nodes == (108,) * 6
+    assert [n.tolist() for n in batch.nodes] == [[118] * 3] * 6
     assert all(drop.shape == (3, 121) for drop in batch.dropped)
     assert node_axis_arrays(batch) == []
-    cases = beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"),
-                            sigma=5.6e-5, seed=2)
+    cases = spiked_cases(beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"),
+                                         sigma=5.6e-5, seed=2))
     result = run_identification(cases)
-    assert result.nodes == (108,) * 6
+    assert result.nodes == (118,) * 6
     assert result.deflections.shape == (6, 6)
     assert node_axis_arrays(result) == []
     assert node_axis_arrays(result, skip=None) == [f".dropped.{j}" for j in range(6)]
@@ -346,32 +414,35 @@ def test_fits_keep_no_per_node_geometry(jitter):
     # 3x3-sized per row however large the field.
     positions, displacements, _ = beam_batch(range(3), jitter)
     p, d = positions[0], displacements[0]
-    keep = np.ones(d.shape[:2], dtype=bool)
+    keep = np.ones((1, d.shape[1]), dtype=bool)
     keep[:, ::10] = False
     for fit in (_fit_lin, _fit_svd):
         first = fit(*_fit_geometry(p), d)
-        refit = fit(*_fit_geometry(stiffid.pipeline._survivors(p, keep)),
-                    stiffid.pipeline._survivors(d, keep))
+        refit = fit(*_fit_geometry(stiffid.pipeline._survivors(p if jitter == 0.0 else p[:1],
+                                                                keep)),
+                    stiffid.pipeline._survivors(d[:1], keep))
         for kept in (first, refit):
             assert max(np.size(a) for a in kept.geometry) <= 9 * len(kept.objective)
 
 
 def test_run_identification_is_the_one_row_batch():
-    positions, displacements, wrenches = beam_batch([2, 5])
+    positions, displacements, wrenches = beam_batch([2, 5], spiked=(1,))
     batch = stiffid.identify_batch(positions, displacements, wrenches)
     for s, seed in enumerate([2, 5]):
         cases = beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"),
                                 sigma=5.6e-5, seed=6 * seed)
-        result = run_identification(cases)
+        result = run_identification(spiked_cases(cases) if s else cases)
         assert result.matrix.k.tobytes() == batch.matrix[s].tobytes()
         assert result.assembled.k.tobytes() == batch.assembled[s].tobytes()
         assert result.deflections.tobytes() == batch.deflections[s].tobytes()
         assert [c.tobytes() for c in result.covariances] == \
             [c[s].tobytes() for c in batch.covariances]
-        assert result.nodes == batch.nodes
+        assert result.nodes == tuple(int(n[s]) for n in batch.nodes)
         assert result.noise.sigma == batch.sigma[s]
+        assert result.sigma_before_cut == batch.sigma_before_cut[s]
+        assert result.cut_levels == batch.cut_levels
         assert [list(r) for r in result.removed] == \
-            [np.flatnonzero(d[s]).tolist() for d in batch.dropped]
+            [np.flatnonzero(d[s]).tolist() for d in batch.dropped] == [SPIKED * s] * 6
 
 
 @pytest.mark.parametrize("refit", [False, True], ids=["no-refit", "refit"])
@@ -388,10 +459,11 @@ def test_row_inputs_give_plane_backed_residuals(fit, refit):
             assert p.flags.c_contiguous and d.flags.c_contiguous
             if layout == "planes":
                 p, d = _planes(p), _planes(d)
-            if refit:
-                keep = np.ones(d.shape[:2], dtype=bool)
+            if refit:  # row 0, as the refit of a row that loses nodes gathers it
+                keep = np.ones((1, d.shape[1]), dtype=bool)
                 keep[:, ::10] = False
-                p, d = stiffid.pipeline._survivors(p, keep), stiffid.pipeline._survivors(d, keep)
+                p, d = (stiffid.pipeline._survivors(p if jitter == 0.0 else p[:1], keep),
+                        stiffid.pipeline._survivors(d[:1], keep))
             fits = fit(*_fit_geometry(p), d)
             assert fits.residuals.shape == d.shape
             assert fits.residuals.swapaxes(-1, -2).flags.c_contiguous
@@ -401,19 +473,22 @@ def test_row_inputs_give_plane_backed_residuals(fit, refit):
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
 def test_survivors_equal_boolean_indexing(shared, rows, layout):
+    # Each row is gathered alone, as identify_batch gathers each row that
+    # loses nodes: from the shared positions or from its own slice.
     rng = np.random.default_rng(9)
-    n, m = 12, 8
+    n = 12
     a = rng.normal(size=(n, 3) if shared else (rows, n, 3))
     keep = np.zeros((rows, n), dtype=bool)
-    for row in keep:  # a different mask in every row, m nodes each
-        row[rng.permutation(n)[:m]] = True
+    for s, row in enumerate(keep):  # a different mask in every row, 8 - s nodes
+        row[rng.permutation(n)[:8 - s]] = True
     if layout == "planes":
         a = _planes(a)
-    got = stiffid.pipeline._survivors(a, keep)
-    expected = np.stack([(a if shared else a[s])[keep[s]] for s in range(rows)])
-    assert got.shape == expected.shape == (rows, m, 3)
-    assert got.tobytes() == expected.tobytes()
-    assert got.swapaxes(-1, -2).flags.c_contiguous
+    for s in range(rows):
+        got = stiffid.pipeline._survivors(a if shared else a[s:s + 1], keep[s:s + 1])
+        expected = (a if shared else a[s])[keep[s]][None]
+        assert got.shape == expected.shape == (1, 8 - s, 3)
+        assert got.tobytes() == expected.tobytes()
+        assert got.swapaxes(-1, -2).flags.c_contiguous
 
 
 def line_and_apex(count=9):
@@ -435,13 +510,13 @@ def test_batch_degenerate_row_raises():
         stiffid.identify_batch([pos], [disp], wrench)
     with pytest.raises(DegenerateGeometry):
         estimate_lin(DisplacementField(pos[1], disp[1], centered=True))
-    # refit: the filter drops row 1's only node off the line
+    # refit: the cut drops row 1's only node off the line
     shared = line_and_apex()
     disp = rng.normal(0.0, 1e-5, (2,) + shared.shape)
     disp[0, 4] += 1e-2
     disp[1, -1] += 1e-2
     field = DisplacementField(shared, disp[1], centered=True)
-    reduced, removed = filter_outliers(field, estimate_lin(field), 0.1)
+    reduced, removed = filter_outliers(field, estimate_lin(field))
     assert removed.tolist() == [9]
     with pytest.raises(DegenerateGeometry):
         estimate_lin(reduced)
@@ -450,30 +525,40 @@ def test_batch_degenerate_row_raises():
 
 
 def test_batch_too_few_remaining_raises():
-    pos = line_and_apex(3)  # 4 nodes; half of them would go
+    # The cut keeps every node up to the median, so only a field of 3
+    # nodes can fall short, and a rigid fit of 3 nodes leaves no node
+    # more than 4 times the median squared residual: at level 0.9 the
+    # cut lies 1.55 times above it.
+    pos = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     disp = np.random.default_rng(6).normal(0.0, 1e-5, (2,) + pos.shape)
+    disp[0, 0] += [1e-3, 1e-3, 0.0]
     field = DisplacementField(pos, disp[0], centered=True)
+    _, removed = filter_outliers(field, estimate_lin(field))
+    assert removed.size == 0
     with pytest.raises(TooFewRemaining):
-        filter_outliers(field, estimate_lin(field), 0.5)
+        filter_outliers(field, estimate_lin(field), 0.9)
     with pytest.raises(TooFewRemaining):
         stiffid.identify_batch([pos], [disp], [Wrench([1.0, 0.0, 0.0], np.zeros(3))],
-                               IdentifyOptions(outlier_fraction=0.5))
+                               IdentifyOptions(outlier_level=0.9))
 
 
-@pytest.mark.parametrize("fraction, expected", [(0.0, 1), (0.1, 2)])
-def test_batch_row_out_of_small_angles_warns(fraction, expected):
-    # row 1 of three rotates by 0.05 rad in its first experiment: one
-    # warning per fit of that row, the initial fit and, with a filter,
-    # the refit
+@pytest.mark.parametrize("level, expected", [(0.0, 1), (0.1, 2)])
+def test_batch_row_out_of_small_angles_warns(level, expected):
+    # row 1 of three rotates by 0.05 rad in its first experiment, with
+    # noise and one node far off: one warning per fit of that row, the
+    # initial fit and, with the cut, the refit without that node
     pos = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3, indexing="ij"), -1).reshape(-1, 3)
     disp = np.zeros((3,) + pos.shape)
     disp[1] = np.cross([0.0, 0.0, 0.05], pos)
+    disp[1] += np.random.default_rng(12).normal(0.0, 1e-5, pos.shape)
+    disp[1, 0, 2] += 1e-2
     quiet = np.zeros_like(disp)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stiffid.identify_batch([pos] * 6, [disp] + [quiet] * 5,
-                               canonical_wrench_scheme(*[1.0] * 6),
-                               IdentifyOptions(outlier_fraction=fraction))
+        batch = stiffid.identify_batch([pos] * 6, [disp] + [quiet] * 5,
+                                       canonical_wrench_scheme(*[1.0] * 6),
+                                       IdentifyOptions(outlier_level=level))
+    assert batch.nodes[0].tolist() == [27, 28 - expected, 27]
     linear = [w for w in caught if issubclass(w.category, LinearizationWarning)]
     assert len(linear) == expected
     assert all("0.05 rad" in str(w.message) for w in linear)
@@ -489,7 +574,7 @@ def _warning_calls():
     semidefinite."""
     pos = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3, indexing="ij"), -1).reshape(-1, 3)
     rotated = DisplacementField(pos, np.cross([0.0, 0.0, 0.05], pos), centered=True)
-    cases = beam_load_cases(pattern=MeshPattern.square(10.0, 1.0, "x"), sigma=2e-2, seed=11)
+    cases = beam_load_cases(pattern=MeshPattern.square(10.0, 1.0, "x"), sigma=2e-2, seed=5)
     return {
         "estimate_lin": lambda: estimate_lin(rotated),
         "estimate_svd": lambda: estimate_svd(rotated),
@@ -601,32 +686,33 @@ def geometry_builds(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("fraction", [0.0, 0.1], ids=["no-refit", "refit"])
+@pytest.mark.parametrize("refit", [False, True], ids=["no-refit", "refit"])
 @pytest.mark.parametrize("layouts", ["A-B-A", "equal-copies"])
-def test_shared_geometry_gives_the_same_bytes(layouts, fraction, own_geometry,
+def test_shared_geometry_gives_the_same_bytes(layouts, refit, own_geometry,
                                               geometry_builds, noisy_cases):
     cases, distinct = (mixed_layout_cases(), 2) if layouts == "A-B-A" else (noisy_cases, 1)
+    if refit:  # every experiment loses nodes to the cut
+        cases = spiked_cases(cases)
     # DisplacementField copies its positions: no two cases share an array
     assert cases[0].field.positions is not cases[2].field.positions
-    options = IdentifyOptions(outlier_fraction=fraction)
-    reference = own_geometry(run_identification, cases, options)
+    reference = own_geometry(run_identification, cases)
     n = cases[0].field.n
     del geometry_builds[:]
-    shared = run_identification(cases, options)
+    shared = run_identification(cases)
     assert result_bytes(shared) == result_bytes(reference)
     # once per distinct layout; each refit builds one of its own
     assert geometry_builds.count(n) == distinct
-    assert len(geometry_builds) == distinct + (6 if fraction else 0)
+    assert len(geometry_builds) == distinct + (6 if refit else 0)
 
 
 def test_shared_positions_object_gives_the_same_bytes(own_geometry, geometry_builds):
-    positions, displacements, wrenches = beam_batch(range(3))
+    positions, displacements, wrenches = beam_batch(range(3), spiked=(1,))
     shared_object = [positions[0]] * 6
     reference = own_geometry(stiffid.identify_batch, shared_object, displacements,
                              wrenches)
     del geometry_builds[:]
     batch = stiffid.identify_batch(shared_object, displacements, wrenches)
-    assert geometry_builds == [121] + [108] * 6
+    assert geometry_builds == [121] + [118] * 6
     for s in range(3):
         assert batch_row(batch, s) == batch_row(reference, s)
 
@@ -706,23 +792,27 @@ def test_infinite_positions_named_before_numpy_warns():
 
 
 @pytest.mark.parametrize("estimator", ["lin", "svd"])
-def test_refits_form_no_residuals(estimator, monkeypatch):
-    # The default trim refits every experiment; only the initial fits'
-    # residuals are read (sigma, outlier ranking), so only they are formed.
-    formed = []
+def test_only_rows_that_lose_a_node_are_refit(estimator, monkeypatch):
+    # Of three rows only row 1 loses nodes to the cut: each experiment
+    # fits the three rows, then refits row 1 alone, and the refit forms
+    # the residual sum of squares that sigma is pooled from.
+    fitted = []
 
     def spy(*args, **kwargs):
         fits = fit(*args, **kwargs)
-        formed.append(fits.residuals is not None and fits.objective is not None)
+        fitted.append((len(fits.translation), fits.residuals.shape[-2], fits.objective))
         return fits
 
     fit = stiffid.pipeline._fit
     monkeypatch.setattr(stiffid.pipeline, "_fit", spy)
-    positions, displacements, wrenches = beam_batch(range(2))
+    positions, displacements, wrenches = beam_batch(range(3), spiked=(1,))
     batch = stiffid.identify_batch(positions, displacements, wrenches,
                                    IdentifyOptions(estimator=estimator))
-    assert all(drop is not None for drop in batch.dropped)
-    assert formed == [True, False] * 6
+    assert [(rows, n) for rows, n, _ in fitted] == [(3, 121), (1, 118)] * 6
+    refits = [objective for rows, _, objective in fitted if rows == 1]
+    assert_array_equal(np.stack(batch.per_experiment_sigma)[:, 1],
+                       np.sqrt(np.concatenate(refits) / (3 * 118 - 6)))
+    assert_array_equal(batch.dof, [6 * (3 * 121 - 6), 6 * (3 * 118 - 6), 6 * (3 * 121 - 6)])
 
 
 def test_same_layout_compares_bits():
@@ -736,7 +826,7 @@ def test_same_layout_compares_bits():
 
 
 def test_result_arrays_are_read_only(noisy_cases):
-    result = run_identification(noisy_cases)
+    result = run_identification(spiked_cases(noisy_cases))
     assert all(result.removed)
     for array in (result.deflections, *result.covariances, *result.dropped):
         assert not array.flags.writeable

@@ -19,6 +19,7 @@ from stiffid import (
     IdentifyOptions,
     InsufficientDof,
     InvalidArgument,
+    LoadCase,
     MeshPattern,
     MissingCovariance,
     RankDeficientWrenches,
@@ -36,10 +37,10 @@ from stiffid import (
     significance_test,
     skew,
 )
-from stiffid.estimation import _fit_geometry
+from stiffid.estimation import _fit_geometry, _node_score
 from stiffid.stats import (
     DEFAULT_CONFIDENCE_MULTIPLIER,
-    DEFAULT_OUTLIER_FRACTION,
+    _cut_level,
     _drop_mask,
     system_covariance,
 )
@@ -226,10 +227,17 @@ class TestDeflectionCovariance:
 
     def test_pipeline_covariances_match_reduced_fields(self):
         # the pipeline reuses each refit's geometry; the result must
-        # equal a fresh covariance of the outlier-filtered field
-        cases = beam_load_cases(BeamSpec(), MeshPattern.cubic(6.0, 1.0),
-                                sigma=5.6e-5, seed=4)
+        # equal a fresh covariance of the outlier-filtered field.  Three
+        # nodes of each experiment sit 100 sigma off, and the cut drops
+        # them.
+        cases = []
+        for case in beam_load_cases(BeamSpec(), MeshPattern.cubic(6.0, 1.0),
+                                    sigma=5.6e-5, seed=4):
+            disp = case.field.displacements.copy()
+            disp[[5, 60, 100]] += [0.0, 5.6e-3, 0.0]
+            cases.append(LoadCase(make_field(case.field.positions, disp), case.wrench))
         result = run_identification(cases)
+        assert result.removed == ((5, 60, 100),) * 6
         for case, cov, removed in zip(cases, result.covariances, result.removed):
             keep = np.setdiff1d(np.arange(case.field.n), removed)
             reduced = make_field(case.field.positions[keep],
@@ -257,14 +265,24 @@ class TestDeflectionCovariance:
         assert np.all(np.abs(errors.mean(axis=0)) <= 4.0 * se)
 
 
+def crafted_fit(residuals):
+    """A fit with zero deflection and the given residuals (n, 3), whose
+    roundoff floor is 0."""
+    return FitResult(Deflection(np.zeros(3), np.zeros(3)), residuals, 0.0)
+
+
 class TestFilterOutliers:
     def test_zero_fraction_is_identity(self):
+        # Level 0 turns the cut off, even for a node far outside the noise.
         pos = cube_nodes(4.0, 1.0)
-        field = make_field(pos, np.zeros_like(pos))
+        disp = np.random.default_rng(34).normal(0, 1e-5, pos.shape)
+        disp[7] += 1e-2
+        field = make_field(pos, disp)
         fit = estimate_lin(field)
         reduced, removed = filter_outliers(field, fit, 0.0)
         assert reduced.n == field.n
         assert removed.size == 0
+        assert filter_outliers(field, fit)[1].tolist() == [7]
 
     def test_spiked_nodes_are_the_ones_removed(self):
         pos = cube_nodes(4.0, 1.0)  # 125 nodes
@@ -274,105 +292,105 @@ class TestFilterOutliers:
         disp[spiked] += [5e-3, -5e-3, 5e-3]
         field = make_field(pos, disp)
         fit = estimate_lin(field)
-        reduced, removed = filter_outliers(field, fit, 3.0 / 125.0)
+        reduced, removed = filter_outliers(field, fit)
         assert sorted(removed.tolist()) == spiked
         assert reduced.n == 122
-
-    def test_removal_count_rounds_up(self):
-        pos = cube_nodes(10.0, 1.0)[:121]
-        field = make_field(pos, np.zeros_like(pos))
-        fit = estimate_lin(field)
-        _, removed = filter_outliers(field, fit, DEFAULT_OUTLIER_FRACTION)
-        assert removed.size == 13  # ceil(0.1 * 121)
 
     def test_survivor_order_preserved(self):
         rng = np.random.default_rng(33)
         pos = rng.uniform(-5, 5, (40, 3))
         disp = rng.normal(0, 1e-4, (40, 3))
+        disp[[4, 17, 30]] += 1e-1
         field = make_field(pos, disp)
         fit = estimate_lin(field)
-        reduced, removed = filter_outliers(field, fit, 0.2)
+        reduced, removed = filter_outliers(field, fit)
+        assert removed.tolist() == [4, 17, 30]
         keep = np.setdiff1d(np.arange(40), removed)
         assert_array_equal(reduced.positions, pos[keep])
         assert_array_equal(reduced.displacements, disp[keep])
 
     def test_rankings_disagree_on_crafted_residuals(self):
-        # the largest per-axis residual ranks, not the residual norm
+        # the residual norm ranks, not the largest per-axis residual: with
+        # six residuals of norm^2 0.27 as the scale, the cut at level 0.01
+        # over 8 nodes lies at |r|^2 = 1.78
         pos = cube_nodes(2.0, 1.0)[:8]
         field = make_field(pos, np.zeros_like(pos))
-        residuals = np.zeros((8, 3))
-        residuals[2] = [1.0, 0.0, 0.0]    # max-axis 1.0, norm 1.0
-        residuals[5] = [0.9, 0.9, 0.9]    # max-axis 0.9, norm 1.56
-        fit = FitResult(Deflection(np.zeros(3), np.zeros(3)), residuals, 0.0)
-        _, removed = filter_outliers(field, fit, 1.0 / 8.0)
-        assert removed.tolist() == [2]
+        residuals = np.full((8, 3), 0.3)
+        residuals[2] = [1.0, 0.0, 0.0]    # max-axis 1.0, norm^2 1.0
+        residuals[5] = [0.9, 0.9, 0.9]    # max-axis 0.9, norm^2 2.43
+        _, removed = filter_outliers(field, crafted_fit(residuals))
+        assert removed.tolist() == [5]
 
     def test_tie_breaking_is_deterministic(self):
+        # No tie is broken: the threshold is strict, so nodes of equal
+        # score stay or go together, whatever their order.
         pos = cube_nodes(2.0, 1.0)[:6]
         field = make_field(pos, np.zeros_like(pos))
-        fit = FitResult(Deflection(np.zeros(3), np.zeros(3)),
-                        np.ones((6, 3)), 18.0)
-        _, removed_a = filter_outliers(field, fit, 1.0 / 6.0)
-        _, removed_b = filter_outliers(field, fit, 1.0 / 6.0)
-        assert_array_equal(removed_a, removed_b)
-        assert removed_a.tolist() == [5]  # stable sort keeps earlier ties
+        _, removed = filter_outliers(field, crafted_fit(np.ones((6, 3))))
+        assert removed.tolist() == []
+        residuals = np.full((6, 3), 0.01)
+        residuals[[1, 4]] = 1.0
+        _, removed_a = filter_outliers(field, crafted_fit(residuals))
+        _, removed_b = filter_outliers(field, crafted_fit(residuals[::-1]))
+        assert removed_a.tolist() == [1, 4]
+        assert removed_b.tolist() == [1, 4]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_partial_ties_match_stable_sort(self, seed):
-        # 3 scores lie strictly above the cut and 7 tie at it, of which
-        # 3 go; the removed set is the tail of a stable ascending argsort
+        # 3 scores tie at 8.0, 7 at 6.0 and the other 50 lie about 1.0.
+        # Under the strict cut no tie is split: the removed set is the
+        # tail of a stable ascending argsort, cut between two groups.  At
+        # level 0.05 the cut lies near 7.1, so the 3 go; at level 0.5,
+        # near 5.0, so all 10 go.
         rng = np.random.default_rng(seed)
         score = rng.permutation(np.concatenate(
-            [[5.0] * 3, [4.0] * 7, rng.integers(0, 4, 50).astype(float)]))
-        residuals = rng.uniform(0.0, 1.0, (60, 3)) * score[:, None]
-        residuals[np.arange(60), rng.integers(0, 3, 60)] = score
-        residuals *= rng.choice([-1.0, 1.0], (60, 3))
+            [[8.0] * 3, [6.0] * 7, rng.uniform(0.95, 1.05, 50)]))
+        residuals = np.zeros((60, 3))
+        residuals[:, 0] = np.sqrt(score)
+        residuals = residuals[:, rng.permutation(3)] * rng.choice([-1.0, 1.0], (60, 3))
         pos = rng.uniform(-5.0, 5.0, (60, 3))
         field = make_field(pos, np.zeros_like(pos))
-        fit = FitResult(Deflection(np.zeros(3), np.zeros(3)), residuals, 0.0)
-        _, removed = filter_outliers(field, fit, 0.1)
-        expected = np.sort(np.argsort(score, kind="stable")[60 - 6:])
-        assert_array_equal(removed, expected)
-        assert_array_equal(np.sort(score[removed]), [4.0] * 3 + [5.0] * 3)
+        for level, count in ((0.05, 3), (0.5, 10)):
+            _, removed = filter_outliers(field, crafted_fit(residuals), level)
+            expected = np.sort(np.argsort(score, kind="stable")[60 - count:])
+            assert_array_equal(removed, expected)
 
     def test_batch_rows_with_different_tie_counts(self):
-        # 60 nodes at the 10% trim drop 6 per row.  Row r has r + 1
-        # equal top scores and 8 - r ties at 4.0, so rows 0-4 take 5 to
-        # 1 of their ties at 4.0, row 5 has its 6 top scores tie at the
-        # cut, and in the last row every score ties.  The batch must
-        # drop each row's own set.
+        # Row r of a batch has r + 1 equal top scores far above its other
+        # 59 - r; in the last row every score ties.  The batch must drop
+        # each row's own ties, as filter_outliers does row by row, and
+        # nothing from the last row.
         rng = np.random.default_rng(41)
-        rows = []
-        for r in range(6):
-            score = rng.permutation(np.concatenate(
-                [[5.0 + r] * (r + 1), [4.0] * (8 - r),
-                 rng.uniform(0.0, 3.9, 51)]))
-            rows.append(score)
-        rows.append(np.full(60, 2.0))
-        batch = []
-        for score in rows:
-            residuals = rng.uniform(0.0, 1.0, (60, 3)) * score[:, None]
-            residuals[np.arange(60), rng.integers(0, 3, 60)] = score
-            batch.append(residuals * rng.choice([-1.0, 1.0], (60, 3)))
-        batch = np.array(batch)
-        drop = _drop_mask(batch, 0.1)
         pos = rng.uniform(-5.0, 5.0, (60, 3))
         field = make_field(pos, np.zeros_like(pos))
-        for row, residuals in zip(drop, batch):
-            fit = FitResult(Deflection(np.zeros(3), np.zeros(3)), residuals, 0.0)
-            _, removed = filter_outliers(field, fit, 0.1)
+        batch = []
+        for r in range(6):
+            residuals = rng.normal(0.0, 1.0, (60, 3))
+            residuals[rng.permutation(60)[:r + 1]] = [0.0, 10.0 + r, 0.0]
+            batch.append(residuals)
+        batch.append(np.full((60, 3), 2.0))
+        batch = np.array(batch)
+        drop = _drop_mask(_node_score(batch), _cut_level(0.01, 60), np.zeros(len(batch)))
+        for r, (row, residuals) in enumerate(zip(drop, batch)):
+            _, removed = filter_outliers(field, crafted_fit(residuals))
             assert_array_equal(np.flatnonzero(row), removed)
-        assert_array_equal(np.flatnonzero(drop[-1]), np.arange(54, 60))
+            assert np.count_nonzero(row) == (r + 1 if r < 6 else 0)
+            assert np.all(residuals[row, 1] >= 10.0)
 
     def test_too_few_survivors_rejected(self):
-        pos = cube_nodes(2.0, 1.0)[:4]
+        # The cut keeps every node up to the median score, so only 3
+        # nodes can fall short; at level 0.9 the cut lies 1.55 times
+        # above the median.
+        pos = cube_nodes(2.0, 1.0)[[0, 2, 6]]
         field = make_field(pos, np.zeros_like(pos))
-        fit = estimate_lin(field)
+        fit = crafted_fit(np.array([[0.1, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0]]))
+        assert filter_outliers(field, fit)[1].size == 0
         with pytest.raises(TooFewRemaining):
-            filter_outliers(field, fit, 0.5)
+            filter_outliers(field, fit, 0.9)
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5, True, math.nan])
     def test_bad_fraction_rejected(self, fraction):
+        # The level is a probability in [0, 1).
         pos = cube_nodes(2.0, 1.0)
         field = make_field(pos, np.zeros_like(pos))
         fit = estimate_lin(field)
@@ -385,6 +403,22 @@ class TestFilterOutliers:
         fit = flat_fit(np.zeros((5, 3)))
         with pytest.raises(ValueError):
             filter_outliers(field, fit, 0.1)
+
+    def test_roundoff_residuals_drop_nothing(self):
+        # A noise-free square fits to roundoff, with most residuals
+        # exactly 0: its median scale is 0, so a bare cut would drop
+        # every node with a nonzero residual.  Under the roundoff floor
+        # none goes.
+        cases = beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"), sigma=0.0)
+        nonzero = 0
+        for case in cases:
+            fit = estimate_lin(case.field)
+            score = (fit.residuals ** 2).sum(axis=1)
+            assert np.median(score) == 0.0
+            nonzero += np.count_nonzero(score)
+            assert filter_outliers(case.field, fit)[1].size == 0
+        assert nonzero > 0
+        assert run_identification(cases).nodes == (121,) * 6
 
 
 def beam_matrix():

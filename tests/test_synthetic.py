@@ -551,7 +551,7 @@ class TestZeroDetectionStudy:
         study = run_zero_detection_study(seeds=seeds, seed=seed, sigma=sigma,
                                          multiplier=multiplier)
         nonzero = beam_compliance_oracle().k != 0.0
-        options = IdentifyOptions(outlier_fraction=0.10,
+        options = IdentifyOptions(outlier_level=0.01,
                                   confidence_multiplier=multiplier)
         clean = beam_load_cases(BeamSpec(), MeshPattern.square(10.0, 1.0, "x"))
         streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
