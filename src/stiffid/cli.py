@@ -55,7 +55,7 @@ from .errors import (
     ManifestError,
     StiffidError,
 )
-from .estimation import MIN_FIT_NODES, AngleExtractionMethod
+from .estimation import MIN_FIT_NODES
 from .field import (
     SensorRegion,
     center_field,
@@ -147,14 +147,15 @@ MANIFEST = _Object(
                      "layer": _Object({"axis": _STRING, "coordinate": _NUMBER,
                                        "thickness": _NUMBER}),
                      "sphere": _Object({"radius": _NUMBER}, _CENTER)}})]},
-    {"options": _Object({}, {"estimator": _STRING, "angles": _STRING,
-                             "outlier_level": _NUMBER,
-                             "confidence_multiplier": _NUMBER, "symmetrize": _BOOLEAN})})
+    {"options": _Object({}, {"outlier_level": _NUMBER, "confidence_multiplier": _NUMBER,
+                             "symmetrize": _BOOLEAN})})
 
 
-# Keys that an earlier release read, and what replaced them.
-_RENAMED = {"outlier_fraction": "outlier_level: the fixed-fraction trim became a "
-                                "chi-square cut at a family-wise level"}
+# Keys that an earlier release read, and what became of them.
+_LINEARIZED = "identify always fits the linearized model"
+_RETIRED = {"outlier_fraction": "use outlier_level: the fixed-fraction trim became a "
+                                "chi-square cut at a family-wise level",
+            "estimator": _LINEARIZED, "angles": _LINEARIZED}
 
 
 class _RepeatedKey(NamedTuple):
@@ -203,7 +204,7 @@ def _check(value, schema, path: str, manifest: str) -> None:
     keys = {**schema.required, **schema.optional}
     for key in value:
         if key not in keys:
-            hint = f"; use {_RENAMED[key]}" if key in _RENAMED else ""
+            hint = f"; {_RETIRED[key]}" if key in _RETIRED else ""
             raise ManifestError(manifest, f"unknown key {prefix}{key}{hint}")
     for key in schema.required:
         if key not in value:
@@ -476,9 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_id = sub.add_parser("identify", help="identify a compliance matrix")
     p_id.add_argument("manifest", help="experiment manifest JSON")
-    p_id.add_argument("--estimator", choices=["lin", "svd"], default=None)
-    p_id.add_argument("--angles", default=None,
-                      choices=[m.value for m in AngleExtractionMethod])
     p_id.add_argument("--outlier-level", type=float, default=None)
     p_id.add_argument("--confidence-multiplier", type=float, default=None)
     p_id.add_argument("--no-symmetrize", dest="symmetrize", action="store_false",

@@ -9,14 +9,15 @@ body from a centered displacement field:
   directly; only a 3x3 solve is involved.
 
 Both are the one-row case of the batched fits :func:`_fit_lin` and
-:func:`_fit_svd`, which the identification core
-(:func:`stiffid.pipeline.identify_batch`) runs on many independent
-fields at once.  A batch holds S fields with the same node count:
-displacements of shape (S, n, 3) and positions of shape (n, 3), shared
-by every row, or (S, n, 3).  The fit's arrays carry the leading S axis,
-and each row's numbers are bit-identical to those of a one-row fit of
-that row alone: every stage runs the same numpy operation (the same
-BLAS or LAPACK call) on each row.
+:func:`_fit_svd`, which run on many independent fields at once: the
+identification core (:func:`stiffid.pipeline.identify_batch`) runs the
+linearized fit, and the amplitude study runs both.  A batch holds S
+fields with the same node count: displacements of shape (S, n, 3) and
+positions of shape (n, 3), shared by every row, or (S, n, 3).  The
+fit's arrays carry the leading S axis, and each row's numbers are
+bit-identical to those of a one-row fit of that row alone: every stage
+runs the same numpy operation (the same BLAS or LAPACK call) on each
+row.
 
 Every per-node array of a fit lives in component planes: the memory
 is a C-contiguous (..., 3, n) array, and the fit hands it around as its
@@ -67,10 +68,7 @@ The residuals (``d - q - dphi x r`` or ``rel + d - q - R rel``) and
 each node's squared residual |r|^2 (:func:`_node_score`) are one more
 pass over the nodes each, which only the outlier cut reads; the row
 sums of those scores are the residual sums of squares that the noise
-estimate reads.  A caller that reads only the deflection passes
-``residuals=False`` to the fits (the amplitude study); the deflections
-keep their bits, and their finiteness check and small-angle warnings
-stay.
+estimate reads.
 
 Units: mm for translations, rad for rotation components.  The linearized
 model `dp_i = dphi x p_i + p` is valid for small angles; a fit whose
@@ -321,16 +319,15 @@ class Fits(NamedTuple):
     ``rotation`` are (S, 3), ``residuals`` (S, n, 3), a view of planes,
     ``score`` (S, n) each node's squared residual |r|^2 (see
     :func:`_node_score`) and ``objective`` (S,) its row sums, the
-    residual sum of squares of each row; all three are None for a fit
-    that was asked for no residuals.
+    residual sum of squares of each row.
     """
 
     geometry: FitGeometry
     translation: np.ndarray
     rotation: np.ndarray
-    residuals: np.ndarray | None
-    score: np.ndarray | None
-    objective: np.ndarray | None
+    residuals: np.ndarray
+    score: np.ndarray
+    objective: np.ndarray
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -450,18 +447,16 @@ def _node_score(residuals: np.ndarray) -> np.ndarray:
 
 
 def _fits(geometry: FitGeometry, translation: np.ndarray, rotation: np.ndarray,
-          residuals: np.ndarray | None) -> Fits:
+          residuals: np.ndarray) -> Fits:
     _check_deflections(translation, rotation)
-    score = objective = None
-    if residuals is not None:
-        # The node scores that the outlier cut reads, and their row sums:
-        # one pass over the residuals' planes, then one over a third of
-        # their size.  An overflow is named below, not by numpy's warning.
-        score = _node_score(residuals)
-        with np.errstate(over="ignore", invalid="ignore"):
-            objective = score.sum(axis=-1)
-        if not np.isfinite(objective).all():
-            raise NonFiniteDeflection(_RSS_OVERFLOW)
+    # The node scores that the outlier cut reads, and their row sums: one
+    # pass over the residuals' planes, then one over a third of their
+    # size.  An overflow is named below, not by numpy's warning.
+    score = _node_score(residuals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective = score.sum(axis=-1)
+    if not np.isfinite(objective).all():
+        raise NonFiniteDeflection(_RSS_OVERFLOW)
     # One warning for each row whose rotation leaves the small-angle regime.
     norms = np.sqrt(np.einsum("...i,...i->...", rotation, rotation)).ravel()
     for norm in norms[norms >= ROTATION_WARN_LIMIT].tolist():
@@ -478,13 +473,10 @@ def _fit_result(fits: Fits) -> FitResult:
 
 
 def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
-             method: AngleExtractionMethod = AngleExtractionMethod.AVERAGED,
-             residuals: bool = True) -> Fits:
+             method: AngleExtractionMethod = AngleExtractionMethod.AVERAGED) -> Fits:
     """Orthogonal Procrustes fits of a batch of fields on `geometry` and
     its relative positions `rel`; see :func:`estimate_svd` and, for the
-    shapes, :func:`_centred`.  With ``residuals=False`` the fits' residuals,
-    scores and objective are None; the residuals are then formed only to name
-    an overflow before a rank failure."""
+    shapes, :func:`_centred`."""
     q, disp_rel = _centred(displacements)
     with np.errstate(over="ignore", invalid="ignore"):  # named just below
         moved_rel = rel + disp_rel
@@ -499,8 +491,7 @@ def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
     R = V @ flip @ Ut
     degenerate = ((s[..., 0] <= 0.0) | (s[..., 1] <= DEGENERACY_RTOL * s[..., 0])).any()
     # p + d - R p - translation, taken about the centroid
-    res = moved_rel - (R @ rel.swapaxes(-1, -2)).swapaxes(-1, -2) \
-        if residuals or degenerate else None
+    res = moved_rel - (R @ rel.swapaxes(-1, -2)).swapaxes(-1, -2)
     if degenerate:
         # One displacement that dwarfs the others makes the cross-covariance
         # rank 1: name the overflow it causes, as the lin fit does.
@@ -513,12 +504,10 @@ def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
     return _fits(geometry, translation, rotation, res)
 
 
-def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
-             residuals: bool = True) -> Fits:
+def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray) -> Fits:
     """Linearized least-squares fits of a batch of fields on `geometry`
     and its relative positions `rel`; see :func:`estimate_lin` and, for
-    the shapes, :func:`_centred`.  With ``residuals=False`` the fits'
-    residuals, scores and objective are None."""
+    the shapes, :func:`_centred`."""
     q, disp_rel = _centred(displacements)
     # A deflection that is not finite is named by _fits; numpy's warning
     # on the way is silenced.
@@ -532,10 +521,9 @@ def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
         # freed here.  Finishing d - q in place instead made a study's
         # blocks fault their temporaries in again (ten times the minor
         # page faults of `benchmark noise --trials 500`).
-        res = np.empty_like(disp_rel) if residuals else None
-        if residuals:
-            np.matmul(spin, rel.swapaxes(-1, -2), out=res.swapaxes(-1, -2))
-            np.subtract(disp_rel, res, out=res)
+        res = np.empty_like(disp_rel)
+        np.matmul(spin, rel.swapaxes(-1, -2), out=res.swapaxes(-1, -2))
+        np.subtract(disp_rel, res, out=res)
     return _fits(geometry, translation, rotation, res)
 
 
@@ -548,7 +536,19 @@ def estimate_svd(field: DisplacementField,
     is decomposed by SVD; a reflection, if it appears, is corrected by
     negating the smallest singular direction so the result is a proper
     rotation.  Angles are then read off the matrix entries according to
-    `method`.
+    `method`, and the translation at the reference point is moved from
+    the centroid c with the finite rotation, ``p = q - (R - I) c``.
+
+    That is exact on fields that move rigidly through a finite rotation.
+    On fields that move linearly, ``d = p + dphi x r`` (a linear-static
+    FE export, or ``stiffid simulate``), the best rotation matrix differs
+    from ``I + [dphi]x`` by ``1/2 [dphi]x^2``: that term of each
+    position stays in the residuals, so a noise level pooled from them
+    reads high (about 35% on ``stiffid simulate --sigma 5.6e-5``
+    fields), and ``1/2 [dphi]x^2 c`` enters the translation of a sensor
+    off its reference point.  ``stiffid identify`` fits the linearized
+    model (:func:`estimate_lin`); this estimator serves the per-field
+    comparison of the amplitude study.
 
     Raises
     ------

@@ -1,8 +1,9 @@
 """End-to-end identification pipeline from fields to a compliance matrix.
 
-The stages follow the processing order used throughout the package:
-estimate each experiment, pool residuals into a noise level, drop
-outlier nodes, re-estimate, assemble the matrix, zero insignificant
+The stages run in this order: fit each experiment with the linearized
+model, cut outlier nodes on a per-row median scale, refit the rows that
+lost a node, pool the noise level from the final fits, form the
+deflection covariances, assemble the matrix, zero the insignificant
 elements and finally symmetrize.
 
 :func:`identify_batch` is the one implementation of that chain.  Its
@@ -43,12 +44,9 @@ from .compliance import (
 )
 from .errors import InvalidArgument, NonFiniteCompliance
 from .estimation import (
-    AngleExtractionMethod,
     FitGeometry,
-    Fits,
     _fit_geometry,
     _fit_lin,
-    _fit_svd,
     _planes,
     _require_centered,
 )
@@ -81,29 +79,21 @@ class LoadCase:
 
 @dataclass(frozen=True)
 class IdentifyOptions:
-    estimator: str = "lin"
-    angles: AngleExtractionMethod = AngleExtractionMethod.AVERAGED
     outlier_level: float = DEFAULT_OUTLIER_LEVEL
     confidence_multiplier: float = DEFAULT_CONFIDENCE_MULTIPLIER
     symmetrize: bool = True
 
     def __post_init__(self):
-        if self.estimator not in ("lin", "svd"):
-            raise InvalidArgument(
-                f"estimator must be 'lin' or 'svd', got {self.estimator!r}")
         _check_level(self.outlier_level, "outlier_level")
         _check_multiplier(self.confidence_multiplier, "confidence_multiplier")
         # Not `in (True, False)`: 1 and 0 compare equal to True and False.
         if not isinstance(self.symmetrize, bool):
             raise InvalidArgument(
                 f"symmetrize must be true or false, got {self.symmetrize!r}")
-        object.__setattr__(self, "angles", AngleExtractionMethod(self.angles))
 
     def to_json_dict(self) -> dict:
         """The options as a manifest ``options`` block."""
         return {
-            "estimator": self.estimator,
-            "angles": self.angles.value,
             "outlier_level": float(self.outlier_level),
             "confidence_multiplier": float(self.confidence_multiplier),
             "symmetrize": self.symmetrize,
@@ -222,13 +212,6 @@ class BatchIdentification(NamedTuple):
     mask: np.ndarray
 
 
-def _fit(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
-         options: IdentifyOptions, residuals: bool = True) -> Fits:
-    if options.estimator == "svd":
-        return _fit_svd(geometry, rel, displacements, options.angles, residuals)
-    return _fit_lin(geometry, rel, displacements, residuals)
-
-
 def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether float node layouts `a` and `b` are one object or hold the
     same values bit for bit, so that one geometry fits both exactly.
@@ -316,7 +299,7 @@ def identify_batch(positions: Sequence[np.ndarray],
         # are copied into planes by the fit for its own pass only, since a
         # plane copy held through the experiment adds an array to the peak
         # memory of a large field.
-        fit = _fit(geometry, rel, d, options)
+        fit = _fit_lin(geometry, rel, d)
         n = d.shape[-2]
         cut = _cut_level(options.outlier_level, n)
         drop = _drop_mask(fit.score, cut,
@@ -336,9 +319,9 @@ def identify_batch(positions: Sequence[np.ndarray],
             # squares feeds sigma.
             for s in np.flatnonzero(count < n).tolist():
                 keep = ~drop[s:s + 1]
-                refit = _fit(*_fit_geometry(_survivors(
+                refit = _fit_lin(*_fit_geometry(_survivors(
                     planes if planes.ndim == 2 else planes[s:s + 1], keep)),
-                    _survivors(d[s:s + 1], keep), options)
+                    _survivors(d[s:s + 1], keep))
                 deflection[s] = np.concatenate([refit.translation, refit.rotation],
                                                axis=-1)[0]
                 objective[s] = refit.objective[0]

@@ -381,11 +381,9 @@ def run_amplitude_study(amplitudes: Sequence[float],
             for block in _blocks(trials, base.n):
                 displacements = _noisy_displacements(rigid, sigma, generator, len(block))
                 for name, err in errors.items():
-                    # Only the deflections are read: the fits form no residuals.
-                    fits = _fit_lin(geometry, rel, displacements, residuals=False) \
-                        if name == "lin" else _fit_svd(
-                            geometry, rel, displacements,
-                            AngleExtractionMethod(name.removeprefix("svd-")), residuals=False)
+                    fits = _fit_lin(geometry, rel, displacements) if name == "lin" \
+                        else _fit_svd(geometry, rel, displacements,
+                                      AngleExtractionMethod(name.removeprefix("svd-")))
                     got = np.rad2deg(fits.rotation) if kind == "rotation" else fits.translation
                     err[ai, block.start:block.stop] = np.max(np.abs(got - amp), axis=-1)
 

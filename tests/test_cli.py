@@ -152,13 +152,10 @@ class TestIdentify:
                      "--out", str(sim)]) == 0
         first = tmp_path / "first"
         assert main(["identify", str(sim / "manifest.json"), "--out", str(first),
-                     "--estimator", "svd", "--angles", "plus-asin",
                      "--outlier-level", "0.3",
                      "--confidence-multiplier", "2.5", "--no-symmetrize"]) == 0
         log = read_manifest(first / "run_log.json")
-        assert log["options"] == {"estimator": "svd", "angles": "plus-asin",
-                                  "outlier_level": 0.3,
-                                  "confidence_multiplier": 2.5,
+        assert log["options"] == {"outlier_level": 0.3, "confidence_multiplier": 2.5,
                                   "symmetrize": False}
         for tag, entry in zip(("fx", "fy", "fz", "mx", "my", "mz"),
                               log["experiments"]):
@@ -177,8 +174,7 @@ class TestIdentify:
         del data["options"]
         write_manifest(sim / "bare.json", data)
         opts = log["options"]
-        flags = ["--estimator", opts["estimator"], "--angles", opts["angles"],
-                 "--outlier-level", repr(opts["outlier_level"]),
+        flags = ["--outlier-level", repr(opts["outlier_level"]),
                  "--confidence-multiplier", repr(opts["confidence_multiplier"])]
         if not opts["symmetrize"]:
             flags.append("--no-symmetrize")
@@ -192,8 +188,7 @@ class TestIdentify:
         assert ((default / "compliance.json").read_bytes()
                 != (first / "compliance.json").read_bytes())
         assert read_manifest(default / "run_log.json")["options"] == {
-            "estimator": "lin", "angles": "avg", "outlier_level": 0.01,
-            "confidence_multiplier": 3.0, "symmetrize": True}
+            "outlier_level": 0.01, "confidence_multiplier": 3.0, "symmetrize": True}
         rerun_log = read_manifest(rerun / "run_log.json")
         assert rerun_log["options"] == opts
         assert ([e["removed_indices"] for e in rerun_log["experiments"]]
@@ -507,7 +502,7 @@ class TestReadmeInputFormat:
         assert cases[0].field.n == 1331
         assert cases[0].field.centered
         assert_allclose(cases[0].wrench.as_vector(), [1000.0, 0, 0, 0, 0, 0])
-        assert options == {"estimator": "lin", "outlier_level": 0.01}
+        assert options == {"outlier_level": 0.01}
 
     def test_manifest_keys_match_schema(self):
         def paths(schema, path):
@@ -579,24 +574,18 @@ class TestIdentifyErrors:
         write_manifest(manifest, data)
         return manifest
 
-    @pytest.mark.parametrize("estimator", ["lin", "svd"])
-    def test_overflowing_displacement_exit_3(self, sim_dir, tmp_path, capsys, estimator):
+    def test_overflowing_displacement_exit_3(self, sim_dir, tmp_path, capsys):
         # Three dx of 1e308 make the mean displacement infinite.
         manifest = self.overflow_manifest(sim_dir, tmp_path, "dx", "1e308", (0, 1, 2))
-        assert main(["identify", str(manifest), "--estimator", estimator,
-                     "--out", str(tmp_path / "o")]) == 3
+        assert main(["identify", str(manifest), "--out", str(tmp_path / "o")]) == 3
         assert self.stderr_payload(capsys)["error"] == "NonFiniteDeflection"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("estimator", ["lin", "svd"])
-    def test_overflowing_residual_exit_3(self, sim_dir, tmp_path, capsys, estimator):
+    def test_overflowing_residual_exit_3(self, sim_dir, tmp_path, capsys):
         # One dy of 1e160 leaves the deflections finite, but its squared
-        # residual overflows the fit's residual sum of squares.  It also
-        # leaves the svd fit's cross-covariance rank 1, which is reported
-        # as the overflow, not as collinear nodes.
+        # residual overflows the fit's residual sum of squares.
         manifest = self.overflow_manifest(sim_dir, tmp_path, "dy", "1e160", (0,))
-        assert main(["identify", str(manifest), "--estimator", estimator,
-                     "--out", str(tmp_path / "o")]) == 3
+        assert main(["identify", str(manifest), "--out", str(tmp_path / "o")]) == 3
         assert self.stderr_payload(capsys)["error"] == "NonFiniteDeflection"
         assert not (tmp_path / "o").exists()
 
@@ -745,18 +734,34 @@ class TestIdentifyErrors:
         assert message in payload["message"]
         assert not (tmp_path / "o").exists()
 
-    def test_unknown_estimator_in_manifest_exit_2(self, sim_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("estimator", "svd"), ("angles", "avg")])
+    def test_removed_option_in_manifest_exit_2(self, sim_dir, tmp_path, capsys, key,
+                                               value):
+        # identify fits one model; a manifest written before that, as
+        # every earlier simulate wrote it, is told so, and nothing is
+        # written.
         data = read_manifest(sim_dir / "manifest.json")
         for entry in data["experiments"]:
             entry["field_file"] = str(sim_dir / entry["field_file"])
-        data["options"]["estimator"] = "foo"
+        data["options"][key] = value
         manifest = tmp_path / "m.json"
         write_manifest(manifest, data)
-        assert main(["identify", str(manifest),
-                     "--out", str(tmp_path / "o")]) == 2
+        assert main(["identify", str(manifest), "--out", str(tmp_path / "o")]) == 2
         payload = self.stderr_payload(capsys)
         assert payload["error"] == "ManifestError"
-        assert "estimator" in payload["message"]
+        assert payload["file"] == str(manifest)
+        assert (f"unknown key options.{key}; identify always fits the linearized model"
+                in payload["message"])
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--estimator", "svd"), ("--angles", "avg")])
+    def test_removed_flag_exit_2(self, sim_dir, tmp_path, capsys, flag, value):
+        assert main(["identify", str(sim_dir / "manifest.json"), flag, value,
+                     "--out", str(tmp_path / "o")]) == 2
+        payload = self.stderr_payload(capsys)
+        assert payload["error"] == "InvalidArgument"
+        assert flag in payload["message"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name, error", [("field_fx.csv", "FieldFileError"),
                                              ("manifest.json", "ManifestError")])
@@ -797,7 +802,7 @@ class TestIdentifyErrors:
          "experiments[0].wrench.force"),
         (lambda data: data["units"].update(force="lbf"), "units.force"),
         (lambda data: data["options"].update(symmetrize=1), "options.symmetrize"),
-        (lambda data: data["options"].update(angles="bogus"), "angles must be one of"),
+        (lambda data: data["options"].update(angles="bogus"), "unknown key options.angles"),
         (lambda data: data["experiments"][0]["sensor"].update(edge=True),
          "experiments[0].sensor.edge"),
         (lambda data: data["experiments"][0]["sensor"].update(center=[float("nan"), 0, 0]),

@@ -283,52 +283,61 @@ def batch_fields(shared):
     return pos, disp + rng.normal(0.0, 1e-5, disp.shape)
 
 
-class TestFitsWithoutResiduals:
+class TestBatchedFits:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
-    @pytest.mark.parametrize("method", [None, *AngleExtractionMethod],
-                             ids=lambda m: "lin" if m is None else f"svd-{m.value}")
-    def test_deflections_keep_their_bits(self, method, shared):
+    def test_svd_batch_rows_equal_one_row_fits(self, shared):
+        # The rows read their angles in one pass over the batch's rotation
+        # matrices, through math.asin entry by entry.
         pos, disp = batch_fields(shared)
-        geometry, rel = _fit_geometry(pos)
+        method = AngleExtractionMethod.PLUS_ASIN
+        batch = _fit_svd(*_fit_geometry(pos), disp, method)
+        for s in range(3):
+            one = _fit_svd(*_fit_geometry(pos if shared else pos[s:s + 1]), disp[s:s + 1],
+                           method)
+            for name in ("translation", "rotation", "residuals", "score", "objective"):
+                assert getattr(batch, name)[s].tobytes() == getattr(one, name)[0].tobytes()
 
-        def fit(residuals):
-            if method is None:
-                return _fit_lin(geometry, rel, disp, residuals=residuals)
-            return _fit_svd(geometry, rel, disp, method, residuals=residuals)
-
-        full, bare = fit(True), fit(False)
-        assert full.residuals.shape == disp.shape and full.objective.shape == (3,)
-        assert bare.residuals is None and bare.objective is None
-        assert bare.geometry is geometry
-        assert bare.translation.tobytes() == full.translation.tobytes()
-        assert bare.rotation.tobytes() == full.rotation.tobytes()
-
-    @pytest.mark.parametrize("residuals", [True, False])
-    def test_svd_collinear_displaced_nodes_degenerate(self, residuals):
+    def test_svd_collinear_displaced_nodes_degenerate(self):
         # every node moves onto the x axis: the cross-covariance has rank 1
         pos = cube_nodes(2.0, 1.0)
         disp = np.zeros_like(pos)
         disp[:, 1:] = -pos[:, 1:]
         with pytest.raises(DegenerateGeometry, match="collinear"):
-            _fit_svd(*_fit_geometry(pos), disp[None], residuals=residuals)
+            _fit_svd(*_fit_geometry(pos), disp[None])
 
-    @pytest.mark.parametrize("residuals", [True, False])
-    def test_svd_overflowing_displacement_named(self, residuals):
+    def test_svd_overflowing_displacement_named(self):
         pos = cube_nodes(2.0, 1.0)
         disp = np.zeros_like(pos)
         disp[0, 1] = 1e160
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteDeflection, match="residual sum of squares"):
-                _fit_svd(*_fit_geometry(pos), disp[None], residuals=residuals)
+                _fit_svd(*_fit_geometry(pos), disp[None])
+
+    @pytest.mark.parametrize("cells", [
+        {(0, 1): np.inf},
+        {(0, 1): 1e308, (1, 1): 1e308},
+        {(0, 0): 1e308, (1, 1): -1e308},
+    ], ids=["inf", "mean-overflows", "rotation-overflows"])
+    def test_svd_non_finite_displacement_named(self, cells):
+        # An infinite dy; two finite dy whose sum overflows the mean; and a
+        # dx and a dy that overflow the cross-covariance.
+        pos = cube_nodes(2.0, 1.0)
+        disp = np.zeros_like(pos)
+        for (node, axis), value in cells.items():
+            disp[node, axis] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteDeflection):
+                _fit_svd(*_fit_geometry(pos), disp[None])
 
     @pytest.mark.parametrize("fit", [_fit_lin, _fit_svd], ids=["lin", "svd"])
-    def test_small_angle_warning_stays(self, fit):
+    def test_small_angle_warning(self, fit):
         pos = cube_nodes(2.0, 1.0)
         disp = np.cross([0.0, 0.0, 0.05], pos)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fit(*_fit_geometry(pos), disp[None], residuals=False)
+            fit(*_fit_geometry(pos), disp[None])
         assert [w.category for w in caught] == [LinearizationWarning]
 
     @pytest.mark.parametrize("fit", [_fit_lin, _fit_svd], ids=["lin", "svd"])
@@ -337,7 +346,7 @@ class TestFitsWithoutResiduals:
         disp = np.zeros_like(pos)
         disp[0, 0] = np.nan
         with pytest.raises(NonFiniteDeflection):
-            fit(*_fit_geometry(pos), disp[None], residuals=False)
+            fit(*_fit_geometry(pos), disp[None])
 
 
 class TestAngleExtraction:

@@ -268,24 +268,27 @@ def test_noise_free_square_structural_zeros():
 @pytest.mark.parametrize("estimator", ["lin", "svd"])
 def test_noise_free_cube_over_three_blocks(estimator):
     # 27^3 nodes, so every node sum of the fits runs over three blocks.
-    # Each estimator gets the motion of its own model: svd reads its
-    # angles off an orthogonal matrix, and first-order displacements
-    # would leave it a second-order error of about 2e-8 in the zeros.
+    # identify runs lin; svd is fit field by field and assembled.  Each
+    # estimator gets the motion of its own model: svd reads its angles
+    # off an orthogonal matrix, and first-order displacements would leave
+    # it a second-order error of about 2e-8 in the zeros.
     pattern = MeshPattern.cubic(13.0, 0.5)
     if estimator == "lin":
         cases = beam_load_cases(BeamSpec(), pattern, sigma=0.0)
+        assert cases[0].field.n > 2 * _GRAM_BLOCK
+        k = run_identification(cases).assembled.k
     else:
         base = generate_pattern(pattern, center=(BeamSpec().length, 0.0, 0.0))
-        k = beam_compliance_oracle().k
-        cases = []
-        for w in canonical_wrench_scheme(*DEFAULT_LOADS):
-            d = k @ w.as_vector()
+        assert base.n > 2 * _GRAM_BLOCK
+        wrenches = canonical_wrench_scheme(*DEFAULT_LOADS)
+        deflections = []
+        for w in wrenches:
+            d = beam_compliance_oracle().k @ w.as_vector()
             field = apply_rigid_transform(base, Deflection(d[:3], d[3:]),
                                           exact_rotation=True)
-            cases.append(LoadCase(field, w))
-    assert cases[0].field.n > 2 * _GRAM_BLOCK
-    result = run_identification(cases, IdentifyOptions(estimator=estimator))
-    assert np.max(np.abs(result.assembled.k[ZERO])) <= 1e-15
+            deflections.append(estimate_svd(field).deflection)
+        k = assemble_overdetermined(wrenches, deflections).k
+    assert np.max(np.abs(k[ZERO])) <= 1e-15
 
 
 @pytest.mark.parametrize("name, value", [("outlier_level", False),
@@ -295,13 +298,6 @@ def test_boolean_numeric_options_rejected(name, value):
     # range checks as 0 and 1.
     with pytest.raises(ValueError, match=name):
         IdentifyOptions(**{name: value})
-
-
-@pytest.mark.parametrize("value", ["bogus", "", 3], ids=["bogus", "empty", "number"])
-def test_unknown_angle_reading_rejected(value):
-    # The same error as every other option check, naming the readings.
-    with pytest.raises(InvalidArgument, match="angles must be one of 'plus'.*'avg-asin'"):
-        IdentifyOptions(angles=value)
 
 
 @pytest.mark.parametrize("value", [1, 0])
@@ -345,26 +341,17 @@ def batch_row(batch, s):
     return [np.asarray(a).tobytes() for a in out]
 
 
-SVD_ASIN = IdentifyOptions(estimator="svd", angles="plus-asin")
-
-
-@pytest.mark.parametrize("jitter, options", [
-    (0.0, IdentifyOptions()), (1e-3, IdentifyOptions()),
-    (0.0, SVD_ASIN), (1e-3, SVD_ASIN),
-], ids=["shared-positions", "row-positions",
-        "shared-positions-svd-plus-asin", "row-positions-svd-plus-asin"])
-def test_batch_rows_equal_one_row_batches(jitter, options):
-    # The svd rows read their angles in one pass over the batch's
-    # rotation matrices, through math.asin entry by entry.  Rows 1 and 3
-    # lose nodes to the outlier cut and are refit; rows 0 and 2 keep
-    # their initial fits.
+@pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["shared-positions", "row-positions"])
+def test_batch_rows_equal_one_row_batches(jitter):
+    # Rows 1 and 3 lose nodes to the outlier cut and are refit; rows 0
+    # and 2 keep their initial fits.
     positions, displacements, wrenches = beam_batch(range(4), jitter, spiked=(1, 3))
-    batch = stiffid.identify_batch(positions, displacements, wrenches, options)
+    batch = stiffid.identify_batch(positions, displacements, wrenches)
     assert [int(n[1]) for n in batch.nodes] == [118] * 6
     for s in range(4):
         one = stiffid.identify_batch(
             [p if p.ndim == 2 else p[s:s + 1] for p in positions],
-            [d[s:s + 1] for d in displacements], wrenches, options)
+            [d[s:s + 1] for d in displacements], wrenches)
         assert batch_row(batch, s) == batch_row(one, 0)
         assert one.dof[0] == batch.dof[s]
         assert [n[0] for n in one.nodes] == [121 if s % 2 == 0 else 118] * 6
@@ -747,13 +734,12 @@ def test_overflowing_displacement_named_before_numpy_warns():
                                    canonical_wrench_scheme(*[1.0] * 6))
 
 
-@pytest.mark.parametrize("estimator", ["lin", "svd"])
 @pytest.mark.parametrize("cells", [
     {(0, 1): np.inf},
     {(0, 1): 1e308, (1, 1): 1e308},
     {(0, 0): 1e308, (1, 1): -1e308},
 ], ids=["inf", "mean-overflows", "rotation-overflows"])
-def test_non_finite_displacement_named_before_numpy_warns(cells, estimator):
+def test_non_finite_displacement_named_before_numpy_warns(cells):
     # An infinite dy; two finite dy whose sum overflows the mean; and a dx
     # and a dy whose lin rotation overflows, and with it its product with
     # the centroid.
@@ -764,12 +750,10 @@ def test_non_finite_displacement_named_before_numpy_warns(cells, estimator):
         warnings.simplefilter("error")
         with pytest.raises(stiffid.NonFiniteDeflection):
             stiffid.identify_batch([cube27()] * 6, [disp] * 6,
-                                   canonical_wrench_scheme(*[1.0] * 6),
-                                   IdentifyOptions(estimator=estimator))
+                                   canonical_wrench_scheme(*[1.0] * 6))
 
 
-@pytest.mark.parametrize("estimator", ["lin", "svd"])
-def test_non_finite_assembly_named_before_numpy_warns(estimator):
+def test_non_finite_assembly_named_before_numpy_warns():
     # Finite deflections of 1e10 mm over a force of 1e-300 N overflow the
     # compliance matrix.
     disp = np.full((1, 27, 3), 1e10)
@@ -777,8 +761,7 @@ def test_non_finite_assembly_named_before_numpy_warns(estimator):
         warnings.simplefilter("error")
         with pytest.raises(stiffid.NonFiniteCompliance, match="overflow"):
             stiffid.identify_batch([cube27()] * 6, [disp] * 6,
-                                   canonical_wrench_scheme(1e-300, *[1.0] * 5),
-                                   IdentifyOptions(estimator=estimator))
+                                   canonical_wrench_scheme(1e-300, *[1.0] * 5))
 
 
 def test_infinite_positions_named_before_numpy_warns():
@@ -791,8 +774,7 @@ def test_infinite_positions_named_before_numpy_warns():
                                    canonical_wrench_scheme(*[1.0] * 6))
 
 
-@pytest.mark.parametrize("estimator", ["lin", "svd"])
-def test_only_rows_that_lose_a_node_are_refit(estimator, monkeypatch):
+def test_only_rows_that_lose_a_node_are_refit(monkeypatch):
     # Of three rows only row 1 loses nodes to the cut: each experiment
     # fits the three rows, then refits row 1 alone, and the refit forms
     # the residual sum of squares that sigma is pooled from.
@@ -803,11 +785,10 @@ def test_only_rows_that_lose_a_node_are_refit(estimator, monkeypatch):
         fitted.append((len(fits.translation), fits.residuals.shape[-2], fits.objective))
         return fits
 
-    fit = stiffid.pipeline._fit
-    monkeypatch.setattr(stiffid.pipeline, "_fit", spy)
+    fit = stiffid.pipeline._fit_lin
+    monkeypatch.setattr(stiffid.pipeline, "_fit_lin", spy)
     positions, displacements, wrenches = beam_batch(range(3), spiked=(1,))
-    batch = stiffid.identify_batch(positions, displacements, wrenches,
-                                   IdentifyOptions(estimator=estimator))
+    batch = stiffid.identify_batch(positions, displacements, wrenches)
     assert [(rows, n) for rows, n, _ in fitted] == [(3, 121), (1, 118)] * 6
     refits = [objective for rows, _, objective in fitted if rows == 1]
     assert_array_equal(np.stack(batch.per_experiment_sigma)[:, 1],
