@@ -35,8 +35,8 @@ dimension of n several times slower than the same sum over
 cache-sized blocks: at n = 175,616, 1.12 ms against 0.38 ms (OpenBLAS
 0.3.31, 2-core Xeon VM, median of 200 calls), and blocks of 4,096 to
 32,768 nodes measured the same.  An identification of six such fields
-on one mesh forms 7 of these sums, and each refit after outlier removal
-two more.  A field of at most one block gets the single
+on one mesh forms 7 of these sums, and each batch of refits after
+outlier removal two more.  A field of at most one block gets the single
 product, bit for bit.  The moment matrix sums the products of one
 array with itself, and on one buffer numpy calls BLAS ``syrk``, which
 OpenBLAS runs about 3x slower than ``gemm`` here; so :func:`_gram`
@@ -53,8 +53,10 @@ gives the inverse.  :func:`_fit_geometry` returns ``rel`` beside the
 geometry, and the fits take both, so whoever holds one layout builds
 it once: shared positions give one geometry for all rows of a batch,
 and the identification core builds one for all experiments on equal
-node positions (the load cases of one mesh).  Each refit after outlier
-removal keeps its own survivors and builds its own geometry.
+node positions (the load cases of one mesh).  The refits after outlier
+removal run on the survivors of each row, as batches of per-row
+positions: one geometry for each batch of rows that keep the same node
+count.
 
 Both fits centre the displacements on their mean (:func:`_centred`).
 The linearized fit then forms the rotation right-hand side from the

@@ -19,11 +19,16 @@ them into planes.
 
 The load cases of one mesh share their node positions, so the core
 builds the fit geometry (see :mod:`stiffid.estimation`) once per
-distinct node layout and fits every experiment on that layout with it.
-Only the rows whose outlier cut drops a node are refit, each as a
-one-row fit of its own survivors, which are gathered straight into the
-component planes the fits work on and get their own geometry; every
-other row keeps its initial fit.
+distinct node layout, fits every experiment on that layout with it and
+forms one covariance per layout.  Only the rows whose outlier cut drops
+a node are refit, each on its own survivors, which are gathered
+straight into the component planes the fits work on; every other row
+keeps its initial fit.  The rows that keep m nodes, from any
+experiment, are refit together as one batch of per-row positions (one
+geometry, one fit and one covariance per batch of up to
+``_BLOCK_NODES`` nodes), so that a study's refits cost a few batched
+calls instead of one chain per row.  Each row of a refit batch has the
+bits of a refit of its own.
 """
 
 from __future__ import annotations
@@ -66,6 +71,15 @@ from .stats import (
     _roundoff_floor,
     _significance,
 )
+
+# Nodes per batch, whatever the rows, which bounds the arrays of a
+# batch: a refit batch holds the rows of one survivor count up to this
+# many nodes, and the studies of stiffid.synthetic identify their trials
+# in blocks of up to this many nodes per experiment.  The default
+# zero-detection study, 100 seeds of 121 nodes, is one block: 2 fit
+# geometries and 7 fits (its 10 rows that lose a node form one refit
+# batch), at a traced peak of about 1.4 MiB per study call.
+_BLOCK_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -233,6 +247,44 @@ def _survivors(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return kept.reshape(1, 3, -1).swapaxes(-1, -2)
 
 
+def _block_rows(nodes: int) -> int:
+    """The rows of `nodes` nodes each in one batch: as many as fit in
+    ``_BLOCK_NODES`` nodes, and at least one."""
+    return max(1, _BLOCK_NODES // nodes)
+
+
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Survivors (1, m, 3) stacked as the (k, m, 3) view of planes
+    (k, 3, m); one array comes back as it is, without a copy."""
+    if len(arrays) == 1:
+        return arrays[0]
+    return np.concatenate([a.swapaxes(-1, -2) for a in arrays]).swapaxes(-1, -2)
+
+
+def _refit(group: list, deflections: list[np.ndarray], objectives: list[np.ndarray],
+           ) -> tuple[FitGeometry, tuple[int, ...], tuple[int, ...]]:
+    """Refit the rows of `group`, (experiment j, row s, positions,
+    displacements) with survivors (1, m, 3) of one count m each, as one
+    batch of per-row positions; write each row's deflection and residual
+    sum of squares into ``deflections[j][s]`` and ``objectives[j][s]``.
+    Returns the batch's geometry and each row's j and s.
+
+    Each row of the batch runs the same BLAS and LAPACK calls as a
+    one-row batch, so it gets the same bits as a refit of its own.
+    `group` is emptied, so that the survivors' positions are freed once
+    the geometry is built, before the fit allocates its residuals."""
+    experiments, rows, positions, displacements = zip(*group)
+    group.clear()
+    geometry, rel = _fit_geometry(_stacked(positions))
+    del positions
+    fits = _fit_lin(geometry, rel, _stacked(displacements))
+    deflection = np.concatenate([fits.translation, fits.rotation], axis=-1)
+    for i, (j, s) in enumerate(zip(experiments, rows)):
+        deflections[j][s] = deflection[i]
+        objectives[j][s] = fits.objective[i]
+    return geometry, experiments, rows
+
+
 def identify_batch(positions: Sequence[np.ndarray],
                    displacements: Iterable[np.ndarray],
                    wrenches: Sequence[Wrench],
@@ -254,8 +306,11 @@ def identify_batch(positions: Sequence[np.ndarray],
     every row: it gives the assembly k = D W^+ and the element
     variances sum_j (W^+)_jl^2 Var(D_ij) of the significance stage.
     Any row's failure (a degenerate node layout, too few nodes left)
-    raises for the batch, and a wrench set that is not admissible
-    raises :class:`~stiffid.errors.RankDeficientWrenches`.  Deflections
+    raises for the batch; a refit batch that does not fill
+    ``_BLOCK_NODES`` nodes runs after the last experiment's cut, so a
+    later experiment's failure is raised before its own.  A wrench set
+    that is not admissible raises
+    :class:`~stiffid.errors.RankDeficientWrenches`.  Deflections
     that overflow the assembled matrix or its halfwidths (a tiny wrench)
     raise :class:`~stiffid.errors.NonFiniteCompliance`.
     Experiments whose positions equal an earlier experiment's share its
@@ -268,9 +323,8 @@ def identify_batch(positions: Sequence[np.ndarray],
     # Per distinct node layout: the positions as given, in planes, and
     # their fit geometry with the centroid-relative positions.
     layouts: list[tuple[np.ndarray, np.ndarray, FitGeometry, np.ndarray]] = []
-    # Per experiment: the geometry of the initial fits, and the (row,
-    # geometry) of each refit.
-    geometries = []
+    # Per experiment: the index of its layout in `layouts`.
+    layout_of = []
     deflections = []
     dropped = []
     cut_levels = []
@@ -278,6 +332,12 @@ def identify_batch(positions: Sequence[np.ndarray],
     sizes = []
     objectives = []
     counts = []
+    # The rows that lost a node and wait for their refit, by survivor
+    # count m: (experiment, row, survivors' positions, survivors'
+    # displacements), each of the last two (1, m, 3).
+    pending: dict[int, list] = {}
+    # Per refit batch: its geometry, and each row's experiment and row.
+    refits = []
     rows = None
     for j, (p, d) in enumerate(zip(positions, displacements, strict=True)):
         p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
@@ -289,12 +349,13 @@ def identify_batch(positions: Sequence[np.ndarray],
                 f"experiment {j}: displacements must be (S, n, 3) and positions "
                 f"(n, 3) or (S, n, 3), with one S >= 1 for all experiments; got "
                 f"{d.shape} and {p.shape}")
-        layout = next((known for known in layouts if _same_layout(known[0], p)), None)
-        if layout is None:
+        index = next((i for i, known in enumerate(layouts) if _same_layout(known[0], p)),
+                     None)
+        if index is None:
+            index = len(layouts)
             planes = _planes(p)
-            layout = (p, planes, *_fit_geometry(planes))
-            layouts.append(layout)
-        _, planes, geometry, rel = layout
+            layouts.append((p, planes, *_fit_geometry(planes)))
+        _, planes, geometry, rel = layouts[index]
         # `d` is kept as given.  A field's arrays are planes already; rows
         # are copied into planes by the fit for its own pass only, since a
         # plane copy held through the experiment adds an array to the peak
@@ -304,35 +365,34 @@ def identify_batch(positions: Sequence[np.ndarray],
         cut = _cut_level(options.outlier_level, n)
         drop = _drop_mask(fit.score, cut,
                           _roundoff_floor(geometry, fit.translation, fit.rotation))
-        deflection = np.concatenate([fit.translation, fit.rotation], axis=-1)
+        layout_of.append(index)
+        deflections.append(np.concatenate([fit.translation, fit.rotation], axis=-1))
         initial_objectives.append(fit.objective)
+        objectives.append(fit.objective.copy())
         sizes.append(n)
-        objective = fit.objective.copy()
         count = np.full(rows, n)
-        row_refits = []
-        del fit  # free its residuals before any refit gathers survivors
+        counts.append(count)
+        dropped.append(drop)
+        cut_levels.append(cut)
+        del fit  # free its residuals before the survivors are gathered
         if drop is not None:
             drop.flags.writeable = False
             count -= np.count_nonzero(drop, axis=-1)
-            # Each row that loses a node is refit alone, so it keeps the
-            # bits of a one-row batch; the refit's residual sum of
-            # squares feeds sigma.
+            # The survivors are new arrays, so `d` is freed with the
+            # experiment.  Rows of one survivor count, from any
+            # experiment, are refit as one batch of per-row positions
+            # once they fill one (so a large field's row is refit here,
+            # alone) or after the last experiment.
             for s in np.flatnonzero(count < n).tolist():
                 keep = ~drop[s:s + 1]
-                refit = _fit_lin(*_fit_geometry(_survivors(
-                    planes if planes.ndim == 2 else planes[s:s + 1], keep)),
-                    _survivors(d[s:s + 1], keep))
-                deflection[s] = np.concatenate([refit.translation, refit.rotation],
-                                               axis=-1)[0]
-                objective[s] = refit.objective[0]
-                row_refits.append((s, refit.geometry))
-                del refit
-        geometries.append((geometry, row_refits))
-        deflections.append(deflection)
-        dropped.append(drop)
-        cut_levels.append(cut)
-        objectives.append(objective)
-        counts.append(count)
+                m = int(count[s])
+                group = pending.setdefault(m, [])
+                group.append((j, s, _survivors(planes if planes.ndim == 2
+                                               else planes[s:s + 1], keep),
+                              _survivors(d[s:s + 1], keep)))
+                if len(group) == _block_rows(m):
+                    refits.append(_refit(pending.pop(m), deflections, objectives))
+    refits += [_refit(group, deflections, objectives) for group in pending.values()]
     sigma_before_cut = _pool_sigma(initial_objectives, sizes)[0]
     sigma, dof, per_experiment = _pool_sigma(objectives, counts)
     # Least squares for every admissible wrench set: k = D W^+, with D
@@ -344,13 +404,18 @@ def identify_batch(positions: Sequence[np.ndarray],
     # Values that overflow are named just below; numpy's warning on the
     # way is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        covariances = []
-        for geometry, row_refits in geometries:
-            covariance = _covariance(geometry, sigma)
-            for s, refit_geometry in row_refits:
-                covariance[s] = _covariance(refit_geometry, sigma[s:s + 1])[0]
+        # The experiments on one layout share its geometry and the pooled
+        # sigma, so their covariances are one array until a refit row
+        # is written into an experiment's own copy.
+        shared = [_covariance(layout[2], sigma) for layout in layouts]
+        covariances = [shared[i] if drop is None else shared[i].copy()
+                       for i, drop in zip(layout_of, dropped)]
+        for geometry, experiments, batch_rows in refits:
+            for covariance, j, s in zip(_covariance(geometry, sigma[list(batch_rows)]),
+                                        experiments, batch_rows):
+                covariances[j][s] = covariance
+        for covariance in covariances:
             covariance.flags.writeable = False
-            covariances.append(covariance)
         assembled = _least_squares(deflections, svd)
         halfwidth = _halfwidth(covariances, svd, options.confidence_multiplier)
     if not (np.isfinite(assembled).all() and np.isfinite(halfwidth).all()):

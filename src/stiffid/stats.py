@@ -151,9 +151,12 @@ def _covariance(geometry: FitGeometry, sigma: np.ndarray) -> np.ndarray:
     # the mean displacement and c the centroid: lever = [c]x.
     lever = skew(geometry.centroid)
     cross = lever @ rotation
-    translation = (variance / geometry.n)[..., None, None] * np.eye(3) \
+    covariance = np.empty(rotation.shape[:-2] + (6, 6))
+    covariance[..., :3, :3] = (variance / geometry.n)[..., None, None] * np.eye(3) \
         + cross @ lever.swapaxes(-1, -2)
-    covariance = np.block([[translation, cross], [cross.swapaxes(-1, -2), rotation]])
+    covariance[..., :3, 3:] = cross
+    covariance[..., 3:, :3] = cross.swapaxes(-1, -2)
+    covariance[..., 3:, 3:] = rotation
     # The inverse normal matrix, and with it the lever-arm term, is
     # symmetric only to roundoff.
     return (covariance + covariance.swapaxes(-1, -2)) / 2.0

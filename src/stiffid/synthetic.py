@@ -25,9 +25,9 @@ pattern, and the noise-free rigid displacements, from
 :func:`apply_rigid_transform` at sigma = 0 (zero detection starts from
 the six cases of ``beam_load_cases(sigma=0)``).  Each trial then only
 draws its noise, into one (S, n, 3) batch per experiment, with S the
-trials of a block of at most ``_BLOCK_NODES`` nodes per experiment;
-successive blocks continue the stream.  Every study hands each block to
-the batched core (:func:`~stiffid.estimation._fit_lin`,
+trials of a block of at most ``pipeline._BLOCK_NODES`` nodes per
+experiment; successive blocks continue the stream.  Every study hands
+each block to the batched core (:func:`~stiffid.estimation._fit_lin`,
 :func:`~stiffid.estimation._fit_svd` and
 :func:`~stiffid.pipeline.identify_batch`), whose rows equal one-trial
 runs bit for bit, so a study's results do not depend on the block size.
@@ -55,8 +55,13 @@ from .estimation import (
     rotation_xyz,
 )
 from .field import DisplacementField, axis_index
-from .pipeline import IdentifyOptions, LoadCase, identify_batch
-from .stats import DEFAULT_OUTLIER_LEVEL, _check_sigma, system_covariance
+from .pipeline import IdentifyOptions, LoadCase, _block_rows, identify_batch
+from .stats import (
+    DEFAULT_OUTLIER_LEVEL,
+    _check_multiplier,
+    _check_sigma,
+    system_covariance,
+)
 
 # Canonical load set used by the beam studies: forces N, torques N mm.
 DEFAULT_LOADS = (1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)
@@ -65,14 +70,6 @@ _EXPERIMENT_NAMES = ("fx", "fy", "fz", "mx", "my", "mz")
 
 # The amplitude study's estimators: lin, and svd with each angle reading.
 STUDY_METHODS = ("lin",) + tuple(f"svd-{m.value}" for m in AngleExtractionMethod)
-
-# Nodes per experiment (trials times the nodes of one trial's field)
-# identified per batch, which bounds a study's arrays whatever its trial
-# count.  The zero-detection study draws one experiment's noise at a
-# time, so its default 100 seeds of 121 nodes run as one block: 6 fit
-# chains, where 22-seed blocks ran 30, at a traced peak of about 1.6 MiB
-# per study call.
-_BLOCK_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -203,8 +200,9 @@ def _noisy_displacements(rigid: np.ndarray, sigma: float, generator,
 
 def _blocks(count: int, nodes: int) -> list[range]:
     """Consecutive ranges of `count` trials of `nodes` nodes each, with
-    at most ``_BLOCK_NODES`` nodes (and at least one trial) per range."""
-    size = max(1, _BLOCK_NODES // nodes)
+    at most ``pipeline._BLOCK_NODES`` nodes (and at least one trial) per
+    range."""
+    size = _block_rows(nodes)
     return [range(start, min(count, start + size)) for start in range(0, count, size)]
 
 
@@ -501,11 +499,18 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
 
     Raises :class:`InvalidArgument` for `sigma` = 0: the pooled sigma and
     the structural zeros are then both roundoff, so the test has nothing
-    to measure.
+    to measure.  `multiplier` must be a positive and finite number and
+    `safety_threshold` a nonnegative and finite one, neither a bool,
+    else :class:`InvalidArgument` is raised before any noise is drawn.
     """
     _check_trials(seeds, "seeds")
     if sigma == 0.0:
         raise InvalidArgument("zero detection needs noise: sigma must be positive, got 0.0")
+    _check_multiplier(multiplier, "multiplier")
+    # NaN would fail every seed's comparison and count it as imperfect.
+    if isinstance(safety_threshold, bool) or not 0.0 <= safety_threshold < math.inf:
+        raise InvalidArgument(f"safety_threshold must be a nonnegative and finite "
+                              f"number, got {safety_threshold!r}")
     generators = [np.random.default_rng(s)
                   for s in np.random.SeedSequence(_seed(sigma, seed)).spawn(6)]
     oracle = beam_compliance_oracle()

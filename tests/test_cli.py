@@ -981,12 +981,24 @@ class TestBenchmark:
                      "--multiplier", "1e9", "--out", str(out)]) == 4
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_zero_detection_names_its_multiplier(self, tmp_path, capsys, value):
+        # The study's own parameter, which the flag sets, not the
+        # pipeline option that it becomes.
+        out = tmp_path / "o"
+        assert main(["benchmark", "zero-detection", "--multiplier", value,
+                     "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidArgument"
+        assert payload["message"].startswith("multiplier must be")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, word", [
         (["simulate", "--sigma", "-1"], "sigma"),
         (["simulate", "--poisson", "0.5"], "poisson"),
         (["simulate", "--sigma", "1e-4", "--seed", "-1"], "seeds"),
         (["benchmark", "zero-detection", "--sigma", "-1"], "sigma"),
-        (["benchmark", "zero-detection", "--multiplier", "0"], "confidence_multiplier"),
+        (["benchmark", "zero-detection", "--multiplier", "0"], "multiplier must"),
         (["benchmark", "zero-detection", "--trials", "0"], "seeds"),
         (["benchmark", "noise", "--trials", "0"], "trials"),
         (["benchmark", "noise", "--trials", "-1"], "trials"),

@@ -687,9 +687,10 @@ def test_shared_geometry_gives_the_same_bytes(layouts, refit, own_geometry,
     del geometry_builds[:]
     shared = run_identification(cases)
     assert result_bytes(shared) == result_bytes(reference)
-    # once per distinct layout; each refit builds one of its own
+    # once per distinct layout; the six refits keep n - 3 nodes each and
+    # share one batch, which builds one geometry
     assert geometry_builds.count(n) == distinct
-    assert len(geometry_builds) == distinct + (6 if refit else 0)
+    assert len(geometry_builds) == distinct + (1 if refit else 0)
 
 
 def test_shared_positions_object_gives_the_same_bytes(own_geometry, geometry_builds):
@@ -699,7 +700,7 @@ def test_shared_positions_object_gives_the_same_bytes(own_geometry, geometry_bui
                              wrenches)
     del geometry_builds[:]
     batch = stiffid.identify_batch(shared_object, displacements, wrenches)
-    assert geometry_builds == [121] + [118] * 6
+    assert geometry_builds == [121, 118]
     for s in range(3):
         assert batch_row(batch, s) == batch_row(reference, s)
 
@@ -776,8 +777,9 @@ def test_infinite_positions_named_before_numpy_warns():
 
 def test_only_rows_that_lose_a_node_are_refit(monkeypatch):
     # Of three rows only row 1 loses nodes to the cut: each experiment
-    # fits the three rows, then refits row 1 alone, and the refit forms
-    # the residual sum of squares that sigma is pooled from.
+    # fits the three rows, then row 1 of the six experiments is refit as
+    # one batch, which forms the residual sums of squares that sigma is
+    # pooled from.
     fitted = []
 
     def spy(*args, **kwargs):
@@ -789,11 +791,99 @@ def test_only_rows_that_lose_a_node_are_refit(monkeypatch):
     monkeypatch.setattr(stiffid.pipeline, "_fit_lin", spy)
     positions, displacements, wrenches = beam_batch(range(3), spiked=(1,))
     batch = stiffid.identify_batch(positions, displacements, wrenches)
-    assert [(rows, n) for rows, n, _ in fitted] == [(3, 121), (1, 118)] * 6
-    refits = [objective for rows, _, objective in fitted if rows == 1]
+    assert [(rows, n) for rows, n, _ in fitted] == [(3, 121)] * 6 + [(6, 118)]
+    refits = [objective for rows, _, objective in fitted if rows == 6]
     assert_array_equal(np.stack(batch.per_experiment_sigma)[:, 1],
                        np.sqrt(np.concatenate(refits) / (3 * 118 - 6)))
     assert_array_equal(batch.dof, [6 * (3 * 121 - 6), 6 * (3 * 118 - 6), 6 * (3 * 121 - 6)])
+
+
+@pytest.fixture
+def fit_rows(monkeypatch):
+    """The (rows, nodes) of the fits the pipeline runs."""
+    fitted = []
+    original = stiffid.pipeline._fit_lin
+
+    def counted(geometry, rel, displacements):
+        fitted.append(displacements.shape[:2])
+        return original(geometry, rel, displacements)
+
+    monkeypatch.setattr(stiffid.pipeline, "_fit_lin", counted)
+    return fitted
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["shared-positions", "row-positions"])
+def test_refit_batches_equal_one_row_batches(jitter, monkeypatch, geometry_builds,
+                                             fit_rows):
+    # Row s of experiment j moves the first (s + j) % 4 nodes of SPIKED,
+    # so the rows keep 121, 120, 119 or 118 nodes, in every experiment.
+    # A budget of 354 nodes holds 2 rows of 120 or 119 nodes, or 3 of
+    # 118, so each survivor count's rows span several refit batches.
+    rows = 5
+    positions, displacements, wrenches = beam_batch(range(rows), jitter)
+    lost = (np.arange(6)[:, None] + np.arange(rows)) % 4
+    for j, d in enumerate(displacements):
+        for s in range(rows):
+            d[s, SPIKED[:lost[j, s]]] += SPIKE
+    monkeypatch.setattr(stiffid.pipeline, "_BLOCK_NODES", 3 * 118)
+    batch = stiffid.identify_batch(positions, displacements, wrenches)
+    assert_array_equal(batch.nodes, 121 - lost)
+    # One geometry per layout and one initial fit per experiment, and one
+    # geometry and one fit per refit batch; a full batch is refit at
+    # once, so the two interleave.
+    layouts = 1 if jitter == 0.0 else 6
+    refits = []  # (rows, nodes) of each refit batch
+    for m in (120, 119, 118):
+        count, full = np.count_nonzero(lost == 121 - m), 354 // m
+        refits += [(full, m)] * (count // full) + ([(count % full, m)] if count % full else [])
+    refits.sort()
+    assert len(refits) > 3 and max(refits)[0] > 1
+    assert sorted(geometry_builds) == sorted([121] * layouts + [m for _, m in refits])
+    assert sorted(fit_rows) == sorted([(rows, 121)] * 6 + refits)
+    for s in range(rows):
+        one = stiffid.identify_batch([p if p.ndim == 2 else p[s:s + 1] for p in positions],
+                                     [d[s:s + 1] for d in displacements], wrenches)
+        assert batch_row(batch, s) == batch_row(one, 0)
+
+
+def test_full_refit_batch_is_refit_at_once(monkeypatch, fit_rows):
+    # With a budget of one row, each refit batch is full when its row
+    # loses a node, and is refit before the next experiment is fit: the
+    # rows of a large field hold no survivors across experiments.
+    positions, displacements, wrenches = beam_batch(range(3), spiked=(1,))
+    grouped = stiffid.identify_batch(positions, displacements, wrenches)
+    del fit_rows[:]
+    monkeypatch.setattr(stiffid.pipeline, "_BLOCK_NODES", 118)
+    batch = stiffid.identify_batch(positions, displacements, wrenches)
+    assert fit_rows == [(3, 121), (1, 118)] * 6
+    for s in range(3):
+        assert batch_row(batch, s) == batch_row(grouped, s)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+def test_degenerate_refit_batch_raises(shared):
+    # Row 0 of experiment 0 loses a node on the line, and row 1 of
+    # experiment 1 its only node off it: both keep 9 nodes and share
+    # one refit batch, whose second row is collinear.
+    pos = line_and_apex() if shared else np.stack([line_and_apex()] * 2)
+    rng = np.random.default_rng(5)
+    disp = [rng.normal(0.0, 1e-5, (2, 10, 3)) for _ in range(3)]
+    disp[0][0, 4] += 1e-2
+    disp[1][1, -1] += 1e-2
+    wrenches = canonical_wrench_scheme(*[1.0] * 6)
+    for j, node in ((0, 4), (1, 9)):  # each row on its own
+        field = DisplacementField(line_and_apex(), disp[j][j], centered=True)
+        reduced, removed = filter_outliers(field, estimate_lin(field))
+        assert removed.tolist() == [node]
+    with pytest.raises(DegenerateGeometry):
+        estimate_lin(reduced)
+    with pytest.raises(DegenerateGeometry):
+        stiffid.identify_batch([pos] * 2, disp[:2], wrenches[:2])
+    # The refit runs after the last experiment's initial fit, whose own
+    # failure is then raised first.
+    disp[2][0, 0, 1] = np.inf
+    with pytest.raises(stiffid.NonFiniteDeflection):
+        stiffid.identify_batch([pos] * 3, disp, wrenches[:3])
 
 
 def test_same_layout_compares_bits():

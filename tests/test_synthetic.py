@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,7 +37,7 @@ from stiffid import (
     run_noise_study,
     run_zero_detection_study,
 )
-from stiffid import synthetic
+from stiffid import pipeline, synthetic
 from stiffid.compliance import is_canonical
 from stiffid.field import column_mean
 from stiffid.synthetic import (
@@ -410,7 +411,7 @@ class TestAmplitudeStudy:
         # trial by trial, and runs each estimator on each field.
         amplitudes, trials, seed, sigma = [0.05, 0.5], 3, 4, 5e-5
         pattern = MeshPattern.cubic(4.0, 1.0)
-        monkeypatch.setattr(synthetic, "_BLOCK_NODES", 2 * 125)
+        monkeypatch.setattr(pipeline, "_BLOCK_NODES", 2 * 125)
         study = run_amplitude_study(amplitudes, pattern, trials, seed, sigma, kind)
         base = generate_pattern(pattern)
         stream = np.random.default_rng(seed)
@@ -578,7 +579,7 @@ class TestZeroDetectionStudy:
         # noise in one batched transform; one seed per block must give
         # the same study.
         batched = run_zero_detection_study(seeds=30).to_json_dict()
-        monkeypatch.setattr(synthetic, "_BLOCK_NODES", 121)
+        monkeypatch.setattr(pipeline, "_BLOCK_NODES", 121)
         assert run_zero_detection_study(seeds=30).to_json_dict() == batched
 
     def test_default_study_is_one_block(self, monkeypatch):
@@ -591,6 +592,31 @@ class TestZeroDetectionStudy:
         monkeypatch.setattr(synthetic, "identify_batch", counting)
         assert run_zero_detection_study().seeds == 100
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, value", [
+        ("multiplier", math.nan), ("multiplier", 0.0), ("multiplier", True),
+        ("safety_threshold", math.nan), ("safety_threshold", -1.0),
+        ("safety_threshold", math.inf), ("safety_threshold", True),
+    ])
+    def test_bad_parameter_named_before_any_noise(self, monkeypatch, name, value):
+        # With a NaN threshold every seed used to count as imperfect.
+        monkeypatch.setattr(synthetic, "_noisy_displacements", None)
+        with pytest.raises(InvalidArgument, match=f"^{name} must be"):
+            run_zero_detection_study(seeds=2, **{name: value})
+
+    def test_traced_peak_holds_no_noise_block(self):
+        # The default study is one block of 100 seeds, and each
+        # experiment's (100, 3, 121) noise block (284 KiB) is freed once
+        # its rows' survivors are gathered: the peak reads 1.42 MiB, and
+        # 2.53 MiB when the blocks are held until the refits.
+        run_zero_detection_study()  # numpy's lazy imports, the quantile cache
+        tracemalloc.start()
+        try:
+            run_zero_detection_study()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_impossible_threshold_counts_failures(self):
         study = run_zero_detection_study(seeds=2, safety_threshold=1e12)
