@@ -66,11 +66,18 @@ displacements - mean displacement)``.  Each fit keeps its geometry,
 which holds no per-node array, so the deflection covariance follows
 from it without another pass over the nodes.
 
-The residuals (``d - q - dphi x r`` or ``rel + d - q - R rel``) and
-each node's squared residual |r|^2 (:func:`_node_score`) are one more
-pass over the nodes each, which only the outlier cut reads; the row
-sums of those scores are the residual sums of squares that the noise
-estimate reads.
+Each node's squared residual |r|^2 (:func:`_node_score`) is what the
+outlier cut reads, and the row sums of those scores are the residual
+sums of squares that the noise estimate reads.  The linearized fit
+forms them block by block: :func:`_lin_residuals`, the one place of
+its residual formula ``d - q - dphi x r``, writes one block of
+``_GRAM_BLOCK`` nodes at a time into a block-sized buffer, whose
+scores go into the (S, n) score array.  So the fit holds no (S, n, 3)
+residual array; :func:`estimate_lin` runs the same kernel over the
+whole field for the residuals of its :class:`FitResult`.  At
+n = 175,616 that spares writing a 4.2 MB array only to read |r|^2 back
+out of it.  The Procrustes fit keeps its residuals ``rel + d - q - R
+rel`` and scores them in one more pass.
 
 Units: mm for translations, rad for rotation components.  The linearized
 model `dp_i = dphi x p_i + p` is valid for small angles; a fit whose
@@ -319,15 +326,17 @@ class Fits(NamedTuple):
 
     ``geometry`` is the geometry the fits ran on, ``translation`` and
     ``rotation`` are (S, 3), ``residuals`` (S, n, 3), a view of planes,
-    ``score`` (S, n) each node's squared residual |r|^2 (see
-    :func:`_node_score`) and ``objective`` (S,) its row sums, the
-    residual sum of squares of each row.
+    or None for linearized fits, which form their residuals block by
+    block and keep none (see :func:`_lin_residuals`), ``score`` (S, n)
+    each node's squared residual |r|^2 (see :func:`_node_score`) and
+    ``objective`` (S,) its row sums, the residual sum of squares of
+    each row.
     """
 
     geometry: FitGeometry
     translation: np.ndarray
     rotation: np.ndarray
-    residuals: np.ndarray
+    residuals: np.ndarray | None
     score: np.ndarray
     objective: np.ndarray
 
@@ -438,23 +447,56 @@ def _centred(displacements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return q, displacements - q[..., None, :]
 
 
-def _node_score(residuals: np.ndarray) -> np.ndarray:
+def _node_score(residuals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each node's squared residual |r|^2, (..., n), from residuals
-    (..., n, 3): one pass over their planes, copied into planes first
-    only if they are held as rows, so that planes and rows give the same
-    bits.  An overflow gives inf, which the caller names."""
+    (..., n, 3), written into `out` if given: one pass over their
+    planes, copied into planes first only if they are held as rows, so
+    that planes and rows give the same bits.  An overflow gives inf,
+    which the caller names."""
     planes = _planes(residuals).swapaxes(-1, -2)
     with np.errstate(over="ignore"):
-        return np.einsum("...kn,...kn->...n", planes, planes)
+        return np.einsum("...kn,...kn->...n", planes, planes, out=out)
+
+
+def _node_blocks(n: int):
+    """The slices of the blocks of ``_GRAM_BLOCK`` nodes that cover `n`
+    nodes.  A last block of one node joins the block before it: numpy
+    multiplies by one column with BLAS ``gemv``, whose bits differ from
+    those of ``gemm`` on the same column."""
+    for start in range(0, n - 1, _GRAM_BLOCK):
+        yield slice(start, n if n - start <= _GRAM_BLOCK + 1 else start + _GRAM_BLOCK)
+
+
+def _lin_residuals(spin: np.ndarray, rel: np.ndarray, disp_rel: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """The residuals d - q - dphi x r of linearized fits of m nodes,
+    written into the planes `out` (S, 3, m) and returned as their
+    (S, m, 3) view.  `spin` (S, 3, 3) is skew(dphi), and `rel` and
+    `disp_rel` are (..., m, 3) views of the nodes' centroid-relative
+    positions and displacements d - q.  Every column of the product
+    has the bits of the same column of a product over the whole field,
+    so blocks of two or more nodes give the whole field's residuals."""
+    np.matmul(spin, rel.swapaxes(-1, -2), out=out)
+    np.subtract(disp_rel.swapaxes(-1, -2), out, out=out)
+    return out.swapaxes(-1, -2)
+
+
+def _lin_fit_residuals(fits: Fits, rel: np.ndarray, displacements: np.ndarray,
+                       ) -> np.ndarray:
+    """The residuals (S, n, 3), a view of new planes, of the linearized
+    fits `fits` of `displacements` on the relative positions `rel`:
+    :func:`_lin_residuals` over the whole field, with the bits of the
+    fit's own blocks."""
+    _, disp_rel = _centred(displacements)
+    return _lin_residuals(skew(fits.rotation), rel, disp_rel,
+                          np.empty(disp_rel.shape[:-2] + (3, disp_rel.shape[-2])))
 
 
 def _fits(geometry: FitGeometry, translation: np.ndarray, rotation: np.ndarray,
-          residuals: np.ndarray) -> Fits:
+          residuals: np.ndarray | None, score: np.ndarray) -> Fits:
     _check_deflections(translation, rotation)
-    # The node scores that the outlier cut reads, and their row sums: one
-    # pass over the residuals' planes, then one over a third of their
-    # size.  An overflow is named below, not by numpy's warning.
-    score = _node_score(residuals)
+    # The residual sums of squares: one pass over the node scores.  An
+    # overflow is named below, not by numpy's warning.
     with np.errstate(over="ignore", invalid="ignore"):
         objective = score.sum(axis=-1)
     if not np.isfinite(objective).all():
@@ -467,11 +509,11 @@ def _fits(geometry: FitGeometry, translation: np.ndarray, rotation: np.ndarray,
     return Fits(geometry, translation, rotation, residuals, score, objective)
 
 
-def _fit_result(fits: Fits) -> FitResult:
+def _fit_result(fits: Fits, residuals: np.ndarray) -> FitResult:
     """The one row of a fit of one field on a geometry without a batch
-    axis, as a :class:`FitResult`."""
+    axis, with its residuals (1, n, 3), as a :class:`FitResult`."""
     return FitResult(Deflection(fits.translation[0], fits.rotation[0]),
-                     fits.residuals[0], fits.objective[0], fits.geometry)
+                     residuals[0], fits.objective[0], fits.geometry)
 
 
 def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
@@ -503,7 +545,7 @@ def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
             "displaced nodes are collinear, the rotation is not determined")
     translation = q - ((R - np.eye(3)) @ geometry.centroid[..., None])[..., 0]
     rotation = extract_angles(R, method)
-    return _fits(geometry, translation, rotation, res)
+    return _fits(geometry, translation, rotation, res, _node_score(res))
 
 
 def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray) -> Fits:
@@ -519,14 +561,20 @@ def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray) 
         rotation = (geometry.inverse @ rhs[..., None])[..., 0]
         spin = skew(rotation)
         translation = q - (spin @ geometry.centroid[..., None])[..., 0]
-        # d - q - dphi x r, in a new array of planes like d - q, which is
-        # freed here.  Finishing d - q in place instead made a study's
-        # blocks fault their temporaries in again (ten times the minor
-        # page faults of `benchmark noise --trials 500`).
-        res = np.empty_like(disp_rel)
-        np.matmul(spin, rel.swapaxes(-1, -2), out=res.swapaxes(-1, -2))
-        np.subtract(disp_rel, res, out=res)
-    return _fits(geometry, translation, rotation, res)
+        # Each block's residuals go into one block-sized buffer, and only
+        # their scores into an array over the nodes.  The buffer shares
+        # one allocation with the scores, so it lives as long as they do
+        # and a study's next block reuses its pages (see
+        # synthetic.run_noise_study).
+        rows, n = disp_rel.shape[:2]
+        work = np.empty(rows * (n + 3 * min(n, _GRAM_BLOCK + 1)))
+        score = work[:rows * n].reshape(rows, n)
+        buffer = work[rows * n:]
+        for nodes in _node_blocks(n):
+            block = buffer[:rows * 3 * (nodes.stop - nodes.start)].reshape(rows, 3, -1)
+            _node_score(_lin_residuals(spin, rel[..., nodes, :], disp_rel[..., nodes, :],
+                                       block), out=score[:, nodes])
+    return _fits(geometry, translation, rotation, None, score)
 
 
 def estimate_svd(field: DisplacementField,
@@ -562,8 +610,8 @@ def estimate_svd(field: DisplacementField,
         squares (a ``ValueError``).
     """
     _require_centered(field, "estimate_svd")
-    return _fit_result(_fit_svd(*_fit_geometry(field.positions),
-                                field.displacements[None], method))
+    fits = _fit_svd(*_fit_geometry(field.positions), field.displacements[None], method)
+    return _fit_result(fits, fits.residuals)
 
 
 def estimate_lin(field: DisplacementField) -> FitResult:
@@ -586,5 +634,7 @@ def estimate_lin(field: DisplacementField) -> FitResult:
         squares (a ``ValueError``).
     """
     _require_centered(field, "estimate_lin")
-    return _fit_result(_fit_lin(*_fit_geometry(field.positions),
-                                field.displacements[None]))
+    geometry, rel = _fit_geometry(field.positions)
+    displacements = field.displacements[None]
+    fits = _fit_lin(geometry, rel, displacements)
+    return _fit_result(fits, _lin_fit_residuals(fits, rel, displacements))

@@ -272,7 +272,7 @@ def _refit(group: list, deflections: list[np.ndarray], objectives: list[np.ndarr
     Each row of the batch runs the same BLAS and LAPACK calls as a
     one-row batch, so it gets the same bits as a refit of its own.
     `group` is emptied, so that the survivors' positions are freed once
-    the geometry is built, before the fit allocates its residuals."""
+    the geometry is built, before the fit allocates its scores."""
     experiments, rows, positions, displacements = zip(*group)
     group.clear()
     geometry, rel = _fit_geometry(_stacked(positions))
@@ -374,7 +374,7 @@ def identify_batch(positions: Sequence[np.ndarray],
         counts.append(count)
         dropped.append(drop)
         cut_levels.append(cut)
-        del fit  # free its residuals before the survivors are gathered
+        del fit  # free its scores before the survivors are gathered
         if drop is not None:
             drop.flags.writeable = False
             count -= np.count_nonzero(drop, axis=-1)

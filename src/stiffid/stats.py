@@ -21,12 +21,13 @@ median, which a minority of outliers cannot move.  A node goes when
 Gaussian data every node of an experiment survives with probability
 about 1 - level (the reweighting step after a robust start;
 Rousseeuw & Leroy 1987, *Robust Regression and Outlier Detection*,
-ch. 5).  The identification core
-(:func:`stiffid.pipeline.identify_batch`) runs them on whole batches;
-the public per-field functions (:func:`estimate_sigma`,
-:func:`filter_outliers`, :func:`system_covariance`,
-:func:`significance_test`) run them on one row.  A deflection
-covariance is a read-only (6, 6) array, and a
+ch. 5).  A row whose scores prove that its median lets no node go
+skips the partition that finds the median (see :func:`_drop_mask`).
+The identification core (:func:`stiffid.pipeline.identify_batch`)
+runs these stages on whole batches; the public per-field functions
+(:func:`estimate_sigma`, :func:`filter_outliers`,
+:func:`system_covariance`, :func:`significance_test`) run them on one
+row.  A deflection covariance is a read-only (6, 6) array, and a
 :class:`SignificanceReport` holds one row's (6, 6) estimates,
 halfwidths, significance mask and safety factors.
 """
@@ -243,6 +244,11 @@ def _roundoff_floor(geometry: FitGeometry, translation: np.ndarray,
         return ROUNDOFF_SCALE ** 2 * square
 
 
+# The smallest normal double: a bound of _drop_mask below it rounds too
+# coarsely to prove that no node goes.
+_TINY = float(np.finfo(float).tiny)
+
+
 def _drop_mask(score: np.ndarray, cut: float | None,
                floor: np.ndarray) -> np.ndarray | None:
     """Nodes to drop from each row of a batch of fits, by their squared
@@ -250,24 +256,43 @@ def _drop_mask(score: np.ndarray, cut: float | None,
     the row's order statistic at n // 2 over the chi^2_3 median.  A row
     whose s0^2 is at or below its roundoff `floor` (S,) drops nothing.
     Returns None when no row drops a node.  See :func:`filter_outliers`.
+
+    The order statistic is found only where it can decide something.
+    A row in which at most n // 2 scores lie below its largest score
+    times m3 / cut, widened by 1e-12 (far more than the rounding of
+    that bound and of the threshold), has its order statistic at or
+    above that bound, and so a threshold at or above every score: the
+    row drops nothing, as a partition would find.  Only the other rows
+    are partitioned and compared with their threshold.  A row whose bound is NaN or not a normal double
+    (a largest score below about 1e-307) is always partitioned, and a
+    row of zeros never is.
     """
     if cut is None:
         return None
     n = score.shape[-1]
     kth = n // 2
-    scale = np.partition(score, kth, axis=-1)[..., kth] / _CHI2_3_MEDIAN
+    top = score.max(axis=-1)
+    bound = top * (_CHI2_3_MEDIAN / cut * (1.0 + 1e-12))
+    bound[(top != 0.0) & ~(bound >= _TINY)] = np.inf
+    open_rows = np.flatnonzero((score < bound[:, None]).sum(axis=-1) > kth)
+    if not open_rows.size:
+        return None
+    rows = score[open_rows]
+    scale = np.partition(rows, kth, axis=-1)[:, kth] / _CHI2_3_MEDIAN
     # A strict threshold: nodes of equal score share one fate.  One that
     # overflows drops nothing.
     with np.errstate(over="ignore"):
-        threshold = np.where(scale > floor, cut * scale, np.inf)
-    drop = score > threshold[..., None]
-    if not drop.any():
+        threshold = np.where(scale > floor[open_rows], cut * scale, np.inf)
+    dropped = rows > threshold[:, None]
+    if not dropped.any():
         return None
     # The cut keeps every node at or below the median, so only a field
     # of 3 nodes can fall short.
-    if (n - np.count_nonzero(drop, axis=-1) < MIN_FIT_NODES).any():
+    if (n - np.count_nonzero(dropped, axis=-1) < MIN_FIT_NODES).any():
         raise TooFewRemaining(
             f"the outlier cut leaves fewer than {MIN_FIT_NODES} of {n} nodes")
+    drop = np.zeros(score.shape, dtype=bool)
+    drop[open_rows] = dropped
     return drop
 
 
@@ -283,9 +308,11 @@ def filter_outliers(field: DisplacementField, fit: FitResult,
     about 1 - `level`.  The threshold is strict, so nodes of equal score
     stay or go together.  Nothing goes at `level` 0, nor when s0 is at
     most ``ROUNDOFF_SCALE`` times the rms of the fitted rigid
-    displacement (the residuals are then roundoff).  Survivor order is
-    preserved.  Returns the reduced field and the integer indices of the
-    removed nodes.
+    displacement (the residuals are then roundoff).  The median is not
+    formed when it cannot decide anything: when at most n // 2 scores
+    lie below the largest score times 2.3660 / c, no node can go (see
+    :func:`_drop_mask`).  Survivor order is preserved.  Returns the
+    reduced field and the integer indices of the removed nodes.
 
     Raises :class:`TooFewRemaining` if fewer than 3 nodes would survive,
     and :class:`InvalidArgument` (a ``ValueError``) unless `level` is a
@@ -370,9 +397,10 @@ def _halfwidth(covariances: Sequence[np.ndarray], svd: tuple[np.ndarray, ...],
 def _significance(k: np.ndarray, halfwidth: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Significance mask, zeroed matrices and safety factors (NaN where
-    not significant) of compliance matrices `k` (..., 6, 6)."""
+    not significant) of compliance matrices `k` (..., 6, 6).  A factor
+    over a zero halfwidth, or too large for a double, is infinite."""
     significant = np.abs(k) > halfwidth
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         safety = np.where(significant, np.abs(k) / halfwidth, np.nan)
     return significant, np.where(significant, k, 0.0), safety
 

@@ -436,9 +436,12 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
     geometry, rel = _fit_geometry(base.positions)
     err = np.empty((trials, 6))
     for block in _blocks(trials, base.n):
-        # The fit forms residuals that nothing reads: without them glibc
-        # faults each block's temporaries in again (7,750 against 342
-        # minor page faults per `benchmark noise --trials 500`, and slower).
+        # The fit holds no residual array, but its block buffer lives as
+        # long as its scores, so glibc keeps each block's pages for the
+        # next: 406 minor page faults per in-process `benchmark noise
+        # --trials 500` call, against 375 with a residual array over the
+        # nodes.  A buffer of its own, freed on return, read 4,083 to
+        # 6,543 by the install path (the heap's layout), and was slower.
         fits = _fit_lin(geometry, rel,
                         _noisy_displacements(rigid, sigma, generator, len(block)))
         err[block.start:block.stop] = np.concatenate(

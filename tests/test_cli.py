@@ -981,6 +981,16 @@ class TestBenchmark:
                      "--multiplier", "1e9", "--out", str(out)]) == 4
         assert "FAIL" in capsys.readouterr().out
 
+    def test_zero_detection_tiny_multiplier_warns_nothing(self, tmp_path, capsys):
+        # Subnormal halfwidths overflow the safety factors, which are then
+        # infinite (null in the summary), with no warning line on stderr.
+        out = tmp_path / "bench"
+        assert main(["benchmark", "zero-detection", "--trials", "3",
+                     "--multiplier", "1e-308", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "zero_detection_summary.json").read_text())
+        assert summary["study"]["min_safety"] == [None] * 3
+
     @pytest.mark.parametrize("value", ["nan", "0", "-1"])
     def test_zero_detection_names_its_multiplier(self, tmp_path, capsys, value):
         # The study's own parameter, which the flag sets, not the

@@ -35,6 +35,8 @@ from stiffid.estimation import (
     _fit_lin,
     _fit_svd,
     _gram,
+    _lin_fit_residuals,
+    _node_score,
     _planes,
     check_rotation,
 )
@@ -283,6 +285,35 @@ def batch_fields(shared):
     return pos, disp + rng.normal(0.0, 1e-5, disp.shape)
 
 
+class TestLinScoreBlocks:
+    # The lin fit scores its nodes block by block and keeps no residual
+    # array; its scores and residual sums of squares must have the bits
+    # of the kernel's residuals over the whole field.  2B+1 would end in
+    # a one-node block, which joins the one before it.
+    @pytest.mark.parametrize("n", [_GRAM_BLOCK - 1, _GRAM_BLOCK, _GRAM_BLOCK + 1,
+                                   2 * _GRAM_BLOCK + 1, 2 * _GRAM_BLOCK + 5],
+                             ids=["B-1", "B", "B+1", "2B+1", "2B+5"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+    def test_scores_equal_those_of_the_whole_field_residuals(self, n, rows, shared):
+        rng = np.random.default_rng(n + rows)
+        pos = rng.uniform(-20.0, 20.0, (n, 3) if shared else (rows, n, 3))
+        rotation = rng.normal(0.0, 1e-3, (rows, 3))
+        disp = np.cross(rotation[:, None, :], pos) + rng.normal(0.0, 1e-5, (rows, n, 3))
+        geometry, rel = _fit_geometry(pos)
+        fits = _fit_lin(geometry, rel, disp)
+        assert fits.residuals is None
+        residuals = _lin_fit_residuals(fits, rel, disp)
+        assert residuals.shape == (rows, n, 3)
+        score = _node_score(residuals)
+        assert fits.score.tobytes() == score.tobytes()
+        assert fits.objective.tobytes() == score.sum(axis=-1).tobytes()
+        # and the parent's formula, on one array over the whole field
+        centred = disp - disp.mean(axis=-2, keepdims=True)
+        reference = centred - np.cross(fits.rotation[:, None, :], rel)
+        assert_allclose(residuals, reference, rtol=0, atol=1e-15)
+
+
 class TestBatchedFits:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
     def test_svd_batch_rows_equal_one_row_fits(self, shared):
@@ -491,17 +522,20 @@ class TestFitResult:
         with pytest.raises(ValueError):
             FitResult(Deflection(np.zeros(3), np.zeros(3)), np.zeros((4, 2)), 0.0)
 
-    @pytest.mark.parametrize("estimate, fit", [(estimate_lin, _fit_lin),
-                                               (estimate_svd, _fit_svd)],
-                             ids=["lin", "svd"])
-    def test_residuals_are_a_read_only_copy(self, estimate, fit):
+    @pytest.mark.parametrize("estimate, residuals", [
+        (estimate_lin, lambda geometry, rel, d: _lin_fit_residuals(
+            _fit_lin(geometry, rel, d), rel, d)),
+        (estimate_svd, lambda geometry, rel, d: _fit_svd(geometry, rel, d).residuals),
+    ], ids=["lin", "svd"])
+    def test_residuals_are_a_read_only_copy(self, estimate, residuals):
         rng = np.random.default_rng(8)
         pos = cube_nodes(4.0, 1.0)
         disp = np.cross([1e-4, 2e-4, -1e-4], pos) + rng.normal(0, 1e-5, pos.shape)
         result = estimate(make_field(pos, disp))
-        # the batched fit's row, bit for bit
+        # the batched fit's row, bit for bit: the svd fit's own residuals,
+        # and for lin, which keeps none, the kernel's over the whole field
         assert result.residuals.tobytes() == \
-            fit(*_fit_geometry(pos), disp[None]).residuals[0].tobytes()
+            residuals(*_fit_geometry(pos), disp[None])[0].tobytes()
         assert not result.residuals.flags.writeable
         given = np.ones((4, 3))
         held = FitResult(Deflection(np.zeros(3), np.zeros(3)), given, 0.0)

@@ -34,7 +34,14 @@ from stiffid import (
     significance_test,
     symmetrize,
 )
-from stiffid.estimation import _GRAM_BLOCK, _fit_geometry, _fit_lin, _fit_svd, _planes
+from stiffid.estimation import (
+    _GRAM_BLOCK,
+    _fit_geometry,
+    _fit_lin,
+    _fit_svd,
+    _lin_fit_residuals,
+    _planes,
+)
 from stiffid.synthetic import (
     DEFAULT_LOADS,
     _noisy_displacements,
@@ -300,6 +307,19 @@ def test_boolean_numeric_options_rejected(name, value):
         IdentifyOptions(**{name: value})
 
 
+def test_overflowing_safety_factor_is_infinite(noisy_cases):
+    # A multiplier of 1e-308 leaves subnormal halfwidths, over which some
+    # safety factors overflow.  They read as infinite, as over a zero
+    # halfwidth, and numpy's warning (an error here) stays silent.
+    report = run_identification(noisy_cases,
+                                IdentifyOptions(confidence_multiplier=1e-308)).significance
+    assert report.significant.all()
+    infinite = np.isinf(report.safety)
+    assert infinite.any() and not infinite.all()
+    assert [e["safety_factor"] is None for e in report.to_json_dict()["elements"]] == \
+        infinite.ravel().tolist()
+
+
 @pytest.mark.parametrize("value", [1, 0])
 def test_integer_symmetrize_rejected(value):
     # 1 and 0 compare equal to True and False.
@@ -432,9 +452,19 @@ def test_run_identification_is_the_one_row_batch():
             [np.flatnonzero(d[s]).tolist() for d in batch.dropped] == [SPIKED * s] * 6
 
 
+def lin_residuals(geometry, rel, d):
+    """The residuals of a lin fit, which keeps none: the kernel's over
+    the whole field."""
+    fits = _fit_lin(geometry, rel, d)
+    assert fits.residuals is None and fits.score.shape == d.shape[:2]
+    return _lin_fit_residuals(fits, rel, d)
+
+
 @pytest.mark.parametrize("refit", [False, True], ids=["no-refit", "refit"])
-@pytest.mark.parametrize("fit", [_fit_lin, _fit_svd], ids=["lin", "svd"])
-def test_row_inputs_give_plane_backed_residuals(fit, refit):
+@pytest.mark.parametrize("residuals", [
+    lin_residuals, lambda geometry, rel, d: _fit_svd(geometry, rel, d).residuals,
+], ids=["lin", "svd"])
+def test_row_inputs_give_plane_backed_residuals(residuals, refit):
     # identify_batch fits the arrays it is given (rows or planes), and
     # each refit the survivors that _survivors gathers into planes.
     for jitter in (0.0, 1e-3):  # shared and per-row positions
@@ -451,9 +481,9 @@ def test_row_inputs_give_plane_backed_residuals(fit, refit):
                 keep[:, ::10] = False
                 p, d = (stiffid.pipeline._survivors(p if jitter == 0.0 else p[:1], keep),
                         stiffid.pipeline._survivors(d[:1], keep))
-            fits = fit(*_fit_geometry(p), d)
-            assert fits.residuals.shape == d.shape
-            assert fits.residuals.swapaxes(-1, -2).flags.c_contiguous
+            r = residuals(*_fit_geometry(p), d)
+            assert r.shape == d.shape
+            assert r.swapaxes(-1, -2).flags.c_contiguous
 
 
 @pytest.mark.parametrize("layout", ["rows", "planes"])
@@ -784,7 +814,7 @@ def test_only_rows_that_lose_a_node_are_refit(monkeypatch):
 
     def spy(*args, **kwargs):
         fits = fit(*args, **kwargs)
-        fitted.append((len(fits.translation), fits.residuals.shape[-2], fits.objective))
+        fitted.append((len(fits.translation), fits.score.shape[-1], fits.objective))
         return fits
 
     fit = stiffid.pipeline._fit_lin

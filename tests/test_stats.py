@@ -39,6 +39,7 @@ from stiffid import (
 )
 from stiffid.estimation import _fit_geometry, _node_score
 from stiffid.stats import (
+    _CHI2_3_MEDIAN,
     DEFAULT_CONFIDENCE_MULTIPLIER,
     _cut_level,
     _drop_mask,
@@ -376,6 +377,52 @@ class TestFilterOutliers:
             assert_array_equal(np.flatnonzero(row), removed)
             assert np.count_nonzero(row) == (r + 1 if r < 6 else 0)
             assert np.all(residuals[row, 1] >= 10.0)
+
+    def test_rows_that_skip_the_median_equal_the_full_partition(self):
+        # Every row has the same 60 scores below its largest.  The largest
+        # sits 1 ulp below, at and 1 ulp above the row's threshold
+        # cut * s0^2, and 1e-13 and 4e-12 of it below (the first is
+        # within the 1e-12 widening of the exit bound, the second is
+        # not); one more row is all zero, as noise-free residuals can be.
+        # Only the first four rows may be partitioned, and the mask must
+        # be that of a partition of every row.
+        n, kth = 61, 30
+        cut = _cut_level(0.01, n)
+        base = np.random.default_rng(3).uniform(1.0, 2.0, n - 1)
+        threshold = cut * (np.sort(base)[kth] / _CHI2_3_MEDIAN)
+        tops = [np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, np.inf),
+                threshold * (1.0 - 1e-13), threshold * (1.0 - 4e-12)]
+        score = np.array([np.append(base, top) for top in tops] + [np.zeros(n)])
+        floor = np.zeros(len(score))
+
+        class PartitionSpy(np.ndarray):
+            rows = []
+
+            def partition(self, *args, **kwargs):
+                PartitionSpy.rows.append(len(self))
+                return super().partition(*args, **kwargs)
+
+        drop = _drop_mask(score.view(PartitionSpy), cut, floor)
+        assert PartitionSpy.rows == [4]
+        scale = np.partition(score, kth, axis=-1)[:, kth] / _CHI2_3_MEDIAN
+        full = score > np.where(scale > floor, cut * scale, np.inf)[:, None]
+        assert_array_equal(np.asarray(drop), full)
+        assert np.flatnonzero(full).tolist() == [2 * n + n - 1]
+        # Rows that all skip the median drop nothing, and partition nothing.
+        PartitionSpy.rows.clear()
+        assert _drop_mask(score[4:].view(PartitionSpy), cut, floor[4:]) is None
+        assert PartitionSpy.rows == []
+
+    def test_subnormal_scores_are_partitioned(self):
+        # In units of the smallest subnormal u, the exit bound of this row
+        # rounds to 3u, which no score lies below; but its median 3u over
+        # 2.3660 rounds to 1u, whose threshold rounds to 15u < 16u, so the
+        # last node goes.  A bound that is not a normal double proves
+        # nothing, and the row is partitioned.
+        u = np.nextafter(0.0, 1.0)
+        score = np.array([[3.0, 3.0, 3.0, 3.0, 16.0]]) * u
+        drop = _drop_mask(score, _cut_level(0.01, 5), np.zeros(1))
+        assert drop is not None and drop.tolist() == [[False] * 4 + [True]]
 
     def test_too_few_survivors_rejected(self):
         # The cut keeps every node up to the median score, so only 3
