@@ -58,6 +58,8 @@ from .errors import (
 from .estimation import MIN_FIT_NODES
 from .field import (
     SensorRegion,
+    _field_bytes,
+    _utf8_text,
     center_field,
     read_field_csv,
     select_sensor,
@@ -213,20 +215,27 @@ def _check(value, schema, path: str, manifest: str) -> None:
         _check(item, keys[key], prefix + key, manifest)
 
 
-def load_manifest(path) -> tuple[list[LoadCase], dict]:
+def load_manifest(path, digests: list | None = None) -> tuple[list[LoadCase], dict]:
     """Parse a manifest file into centered, sensor-restricted load cases.
 
     A reference point that overflows in mm, node positions that overflow
     relative to it, and a field or sensor of fewer than
     ``MIN_FIT_NODES`` nodes raise :class:`ManifestError`, which names
-    the experiment.
+    the experiment.  Each file is read once: if `digests` is given, the
+    SHA-256 hex digest of the bytes parsed is appended to it, the
+    manifest's first, then each experiment's field file's in turn.
     """
     manifest = str(path)
     try:
-        with open(manifest, "r", encoding="utf-8-sig") as handle:
-            data = json.load(handle, object_pairs_hook=_pairs_to_object)
+        with open(manifest, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise ManifestError(manifest, str(exc)) from exc
+    if digests is not None:
+        digests.append(hashlib.sha256(raw).hexdigest())
+    try:
+        with _utf8_text(raw) as handle:
+            data = json.load(handle, object_pairs_hook=_pairs_to_object)
     except json.JSONDecodeError as exc:
         raise ManifestError(manifest, f"line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
@@ -246,9 +255,12 @@ def load_manifest(path) -> tuple[list[LoadCase], dict]:
             region = getattr(SensorRegion, sensor.pop("shape"))(**sensor) if sensor else None
         except ValueError as exc:
             raise ManifestError(manifest, f"experiments[{i}]: {exc}") from None
+        raw = _field_bytes(base / source)
+        if digests is not None:
+            digests.append(hashlib.sha256(raw).hexdigest())
         try:
             field = center_field(read_field_csv(base / source, data["reference_point"],
-                                                lscale))
+                                                lscale, data=raw))
         except ValueError as exc:  # the field rejects a value that overflows
             raise ManifestError(manifest, f"experiments[{i}]: {source} in mm, centered on "
                                 f"reference_point: {exc}") from None
@@ -287,14 +299,6 @@ def _write_json(path: Path, payload: dict, indent: int | None = 2) -> None:
         handle.write(text + "\n")
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _out_dir(args) -> Path:
     """Make and return ``--out``.  Commands call it only once their
     results are in, so an input error (exit 2) writes nothing there."""
@@ -304,7 +308,10 @@ def _out_dir(args) -> Path:
 
 
 def cmd_identify(args) -> int:
-    cases, manifest_options = load_manifest(args.manifest)
+    # The digests of the bytes identified, not of the files as they are
+    # once the run ends.
+    digests: list[str] = []
+    cases, manifest_options = load_manifest(args.manifest, digests)
     options = _options_from(manifest_options, args)
     result = run_identification(cases, options)
 
@@ -315,10 +322,9 @@ def cmd_identify(args) -> int:
     _write_json(out / "significance.json", result.significance.to_json_dict())
     run_log = result.diagnostics()
     run_log["stiffid_version"] = __version__
-    run_log["manifest_sha256"] = _sha256(args.manifest)
-    base = Path(args.manifest).parent
-    for entry in run_log["experiments"]:
-        entry["field_sha256"] = _sha256(base / entry["field_file"])
+    run_log["manifest_sha256"] = digests[0]
+    for entry, digest in zip(run_log["experiments"], digests[1:], strict=True):
+        entry["field_sha256"] = digest
     _write_json(out / "run_log.json", run_log, indent=None)
     print(result.matrix.format_table())
     return 0
@@ -342,12 +348,13 @@ def cmd_simulate(args) -> int:
     reference = [spec.length, 0.0, 0.0]
 
     entries = []
+    layout: dict = {}  # the cases share one node layout, and so its text
     for j, case in enumerate(cases):
         name = f"field_{case.source}.csv"
         write_field_csv(out / name, case.field, comments=(
             "synthetic cantilever experiment " + case.source,
             f"sigma={args.sigma!r} mm, seed={args.seed + j}",
-        ))
+        ), layout=layout)
         entries.append({
             "field_file": name,
             "wrench": {

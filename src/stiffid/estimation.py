@@ -72,9 +72,10 @@ sums of squares that the noise estimate reads.  The linearized fit
 forms them block by block: :func:`_lin_residuals`, the one place of
 its residual formula ``d - q - dphi x r``, writes one block of
 ``_GRAM_BLOCK`` nodes at a time into a block-sized buffer, whose
-scores go into the (S, n) score array.  So the fit holds no (S, n, 3)
-residual array; :func:`estimate_lin` runs the same kernel over the
-whole field for the residuals of its :class:`FitResult`.  At
+scores go into the (S, n) score array.  One allocation per fit holds
+the scores, the planes of d - q and that buffer.  So the fit holds no
+(S, n, 3) residual array; :func:`estimate_lin` runs the same kernel
+over the whole field for the residuals of its :class:`FitResult`.  At
 n = 175,616 that spares writing a 4.2 MB array only to read |r|^2 back
 out of it.  The Procrustes fit keeps its residuals ``rel + d - q - R
 rel`` and scores them in one more pass.
@@ -429,9 +430,11 @@ def _fit_geometry(positions: np.ndarray) -> tuple[FitGeometry, np.ndarray]:
     return FitGeometry(n, c, m, inverse), rel
 
 
-def _centred(displacements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _centred(displacements: np.ndarray, out: np.ndarray | None = None,
+             ) -> tuple[np.ndarray, np.ndarray]:
     """The mean displacement q (S, 3) of a batch of fields (S, n, 3) and
-    the displacements relative to it, in planes.
+    the displacements relative to it, d - q, in planes: written into
+    `out`, the (S, n, 3) view of planes (S, 3, n), if given.
 
     `displacements` is in planes or rows: rows, which only arrays handed
     to ``identify_batch`` directly can be, are copied into planes here,
@@ -444,7 +447,7 @@ def _centred(displacements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # by the fit's checks; numpy's warning on the way is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         q = column_mean(displacements)
-        return q, displacements - q[..., None, :]
+        return q, np.subtract(displacements, q[..., None, :], out=out)
 
 
 def _node_score(residuals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -552,7 +555,17 @@ def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray) 
     """Linearized least-squares fits of a batch of fields on `geometry`
     and its relative positions `rel`; see :func:`estimate_lin` and, for
     the shapes, :func:`_centred`."""
-    q, disp_rel = _centred(displacements)
+    # One allocation holds the node scores (S, n), the planes (S, 3, n)
+    # of d - q and the block buffer, so it lives as long as the scores,
+    # and a study's next fit reuses its pages: freeing two block-sized
+    # arrays together let glibc hand them back to the kernel, and fault
+    # them in again for the next fit (see synthetic.run_noise_study).
+    rows, n = displacements.shape[:2]
+    work = np.empty(rows * (4 * n + 3 * min(n, _GRAM_BLOCK + 1)))
+    score = work[:rows * n].reshape(rows, n)
+    q, disp_rel = _centred(displacements, out=work[rows * n:rows * 4 * n]
+                           .reshape(rows, 3, n).swapaxes(-1, -2))
+    buffer = work[rows * 4 * n:]
     # A deflection that is not finite is named by _fits; numpy's warning
     # on the way is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -561,15 +574,8 @@ def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray) 
         rotation = (geometry.inverse @ rhs[..., None])[..., 0]
         spin = skew(rotation)
         translation = q - (spin @ geometry.centroid[..., None])[..., 0]
-        # Each block's residuals go into one block-sized buffer, and only
-        # their scores into an array over the nodes.  The buffer shares
-        # one allocation with the scores, so it lives as long as they do
-        # and a study's next block reuses its pages (see
-        # synthetic.run_noise_study).
-        rows, n = disp_rel.shape[:2]
-        work = np.empty(rows * (n + 3 * min(n, _GRAM_BLOCK + 1)))
-        score = work[:rows * n].reshape(rows, n)
-        buffer = work[rows * n:]
+        # Each block's residuals go into the block buffer, and only their
+        # scores into the array over the nodes.
         for nodes in _node_blocks(n):
             block = buffer[:rows * 3 * (nodes.stop - nodes.start)].reshape(rows, 3, -1)
             _node_score(_lin_residuals(spin, rel[..., nodes, :], disp_rel[..., nodes, :],

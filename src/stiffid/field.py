@@ -8,6 +8,7 @@ fields.
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass, field as _field
@@ -31,7 +32,10 @@ CSV_HEADER = ("x", "y", "z", "dx", "dy", "dz")
 # write_field_csv formats this many rows per string; it bounds the
 # temporary list and text on million-node exports.
 _WRITE_BLOCK_ROWS = 4096
-_ROW_FORMAT = "%r,%r,%r,%r,%r,%r\n"
+# A row's position text "x,y,z," (one per line, split apart), and a row
+# made of that text and the displacements.
+_POSITION_FORMAT = "%r,%r,%r,\n"
+_ROW_FORMAT = "%s%r,%r,%r\n"
 
 
 def _as_points(a, name: str) -> np.ndarray:
@@ -117,6 +121,18 @@ def column_mean(a: np.ndarray) -> np.ndarray:
     strided axis, several times slower on large fields.
     """
     return np.einsum("...ij->...j", a) / a.shape[-2]
+
+
+def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether float node layouts `a` and `b` are one object or hold the
+    same values bit for bit, so that one geometry fits both exactly and
+    one text writes both.
+
+    The values are compared as 64-bit integers: 0.0 and -0.0 compare
+    equal as floats but can leave zeros of opposite sign in a fit.
+    """
+    return a is b or (a.shape == b.shape and
+                      np.array_equal(a.view(np.int64), b.view(np.int64)))
 
 
 def axis_index(axis: int | str) -> int:
@@ -225,8 +241,26 @@ def select_sensor(field: DisplacementField, region: SensorRegion) -> Displacemen
     )
 
 
+def _utf8_text(data: bytes) -> io.TextIOWrapper:
+    """A text handle on `data`, decoded as ``open(path, "r",
+    encoding="utf-8-sig")`` decodes a file: a leading byte-order mark is
+    dropped and line ends are translated."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+
+
+def _field_bytes(path) -> bytes:
+    """The bytes of the field file `path`; a file that cannot be read
+    raises :class:`FieldFileError`."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise FieldFileError(str(path), None, str(exc)) from exc
+
+
 def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
-                   length_scale: float = 1.0) -> DisplacementField:
+                   length_scale: float = 1.0, *, data: bytes | None = None,
+                   ) -> DisplacementField:
     """Read a nodal field from CSV with columns x,y,z,dx,dy,dz.
 
     Blank lines may appear anywhere; lines whose first non-blank
@@ -237,7 +271,10 @@ def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
     or without a byte-order mark.
     Errors carry the file's line number where there is one.
     `length_scale` converts the file's length unit to mm (1000.0 for
-    metres).  The returned field is not centered.
+    metres).  The returned field is not centered.  `data`, if given,
+    is the file's content, read by the caller (who can then hash the
+    bytes that were parsed): it is parsed instead of the file, and
+    `path` only names the file in errors.
 
     The body is parsed by one ``np.loadtxt`` call, which converts text
     to floats exactly as ``float()`` does.  Files it rejects (a bad
@@ -247,12 +284,10 @@ def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
     of the first bad value.
     """
     path = str(path)
+    if data is None:
+        data = _field_bytes(path)
     try:
-        handle = open(path, "r", encoding="utf-8-sig")
-    except OSError as exc:
-        raise FieldFileError(path, None, str(exc)) from exc
-    try:
-        with handle:
+        with _utf8_text(data) as handle:
             header_line = _read_header(handle, path)
             body = handle.tell()
             try:
@@ -319,7 +354,26 @@ def _read_rows(handle, path: str, first_line: int, length_scale: float) -> np.nd
     return np.asarray(rows, dtype=float)
 
 
-def write_field_csv(path, field: DisplacementField, comments=()) -> None:
+def _position_text(positions: np.ndarray) -> list[str]:
+    """The text "x,y,z," of each row of `positions` (m, 3)."""
+    rows = len(positions)
+    return (_POSITION_FORMAT * rows % tuple(positions.ravel().tolist())).split("\n")[:rows]
+
+
+def _rows_text(positions: list[str], displacements: np.ndarray) -> str:
+    """The CSV rows of the position texts `positions` and the
+    displacements (m, 3): each value goes into the row format as it
+    is, one list slice per column."""
+    rows = len(positions)
+    values = [None] * (4 * rows)
+    values[::4] = positions
+    for k, column in enumerate(displacements.T, start=1):
+        values[k::4] = column.tolist()
+    return _ROW_FORMAT * rows % tuple(values)
+
+
+def write_field_csv(path, field: DisplacementField, comments=(), *,
+                    layout: dict | None = None) -> None:
     """Write a field to CSV (mm).  Centered fields are written with
     absolute coordinates so the file round-trips through
     :func:`read_field_csv` plus :func:`center_field`.
@@ -327,11 +381,25 @@ def write_field_csv(path, field: DisplacementField, comments=()) -> None:
     Each value is written as ``repr`` of the float, the shortest text
     that parses back to the same double, so values round-trip bit for
     bit.  Rows are formatted in blocks of ``_WRITE_BLOCK_ROWS``.
+
+    `layout`, a dict that the writes of one call share, keeps the
+    position text of the last field written with it: a field whose
+    written positions equal that field's bit for bit reuses the text
+    instead of formatting it again (``simulate`` writes six fields on
+    one node layout).  It does not change the bytes written.
     """
     pos = field.positions
     if field.centered:
         pos = pos + field.reference_point
-    table = np.hstack((pos, field.displacements))
+    starts = range(0, len(pos), _WRITE_BLOCK_ROWS)
+    if layout and _same_layout(layout["positions"], pos):
+        texts = layout["texts"]
+    else:
+        # One block's text at a time, unless a later field may reuse it.
+        texts = (_position_text(pos[start:start + _WRITE_BLOCK_ROWS]) for start in starts)
+        if layout is not None:
+            texts = list(texts)
+            layout.update(positions=pos, texts=texts)
     with open(str(path), "w", encoding="utf-8", newline="\n") as handle:
         for comment in comments:
             # One `#` line per line of the comment, so a line break in it
@@ -339,6 +407,6 @@ def write_field_csv(path, field: DisplacementField, comments=()) -> None:
             for line in comment.splitlines() or [""]:
                 handle.write(f"# {line}\n")
         handle.write(",".join(CSV_HEADER) + "\n")
-        for start in range(0, len(table), _WRITE_BLOCK_ROWS):
-            block = table[start:start + _WRITE_BLOCK_ROWS]
-            handle.write(_ROW_FORMAT * len(block) % tuple(block.ravel().tolist()))
+        for start, text in zip(starts, texts):
+            handle.write(_rows_text(
+                text, field.displacements[start:start + _WRITE_BLOCK_ROWS]))

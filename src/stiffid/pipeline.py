@@ -55,7 +55,7 @@ from .estimation import (
     _planes,
     _require_centered,
 )
-from .field import DisplacementField
+from .field import DisplacementField, _same_layout
 from .stats import (
     DEFAULT_CONFIDENCE_MULTIPLIER,
     DEFAULT_OUTLIER_LEVEL,
@@ -78,7 +78,7 @@ from .stats import (
 # in blocks of up to this many nodes per experiment.  The default
 # zero-detection study, 100 seeds of 121 nodes, is one block: 2 fit
 # geometries and 7 fits (its 10 rows that lose a node form one refit
-# batch), at a traced peak of about 1.4 MiB per study call.
+# batch), at a traced peak of about 1.2 MiB per study call.
 _BLOCK_NODES = 1 << 14
 
 
@@ -226,17 +226,6 @@ class BatchIdentification(NamedTuple):
     mask: np.ndarray
 
 
-def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether float node layouts `a` and `b` are one object or hold the
-    same values bit for bit, so that one geometry fits both exactly.
-
-    The values are compared as 64-bit integers: 0.0 and -0.0 compare
-    equal as floats but can leave zeros of opposite sign in a fit.
-    """
-    return a is b or (a.shape == b.shape and
-                      np.array_equal(a.view(np.int64), b.view(np.int64)))
-
-
 def _survivors(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The nodes of `a`, (1, n, 3) or shared (n, 3), where the (1, n)
     mask `keep` is True.  Gathered along the node axis of the planes
@@ -297,7 +286,12 @@ def identify_batch(positions: Sequence[np.ndarray],
     `displacements[j]`, (S, n_j, 3), and the wrench `wrenches[j]`,
     common to all rows.  The experiments are fit one after the other,
     so `displacements` may be a generator that makes each array only
-    when it is needed.  Each row runs the full chain of
+    when it is needed.  No experiment's displacements are read after the
+    next experiment's are asked for: the survivors of a row that loses a
+    node are copied at its cut.  So the generator may hand every
+    experiment the same buffer, refilled (the studies of
+    :mod:`stiffid.synthetic` draw each experiment's noise into one).
+    Each row runs the full chain of
     :func:`run_identification`: fit, outlier cut, refit of the rows
     that lost a node, pool sigma over the experiments' final fits,
     covariances, least-squares assembly, significance and

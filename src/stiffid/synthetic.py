@@ -26,7 +26,8 @@ pattern, and the noise-free rigid displacements, from
 the six cases of ``beam_load_cases(sigma=0)``).  Each trial then only
 draws its noise, into one (S, n, 3) batch per experiment, with S the
 trials of a block of at most ``pipeline._BLOCK_NODES`` nodes per
-experiment; successive blocks continue the stream.  Every study hands
+experiment; successive blocks continue the stream.  A study call draws
+every batch into one buffer, sized for its first block.  Every study hands
 each block to the batched core (:func:`~stiffid.estimation._fit_lin`,
 :func:`~stiffid.estimation._fit_svd` and
 :func:`~stiffid.pipeline.identify_batch`), whose rows equal one-trial
@@ -180,30 +181,37 @@ def _generator(sigma: float, seed: int):
 
 
 def _noisy_displacements(rigid: np.ndarray, sigma: float, generator,
-                         count: int) -> np.ndarray:
+                         count: int, out: np.ndarray | None = None) -> np.ndarray:
     """(count, n, 3) displacements: `rigid` (n, 3) plus `sigma` times the
     next standard normals of `generator`, drawn straight into the
     component planes (count, 3, n) that the fits read (see
-    :func:`stiffid.estimation._planes`).  Row s is the next
-    ``generator.standard_normal((3, n)).T * sigma + rigid``, so calls in
-    turn continue one stream whatever rows each draws.  `sigma` = 0
-    gives a read-only broadcast of `rigid` and reads no generator."""
+    :func:`stiffid.estimation._planes`): the first `count` rows of `out`,
+    C-contiguous planes (at least count, 3, n), if given, else new ones.
+    Row s is the next ``generator.standard_normal((3, n)).T * sigma +
+    rigid``, so calls in turn continue one stream whatever rows each
+    draws.  `sigma` = 0 gives a read-only broadcast of `rigid` and reads
+    no generator."""
     n = rigid.shape[-2]
     if sigma == 0.0:
         return np.broadcast_to(rigid, (count, n, 3))
-    planes = generator.standard_normal((count, 3, n))
+    planes = generator.standard_normal((count, 3, n)) if out is None \
+        else generator.standard_normal(out=out[:count])
     planes *= sigma
     # Added in planes: through the (S, n, 3) view the add runs 3-6x slower.
     planes += rigid.swapaxes(-1, -2)
     return planes.swapaxes(-1, -2)
 
 
-def _blocks(count: int, nodes: int) -> list[range]:
+def _blocks(count: int, nodes: int) -> tuple[list[range], np.ndarray]:
     """Consecutive ranges of `count` trials of `nodes` nodes each, with
     at most ``pipeline._BLOCK_NODES`` nodes (and at least one trial) per
-    range."""
+    range, and one uninitialized noise buffer, planes (rows, 3, nodes)
+    for the rows of the first range, into which every range's noise is
+    drawn (see :func:`_noisy_displacements`).  The buffer lives for the
+    study call, so no block's noise is freed and faulted in again."""
     size = _block_rows(nodes)
-    return [range(start, min(count, start + size)) for start in range(0, count, size)]
+    blocks = [range(start, min(count, start + size)) for start in range(0, count, size)]
+    return blocks, np.empty((len(blocks[0]), 3, nodes))
 
 
 def _check_trials(count: int, what: str) -> None:
@@ -367,6 +375,7 @@ def run_amplitude_study(amplitudes: Sequence[float],
     method_names = [m for m in STUDY_METHODS
                     if kind == "rotation" or m in ("lin", "svd-avg")]
     errors = {m: np.zeros((len(amplitudes), trials)) for m in method_names}
+    blocks, noise = _blocks(trials, base.n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinearizationWarning)
         for ai, amp in enumerate(amplitudes):
@@ -376,8 +385,9 @@ def run_amplitude_study(amplitudes: Sequence[float],
                 truth_defl = Deflection([amp, amp, amp], np.zeros(3))
             rigid = apply_rigid_transform(base, truth_defl,
                                           exact_rotation=(kind == "rotation")).displacements
-            for block in _blocks(trials, base.n):
-                displacements = _noisy_displacements(rigid, sigma, generator, len(block))
+            for block in blocks:
+                displacements = _noisy_displacements(rigid, sigma, generator, len(block),
+                                                     noise)
                 for name, err in errors.items():
                     fits = _fit_lin(geometry, rel, displacements) if name == "lin" \
                         else _fit_svd(geometry, rel, displacements,
@@ -435,17 +445,20 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
     rigid = apply_rigid_transform(base, truth_defl).displacements
     geometry, rel = _fit_geometry(base.positions)
     err = np.empty((trials, 6))
-    for block in _blocks(trials, base.n):
-        # The fit holds no residual array, but its block buffer lives as
-        # long as its scores, so glibc keeps each block's pages for the
-        # next: 406 minor page faults per in-process `benchmark noise
-        # --trials 500` call, against 375 with a residual array over the
-        # nodes.  A buffer of its own, freed on return, read 4,083 to
+    blocks, noise = _blocks(trials, base.n)
+    for block in blocks:
+        # The fit's one allocation (its scores, d - q planes and block
+        # buffer) is freed before the next fit asks for one of the same
+        # size, which takes its pages: 0 minor page faults per in-process
+        # `benchmark noise --trials 500` call (tools/faults.py), against
+        # 405 with fresh noise per block and a fit that freed two arrays.
+        # A fit block buffer of its own, freed on return, read 4,083 to
         # 6,543 by the install path (the heap's layout), and was slower.
         fits = _fit_lin(geometry, rel,
-                        _noisy_displacements(rigid, sigma, generator, len(block)))
+                        _noisy_displacements(rigid, sigma, generator, len(block), noise))
         err[block.start:block.stop] = np.concatenate(
             [fits.translation, fits.rotation], axis=-1) - truth_defl.as_vector()
+        del fits
     analytic = np.sqrt(np.diagonal(system_covariance(geometry, sigma)))
     emp = err.std(axis=0, ddof=1) if trials > 1 else np.zeros(6)
     return NoiseStudy(
@@ -525,11 +538,14 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
     zeros_missed = []
     nonzeros_lost = []
     min_safety = []
-    for block in _blocks(seeds, len(positions)):
-        # A generator: each experiment's noise is drawn when the core
-        # reaches it and freed once it is fit.
+    blocks, noise = _blocks(seeds, len(positions))
+    for block in blocks:
+        # A generator: each experiment's noise is drawn into the one
+        # noise buffer when the core reaches it, which reads no
+        # experiment's displacements after it asks for the next.
         displacements = (
-            _noisy_displacements(case.field.displacements, sigma, generator, len(block))
+            _noisy_displacements(case.field.displacements, sigma, generator, len(block),
+                                 noise)
             for generator, case in zip(generators, cases))
         batch = identify_batch([positions] * len(cases), displacements,
                                [case.wrench for case in cases], options)

@@ -146,6 +146,33 @@ class TestIdentify:
         assert [e["cut_level"] for e in log["experiments"]] == [_cut_level(0.01, 1331)] * 6
         assert log["sigma"] == log["sigma_before_cut"] >= 0.0
 
+    def test_run_log_digests_the_bytes_identified(self, tmp_path, monkeypatch):
+        # Each field file, and the manifest, is rewritten right after a
+        # field is parsed: the run log must name the bytes that were
+        # identified, not those the files hold once the run ends.
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--sigma", "5.6e-5", "--out", str(sim)]) == 0
+        manifest = sim / "manifest.json"
+        before = {path.name: path.read_bytes() for path in sim.iterdir()}
+        original = stiffid.cli.read_field_csv
+
+        def rewriting(path, *args, **kwargs):
+            field = original(path, *args, **kwargs)
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write("# rewritten after it was read\n")
+            with open(manifest, "a", encoding="utf-8") as handle:
+                handle.write("\n")
+            return field
+
+        monkeypatch.setattr(stiffid.cli, "read_field_csv", rewriting)
+        assert main(["identify", str(manifest), "--out", str(tmp_path / "out")]) == 0
+        log = read_manifest(tmp_path / "out" / "run_log.json")
+        assert all((sim / name).read_bytes() != data for name, data in before.items())
+        assert log["manifest_sha256"] == hashlib.sha256(before[manifest.name]).hexdigest()
+        for entry in log["experiments"]:
+            assert entry["field_sha256"] == hashlib.sha256(
+                before[entry["field_file"]]).hexdigest()
+
     def test_run_log_reruns_identification(self, tmp_path):
         sim = tmp_path / "sim"
         assert main(["simulate", "--sigma", "1e-4", "--seed", "5",
@@ -1161,3 +1188,25 @@ def test_cli_import_leaves_numpy_random_unloaded():
             "import stiffid.cli; sys.exit(not pre and 'numpy.random' in sys.modules)")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
+
+
+class TestFaultsTool:
+    TOOL = Path(__file__).resolve().parents[1] / "tools" / "faults.py"
+
+    def test_prints_median_time_and_faults(self, tmp_path):
+        run = subprocess.run(
+            [sys.executable, str(self.TOOL), "--calls", "2", "--warmup", "1", "--",
+             "benchmark", "zero-detection", "--trials", "3", "--out", str(tmp_path)],
+            capture_output=True, text=True, check=True)
+        assert re.fullmatch(r"stiffid benchmark zero-detection --trials 3 --out \S+\n"
+                            r"  2 calls after 1 warm-up: median \d+\.\d\d ms and "
+                            r"\d+(\.5)? minor faults per call\n", run.stdout), run.stdout
+
+    def test_failing_command_gives_its_exit_code(self, tmp_path):
+        run = subprocess.run(
+            [sys.executable, str(self.TOOL), "--", "benchmark", "zero-detection",
+             "--trials", "0", "--out", str(tmp_path / "none")],
+            capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert not (tmp_path / "none").exists()

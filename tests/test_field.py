@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import stiffid.field
 from stiffid import (
     AlreadyCentered,
     BeamSpec,
@@ -23,6 +24,7 @@ from stiffid import (
     select_sensor,
     write_field_csv,
 )
+from stiffid.cli import main
 from stiffid.field import _WRITE_BLOCK_ROWS, BOUNDARY_TOL, column_mean
 from stiffid.synthetic import _noisy_displacements
 
@@ -344,6 +346,48 @@ class TestCsv:
         # tobytes also tells -0.0 from 0.0.
         assert back.positions.tobytes() == f.positions.tobytes()
         assert back.displacements.tobytes() == f.displacements.tobytes()
+
+    def test_shared_layout_writes_the_reference_bytes(self, tmp_path):
+        # One layout dict across fields on other layouts, on the same
+        # layout with other displacements, and on positions that differ
+        # only in the sign of a zero: each file equals the reference.
+        fields = csv_write_cases()
+        random = fields["random"]
+        signed = fields["integers"].positions.copy()
+        signed[3, 0] = -0.0  # it holds 0.0
+        assert fields["integers"].positions[3, 0] == 0.0
+        fields.update(scaled=DisplacementField(random.positions, random.displacements * 3),
+                      signed=DisplacementField(signed, fields["integers"].displacements))
+        layout = {}
+        for case in [*sorted(csv_write_cases()), "random", "scaled", "integers", "signed"]:
+            fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+            write_field_csv(fast, fields[case], layout=layout)
+            reference_write_field_csv(ref, fields[case])
+            assert fast.read_bytes() == ref.read_bytes(), case
+
+    def test_simulate_formats_the_node_positions_once(self, tmp_path, monkeypatch):
+        # The six fields of one simulate call share one node layout, so
+        # its position text is formatted once, block by block: 17**3 =
+        # 4,913 nodes make two blocks.  Each file equals the reference.
+        formatted = []
+        original = stiffid.field._position_text
+
+        def counted(positions):
+            formatted.append(len(positions))
+            return original(positions)
+
+        monkeypatch.setattr(stiffid.field, "_position_text", counted)
+        assert main(["simulate", "--edge", "16", "--sigma", "5.6e-5", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert formatted == [_WRITE_BLOCK_ROWS, 17 ** 3 - _WRITE_BLOCK_ROWS]
+        cases = beam_load_cases(BeamSpec(), MeshPattern.cubic(16.0, 1.0), sigma=5.6e-5,
+                                seed=3)
+        ref = tmp_path / "ref.csv"
+        for j, case in enumerate(cases):
+            reference_write_field_csv(ref, case.field, comments=(
+                f"synthetic cantilever experiment {case.source}",
+                f"sigma=5.6e-05 mm, seed={3 + j}"))
+            assert (tmp_path / f"field_{case.source}.csv").read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("body", [
         "1.0,2.5,-3.0,0.1,1e-05,-0.0\r\n4,5,6,1.5e-07,2,3\r\n",

@@ -842,19 +842,26 @@ def fit_rows(monkeypatch):
     return fitted
 
 
-@pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["shared-positions", "row-positions"])
-def test_refit_batches_equal_one_row_batches(jitter, monkeypatch, geometry_builds,
-                                             fit_rows):
-    # Row s of experiment j moves the first (s + j) % 4 nodes of SPIKED,
-    # so the rows keep 121, 120, 119 or 118 nodes, in every experiment.
-    # A budget of 354 nodes holds 2 rows of 120 or 119 nodes, or 3 of
-    # 118, so each survivor count's rows span several refit batches.
-    rows = 5
+def losing_batch(rows, jitter):
+    """beam_batch of `rows` seeds whose row s of experiment j moves the
+    first (s + j) % 4 nodes of SPIKED, so the rows keep 121, 120, 119 or
+    118 nodes, in every experiment; returned with the lost counts (6, S)."""
     positions, displacements, wrenches = beam_batch(range(rows), jitter)
     lost = (np.arange(6)[:, None] + np.arange(rows)) % 4
     for j, d in enumerate(displacements):
         for s in range(rows):
             d[s, SPIKED[:lost[j, s]]] += SPIKE
+    return positions, displacements, wrenches, lost
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["shared-positions", "row-positions"])
+def test_refit_batches_equal_one_row_batches(jitter, monkeypatch, geometry_builds,
+                                             fit_rows):
+    # The rows lose 0 to 3 nodes (losing_batch).  A budget of 354 nodes
+    # holds 2 rows of 120 or 119 nodes, or 3 of 118, so each survivor
+    # count's rows span several refit batches.
+    rows = 5
+    positions, displacements, wrenches, lost = losing_batch(rows, jitter)
     monkeypatch.setattr(stiffid.pipeline, "_BLOCK_NODES", 3 * 118)
     batch = stiffid.identify_batch(positions, displacements, wrenches)
     assert_array_equal(batch.nodes, 121 - lost)
@@ -874,6 +881,36 @@ def test_refit_batches_equal_one_row_batches(jitter, monkeypatch, geometry_build
         one = stiffid.identify_batch([p if p.ndim == 2 else p[s:s + 1] for p in positions],
                                      [d[s:s + 1] for d in displacements], wrenches)
         assert batch_row(batch, s) == batch_row(one, 0)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["shared-positions", "row-positions"])
+def test_one_reused_displacement_buffer_gives_the_same_bytes(jitter, monkeypatch):
+    # The studies draw every experiment's noise into one buffer, so the
+    # core must read no experiment's displacements once it has asked for
+    # the next.  The generator hands every experiment the same planes,
+    # and fills them with NaN when it is asked for the next experiment
+    # (after the last one too), before it refills them.  The rows lose
+    # 0 to 3 nodes (losing_batch), so refit batches gather survivors
+    # across experiments, some of which are refit only after the last
+    # experiment.
+    rows = 5
+    positions, displacements, wrenches, lost = losing_batch(rows, jitter)
+    monkeypatch.setattr(stiffid.pipeline, "_BLOCK_NODES", 3 * 118)
+    fresh = stiffid.identify_batch(positions, [_planes(d) for d in displacements],
+                                   wrenches)
+    buffer = np.empty((rows, 3, 121))
+
+    def reused():
+        for d in displacements:
+            buffer[...] = d.swapaxes(-1, -2)
+            yield buffer.swapaxes(-1, -2)
+            buffer.fill(np.nan)
+
+    batch = stiffid.identify_batch(positions, reused(), wrenches)
+    assert np.isnan(buffer).all()
+    assert_array_equal(batch.nodes, 121 - lost)
+    for s in range(rows):
+        assert batch_row(batch, s) == batch_row(fresh, s)
 
 
 def test_full_refit_batch_is_refit_at_once(monkeypatch, fit_rows):

@@ -487,12 +487,16 @@ class TestNoiseStudy:
         b = run_noise_study(sigma=1e-4, trials=5, seed=9)
         assert a == b
 
-    def test_matches_reference_loop(self):
+    def test_matches_reference_loop(self, monkeypatch):
         # The study computes the noise-free displacement once; the
         # reference applies the whole transform per trial and adds the
         # trial's noise from the study's one stream, default_rng(seed).
+        # The trials run as one block, then as blocks of 4 and 2 trials,
+        # the last drawn into a slice of the study's noise buffer.
         pattern, sigma, trials, seed = MeshPattern.cubic(4.0, 1.0), 1e-4, 6, 2
         study = run_noise_study(pattern, sigma, trials, seed)
+        monkeypatch.setattr(pipeline, "_BLOCK_NODES", 4 * 125)
+        assert run_noise_study(pattern, sigma, trials, seed) == study
         base = generate_pattern(pattern)
         truth_defl = Deflection((1.0, 1.0, 1.0), np.deg2rad([0.1] * 3))
         stream = np.random.default_rng(seed)
@@ -577,10 +581,12 @@ class TestZeroDetectionStudy:
     def test_block_size_does_not_matter(self, monkeypatch):
         # The 30 seeds run as one block, which draws each experiment's
         # noise in one batched transform; one seed per block must give
-        # the same study.
+        # the same study, and so must blocks of 4 seeds, whose last
+        # block of 2 draws into a slice of the study's noise buffer.
         batched = run_zero_detection_study(seeds=30).to_json_dict()
-        monkeypatch.setattr(pipeline, "_BLOCK_NODES", 121)
-        assert run_zero_detection_study(seeds=30).to_json_dict() == batched
+        for rows in (1, 4):
+            monkeypatch.setattr(pipeline, "_BLOCK_NODES", rows * 121)
+            assert run_zero_detection_study(seeds=30).to_json_dict() == batched
 
     def test_default_study_is_one_block(self, monkeypatch):
         calls = []
@@ -605,10 +611,12 @@ class TestZeroDetectionStudy:
             run_zero_detection_study(seeds=2, **{name: value})
 
     def test_traced_peak_holds_no_noise_block(self):
-        # The default study is one block of 100 seeds, and each
-        # experiment's (100, 3, 121) noise block (284 KiB) is freed once
-        # its rows' survivors are gathered: the peak reads 1.42 MiB, and
-        # 2.53 MiB when the blocks are held until the refits.
+        # The default study is one block of 100 seeds, and every
+        # experiment's noise is drawn into one (100, 3, 121) buffer
+        # (284 KiB), once the previous experiment's survivors are
+        # gathered: the peak reads 1.20 MiB (1.42 MiB with fresh noise
+        # per experiment), and 2.53 MiB when the blocks are held until
+        # the refits.
         run_zero_detection_study()  # numpy's lazy imports, the quantile cache
         tracemalloc.start()
         try:
