@@ -58,12 +58,11 @@ from .errors import (
 from .estimation import MIN_FIT_NODES
 from .field import (
     SensorRegion,
-    _field_bytes,
-    _utf8_text,
+    _open_utf8,
+    _read_field,
+    _write_field_csvs,
     center_field,
-    read_field_csv,
     select_sensor,
-    write_field_csv,
 )
 from .pipeline import IdentifyOptions, LoadCase, run_identification
 from .synthetic import (
@@ -226,21 +225,19 @@ def load_manifest(path, digests: list | None = None) -> tuple[list[LoadCase], di
     manifest's first, then each experiment's field file's in turn.
     """
     manifest = str(path)
+    digest = None if digests is None else hashlib.sha256()
     try:
-        with open(manifest, "rb") as handle:
-            raw = handle.read()
+        with _open_utf8(manifest, digest) as handle:
+            data = json.load(handle, object_pairs_hook=_pairs_to_object)
     except OSError as exc:
         raise ManifestError(manifest, str(exc)) from exc
-    if digests is not None:
-        digests.append(hashlib.sha256(raw).hexdigest())
-    try:
-        with _utf8_text(raw) as handle:
-            data = json.load(handle, object_pairs_hook=_pairs_to_object)
     except json.JSONDecodeError as exc:
         raise ManifestError(manifest, f"line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ManifestError(manifest, f"not UTF-8 text: {exc.reason}") from None
     _check(data, MANIFEST, "", manifest)
+    if digest is not None:
+        digests.append(digest.hexdigest())
 
     lscale = LENGTH_UNITS[data["units"]["length"]]
     base = Path(manifest).parent
@@ -255,15 +252,15 @@ def load_manifest(path, digests: list | None = None) -> tuple[list[LoadCase], di
             region = getattr(SensorRegion, sensor.pop("shape"))(**sensor) if sensor else None
         except ValueError as exc:
             raise ManifestError(manifest, f"experiments[{i}]: {exc}") from None
-        raw = _field_bytes(base / source)
-        if digests is not None:
-            digests.append(hashlib.sha256(raw).hexdigest())
+        digest = None if digests is None else hashlib.sha256()
         try:
-            field = center_field(read_field_csv(base / source, data["reference_point"],
-                                                lscale, data=raw))
+            field = center_field(_read_field(base / source, data["reference_point"],
+                                             lscale, digest))
         except ValueError as exc:  # the field rejects a value that overflows
             raise ManifestError(manifest, f"experiments[{i}]: {source} in mm, centered on "
                                 f"reference_point: {exc}") from None
+        if digest is not None:
+            digests.append(digest.hexdigest())
         try:
             if region is not None:
                 field = select_sensor(field, region)
@@ -347,14 +344,14 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     reference = [spec.length, 0.0, 0.0]
 
+    names = [f"field_{case.source}.csv" for case in cases]
+    # The cases move one node pattern, so the files share its positions.
+    _write_field_csvs([out / name for name in names], [case.field for case in cases],
+                      [("synthetic cantilever experiment " + case.source,
+                        f"sigma={args.sigma!r} mm, seed={args.seed + j}")
+                       for j, case in enumerate(cases)])
     entries = []
-    layout: dict = {}  # the cases share one node layout, and so its text
-    for j, case in enumerate(cases):
-        name = f"field_{case.source}.csv"
-        write_field_csv(out / name, case.field, comments=(
-            "synthetic cantilever experiment " + case.source,
-            f"sigma={args.sigma!r} mm, seed={args.seed + j}",
-        ), layout=layout)
+    for name, case in zip(names, cases):
         entries.append({
             "field_file": name,
             "wrench": {

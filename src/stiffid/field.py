@@ -8,6 +8,7 @@ fields.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import warnings
@@ -123,18 +124,6 @@ def column_mean(a: np.ndarray) -> np.ndarray:
     return np.einsum("...ij->...j", a) / a.shape[-2]
 
 
-def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether float node layouts `a` and `b` are one object or hold the
-    same values bit for bit, so that one geometry fits both exactly and
-    one text writes both.
-
-    The values are compared as 64-bit integers: 0.0 and -0.0 compare
-    equal as floats but can leave zeros of opposite sign in a fit.
-    """
-    return a is b or (a.shape == b.shape and
-                      np.array_equal(a.view(np.int64), b.view(np.int64)))
-
-
 def axis_index(axis: int | str) -> int:
     """Coordinate index of an axis given as 'x'/'y'/'z' (any case) or 0/1/2.
 
@@ -241,26 +230,54 @@ def select_sensor(field: DisplacementField, region: SensorRegion) -> Displacemen
     )
 
 
-def _utf8_text(data: bytes) -> io.TextIOWrapper:
-    """A text handle on `data`, decoded as ``open(path, "r",
-    encoding="utf-8-sig")`` decodes a file: a leading byte-order mark is
-    dropped and line ends are translated."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+class _DigestingFile(io.RawIOBase):
+    """The open binary file `file`, which feeds `digest` each of its
+    bytes once, in order, the first time it is read: bytes read again
+    after a seek back are not fed again."""
+
+    def __init__(self, file, digest):
+        self._file = file
+        self._digest = digest
+        self._fed = 0  # the file's bytes before this offset have been fed
+
+    def readable(self) -> bool:
+        return True
+
+    def seekable(self) -> bool:
+        return True
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        return self._file.seek(offset, whence)
+
+    def tell(self) -> int:
+        return self._file.tell()
+
+    def readinto(self, buffer) -> int:
+        start = self._file.tell()
+        count = self._file.readinto(buffer)
+        if start + count > self._fed:
+            self._digest.update(memoryview(buffer)[self._fed - start:count])
+            self._fed = start + count
+        return count
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
 
 
-def _field_bytes(path) -> bytes:
-    """The bytes of the field file `path`; a file that cannot be read
-    raises :class:`FieldFileError`."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise FieldFileError(str(path), None, str(exc)) from exc
+def _open_utf8(path, digest=None) -> io.TextIOWrapper:
+    """Open the file `path` as UTF-8 text, with or without a byte-order
+    mark.  If `digest` (a :mod:`hashlib` object) is given, it is fed
+    each byte of the file once, in order, as it is first read, so that
+    once the text has been read to its end it digests the bytes parsed."""
+    if digest is None:
+        return open(path, "r", encoding="utf-8-sig")
+    raw = _DigestingFile(open(path, "rb", buffering=0), digest)
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig")
 
 
 def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
-                   length_scale: float = 1.0, *, data: bytes | None = None,
-                   ) -> DisplacementField:
+                   length_scale: float = 1.0) -> DisplacementField:
     """Read a nodal field from CSV with columns x,y,z,dx,dy,dz.
 
     Blank lines may appear anywhere; lines whose first non-blank
@@ -271,10 +288,7 @@ def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
     or without a byte-order mark.
     Errors carry the file's line number where there is one.
     `length_scale` converts the file's length unit to mm (1000.0 for
-    metres).  The returned field is not centered.  `data`, if given,
-    is the file's content, read by the caller (who can then hash the
-    bytes that were parsed): it is parsed instead of the file, and
-    `path` only names the file in errors.
+    metres).  The returned field is not centered.
 
     The body is parsed by one ``np.loadtxt`` call, which converts text
     to floats exactly as ``float()`` does.  Files it rejects (a bad
@@ -283,11 +297,22 @@ def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
     line, which accepts the comment and blank lines and reports the line
     of the first bad value.
     """
+    return _read_field(path, reference_point, length_scale)
+
+
+def _read_field(path, reference_point, length_scale: float,
+                digest=None) -> DisplacementField:
+    """:func:`read_field_csv`, which also feeds `digest`, if given, the
+    file's bytes as :func:`_open_utf8` does.  A field that parses has
+    been read to the end of its file, so `digest` then holds the bytes
+    the field came from."""
     path = str(path)
-    if data is None:
-        data = _field_bytes(path)
     try:
-        with _utf8_text(data) as handle:
+        handle = _open_utf8(path, digest)
+    except OSError as exc:
+        raise FieldFileError(path, None, str(exc)) from exc
+    try:
+        with handle:
             header_line = _read_header(handle, path)
             body = handle.tell()
             try:
@@ -372,8 +397,7 @@ def _rows_text(positions: list[str], displacements: np.ndarray) -> str:
     return _ROW_FORMAT * rows % tuple(values)
 
 
-def write_field_csv(path, field: DisplacementField, comments=(), *,
-                    layout: dict | None = None) -> None:
+def write_field_csv(path, field: DisplacementField, comments=()) -> None:
     """Write a field to CSV (mm).  Centered fields are written with
     absolute coordinates so the file round-trips through
     :func:`read_field_csv` plus :func:`center_field`.
@@ -381,32 +405,32 @@ def write_field_csv(path, field: DisplacementField, comments=(), *,
     Each value is written as ``repr`` of the float, the shortest text
     that parses back to the same double, so values round-trip bit for
     bit.  Rows are formatted in blocks of ``_WRITE_BLOCK_ROWS``.
-
-    `layout`, a dict that the writes of one call share, keeps the
-    position text of the last field written with it: a field whose
-    written positions equal that field's bit for bit reuses the text
-    instead of formatting it again (``simulate`` writes six fields on
-    one node layout).  It does not change the bytes written.
     """
-    pos = field.positions
-    if field.centered:
-        pos = pos + field.reference_point
-    starts = range(0, len(pos), _WRITE_BLOCK_ROWS)
-    if layout and _same_layout(layout["positions"], pos):
-        texts = layout["texts"]
-    else:
-        # One block's text at a time, unless a later field may reuse it.
-        texts = (_position_text(pos[start:start + _WRITE_BLOCK_ROWS]) for start in starts)
-        if layout is not None:
-            texts = list(texts)
-            layout.update(positions=pos, texts=texts)
-    with open(str(path), "w", encoding="utf-8", newline="\n") as handle:
-        for comment in comments:
-            # One `#` line per line of the comment, so a line break in it
-            # cannot start a line the reader takes for the header.
-            for line in comment.splitlines() or [""]:
-                handle.write(f"# {line}\n")
-        handle.write(",".join(CSV_HEADER) + "\n")
-        for start, text in zip(starts, texts):
-            handle.write(_rows_text(
-                text, field.displacements[start:start + _WRITE_BLOCK_ROWS]))
+    _write_field_csvs([path], [field], [comments])
+
+
+def _write_field_csvs(paths, fields, comments) -> None:
+    """Write each field of `fields` to the path of `paths` with the
+    comments of `comments`, as :func:`write_field_csv` does.  The fields
+    share one node layout: the positions of the first are written to
+    every file.  The files are written side by side, a block of rows at
+    a time, so each block's position text is formatted once.
+    """
+    pos = fields[0].positions
+    if fields[0].centered:
+        pos = pos + fields[0].reference_point
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(str(path), "w", encoding="utf-8", newline="\n"))
+                   for path in paths]
+        for handle, lines in zip(handles, comments, strict=True):
+            for comment in lines:
+                # One `#` line per line of the comment, so a line break in
+                # it cannot start a line the reader takes for the header.
+                for line in comment.splitlines() or [""]:
+                    handle.write(f"# {line}\n")
+            handle.write(",".join(CSV_HEADER) + "\n")
+        for start in range(0, len(pos), _WRITE_BLOCK_ROWS):
+            text = _position_text(pos[start:start + _WRITE_BLOCK_ROWS])
+            for handle, field in zip(handles, fields, strict=True):
+                handle.write(_rows_text(
+                    text, field.displacements[start:start + _WRITE_BLOCK_ROWS]))

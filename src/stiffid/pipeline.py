@@ -55,7 +55,7 @@ from .estimation import (
     _planes,
     _require_centered,
 )
-from .field import DisplacementField, _same_layout
+from .field import DisplacementField
 from .stats import (
     DEFAULT_CONFIDENCE_MULTIPLIER,
     DEFAULT_OUTLIER_LEVEL,
@@ -224,6 +224,17 @@ class BatchIdentification(NamedTuple):
     safety: np.ndarray
     matrix: np.ndarray
     mask: np.ndarray
+
+
+def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether float node layouts `a` and `b` are one object or hold the
+    same values bit for bit, so that one geometry fits both exactly.
+
+    The values are compared as 64-bit integers: 0.0 and -0.0 compare
+    equal as floats but can leave zeros of opposite sign in a fit.
+    """
+    return a is b or (a.shape == b.shape and
+                      np.array_equal(a.view(np.int64), b.view(np.int64)))
 
 
 def _survivors(a: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -154,17 +154,17 @@ class TestIdentify:
         assert main(["simulate", "--sigma", "5.6e-5", "--out", str(sim)]) == 0
         manifest = sim / "manifest.json"
         before = {path.name: path.read_bytes() for path in sim.iterdir()}
-        original = stiffid.cli.read_field_csv
+        original = stiffid.cli.center_field
+        parsed = iter(read_manifest(manifest)["experiments"])
 
-        def rewriting(path, *args, **kwargs):
-            field = original(path, *args, **kwargs)
-            with open(path, "a", encoding="utf-8") as handle:
+        def rewriting(field):  # called on each field as it is parsed
+            with open(sim / next(parsed)["field_file"], "a", encoding="utf-8") as handle:
                 handle.write("# rewritten after it was read\n")
             with open(manifest, "a", encoding="utf-8") as handle:
                 handle.write("\n")
-            return field
+            return original(field)
 
-        monkeypatch.setattr(stiffid.cli, "read_field_csv", rewriting)
+        monkeypatch.setattr(stiffid.cli, "center_field", rewriting)
         assert main(["identify", str(manifest), "--out", str(tmp_path / "out")]) == 0
         log = read_manifest(tmp_path / "out" / "run_log.json")
         assert all((sim / name).read_bytes() != data for name, data in before.items())
@@ -1195,16 +1195,16 @@ class TestFaultsTool:
 
     def test_prints_median_time_and_faults(self, tmp_path):
         run = subprocess.run(
-            [sys.executable, str(self.TOOL), "--calls", "2", "--warmup", "1", "--",
+            [sys.executable, str(self.TOOL),
              "benchmark", "zero-detection", "--trials", "3", "--out", str(tmp_path)],
             capture_output=True, text=True, check=True)
         assert re.fullmatch(r"stiffid benchmark zero-detection --trials 3 --out \S+\n"
-                            r"  2 calls after 1 warm-up: median \d+\.\d\d ms and "
+                            r"  20 calls after 3 warm-up: median \d+\.\d\d ms and "
                             r"\d+(\.5)? minor faults per call\n", run.stdout), run.stdout
 
     def test_failing_command_gives_its_exit_code(self, tmp_path):
         run = subprocess.run(
-            [sys.executable, str(self.TOOL), "--", "benchmark", "zero-detection",
+            [sys.executable, str(self.TOOL), "benchmark", "zero-detection",
              "--trials", "0", "--out", str(tmp_path / "none")],
             capture_output=True, text=True)
         assert run.returncode == 2

@@ -1,5 +1,6 @@
 """Field container, centering, sensor regions and CSV round trips."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -347,23 +348,22 @@ class TestCsv:
         assert back.positions.tobytes() == f.positions.tobytes()
         assert back.displacements.tobytes() == f.displacements.tobytes()
 
-    def test_shared_layout_writes_the_reference_bytes(self, tmp_path):
-        # One layout dict across fields on other layouts, on the same
-        # layout with other displacements, and on positions that differ
-        # only in the sign of a zero: each file equals the reference.
-        fields = csv_write_cases()
-        random = fields["random"]
-        signed = fields["integers"].positions.copy()
-        signed[3, 0] = -0.0  # it holds 0.0
-        assert fields["integers"].positions[3, 0] == 0.0
-        fields.update(scaled=DisplacementField(random.positions, random.displacements * 3),
-                      signed=DisplacementField(signed, fields["integers"].displacements))
-        layout = {}
-        for case in [*sorted(csv_write_cases()), "random", "scaled", "integers", "signed"]:
-            fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
-            write_field_csv(fast, fields[case], layout=layout)
-            reference_write_field_csv(ref, fields[case])
-            assert fast.read_bytes() == ref.read_bytes(), case
+    @pytest.mark.parametrize("tail", ["", "# a comment between rows\r\n1,2,3,4,5,6\r\n"])
+    def test_digest_is_of_the_bytes_parsed(self, tmp_path, tail):
+        # A file of many read chunks with a byte-order mark and CRLF line
+        # ends; a comment between rows makes the parse seek back and read
+        # the body again.  The digest takes each byte once, in order.
+        path = tmp_path / "field.csv"
+        write_field_csv(path, csv_write_cases()["more-than-one-block"], comments=("c",))
+        data = b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n") + tail.encode()
+        path.write_bytes(data)
+        digest = hashlib.sha256()
+        field = stiffid.field._read_field(path, (0.0, 0.0, 0.0), 1.0, digest)
+        assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+        plain = read_field_csv(path)
+        assert field.positions.tobytes() == plain.positions.tobytes()
+        assert field.displacements.tobytes() == plain.displacements.tobytes()
+        assert field.n == _WRITE_BLOCK_ROWS + 17 + bool(tail)
 
     def test_simulate_formats_the_node_positions_once(self, tmp_path, monkeypatch):
         # The six fields of one simulate call share one node layout, so

@@ -1,16 +1,16 @@
 """Time one stiffid command in-process and count its minor page faults.
 
-    python tools/faults.py [--calls N] [--warmup W] -- ARGV...
+    python tools/faults.py ARGV...
 
-Runs ``stiffid.cli.main(ARGV)`` W times to warm up (numpy's lazy
-imports, the parser, the heap), then N times more, and prints the
+Runs ``stiffid.cli.main(ARGV)`` 3 times to warm up (numpy's lazy
+imports, the parser, the heap), then 20 times more, and prints the
 median wall time and the median minor page faults per timed call, as
 ``resource.getrusage(RUSAGE_SELF)`` counts them.  The command's own
 stdout is discarded; a call that does not exit 0 stops the tool with
 its exit code.  The package is imported from ``src/`` beside this
 script.  For example:
 
-    python tools/faults.py -- benchmark zero-detection --trials 100 --out /tmp/zd
+    python tools/faults.py benchmark zero-detection --trials 100 --out /tmp/zd
 
 Minor faults depend on the heap's history as well as on the code, so
 compare counts from this tool only, with the same arguments.
@@ -18,7 +18,6 @@ compare counts from this tool only, with the same arguments.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import resource
@@ -30,6 +29,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from stiffid.cli import main as stiffid_main  # noqa: E402
+
+WARMUP_CALLS = 3
+TIMED_CALLS = 20
 
 
 def _call(argv: list[str]) -> tuple[float, int]:
@@ -46,20 +48,14 @@ def _call(argv: list[str]) -> tuple[float, int]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--calls", type=int, default=20, help="timed calls")
-    parser.add_argument("--warmup", type=int, default=3, help="untimed calls first")
-    parser.add_argument("command", nargs=argparse.REMAINDER,
-                        help="the stiffid arguments, after --")
-    args = parser.parse_args(argv)
-    command = args.command[1:] if args.command[:1] == ["--"] else args.command
-    if not command or args.calls < 1 or args.warmup < 0:
-        parser.error("give at least one timed call and a stiffid command after --")
-    for _ in range(args.warmup):
+    command = sys.argv[1:] if argv is None else argv
+    if not command:
+        sys.exit(__doc__)
+    for _ in range(WARMUP_CALLS):
         _call(command)
-    walls, faults = zip(*(_call(command) for _ in range(args.calls)))
+    walls, faults = zip(*(_call(command) for _ in range(TIMED_CALLS)))
     print(f"stiffid {' '.join(command)}")
-    print(f"  {args.calls} calls after {args.warmup} warm-up: median "
+    print(f"  {TIMED_CALLS} calls after {WARMUP_CALLS} warm-up: median "
           f"{statistics.median(walls) * 1e3:.2f} ms and "
           f"{statistics.median(faults):g} minor faults per call")
     return 0
