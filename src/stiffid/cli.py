@@ -220,9 +220,11 @@ def load_manifest(path, digests: list | None = None) -> tuple[list[LoadCase], di
     A reference point that overflows in mm, node positions that overflow
     relative to it, and a field or sensor of fewer than
     ``MIN_FIT_NODES`` nodes raise :class:`ManifestError`, which names
-    the experiment.  Each file is read once: if `digests` is given, the
-    SHA-256 hex digest of the bytes parsed is appended to it, the
-    manifest's first, then each experiment's field file's in turn.
+    the experiment.  If `digests` is given, the SHA-256 hex digest of
+    the bytes parsed is appended to it, the manifest's first, then each
+    experiment's field file's in turn: each file is hashed as it is
+    read, so a file rewritten later in the run is logged as it was
+    parsed.
     """
     manifest = str(path)
     digest = None if digests is None else hashlib.sha256()
@@ -252,15 +254,15 @@ def load_manifest(path, digests: list | None = None) -> tuple[list[LoadCase], di
             region = getattr(SensorRegion, sensor.pop("shape"))(**sensor) if sensor else None
         except ValueError as exc:
             raise ManifestError(manifest, f"experiments[{i}]: {exc}") from None
-        digest = None if digests is None else hashlib.sha256()
         try:
-            field = center_field(_read_field(base / source, data["reference_point"],
-                                             lscale, digest))
+            field, digest = _read_field(base / source, data["reference_point"], lscale,
+                                        digests is not None)
+            field = center_field(field)
         except ValueError as exc:  # the field rejects a value that overflows
             raise ManifestError(manifest, f"experiments[{i}]: {source} in mm, centered on "
                                 f"reference_point: {exc}") from None
         if digest is not None:
-            digests.append(digest.hexdigest())
+            digests.append(digest)
         try:
             if region is not None:
                 field = select_sensor(field, region)

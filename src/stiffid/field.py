@@ -9,6 +9,7 @@ fields.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import math
 import warnings
@@ -231,33 +232,20 @@ def select_sensor(field: DisplacementField, region: SensorRegion) -> Displacemen
 
 
 class _DigestingFile(io.RawIOBase):
-    """The open binary file `file`, which feeds `digest` each of its
-    bytes once, in order, the first time it is read: bytes read again
-    after a seek back are not fed again."""
+    """The open binary file `file`, read forward only, which feeds
+    `digest` each byte it returns, in order.  It cannot seek, so no byte
+    is read, or fed, twice."""
 
     def __init__(self, file, digest):
         self._file = file
         self._digest = digest
-        self._fed = 0  # the file's bytes before this offset have been fed
 
     def readable(self) -> bool:
         return True
 
-    def seekable(self) -> bool:
-        return True
-
-    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
-        return self._file.seek(offset, whence)
-
-    def tell(self) -> int:
-        return self._file.tell()
-
     def readinto(self, buffer) -> int:
-        start = self._file.tell()
         count = self._file.readinto(buffer)
-        if start + count > self._fed:
-            self._digest.update(memoryview(buffer)[self._fed - start:count])
-            self._fed = start + count
+        self._digest.update(memoryview(buffer)[:count])
         return count
 
     def close(self) -> None:
@@ -267,9 +255,11 @@ class _DigestingFile(io.RawIOBase):
 
 def _open_utf8(path, digest=None) -> io.TextIOWrapper:
     """Open the file `path` as UTF-8 text, with or without a byte-order
-    mark.  If `digest` (a :mod:`hashlib` object) is given, it is fed
-    each byte of the file once, in order, as it is first read, so that
-    once the text has been read to its end it digests the bytes parsed."""
+    mark.  If `digest` (a :mod:`hashlib` object) is given, the handle
+    reads forward only and feeds it each byte of the file, in order, so
+    that once the text has been read to its end it digests the bytes
+    parsed.  A parse that reads the file again opens it again, from the
+    top."""
     if digest is None:
         return open(path, "r", encoding="utf-8-sig")
     raw = _DigestingFile(open(path, "rb", buffering=0), digest)
@@ -292,50 +282,62 @@ def read_field_csv(path, reference_point=(0.0, 0.0, 0.0),
 
     The body is parsed by one ``np.loadtxt`` call, which converts text
     to floats exactly as ``float()`` does.  Files it rejects (a bad
-    value, or comment and whitespace-only lines between rows) and files
-    with a value that is not finite after scaling are read again line by
-    line, which accepts the comment and blank lines and reports the line
-    of the first bad value.
+    value, a value such as ``1_000`` that only ``float()`` accepts, or
+    comment and whitespace-only lines between rows) and files with a
+    value that is not finite after scaling are read again from the top,
+    line by line, which accepts the comment and blank lines and reports
+    the line of the first bad value.
     """
-    return _read_field(path, reference_point, length_scale)
+    return _read_field(path, reference_point, length_scale)[0]
 
 
 def _read_field(path, reference_point, length_scale: float,
-                digest=None) -> DisplacementField:
-    """:func:`read_field_csv`, which also feeds `digest`, if given, the
-    file's bytes as :func:`_open_utf8` does.  A field that parses has
-    been read to the end of its file, so `digest` then holds the bytes
-    the field came from."""
+                digest: bool = False) -> tuple[DisplacementField, str | None]:
+    """:func:`read_field_csv`, and with `digest` the SHA-256 hex digest
+    of the bytes the field was parsed from (else None).  Each pass opens
+    the file anew and reads it from the top, through :func:`_open_utf8`
+    with a digest of its own; a pass that builds the field has read the
+    file to its end, so its digest is that of the bytes parsed."""
     path = str(path)
     try:
-        handle = _open_utf8(path, digest)
+        sha = hashlib.sha256() if digest else None
+        with _open_utf8(path, sha) as handle:
+            _read_header(handle, path)
+            data = _load_rows(handle, length_scale)
+        if data is None:
+            sha = hashlib.sha256() if digest else None
+            with _open_utf8(path, sha) as handle:
+                data = _read_rows(handle, path, _read_header(handle, path) + 1,
+                                  length_scale)
     except OSError as exc:
         raise FieldFileError(path, None, str(exc)) from exc
-    try:
-        with handle:
-            header_line = _read_header(handle, path)
-            body = handle.tell()
-            try:
-                with warnings.catch_warnings():
-                    # An empty body warns "input contained no data"; the line
-                    # loop below reports it as an error instead.
-                    warnings.simplefilter("ignore", UserWarning)
-                    data = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                data = np.empty((0, 0))
-            with np.errstate(over="ignore"):  # an overflow is read again below
-                data = data * length_scale
-            if data.shape[1] != 6 or not len(data) or not np.isfinite(data).all():
-                handle.seek(body)
-                data = _read_rows(handle, path, header_line + 1, length_scale)
     except UnicodeDecodeError as exc:
-        # np.loadtxt reports it as a ValueError, so the line loop meets it.
         raise FieldFileError(path, None, f"not UTF-8 text: {exc.reason}") from None
     # A reference point that overflows in mm is named by DisplacementField;
     # numpy's warning on the way is silenced.
     with np.errstate(over="ignore"):
         ref = np.asarray(reference_point, dtype=float) * length_scale
-    return DisplacementField(data[:, :3], data[:, 3:], ref, centered=False)
+    field = DisplacementField(data[:, :3], data[:, 3:], ref, centered=False)
+    return field, None if sha is None else sha.hexdigest()
+
+
+def _load_rows(handle, length_scale: float) -> np.ndarray | None:
+    """The data lines of a field CSV, parsed by one ``np.loadtxt`` call
+    and scaled by `length_scale`, or None where that call rejects them
+    or a value is not finite after scaling.  A file that is not UTF-8
+    is rejected too (np.loadtxt reports it as a ValueError), so the line
+    pass meets it and names it."""
+    try:
+        with warnings.catch_warnings():
+            # An empty body warns "input contained no data"; the line pass
+            # reports it as an error instead.
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    with np.errstate(over="ignore"):  # an overflow is read again line by line
+        data = data * length_scale
+    return data if data.shape[1] == 6 and len(data) and np.isfinite(data).all() else None
 
 
 def _read_header(handle, path: str) -> int:

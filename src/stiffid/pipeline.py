@@ -114,10 +114,6 @@ class IdentifyOptions:
         }
 
 
-def _indices(mask: np.ndarray | None) -> list[int]:
-    return [] if mask is None else np.flatnonzero(mask).tolist()
-
-
 @dataclass(frozen=True)
 class IdentificationResult:
     """One identification: row 0 of a :class:`BatchIdentification`.
@@ -152,7 +148,8 @@ class IdentificationResult:
         among the sensor's nodes, read from ``dropped`` when first asked
         for: a large field's indices cost time and memory that no stage
         needs."""
-        return tuple(tuple(_indices(mask)) for mask in self.dropped)
+        return tuple(() if mask is None else tuple(np.flatnonzero(mask).tolist())
+                     for mask in self.dropped)
 
     def diagnostics(self) -> dict:
         """Per-stage run log entries, JSON-serializable.
@@ -162,7 +159,6 @@ class IdentificationResult:
         inputs that is enough to rerun the identification.  The pooled
         sigma is given before and after the cut.
         """
-        removed = [_indices(mask) for mask in self.dropped]
         return {
             "options": self.options.to_json_dict(),
             "experiments": [
@@ -171,8 +167,8 @@ class IdentificationResult:
                     "nodes": n,
                     "sigma": self.noise.per_experiment_sigma[i],
                     "cut_level": self.cut_levels[i],
-                    "removed_nodes": len(removed[i]),
-                    "removed_indices": removed[i],
+                    "removed_nodes": len(self.removed[i]),
+                    "removed_indices": list(self.removed[i]),
                 }
                 for i, n in enumerate(self.nodes)
             ],

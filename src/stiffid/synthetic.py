@@ -108,6 +108,8 @@ def _grid(edge: float, step: float, dims: int) -> np.ndarray:
         raise InvalidPattern("edge and step must be positive and finite, "
                              f"got {edge!r} and {step!r}")
     ratio = edge / step
+    if ratio == math.inf:  # as for a grid numpy cannot size, below
+        raise InvalidPattern(f"a grid of edge {edge} in steps of {step} is too large")
     steps = int(round(ratio))
     if steps < 1:
         # Within the tolerance below, a ratio near 0 would pass as 0
@@ -217,6 +219,17 @@ def _blocks(count: int, nodes: int) -> tuple[list[range], np.ndarray]:
 def _check_trials(count: int, what: str) -> None:
     if count < 1:
         raise InvalidArgument(f"{what} must be at least 1, got {count!r}")
+
+
+def _trial_zeros(shape: tuple[int, ...], trials: int) -> np.ndarray:
+    """``np.zeros(shape)``, a study's per-trial results.  Raises
+    :class:`InvalidArgument` naming `trials` if it is below 1 or numpy
+    cannot allocate the array, before the study draws any noise."""
+    _check_trials(trials, "trials")
+    try:
+        return np.zeros(shape)
+    except (MemoryError, ValueError):
+        raise InvalidArgument(f"trials={trials!r} is more than numpy can allocate") from None
 
 
 @dataclass(frozen=True)
@@ -368,13 +381,12 @@ def run_amplitude_study(amplitudes: Sequence[float],
     """
     if kind not in ("rotation", "translation"):
         raise ValueError(f"kind must be 'rotation' or 'translation', got {kind!r}")
-    _check_trials(trials, "trials")
+    method_names = [m for m in STUDY_METHODS
+                    if kind == "rotation" or m in ("lin", "svd-avg")]
+    errors = {m: _trial_zeros((len(amplitudes), trials), trials) for m in method_names}
     base = generate_pattern(pattern)
     geometry, rel = _fit_geometry(base.positions)
     generator = _generator(sigma, seed)
-    method_names = [m for m in STUDY_METHODS
-                    if kind == "rotation" or m in ("lin", "svd-avg")]
-    errors = {m: np.zeros((len(amplitudes), trials)) for m in method_names}
     blocks, noise = _blocks(trials, base.n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinearizationWarning)
@@ -438,13 +450,12 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
     pattern's fit geometry is built once, and the trials of a block are
     fit on it in one batch.
     """
-    _check_trials(trials, "trials")
+    err = _trial_zeros((trials, 6), trials)
     generator = _generator(sigma, seed)
     base = generate_pattern(pattern)
     truth_defl = Deflection([1.0, 1.0, 1.0], np.deg2rad([0.1] * 3))
     rigid = apply_rigid_transform(base, truth_defl).displacements
     geometry, rel = _fit_geometry(base.positions)
-    err = np.empty((trials, 6))
     blocks, noise = _blocks(trials, base.n)
     for block in blocks:
         # The fit's one allocation (its scores, d - q planes and block

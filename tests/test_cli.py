@@ -1111,10 +1111,15 @@ class TestBenchmark:
         ["simulate", "--axis", "y"],
         # numpy cannot size the grid, so nothing is allocated
         ["simulate", "--edge", "1", "--step", "1e-300"],
+        # the step count overflows to inf
+        ["simulate", "--edge", "1e300", "--step", "1e-300"],
+        # numpy cannot allocate the per-trial results (43.7 TiB)
+        ["benchmark", "noise", "--trials", "1000000000000"],
     ], ids=["simulate-sigma", "simulate-edge-below-step", "noise-sigma",
             "amplitude-trials", "zero-trials", "noise-sigma-square-overflows",
             "zero-sigma-zero", "amplitude-seed", "simulate-cubic-axis",
-            "simulate-grid-too-large"])
+            "simulate-grid-too-large", "simulate-step-count-overflows",
+            "noise-trials-too-many"])
     def test_input_error_leaves_no_out_dir(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 2

@@ -1,6 +1,7 @@
 """Field container, centering, sensor regions and CSV round trips."""
 
 import hashlib
+import io
 import warnings
 
 import numpy as np
@@ -348,22 +349,34 @@ class TestCsv:
         assert back.positions.tobytes() == f.positions.tobytes()
         assert back.displacements.tobytes() == f.displacements.tobytes()
 
-    @pytest.mark.parametrize("tail", ["", "# a comment between rows\r\n1,2,3,4,5,6\r\n"])
+    @pytest.mark.parametrize("tail", ["", "# a comment between rows\r\n1,2,3,4,5,6\r\n",
+                                      "1_000,2,3,4,5,6\r\n"])
     def test_digest_is_of_the_bytes_parsed(self, tmp_path, tail):
         # A file of many read chunks with a byte-order mark and CRLF line
-        # ends; a comment between rows makes the parse seek back and read
-        # the body again.  The digest takes each byte once, in order.
+        # ends.  A comment between rows, or a value that float() accepts
+        # and np.loadtxt rejects, sends the parse to its line pass, which
+        # opens the file again and reads it from the top: there is no seek
+        # back.  The digest returned is of the pass that built the field.
         path = tmp_path / "field.csv"
         write_field_csv(path, csv_write_cases()["more-than-one-block"], comments=("c",))
         data = b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n") + tail.encode()
         path.write_bytes(data)
-        digest = hashlib.sha256()
-        field = stiffid.field._read_field(path, (0.0, 0.0, 0.0), 1.0, digest)
-        assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+        field, digest = stiffid.field._read_field(path, (0.0, 0.0, 0.0), 1.0, True)
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert stiffid.field._read_field(path, (0.0, 0.0, 0.0), 1.0)[1] is None
         plain = read_field_csv(path)
         assert field.positions.tobytes() == plain.positions.tobytes()
         assert field.displacements.tobytes() == plain.displacements.tobytes()
         assert field.n == _WRITE_BLOCK_ROWS + 17 + bool(tail)
+
+    def test_digesting_handle_is_not_seekable(self, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_bytes(b"x,y,z,dx,dy,dz\n1,2,3,4,5,6\n")
+        with stiffid.field._open_utf8(path, hashlib.sha256()) as handle:
+            assert not handle.seekable() and not handle.buffer.raw.seekable()
+            handle.readline()
+            with pytest.raises(io.UnsupportedOperation):
+                handle.buffer.raw.seek(0)
 
     def test_simulate_formats_the_node_positions_once(self, tmp_path, monkeypatch):
         # The six fields of one simulate call share one node layout, so
@@ -554,7 +567,8 @@ class TestCsv:
     def test_byte_order_mark_skipped(self, tmp_path, mid):
         # Spreadsheet exports often start UTF-8 text with a byte-order
         # mark; lines still count from the first.  A comment between rows
-        # sends the body to the line loop, which seeks back past the mark.
+        # sends the body to the line loop, which reads the file again from
+        # the top, past the mark.
         path = tmp_path / "field.csv"
         text = f"# export\nx,y,z,dx,dy,dz\n0,0,0,0,0,1\n{mid}1,2,3,4,5,6\n"
         path.write_bytes(b"\xef\xbb\xbf" + text.encode())

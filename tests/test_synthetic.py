@@ -146,6 +146,13 @@ class TestPatterns:
         assert generate_pattern(MeshPattern.cubic(1.0, 1.0)).n == 8
         assert generate_pattern(MeshPattern.square(1.0, 1.0, "y")).n == 4
 
+    def test_step_count_that_overflows_is_too_large(self):
+        # edge / step overflows to inf, which has no integer step count.
+        with pytest.raises(InvalidPattern, match="too large"):
+            MeshPattern.cubic(1e300, 1e-300)
+        with pytest.raises(InvalidPattern, match="too large"):
+            MeshPattern.square(1e300, 1e-300)
+
     def test_positive_dimensions_required(self):
         with pytest.raises(InvalidPattern):
             MeshPattern.cubic(0.0, 1.0)
@@ -464,6 +471,20 @@ class TestAmplitudeStudy:
         assert data["kind"] == "rotation"
         assert data["amplitudes"] == [0.1, 1.0]
         assert set(data["max_errors"]) == set(STUDY_METHODS)
+
+
+@pytest.mark.parametrize("trials", [10**12, 10**19], ids=["memory", "size"])
+@pytest.mark.parametrize("study", [
+    lambda trials: run_noise_study(trials=trials),
+    lambda trials: run_amplitude_study([0.1, 1.0], trials=trials, sigma=1e-4),
+], ids=["noise", "amplitude"])
+def test_too_many_trials_is_an_input_error(monkeypatch, study, trials):
+    # numpy refuses the per-trial results (MemoryError for 10**12 trials,
+    # ValueError for a size beyond its index range) before it touches a
+    # page, and the study draws no noise.
+    monkeypatch.setattr(synthetic, "_noisy_displacements", None)
+    with pytest.raises(InvalidArgument, match="trials"):
+        study(trials)
 
 
 class TestNoiseStudy:
