@@ -33,6 +33,7 @@ bits of a refit of its own.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -233,6 +234,45 @@ def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
                       np.array_equal(a.view(np.int64), b.view(np.int64)))
 
 
+def _layout_indices(positions: Sequence[np.ndarray]) -> list[int]:
+    """Each experiment's index among the distinct node layouts of
+    `positions`, numbered in order of first use, by :func:`_same_layout`
+    against the first experiment of each layout."""
+    firsts: list[np.ndarray] = []
+    indices = []
+    for p in positions:
+        index = next((i for i, first in enumerate(firsts) if _same_layout(first, p)),
+                     len(firsts))
+        if index == len(firsts):
+            firsts.append(p)
+        indices.append(index)
+    return indices
+
+
+class _HelperThread(threading.Thread):
+    """`function(*args)` on a thread of its own; :meth:`result` joins it
+    and returns the value, or raises its exception on the caller's
+    thread."""
+
+    def __init__(self, function, *args):
+        super().__init__()
+        self._call = function, args
+        self._value = self._error = None
+
+    def run(self):
+        function, args = self._call
+        try:
+            self._value = function(*args)
+        except BaseException as error:
+            self._error = error
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 def _survivors(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The nodes of `a`, (1, n, 3) or shared (n, 3), where the (1, n)
     mask `keep` is True.  Gathered along the node axis of the planes
@@ -315,17 +355,37 @@ def identify_batch(positions: Sequence[np.ndarray],
     that overflow the assembled matrix or its halfwidths (a tiny wrench)
     raise :class:`~stiffid.errors.NonFiniteCompliance`.
     Experiments whose positions equal an earlier experiment's share its
-    fit geometry.  Positions, displacements and wrenches must count the
-    same experiments; a mismatch raises ``ValueError``.
+    fit geometry.  Large node layouts (``_BLOCK_NODES`` nodes or more)
+    that are not all one object are compared on a helper thread while
+    experiment 0 is fit, with the same comparisons, so the results are
+    identical byte for byte; the thread is joined before the call
+    returns or raises, and an error it meets is raised here.
+    Positions, displacements and wrenches must count the same
+    experiments; a mismatch raises ``ValueError``.
     """
     if len(wrenches) != len(positions):
         raise ValueError(f"{len(positions)} experiments' positions but "
                          f"{len(wrenches)} wrenches")
-    # Per distinct node layout: the positions as given, in planes, and
-    # their fit geometry with the centroid-relative positions.
-    layouts: list[tuple[np.ndarray, np.ndarray, FitGeometry, np.ndarray]] = []
-    # Per experiment: the index of its layout in `layouts`.
-    layout_of = []
+    positions = [np.asarray(p, dtype=float) for p in positions]
+    # Per distinct node layout: the positions in planes, and their fit
+    # geometry with the centroid-relative positions.
+    layouts: list[tuple[np.ndarray, FitGeometry, np.ndarray]] = []
+    # Per experiment: the index of its layout in `layouts`.  Large
+    # layouts that are not all one object are compared on a helper
+    # thread (numpy releases the GIL while it compares) while this
+    # thread builds geometry 0 and fits and cuts experiment 0; it joins
+    # the helper when it needs experiment 1's index.  Below
+    # _BLOCK_NODES nodes, five comparisons cost about as much as starting
+    # and joining a thread (170 against 140-195 us at 16,384 nodes on a
+    # 2-core Xeon VM), so they run here.
+    helper = None
+    if len(positions) > 1 and positions[0].size >= 3 * _BLOCK_NODES and \
+            any(p is not positions[0] for p in positions[1:]):
+        helper = _HelperThread(_layout_indices, positions)
+        helper.start()
+        layout_of = [0]
+    else:
+        layout_of = _layout_indices(positions)
     deflections = []
     dropped = []
     cut_levels = []
@@ -340,59 +400,62 @@ def identify_batch(positions: Sequence[np.ndarray],
     # Per refit batch: its geometry, and each row's experiment and row.
     refits = []
     rows = None
-    for j, (p, d) in enumerate(zip(positions, displacements, strict=True)):
-        p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
-        if rows is None and d.ndim == 3:
-            rows = len(d)
-        if d.ndim != 3 or d.shape[2] != 3 or len(d) != rows or not rows or \
-                p.shape not in (d.shape, d.shape[1:]):
-            raise ValueError(
-                f"experiment {j}: displacements must be (S, n, 3) and positions "
-                f"(n, 3) or (S, n, 3), with one S >= 1 for all experiments; got "
-                f"{d.shape} and {p.shape}")
-        index = next((i for i, known in enumerate(layouts) if _same_layout(known[0], p)),
-                     None)
-        if index is None:
-            index = len(layouts)
-            planes = _planes(p)
-            layouts.append((p, planes, *_fit_geometry(planes)))
-        _, planes, geometry, rel = layouts[index]
-        # `d` is kept as given.  A field's arrays are planes already; rows
-        # are copied into planes by the fit for its own pass only, since a
-        # plane copy held through the experiment adds an array to the peak
-        # memory of a large field.
-        fit = _fit_lin(geometry, rel, d)
-        n = d.shape[-2]
-        cut = _cut_level(options.outlier_level, n)
-        drop = _drop_mask(fit.score, cut,
-                          _roundoff_floor(geometry, fit.translation, fit.rotation))
-        layout_of.append(index)
-        deflections.append(np.concatenate([fit.translation, fit.rotation], axis=-1))
-        initial_objectives.append(fit.objective)
-        objectives.append(fit.objective.copy())
-        sizes.append(n)
-        count = np.full(rows, n)
-        counts.append(count)
-        dropped.append(drop)
-        cut_levels.append(cut)
-        del fit  # free its scores before the survivors are gathered
-        if drop is not None:
-            drop.flags.writeable = False
-            count -= np.count_nonzero(drop, axis=-1)
-            # The survivors are new arrays, so `d` is freed with the
-            # experiment.  Rows of one survivor count, from any
-            # experiment, are refit as one batch of per-row positions
-            # once they fill one (so a large field's row is refit here,
-            # alone) or after the last experiment.
-            for s in np.flatnonzero(count < n).tolist():
-                keep = ~drop[s:s + 1]
-                m = int(count[s])
-                group = pending.setdefault(m, [])
-                group.append((j, s, _survivors(planes if planes.ndim == 2
-                                               else planes[s:s + 1], keep),
-                              _survivors(d[s:s + 1], keep)))
-                if len(group) == _block_rows(m):
-                    refits.append(_refit(pending.pop(m), deflections, objectives))
+    try:
+        for j, (p, d) in enumerate(zip(positions, displacements, strict=True)):
+            d = np.asarray(d, dtype=float)
+            if rows is None and d.ndim == 3:
+                rows = len(d)
+            if d.ndim != 3 or d.shape[2] != 3 or len(d) != rows or not rows or \
+                    p.shape not in (d.shape, d.shape[1:]):
+                raise ValueError(
+                    f"experiment {j}: displacements must be (S, n, 3) and positions "
+                    f"(n, 3) or (S, n, 3), with one S >= 1 for all experiments; got "
+                    f"{d.shape} and {p.shape}")
+            if j == 1 and helper is not None:
+                layout_of = helper.result()
+            index = layout_of[j]
+            if index == len(layouts):
+                planes = _planes(p)
+                layouts.append((planes, *_fit_geometry(planes)))
+            planes, geometry, rel = layouts[index]
+            # `d` is kept as given.  A field's arrays are planes already; rows
+            # are copied into planes by the fit for its own pass only, since a
+            # plane copy held through the experiment adds an array to the peak
+            # memory of a large field.
+            fit = _fit_lin(geometry, rel, d)
+            n = d.shape[-2]
+            cut = _cut_level(options.outlier_level, n)
+            drop = _drop_mask(fit.score, cut,
+                              _roundoff_floor(geometry, fit.translation, fit.rotation))
+            deflections.append(np.concatenate([fit.translation, fit.rotation], axis=-1))
+            initial_objectives.append(fit.objective)
+            objectives.append(fit.objective.copy())
+            sizes.append(n)
+            count = np.full(rows, n)
+            counts.append(count)
+            dropped.append(drop)
+            cut_levels.append(cut)
+            del fit  # free its scores before the survivors are gathered
+            if drop is not None:
+                drop.flags.writeable = False
+                count -= np.count_nonzero(drop, axis=-1)
+                # The survivors are new arrays, so `d` is freed with the
+                # experiment.  Rows of one survivor count, from any
+                # experiment, are refit as one batch of per-row positions
+                # once they fill one (so a large field's row is refit here,
+                # alone) or after the last experiment.
+                for s in np.flatnonzero(count < n).tolist():
+                    keep = ~drop[s:s + 1]
+                    m = int(count[s])
+                    group = pending.setdefault(m, [])
+                    group.append((j, s, _survivors(planes if planes.ndim == 2
+                                                   else planes[s:s + 1], keep),
+                                  _survivors(d[s:s + 1], keep)))
+                    if len(group) == _block_rows(m):
+                        refits.append(_refit(pending.pop(m), deflections, objectives))
+    finally:
+        if helper is not None:
+            helper.join()
     refits += [_refit(group, deflections, objectives) for group in pending.values()]
     sigma_before_cut = _pool_sigma(initial_objectives, sizes)[0]
     sigma, dof, per_experiment = _pool_sigma(objectives, counts)
@@ -408,7 +471,7 @@ def identify_batch(positions: Sequence[np.ndarray],
         # The experiments on one layout share its geometry and the pooled
         # sigma, so their covariances are one array until a refit row
         # is written into an experiment's own copy.
-        shared = [_covariance(layout[2], sigma) for layout in layouts]
+        shared = [_covariance(layout[1], sigma) for layout in layouts]
         covariances = [shared[i] if drop is None else shared[i].copy()
                        for i, drop in zip(layout_of, dropped)]
         for geometry, experiments, batch_rows in refits:

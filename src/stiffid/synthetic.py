@@ -40,7 +40,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -204,32 +204,34 @@ def _noisy_displacements(rigid: np.ndarray, sigma: float, generator,
     return planes.swapaxes(-1, -2)
 
 
-def _blocks(count: int, nodes: int) -> tuple[list[range], np.ndarray]:
+def _blocks(count: int, nodes: int) -> Iterator[range]:
     """Consecutive ranges of `count` trials of `nodes` nodes each, with
     at most ``pipeline._BLOCK_NODES`` nodes (and at least one trial) per
-    range, and one uninitialized noise buffer, planes (rows, 3, nodes)
-    for the rows of the first range, into which every range's noise is
-    drawn (see :func:`_noisy_displacements`).  The buffer lives for the
-    study call, so no block's noise is freed and faulted in again."""
+    range, made one at a time."""
     size = _block_rows(nodes)
-    blocks = [range(start, min(count, start + size)) for start in range(0, count, size)]
-    return blocks, np.empty((len(blocks[0]), 3, nodes))
+    for start in range(0, count, size):
+        yield range(start, min(count, start + size))
 
 
-def _check_trials(count: int, what: str) -> None:
-    if count < 1:
-        raise InvalidArgument(f"{what} must be at least 1, got {count!r}")
+def _noise_buffer(count: int, nodes: int) -> np.ndarray:
+    """One uninitialized noise buffer, planes (rows, 3, nodes) for the
+    rows of the first of :func:`_blocks`, into which every block's noise
+    is drawn (see :func:`_noisy_displacements`).  The buffer lives for
+    the study call, so no block's noise is freed and faulted in again."""
+    return np.empty((min(count, _block_rows(nodes)), 3, nodes))
 
 
-def _trial_zeros(shape: tuple[int, ...], trials: int) -> np.ndarray:
+def _trial_zeros(shape: tuple[int, ...], trials: int, what: str = "trials") -> np.ndarray:
     """``np.zeros(shape)``, a study's per-trial results.  Raises
-    :class:`InvalidArgument` naming `trials` if it is below 1 or numpy
-    cannot allocate the array, before the study draws any noise."""
-    _check_trials(trials, "trials")
+    :class:`InvalidArgument`, which names the count `trials` as `what`,
+    if it is below 1 or numpy cannot allocate the array, before the study
+    draws any noise or sizes any block."""
+    if trials < 1:
+        raise InvalidArgument(f"{what} must be at least 1, got {trials!r}")
     try:
         return np.zeros(shape)
     except (MemoryError, ValueError):
-        raise InvalidArgument(f"trials={trials!r} is more than numpy can allocate") from None
+        raise InvalidArgument(f"{what}={trials!r} is more than numpy can allocate") from None
 
 
 @dataclass(frozen=True)
@@ -387,7 +389,7 @@ def run_amplitude_study(amplitudes: Sequence[float],
     base = generate_pattern(pattern)
     geometry, rel = _fit_geometry(base.positions)
     generator = _generator(sigma, seed)
-    blocks, noise = _blocks(trials, base.n)
+    noise = _noise_buffer(trials, base.n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinearizationWarning)
         for ai, amp in enumerate(amplitudes):
@@ -397,7 +399,7 @@ def run_amplitude_study(amplitudes: Sequence[float],
                 truth_defl = Deflection([amp, amp, amp], np.zeros(3))
             rigid = apply_rigid_transform(base, truth_defl,
                                           exact_rotation=(kind == "rotation")).displacements
-            for block in blocks:
+            for block in _blocks(trials, base.n):
                 displacements = _noisy_displacements(rigid, sigma, generator, len(block),
                                                      noise)
                 for name, err in errors.items():
@@ -456,8 +458,8 @@ def run_noise_study(pattern: MeshPattern = MeshPattern.cubic(10.0, 1.0),
     truth_defl = Deflection([1.0, 1.0, 1.0], np.deg2rad([0.1] * 3))
     rigid = apply_rigid_transform(base, truth_defl).displacements
     geometry, rel = _fit_geometry(base.positions)
-    blocks, noise = _blocks(trials, base.n)
-    for block in blocks:
+    noise = _noise_buffer(trials, base.n)
+    for block in _blocks(trials, base.n):
         # The fit's one allocation (its scores, d - q planes and block
         # buffer) is freed before the next fit asks for one of the same
         # size, which takes its pages: 0 minor page faults per in-process
@@ -530,7 +532,10 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
     `safety_threshold` a nonnegative and finite one, neither a bool,
     else :class:`InvalidArgument` is raised before any noise is drawn.
     """
-    _check_trials(seeds, "seeds")
+    # Per seed: the structural zeros it keeps, the nonzeros it loses and
+    # the lowest safety factor of the nonzeros (0 when one of them is not
+    # significant).
+    missed, lost, low = _trial_zeros((3, seeds), seeds, "seeds")
     if sigma == 0.0:
         raise InvalidArgument("zero detection needs noise: sigma must be positive, got 0.0")
     _check_multiplier(multiplier, "multiplier")
@@ -546,11 +551,8 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
                               confidence_multiplier=multiplier)
     cases = beam_load_cases(BeamSpec(), pattern)
     positions = cases[0].field.positions
-    zeros_missed = []
-    nonzeros_lost = []
-    min_safety = []
-    blocks, noise = _blocks(seeds, len(positions))
-    for block in blocks:
+    noise = _noise_buffer(seeds, len(positions))
+    for block in _blocks(seeds, len(positions)):
         # A generator: each experiment's noise is drawn into the one
         # noise buffer when the core reaches it, which reads no
         # experiment's displacements after it asks for the next.
@@ -561,15 +563,12 @@ def run_zero_detection_study(seeds: int = 100, sigma: float = 5.6e-5,
         batch = identify_batch([positions] * len(cases), displacements,
                                [case.wrench for case in cases], options)
         k = batch.matrix
-        zeros_missed += np.count_nonzero(k[:, ~nonzero] != 0.0, axis=1).tolist()
-        nonzeros_lost += np.count_nonzero(k[:, nonzero] == 0.0, axis=1).tolist()
-        # The lowest safety factor of the nonzero elements, 0 when one of
-        # them is not significant.
+        missed[block.start:block.stop] = np.count_nonzero(k[:, ~nonzero] != 0.0, axis=1)
+        lost[block.start:block.stop] = np.count_nonzero(k[:, nonzero] == 0.0, axis=1)
         kept = batch.significant[:, nonzero]
-        low = np.min(np.where(kept, batch.safety[:, nonzero], np.inf), axis=1)
-        min_safety += np.where(kept.all(axis=1), low, 0.0).tolist()
-    perfect = sum(missed == 0 and lost == 0 and low >= safety_threshold
-                  for missed, lost, low in zip(zeros_missed, nonzeros_lost, min_safety))
+        lowest = np.min(np.where(kept, batch.safety[:, nonzero], np.inf), axis=1)
+        low[block.start:block.stop] = np.where(kept.all(axis=1), lowest, 0.0)
+    perfect = int(np.count_nonzero((missed == 0) & (lost == 0) & (low >= safety_threshold)))
     return ZeroDetectionStudy(seeds, sigma, multiplier, safety_threshold,
-                              perfect, perfect / seeds, tuple(zeros_missed),
-                              tuple(nonzeros_lost), tuple(min_safety))
+                              perfect, perfect / seeds, tuple(missed.astype(int).tolist()),
+                              tuple(lost.astype(int).tolist()), tuple(low.tolist()))

@@ -1115,11 +1115,15 @@ class TestBenchmark:
         ["simulate", "--edge", "1e300", "--step", "1e-300"],
         # numpy cannot allocate the per-trial results (43.7 TiB)
         ["benchmark", "noise", "--trials", "1000000000000"],
+        # nor the per-seed ones: 21.8 TiB, and a size beyond its index range
+        ["benchmark", "zero-detection", "--trials", "1000000000000"],
+        ["benchmark", "zero-detection", "--trials", "10000000000000000000"],
     ], ids=["simulate-sigma", "simulate-edge-below-step", "noise-sigma",
             "amplitude-trials", "zero-trials", "noise-sigma-square-overflows",
             "zero-sigma-zero", "amplitude-seed", "simulate-cubic-axis",
             "simulate-grid-too-large", "simulate-step-count-overflows",
-            "noise-trials-too-many"])
+            "noise-trials-too-many", "zero-trials-too-many",
+            "zero-trials-beyond-index-range"])
     def test_input_error_leaves_no_out_dir(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 2

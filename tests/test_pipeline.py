@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -703,10 +705,26 @@ def geometry_builds(monkeypatch):
     return built
 
 
+@pytest.fixture
+def helper_threads(monkeypatch):
+    """The layout helper threads the pipeline starts."""
+    started = []
+    original = stiffid.pipeline._HelperThread.start
+
+    def start(thread):
+        started.append(thread)
+        original(thread)
+
+    monkeypatch.setattr(stiffid.pipeline._HelperThread, "start", start)
+    return started
+
+
+@pytest.mark.parametrize("helper", [False, True], ids=["inline", "helper-thread"])
 @pytest.mark.parametrize("refit", [False, True], ids=["no-refit", "refit"])
 @pytest.mark.parametrize("layouts", ["A-B-A", "equal-copies"])
-def test_shared_geometry_gives_the_same_bytes(layouts, refit, own_geometry,
-                                              geometry_builds, noisy_cases):
+def test_shared_geometry_gives_the_same_bytes(layouts, refit, helper, own_geometry,
+                                              geometry_builds, helper_threads,
+                                              monkeypatch, noisy_cases):
     cases, distinct = (mixed_layout_cases(), 2) if layouts == "A-B-A" else (noisy_cases, 1)
     if refit:  # every experiment loses nodes to the cut
         cases = spiked_cases(cases)
@@ -714,13 +732,74 @@ def test_shared_geometry_gives_the_same_bytes(layouts, refit, own_geometry,
     assert cases[0].field.positions is not cases[2].field.positions
     reference = own_geometry(run_identification, cases)
     n = cases[0].field.n
-    del geometry_builds[:]
+    if helper:  # the layouts are compared on a helper thread
+        monkeypatch.setattr(stiffid.pipeline, "_BLOCK_NODES", n)
+    threads = []
+    original = stiffid.pipeline._same_layout
+    monkeypatch.setattr(stiffid.pipeline, "_same_layout", lambda a, b: (
+        threads.append(threading.current_thread()), original(a, b))[1])
+    del geometry_builds[:], helper_threads[:]
     shared = run_identification(cases)
     assert result_bytes(shared) == result_bytes(reference)
+    assert len(helper_threads) == helper
+    assert len(threads) >= 5
+    assert {thread is threading.main_thread() for thread in threads} == {not helper}
     # once per distinct layout; the six refits keep n - 3 nodes each and
-    # share one batch, which builds one geometry
+    # share one batch, which builds one geometry, unless n nodes make a
+    # batch, which holds one refit
     assert geometry_builds.count(n) == distinct
-    assert len(geometry_builds) == distinct + (1 if refit else 0)
+    assert len(geometry_builds) == distinct + (0 if not refit else 6 if helper else 1)
+
+
+def test_no_helper_thread_for_one_object_or_a_small_layout(monkeypatch, helper_threads):
+    positions, displacements, wrenches = beam_batch(range(2))
+    copies = [positions[0].copy() for _ in range(6)]
+    stiffid.identify_batch(copies, displacements, wrenches)  # 121 nodes, below the gate
+    monkeypatch.setattr(stiffid.pipeline, "_BLOCK_NODES", 121)
+    stiffid.identify_batch([positions[0]] * 6, displacements, wrenches)  # one object
+    assert helper_threads == []
+    stiffid.identify_batch(copies, displacements, wrenches)
+    assert len(helper_threads) == 1 and not helper_threads[0].is_alive()
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failure", ["shape-at-experiment-3", "degenerate-layout-0",
+                                     "same-layout-raises"])
+def test_helper_thread_joined_when_the_call_raises(monkeypatch, helper_threads, failure):
+    monkeypatch.setattr(stiffid.pipeline, "_BLOCK_NODES", 9)
+    original = stiffid.pipeline._same_layout
+
+    def slow(a, b):  # so that the helper is still comparing when the call fails
+        time.sleep(0.02)
+        return original(a, b)
+
+    monkeypatch.setattr(stiffid.pipeline, "_same_layout", slow)
+    wrenches = canonical_wrench_scheme(*[1.0] * 6)
+    disp = np.random.default_rng(8).normal(0.0, 1e-5, (1, 27, 3))
+    displacements = [disp] * 6
+    layout = cube27()
+    if failure == "shape-at-experiment-3":
+        displacements = [disp] * 3 + [disp[:, :26]] + [disp] * 2
+        error, match = ValueError, "experiment 3"
+    elif failure == "degenerate-layout-0":
+        layout = np.zeros((9, 3))
+        layout[:, 0] = np.linspace(-4.0, 4.0, 9)
+        displacements = [disp[:, :9]] * 6
+        error, match = DegenerateGeometry, None
+    else:
+        def boom(a, b):
+            slow(a, b)
+            raise Boom(threading.current_thread() is helper_threads[0])
+        monkeypatch.setattr(stiffid.pipeline, "_same_layout", boom)
+        error, match = Boom, "True"  # raised on the helper thread
+    before = threading.active_count()
+    with pytest.raises(error, match=match):
+        stiffid.identify_batch([layout.copy() for _ in range(6)], displacements, wrenches)
+    assert len(helper_threads) == 1 and not helper_threads[0].is_alive()
+    assert threading.active_count() == before
 
 
 def test_shared_positions_object_gives_the_same_bytes(own_geometry, geometry_builds):

@@ -474,17 +474,27 @@ class TestAmplitudeStudy:
 
 
 @pytest.mark.parametrize("trials", [10**12, 10**19], ids=["memory", "size"])
-@pytest.mark.parametrize("study", [
-    lambda trials: run_noise_study(trials=trials),
-    lambda trials: run_amplitude_study([0.1, 1.0], trials=trials, sigma=1e-4),
-], ids=["noise", "amplitude"])
-def test_too_many_trials_is_an_input_error(monkeypatch, study, trials):
+@pytest.mark.parametrize("study, name", [
+    (lambda trials: run_noise_study(trials=trials), "trials"),
+    (lambda trials: run_amplitude_study([0.1, 1.0], trials=trials, sigma=1e-4), "trials"),
+    (lambda trials: run_zero_detection_study(seeds=trials), "seeds"),
+], ids=["noise", "amplitude", "zero-detection"])
+def test_too_many_trials_is_an_input_error(monkeypatch, study, name, trials):
     # numpy refuses the per-trial results (MemoryError for 10**12 trials,
     # ValueError for a size beyond its index range) before it touches a
-    # page, and the study draws no noise.
+    # page, and the study draws no noise and sizes no block.
     monkeypatch.setattr(synthetic, "_noisy_displacements", None)
-    with pytest.raises(InvalidArgument, match="trials"):
+    monkeypatch.setattr(synthetic, "_blocks", None)
+    with pytest.raises(InvalidArgument, match=f"{name}={trials}"):
         study(trials)
+
+
+def test_blocks_are_made_one_at_a_time():
+    blocks = synthetic._blocks(10**18, 121)
+    assert next(blocks) == range(0, 135)
+    assert next(blocks) == range(135, 270)
+    assert list(synthetic._blocks(300, 121)) == [range(0, 135), range(135, 270),
+                                                 range(270, 300)]
 
 
 class TestNoiseStudy:
