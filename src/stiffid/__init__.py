@@ -34,7 +34,7 @@ from .errors import (
     ZeroMagnitude,
 )
 from .estimation import (
-    AngleExtractionMethod,
+    ANGLE_READINGS,
     Deflection,
     FitResult,
     differential_rotation,

@@ -4,7 +4,8 @@ Two routes recover the translation p and small rotation vector dphi of a
 body from a centered displacement field:
 
 * :func:`estimate_svd` fits the best orthogonal rotation matrix
-  (orthogonal Procrustes via SVD) and reads angles off its entries.
+  (orthogonal Procrustes via SVD) and reads angles off its entries, by
+  one of the six readings named in ``ANGLE_READINGS``.
 * :func:`estimate_lin` solves the linearized least-squares problem
   directly; only a 3x3 solve is involved.
 
@@ -17,7 +18,8 @@ positions of shape (n, 3), shared by every row, or (S, n, 3).  The
 fit's arrays carry the leading S axis, and each row's numbers are
 bit-identical to those of a one-row fit of that row alone: every stage
 runs the same numpy operation (the same BLAS or LAPACK call) on each
-row.
+row.  One Procrustes decomposition serves every angle reading it is
+asked for: the fits of the readings share all but their rotation.
 
 Every per-node array of a fit lives in component planes: the memory
 is a C-contiguous (..., 3, n) array, and the fit hands it around as its
@@ -87,10 +89,9 @@ model `dp_i = dphi x p_i + p` is valid for small angles; a fit whose
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -174,25 +175,9 @@ def check_rotation(R: np.ndarray) -> None:
         raise ValueError("matrix determinant is not +1 within tolerance")
 
 
-class AngleExtractionMethod(enum.Enum):
-    """How small rotation angles are read off a rotation matrix.
-
-    The matrix entries above and below the diagonal both carry the
-    angles; the averaged variant halves the leading extraction error.
-    """
-
-    PLUS_ENTRIES = "plus"
-    MINUS_ENTRIES = "minus"
-    AVERAGED = "avg"
-    PLUS_ASIN = "plus-asin"
-    MINUS_ASIN = "minus-asin"
-    AVERAGED_ASIN = "avg-asin"
-
-    @classmethod
-    def _missing_(cls, value):
-        # Called by the constructor for a value that names no member.
-        raise InvalidArgument(f"angles must be one of "
-                              f"{', '.join(repr(m.value) for m in cls)}, got {value!r}")
+# The readings of small rotation angles off a rotation matrix (see
+# extract_angles), in the order of the amplitude study's rows.
+ANGLE_READINGS = ("plus", "minus", "avg", "plus-asin", "minus-asin", "avg-asin")
 
 
 def _asin(values: np.ndarray) -> np.ndarray:
@@ -207,9 +192,7 @@ def _asin(values: np.ndarray) -> np.ndarray:
     return np.array([math.asin(v) for v in clipped]).reshape(values.shape)
 
 
-def extract_angles(R: np.ndarray,
-                   method: AngleExtractionMethod = AngleExtractionMethod.AVERAGED,
-                   ) -> np.ndarray:
+def extract_angles(R: np.ndarray, method: str = "avg") -> np.ndarray:
     """Extract the small rotation vector from a rotation matrix.
 
     Parameters
@@ -217,10 +200,11 @@ def extract_angles(R: np.ndarray,
     R : (3, 3) or (..., 3, 3) array
         Rotation matrix, or a stack of them (each orthogonal within
         ``ORTHOGONALITY_TOL``).
-    method : AngleExtractionMethod
-        Entry selection variant: the entries above the diagonal
+    method : str
+        One of ``ANGLE_READINGS``: the entries above the diagonal
         (``plus``), the negated ones below it (``minus``) or their mean
-        (``avg``), each read as they are or through asin.
+        (``avg``), which halves the leading extraction error, each read
+        as they are or through asin (``-asin``).
 
     Returns
     -------
@@ -229,6 +213,8 @@ def extract_angles(R: np.ndarray,
 
     Raises
     ------
+    InvalidArgument
+        If `method` is not one of ``ANGLE_READINGS``.
     EntryOutOfRange
         For asin variants when an entry of any matrix falls outside the
         asin domain by more than roundoff.  Checked before orthogonality
@@ -239,7 +225,11 @@ def extract_angles(R: np.ndarray,
     R = np.asarray(R, dtype=float)
     if R.shape[-2:] != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got {R.shape}")
-    entries, _, asin = AngleExtractionMethod(method).value.partition("-")
+    # A reading that is not a str (an array, say) is never compared.
+    if not (isinstance(method, str) and method in ANGLE_READINGS):
+        raise InvalidArgument(f"method must be one of {', '.join(map(repr, ANGLE_READINGS))}, "
+                              f"got {method!r}")
+    entries, _, asin = method.partition("-")
     plus = R[..., (2, 0, 1), (1, 2, 0)]
     minus = -R[..., (1, 2, 0), (2, 0, 1)]
     vals = {"plus": plus, "minus": minus, "avg": (plus + minus) / 2.0}[entries]
@@ -497,6 +487,8 @@ def _lin_fit_residuals(fits: Fits, rel: np.ndarray, displacements: np.ndarray,
 
 def _fits(geometry: FitGeometry, translation: np.ndarray, rotation: np.ndarray,
           residuals: np.ndarray | None, score: np.ndarray) -> Fits:
+    """The checked fits of a batch.  `rotation` is (S, 3), or (K, S, 3)
+    for K angle readings of one decomposition (see :func:`_fit_svd`)."""
     _check_deflections(translation, rotation)
     # The residual sums of squares: one pass over the node scores.  An
     # overflow is named below, not by numpy's warning.
@@ -504,7 +496,8 @@ def _fits(geometry: FitGeometry, translation: np.ndarray, rotation: np.ndarray,
         objective = score.sum(axis=-1)
     if not np.isfinite(objective).all():
         raise NonFiniteDeflection(_RSS_OVERFLOW)
-    # One warning for each row whose rotation leaves the small-angle regime.
+    # One warning for each row (of each reading) whose rotation leaves the
+    # small-angle regime.
     norms = np.sqrt(np.einsum("...i,...i->...", rotation, rotation)).ravel()
     for norm in norms[norms >= ROTATION_WARN_LIMIT].tolist():
         warn(f"rotation magnitude {norm:.3g} rad exceeds the small-angle "
@@ -520,10 +513,17 @@ def _fit_result(fits: Fits, residuals: np.ndarray) -> FitResult:
 
 
 def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
-             method: AngleExtractionMethod = AngleExtractionMethod.AVERAGED) -> Fits:
+             readings: Sequence[str]) -> dict[str, Fits]:
     """Orthogonal Procrustes fits of a batch of fields on `geometry` and
     its relative positions `rel`; see :func:`estimate_svd` and, for the
-    shapes, :func:`_centred`."""
+    shapes, :func:`_centred`.
+
+    Each row is decomposed once, and the fits are keyed by the names of
+    ``ANGLE_READINGS`` in `readings`, each of which reads its angles off
+    the same rotation matrices.  They share the translation, residuals,
+    node scores and objective, and each equals a fit of its reading
+    alone bit for bit.
+    """
     q, disp_rel = _centred(displacements)
     with np.errstate(over="ignore", invalid="ignore"):  # named just below
         moved_rel = rel + disp_rel
@@ -547,8 +547,9 @@ def _fit_svd(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray,
         raise DegenerateGeometry(
             "displaced nodes are collinear, the rotation is not determined")
     translation = q - ((R - np.eye(3)) @ geometry.centroid[..., None])[..., 0]
-    rotation = extract_angles(R, method)
-    return _fits(geometry, translation, rotation, res, _node_score(res))
+    fits = _fits(geometry, translation, np.stack([extract_angles(R, m) for m in readings]),
+                 res, _node_score(res))
+    return {m: fits._replace(rotation=rotation) for m, rotation in zip(readings, fits.rotation)}
 
 
 def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray) -> Fits:
@@ -583,17 +584,16 @@ def _fit_lin(geometry: FitGeometry, rel: np.ndarray, displacements: np.ndarray) 
     return _fits(geometry, translation, rotation, None, score)
 
 
-def estimate_svd(field: DisplacementField,
-                 method: AngleExtractionMethod = AngleExtractionMethod.AVERAGED,
-                 ) -> FitResult:
+def estimate_svd(field: DisplacementField, method: str = "avg") -> FitResult:
     """Fit a rigid transform with the orthogonal Procrustes estimator.
 
     The cross-covariance of mean-removed initial and displaced positions
     is decomposed by SVD; a reflection, if it appears, is corrected by
     negating the smallest singular direction so the result is a proper
-    rotation.  Angles are then read off the matrix entries according to
-    `method`, and the translation at the reference point is moved from
-    the centroid c with the finite rotation, ``p = q - (R - I) c``.
+    rotation.  Angles are then read off the matrix entries by `method`,
+    one of ``ANGLE_READINGS`` (see :func:`extract_angles`), and the
+    translation at the reference point is moved from the centroid c with
+    the finite rotation, ``p = q - (R - I) c``.
 
     That is exact on fields that move rigidly through a finite rotation.
     On fields that move linearly, ``d = p + dphi x r`` (a linear-static
@@ -608,6 +608,8 @@ def estimate_svd(field: DisplacementField,
 
     Raises
     ------
+    InvalidArgument
+        If `method` is not one of ``ANGLE_READINGS``.
     DegenerateGeometry
         If the rotation normal matrix is numerically singular or
         overflows, or the cross-covariance has rank < 2.
@@ -616,7 +618,8 @@ def estimate_svd(field: DisplacementField,
         squares (a ``ValueError``).
     """
     _require_centered(field, "estimate_svd")
-    fits = _fit_svd(*_fit_geometry(field.positions), field.displacements[None], method)
+    fits = _fit_svd(*_fit_geometry(field.positions), field.displacements[None],
+                    (method,))[method]
     return _fit_result(fits, fits.residuals)
 
 

@@ -32,6 +32,9 @@ each block to the batched core (:func:`~stiffid.estimation._fit_lin`,
 :func:`~stiffid.estimation._fit_svd` and
 :func:`~stiffid.pipeline.identify_batch`), whose rows equal one-trial
 runs bit for bit, so a study's results do not depend on the block size.
+The amplitude study decomposes each block once with
+:func:`~stiffid.estimation._fit_svd` and reads every angle reading it
+reports off that one decomposition.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import numpy as np
 from .compliance import ComplianceMatrix, Wrench, canonical_wrench_scheme
 from .errors import InvalidArgument, InvalidPattern, LinearizationWarning
 from .estimation import (
-    AngleExtractionMethod,
+    ANGLE_READINGS,
     Deflection,
     _fit_geometry,
     _fit_lin,
@@ -70,7 +73,7 @@ DEFAULT_LOADS = (1000.0, 1.0, 1.0, 1000.0, 1000.0, 1000.0)
 _EXPERIMENT_NAMES = ("fx", "fy", "fz", "mx", "my", "mz")
 
 # The amplitude study's estimators: lin, and svd with each angle reading.
-STUDY_METHODS = ("lin",) + tuple(f"svd-{m.value}" for m in AngleExtractionMethod)
+STUDY_METHODS = ("lin",) + tuple(f"svd-{reading}" for reading in ANGLE_READINGS)
 
 
 @dataclass(frozen=True)
@@ -373,19 +376,30 @@ def run_amplitude_study(amplitudes: Sequence[float],
     measurand.  ``kind="translation"`` applies pure translations (mm)
     and reports the translation errors in mm of ``lin`` and
     ``svd-avg``.  With noise, the study also locates the amplitude band
-    minimizing the relative rotation error.
+    minimizing the lin rotation error relative to |amplitude|: within
+    twice the least, which is at ``best_amplitude``.  An amplitude of 0
+    is left out of that search.
 
     The noise comes from one stream, ``default_rng(seed)``, drawn
     amplitude by amplitude and trial by trial: each trial takes the next
     (3, n) standard normals.  The pattern's fit geometry is built once,
-    and the trials of a block are fit on it as the rows of one batch per
-    method.
+    and the trials of a block are fit on it as the rows of one lin batch
+    and one svd batch, whose one decomposition gives every angle reading.
+
+    Raises
+    ------
+    InvalidArgument
+        If an amplitude is NaN or infinite, or `trials` is below 1 or
+        more than numpy can allocate.
     """
     if kind not in ("rotation", "translation"):
         raise ValueError(f"kind must be 'rotation' or 'translation', got {kind!r}")
-    method_names = [m for m in STUDY_METHODS
-                    if kind == "rotation" or m in ("lin", "svd-avg")]
-    errors = {m: _trial_zeros((len(amplitudes), trials), trials) for m in method_names}
+    amps = np.asarray(amplitudes, dtype=float)
+    if not np.isfinite(amps).all():
+        raise InvalidArgument(f"amplitudes must be finite, got {amps.tolist()!r}")
+    readings = ANGLE_READINGS if kind == "rotation" else ("avg",)
+    names = ("lin",) + tuple(f"svd-{reading}" for reading in readings)
+    errors = {m: _trial_zeros((len(amplitudes), trials), trials) for m in names}
     base = generate_pattern(pattern)
     geometry, rel = _fit_geometry(base.positions)
     generator = _generator(sigma, seed)
@@ -402,22 +416,22 @@ def run_amplitude_study(amplitudes: Sequence[float],
             for block in _blocks(trials, base.n):
                 displacements = _noisy_displacements(rigid, sigma, generator, len(block),
                                                      noise)
-                for name, err in errors.items():
-                    fits = _fit_lin(geometry, rel, displacements) if name == "lin" \
-                        else _fit_svd(geometry, rel, displacements,
-                                      AngleExtractionMethod(name.removeprefix("svd-")))
-                    got = np.rad2deg(fits.rotation) if kind == "rotation" else fits.translation
+                # The fits in the order of `names`: lin, then each reading.
+                fits = [_fit_lin(geometry, rel, displacements),
+                        *_fit_svd(geometry, rel, displacements, readings).values()]
+                for fit, err in zip(fits, errors.values()):
+                    got = np.rad2deg(fit.rotation) if kind == "rotation" else fit.translation
                     err[ai, block.start:block.stop] = np.max(np.abs(got - amp), axis=-1)
 
     max_errors = {m: tuple(v.max(axis=1)) for m, v in errors.items()}
     mean_errors = {m: tuple(v.mean(axis=1)) for m, v in errors.items()}
     best = None
     band: tuple[float, ...] = ()
-    if kind == "rotation" and sigma > 0.0 and len(amplitudes) > 0:
-        rel = np.array(mean_errors["lin"]) / np.asarray(amplitudes, dtype=float)
-        best = float(np.asarray(amplitudes)[int(np.argmin(rel))])
-        band = tuple(float(a) for a, r in zip(amplitudes, rel)
-                     if r <= 2.0 * rel.min())
+    searched = amps != 0.0
+    if kind == "rotation" and sigma > 0.0 and searched.any():
+        rel = np.array(mean_errors["lin"])[searched] / np.abs(amps[searched])
+        best = float(amps[searched][int(np.argmin(rel))])
+        band = tuple(float(a) for a, r in zip(amps[searched], rel) if r <= 2.0 * rel.min())
     return AmplitudeStudy(kind, tuple(float(a) for a in amplitudes), sigma,
                           trials, max_errors, mean_errors, best, band)
 

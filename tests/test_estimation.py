@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from stiffid import (
-    AngleExtractionMethod,
+    ANGLE_READINGS,
     Deflection,
     DegenerateGeometry,
     DisplacementField,
@@ -26,6 +26,7 @@ from stiffid import (
     rotation_xyz,
     skew,
 )
+import stiffid
 from stiffid import estimation
 from stiffid.estimation import (
     _GRAM_BLOCK,
@@ -40,6 +41,11 @@ from stiffid.estimation import (
     _planes,
     check_rotation,
 )
+
+
+def svd_avg(geometry, rel, d):
+    """The Procrustes fits of a batch, with the ``avg`` angle reading."""
+    return _fit_svd(geometry, rel, d, ("avg",))["avg"]
 
 
 def cube_nodes(edge, step):
@@ -254,7 +260,7 @@ class TestFitGeometry:
         assert_allclose(geometry.moment @ geometry.inverse, np.eye(3), atol=1e-14)
         assert rel.shape == (125, 3)
 
-    @pytest.mark.parametrize("fit", [_fit_lin, _fit_svd], ids=["lin", "svd"])
+    @pytest.mark.parametrize("fit", [_fit_lin, svd_avg], ids=["lin", "svd"])
     def test_fit_forms_one_node_sum(self, fit, monkeypatch):
         # the geometry already holds the moment matrix's inverse, so a fit
         # sums over the nodes once: the rotation right-hand side (lin) or
@@ -320,13 +326,38 @@ class TestBatchedFits:
         # The rows read their angles in one pass over the batch's rotation
         # matrices, through math.asin entry by entry.
         pos, disp = batch_fields(shared)
-        method = AngleExtractionMethod.PLUS_ASIN
-        batch = _fit_svd(*_fit_geometry(pos), disp, method)
+        method = "plus-asin"
+        batch = _fit_svd(*_fit_geometry(pos), disp, (method,))[method]
         for s in range(3):
             one = _fit_svd(*_fit_geometry(pos if shared else pos[s:s + 1]), disp[s:s + 1],
-                           method)
+                           (method,))[method]
             for name in ("translation", "rotation", "residuals", "score", "objective"):
                 assert getattr(batch, name)[s].tobytes() == getattr(one, name)[0].tobytes()
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+    def test_svd_readings_of_one_decomposition_equal_one_reading_fits(self, shared,
+                                                                       monkeypatch):
+        # One decomposition serves every reading asked for; each reading's
+        # fits equal those of a call that asks for it alone, bit for bit.
+        pos, disp = batch_fields(shared)
+        geometry, rel = _fit_geometry(pos)
+        svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(a):
+            calls.append(a.shape)
+            return svd(a)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        fits = _fit_svd(geometry, rel, disp, ANGLE_READINGS)
+        assert calls == [(3, 3, 3)]
+        assert list(fits) == list(ANGLE_READINGS)
+        for reading, fit in fits.items():
+            one = _fit_svd(geometry, rel, disp, (reading,))[reading]
+            assert fit.geometry is one.geometry
+            for name in ("translation", "rotation", "residuals", "score", "objective"):
+                assert getattr(fit, name).tobytes() == getattr(one, name).tobytes()
+        assert fits["plus"].rotation.tobytes() != fits["minus"].rotation.tobytes()
 
     def test_svd_collinear_displaced_nodes_degenerate(self):
         # every node moves onto the x axis: the cross-covariance has rank 1
@@ -334,7 +365,7 @@ class TestBatchedFits:
         disp = np.zeros_like(pos)
         disp[:, 1:] = -pos[:, 1:]
         with pytest.raises(DegenerateGeometry, match="collinear"):
-            _fit_svd(*_fit_geometry(pos), disp[None])
+            _fit_svd(*_fit_geometry(pos), disp[None], ("avg",))
 
     def test_svd_overflowing_displacement_named(self):
         pos = cube_nodes(2.0, 1.0)
@@ -343,7 +374,7 @@ class TestBatchedFits:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteDeflection, match="residual sum of squares"):
-                _fit_svd(*_fit_geometry(pos), disp[None])
+                _fit_svd(*_fit_geometry(pos), disp[None], ("avg",))
 
     @pytest.mark.parametrize("cells", [
         {(0, 1): np.inf},
@@ -360,9 +391,9 @@ class TestBatchedFits:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteDeflection):
-                _fit_svd(*_fit_geometry(pos), disp[None])
+                _fit_svd(*_fit_geometry(pos), disp[None], ("avg",))
 
-    @pytest.mark.parametrize("fit", [_fit_lin, _fit_svd], ids=["lin", "svd"])
+    @pytest.mark.parametrize("fit", [_fit_lin, svd_avg], ids=["lin", "svd"])
     def test_small_angle_warning(self, fit):
         pos = cube_nodes(2.0, 1.0)
         disp = np.cross([0.0, 0.0, 0.05], pos)
@@ -371,7 +402,7 @@ class TestBatchedFits:
             fit(*_fit_geometry(pos), disp[None])
         assert [w.category for w in caught] == [LinearizationWarning]
 
-    @pytest.mark.parametrize("fit", [_fit_lin, _fit_svd], ids=["lin", "svd"])
+    @pytest.mark.parametrize("fit", [_fit_lin, svd_avg], ids=["lin", "svd"])
     def test_non_finite_deflection_rejected(self, fit):
         pos = cube_nodes(2.0, 1.0)
         disp = np.zeros_like(pos)
@@ -390,53 +421,65 @@ class TestAngleExtraction:
         angles[axis] = 1e-3
         R = rotation_xyz(angles)
         assert_allclose(extract_angles(R), angles, rtol=0, atol=1e-9)
-        got = extract_angles(R, AngleExtractionMethod.AVERAGED_ASIN)
+        got = extract_angles(R, "avg-asin")
         assert_allclose(got, angles, rtol=0, atol=1e-12)
 
     def test_averaged_is_mean_of_entry_variants(self):
         R = rotation_xyz([2e-3, -1e-3, 3e-3])
-        plus = extract_angles(R, AngleExtractionMethod.PLUS_ENTRIES)
-        minus = extract_angles(R, AngleExtractionMethod.MINUS_ENTRIES)
-        avg = extract_angles(R, AngleExtractionMethod.AVERAGED)
+        plus = extract_angles(R, "plus")
+        minus = extract_angles(R, "minus")
+        avg = extract_angles(R, "avg")
         assert_allclose(avg, (plus + minus) / 2.0, atol=1e-16)
 
     def test_averaging_halves_the_entry_error(self):
         b = np.deg2rad(1.0)
         angles = np.array([b, b, b])
         R = rotation_xyz(angles)
-        err_plus = np.max(np.abs(extract_angles(R, AngleExtractionMethod.PLUS_ENTRIES) - angles))
-        err_avg = np.max(np.abs(extract_angles(R, AngleExtractionMethod.AVERAGED) - angles))
+        err_plus = np.max(np.abs(extract_angles(R, "plus") - angles))
+        err_avg = np.max(np.abs(extract_angles(R, "avg") - angles))
         assert err_avg < err_plus
         assert 1.6 < err_plus / err_avg < 2.4
 
     def test_asin_variant_tracks_plain_variant(self):
         R = rotation_xyz([1e-3, 1e-3, 1e-3])
-        plain = extract_angles(R, AngleExtractionMethod.AVERAGED)
-        arcs = extract_angles(R, AngleExtractionMethod.AVERAGED_ASIN)
+        plain = extract_angles(R, "avg")
+        arcs = extract_angles(R, "avg-asin")
         assert_allclose(arcs, plain, atol=1e-9)
 
-    def test_method_accepts_string_value(self):
-        R = rotation_xyz([1e-4, 0.0, 0.0])
-        assert_allclose(extract_angles(R, "plus"),
-                        extract_angles(R, AngleExtractionMethod.PLUS_ENTRIES))
-
-    @pytest.mark.parametrize("method", ["bogus", "AVERAGED", None])
+    @pytest.mark.parametrize("method", ["bogus", "AVERAGED", None, "", True, ["avg"],
+                                        ("avg",), np.array(["avg", "plus"]),
+                                        np.array("avg")],
+                             ids=["bogus", "AVERAGED", "None", "empty", "True", "list",
+                                  "tuple", "array", "0d-array"])
     def test_unknown_method_is_invalid_argument(self, method):
-        with pytest.raises(InvalidArgument, match="'plus', 'minus', 'avg', 'plus-asin', "
-                                                  "'minus-asin', 'avg-asin'"):
-            extract_angles(np.eye(3), method)
+        # In both calls the error names the parameter and lists the six
+        # readings; a value that is not a str is never compared (an array
+        # would raise numpy's truth-value error).
+        field = make_field(cube_nodes(2.0, 1.0), np.zeros((27, 3)))
+        for call in (lambda: extract_angles(np.eye(3), method),
+                     lambda: estimate_svd(field, method)):
+            with pytest.raises(InvalidArgument, match="^method must be one of 'plus', "
+                                                      "'minus', 'avg', 'plus-asin', "
+                                                      "'minus-asin', 'avg-asin', got "):
+                call()
+
+    def test_readings_in_order(self):
+        assert ANGLE_READINGS == ("plus", "minus", "avg", "plus-asin", "minus-asin",
+                                  "avg-asin")
+        assert not hasattr(stiffid, "AngleExtractionMethod")
+        assert not hasattr(estimation, "AngleExtractionMethod")
 
     def test_corrupt_entry_raises_for_asin(self):
         R = np.eye(3)
         R[2, 1] = 1.0 + 1e-6
         with pytest.raises(EntryOutOfRange):
-            extract_angles(R, AngleExtractionMethod.PLUS_ASIN)
+            extract_angles(R, "plus-asin")
 
     def test_corrupt_matrix_raises_for_plain(self):
         R = np.eye(3)
         R[2, 1] = 1.0 + 1e-6
         with pytest.raises(ValueError):
-            extract_angles(R, AngleExtractionMethod.PLUS_ENTRIES)
+            extract_angles(R, "plus")
 
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError):
@@ -446,7 +489,7 @@ class TestAngleExtraction:
         with pytest.raises(ValueError):
             extract_angles(np.eye(4))
 
-    @pytest.mark.parametrize("method", list(AngleExtractionMethod), ids=lambda m: m.value)
+    @pytest.mark.parametrize("method", ANGLE_READINGS)
     def test_stack_equals_per_matrix_calls(self, method):
         rng = np.random.default_rng(5)
         stack = np.array([rotation_xyz(a) for a in rng.uniform(-0.3, 0.3, (20, 3))])
@@ -455,7 +498,7 @@ class TestAngleExtraction:
         assert got.shape == (4, 5, 3)
         want = np.array([extract_angles(R, method) for R in stack.reshape(-1, 3, 3)])
         assert got.tobytes() == want.tobytes()
-        entries, _, asin = method.value.partition("-")
+        entries, _, asin = method.partition("-")
         if asin:
             # math.asin of each entry reading, which np.arcsin is not
             # bit for bit.
@@ -466,14 +509,14 @@ class TestAngleExtraction:
         stack = np.array([rotation_xyz([1e-3, 0.0, 0.0])] * 3)
         stack[1, 2, 1] = 1.0 + 1e-6
         with pytest.raises(EntryOutOfRange):
-            extract_angles(stack, AngleExtractionMethod.PLUS_ASIN)
+            extract_angles(stack, "plus-asin")
         with pytest.raises(ValueError, match="orthogonal"):
-            extract_angles(stack, AngleExtractionMethod.PLUS_ENTRIES)
+            extract_angles(stack, "plus")
 
     def test_non_finite_matrix_rejected(self):
         R = np.eye(3)
         R[0, 1] = np.nan
-        for method in AngleExtractionMethod:
+        for method in ANGLE_READINGS:
             with pytest.raises(ValueError):
                 extract_angles(R, method)
 
@@ -525,7 +568,7 @@ class TestFitResult:
     @pytest.mark.parametrize("estimate, residuals", [
         (estimate_lin, lambda geometry, rel, d: _lin_fit_residuals(
             _fit_lin(geometry, rel, d), rel, d)),
-        (estimate_svd, lambda geometry, rel, d: _fit_svd(geometry, rel, d).residuals),
+        (estimate_svd, lambda geometry, rel, d: svd_avg(geometry, rel, d).residuals),
     ], ids=["lin", "svd"])
     def test_residuals_are_a_read_only_copy(self, estimate, residuals):
         rng = np.random.default_rng(8)
@@ -711,7 +754,7 @@ class TestSvdEstimator:
             disp = pos @ (R - np.eye(3)).T + translation
             field = make_field(pos, disp)
             a = estimate_lin(field).deflection
-            b = estimate_svd(field, AngleExtractionMethod.AVERAGED).deflection
+            b = estimate_svd(field, "avg").deflection
             assert np.max(np.abs(a.translation - b.translation)) <= 1e-9
             assert np.max(np.abs(a.rotation - b.rotation)) <= 1e-9
 
@@ -722,12 +765,12 @@ class TestSvdEstimator:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinearizationWarning)
             fits = {m: estimate_svd(make_field(pos, disp), m)
-                    for m in AngleExtractionMethod}
+                    for m in ANGLE_READINGS}
         translations = [f.deflection.translation for f in fits.values()]
         for t in translations[1:]:
             assert_allclose(t, translations[0], atol=0)
-        rot_plus = fits[AngleExtractionMethod.PLUS_ENTRIES].deflection.rotation
-        rot_minus = fits[AngleExtractionMethod.MINUS_ENTRIES].deflection.rotation
+        rot_plus = fits["plus"].deflection.rotation
+        rot_minus = fits["minus"].deflection.rotation
         assert np.max(np.abs(rot_plus - rot_minus)) > 1e-6
 
     def test_objective_is_a_minimum_over_rigid_motions(self):

@@ -415,6 +415,11 @@ def test_results_hold_no_per_node_array(jitter):
     assert node_axis_arrays(result, skip=None) == [f".dropped.{j}" for j in range(6)]
 
 
+def svd_avg(geometry, rel, d):
+    """The Procrustes fits of a batch, with the ``avg`` angle reading."""
+    return _fit_svd(geometry, rel, d, ("avg",))["avg"]
+
+
 @pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["shared-positions", "row-positions"])
 def test_fits_keep_no_per_node_geometry(jitter):
     # identify_batch keeps each experiment's final geometry for the
@@ -425,7 +430,7 @@ def test_fits_keep_no_per_node_geometry(jitter):
     p, d = positions[0], displacements[0]
     keep = np.ones((1, d.shape[1]), dtype=bool)
     keep[:, ::10] = False
-    for fit in (_fit_lin, _fit_svd):
+    for fit in (_fit_lin, svd_avg):
         first = fit(*_fit_geometry(p), d)
         refit = fit(*_fit_geometry(stiffid.pipeline._survivors(p if jitter == 0.0 else p[:1],
                                                                 keep)),
@@ -464,7 +469,7 @@ def lin_residuals(geometry, rel, d):
 
 @pytest.mark.parametrize("refit", [False, True], ids=["no-refit", "refit"])
 @pytest.mark.parametrize("residuals", [
-    lin_residuals, lambda geometry, rel, d: _fit_svd(geometry, rel, d).residuals,
+    lin_residuals, lambda geometry, rel, d: svd_avg(geometry, rel, d).residuals,
 ], ids=["lin", "svd"])
 def test_row_inputs_give_plane_backed_residuals(residuals, refit):
     # identify_batch fits the arrays it is given (rows or planes), and

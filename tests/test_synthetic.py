@@ -397,6 +397,52 @@ class TestAmplitudeStudy:
         assert 0.1 in study.band
         assert study.trials == 2
 
+    @pytest.mark.parametrize("amplitudes, best, band", [
+        ([-1.0, 0.1, 1.0], 0.1, (0.1,)),
+        ([-0.1, 1.0], -0.1, (-0.1,)),
+    ], ids=["negative-worst", "negative-best"])
+    def test_band_is_relative_to_the_amplitude_magnitude(self, amplitudes, best, band):
+        # lin's mean error over 20 trials is 0.89% of 1 deg at +-1 and
+        # 0.11% of 0.1 deg at 0.1
+        study = run_amplitude_study(amplitudes, trials=20, sigma=1e-4, seed=3)
+        assert study.best_amplitude == best
+        assert study.band == band
+
+    @pytest.mark.parametrize("amplitudes, best", [
+        ([0.0, 0.1], 0.1), ([0.1, 0.0], 0.1), ([0.0], None), ([-0.0, 0.0], None),
+    ], ids=["zero-first", "zero-last", "zero-only", "signed-zeros"])
+    def test_zero_amplitude_is_left_out_of_the_band(self, amplitudes, best):
+        # no "divide by zero" RuntimeWarning, which pytest makes an error
+        study = run_amplitude_study(amplitudes, MeshPattern.cubic(2.0, 1.0), trials=2,
+                                    seed=3, sigma=1e-4)
+        assert study.best_amplitude == best
+        assert study.band == (() if best is None else (best,))
+        assert len(study.max_errors["lin"]) == len(amplitudes)
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["rotation", "translation"])
+    def test_non_finite_amplitude_is_invalid_argument(self, amplitude, kind):
+        with pytest.raises(InvalidArgument, match="^amplitudes must be finite"):
+            run_amplitude_study([0.1, amplitude], kind=kind)
+
+    @pytest.mark.parametrize("kind", ["rotation", "translation"])
+    def test_one_decomposition_per_block(self, kind, monkeypatch):
+        # A block of two trials and one of one at each of two amplitudes:
+        # every angle reading is read off the block's one decomposition.
+        svd = np.linalg.svd
+        rows = []
+
+        def counting_svd(a):
+            rows.append(len(a))
+            return svd(a)
+
+        monkeypatch.setattr(pipeline, "_BLOCK_NODES", 2 * 125)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        study = run_amplitude_study([0.05, 0.5], MeshPattern.cubic(4.0, 1.0), trials=3,
+                                    seed=4, sigma=5e-5, kind=kind)
+        assert rows == [2, 1, 2, 1]
+        assert len(study.max_errors) == (7 if kind == "rotation" else 2)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             run_amplitude_study([0.1], kind="spiral")
